@@ -1,7 +1,7 @@
-"""Benchmark: the compiled backend vs wavefront and pointwise.
+"""Benchmark: the compiled backend vs the pointwise reference.
 
-Times the ``compiled`` per-design codegen engine against the other two
-backends on the same bit-level matmul instances and checks they agree
+Times the ``compiled`` per-design codegen engine against the pointwise
+interpreter on the same bit-level matmul instances and checks they agree
 exactly -- same product, same :class:`SimulationResult`, same
 ``machine.*`` metrics -- so the speedup is measured on provably
 identical work.  Also measures the two compilation costs the cache
@@ -10,8 +10,8 @@ amortizes: the cold compile and the warm artifact-store load.
 Besides the pytest-benchmark kernels, this module doubles as a script:
 
 * ``python benchmarks/bench_compiled.py --smoke`` runs the u=p=8
-  add-shift instance on all three backends, asserts identical results
-  and a >= 3x compiled-vs-wavefront speedup -- the CI guard.
+  add-shift instance on both backends, asserts identical results and a
+  >= 3x compiled-vs-pointwise speedup -- the CI guard.
 * ``python benchmarks/bench_compiled.py --record`` measures the same
   instance plus cold-compile / warm-cache-load timings and updates
   ``BENCH_compiled.json`` at the repo root.
@@ -130,17 +130,17 @@ def _compile_timings(u, p):
     return cold, warm
 
 
-def _three_way(u, p, repeats):
+def _both_backends(u, p, repeats):
     runs, metrics, times = {}, {}, {}
-    for backend in ("pointwise", "wavefront", "compiled"):
-        # The fast engines run in a few ms where allocator/frequency
-        # warm-up dominates the first several iterations; give them
-        # untimed warm-up runs and a deeper best-of.
-        reps = 1 if backend == "pointwise" else max(repeats, 5)
-        warm = 0 if backend == "pointwise" else 3
-        times[backend], runs[backend], metrics[backend] = _timed_run(
-            u, p, backend, repeats=reps, warmup=warm
-        )
+    times["pointwise"], runs["pointwise"], metrics["pointwise"] = _timed_run(
+        u, p, "pointwise", repeats=1
+    )
+    # The compiled engine runs in a few ms where allocator/frequency
+    # warm-up dominates the first several iterations; give it untimed
+    # warm-up runs and a deeper best-of.
+    times["compiled"], runs["compiled"], metrics["compiled"] = _timed_run(
+        u, p, "compiled", repeats=max(repeats, 5), warmup=3
+    )
     _assert_identical(runs, metrics, f"u={u} p={p}")
     return runs, metrics, times
 
@@ -157,28 +157,28 @@ def report(report_writer):
     rows = []
     data_rows = []
     for u, p in ((4, 4), (6, 6)):
-        t_wf, run_wf, m_wf = _timed_run(u, p, "wavefront", repeats=2)
+        t_pw, run_pw, m_pw = _timed_run(u, p, "pointwise", repeats=1)
         t_c, run_c, m_c = _timed_run(u, p, "compiled", repeats=2)
-        assert run_wf.product == run_c.product
-        assert run_wf.sim == run_c.sim
-        assert m_wf["counters"] == m_c["counters"]
+        assert run_pw.product == run_c.product
+        assert run_pw.sim == run_c.sim
+        assert m_pw["counters"] == m_c["counters"]
         rows.append(
-            (u, p, run_wf.sim.computations, f"{t_wf * 1e3:.1f}",
-             f"{t_c * 1e3:.1f}", f"{t_wf / t_c:.1f}x")
+            (u, p, run_pw.sim.computations, f"{t_pw * 1e3:.1f}",
+             f"{t_c * 1e3:.1f}", f"{t_pw / t_c:.1f}x")
         )
         data_rows.append({
-            "u": u, "p": p, "points": run_wf.sim.computations,
-            "wavefront_s": round(t_wf, 4), "compiled_s": round(t_c, 4),
-            "speedup": round(t_wf / t_c, 2), "identical": True,
+            "u": u, "p": p, "points": run_pw.sim.computations,
+            "pointwise_s": round(t_pw, 4), "compiled_s": round(t_c, 4),
+            "speedup": round(t_pw / t_c, 2), "identical": True,
         })
     text = format_table(
-        ["u", "p", "points", "wavefront ms", "compiled ms", "speedup"],
+        ["u", "p", "points", "pointwise ms", "compiled ms", "speedup"],
         rows,
         title="Compiled backend: add-shift bit-level matmul (fig4, exp II)",
     )
     report_writer(
         "compiled-backend", text,
-        data={"backend": "compiled-vs-wavefront", "rows": data_rows},
+        data={"backend": "compiled-vs-pointwise", "rows": data_rows},
     )
 
 
@@ -207,17 +207,14 @@ def test_bench_compiled_cold_compile(benchmark):
 
 def _smoke() -> int:
     u = p = 8
-    runs, _, times = _three_way(u, p, repeats=3)
-    speedup_wf = times["wavefront"] / times["compiled"]
-    speedup_pw = times["pointwise"] / times["compiled"]
+    runs, _, times = _both_backends(u, p, repeats=3)
+    speedup = times["pointwise"] / times["compiled"]
     print(f"smoke: u={u} p={p} ({runs['pointwise'].sim.computations} points)  "
           f"pointwise {times['pointwise'] * 1e3:.1f} ms  "
-          f"wavefront {times['wavefront'] * 1e3:.1f} ms  "
           f"compiled {times['compiled'] * 1e3:.1f} ms  "
-          f"speedup {speedup_wf:.1f}x vs wavefront, {speedup_pw:.1f}x vs "
-          f"pointwise  identical=True")
-    assert speedup_wf >= 3.0, (
-        f"compiled speedup {speedup_wf:.2f}x vs wavefront is below the "
+          f"speedup {speedup:.1f}x  identical=True")
+    assert speedup >= 3.0, (
+        f"compiled speedup {speedup:.2f}x vs pointwise is below the "
         f"3x smoke floor"
     )
     return 0
@@ -226,13 +223,11 @@ def _smoke() -> int:
 def _record(repeats: int) -> int:
     u = p = 8
     print(f"recording u={u} p={p} add-shift instance (best of {repeats})...")
-    runs, metrics, times = _three_way(u, p, repeats)
-    speedup_wf = times["wavefront"] / times["compiled"]
-    speedup_pw = times["pointwise"] / times["compiled"]
+    runs, metrics, times = _both_backends(u, p, repeats)
+    speedup = times["pointwise"] / times["compiled"]
     print(f"pointwise: {times['pointwise']:.3f}s  "
-          f"wavefront: {times['wavefront']:.3f}s  "
           f"compiled: {times['compiled']:.4f}s  "
-          f"speedup {speedup_wf:.1f}x / {speedup_pw:.1f}x  identical=True")
+          f"speedup {speedup:.1f}x  identical=True")
 
     cold, warm = _compile_timings(u, p)
     print(f"cold compile+run: {cold * 1e3:.1f} ms  "
@@ -251,7 +246,6 @@ def _record(repeats: int) -> int:
         "environment": obs.environment_info(),
         "engine": {
             "pointwise": {"seconds": round(times["pointwise"], 4)},
-            "wavefront": {"seconds": round(times["wavefront"], 4)},
             "compiled": {
                 "seconds": round(times["compiled"], 4),
                 "cold_compile_seconds": round(cold, 4),
@@ -260,14 +254,13 @@ def _record(repeats: int) -> int:
                 "store_writes": m_c["counters"].get("machine.store_writes"),
             },
             "results_identical_across_backends": True,
-            "speedup_compiled_vs_wavefront": round(speedup_wf, 2),
-            "speedup_compiled_vs_pointwise": round(speedup_pw, 2),
+            "speedup_compiled_vs_pointwise": round(speedup, 2),
         },
     })
     BENCH_FILE.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
     print(f"wrote {BENCH_FILE}")
-    assert speedup_wf >= 3.0, (
-        f"compiled speedup {speedup_wf:.2f}x vs wavefront is below the "
+    assert speedup >= 3.0, (
+        f"compiled speedup {speedup:.2f}x vs pointwise is below the "
         f"3x record floor"
     )
     return 0
@@ -277,8 +270,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     mode = parser.add_mutually_exclusive_group(required=True)
     mode.add_argument("--smoke", action="store_true",
-                      help="u=p=8 on all three backends; assert equal "
-                           "results and >= 3x over wavefront")
+                      help="u=p=8 on both backends; assert equal "
+                           "results and >= 3x over pointwise")
     mode.add_argument("--record", action="store_true",
                       help="measure u=p=8 plus cold-compile and warm-cache "
                            "timings; update BENCH_compiled.json")

@@ -430,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--design", choices=["fig4", "fig5"], default="fig4")
     p_sim.add_argument("--seed", type=int, default=0)
     p_sim.add_argument(
-        "--backend", choices=["pointwise", "wavefront", "compiled"],
+        "--backend", choices=["pointwise", "compiled"],
         default=None,
         help="simulator engine (default: REPRO_SIM_BACKEND or pointwise); "
         "'compiled' runs per-design codegen kernels (see docs/COMPILE.md)",

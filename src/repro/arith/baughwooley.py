@@ -23,14 +23,11 @@ for every operand pair.
 
 from __future__ import annotations
 
+import numpy as _np
+
 from repro.arith.structure import ArithmeticStructure
 from repro.structures.indexset import IndexSet
 from repro.structures.params import LinExpr, S, as_linexpr
-
-try:  # pragma: no cover - both paths exercised by the test suite
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
 
 __all__ = ["BaughWooleyMultiplier", "baughwooley_structure"]
 
@@ -93,7 +90,7 @@ class BaughWooleyMultiplier:
         scheme bug would corrupt the batched results exactly as it would
         the scalar ones."""
         p = self.p
-        if _np is None or 2 * p > 62:
+        if 2 * p > 62:
             return [self.multiply(int(x), int(y)) for x, y in zip(a, b)]
         a = _np.asarray(a, dtype=_np.int64)
         b = _np.asarray(b, dtype=_np.int64)

@@ -17,11 +17,6 @@ from repro.structures.dependence import DependenceMatrix, DependenceVector
 from repro.structures.indexset import IndexSet
 from repro.structures.params import LinExpr, S, as_linexpr
 
-try:  # pragma: no cover - both paths exercised by the test suite
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
-
 __all__ = ["RippleCarryAdder", "ripple_structure"]
 
 
@@ -43,22 +38,6 @@ class RippleCarryAdder:
             sb, carry = full_adder(a_bits[k], b_bits[k], carry)
             out.append(sb)
         return from_bits(out), carry
-
-    def add_block(self, a, b, carry_in: int = 0):
-        """:meth:`add` over whole operand blocks.
-
-        Returns ``(sums, carry_outs)`` as int64 ndarrays when NumPy is
-        available and the width fits a machine word, else as lists.  Used
-        by the wavefront slot kernels to add a time slot's operands at
-        once.
-        """
-        if _np is None or self.width > 62:
-            pairs = [self.add(int(x), int(y), carry_in) for x, y in zip(a, b)]
-            return [s for s, _ in pairs], [c for _, c in pairs]
-        a = _np.asarray(a, dtype=_np.int64)
-        b = _np.asarray(b, dtype=_np.int64)
-        total = a + b + int(carry_in)
-        return total & ((1 << self.width) - 1), total >> self.width
 
     @property
     def steps(self) -> int:

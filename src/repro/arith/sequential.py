@@ -17,12 +17,9 @@ the word-level baseline can be both simulated and costed.
 
 from __future__ import annotations
 
-from repro.arith.ripple import RippleCarryAdder
+import numpy as _np
 
-try:  # pragma: no cover - both paths exercised by the test suite
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
+from repro.arith.ripple import RippleCarryAdder
 
 __all__ = ["SequentialAddShift", "SequentialCarrySave", "word_multiplier_cycles"]
 
@@ -62,10 +59,10 @@ class SequentialAddShift:
     def multiply_block(self, a, b):
         """:meth:`multiply` over whole operand blocks (one shifted-add
         sweep per bit position, each addition done block-wide) -- the
-        wavefront slot kernels' batched multiply.  Falls back to the
-        scalar loop without NumPy or when ``2p`` exceeds a machine word."""
+        compiled word-level program's batched multiply.  Falls back to the
+        scalar loop when ``2p`` exceeds a machine word."""
         p = self.p
-        if _np is None or 2 * p > 62:
+        if 2 * p > 62:
             return [self.multiply(int(x), int(y)) for x, y in zip(a, b)]
         a, b = _check_block_operands(a, b, p)
         mask = (1 << (2 * p)) - 1
@@ -113,9 +110,10 @@ class SequentialCarrySave:
     def multiply_block(self, a, b):
         """:meth:`multiply` over whole operand blocks: the redundant
         ``(sum, carry)`` compression runs block-wide per bit position and
-        the final carry-propagate add is one vector add."""
+        the final carry-propagate add is one vector add.  Falls back to the
+        scalar loop when ``2p`` exceeds a machine word."""
         p = self.p
-        if _np is None or 2 * p > 62:
+        if 2 * p > 62:
             return [self.multiply(int(x), int(y)) for x, y in zip(a, b)]
         a, b = _check_block_operands(a, b, p)
         mask = (1 << (2 * p)) - 1

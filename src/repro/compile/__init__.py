@@ -6,14 +6,16 @@ structural read/write census -- is a constant of the design.  This
 package resolves it once:
 
 * :mod:`repro.compile.plan` -- memoized schedule plans (the run-invariant
-  lattice/times/slots structure), shared with the wavefront backend;
+  lattice/times/slots structure), the batched machine-model checks, and
+  the dense lattice-indexed value store the programs write into;
 * :mod:`repro.compile.matmul` / :mod:`repro.compile.word` -- design
   compilers that emit loop-free, ``exec``-compiled NumPy kernels for the
   bit-level and word-level matmul lattices;
 * :mod:`repro.compile.runner` -- the ``compiled`` simulation backend:
-  program memo, artifact-store persistence (kind ``"kernel"``), and the
-  execution harness producing bit-identical results and metrics versus
-  the pointwise and wavefront backends.
+  program memo, artifact-store persistence (kind ``"kernel"``), the
+  generic per-point path for everything else, and the execution harness
+  producing bit-identical results and metrics versus the pointwise
+  backend.
 
 See ``docs/COMPILE.md``.
 """
@@ -38,8 +40,8 @@ __all__ = [
 
 
 def __getattr__(name):
-    # The runner pulls in the machine layer; load it on demand so that
-    # importing the plan helpers stays cheap and cycle-free.
+    # The runner pulls in the artifact cache layer; load it on demand so
+    # that importing the plan helpers stays cheap.
     if name in ("run_compiled", "clear_program_memo"):
         from repro.compile import runner
 

@@ -1,8 +1,8 @@
 """The design compiler for the bit-level matmul lattice.
 
 Specializes the add-shift compressor lattice of Example 3.1 (Expansion I
-or II) to one concrete design ``T`` and problem size: everything the
-wavefront slot kernel re-derives per run -- slot grouping, per-slot
+or II) to one concrete design ``T`` and problem size: everything a
+per-slot interpreter would re-derive per run -- slot grouping, per-slot
 neighbor masks, the five-subscript fancy indexing, boundary re-route
 targets, the structural read/write census -- is resolved here, once, into
 flat int32 index plans and generated loop-free NumPy source.
@@ -19,15 +19,15 @@ value arrays, so every neighbor access is a precomputed flat index:
   carry re-route (``Δt = π₄``), and the ``C2`` re-route from ``i2 = p-1``
   (``Δt = π₄ + π₅``) and from ``i2 = p`` (``Δt = 2π₄``).  Classes with
   ``Δt >= 1`` compile to a plain scatter; classes with ``Δt < 1`` compile
-  to a guard that raises the wavefront backend's exact causality error
-  iff a re-routed carry is actually realized at run time.
+  to a guard that raises a causality error iff a re-routed carry is
+  actually realized at run time.
 
 What stays at run time is exactly the data-dependent part: gathering the
 operand bit products, summing carries, the compressor-overflow check,
 ``max_summands``, and the realized/dropped re-route counts.  Everything
 value-independent (store reads, causality checks, link traffic, keep
 writes) is a compile-time constant folded into the returned
-:class:`~repro.machine.wavefront.SlotCounters`.
+:class:`~repro.compile.plan.SlotCounters`.
 
 Programs serialize to JSON payloads (base64 little-endian int32 streams)
 for the artifact store; loading a payload rebuilds the index plans and
@@ -37,20 +37,20 @@ re-emits + ``exec``-compiles the source, producing byte-identical runs.
 from __future__ import annotations
 
 import base64
+from typing import Sequence
 
-from repro.machine.wavefront import SlotCounters, matmul_read_sites
+import numpy as _np
+
+from repro.compile.plan import SlotCounters, plan_for
 from repro.mapping.transform import MappingMatrix
-
-try:  # pragma: no cover - runner gates on HAVE_NUMPY
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
 
 __all__ = [
     "KERNEL_PAYLOAD_VERSION",
+    "MatmulSlotKernel",
     "CompiledMatmulProgram",
     "compile_matmul_program",
     "matmul_program_from_payload",
+    "matmul_read_sites",
 ]
 
 #: Bump when the payload shape or generated-kernel contract changes.
@@ -80,14 +80,84 @@ def _i32(a):
     return _np.ascontiguousarray(a, dtype=_np.int32)
 
 
+class MatmulSlotKernel:
+    """The operands of one bit-level matmul run, as the compiled program
+    reads them.
+
+    :class:`~repro.machine.bitlevel.BitLevelMatmulMachine` passes one of
+    these as ``kernel=`` so the ``compiled`` backend can run its design's
+    :class:`CompiledMatmulProgram` instead of the per-point ``compute``.
+    The signed coefficient-splitting driver
+    (:func:`repro.machine.signed.signed_matmul`) runs through it
+    unchanged, since splitting happens at the word level.
+
+    ``state`` is the machine's ``{"dropped": .., "max_summands": ..}`` dict,
+    updated in place as the pointwise compute would.
+    """
+
+    def __init__(
+        self,
+        u: int,
+        p: int,
+        expansion_key: str,
+        x: Sequence[Sequence[int]],
+        y: Sequence[Sequence[int]],
+        state: dict,
+    ):
+        self.u = int(u)
+        self.p = int(p)
+        self.expansion_key = expansion_key
+        self.state = state
+        shifts = _np.arange(p, dtype=_np.int64)
+        # x bit i2 of X[j1, j3]; y bit i1 of Y[j3, j2].
+        self._xbits = (
+            (_np.asarray(x, dtype=_np.int64)[:, :, None] >> shifts) & 1
+        ).astype(_np.int8)
+        self._ybits = (
+            (_np.asarray(y, dtype=_np.int64)[:, :, None] >> shifts) & 1
+        ).astype(_np.int8)
+
+
+def matmul_read_sites(u: int, p: int, exp1: bool, lattice):
+    """The uniform read sites of the bit-level matmul lattice.
+
+    Returns ``[(displacement, mask), ...]`` where ``mask`` selects the
+    lattice points whose compute performs a ``store.get`` along that fixed
+    displacement (every such read hits a produced value).  The compiler
+    folds this census into each program's structural counters.
+    """
+    j1, j2, j3 = lattice[:, 0], lattice[:, 1], lattice[:, 2]
+    i1, i2 = lattice[:, 3], lattice[:, 4]
+    sites = [
+        ((0, 1, 0, 0, 0), (i1 == 1) & (j2 > 1)),  # x entry row, d̄ along j2
+        ((0, 0, 0, 1, 0), i1 > 1),  # x pipelining d̄₄
+        ((1, 0, 0, 0, 0), (i2 == 1) & (j1 > 1)),  # y entry column
+        ((0, 0, 0, 0, 1), i2 > 1),  # y pipelining d̄₅
+        ((0, 0, 0, 0, 1), i2 > 1),  # in-row carry
+    ]
+    if exp1:
+        sites += [
+            ((0, 0, 1, 0, 0), j3 > 1),  # position-wise z forwarding
+            ((0, 0, 0, 1, -1), (j3 == u) & (i1 > 1) & (i2 < p)),
+            ((0, 0, 0, 0, 2), (j3 == u) & (i2 > 2)),
+        ]
+    else:
+        sites += [
+            ((0, 0, 0, 1, -1), (i1 > 1) & (i2 < p)),  # δ̄₃ collapse
+            ((0, 0, 1, 0, 0), ((i1 == p) | (i2 == 1)) & (j3 > 1)),
+            ((0, 0, 0, 0, 2), (i1 == p) & (i2 > 2)),
+        ]
+    return sites
+
+
 class CompiledMatmulProgram:
     """One design's compiled bit-level matmul kernel.
 
     Holds the per-slot index plans, the precomputed structural counters
     and utilization statistics, and the ``exec``-compiled kernel
     function.  ``execute`` runs it against a fresh
-    :class:`~repro.machine.wavefront.DenseValueStore`, reproducing the
-    wavefront slot kernel bit for bit.
+    :class:`~repro.compile.plan.DenseValueStore`, reproducing the
+    pointwise machine's values and counters bit for bit.
     """
 
     family = "matmul"
@@ -212,7 +282,7 @@ class CompiledMatmulProgram:
 
 def _make_overflow(u, p):
     """The compressor-overflow reporter: decode the flat own index back to
-    the 1-based lattice point the wavefront backend names."""
+    the 1-based lattice point the pointwise machine names."""
 
     def _ovf(o, v):
         k = int(_np.argmax(v > 7))
@@ -232,8 +302,8 @@ def _make_overflow(u, p):
 
 
 def _make_badrr(mapname_ref):
-    """Raise the wavefront backend's re-route causality error (fires only
-    when a re-routed carry is realized in a compile-time-bad class)."""
+    """Raise the re-route causality error (fires only when a re-routed
+    carry is realized in a compile-time-bad class)."""
 
     def _bad(t):
         raise AssertionError(
@@ -252,15 +322,13 @@ def compile_matmul_program(
     mapping: MappingMatrix, u: int, p: int, expansion_key: str
 ) -> CompiledMatmulProgram:
     """Compile the (``T``, expansion, ``u``, ``p``) tuple to a program."""
-    from repro.compile.plan import plan_for
-
     exp1 = expansion_key == "I"
     plan = plan_for(mapping, (1,) * 5, (u, u, u, p, p))
     lattice = plan.lattice
 
     # The structural read census (reads, causality checks, link traffic)
     # is a constant of the design; folding it here also performs the
-    # per-site Π·d̄ >= 1 causality check the wavefront kernel runs.
+    # per-site Π·d̄ >= 1 causality check.
     counters = SlotCounters()
     for displacement, mask in matmul_read_sites(u, p, exp1, lattice):
         counters.account_site(mapping, displacement, int(mask.sum()))

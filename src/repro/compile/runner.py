@@ -8,20 +8,21 @@ a compiled per-design program:
   ``"kernel"``, keyed by :func:`repro.cache.keys.kernel_key`), and only
   then by compiling from scratch -- so repeat simulations of a known
   design skip compilation entirely;
-* execute it against a fresh
-  :class:`~repro.machine.wavefront.DenseValueStore` and assemble the
-  :class:`~repro.machine.simulator.SimulationResult` from the program's
-  precomputed utilization statistics, emitting metrics through the same
-  :func:`~repro.machine.simulator.emit_machine_metrics` as the other
-  backends (bit-identical names and values).
+* execute it against a fresh :class:`~repro.compile.plan.DenseValueStore`
+  and assemble the :class:`~repro.machine.simulator.SimulationResult`
+  from the program's precomputed utilization statistics, emitting
+  metrics through the same
+  :func:`~repro.machine.simulator.emit_machine_metrics` as the pointwise
+  backend (bit-identical names and values).
 
 ``cache.kernel_hits`` / ``cache.kernel_misses`` counters are emitted
 only when the disk cache is active (``REPRO_CACHE_DIR``), so cache-off
-runs stay metric-identical to the pointwise and wavefront backends.
+runs stay metric-identical to the pointwise backend.
 
-Kernels the compiler does not know (custom machines, no-NumPy
-processes) fall back to the wavefront module's generic shim under the
-``compiled`` span label -- every caller keeps working.
+Runs without a recognized kernel (generic ``compute`` callables such as
+the model machines, or operands past the int64 lane gates) take the
+generic per-point path :func:`_run_generic` -- every caller keeps
+working.
 """
 
 from __future__ import annotations
@@ -32,16 +33,27 @@ from typing import Callable
 from repro import obs
 from repro.cache.keys import kernel_key
 from repro.cache.store import resolve_cache
-from repro.machine import wavefront
-from repro.machine.simulator import SimulationResult, emit_machine_metrics
 from repro.compile.matmul import (
     KERNEL_PAYLOAD_VERSION,
+    MatmulSlotKernel,
     compile_matmul_program,
     matmul_program_from_payload,
 )
+from repro.compile.plan import (
+    DenseValueStore,
+    _pes_materializer,
+    generic_plan_for,
+)
 from repro.compile.word import (
+    WordMatmulSlotKernel,
     compile_word_program,
     word_program_from_payload,
+)
+from repro.machine.pe import ProcessorElement
+from repro.machine.simulator import (
+    SimulationResult,
+    ValueStore,
+    emit_machine_metrics,
 )
 
 __all__ = ["run_compiled", "clear_program_memo"]
@@ -100,30 +112,13 @@ def _program_for(mapping, family, memo_key, params, compile_fn, load_fn):
     return program
 
 
-def _lazy_pes(mapping, lowers, uppers):
-    """PE-map builder deferred to first ``sim.pes`` access (the compiled
-    hot path never needs the O(points) firing records)."""
-
-    def build():
-        from repro.compile.plan import plan_for
-
-        plan = plan_for(mapping, lowers, uppers)
-        return wavefront._pes_materializer(
-            plan.lattice, plan.times, plan.procs
-        )()
-
-    return build
-
-
 def _run_program(sim, kernel, program) -> SimulationResult:
     reg = obs.get_registry()
     mapping = sim.mapping
     with obs.span(
         "machine.simulate", mapping=mapping.name, backend="compiled"
     ):
-        store = wavefront.DenseValueStore(
-            mapping, kernel.lowers, kernel.uppers
-        )
+        store = DenseValueStore(mapping, program.lowers, program.uppers)
         store._registry = reg
         sim.store = store
         busy: dict[int, int] = {}
@@ -140,7 +135,9 @@ def _run_program(sim, kernel, program) -> SimulationResult:
             busy = dict(program.busy)
             pe_busy = dict(program.pe_busy)
             first, last = program.first, program.last
-            sim._pes_builder = _lazy_pes(mapping, kernel.lowers, kernel.uppers)
+            sim._pes_builder = _pes_materializer(
+                mapping, program.lowers, program.uppers
+            )
         result = SimulationResult(
             makespan=last - first + 1,
             first_time=first,
@@ -156,39 +153,90 @@ def _run_program(sim, kernel, program) -> SimulationResult:
     return result
 
 
+def _run_generic(sim, compute: Callable) -> SimulationResult:
+    """The generic per-point path: batched transforms + slot-ordered
+    per-point interpretation against the dict-backed :class:`ValueStore`.
+
+    The batched times/processors and the slot bucketing are constants of
+    (mapping, index-set bounds); they come from the memoized
+    :func:`repro.compile.plan.generic_plan_for` so repeat runs of the same
+    design skip straight to firing.
+    """
+    reg = obs.get_registry()
+    store: ValueStore = sim.store
+    store._registry = reg
+
+    with obs.span(
+        "machine.simulate", mapping=sim.mapping.name, backend="compiled"
+    ):
+        plan = generic_plan_for(
+            sim.mapping, sim.algorithm.index_set, sim.binding
+        )
+        points = plan.points
+        tlist = plan.times
+        store._time_cache.update(zip(points, tlist))
+        store._proc_cache.update(zip(points, plan.procs))
+
+        pes = sim.pes
+        busy: dict[int, int] = {}
+        for t, slot_points in plan.slots:
+            for point in slot_points:
+                pos = store.processor_of(point)
+                pe = pes.get(pos)
+                if pe is None:
+                    pe = pes[pos] = ProcessorElement(pos)
+                pe.fire(t, point)
+                busy[t] = busy.get(t, 0) + 1
+                store._set_context(t, point)
+                compute(point, store)
+        store._set_context(None, None)  # post-run reads: off the clock
+        result = SimulationResult(
+            makespan=(max(tlist) - min(tlist) + 1) if tlist else 0,
+            first_time=min(tlist) if tlist else 0,
+            last_time=max(tlist) if tlist else -1,
+            computations=len(points),
+            processor_count=len(pes),
+            busy_per_step=busy,
+            store_reads=store.reads,
+            store_writes=store.writes,
+            pe_busy={pos: pe.busy_cycles for pos, pe in pes.items()},
+        )
+    emit_machine_metrics(reg, result, store)
+    return result
+
+
 def run_compiled(sim, compute: Callable, kernel=None) -> SimulationResult:
     """Execute ``sim`` under the ``compiled`` backend.
 
-    Slot kernels the compiler recognizes run through a compiled
-    per-design program (memoized, artifact-cached); anything else --
-    generic ``compute`` callables, unknown kernels, no-NumPy processes
-    -- runs through the wavefront module's batched per-point shim.  The
-    result, store contents, and metrics are identical to the other
-    backends either way.
+    Kernels the compiler recognizes (:class:`MatmulSlotKernel`,
+    :class:`WordMatmulSlotKernel`) run through a compiled per-design
+    program (memoized, artifact-cached); anything else -- ``kernel=None``
+    or an unknown kernel -- runs ``compute`` through the generic per-point
+    path.  The result, store contents, and metrics are identical to the
+    pointwise backend's either way.
     """
-    if kernel is not None and wavefront.HAVE_NUMPY:
-        mapping = sim.mapping
-        if isinstance(kernel, wavefront.MatmulSlotKernel):
-            expkey = "I" if kernel.exp1 else "II"
-            u, p = kernel.u, kernel.p
-            program = _program_for(
-                mapping,
-                "matmul",
-                ("matmul", mapping.rows, u, p, expkey),
-                {"u": u, "p": p, "expansion": expkey},
-                lambda: compile_matmul_program(mapping, u, p, expkey),
-                matmul_program_from_payload,
-            )
-            return _run_program(sim, kernel, program)
-        if isinstance(kernel, wavefront.WordMatmulSlotKernel):
-            u = kernel.u
-            program = _program_for(
-                mapping,
-                "word",
-                ("word", mapping.rows, u),
-                {"u": u},
-                lambda: compile_word_program(mapping, u),
-                word_program_from_payload,
-            )
-            return _run_program(sim, kernel, program)
-    return wavefront._run_generic(sim, compute, label="compiled")
+    mapping = sim.mapping
+    if isinstance(kernel, MatmulSlotKernel):
+        expkey = kernel.expansion_key
+        u, p = kernel.u, kernel.p
+        program = _program_for(
+            mapping,
+            "matmul",
+            ("matmul", mapping.rows, u, p, expkey),
+            {"u": u, "p": p, "expansion": expkey},
+            lambda: compile_matmul_program(mapping, u, p, expkey),
+            matmul_program_from_payload,
+        )
+        return _run_program(sim, kernel, program)
+    if isinstance(kernel, WordMatmulSlotKernel):
+        u = kernel.u
+        program = _program_for(
+            mapping,
+            "word",
+            ("word", mapping.rows, u),
+            {"u": u},
+            lambda: compile_word_program(mapping, u),
+            word_program_from_payload,
+        )
+        return _run_program(sim, kernel, program)
+    return _run_generic(sim, compute)

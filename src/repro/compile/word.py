@@ -10,7 +10,7 @@ collapses to three array expressions -- no slot loop at all:
   the pipelining axes (views; nothing is written);
 * every product is one batched ``multiply_block`` call over the full
   lattice (the sequential multiplier under test still computes every
-  bit, elementwise exactly as the per-slot kernel would);
+  bit, elementwise exactly as the per-point compute would);
 * the running sums are a ``cumsum`` along ``j3``.
 
 All counters (reads, causality checks, link traffic, ``3N`` writes) are
@@ -20,21 +20,35 @@ small JSON record with no index streams.
 
 from __future__ import annotations
 
-from repro.machine.wavefront import SlotCounters
+import numpy as _np
+
+from repro.compile.matmul import KERNEL_PAYLOAD_VERSION
+from repro.compile.plan import SlotCounters, plan_for
 from repro.mapping.transform import MappingMatrix
 
-try:  # pragma: no cover - runner gates on HAVE_NUMPY
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
-
 __all__ = [
+    "WordMatmulSlotKernel",
     "CompiledWordProgram",
     "compile_word_program",
     "word_program_from_payload",
 ]
 
-from repro.compile.matmul import KERNEL_PAYLOAD_VERSION
+
+class WordMatmulSlotKernel:
+    """The operands of one word-level matmul run, as the compiled program
+    reads them.
+
+    :class:`~repro.machine.wordlevel.WordLevelMatmulMachine` passes one of
+    these as ``kernel=``; products come from the sequential multiplier's
+    batched ``multiply_block`` (add-shift or carry-save), so the
+    arithmetic algorithm under test still computes every product bit.
+    """
+
+    def __init__(self, u: int, multiplier, x, y):
+        self.u = int(u)
+        self.multiplier = multiplier
+        self._x = _np.asarray(x, dtype=_np.int64)
+        self._y = _np.asarray(y, dtype=_np.int64)
 
 
 class CompiledWordProgram:
@@ -100,8 +114,6 @@ class CompiledWordProgram:
 
 def compile_word_program(mapping: MappingMatrix, u: int) -> CompiledWordProgram:
     """Compile the (``T``, ``u``) pair to a word-level program."""
-    from repro.compile.plan import plan_for
-
     plan = plan_for(mapping, (1, 1, 1), (u, u, u))
     lattice = plan.lattice
     j1, j2, j3 = lattice[:, 0], lattice[:, 1], lattice[:, 2]

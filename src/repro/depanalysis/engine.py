@@ -25,7 +25,7 @@ matrix arithmetic instead of Python loops:
   array ops.
 * **Batched enumeration** -- the hash-join oracle walks the index set as
   one lex-ordered lattice block (the mixed-radix trick from
-  :mod:`repro.machine.wavefront`): per-statement guard masks, write
+  :mod:`repro.compile.plan`): per-statement guard masks, write
   coordinates via one matmul per access, writer tables as sorted
   mixed-radix codes, and reads joined by ``searchsorted``.
 

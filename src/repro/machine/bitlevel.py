@@ -58,10 +58,10 @@ class BitLevelMatmulMachine:
     expansion:
         ``"I"`` or ``"II"`` (the paper's designs use Expansion II).
     backend:
-        Simulator backend (``"pointwise"`` | ``"wavefront"``); ``None``
+        Simulator backend (``"pointwise"`` | ``"compiled"``); ``None``
         defers to :func:`repro.machine.simulator.default_backend`.  Under
-        the wavefront backend the run executes through the vectorized
-        :class:`~repro.machine.wavefront.MatmulSlotKernel`.
+        the compiled backend the run executes the design's compiled
+        program (for ``p <= 62``; wider words take the per-point path).
     """
 
     def __init__(
@@ -154,13 +154,10 @@ class BitLevelMatmulMachine:
             self.mapping, self.algorithm, self.binding, backend=self.backend
         )
         kernel = None
-        if sim.backend in ("wavefront", "compiled"):
-            from repro.machine import wavefront
+        if sim.backend == "compiled" and p <= 62:
+            from repro.compile.matmul import MatmulSlotKernel
 
-            if wavefront.HAVE_NUMPY and p <= 62:
-                kernel = wavefront.MatmulSlotKernel(
-                    u, p, self.expansion.key, x, y, state
-                )
+            kernel = MatmulSlotKernel(u, p, self.expansion.key, x, y, state)
         result = sim.run(compute, kernel=kernel)
         product = self._extract(sim.store)
         return MatmulRun(
@@ -221,8 +218,14 @@ class BitLevelMatmulMachine:
         """Batched extraction against a dense array store: gather the same
         ``2p - 1`` boundary bits per product word in two slices instead of
         ``u²(2p - 1)`` scalar reads.  Read accounting matches the scalar
-        path; values are identical bit for bit."""
+        path; values are identical bit for bit.
+
+        Only for ``p <= 32``: the product words have ``2p - 1`` bits and
+        must fit an int64 lane (so must the weight ``2^(2p-2)``).  Wider
+        words take the scalar path, which reads the same bits."""
         u, p = self.u, self.p
+        if p > 32:
+            return None
         arrays = getattr(store, "_arrays", None)
         if arrays is None:
             return None

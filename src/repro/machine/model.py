@@ -215,8 +215,8 @@ class BitLevelModelMachine:
             self._route(store, q, 1, (inputs >> 1) & 1, state, "c")
             self._route(store, q, 2, (inputs >> 2) & 1, state, "c2")
 
-        # Generic model lattices run the wavefront backend through its
-        # compatibility shim (batched transforms, slot-ordered firing).
+        # Generic model lattices run the compiled backend through its
+        # generic per-point path (batched transforms, slot-ordered firing).
         sim = SpaceTimeSimulator(
             self.mapping, self.algorithm, self.binding, backend=self.backend
         )

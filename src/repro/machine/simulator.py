@@ -18,21 +18,15 @@ Two execution backends share this machine model (see ``docs/SIMULATION.md``):
 
 * ``"pointwise"`` -- the reference interpreter: one index point at a time
   through a dict-backed store, with per-point memoized ``Π j̄`` / ``S j̄``;
-* ``"wavefront"`` -- the vectorized engine of
-  :mod:`repro.machine.wavefront`: all points are bucketed by schedule time
-  up front (one batched ``times_of`` matmul), whole time slots fire at
-  once against dense array-indexed storage, and the machine-model checks
-  run as per-slot assertions.  Generic ``compute`` callables are supported
-  through a compatibility shim; the shipped arithmetic machines provide
-  fully vectorized slot kernels;
 * ``"compiled"`` -- the design compiler of :mod:`repro.compile`: the
   run-invariant structure (schedule tables, slot grouping, gather/scatter
   index plans) is compiled once per design into generated, loop-free NumPy
   source (memoized in-process and persisted in the artifact cache under a
   ``kernel`` key), so repeat simulations of a known design skip straight
-  to value execution.  See ``docs/COMPILE.md``.
+  to value execution.  Generic ``compute`` callables run through its
+  batched per-point path.  See ``docs/COMPILE.md``.
 
-All backends produce identical :class:`SimulationResult` values, store
+Both backends produce identical :class:`SimulationResult` values, store
 contents, and observability metrics; the default is selected by
 :func:`default_backend` (the ``REPRO_SIM_BACKEND`` environment variable,
 ``"pointwise"`` otherwise).
@@ -67,15 +61,15 @@ __all__ = [
 ]
 
 #: The recognized execution backends.
-BACKENDS = ("pointwise", "wavefront", "compiled")
+BACKENDS = ("pointwise", "compiled")
 
 
 def default_backend() -> str:
     """The process-wide default backend.
 
-    Honors ``REPRO_SIM_BACKEND`` (``pointwise`` | ``wavefront`` |
-    ``compiled``) so fuzz and CI jobs can flip every simulator in one
-    place; falls back to ``"pointwise"``.
+    Honors ``REPRO_SIM_BACKEND`` (``pointwise`` | ``compiled``) so fuzz
+    and CI jobs can flip every simulator in one place; falls back to
+    ``"pointwise"``.
     """
     backend = os.environ.get("REPRO_SIM_BACKEND", "pointwise")
     if backend not in BACKENDS:
@@ -268,8 +262,7 @@ class SpaceTimeSimulator:
     """Execute an algorithm instance under a mapping.
 
     ``backend`` selects the execution engine (``"pointwise"`` |
-    ``"wavefront"`` | ``"compiled"``); ``None`` defers to
-    :func:`default_backend`.
+    ``"compiled"``); ``None`` defers to :func:`default_backend`.
     """
 
     def __init__(
@@ -291,7 +284,7 @@ class SpaceTimeSimulator:
     def pes(self) -> dict[tuple[int, ...], ProcessorElement]:
         """The PE map, keyed by processor coordinates.
 
-        The wavefront backend derives utilization statistics from arrays
+        The compiled backend derives utilization statistics from arrays
         and only materializes the per-PE firing records on first access
         (they are O(points) Python objects the fast path never needs).
         """
@@ -308,22 +301,19 @@ class SpaceTimeSimulator:
         """Fire every index point in schedule order.
 
         ``compute`` receives the index point and the shared store (a
-        :class:`ValueStore`; under the wavefront backend the store the
+        :class:`ValueStore`; under the compiled backend the store the
         simulator ends up holding may be the dense
-        :class:`~repro.machine.wavefront.DenseValueStore` -- same
-        interface); it should read its inputs (with boundary defaults),
-        compute, and write its outputs.
+        :class:`~repro.compile.plan.DenseValueStore` -- same interface);
+        it should read its inputs (with boundary defaults), compute, and
+        write its outputs.
 
-        ``kernel``, when given, is a vectorized slot kernel (see
-        :mod:`repro.machine.wavefront`) semantically equivalent to
-        ``compute``; the wavefront backend fires it one whole time slot at
-        a time instead of calling ``compute`` per point.  The pointwise
-        backend ignores it.
+        ``kernel``, when given, holds the run's operands for a compiled
+        program semantically equivalent to ``compute``
+        (:class:`~repro.compile.matmul.MatmulSlotKernel`,
+        :class:`~repro.compile.word.WordMatmulSlotKernel`); the compiled
+        backend runs that program instead of calling ``compute`` per
+        point.  The pointwise backend ignores it.
         """
-        if self.backend == "wavefront":
-            from repro.machine.wavefront import run_wavefront
-
-            return run_wavefront(self, compute, kernel)
         if self.backend == "compiled":
             from repro.compile.runner import run_compiled
 

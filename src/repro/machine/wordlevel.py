@@ -87,14 +87,11 @@ class WordLevelMatmulMachine:
             self.mapping, self.algorithm, binding, backend=self.backend
         )
         kernel = None
-        if sim.backend in ("wavefront", "compiled"):
-            from repro.machine import wavefront
+        # Accumulated z words (< u * 2^{2p}) must fit int64 lanes.
+        if sim.backend == "compiled" and 2 * self.p + u.bit_length() <= 62:
+            from repro.compile.word import WordMatmulSlotKernel
 
-            # Accumulated z words (< u * 2^{2p}) must fit int64 lanes.
-            if wavefront.HAVE_NUMPY and 2 * self.p + u.bit_length() <= 62:
-                kernel = wavefront.WordMatmulSlotKernel(
-                    u, self.multiplier, x, y
-                )
+            kernel = WordMatmulSlotKernel(u, self.multiplier, x, y)
         result = sim.run(compute, kernel=kernel)
         product = [
             [sim.store.get("z", (j1, j2, u)) for j2 in range(1, u + 1)]

@@ -120,6 +120,24 @@ def _batch_compat_key(spec: JobSpec):
     )
 
 
+def loop_sink(loop: asyncio.AbstractEventLoop, fn) -> obs.CallbackSink:
+    """An obs sink that hands each event to ``fn`` on ``loop``'s thread.
+
+    Events arriving after the loop has closed are dropped: a
+    budget-orphaned worker can outlive the server, and its registry stays
+    installed process-wide until it finishes, so any thread may emit into
+    this sink late.  Raising there would fail an unrelated job.
+    """
+
+    def post(event: dict) -> None:
+        try:
+            loop.call_soon_threadsafe(fn, event)
+        except RuntimeError:  # the loop is closed; nobody is listening
+            pass
+
+    return obs.CallbackSink(post)
+
+
 class JobServer:
     """The asyncio job server; create, ``await start()``, serve."""
 
@@ -271,11 +289,7 @@ class JobServer:
         if not self._orphans:
             registry = obs.Registry()
             registry.add_sink(
-                obs.CallbackSink(
-                    lambda event: loop.call_soon_threadsafe(
-                        self._fanout, group, event
-                    )
-                )
+                loop_sink(loop, lambda event: self._fanout(group, event))
             )
         specs = [execution.spec for execution in group]
         limits = self.config.limits

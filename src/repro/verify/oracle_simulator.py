@@ -66,8 +66,8 @@ def check(case: SimulatorCase, backend: str | None = None) -> str | None:
     ``backend`` selects the simulator engine for the machine-backed modes
     (``None`` defers to :func:`repro.machine.simulator.default_backend`,
     i.e. the ``REPRO_SIM_BACKEND`` environment variable in fuzz jobs); the
-    wavefront backend routes every mode through the batched space-time
-    transforms and slot kernels.
+    compiled backend routes every mode through the per-design compiled
+    programs.
     """
     if case.mode == "baughwooley":
         from repro.arith.baughwooley import BaughWooleyMultiplier

@@ -7,6 +7,7 @@ batching, budget enforcement, the HTTP client/server round trip, and
 the promoted top-level API with its deprecation shims.
 """
 
+import contextlib
 import json
 import re
 import threading
@@ -310,20 +311,39 @@ class TestServer:
             assert result.error.startswith("budget:")
 
 
+@contextlib.contextmanager
+def _held_jobs(monkeypatch, held_kinds):
+    """Hold jobs of ``held_kinds`` in the worker until the block exits,
+    then release them and wait for the worker to finish: a
+    budget-orphaned worker keeps its registry installed process-wide, so
+    it must not outlive its test."""
+    real_run_job = dispatch_mod.run_job
+    release = threading.Event()
+    finished = threading.Event()
+
+    def slow_run_job(spec, registry=None, limits=None):
+        if spec.kind not in held_kinds:
+            return real_run_job(spec, registry=registry, limits=limits)
+        try:
+            release.wait(20)
+            return real_run_job(spec, registry=registry, limits=limits)
+        finally:
+            finished.set()
+
+    monkeypatch.setattr(dispatch_mod, "run_job", slow_run_job)
+    try:
+        yield
+    finally:
+        release.set()
+        done = finished.wait(30)
+    assert done, "the released worker did not finish"
+
+
 class TestServerBudget:
     def test_budget_timeout_is_structured(self, monkeypatch):
         """A job overrunning its wall-clock budget gets status="timeout"
         and the server stays healthy for subsequent jobs."""
-        real_run_job = dispatch_mod.run_job
-        release = threading.Event()
-
-        def slow_run_job(spec, registry=None, limits=None):
-            if spec.kind == "verify":
-                release.wait(20)
-            return real_run_job(spec, registry=registry, limits=limits)
-
-        monkeypatch.setattr(dispatch_mod, "run_job", slow_run_job)
-        try:
+        with _held_jobs(monkeypatch, {"verify"}):
             with ServerThread(ServerConfig()) as handle:
                 client = ServeClient(port=handle.port)
                 result = client.run(
@@ -343,19 +363,9 @@ class TestServerBudget:
                     JobSpec(kind="simulate", u=2, p=2), timeout=60
                 )
                 assert after.ok
-        finally:
-            release.set()
 
     def test_server_default_budget_applies(self, monkeypatch):
-        real_run_job = dispatch_mod.run_job
-        release = threading.Event()
-
-        def slow_run_job(spec, registry=None, limits=None):
-            release.wait(20)
-            return real_run_job(spec, registry=registry, limits=limits)
-
-        monkeypatch.setattr(dispatch_mod, "run_job", slow_run_job)
-        try:
+        with _held_jobs(monkeypatch, {"simulate"}):
             config = ServerConfig(limits=JobLimits(max_budget_s=0.3))
             with ServerThread(config) as handle:
                 client = ServeClient(port=handle.port)
@@ -363,8 +373,21 @@ class TestServerBudget:
                     JobSpec(kind="simulate", u=2, p=2), timeout=30
                 )
                 assert result.status == "timeout"
-        finally:
-            release.set()
+
+    def test_job_outliving_its_server_loop_is_ok(self):
+        """A late worker's events go to a closed loop; the sink drops
+        them instead of failing the job."""
+        import asyncio
+
+        from repro import obs
+        from repro.serve.server import loop_sink
+
+        loop = asyncio.new_event_loop()
+        loop.close()
+        registry = obs.Registry()
+        registry.add_sink(loop_sink(loop, lambda event: None))
+        result = run_job(JobSpec(kind="simulate", u=2, p=2), registry=registry)
+        assert result.ok, result.error
 
 
 # ---------------------------------------------------------------------------

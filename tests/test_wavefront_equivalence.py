@@ -1,88 +1,61 @@
-"""Differential backend-equivalence suite: wavefront vs pointwise.
+"""Differential equivalence suite: wavefront execution vs pointwise.
 
-The wavefront engine is only a speedup if it is *undetectable*: same
-product, same :class:`~repro.machine.simulator.SimulationResult`, same
-store contents, same ``machine.*`` metric values.  This module pins that
+The paper's machine fires every index point of a hyperplane
+``Pi j = t`` -- one wavefront -- in a single beat.  The ``compiled``
+backend executes a design wavefront by wavefront (one slot per ``t``,
+either as a compiled program or through its generic per-point path);
+the ``pointwise`` oracle fires one point at a time.  Batching is only a
+speedup if it is *undetectable*: same product, same
+:class:`~repro.machine.simulator.SimulationResult`, same store contents,
+same ``machine.*`` metric values, same PE firings.  This module pins that
 down across
 
 * the bit-level matmul machine (both designs x both expansions, with and
-  without the vectorized slot kernel);
+  without the compiled slot program);
 * every registered arithmetic structure, each exercised on the machine
   path that executes it;
-* the generic model-(3.5) machine (the compatibility shim);
+* the generic model-(3.5) machine;
 * >= 20 seeded random feasible mappings drawn from
   :mod:`repro.verify.generator`.
 """
 
 from __future__ import annotations
 
-import random
-
 import pytest
 
-from repro import obs
-from repro.arith.baughwooley import BaughWooleyMultiplier
 from repro.arith.registry import list_structures
-from repro.machine import bitlevel as bitlevel_mod
-from repro.machine import wordlevel as wordlevel_mod
-from repro.machine.bitlevel import BitLevelMatmulMachine
-from repro.machine.model import BitLevelModelMachine
-from repro.machine.signed import signed_matmul
-from repro.machine.simulator import SpaceTimeSimulator
-from repro.machine.wordlevel import WordLevelMatmulMachine
-from repro.mapping import check_feasibility, designs
-from repro.mapping.transform import MappingMatrix
-from repro.verify.generator import gen_mapping_case
+from repro.compile.runner import clear_program_memo
+from repro.machine.simulator import BACKENDS
 from tests.conftest import random_matrix, reference_matmul
+from tests.equivalence import (
+    N_RANDOM_MAPPINGS,
+    assert_arithmetic_equivalent,
+    assert_runs_match,
+    bitlevel_run,
+    design_mapping,
+    feasible_cases,
+    generic_run,
+    install_capture,
+    model_machine_run,
+    use_generic_path,
+)
 
-BACKENDS = ("pointwise", "wavefront")
 
-
-# ---------------------------------------------------------------------------
-# Capture plumbing: the machines build their simulator internally, so the
-# store snapshots are grabbed by substituting a recording subclass.
-# ---------------------------------------------------------------------------
-
-class _CaptureSimulator(SpaceTimeSimulator):
-    instances: list[SpaceTimeSimulator] = []
-
-    def run(self, compute, kernel=None):
-        type(self).instances.append(self)
-        return super().run(compute, kernel)
+@pytest.fixture(autouse=True)
+def _no_disk_cache(monkeypatch):
+    """Metrics are compared exactly; the kernel hit/miss counters only
+    exist when the disk cache is active, so pin it off."""
+    monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+    clear_program_memo()
 
 
 @pytest.fixture
 def capture(monkeypatch):
-    """Patch the machine modules to record every simulator they build."""
-    _CaptureSimulator.instances = []
-    monkeypatch.setattr(bitlevel_mod, "SpaceTimeSimulator", _CaptureSimulator)
-    monkeypatch.setattr(wordlevel_mod, "SpaceTimeSimulator", _CaptureSimulator)
-    return _CaptureSimulator.instances
-
-
-def _observed(fn):
-    """Run ``fn`` under a fresh obs registry; return (result, metrics)."""
-    with obs.collecting() as reg:
-        out = fn()
-    return out, obs.metrics_dict(reg)
-
-
-def _assert_runs_match(runs, label):
-    """``runs[backend] = (sim_result, store_snapshot, metrics, firings)``."""
-    pw, wf = runs["pointwise"], runs["wavefront"]
-    assert pw[0] == wf[0], f"{label}: SimulationResult diverged"
-    assert pw[1] == wf[1], f"{label}: store contents diverged"
-    assert pw[2]["counters"] == wf[2]["counters"], f"{label}: counters diverged"
-    assert pw[2]["gauges"] == wf[2]["gauges"], f"{label}: gauges diverged"
-    assert pw[3] == wf[3], f"{label}: PE firing records diverged"
-
-
-def _firings(sim):
-    return {pos: dict(pe.firings) for pos, pe in sim.pes.items()}
+    return install_capture(monkeypatch)
 
 
 # ---------------------------------------------------------------------------
-# Bit-level matmul machine: designs x expansions (kernel path vs reference)
+# Bit-level matmul machine: designs x expansions (wavefront vs reference)
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("design", ["fig4", "fig5"])
@@ -90,229 +63,80 @@ def _firings(sim):
 def test_bitlevel_machine_equivalence(design, expansion, capture, rng):
     u = p = 3
     x, y = random_matrix(rng, u, p), random_matrix(rng, u, p)
-    mapping = (
-        designs.fig5_mapping(p) if design == "fig5" else designs.fig4_mapping(p)
-    )
-    runs = {}
-    products = {}
+    mapping = design_mapping(design, p)
+    outs, runs = {}, {}
     for backend in BACKENDS:
-        machine = BitLevelMatmulMachine(u, p, mapping, expansion, backend=backend)
-        out, metrics = _observed(lambda: machine.run(x, y))
-        sim = capture[-1]
-        runs[backend] = (out.sim, sim.store.snapshot(), metrics, _firings(sim))
-        products[backend] = out.product
+        outs[backend], runs[backend] = bitlevel_run(
+            u, p, mapping, expansion, backend, x, y, capture
+        )
     mask = (1 << (2 * p - 1)) - 1
-    assert products["pointwise"] == products["wavefront"]
-    assert products["wavefront"] == reference_matmul(x, y, mask)
-    _assert_runs_match(runs, f"bitlevel {design}/exp {expansion}")
+    assert outs["pointwise"].product == outs["compiled"].product
+    assert outs["compiled"].product == reference_matmul(x, y, mask)
+    assert_runs_match(
+        runs["pointwise"], runs["compiled"], f"bitlevel {design}/exp {expansion}"
+    )
 
 
-def test_bitlevel_kernel_and_shim_agree(rng):
-    """Same backend, kernel gated off: the generic shim must also match."""
+def test_bitlevel_kernel_and_shim_agree(capture, monkeypatch, rng):
+    """Same backend, kernel dropped (``kernel=None``): the generic
+    per-point path must reproduce the compiled program's run on fig5 /
+    expansion I, store and firings included."""
     u = p = 3
     x, y = random_matrix(rng, u, p), random_matrix(rng, u, p)
-
-    import repro.machine.wavefront as wavefront_mod
-
-    def run_once():
-        machine = BitLevelMatmulMachine(
-            u, p, designs.fig4_mapping(p), "II", backend="wavefront"
-        )
-        return _observed(lambda: machine.run(x, y))
-
-    out_kernel, m_kernel = run_once()
-    # Disabling the numpy gate forces the per-point compute through the
-    # wavefront shim; results and metrics must not move.
-    have_numpy, wavefront_mod.HAVE_NUMPY = wavefront_mod.HAVE_NUMPY, False
-    try:
-        out_shim, m_shim = run_once()
-    finally:
-        wavefront_mod.HAVE_NUMPY = have_numpy
+    mapping = design_mapping("fig5", p)
+    out_kernel, run_kernel = bitlevel_run(
+        u, p, mapping, "I", "compiled", x, y, capture
+    )
+    use_generic_path(monkeypatch)
+    out_shim, run_shim = bitlevel_run(
+        u, p, mapping, "I", "compiled", x, y, capture
+    )
     assert out_kernel.product == out_shim.product
-    assert out_kernel.sim == out_shim.sim
-    assert m_kernel["counters"] == m_shim["counters"]
-    assert m_kernel["gauges"] == m_shim["gauges"]
+    assert_runs_match(run_kernel, run_shim, "fig5/exp I program vs generic")
 
 
 # ---------------------------------------------------------------------------
 # Every registered arithmetic structure
 # ---------------------------------------------------------------------------
 
-def _run_addshift(backend, rng):
-    u, p = 3, 3
-    x, y = random_matrix(rng, u, p), random_matrix(rng, u, p)
-    machine = BitLevelMatmulMachine(
-        u, p, designs.fig4_mapping(p), "II", backend=backend
-    )
-    out, metrics = _observed(lambda: machine.run(x, y))
-    return (out.product, out.sim), metrics
-
-
-def _run_carrysave(backend, rng):
-    u, p = 4, 3
-    x, y = random_matrix(rng, u, p), random_matrix(rng, u, p)
-    machine = WordLevelMatmulMachine(u, p, "carry-save", backend=backend)
-    out, metrics = _observed(lambda: machine.run(x, y))
-    assert out.product == reference_matmul(x, y)
-    return (out.product, out.total_cycles, out.sim), metrics
-
-
-def _run_baughwooley(backend, rng):
-    # Baugh-Wooley is the signed-operand path: the coefficient-split driver
-    # over the bit-level machine, cross-checked against the combinational
-    # multiplier on every product term.
-    u, p = 2, 4
-    half = 1 << (p - 1)
-    x = [[rng.randint(-half, half - 1) for _ in range(u)] for _ in range(u)]
-    y = [[rng.randrange(half // u) for _ in range(u)] for _ in range(u)]
-    machine = BitLevelMatmulMachine(
-        u, p, designs.fig4_mapping(p), "II", backend=backend
-    )
-    modulus = 1 << (2 * p - 1)
-    out, metrics = _observed(
-        lambda: signed_matmul(
-            lambda a, b: machine.run(a, b).product, x, y, modulus
-        )
-    )
-    bw = BaughWooleyMultiplier(p)
-    ref = [
-        [sum(bw.multiply(x[i][k], y[k][j]) for k in range(u)) for j in range(u)]
-        for i in range(u)
-    ]
-    assert out == ref
-    return out, metrics
-
-
-_ARITH_RUNNERS = {
-    "add-shift": _run_addshift,
-    "carry-save": _run_carrysave,
-    "baugh-wooley": _run_baughwooley,
-}
-
-
 @pytest.mark.parametrize("arith", list_structures())
 def test_registered_arithmetic_equivalence(arith):
-    runner = _ARITH_RUNNERS.get(arith)
-    if runner is None:
-        pytest.fail(
-            f"arithmetic structure {arith!r} has no backend-equivalence "
-            f"runner; extend _ARITH_RUNNERS"
-        )
-    results = {}
-    for backend in BACKENDS:
-        results[backend] = runner(backend, random.Random(0xA1))
-    out_pw, m_pw = results["pointwise"]
-    out_wf, m_wf = results["wavefront"]
-    assert out_pw == out_wf, f"{arith}: results diverged across backends"
-    assert m_pw["counters"] == m_wf["counters"], f"{arith}: counters diverged"
-    assert m_pw["gauges"] == m_wf["gauges"], f"{arith}: gauges diverged"
+    assert_arithmetic_equivalent(arith, BACKENDS, seed=0xA1)
 
 
 # ---------------------------------------------------------------------------
-# Generic model-(3.5) machine (convolution mapping -> compatibility shim)
+# Generic model-(3.5) machine (convolution mapping -> generic path)
 # ---------------------------------------------------------------------------
-
-CONV_T = MappingMatrix([[3, 0, 1, 0], [0, 0, 0, 1], [2, 1, 2, 1]], "T-conv")
-
 
 @pytest.mark.parametrize("expansion", ["I", "II"])
 def test_model_machine_equivalence(expansion, rng):
-    n_pts, taps, p = 4, 3, 3
-    w = [rng.randrange(1 << p) for _ in range(taps)]
-    sig = [rng.randrange(1 << p) for _ in range(n_pts + taps - 1)]
-    xw, yw = {}, {}
-    for j1 in range(1, n_pts + 1):
-        for j2 in range(1, taps + 1):
-            xw[(j1, j2)] = w[j2 - 1]
-            yw[(j1, j2)] = sig[j1 + j2 - 2]
+    state = rng.getstate()
     runs = {}
-    outputs = {}
     for backend in BACKENDS:
-        machine = BitLevelModelMachine(
-            [1, 0], [1, -1], [0, 1], [1, 1], [n_pts, taps], p, CONV_T,
-            expansion, backend=backend,
-        )
-        out, metrics = _observed(lambda: machine.run(xw, yw))
-        runs[backend] = (out.sim, None, metrics, None)
-        outputs[backend] = (out.z_words, out.outputs, out.dropped_bits)
-        assert out.outputs == machine.reference(xw, yw)
-    assert outputs["pointwise"] == outputs["wavefront"]
-    pw, wf = runs["pointwise"], runs["wavefront"]
-    assert pw[0] == wf[0]
-    assert pw[2]["counters"] == wf[2]["counters"]
-    assert pw[2]["gauges"] == wf[2]["gauges"]
+        rng.setstate(state)  # same operands on every backend
+        runs[backend] = model_machine_run(backend, expansion, rng)
+    (out_pw, (sim_pw, m_pw)), (out_c, (sim_c, m_c)) = (
+        runs["pointwise"], runs["compiled"]
+    )
+    assert out_pw == out_c
+    assert sim_pw == sim_c
+    assert m_pw["counters"] == m_c["counters"]
+    assert m_pw["gauges"] == m_c["gauges"]
 
 
 # ---------------------------------------------------------------------------
 # Random feasible mappings from the verification generator
 # ---------------------------------------------------------------------------
 
-N_RANDOM_MAPPINGS = 20
-
-
-def _feasible_cases(seed, count, max_attempts=400):
-    """Draw generator mapping cases until ``count`` are feasible."""
-    rng = random.Random(seed)
-    out = []
-    for _ in range(max_attempts):
-        if len(out) >= count:
-            break
-        case = gen_mapping_case(rng)
-        try:
-            alg, binding, t, prims = case.build()
-            rep = check_feasibility(t, alg, binding, prims)
-        except Exception:
-            continue
-        if rep.feasible:
-            out.append((case, alg, binding, t))
-    return out
-
-
-def _generic_compute(alg, binding):
-    """A deterministic per-point computation exercising every dependence:
-    read each (valid) source along its cause variables, fold, write every
-    cause variable once at the firing point."""
-    deps = list(alg.dependences)
-
-    def compute(q, store):
-        total = sum((i + 1) * v for i, v in enumerate(q)) % 17
-        written = []
-        for k, dep in enumerate(deps):
-            causes = dep.causes or (f"d{k}",)
-            for var in causes:
-                if var not in written:
-                    written.append(var)
-            if not dep.valid_at(q, binding):
-                continue
-            src = tuple(a - b for a, b in zip(q, dep.vector))
-            for var in causes:
-                total += store.get(var, src, 0)
-        for var in written:
-            store.put(var, q, total % 251)
-
-    return compute
-
-
 def test_random_feasible_mappings_equivalent():
-    cases = _feasible_cases(seed=42, count=N_RANDOM_MAPPINGS)
-    assert len(cases) >= N_RANDOM_MAPPINGS, (
-        f"generator produced only {len(cases)} feasible mappings; "
-        f"loosen the draw budget"
-    )
-    for case, alg, binding, t in cases:
-        runs = {}
-        for backend in BACKENDS:
-            compute = _generic_compute(alg, binding)
-            with obs.collecting() as reg:
-                sim = SpaceTimeSimulator(t, alg, binding, backend=backend)
-                result = sim.run(compute)
-            runs[backend] = (
-                result,
-                sim.store.snapshot(),
-                obs.metrics_dict(reg),
-                _firings(sim),
-            )
-        _assert_runs_match(runs, f"{case.kind} mapping {t.rows}")
+    for case, alg, binding, t in feasible_cases(seed=42):
+        runs = {
+            backend: generic_run(alg, binding, t, backend)
+            for backend in BACKENDS
+        }
+        assert_runs_match(
+            runs["pointwise"], runs["compiled"], f"{case.kind} mapping {t.rows}"
+        )
 
 
 def test_random_mapping_count_is_at_least_twenty():
