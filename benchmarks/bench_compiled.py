@@ -4,8 +4,8 @@ Times the ``compiled`` per-design codegen engine against the pointwise
 interpreter on the same bit-level matmul instances and checks they agree
 exactly -- same product, same :class:`SimulationResult`, same
 ``machine.*`` metrics -- so the speedup is measured on provably
-identical work.  Also measures the two compilation costs the cache
-amortizes: the cold compile and the warm artifact-store load.
+identical work.  Also measures the cold compile that the in-process
+program memo amortizes.
 
 Besides the pytest-benchmark kernels, this module doubles as a script:
 
@@ -13,16 +13,14 @@ Besides the pytest-benchmark kernels, this module doubles as a script:
   add-shift instance on both backends, asserts identical results and a
   >= 3x compiled-vs-pointwise speedup -- the CI guard.
 * ``python benchmarks/bench_compiled.py --record`` measures the same
-  instance plus cold-compile / warm-cache-load timings and updates
+  instance plus the cold-compile timing and updates
   ``BENCH_compiled.json`` at the repo root.
 """
 
 import argparse
 import json
-import os
 import pathlib
 import random
-import tempfile
 import time
 
 import pytest
@@ -90,44 +88,20 @@ def _assert_identical(runs, metrics, label):
         )
 
 
-def _compile_timings(u, p):
-    """(cold_compile_s, warm_cache_load_s): one full run each, the first
-    with every memo and cache empty, the second loading the kernel
-    payload from a fresh artifact store."""
+def _cold_compile_seconds(u, p):
+    """Best of two full runs, each with every memo empty."""
     x, y = _operands(u, p)
     mapping = designs.fig4_mapping(p)
-
-    def run_once():
+    cold = None
+    for _ in range(2):
+        clear_program_memo()
+        clear_plan_memo()
+        t0 = time.perf_counter()
         machine = BitLevelMatmulMachine(u, p, mapping, "II", backend="compiled")
-        return machine.run(x, y)
-
-    saved = os.environ.pop("REPRO_CACHE_DIR", None)
-    try:
-        cold = None
-        for _ in range(2):
-            clear_program_memo()
-            clear_plan_memo()
-            t0 = time.perf_counter()
-            run_once()
-            elapsed = time.perf_counter() - t0
-            cold = elapsed if cold is None else min(cold, elapsed)
-
-        with tempfile.TemporaryDirectory() as cache_dir:
-            os.environ["REPRO_CACHE_DIR"] = cache_dir
-            clear_program_memo()
-            run_once()  # populate the store
-            warm = None
-            for _ in range(2):
-                clear_program_memo()  # forget the program, keep the disk entry
-                t0 = time.perf_counter()
-                run_once()
-                elapsed = time.perf_counter() - t0
-                warm = elapsed if warm is None else min(warm, elapsed)
-    finally:
-        os.environ.pop("REPRO_CACHE_DIR", None)
-        if saved is not None:
-            os.environ["REPRO_CACHE_DIR"] = saved
-    return cold, warm
+        machine.run(x, y)
+        elapsed = time.perf_counter() - t0
+        cold = elapsed if cold is None else min(cold, elapsed)
+    return cold
 
 
 def _both_backends(u, p, repeats):
@@ -229,9 +203,8 @@ def _record(repeats: int) -> int:
           f"compiled: {times['compiled']:.4f}s  "
           f"speedup {speedup:.1f}x  identical=True")
 
-    cold, warm = _compile_timings(u, p)
-    print(f"cold compile+run: {cold * 1e3:.1f} ms  "
-          f"warm cache load+run: {warm * 1e3:.1f} ms")
+    cold = _cold_compile_seconds(u, p)
+    print(f"cold compile+run: {cold * 1e3:.1f} ms")
 
     m_c = metrics["compiled"]
     data = {}
@@ -249,7 +222,6 @@ def _record(repeats: int) -> int:
             "compiled": {
                 "seconds": round(times["compiled"], 4),
                 "cold_compile_seconds": round(cold, 4),
-                "warm_cache_load_seconds": round(warm, 4),
                 "store_reads": m_c["counters"].get("machine.store_reads"),
                 "store_writes": m_c["counters"].get("machine.store_writes"),
             },
@@ -273,8 +245,8 @@ def main(argv=None) -> int:
                       help="u=p=8 on both backends; assert equal "
                            "results and >= 3x over pointwise")
     mode.add_argument("--record", action="store_true",
-                      help="measure u=p=8 plus cold-compile and warm-cache "
-                           "timings; update BENCH_compiled.json")
+                      help="measure u=p=8 plus the cold-compile timing; "
+                           "update BENCH_compiled.json")
     parser.add_argument("--repeats", type=int, default=3,
                         help="timing repeats for --record (best-of)")
     args = parser.parse_args(argv)

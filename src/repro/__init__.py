@@ -69,37 +69,6 @@ from repro.api import analyze_symbolic, search_designs, simulate, verify_run
 
 __version__ = "1.0.0"
 
-# Old scattered import paths, kept alive behind DeprecationWarning shims
-# (the deprecated-kwargs pattern of repro.mapping.engine.search_designs,
-# applied to module attributes).  Maps old top-level name -> (module,
-# attribute, suggested replacement).
-_DEPRECATED_ALIASES = {
-    "run_verification": (
-        "repro.verify", "run_verification",
-        "repro.verify_run or repro.verify.run_verification",
-    ),
-    "run_mutation_check": (
-        "repro.verify", "run_mutation_check",
-        "repro.verify.run_mutation_check",
-    ),
-}
-
-
-def __getattr__(name):
-    alias = _DEPRECATED_ALIASES.get(name)
-    if alias is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    import importlib
-    import warnings
-
-    module, attribute, replacement = alias
-    warnings.warn(
-        f"'repro.{name}' is deprecated; use {replacement} instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return getattr(importlib.import_module(module), attribute)
-
 __all__ = [
     "Algorithm",
     "DependenceMatrix",

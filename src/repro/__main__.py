@@ -179,7 +179,11 @@ def _cmd_cache(args: argparse.Namespace) -> int:
         obs.gauge("cache.entries", st["entries"])
         return 0
     kind = getattr(args, "kind", None)
-    removed = cache.clear(kind=kind)
+    try:
+        removed = cache.clear(kind=kind)
+    except ValueError as exc:
+        print(f"repro cache: {exc}", file=sys.stderr)
+        return 2
     what = f"{kind} entries" if kind else "entries"
     print(f"cleared {removed} {what} under {cache.base}")
     return 0
@@ -482,7 +486,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cache.add_argument(
         "--kind", default=None, metavar="KIND",
         help="with 'clear': remove only entries of this kind "
-        "(e.g. kernel, analysis)",
+        "(e.g. analysis, symbolic)",
     )
     _obs_options(p_cache, top_level=False)
     p_cache.set_defaults(fn=_cmd_cache)

@@ -8,13 +8,6 @@ thin wrappers that route through the unified job dispatch
 (:mod:`repro.serve.dispatch`), so a library call, a CLI run, and an
 HTTP job produce the same :class:`~repro.serve.jobs.JobResult` down to
 the rendered ``output`` text.
-
-Older scattered import paths (``repro.run_verification``,
-``repro.run_mutation_check``) keep working through lazy
-``DeprecationWarning`` shims in :mod:`repro`'s ``__getattr__`` --
-mirroring the deprecated-kwargs pattern of
-:func:`repro.mapping.engine.search_designs` -- and will be removed in
-a future major version.
 """
 
 from __future__ import annotations

@@ -40,7 +40,6 @@ __all__ = [
     "Uncacheable",
     "fingerprint",
     "analysis_key",
-    "kernel_key",
     "shard_run_key",
     "structure_key",
     "symbolic_key",
@@ -185,26 +184,6 @@ def structure_key(word, arith_name: str, expansion_key: str, p) -> str:
         "arith": arith_name,
         "expansion": expansion_key,
         "p": None if p is None else repr(p),
-    }
-    return fingerprint(payload)
-
-
-def kernel_key(family: str, rows, params: dict, version: int) -> str:
-    """Content-address one compiled simulation kernel.
-
-    ``family`` names the program shape (``"matmul"`` | ``"word"``),
-    ``rows`` is the design's space-time matrix ``T`` (the content the
-    kernel is specialized to), ``params`` the remaining specialization
-    inputs (problem size, expansion, ...), and ``version`` the compiled
-    payload's schema version (bumped whenever the generated-kernel
-    payload shape changes, so stale entries miss instead of mis-load).
-    """
-    payload = {
-        "kind": "kernel",
-        "family": family,
-        "rows": [[int(x) for x in row] for row in rows],
-        "params": {k: params[k] for k in sorted(params)},
-        "version": int(version),
     }
     return fingerprint(payload)
 

@@ -38,6 +38,7 @@ from __future__ import annotations
 import json
 import os
 import pathlib
+import re
 import tempfile
 
 from repro import obs
@@ -55,6 +56,8 @@ SCHEMA_VERSION = 1
 ENV_DIR = "REPRO_CACHE_DIR"
 DEFAULT_MAX_BYTES = 256 * 1024 * 1024
 
+#: what ``clear(kind=...)`` accepts: one artifact-kind directory name.
+_KIND_NAME = re.compile(r"[a-z][a-z0-9-]*")
 #: the cross-process stats ledger, directly under the versioned root.
 _STATS_NAME = "stats.json"
 #: session counters accumulated into the ledger.
@@ -287,12 +290,20 @@ class ArtifactCache:
         With ``kind=None``, every versioned cache dir under the base is
         removed (only ``v*`` subdirectories are touched, so pointing
         ``REPRO_CACHE_DIR`` at a shared directory cannot lose user
-        data).  With a ``kind`` (e.g. ``"kernel"``), only that kind's
+        data).  With a ``kind`` (e.g. ``"analysis"``), only that kind's
         subtree is removed from each versioned dir -- other artifact
-        kinds and the stats ledger stay intact.
+        kinds and the stats ledger stay intact.  A ``kind`` that is not
+        one lowercase name (``[a-z][a-z0-9-]*``: no separators, no
+        ``..``, not empty) raises :class:`ValueError` before anything is
+        removed, so it can never reach outside the versioned dirs.
         """
         import shutil
 
+        if kind is not None and not _KIND_NAME.fullmatch(kind):
+            raise ValueError(
+                f"invalid cache kind {kind!r}: expected one lowercase "
+                f"name matching {_KIND_NAME.pattern}"
+            )
         removed = 0
         try:
             version_dirs = [

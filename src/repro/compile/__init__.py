@@ -12,10 +12,9 @@ package resolves it once:
   compilers that emit loop-free, ``exec``-compiled NumPy kernels for the
   bit-level and word-level matmul lattices;
 * :mod:`repro.compile.runner` -- the ``compiled`` simulation backend:
-  program memo, artifact-store persistence (kind ``"kernel"``), the
-  generic per-point path for everything else, and the execution harness
-  producing bit-identical results and metrics versus the pointwise
-  backend.
+  the in-process program memo, the generic per-point path for everything
+  else, and the execution harness producing bit-identical results and
+  metrics versus the pointwise backend.
 
 See ``docs/COMPILE.md``.
 """
@@ -27,6 +26,7 @@ from repro.compile.plan import (
     generic_plan_for,
     plan_for,
 )
+from repro.compile.runner import clear_program_memo, run_compiled
 
 __all__ = [
     "GenericPlan",
@@ -37,13 +37,3 @@ __all__ = [
     "run_compiled",
     "clear_program_memo",
 ]
-
-
-def __getattr__(name):
-    # The runner pulls in the artifact cache layer; load it on demand so
-    # that importing the plan helpers stays cheap.
-    if name in ("run_compiled", "clear_program_memo"):
-        from repro.compile import runner
-
-        return getattr(runner, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

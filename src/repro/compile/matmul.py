@@ -28,15 +28,10 @@ operand bit products, summing carries, the compressor-overflow check,
 value-independent (store reads, causality checks, link traffic, keep
 writes) is a compile-time constant folded into the returned
 :class:`~repro.compile.plan.SlotCounters`.
-
-Programs serialize to JSON payloads (base64 little-endian int32 streams)
-for the artifact store; loading a payload rebuilds the index plans and
-re-emits + ``exec``-compiles the source, producing byte-identical runs.
 """
 
 from __future__ import annotations
 
-import base64
 from typing import Sequence
 
 import numpy as _np
@@ -45,20 +40,16 @@ from repro.compile.plan import SlotCounters, plan_for
 from repro.mapping.transform import MappingMatrix
 
 __all__ = [
-    "KERNEL_PAYLOAD_VERSION",
     "MatmulSlotKernel",
     "CompiledMatmulProgram",
     "compile_matmul_program",
-    "matmul_program_from_payload",
     "matmul_read_sites",
 ]
 
-#: Bump when the payload shape or generated-kernel contract changes.
-KERNEL_PAYLOAD_VERSION = 1
-
-#: Per-slot index-plan arrays, in serialization order.  ``*s`` names are
-#: selections into the slot block, ``*q`` gather sources, ``*t`` scatter
-#: targets -- all flat indices into the raveled value arrays.
+#: Per-slot index-plan arrays, bound into the kernel's environment.
+#: ``*s`` names are selections into the slot block, ``*q`` gather sources,
+#: ``*t`` scatter targets -- all flat indices into the raveled value
+#: arrays.
 _SLOT_ARRAYS = (
     "o",            # own flat index of every point in the slot
     "cs", "cq",     # in-row carry gather (i2 > 1)
@@ -160,8 +151,6 @@ class CompiledMatmulProgram:
     pointwise machine's values and counters bit for bit.
     """
 
-    family = "matmul"
-
     def __init__(self, u, p, expansion_key, slots, slot_times, rr_ok,
                  reads, causality_checks, writes_struct, links):
         self.u = int(u)
@@ -177,7 +166,7 @@ class CompiledMatmulProgram:
         self.causality_checks = int(causality_checks)
         self.writes_struct = int(writes_struct)
         self.links = dict(links)
-        # Utilization statistics of the design (set by the factories):
+        # Utilization statistics of the design (set by the compiler):
         # busy-per-step, per-PE busy beats, schedule extent, point count.
         self.busy: dict[int, int] = {}
         self.pe_busy: dict[tuple[int, ...], int] = {}
@@ -241,43 +230,6 @@ class CompiledMatmulProgram:
             causality_checks=self.causality_checks,
             links=dict(self.links),
         )
-
-    # -- serialization -------------------------------------------------------
-    def to_payload(self) -> dict:
-        streams = {}
-        lens = {}
-        for name in _SLOT_ARRAYS:
-            parts = [rec[name] for rec in self.slots]
-            lens[name] = [int(len(x)) for x in parts]
-            cat = (
-                _np.concatenate(parts)
-                if parts else _np.zeros(0, dtype=_np.int32)
-            )
-            blob = cat.astype("<i4").tobytes()
-            streams[name] = base64.b64encode(blob).decode("ascii")
-        return {
-            "version": KERNEL_PAYLOAD_VERSION,
-            "family": self.family,
-            "u": self.u,
-            "p": self.p,
-            "expansion": self.expansion_key,
-            "slot_times": self.slot_times,
-            "rr_ok": list(self.rr_ok),
-            "streams": streams,
-            "lens": lens,
-            "reads": self.reads,
-            "causality_checks": self.causality_checks,
-            "writes_struct": self.writes_struct,
-            "links": dict(self.links),
-            "busy": [[int(t), int(n)] for t, n in sorted(self.busy.items())],
-            "pe_busy": [
-                [list(pos), int(n)]
-                for pos, n in sorted(self.pe_busy.items())
-            ],
-            "first": int(self.first),
-            "last": int(self.last),
-            "n_points": int(self.n_points),
-        }
 
 
 def _make_overflow(u, p):
@@ -403,53 +355,6 @@ def compile_matmul_program(
     program.first = plan.first
     program.last = plan.last
     program.n_points = plan.n_points
-    return program
-
-
-def matmul_program_from_payload(payload: dict) -> CompiledMatmulProgram:
-    """Rebuild a program from its artifact-store payload.
-
-    Raises on any malformed/mismatched payload (the runner treats that
-    as a cache miss and recompiles).
-    """
-    if payload.get("version") != KERNEL_PAYLOAD_VERSION:
-        raise ValueError("kernel payload version mismatch")
-    if payload.get("family") != "matmul":
-        raise ValueError("kernel payload family mismatch")
-    u, p = int(payload["u"]), int(payload["p"])
-    lens = payload["lens"]
-    n_slots = len(payload["slot_times"])
-    per_name = {}
-    for name in _SLOT_ARRAYS:
-        blob = base64.b64decode(payload["streams"][name])
-        cat = _np.frombuffer(blob, dtype="<i4").astype(_np.int32)
-        counts = [int(x) for x in lens[name]]
-        if len(counts) != n_slots or sum(counts) != len(cat):
-            raise ValueError("kernel payload stream length mismatch")
-        parts, pos = [], 0
-        for n in counts:
-            parts.append(cat[pos:pos + n])
-            pos += n
-        per_name[name] = parts
-    slots = []
-    for k, t in enumerate(payload["slot_times"]):
-        rec = {"t": int(t)}
-        for name in _SLOT_ARRAYS:
-            rec[name] = per_name[name][k]
-        slots.append(rec)
-    links = {str(k): int(v) for k, v in payload["links"].items()}
-    program = CompiledMatmulProgram(
-        u, p, payload["expansion"], slots, payload["slot_times"],
-        payload["rr_ok"], payload["reads"], payload["causality_checks"],
-        payload["writes_struct"], links,
-    )
-    program.busy = {int(t): int(n) for t, n in payload["busy"]}
-    program.pe_busy = {
-        tuple(int(x) for x in pos): int(n) for pos, n in payload["pe_busy"]
-    }
-    program.first = int(payload["first"])
-    program.last = int(payload["last"])
-    program.n_points = int(payload["n_points"])
     return program
 
 

@@ -4,10 +4,10 @@ Dispatches a :class:`~repro.machine.simulator.SpaceTimeSimulator` run to
 a compiled per-design program:
 
 * resolve the program for (design rows, kernel family, size, expansion)
-  from the in-process program memo, then the artifact store (kind
-  ``"kernel"``, keyed by :func:`repro.cache.keys.kernel_key`), and only
-  then by compiling from scratch -- so repeat simulations of a known
-  design skip compilation entirely;
+  from the in-process program memo, and only on a miss compile it --
+  a recompile reuses the memoized schedule plan
+  (:func:`repro.compile.plan.plan_for`), so repeat simulations of a
+  known design skip the lattice/argsort work either way;
 * execute it against a fresh :class:`~repro.compile.plan.DenseValueStore`
   and assemble the :class:`~repro.machine.simulator.SimulationResult`
   from the program's precomputed utilization statistics, emitting
@@ -15,9 +15,9 @@ a compiled per-design program:
   :func:`~repro.machine.simulator.emit_machine_metrics` as the pointwise
   backend (bit-identical names and values).
 
-``cache.kernel_hits`` / ``cache.kernel_misses`` counters are emitted
-only when the disk cache is active (``REPRO_CACHE_DIR``), so cache-off
-runs stay metric-identical to the pointwise backend.
+Programs are never persisted: the artifact cache (``REPRO_CACHE_DIR``)
+plays no part in a compiled run, so its metrics are the same whether or
+not the cache is on.
 
 Runs without a recognized kernel (generic ``compute`` callables such as
 the model machines, or operands past the int64 lane gates) take the
@@ -31,24 +31,13 @@ from collections import OrderedDict
 from typing import Callable
 
 from repro import obs
-from repro.cache.keys import kernel_key
-from repro.cache.store import resolve_cache
-from repro.compile.matmul import (
-    KERNEL_PAYLOAD_VERSION,
-    MatmulSlotKernel,
-    compile_matmul_program,
-    matmul_program_from_payload,
-)
+from repro.compile.matmul import MatmulSlotKernel, compile_matmul_program
 from repro.compile.plan import (
     DenseValueStore,
     _pes_materializer,
     generic_plan_for,
 )
-from repro.compile.word import (
-    WordMatmulSlotKernel,
-    compile_word_program,
-    word_program_from_payload,
-)
+from repro.compile.word import WordMatmulSlotKernel, compile_word_program
 from repro.machine.pe import ProcessorElement
 from repro.machine.simulator import (
     SimulationResult,
@@ -71,44 +60,15 @@ def clear_program_memo() -> None:
     _PROGRAMS.clear()
 
 
-def _memo_put(key, program) -> None:
-    _PROGRAMS[key] = program
-    _PROGRAMS.move_to_end(key)
-    while len(_PROGRAMS) > _MEMO_CAPACITY:
-        _PROGRAMS.popitem(last=False)
-
-
-def _program_for(mapping, family, memo_key, params, compile_fn, load_fn):
-    """Memo -> artifact store -> compile, in that order."""
-    cache = resolve_cache(None)
+def _program_for(memo_key, compile_fn):
+    """The memoized program for ``memo_key``, compiled on a miss."""
     program = _PROGRAMS.get(memo_key)
     if program is not None:
         _PROGRAMS.move_to_end(memo_key)
-        if cache is not None:
-            obs.count("cache.kernel_hits")
         return program
-    disk_key = None
-    if cache is not None:
-        disk_key = kernel_key(
-            family, mapping.rows, params, KERNEL_PAYLOAD_VERSION
-        )
-        payload = cache.get("kernel", disk_key)
-        if payload is not None:
-            try:
-                program = load_fn(payload)
-            except Exception:
-                program = None  # corrupt/stale payload: recompile below
-        if program is not None:
-            obs.count("cache.kernel_hits")
-            cache.flush_stats()
-            _memo_put(memo_key, program)
-            return program
-    program = compile_fn()
-    if cache is not None:
-        obs.count("cache.kernel_misses")
-        cache.put("kernel", disk_key, program.to_payload())
-        cache.flush_stats()
-    _memo_put(memo_key, program)
+    program = _PROGRAMS[memo_key] = compile_fn()
+    while len(_PROGRAMS) > _MEMO_CAPACITY:
+        _PROGRAMS.popitem(last=False)
     return program
 
 
@@ -210,7 +170,7 @@ def run_compiled(sim, compute: Callable, kernel=None) -> SimulationResult:
 
     Kernels the compiler recognizes (:class:`MatmulSlotKernel`,
     :class:`WordMatmulSlotKernel`) run through a compiled per-design
-    program (memoized, artifact-cached); anything else -- ``kernel=None``
+    program (memoized in-process); anything else -- ``kernel=None``
     or an unknown kernel -- runs ``compute`` through the generic per-point
     path.  The result, store contents, and metrics are identical to the
     pointwise backend's either way.
@@ -220,23 +180,15 @@ def run_compiled(sim, compute: Callable, kernel=None) -> SimulationResult:
         expkey = kernel.expansion_key
         u, p = kernel.u, kernel.p
         program = _program_for(
-            mapping,
-            "matmul",
             ("matmul", mapping.rows, u, p, expkey),
-            {"u": u, "p": p, "expansion": expkey},
             lambda: compile_matmul_program(mapping, u, p, expkey),
-            matmul_program_from_payload,
         )
         return _run_program(sim, kernel, program)
     if isinstance(kernel, WordMatmulSlotKernel):
         u = kernel.u
         program = _program_for(
-            mapping,
-            "word",
             ("word", mapping.rows, u),
-            {"u": u},
             lambda: compile_word_program(mapping, u),
-            word_program_from_payload,
         )
         return _run_program(sim, kernel, program)
     return _run_generic(sim, compute)

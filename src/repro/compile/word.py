@@ -14,15 +14,14 @@ collapses to three array expressions -- no slot loop at all:
 * the running sums are a ``cumsum`` along ``j3``.
 
 All counters (reads, causality checks, link traffic, ``3N`` writes) are
-structural constants folded at compile time, so the program payload is a
-small JSON record with no index streams.
+structural constants folded at compile time, so the program holds no
+index streams at all.
 """
 
 from __future__ import annotations
 
 import numpy as _np
 
-from repro.compile.matmul import KERNEL_PAYLOAD_VERSION
 from repro.compile.plan import SlotCounters, plan_for
 from repro.mapping.transform import MappingMatrix
 
@@ -30,7 +29,6 @@ __all__ = [
     "WordMatmulSlotKernel",
     "CompiledWordProgram",
     "compile_word_program",
-    "word_program_from_payload",
 ]
 
 
@@ -53,8 +51,6 @@ class WordMatmulSlotKernel:
 
 class CompiledWordProgram:
     """One design's compiled word-level matmul program."""
-
-    family = "word"
 
     def __init__(self, u, reads, causality_checks, writes_struct, links):
         self.u = int(u)
@@ -92,25 +88,6 @@ class CompiledWordProgram:
             links=dict(self.links),
         )
 
-    def to_payload(self) -> dict:
-        return {
-            "version": KERNEL_PAYLOAD_VERSION,
-            "family": self.family,
-            "u": self.u,
-            "reads": self.reads,
-            "causality_checks": self.causality_checks,
-            "writes_struct": self.writes_struct,
-            "links": dict(self.links),
-            "busy": [[int(t), int(n)] for t, n in sorted(self.busy.items())],
-            "pe_busy": [
-                [list(pos), int(n)]
-                for pos, n in sorted(self.pe_busy.items())
-            ],
-            "first": int(self.first),
-            "last": int(self.last),
-            "n_points": int(self.n_points),
-        }
-
 
 def compile_word_program(mapping: MappingMatrix, u: int) -> CompiledWordProgram:
     """Compile the (``T``, ``u``) pair to a word-level program."""
@@ -132,26 +109,4 @@ def compile_word_program(mapping: MappingMatrix, u: int) -> CompiledWordProgram:
     program.first = plan.first
     program.last = plan.last
     program.n_points = plan.n_points
-    return program
-
-
-def word_program_from_payload(payload: dict) -> CompiledWordProgram:
-    """Rebuild a word program from its artifact-store payload (raises on
-    malformed payloads; the runner recompiles)."""
-    if payload.get("version") != KERNEL_PAYLOAD_VERSION:
-        raise ValueError("kernel payload version mismatch")
-    if payload.get("family") != "word":
-        raise ValueError("kernel payload family mismatch")
-    links = {str(k): int(v) for k, v in payload["links"].items()}
-    program = CompiledWordProgram(
-        int(payload["u"]), payload["reads"], payload["causality_checks"],
-        payload["writes_struct"], links,
-    )
-    program.busy = {int(t): int(n) for t, n in payload["busy"]}
-    program.pe_busy = {
-        tuple(int(x) for x in pos): int(n) for pos, n in payload["pe_busy"]
-    }
-    program.first = int(payload["first"])
-    program.last = int(payload["last"])
-    program.n_points = int(payload["n_points"])
     return program

@@ -29,15 +29,15 @@ matrix arithmetic instead of Python loops:
   coordinates via one matmul per access, writer tables as sorted
   mixed-radix codes, and reads joined by ``searchsorted``.
 
-Every batched path falls back to the scalar implementation when numpy is
-unavailable or when int64 could overflow (coefficients/bounds/radix
-products are range-checked with exact Python arithmetic first).
+Every batched path falls back to the scalar implementation when int64
+could overflow (coefficients/bounds/radix products are range-checked
+with exact Python arithmetic first).
 
 :func:`run_analysis` is the engine entry point: it resolves the backend
-(``REPRO_ANALYSIS_BACKEND`` env, ``auto`` = batched when numpy is
-present) and consults the persistent artifact cache
-(:mod:`repro.cache`) keyed by the canonicalized program instance, so
-repeated pipeline/verify/experiment runs skip re-analysis entirely.
+(``REPRO_ANALYSIS_BACKEND`` env, ``auto`` = batched) and consults the
+persistent artifact cache (:mod:`repro.cache`) keyed by the canonicalized
+program instance, so repeated pipeline/verify/experiment runs skip
+re-analysis entirely.
 """
 
 from __future__ import annotations
@@ -45,6 +45,8 @@ from __future__ import annotations
 import contextlib
 import os
 from dataclasses import dataclass
+
+import numpy as np
 
 from repro import obs
 from repro.cache import (
@@ -68,18 +70,9 @@ from repro.structures.conditions import And, Condition, Eq, Ne, Not, Or, _False,
 from repro.structures.params import ParamBinding
 from repro.util.linalg import solve_integer_system
 
-try:
-    import numpy as np
-
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover - exercised via backend fallback tests
-    np = None
-    HAVE_NUMPY = False
-
 __all__ = [
     "AnalysisConfig",
     "BACKENDS",
-    "HAVE_NUMPY",
     "analyze_enumerate_batched",
     "analyze_exact_batched",
     "box_lattice",
@@ -105,9 +98,9 @@ class AnalysisConfig:
     """How :func:`run_analysis` should execute.
 
     ``backend=None`` defers to ``$REPRO_ANALYSIS_BACKEND`` (default
-    ``auto`` = batched when numpy is importable).  ``cache=None`` enables
-    the persistent artifact cache iff ``cache_dir`` is given or
-    ``$REPRO_CACHE_DIR`` is set; ``True``/``False`` force it.
+    ``auto`` = batched).  ``cache=None`` enables the persistent artifact
+    cache iff ``cache_dir`` is given or ``$REPRO_CACHE_DIR`` is set;
+    ``True``/``False`` force it.
     """
 
     backend: str | None = None
@@ -116,17 +109,15 @@ class AnalysisConfig:
 
 
 def default_backend() -> str:
-    """``"batched"`` when numpy is available, else ``"scalar"``."""
-    return "batched" if HAVE_NUMPY else "scalar"
+    """The engine ``auto`` picks: ``"batched"``."""
+    return "batched"
 
 
 def resolve_backend(name: str | None = None) -> str:
     """Resolve a backend request to a concrete engine name.
 
     ``None`` consults ``$REPRO_ANALYSIS_BACKEND``; ``"auto"`` (the
-    default) picks :func:`default_backend`.  Requesting ``"batched"``
-    without numpy degrades to ``"scalar"`` (results are identical by
-    construction, so this is a pure performance note).
+    default) picks :func:`default_backend`.
     """
     if name is None:
         name = os.environ.get("REPRO_ANALYSIS_BACKEND") or "auto"
@@ -137,8 +128,6 @@ def resolve_backend(name: str | None = None) -> str:
             f"unknown analysis backend {name!r}; choose from "
             f"{('auto',) + BACKENDS}"
         )
-    if name == "batched" and not HAVE_NUMPY:
-        return "scalar"
     return name
 
 
@@ -363,8 +352,6 @@ def analyze_exact_batched(
     only wall-clock (and the ``depanalysis.system_memo_hits`` obs
     counter), never the result or its ``stats`` dict.
     """
-    if not HAVE_NUMPY:
-        return analyze_exact(program, binding, use_screens=use_screens)
     order = program.index_names
     n = program.dim
     bounds = program.index_set.bounds(binding)
@@ -516,13 +503,11 @@ def analyze_enumerate_batched(
 
     The iteration space becomes one lex-ordered lattice block; writer
     elements are mixed-radix-encoded into sorted int64 tables and reads
-    join by ``searchsorted``.  Falls back to the scalar oracle when numpy
-    is missing, the block would be too large, or int64 could overflow.
+    join by ``searchsorted``.  Falls back to the scalar oracle when the
+    block would be too large or int64 could overflow.
     """
     from repro.depanalysis.analyzer import analyze_enumerate
 
-    if not HAVE_NUMPY:
-        return analyze_enumerate(program, binding)
     n = program.dim
     bounds = program.index_set.bounds(binding)
     size = program.index_set.size(binding)

@@ -66,19 +66,19 @@ def effective_edges(
     """All ``(sink, vector)`` pairs with a valid vector whose source is inside
     the index set -- the extensional content of a dependence structure.
 
-    When numpy is available and the index set is a plain box, each
-    dependence vector is resolved over the whole point block at once
-    (validity via :func:`repro.depanalysis.engine.condition_mask`, source
-    membership via array comparisons), which is what lets Theorem 3.1
-    cross-validation scale to ``u = p = 16``.  A subclassed index set (e.g.
-    a constrained one) falls back to the per-point loop.
+    When the index set is a plain box, each dependence vector is resolved
+    over the whole point block at once (validity via
+    :func:`repro.depanalysis.engine.condition_mask`, source membership via
+    array comparisons), which is what lets Theorem 3.1 cross-validation
+    scale to ``u = p = 16``.  A subclassed index set (e.g. a constrained
+    one) falls back to the per-point loop.
     """
     from repro.depanalysis import engine as _engine
     from repro.structures.indexset import IndexSet
 
     index_set = algorithm.index_set
     out: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
-    if _engine.HAVE_NUMPY and type(index_set) is IndexSet:
+    if type(index_set) is IndexSet:
         import numpy as np
 
         bounds = index_set.bounds(binding)

@@ -15,13 +15,10 @@ in two flavors:
 :func:`find_conflicts` is the single entry point: it dispatches to the
 lattice check for plain box index sets and to exact pair enumeration for
 affine-constrained ones (where a lattice direction may fit the bounding box
-but not the actual domain).  The old lattice-only name
-:func:`conflict_directions` survives as a deprecated shim.
+but not the actual domain).
 """
 
 from __future__ import annotations
-
-import warnings
 
 from repro.depanalysis.diophantine import UnboundedLatticeError, bounded_lattice_points
 from repro.mapping.memo import EvalCache
@@ -34,7 +31,6 @@ __all__ = [
     "is_conflict_free",
     "find_conflicts",
     "enumerate_conflict_pairs",
-    "conflict_directions",
 ]
 
 
@@ -160,18 +156,3 @@ def enumerate_conflict_pairs(
         else:
             seen[image] = point
     return out
-
-
-def conflict_directions(
-    t: MappingMatrix, index_set: IndexSet, binding: ParamBinding
-) -> list[tuple[int, ...]]:
-    """Deprecated: use :func:`find_conflicts`, which runs the same lattice
-    check for box index sets (and dispatches to exact pair enumeration for
-    constrained ones)."""
-    warnings.warn(
-        "conflict_directions() is deprecated; call find_conflicts(), which "
-        "dispatches between the lattice check and exact pair enumeration",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _lattice_directions(t, index_set, binding, None, None)

@@ -26,14 +26,12 @@ Ganapathy/Wah) -- as a staged engine:
    (``workers=1`` runs in-process with no executor at all).
 
 All knobs live on the frozen :class:`SearchConfig`; :func:`run_search` is
-the engine entry point and :func:`search_designs` the stable public API
-(its pre-engine per-parameter signature survives as a deprecated shim).
+the engine entry point and :func:`search_designs` the stable public API.
 """
 
 from __future__ import annotations
 
 import itertools
-import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -698,68 +696,12 @@ def _rank(
     return found
 
 
-#: Legacy per-parameter names accepted (deprecated) by search_designs, in
-#: their historical positional order.
-_LEGACY_PARAMS = (
-    "target_space_dim",
-    "block_values",
-    "schedule_bound",
-    "max_candidates",
-    "require_busy",
-)
-
-
 def search_designs(
     algorithm: Algorithm,
     binding: ParamBinding,
     primitives: Sequence[Sequence[int]] | None = None,
     config: SearchConfig | None = None,
-    *legacy_args,
-    **legacy_kwargs,
 ) -> list[DesignCandidate]:
-    """Search the design space (see :func:`run_search`).
-
-    The one supported way to parameterize the search is
-    ``config=SearchConfig(...)``.  The historical per-parameter signature
-    ``search_designs(alg, binding, primitives, target_space_dim=...,
-    block_values=..., schedule_bound=..., max_candidates=...,
-    require_busy=...)`` still works -- positionally or by keyword -- but
-    emits a :class:`DeprecationWarning` and forwards to the engine.
-    """
-    if isinstance(config, SearchConfig):
-        if legacy_args or legacy_kwargs:
-            raise TypeError(
-                "pass either config=SearchConfig(...) or the deprecated "
-                "individual parameters, not both"
-            )
-        return run_search(algorithm, binding, primitives, config)
-    positional = list(legacy_args)
-    if config is not None:
-        # A non-SearchConfig fourth positional is the legacy
-        # target_space_dim.
-        positional.insert(0, config)
-    if not positional and not legacy_kwargs:
-        return run_search(algorithm, binding, primitives, SearchConfig())
-    if len(positional) > len(_LEGACY_PARAMS):
-        raise TypeError(
-            f"search_designs() takes at most {3 + len(_LEGACY_PARAMS)} "
-            f"positional arguments"
-        )
-    values = dict(zip(_LEGACY_PARAMS, positional))
-    for key, val in legacy_kwargs.items():
-        if key not in _LEGACY_PARAMS:
-            raise TypeError(
-                f"search_designs() got an unexpected keyword argument {key!r}"
-            )
-        if key in values:
-            raise TypeError(
-                f"search_designs() got multiple values for argument {key!r}"
-            )
-        values[key] = val
-    warnings.warn(
-        "passing individual search parameters to search_designs() is "
-        "deprecated; pass config=SearchConfig(...) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return run_search(algorithm, binding, primitives, SearchConfig(**values))
+    """Search the design space (see :func:`run_search`); all knobs live
+    on ``config=SearchConfig(...)``."""
+    return run_search(algorithm, binding, primitives, config)

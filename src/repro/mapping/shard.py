@@ -412,7 +412,7 @@ def run_sharded_search(
                     )
             store = ArtifactCache(shard_dir, shared=True)
             merged = _merge(
-                store, run_key, blocks, config, time_of, algorithm,
+                store, run_key, blocks, spaces, config, time_of, algorithm,
                 binding, primitives, schedules, d_cols, workers,
             )
         return merged
@@ -422,7 +422,7 @@ def run_sharded_search(
 
 
 def _merge(
-    store, run_key, blocks, config, time_of, algorithm, binding,
+    store, run_key, blocks, spaces, config, time_of, algorithm, binding,
     primitives, schedules, d_cols, workers,
 ) -> ShardedSearchResult:
     """Fold block payloads in block-index order (see module docstring)."""
@@ -437,11 +437,8 @@ def _merge(
         if payload is None:
             # A worker died mid-block; finish its work inline.
             obs.count("mapping.shard.recovered_blocks")
-            spaces = _plan_spaces_slice(
-                algorithm, binding, primitives, config, start, end
-            )
             payload = _eval_block(
-                spaces, algorithm, binding, primitives, config,
+                spaces[start:end], algorithm, binding, primitives, config,
                 schedules, time_of, d_cols,
             )
             store.put(_KIND, _block_key(run_key, block_id), payload)
@@ -493,10 +490,3 @@ def _merge(
         run_key=run_key,
         workers=workers,
     )
-
-
-def _plan_spaces_slice(
-    algorithm, binding, primitives, config, start, end
-) -> list[list[list[int]]]:
-    _, _, spaces, _ = _plan(algorithm, binding, primitives, config, None)
-    return spaces[start:end]

@@ -83,7 +83,7 @@ BASELINE_KEYS = {
 }
 
 #: Smoke-to-record scale compensation per check.  The compiled speedup
-#: grows with problem size (121x recorded at u=p=8, ~50x at the smoke
+#: grows with problem size (~100x recorded at u=p=8, ~50x at the smoke
 #: u=p=6 on a 2-CPU x86-64 host), so its committed baseline is
 #: discounted before the tolerance is applied; the analysis ratios
 #: transfer near-1:1.

@@ -213,6 +213,42 @@ class TestStore:
         cache.clear()
         assert keep.read_text() == "precious"
 
+    def test_clear_one_kind_keeps_other_kinds_and_ledger(self, tmp_path):
+        from repro.__main__ import main
+
+        cache = ArtifactCache(tmp_path)
+        cache.put("analysis", "aa" * 32, 1)
+        cache.put("analysis", "bb" * 32, 2)
+        cache.put("symbolic", "cc" * 32, 3)
+        cache.flush_stats()
+        assert main(["cache", "clear", "--dir", str(tmp_path),
+                     "--kind", "analysis"]) == 0
+        st = ArtifactCache(tmp_path).stats()
+        assert st["kinds"] == {"symbolic": 1}
+        assert st["store"]["writes"] == 3
+
+    @pytest.mark.parametrize("kind", ["..", "", "a/b", "<absolute>"])
+    def test_clear_rejects_kind_that_is_not_one_name(self, tmp_path, kind):
+        from repro.__main__ import main
+
+        base = tmp_path / "cache"
+        cache = ArtifactCache(base)
+        cache.put("analysis", "aa" * 32, 1)
+        beside = base / "user-data.txt"
+        beside.write_text("precious")
+        outside = tmp_path / "elsewhere"
+        outside.mkdir()
+        (outside / "user-data.txt").write_text("precious")
+        if kind == "<absolute>":
+            kind = str(outside)
+        with pytest.raises(ValueError, match="invalid cache kind"):
+            cache.clear(kind=kind)
+        assert main(["cache", "clear", "--dir", str(base),
+                     "--kind", kind]) == 2
+        assert beside.read_text() == "precious"
+        assert (outside / "user-data.txt").read_text() == "precious"
+        assert ArtifactCache(base).stats()["kinds"] == {"analysis": 1}
+
 
 class TestPolicy:
     def test_disabled_by_default_without_env(self, monkeypatch):

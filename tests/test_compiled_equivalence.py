@@ -13,9 +13,9 @@ records as the pointwise reference.  This module pins that down across
 * the generic model-(3.5) machine and >= 20 seeded random feasible
   mappings (the compiled backend's generic path), cold and replayed
   from the memoized plan;
-* the kernel artifact cache: a warm load from disk must reproduce the
-  cold compile byte for byte, and ``cache clear --kind kernel`` must
-  remove only kernel entries.
+* the artifact cache's absence from compiled runs: programs live only in
+  the in-process memo, so ``REPRO_CACHE_DIR`` changes no result or
+  metric and receives no file.
 
 The wavefront-vs-pointwise cases of the same machines live in
 ``tests/test_wavefront_equivalence.py``; both use the plumbing in
@@ -53,8 +53,7 @@ from tests.equivalence import (
 
 @pytest.fixture(autouse=True)
 def _no_disk_cache(monkeypatch):
-    """Equivalence runs compare metrics exactly; the kernel hit/miss
-    counters only exist when the disk cache is active, so pin it off."""
+    """Every case starts cache-off with an empty program memo."""
     monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
     clear_program_memo()
 
@@ -282,16 +281,16 @@ def test_plan_memo_failures_not_cached():
 
 
 # ---------------------------------------------------------------------------
-# Kernel artifact cache: cold/warm round trip and selective clearing
+# The artifact cache plays no part in a compiled run
 # ---------------------------------------------------------------------------
 
-def test_kernel_cache_round_trip(tmp_path, monkeypatch, rng):
-    from repro.cache.store import ArtifactCache
-
+def test_compiled_run_ignores_cache_dir(tmp_path, monkeypatch, rng):
+    """With ``REPRO_CACHE_DIR`` at an empty directory, a compiled run gives
+    the cache-off product, result, counters and gauges -- from the memo
+    and again after ``clear_program_memo()`` -- and writes nothing there."""
     u = p = 3
     x, y = random_matrix(rng, u, p), random_matrix(rng, u, p)
     mapping = designs.fig4_mapping(p)
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
 
     def run_once():
         machine = BitLevelMatmulMachine(
@@ -299,53 +298,17 @@ def test_kernel_cache_round_trip(tmp_path, monkeypatch, rng):
         )
         return observed(lambda: machine.run(x, y))
 
-    clear_program_memo()
-    out_cold, m_cold = run_once()
-    assert m_cold["counters"].get("cache.kernel_misses") == 1
-
-    # Drop the in-process memo: the warm run must load the payload from
-    # disk and still be byte-identical.
-    clear_program_memo()
-    out_warm, m_warm = run_once()
-    assert m_warm["counters"].get("cache.kernel_hits") == 1
-    assert "cache.kernel_misses" not in m_warm["counters"]
-    assert out_warm.product == out_cold.product
-    assert out_warm.sim == out_cold.sim
-    assert out_warm.dropped_bits == out_cold.dropped_bits
-    assert out_warm.max_summands == out_cold.max_summands
-
-    cache = ArtifactCache(str(tmp_path))
-    st = cache.stats()
-    assert st["kinds"].get("kernel", 0) >= 1
-
-    # Selective clearing: only the kernel subtree goes away.
-    cache.put("analysis", "deadbeef" * 8, {"keep": True})
-    removed = cache.clear(kind="kernel")
-    assert removed >= 1
-    st = cache.stats()
-    assert "kernel" not in st["kinds"]
-    assert st["kinds"].get("analysis", 0) == 1
-
-
-def test_corrupt_kernel_payload_recompiles(tmp_path, monkeypatch, rng):
-    """A stale/corrupt cached payload falls back to a fresh compile."""
-    from repro.cache.keys import kernel_key
-    from repro.cache.store import ArtifactCache
-    from repro.compile.matmul import KERNEL_PAYLOAD_VERSION
-
-    u = p = 2
-    x, y = random_matrix(rng, u, p), random_matrix(rng, u, p)
-    mapping = designs.fig4_mapping(p)
+    out_off, m_off = run_once()
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-    key = kernel_key(
-        "matmul", mapping.rows,
-        {"u": u, "p": p, "expansion": "II"}, KERNEL_PAYLOAD_VERSION,
-    )
-    ArtifactCache(str(tmp_path)).put("kernel", key, {"family": "garbage"})
-    clear_program_memo()
-    machine = BitLevelMatmulMachine(u, p, mapping, "II", backend="compiled")
-    out = machine.run(x, y)
-    assert out.product == reference_matmul(x, y, (1 << (2 * p - 1)) - 1)
+    for drop_memo in (False, True):
+        if drop_memo:
+            clear_program_memo()
+        out, m = run_once()
+        assert out.product == out_off.product
+        assert out.sim == out_off.sim
+        assert m["counters"] == m_off["counters"]
+        assert m["gauges"] == m_off["gauges"]
+    assert list(tmp_path.iterdir()) == []
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ from repro.depanalysis import analyze
 from repro.depanalysis.engine import (
     AnalysisConfig,
     BACKENDS,
-    HAVE_NUMPY,
     analyze_enumerate_batched,
     analyze_exact_batched,
     default_backend,
@@ -24,8 +23,6 @@ from repro.ir.expand import expand_bit_level
 from repro.ir.expr import var
 from repro.ir.program import ArrayAccess, LoopNest, Statement
 from repro.structures.indexset import IndexSet
-
-needs_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy required")
 
 
 def _scalar(backend):
@@ -97,7 +94,6 @@ class TestBackendEquivalence:
         _assert_identical(res, analyze(prog, {}, "enumerate",
                                        config=_scalar("scalar")))
 
-    @needs_numpy
     def test_non_single_assignment_detected_batched(self):
         j = var("j")
         prog = LoopNest(
@@ -128,13 +124,11 @@ class TestBackendResolution:
 
     def test_explicit_names(self):
         assert resolve_backend("scalar") == "scalar"
-        if HAVE_NUMPY:
-            assert resolve_backend("batched") == "batched"
+        assert resolve_backend("batched") == "batched"
 
     def test_auto_is_default(self):
         assert resolve_backend("auto") == default_backend()
-        if HAVE_NUMPY:
-            assert default_backend() == "batched"
+        assert default_backend() == "batched"
 
     def test_unknown_backend(self):
         with pytest.raises(ValueError):
@@ -152,7 +146,6 @@ class TestBackendResolution:
                     config=_scalar("batched"))
 
 
-@needs_numpy
 class TestNumpyHelpers:
     def test_box_lattice_matches_product_order(self):
         import itertools
@@ -185,7 +178,6 @@ class TestNumpyHelpers:
 
 
 class TestObsCounters:
-    @needs_numpy
     def test_batched_counters_emitted(self):
         from repro import obs
 

@@ -13,7 +13,7 @@ from repro import obs
 from repro.expansion.theorem31 import matmul_bit_level
 from repro.ir.builders import matmul_word_structure
 from repro.mapping import designs
-from repro.mapping.conflicts import conflict_directions, find_conflicts
+from repro.mapping.conflicts import find_conflicts
 from repro.mapping.engine import (
     DesignCandidate,
     SearchConfig,
@@ -77,35 +77,6 @@ class TestLegacyShim:
             )
         assert cands
 
-    def test_legacy_kwargs_warn_and_match(self):
-        alg = matmul_word_structure()
-        with pytest.warns(DeprecationWarning, match="SearchConfig"):
-            legacy = search_designs(
-                alg, {"u": 2}, None,
-                target_space_dim=2, schedule_bound=1, max_candidates=3,
-            )
-        config = SearchConfig(target_space_dim=2, schedule_bound=1,
-                              max_candidates=3)
-        assert _signature(legacy) == _signature(
-            run_search(alg, {"u": 2}, None, config)
-        )
-
-    def test_legacy_positionals_warn_and_match(self):
-        alg = matmul_word_structure()
-        with pytest.warns(DeprecationWarning):
-            legacy = search_designs(alg, {"u": 2}, None, 2, (), 1, 3)
-        config = SearchConfig(target_space_dim=2, block_values=(),
-                              schedule_bound=1, max_candidates=3)
-        assert _signature(legacy) == _signature(
-            run_search(alg, {"u": 2}, None, config)
-        )
-
-    def test_mixing_config_and_legacy_rejected(self):
-        alg = matmul_word_structure()
-        with pytest.raises(TypeError, match="not both"):
-            search_designs(alg, {"u": 2}, None, SearchConfig(),
-                           schedule_bound=1)
-
     def test_unknown_kwarg_rejected(self):
         alg = matmul_word_structure()
         with pytest.raises(TypeError, match="unexpected keyword"):
@@ -141,13 +112,6 @@ class TestConflictDispatch:
         again = find_conflicts(t, alg.index_set, {"u": 3}, cache=cache)
         assert first == again
         assert cache.hits == 1 and cache.misses == 1
-
-    def test_old_name_deprecated(self):
-        t = MappingMatrix([[1, 0, 0], [1, 0, 0]])
-        alg = matmul_word_structure()
-        with pytest.warns(DeprecationWarning, match="find_conflicts"):
-            dirs = conflict_directions(t, alg.index_set, {"u": 3})
-        assert dirs == find_conflicts(t, alg.index_set, {"u": 3})
 
 
 class TestShortCircuit:

@@ -292,3 +292,28 @@ class TestShardDeterminism:
         assert second.payload_json() == first.payload_json()
         # Every block was already published: no new claims were needed.
         assert reg.counters.get("mapping.shard.claims", 0) == 0
+
+    def test_missing_block_is_recovered_by_the_coordinator(self, tmp_path):
+        alg, binding = _bitlevel_instance()
+        prims = designs.fig4_primitives(2)
+        config = SearchConfig(
+            block_values=[2], max_candidates=5, persist_cache=False,
+        )
+        first = run_sharded_search(
+            alg, binding, prims, config,
+            workers=1, shard_dir=str(tmp_path),
+        )
+        assert first.blocks > 1
+        # A worker claimed block 1 but died before publishing it.
+        (lost,) = tmp_path.rglob(f"{first.run_key}-block-1.json")
+        lost.unlink()
+        with obs.collecting() as reg:
+            second = run_sharded_search(
+                alg, binding, prims, config,
+                workers=1, shard_dir=str(tmp_path),
+            )
+        assert second.payload_json() == first.payload_json()
+        assert reg.counters.get("mapping.shard.recovered_blocks") == 1
+        # The ledger still records the claim: nobody re-claims the block.
+        assert reg.counters.get("mapping.shard.claims", 0) == 0
+        assert len(list(tmp_path.rglob(f"{first.run_key}-block-1.json"))) == 1

@@ -491,17 +491,6 @@ class TestPublicApi:
         assert result.ok
         assert result.data["ok"] is True
 
-    def test_deprecated_aliases_warn_and_work(self):
-        import importlib
-
-        import repro
-        import repro.verify as verify_mod
-
-        for name in ("run_verification", "run_mutation_check"):
-            with pytest.warns(DeprecationWarning, match=name):
-                shimmed = getattr(importlib.import_module("repro"), name)
-            assert shimmed is getattr(verify_mod, name)
-
     def test_unknown_attribute_still_raises(self):
         import repro
 

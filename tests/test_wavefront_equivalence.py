@@ -43,8 +43,7 @@ from tests.equivalence import (
 
 @pytest.fixture(autouse=True)
 def _no_disk_cache(monkeypatch):
-    """Metrics are compared exactly; the kernel hit/miss counters only
-    exist when the disk cache is active, so pin it off."""
+    """Every case starts cache-off with an empty program memo."""
     monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
     clear_program_memo()
 
