@@ -113,7 +113,6 @@ def _cmd_search(args: argparse.Namespace) -> int:
         frontier=(
             ("time", "processors", "wire_length") if args.pareto else None
         ),
-        shard_workers=args.shard_workers,
         shard_dir=args.shard_dir,
     )
     return _finish(_dispatch(args, spec))
@@ -417,14 +416,9 @@ def build_parser() -> argparse.ArgumentParser:
         "instead of the (time, PEs)-ranked list",
     )
     p_search.add_argument(
-        "--shard-workers", type=int, default=None, metavar="N",
-        help="shard the search: N processes claim candidate blocks from a "
-        "shared work queue (see --shard-dir)",
-    )
-    p_search.add_argument(
         "--shard-dir", metavar="DIR", default=None,
-        help="shared shard directory for cooperating --shard-workers runs "
-        "(default: a fresh temporary directory)",
+        help="shard the search: reuse the candidate blocks published in DIR "
+        "and publish the missing ones (evaluated on --workers processes)",
     )
     _server_option(p_search)
     p_search.set_defaults(fn=_cmd_search)

@@ -1,11 +1,11 @@
 """Persistent cross-run artifact cache.
 
 Content-addressed, on-disk memoization for the expensive pure derivations
-of the pipeline: dependence-analysis results, Theorem 3.1 structures, and
-the design-space search's conflict/interconnect solves.  Keys are SHA-256
-fingerprints of canonicalized inputs (:mod:`repro.cache.keys` -- including
-HNF normalization of per-pair subscript systems), values are exact JSON
-serializations (:mod:`repro.cache.serde`), and the store
+of the pipeline: dependence-analysis results and Theorem 3.1 structures.
+Keys are SHA-256 fingerprints of canonicalized inputs
+(:mod:`repro.cache.keys` -- including HNF normalization of per-pair
+subscript systems), values are exact JSON serializations
+(:mod:`repro.cache.serde`), and the store
 (:class:`repro.cache.store.ArtifactCache`) lives under
 ``$REPRO_CACHE_DIR`` or ``~/.cache/repro`` with a versioned schema and an
 LRU byte cap.
@@ -33,8 +33,6 @@ from repro.cache.serde import (
     analysis_result_to_payload,
     condition_from_payload,
     condition_to_payload,
-    decode_obj,
-    encode_obj,
 )
 from repro.cache.lock import FileLock
 from repro.cache.store import (
@@ -59,9 +57,7 @@ __all__ = [
     "analysis_result_to_payload",
     "condition_from_payload",
     "condition_to_payload",
-    "decode_obj",
     "default_cache_root",
-    "encode_obj",
     "fingerprint",
     "resolve_cache",
     "shard_run_key",

@@ -198,12 +198,11 @@ def shard_run_key(
 ) -> str:
     """Content key identifying one sharded design-space search run.
 
-    Workers and the coordinator derive the same key from the same inputs,
-    so claim ledgers and block results published in a shared store never
-    collide across distinct searches -- and a re-run of the identical
-    search finds its blocks already published.  The worker count is
-    deliberately *not* part of the key: any number of workers cooperates
-    on (and reuses) the same run.
+    Every invocation derives the same key from the same inputs, so block
+    results published in a shared store never collide across distinct
+    searches -- and a re-run of the identical search finds its blocks
+    already published.  The worker count is deliberately *not* part of
+    the key: a run with any number of workers reuses the same blocks.
     """
     payload = {
         "kind": "search-shard",

@@ -2,12 +2,8 @@
 
 A cache hit must be indistinguishable from a recomputation, so every
 round-trip here is *exact*: the decoded object equals (and hashes equal
-to) what the miss path would have built.  Three families are covered:
+to) what the miss path would have built.  Two families are covered:
 
-* a generic tagged codec (:func:`encode_obj` / :func:`decode_obj`) that
-  preserves the ``tuple``/``list`` distinction -- used to persist the
-  design-space search's :class:`~repro.mapping.memo.EvalCache` tables,
-  whose keys are nested tuples;
 * the dependence-analysis result types
   (:class:`~repro.depanalysis.pairs.AnalysisResult` with its
   :class:`~repro.depanalysis.pairs.DependenceInstance` tuple and stats);
@@ -43,8 +39,6 @@ from repro.structures.params import LinExpr
 
 __all__ = [
     "Unserializable",
-    "encode_obj",
-    "decode_obj",
     "linexpr_to_payload",
     "linexpr_from_payload",
     "condition_to_payload",
@@ -60,40 +54,6 @@ __all__ = [
 
 class Unserializable(TypeError):
     """The object has no exact JSON form; the caller must skip the cache."""
-
-
-# ---------------------------------------------------------------------------
-# Generic tagged codec (EvalCache keys and values)
-# ---------------------------------------------------------------------------
-
-def encode_obj(value):
-    """Encode ``None``/``bool``/``int``/``str`` and nested list/tuple/dict
-    structures into JSON-safe form, keeping the tuple/list distinction."""
-    if value is None or isinstance(value, (bool, int, str)):
-        return value
-    if isinstance(value, list):
-        return {"l": [encode_obj(v) for v in value]}
-    if isinstance(value, tuple):
-        return {"t": [encode_obj(v) for v in value]}
-    if isinstance(value, dict):
-        return {
-            "d": [[encode_obj(k), encode_obj(v)] for k, v in value.items()]
-        }
-    raise Unserializable(f"cannot encode {type(value).__name__} exactly")
-
-
-def decode_obj(payload):
-    """Inverse of :func:`encode_obj`."""
-    if payload is None or isinstance(payload, (bool, int, str)):
-        return payload
-    if isinstance(payload, dict):
-        if "l" in payload:
-            return [decode_obj(v) for v in payload["l"]]
-        if "t" in payload:
-            return tuple(decode_obj(v) for v in payload["t"])
-        if "d" in payload:
-            return {decode_obj(k): decode_obj(v) for k, v in payload["d"]}
-    raise Unserializable(f"malformed payload {payload!r}")
 
 
 # ---------------------------------------------------------------------------

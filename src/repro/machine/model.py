@@ -9,7 +9,7 @@ to any word-level algorithm of the form (3.5)::
 over an arbitrary ``n``-dimensional box, under either expansion, on any
 feasible mapping of the ``(n+2)``-dimensional bit-level structure.  This is
 what lets the convolution / matrix-vector designs produced by the search in
-:mod:`repro.mapping.lowerdim` be *executed*, not just scheduled.
+:mod:`repro.mapping.engine` be *executed*, not just scheduled.
 
 Word operand values are supplied as dictionaries over the word index set;
 the machine checks they respect the pipelining recurrences (``x(j̄)`` must

@@ -21,9 +21,8 @@ Two execution backends share this machine model (see ``docs/SIMULATION.md``):
 * ``"compiled"`` -- the design compiler of :mod:`repro.compile`: the
   run-invariant structure (schedule tables, slot grouping, gather/scatter
   index plans) is compiled once per design into generated, loop-free NumPy
-  source (memoized in-process and persisted in the artifact cache under a
-  ``kernel`` key), so repeat simulations of a known design skip straight
-  to value execution.  Generic ``compute`` callables run through its
+  source (memoized in-process), so repeat simulations of a known design
+  skip straight to value execution.  Generic ``compute`` callables run through its
   batched per-point path.  See ``docs/COMPILE.md``.
 
 Both backends produce identical :class:`SimulationResult` values, store

@@ -20,9 +20,9 @@ Implements the design method of Definition 4.1 (Shang/Fortes [5,6], Li/Wah
   the search enumerate orders of magnitude fewer candidates;
 * :mod:`repro.mapping.pareto` -- Pareto-frontier ranking over
   (makespan, PE count, wire length) with deterministic merge;
-* :mod:`repro.mapping.shard` -- the work-queue sharding layer over the
-  shared artifact cache (block claims, partial frontiers, deterministic
-  merge);
+* :mod:`repro.mapping.shard` -- the sharded search: candidate blocks
+  published to and reused from a shared directory, evaluated on the
+  engine's process pool, merged deterministically;
 * :mod:`repro.mapping.designs` -- the paper's concrete designs: ``T`` of
   (4.2) with ``P, K`` of (4.3) (Fig. 4), ``T'`` of (4.6) with ``P', K'`` of
   (4.7) (Fig. 5), and the word-level baseline of Section 4.2.

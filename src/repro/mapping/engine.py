@@ -23,7 +23,9 @@ Ganapathy/Wah) -- as a staged engine:
 5. **Parallel merge**: with ``workers > 1`` space candidates fan out over a
    ``ProcessPoolExecutor``; results are merged in candidate-catalog order,
    so the ranked output is *identical* for every worker count
-   (``workers=1`` runs in-process with no executor at all).
+   (``workers=1`` runs in-process with no executor at all).  The sharded
+   search (:mod:`repro.mapping.shard`) plans through the same set-up and
+   runs its blocks on the same pool (:func:`_pool`, :func:`_map_fresh`).
 
 All knobs live on the frozen :class:`SearchConfig`; :func:`run_search` is
 the engine entry point and :func:`search_designs` the stable public API.
@@ -33,7 +35,7 @@ from __future__ import annotations
 
 import itertools
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterator, Sequence
 
 from repro import obs
@@ -82,9 +84,11 @@ class SearchConfig:
         Enforce condition 5 (coprime entries of ``T``) as a pre-screen
         before the full feasibility check.
     workers:
-        Process fan-out for space candidates.  ``1`` (default) evaluates
-        in-process; higher values use a ``ProcessPoolExecutor``.  Results
-        are identical for every value -- only wall-clock changes.
+        Process fan-out, the search's one worker-count knob.  ``1``
+        (default) evaluates in-process; higher values run space candidates
+        (or, in :func:`~repro.mapping.shard.run_sharded_search`, the
+        missing blocks) on one ``ProcessPoolExecutor``.  Results are
+        identical for every value -- only wall-clock changes.
     overcollect:
         Early-stop factor: the scan stops after collecting
         ``max_candidates * overcollect`` feasible designs, *before* the
@@ -113,14 +117,6 @@ class SearchConfig:
         ``overcollect``); ``max_candidates`` still truncates the
         returned list -- pass ``max_candidates=None`` for the whole
         frontier.
-    persist_cache:
-        Persist the run-scoped :class:`~repro.mapping.memo.EvalCache`
-        across runs through the artifact store (:mod:`repro.cache`): the
-        shared memo entry is loaded before the scan and the merged table
-        saved after it.  ``None`` (default) enables persistence iff
-        ``$REPRO_CACHE_DIR`` is set; memo keys are canonical values, so
-        entries are valid across any search configuration.  Only the
-        main process's table is persisted under ``workers > 1``.
     """
 
     target_space_dim: int = 2
@@ -130,7 +126,6 @@ class SearchConfig:
     require_busy: bool = True
     workers: int = 1
     overcollect: int | None = 4
-    persist_cache: bool | None = None
     strategy: str = "auto"
     frontier: tuple[str, ...] | None = None
 
@@ -338,6 +333,49 @@ class _EvalContext:
             )
         return self.solver_ctx
 
+    def fresh(self) -> "_EvalContext":
+        """A copy with an empty memo (and no solver tables built on it)."""
+        return replace(self, cache=EvalCache(), solver_ctx=None)
+
+
+def _setup(
+    algorithm: Algorithm,
+    binding: ParamBinding,
+    primitives: Sequence[Sequence[int]] | None,
+    config: SearchConfig,
+) -> tuple[_EvalContext, list[list[list[int]]]]:
+    """The run's evaluation context and its space candidates, in scan order.
+
+    Shared by :func:`run_search` and the sharded search, so both scan the
+    same candidate list against the same time-sorted schedules.
+    """
+    obs.gauge("mapping.workers", config.workers)
+    schedules = ranked_schedules(algorithm, binding, config.schedule_bound)
+    obs.gauge("mapping.schedule_pool", len(schedules))
+    ctx = _EvalContext(
+        algorithm=algorithm,
+        binding=binding,
+        primitives=primitives,
+        schedules=schedules,
+        require_busy=config.require_busy,
+        cache=EvalCache(),
+        strategy=config.resolved_strategy,
+    )
+    if ctx.strategy == "solver":
+        from repro.mapping.solver import enumerate_spaces
+
+        spaces = enumerate_spaces(
+            ctx.solver_context(), config.target_space_dim,
+            config.block_values,
+        )
+    else:
+        spaces = list(
+            _space_candidates(
+                algorithm.dim, config.target_space_dim, config.block_values
+            )
+        )
+    return ctx, spaces
+
 
 def _evaluate_space(
     space: list[list[int]], ctx: _EvalContext
@@ -398,7 +436,7 @@ def _iter_sequential(
 # ---------------------------------------------------------------------------
 
 #: Per-process evaluation context, installed by the pool initializer so the
-#: algorithm/schedule payload is shipped once per worker, not per chunk, and
+#: algorithm/schedule payload is shipped once per worker, not per task, and
 #: the memo cache persists across the chunks a worker processes.
 _WORKER_CTX: _EvalContext | None = None
 
@@ -469,14 +507,12 @@ def _structural_copy(algorithm: Algorithm) -> Algorithm:
     )
 
 
-def _iter_parallel(
-    spaces: list[list[list[int]]],
-    ctx: _EvalContext,
-    workers: int,
-    cap: int | None,
-    progress=obs.NULL_PROGRESS,
-) -> Iterator[tuple[list[list[int]], list[int], FeasibilityReport]]:
-    telemetry = obs.enabled()
+def _pool(ctx: _EvalContext, workers: int) -> ProcessPoolExecutor:
+    """The search's one process pool; each worker holds a copy of ``ctx``.
+
+    The unsharded scan's chunks (:func:`_iter_parallel`) and the sharded
+    search's blocks (:func:`_map_fresh`) both run here.
+    """
     payload = (
         _structural_copy(ctx.algorithm),
         ctx.binding,
@@ -484,8 +520,43 @@ def _iter_parallel(
         ctx.schedules,
         ctx.require_busy,
         ctx.strategy,
-        telemetry,
+        obs.enabled(),
     )
+    return ProcessPoolExecutor(
+        max_workers=workers, initializer=_worker_init, initargs=(payload,)
+    )
+
+
+def _call_fresh(fn, task: tuple):
+    """Worker task: ``fn`` on a fresh copy of the worker's context."""
+    assert _WORKER_CTX is not None, "worker used before initialization"
+    return fn(_WORKER_CTX.fresh(), *task)
+
+
+def _map_fresh(ctx: _EvalContext, workers: int, fn, tasks: list[tuple]):
+    """Yield ``fn(fresh_ctx, *task)`` for each task, in task order.
+
+    Every call starts from an empty :class:`EvalCache`, so its result is a
+    pure function of the task wherever it ran: in-process for
+    ``workers=1`` or a single task, else on :func:`_pool`.
+    """
+    if workers <= 1 or len(tasks) <= 1:
+        for task in tasks:
+            yield fn(ctx.fresh(), *task)
+        return
+    with _pool(ctx, workers) as pool:
+        futures = [pool.submit(_call_fresh, fn, task) for task in tasks]
+        for future in futures:
+            yield future.result()
+
+
+def _iter_parallel(
+    spaces: list[list[list[int]]],
+    ctx: _EvalContext,
+    workers: int,
+    cap: int | None,
+    progress=obs.NULL_PROGRESS,
+) -> Iterator[tuple[list[list[int]], list[int], FeasibilityReport]]:
     indexed = list(enumerate(spaces))
     # Small chunks keep the pool busy near the early-stop point without
     # flooding the result queue; the merge order (and hence the output) is
@@ -496,9 +567,7 @@ def _iter_parallel(
     ]
     reg = obs.get_registry()
     yielded = 0
-    with ProcessPoolExecutor(
-        max_workers=workers, initializer=_worker_init, initargs=(payload,)
-    ) as pool:
+    with _pool(ctx, workers) as pool:
         futures = [pool.submit(_eval_chunk, chunk) for chunk in chunks]
         for future in futures:
             # Futures are consumed (and per-candidate deltas merged) in
@@ -519,46 +588,6 @@ def _iter_parallel(
                     for pending in futures:
                         pending.cancel()
                     return
-
-
-# ---------------------------------------------------------------------------
-# Cross-run memo persistence
-# ---------------------------------------------------------------------------
-
-_MEMO_KIND = "mapping-memo"
-_MEMO_KEY = "shared"
-
-
-def _load_memo(store, cache: EvalCache) -> None:
-    """Seed ``cache`` from the shared persisted memo entry (best-effort)."""
-    from repro.cache import Unserializable, decode_obj
-
-    payload = store.get(_MEMO_KIND, _MEMO_KEY)
-    if not isinstance(payload, list):
-        return
-    loaded = 0
-    for entry in payload:
-        try:
-            key, value = entry
-            cache.data[decode_obj(key)] = decode_obj(value)
-            loaded += 1
-        except (Unserializable, TypeError, ValueError):
-            continue
-    obs.count("mapping.memo_loaded", loaded)
-
-
-def _save_memo(store, cache: EvalCache) -> None:
-    """Persist ``cache`` (already merged with the loaded entries)."""
-    from repro.cache import Unserializable, encode_obj
-
-    payload = []
-    for key, value in cache.data.items():
-        try:
-            payload.append([encode_obj(key), encode_obj(value)])
-        except Unserializable:
-            continue
-    store.put(_MEMO_KIND, _MEMO_KEY, payload)
-    obs.count("mapping.memo_saved", len(payload))
 
 
 # ---------------------------------------------------------------------------
@@ -589,53 +618,20 @@ def run_search(
     ``config.workers`` value.
     """
     config = config if config is not None else SearchConfig()
-    strategy = config.resolved_strategy
     found: list[DesignCandidate] = []
-    n = algorithm.dim
     with obs.span(
         "mapping.search_designs",
-        dim=n,
+        dim=algorithm.dim,
         target_space_dim=config.target_space_dim,
         schedule_bound=config.schedule_bound,
         workers=config.workers,
-        strategy=strategy,
+        strategy=config.resolved_strategy,
     ):
-        obs.gauge("mapping.workers", config.workers)
-        schedules = ranked_schedules(algorithm, binding, config.schedule_bound)
-        obs.gauge("mapping.schedule_pool", len(schedules))
-        time_of = {pi: t for t, pi in schedules}
-        ctx = _EvalContext(
-            algorithm=algorithm,
-            binding=binding,
-            primitives=primitives,
-            schedules=schedules,
-            require_busy=config.require_busy,
-            cache=EvalCache(),
-            strategy=strategy,
-        )
-        store = None
-        if config.persist_cache is not False:
-            from repro.cache import resolve_cache
-
-            store = resolve_cache(config.persist_cache, None)
-            if store is not None:
-                _load_memo(store, ctx.cache)
-        if strategy == "solver":
-            from repro.mapping.solver import enumerate_spaces
-
-            spaces = enumerate_spaces(
-                ctx.solver_context(), config.target_space_dim,
-                config.block_values,
-            )
-        else:
-            spaces = list(
-                _space_candidates(
-                    n, config.target_space_dim, config.block_values
-                )
-            )
+        ctx, spaces = _setup(algorithm, binding, primitives, config)
+        time_of = {pi: t for t, pi in ctx.schedules}
         d_cols = [tuple(c) for c in algorithm.dependences.columns()]
         with obs.progress("mapping.spaces", total=len(spaces)) as progress:
-            if config.workers <= 1 or len(spaces) <= 1 or not schedules:
+            if config.workers <= 1 or len(spaces) <= 1 or not ctx.schedules:
                 feasible = _iter_sequential(
                     spaces, ctx, config.stop_after, progress
                 )
@@ -662,8 +658,6 @@ def run_search(
                 )
         found = _rank(found, config)
         obs.count("mapping.designs_found", len(found))
-        if store is not None and ctx.cache.misses:
-            _save_memo(store, ctx.cache)
     return found
 
 
@@ -674,9 +668,9 @@ def _rank(
 
     Classic mode sorts by ``(time, processors)``; frontier mode keeps the
     Pareto-non-dominated designs over the configured metrics, canonically
-    ordered by ``(metrics, rows)``.  Shared by :func:`run_search` and the
-    sharded coordinator so both produce identical output from the same
-    feasible stream.
+    ordered by ``(metrics, rows)``.  The sharded coordinator applies the
+    same orders to its merged blocks, so both produce identical output
+    from the same feasible stream.
     """
     if config.frontier is not None:
         by_point = {

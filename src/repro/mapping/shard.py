@@ -1,43 +1,38 @@
-"""Work-queue sharding of the design-space search over the artifact cache.
+"""Sharded design-space search: publish and reuse the blocks of one scan.
 
-Scaling the search past one process (and, later, one machine) needs three
-things the in-process engine does not provide: a *durable* unit of work
-that any worker can pick up, a *claim* protocol so two workers do not
-fight over a unit, and a *merge* that is independent of who computed
-what.  This module supplies all three on top of the existing shared-mode
-:class:`~repro.cache.store.ArtifactCache` and
-:class:`~repro.cache.lock.FileLock` -- no new infrastructure, just files
-in a directory any number of processes (or NFS-mounted machines) share:
+A search is a fold over its space candidates whose merge is associative
+-- designs concatenate in scan order, counters add, partial Pareto
+frontiers merge through :func:`~repro.mapping.pareto.merge_frontiers` --
+so the scan can be cut into blocks, each block's partial result published
+as a file, and any later run (in another process, or on a machine sharing
+the directory) can reuse what is already there.  This module is that
+publish-and-reuse layer over the engine, built on the shared-mode
+:class:`~repro.cache.store.ArtifactCache`:
 
-* **Blocks.**  The space-candidate list -- enumerated deterministically
-  by the solver (or catalog) exactly as :func:`run_search` would -- is
-  split into contiguous index blocks whose size depends only on the
+* **Blocks.**  The space-candidate list -- planned by the engine's own
+  set-up, exactly as :func:`~repro.mapping.engine.run_search` scans it --
+  is split into contiguous index blocks whose size depends only on the
   candidate count, never on the worker count.
-* **Claims.**  A JSON ledger under ``<shard_dir>/claims.lock`` maps block
-  ids to claimants; a worker takes the lock, claims the first unclaimed
-  block, and releases.  Claims are advisory: losing the lock (timeout)
-  only risks duplicated work, never wrong output, because block results
-  are deterministic and idempotent.
-* **Results.**  Each finished block is published as one artifact-cache
-  entry keyed by :func:`~repro.cache.keys.shard_run_key` + block id:
-  the feasible designs in scan order, the block's partial Pareto
-  frontier, its obs counter delta, and its :class:`EvalCache` delta.
-  Every block is evaluated from a *fresh* cache, so its payload is a
-  pure function of the block -- the property that makes merged metrics
-  byte-identical for any worker count and claim interleaving.
-* **Merge.**  The coordinator folds block payloads *in block-index
-  order*: designs concatenate back into scan order (then rank or
-  frontier-merge exactly as :func:`run_search` does), counters sum,
-  partial frontiers fold through the associative
-  :func:`~repro.mapping.pareto.merge_frontiers`, and the union of memo
-  deltas is published as the shared ``mapping-memo`` entry for future
-  engine runs against the same cache directory.  Blocks missing after
-  the pool drains (a crashed worker) are evaluated inline by the
-  coordinator, so the merge always completes.
+* **Results.**  Each block is published as one artifact-cache entry keyed
+  by :func:`~repro.cache.keys.shard_run_key` + block id: the feasible
+  designs in scan order, the block's partial Pareto frontier and its obs
+  counters.  Every block is evaluated from a *fresh* :class:`EvalCache`,
+  so its payload is a pure function of the block -- the property that
+  makes merged metrics byte-identical for any worker count.
+* **Evaluation.**  A run evaluates only the blocks missing from
+  ``shard_dir`` when it starts -- in-process, or on the engine's one
+  process pool with ``config.workers > 1`` -- publishes each as it
+  finishes, and folds its counters into the ambient registry (reused
+  blocks add nothing).  There are no claims: invocations sharing a
+  directory each evaluate what was unpublished when they started, and a
+  block published twice is published identically.
+* **Merge.**  Block payloads fold *in block-index order*: designs
+  concatenate back into scan order (then rank or frontier-merge exactly
+  as :func:`run_search` does), counters sum, partial frontiers merge.
 
 The result payload (:meth:`ShardedSearchResult.payload_json`) is
-byte-identical across worker counts 1/2/4 -- pinned by tests and a CI
-diff -- and its design list matches :func:`run_search` for the same
+byte-identical across worker counts -- pinned by tests and a CI diff --
+and its design list matches :func:`run_search` for the same
 :class:`SearchConfig`.
 """
 
@@ -46,9 +41,7 @@ from __future__ import annotations
 import json
 import shutil
 import tempfile
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
-from pathlib import Path
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 from repro import obs
@@ -56,12 +49,9 @@ from repro.mapping.engine import (
     SearchConfig,
     _EvalContext,
     _evaluate_space,
-    _save_memo,
-    _space_candidates,
-    _structural_copy,
-    ranked_schedules,
+    _map_fresh,
+    _setup,
 )
-from repro.mapping.memo import EvalCache
 from repro.mapping.pareto import (
     FrontierPoint,
     design_wire_length,
@@ -74,8 +64,11 @@ from repro.structures.params import ParamBinding
 
 __all__ = ["ShardedSearchResult", "run_sharded_search"]
 
-#: Artifact-cache kind under which ledgers and block results live.
+#: Artifact-cache kind under which block results live.
 _KIND = "search-shard"
+
+#: Target block count of a run (the last block may be short).
+_BLOCKS = 16
 
 
 @dataclass
@@ -116,106 +109,43 @@ class ShardedSearchResult:
 
 
 # ---------------------------------------------------------------------------
-# Deterministic plan (shared verbatim by coordinator and workers)
+# Block geometry and keys
 # ---------------------------------------------------------------------------
 
-def _plan(
-    algorithm: Algorithm,
-    binding: ParamBinding,
-    primitives: Sequence[Sequence[int]] | None,
-    config: SearchConfig,
-    block_size: int | None,
-):
-    """(schedules, time_of, spaces, blocks): the run's immutable geometry.
+def _blocks(n_spaces: int) -> list[tuple[int, int]]:
+    """Contiguous ``(start, end)`` candidate slices of one run.
 
-    Pure function of the search inputs -- workers rebuild it bit-for-bit
-    from the shipped payload, so block ``i`` means the same candidate
-    slice in every process.  The block size never depends on the worker
-    count (that would break cross-count byte-identity of block payloads).
+    The block size depends only on the candidate count -- a worker-count
+    dependence would break cross-count byte-identity of block payloads.
     """
-    schedules = ranked_schedules(algorithm, binding, config.schedule_bound)
-    time_of = {pi: t for t, pi in schedules}
-    if config.resolved_strategy == "solver":
-        from repro.mapping.solver import SolverContext, enumerate_spaces
-
-        sctx = SolverContext(
-            algorithm, binding, primitives, schedules,
-            config.require_busy, EvalCache(),
-        )
-        spaces = enumerate_spaces(
-            sctx, config.target_space_dim, config.block_values
-        )
-    else:
-        spaces = list(
-            _space_candidates(
-                algorithm.dim, config.target_space_dim, config.block_values
-            )
-        )
-    if block_size is None:
-        block_size = max(1, -(-len(spaces) // 16))
-    blocks = [
-        (start, min(start + block_size, len(spaces)))
-        for start in range(0, max(len(spaces), 1), block_size)
+    size = max(1, -(-n_spaces // _BLOCKS))
+    return [
+        (start, min(start + size, n_spaces))
+        for start in range(0, max(n_spaces, 1), size)
     ]
-    return schedules, time_of, spaces, blocks
 
 
-def _run_key(algorithm, binding, primitives, config, blocks) -> str:
+def _run_key(algorithm, binding, primitives, config, n_blocks) -> str:
     from repro.cache.keys import shard_run_key
-
-    from dataclasses import asdict
 
     cfg = asdict(config)
     cfg["block_values"] = list(cfg["block_values"])
     cfg["frontier"] = (
         None if cfg["frontier"] is None else list(cfg["frontier"])
     )
-    cfg.pop("workers", None)  # any worker count cooperates on one run
-    cfg.pop("persist_cache", None)
+    cfg.pop("workers")  # any worker count computes (and reuses) one run
     return shard_run_key(
         algorithm.name,
         [list(c) for c in algorithm.dependences.columns()],
         algorithm.index_set.bounds(binding),
         primitives,
         cfg,
-        len(blocks),
+        n_blocks,
     )
-
-
-# ---------------------------------------------------------------------------
-# Claim protocol
-# ---------------------------------------------------------------------------
-
-def _ledger_key(run_key: str) -> str:
-    return f"{run_key}-ledger"
 
 
 def _block_key(run_key: str, block_id: int) -> str:
     return f"{run_key}-block-{block_id}"
-
-
-def _claim_block(store, lock, run_key: str, n_blocks: int,
-                 worker: str) -> int | None:
-    """Claim the first unclaimed block id, or ``None`` when all are taken.
-
-    Runs under the shared claims lock; on lock timeout the claim proceeds
-    unlocked (best-effort, same policy as the cache store) -- the worst
-    case is two workers computing the same deterministic block payload.
-    """
-    with lock:
-        ledger = store.get(_KIND, _ledger_key(run_key))
-        if not isinstance(ledger, dict) or "claimed" not in ledger:
-            ledger = {"claimed": {}}
-        for block_id in range(n_blocks):
-            if str(block_id) in ledger["claimed"]:
-                continue
-            if store.get(_KIND, _block_key(run_key, block_id)) is not None:
-                continue  # published by an earlier run of the same search
-            ledger["claimed"][str(block_id)] = worker
-            store.put(_KIND, _ledger_key(run_key), ledger)
-            obs.count("mapping.shard.claims")
-            return block_id
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -223,31 +153,18 @@ def _claim_block(store, lock, run_key: str, n_blocks: int,
 # ---------------------------------------------------------------------------
 
 def _eval_block(
+    ctx: _EvalContext,
     spaces: list[list[list[int]]],
-    algorithm: Algorithm,
-    binding: ParamBinding,
-    primitives: Sequence[Sequence[int]] | None,
-    config: SearchConfig,
-    schedules,
-    time_of,
-    d_cols,
+    frontier_metrics: tuple[str, ...] | None,
 ) -> dict:
-    """Evaluate one block from a fresh cache; JSON-native payload.
+    """Evaluate one block on a fresh context; JSON-native payload.
 
-    The fresh :class:`EvalCache` (rather than one shared per worker) is
-    what makes the payload independent of which worker evaluated the
-    block and what it evaluated before -- the determinism anchor for the
-    whole protocol.
+    ``ctx`` carries an empty :class:`EvalCache` (see
+    :func:`~repro.mapping.engine._map_fresh`), which is what makes the
+    payload independent of where the block ran and what ran before it.
     """
-    ctx = _EvalContext(
-        algorithm=algorithm,
-        binding=binding,
-        primitives=primitives,
-        schedules=schedules,
-        require_busy=config.require_busy,
-        cache=EvalCache(),
-        strategy=config.resolved_strategy,
-    )
+    time_of = {pi: t for t, pi in ctx.schedules}
+    d_cols = [tuple(c) for c in ctx.algorithm.dependences.columns()]
     designs: list[dict] = []
     with obs.collecting() as reg:
         for space in spaces:
@@ -262,7 +179,7 @@ def _eval_block(
                     "pi": list(pi),
                     "time": time_of[tuple(pi)],
                     "processors": processor_count(
-                        mapping, algorithm.index_set, binding
+                        mapping, ctx.algorithm.index_set, ctx.binding
                     ),
                     "wire_length": design_wire_length(
                         report.interconnect, space, d_cols
@@ -270,22 +187,19 @@ def _eval_block(
                 }
             )
     frontier = None
-    if config.frontier is not None:
+    if frontier_metrics is not None:
         frontier = [
             pt.to_dict()
             for pt in merge_frontiers(
-                _frontier_points(designs, config.frontier)
+                _frontier_points(designs, frontier_metrics)
             )
         ]
-    memo = _encode_memo(ctx.cache)
     return {
         "designs": designs,
         "frontier": frontier,
         "metrics": {
-            name: int(value)
-            for name, value in sorted(reg.delta()["counters"].items())
+            name: int(value) for name, value in sorted(reg.counters.items())
         },
-        "memo": memo,
     }
 
 
@@ -299,51 +213,6 @@ def _frontier_points(designs: list[dict], metrics: tuple[str, ...]):
     ]
 
 
-def _encode_memo(cache: EvalCache) -> list:
-    from repro.cache import Unserializable, encode_obj
-
-    out = []
-    for key, value in cache.data.items():
-        try:
-            out.append([encode_obj(key), encode_obj(value)])
-        except Unserializable:
-            continue
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Worker loop (module-level for pickling)
-# ---------------------------------------------------------------------------
-
-def _worker_main(args: tuple) -> int:
-    (shard_dir, worker_id, algorithm, binding, primitives, config,
-     block_size) = args
-    from repro.cache import ArtifactCache, FileLock
-
-    schedules, time_of, spaces, blocks = _plan(
-        algorithm, binding, primitives, config, block_size
-    )
-    run_key = _run_key(algorithm, binding, primitives, config, blocks)
-    d_cols = [tuple(c) for c in algorithm.dependences.columns()]
-    store = ArtifactCache(shard_dir, shared=True)
-    lock = FileLock(Path(shard_dir) / "claims.lock")
-    done = 0
-    while True:
-        block_id = _claim_block(
-            store, lock, run_key, len(blocks), f"worker-{worker_id}"
-        )
-        if block_id is None:
-            break
-        start, end = blocks[block_id]
-        payload = _eval_block(
-            spaces[start:end], algorithm, binding, primitives, config,
-            schedules, time_of, d_cols,
-        )
-        store.put(_KIND, _block_key(run_key, block_id), payload)
-        done += 1
-    return done
-
-
 # ---------------------------------------------------------------------------
 # Coordinator
 # ---------------------------------------------------------------------------
@@ -354,94 +223,65 @@ def run_sharded_search(
     primitives: Sequence[Sequence[int]] | None,
     config: SearchConfig | None = None,
     *,
-    workers: int = 1,
     shard_dir: str | None = None,
-    block_size: int | None = None,
 ) -> ShardedSearchResult:
-    """Shard a design-space search over a shared cache directory.
+    """Run a design-space search as published, reusable blocks.
 
-    ``workers`` processes claim and evaluate candidate blocks out of
-    ``shard_dir`` (a fresh temporary directory when ``None``; pass the
-    same existing directory to several invocations -- or machines sharing
-    a filesystem -- to cooperate on one run).  The merged result is
-    byte-identical (:meth:`ShardedSearchResult.payload_json`) for every
-    ``workers`` value, and its design list equals
+    Blocks already published in ``shard_dir`` -- by an earlier run of the
+    same search, from any process or machine sharing the directory -- are
+    reused; the missing ones are evaluated on ``config.workers`` processes
+    and published (``shard_dir=None``: a fresh temporary directory).  The
+    merged result is byte-identical
+    (:meth:`ShardedSearchResult.payload_json`) for every
+    ``config.workers`` value, and its design list equals
     :func:`~repro.mapping.engine.run_search` under the same config.
-
-    ``workers=1`` runs the same claim/publish/merge protocol in-process;
-    the worker count only changes wall-clock, never output.
     """
     from repro.cache import ArtifactCache
 
     config = config if config is not None else SearchConfig()
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
     ephemeral = shard_dir is None
     if ephemeral:
         shard_dir = tempfile.mkdtemp(prefix="repro-shard-")
     try:
         with obs.span(
-            "mapping.shard.search", workers=workers,
+            "mapping.shard.search", workers=config.workers,
             strategy=config.resolved_strategy,
         ):
-            schedules, time_of, spaces, blocks = _plan(
-                algorithm, binding, primitives, config, block_size
-            )
+            ctx, spaces = _setup(algorithm, binding, primitives, config)
+            blocks = _blocks(len(spaces))
             run_key = _run_key(
-                algorithm, binding, primitives, config, blocks
+                algorithm, binding, primitives, config, len(blocks)
             )
-            d_cols = [tuple(c) for c in algorithm.dependences.columns()]
-            obs.gauge("mapping.shard.workers", workers)
             obs.count("mapping.shard.blocks", len(blocks))
-            payload = (
-                _structural_copy(algorithm), binding, primitives, config,
-                block_size,
-            )
-            if workers <= 1 or len(blocks) <= 1:
-                _worker_main((shard_dir, 0) + payload)
-            else:
-                with ProcessPoolExecutor(max_workers=workers) as pool:
-                    list(
-                        pool.map(
-                            _worker_main,
-                            [
-                                (shard_dir, i) + payload
-                                for i in range(workers)
-                            ],
-                        )
-                    )
             store = ArtifactCache(shard_dir, shared=True)
-            merged = _merge(
-                store, run_key, blocks, spaces, config, time_of, algorithm,
-                binding, primitives, schedules, d_cols, workers,
-            )
-        return merged
+            payloads = [
+                store.get(_KIND, _block_key(run_key, block_id))
+                for block_id in range(len(blocks))
+            ]
+            missing = [i for i, p in enumerate(payloads) if p is None]
+            tasks = [
+                (spaces[slice(*blocks[i])], config.frontier) for i in missing
+            ]
+            evaluated = _map_fresh(ctx, config.workers, _eval_block, tasks)
+            for block_id, payload in zip(missing, evaluated, strict=True):
+                store.put(_KIND, _block_key(run_key, block_id), payload)
+                obs.count_many(payload["metrics"])
+                payloads[block_id] = payload
+            obs.count("mapping.shard.evaluated_blocks", len(missing))
+            return _merge(payloads, config, run_key)
     finally:
         if ephemeral:
             shutil.rmtree(shard_dir, ignore_errors=True)
 
 
 def _merge(
-    store, run_key, blocks, spaces, config, time_of, algorithm, binding,
-    primitives, schedules, d_cols, workers,
+    payloads: list[dict], config: SearchConfig, run_key: str
 ) -> ShardedSearchResult:
     """Fold block payloads in block-index order (see module docstring)."""
     designs: list[dict] = []
     metrics: dict[str, int] = {}
     partial_frontiers: list[list[FrontierPoint]] = []
-    memo = EvalCache()
-    from repro.cache import Unserializable, decode_obj
-
-    for block_id, (start, end) in enumerate(blocks):
-        payload = store.get(_KIND, _block_key(run_key, block_id))
-        if payload is None:
-            # A worker died mid-block; finish its work inline.
-            obs.count("mapping.shard.recovered_blocks")
-            payload = _eval_block(
-                spaces[start:end], algorithm, binding, primitives, config,
-                schedules, time_of, d_cols,
-            )
-            store.put(_KIND, _block_key(run_key, block_id), payload)
+    for payload in payloads:
         designs.extend(payload["designs"])
         for name, value in payload["metrics"].items():
             metrics[name] = metrics.get(name, 0) + int(value)
@@ -458,12 +298,6 @@ def _merge(
                     for pt in payload["frontier"]
                 ]
             )
-        for entry in payload.get("memo", ()):
-            try:
-                key, value = entry
-                memo.data.setdefault(decode_obj(key), decode_obj(value))
-            except (Unserializable, TypeError, ValueError):
-                continue
     if config.stop_after is not None:
         designs = designs[:config.stop_after]
     frontier = None
@@ -478,15 +312,12 @@ def _merge(
         designs = designs[:config.max_candidates]
         if frontier is not None:
             frontier = frontier[:config.max_candidates]
-    if memo.data:
-        memo.misses = len(memo.data)  # mark dirty for _save_memo parity
-        _save_memo(store, memo)
-    obs.count("mapping.shard.designs", len(designs))
+    obs.count("mapping.designs_found", len(designs))
     return ShardedSearchResult(
         designs=designs,
         frontier=frontier,
         metrics={name: metrics[name] for name in sorted(metrics)},
-        blocks=len(blocks),
+        blocks=len(payloads),
         run_key=run_key,
-        workers=workers,
+        workers=config.workers,
     )

@@ -230,7 +230,7 @@ class SolverContext:
         nonnegative one; decided by the Smith-form solver and memoized on
         the displacement vector in the run's :class:`EvalCache` (the same
         store the interconnect and conflict solves share), so equivalent
-        queries persist across runs and shards.
+        queries are answered once per run.
         """
         if self.p_rows is None:
             return True

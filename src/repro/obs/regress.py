@@ -387,7 +387,7 @@ def _check_search(report: GateReport) -> None:
         found = run_search(
             alg, {"u": 2, "p": 2}, designs.fig4_primitives(2),
             SearchConfig(target_space_dim=2, block_values=[2],
-                         max_candidates=5, persist_cache=False),
+                         max_candidates=5),
         )
     hits = reg.counters.get("mapping.cache_hits", 0)
     required = FLOORS["search_memo_hits"]
@@ -421,8 +421,7 @@ def _check_search_solver(report: GateReport) -> None:
 
     def run(strategy):
         config = SearchConfig(target_space_dim=2, block_values=[2],
-                              max_candidates=5, persist_cache=False,
-                              strategy=strategy)
+                              max_candidates=5, strategy=strategy)
         with obs.collecting() as reg:
             found = run_search(alg, binding, prims, config)
         return found, reg.counters.get("mapping.candidates_enumerated", 0)

@@ -308,15 +308,14 @@ def _handle_search(spec: JobSpec, out, verbose: bool):
         frontier=spec.frontier,
     )
     sharded = None
-    if spec.shard_workers is not None:
+    if spec.shard_dir is not None:
         from repro.mapping.shard import run_sharded_search
 
         sharded = run_sharded_search(
-            alg, binding, primitives, config,
-            workers=spec.shard_workers, shard_dir=spec.shard_dir,
+            alg, binding, primitives, config, shard_dir=spec.shard_dir
         )
         records = sharded.designs
-        scope = f"shard_workers={sharded.workers}, blocks={sharded.blocks}"
+        scope = f"workers={sharded.workers}, blocks={sharded.blocks}"
     else:
         found = run_search(alg, binding, primitives, config)
         records = [

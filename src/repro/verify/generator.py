@@ -645,7 +645,6 @@ class SearchCase:
             max_candidates=self.max_candidates,
             overcollect=self.overcollect,
             strategy=strategy,
-            persist_cache=False,
         )
 
     def shrink_candidates(self) -> Iterator["SearchCase"]:

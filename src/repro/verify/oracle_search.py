@@ -17,8 +17,8 @@ baseline, which tries every catalog candidate through
 
 Word-model cases run exhaustively (true set equality over the whole
 design space); bit-level cases are capped and compare the identical
-ranked prefix.  Both runs use ``persist_cache=False`` so no artifact
-store can leak results between the two strategies.
+ranked prefix.  Each run starts from its own empty memo, so no result
+can leak between the two strategies.
 """
 
 from __future__ import annotations

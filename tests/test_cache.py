@@ -23,8 +23,6 @@ from repro.cache import (
     analysis_result_to_payload,
     condition_from_payload,
     condition_to_payload,
-    decode_obj,
-    encode_obj,
     resolve_cache,
     structure_key,
     system_key,
@@ -34,36 +32,6 @@ from repro.expansion.theorem31 import bit_level_structure, matmul_bit_level
 from repro.ir import builders
 from repro.ir.builders import word_model_structure
 from repro.ir.expand import expand_bit_level
-
-
-class TestTaggedCodec:
-    CASES = [
-        None,
-        True,
-        7,
-        "s",
-        (1, 2),
-        [1, (2, 3), "x"],
-        {"k": (1, [2])},
-        {(1, 2): [3, (4,)]},
-        ("lattice", ((1, 0), (0, 1)), ((-2, 2), (-2, 2)), None),
-    ]
-
-    @pytest.mark.parametrize("value", CASES)
-    def test_round_trip(self, value):
-        encoded = encode_obj(value)
-        json.dumps(encoded)  # must be JSON-safe
-        assert decode_obj(encoded) == value
-
-    def test_tuple_list_distinction(self):
-        assert decode_obj(encode_obj((1, 2))) == (1, 2)
-        assert decode_obj(encode_obj([1, 2])) == [1, 2]
-        assert type(decode_obj(encode_obj((1, 2)))) is tuple
-        assert type(decode_obj(encode_obj([1, 2]))) is list
-
-    def test_unencodable(self):
-        with pytest.raises(Unserializable):
-            encode_obj(object())
 
 
 class TestStructureSerde:

@@ -1,11 +1,11 @@
-"""Tests for the design-space search (engine, via the lowerdim re-exports)."""
+"""Tests for the design-space search engine: catalog and ranked search."""
 
 import pytest
 
 from repro.expansion.theorem31 import matmul_bit_level
 from repro.ir.builders import matmul_word_structure
 from repro.mapping import designs
-from repro.mapping.lowerdim import (
+from repro.mapping.engine import (
     DesignCandidate,
     SearchConfig,
     run_search,

@@ -15,6 +15,7 @@ Three contracts are pinned here:
 
 import json
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -95,7 +96,7 @@ class TestSolverEquivalence:
         def run(strategy):
             return run_search(alg, binding, prims, SearchConfig(
                 block_values=[2], max_candidates=5,
-                strategy=strategy, persist_cache=False,
+                strategy=strategy,
             ))
 
         assert _signature(run("solver")) == _signature(run("catalog"))
@@ -106,7 +107,7 @@ class TestSolverEquivalence:
         def run(strategy):
             return run_search(alg, binding, mesh_primitives(2), SearchConfig(
                 block_values=[2], max_candidates=None, overcollect=None,
-                strategy=strategy, persist_cache=False,
+                strategy=strategy,
             ))
 
         solver, catalog = run("solver"), run("catalog")
@@ -121,7 +122,7 @@ class TestSolverEquivalence:
             with obs.collecting() as reg:
                 run_search(alg, binding, prims, SearchConfig(
                     block_values=[2], max_candidates=5,
-                    strategy=strategy, persist_cache=False,
+                    strategy=strategy,
                 ))
             counts[strategy] = reg.counters["mapping.candidates_enumerated"]
         assert counts["catalog"] >= 3 * counts["solver"]
@@ -194,7 +195,7 @@ class TestFrontierSearch:
         alg, binding = _bitlevel_instance()
         found = run_search(alg, binding, mesh_primitives(2), SearchConfig(
             block_values=[2], max_candidates=None,
-            frontier=METRIC_NAMES, persist_cache=False,
+            frontier=METRIC_NAMES,
         ))
         assert found
         metrics = [
@@ -217,7 +218,6 @@ class TestFrontierSearch:
             return run_search(alg, binding, mesh_primitives(2), SearchConfig(
                 block_values=[2], max_candidates=None,
                 overcollect=overcollect, frontier=METRIC_NAMES,
-                persist_cache=False,
             ))
 
         assert _signature(run(1)) == _signature(run(None))
@@ -229,7 +229,7 @@ class TestShardDeterminism:
         prims = designs.fig4_primitives(2)
         return alg, binding, prims, [
             run_sharded_search(
-                alg, binding, prims, config, workers=w
+                alg, binding, prims, replace(config, workers=w)
             ).payload_json()
             for w in worker_counts
         ]
@@ -237,15 +237,13 @@ class TestShardDeterminism:
     def test_byte_identical_across_worker_counts_frontier(self):
         config = SearchConfig(
             block_values=[2], max_candidates=None,
-            frontier=METRIC_NAMES, persist_cache=False,
+            frontier=METRIC_NAMES,
         )
         _alg, _binding, _prims, payloads = self._payloads(config)
         assert payloads[0] == payloads[1] == payloads[2]
 
     def test_byte_identical_across_worker_counts_ranked(self):
-        config = SearchConfig(
-            block_values=[2], max_candidates=5, persist_cache=False,
-        )
+        config = SearchConfig(block_values=[2], max_candidates=5)
         alg, binding, prims, payloads = self._payloads(config)
         assert payloads[0] == payloads[1] == payloads[2]
         # ... and the sharded design list equals the in-process search.
@@ -262,9 +260,11 @@ class TestShardDeterminism:
         prims = mesh_primitives(2)
         config = SearchConfig(
             block_values=[2], max_candidates=None,
-            frontier=METRIC_NAMES, persist_cache=False,
+            frontier=METRIC_NAMES,
         )
-        result = run_sharded_search(alg, binding, prims, config, workers=2)
+        result = run_sharded_search(
+            alg, binding, prims, replace(config, workers=2)
+        )
         direct = run_search(alg, binding, prims, config)
         assert result.frontier == [
             {
@@ -277,43 +277,53 @@ class TestShardDeterminism:
     def test_shared_dir_reuses_published_blocks(self, tmp_path):
         alg, binding = _bitlevel_instance()
         prims = designs.fig4_primitives(2)
-        config = SearchConfig(
-            block_values=[2], max_candidates=5, persist_cache=False,
-        )
+        config = SearchConfig(block_values=[2], max_candidates=5)
         first = run_sharded_search(
-            alg, binding, prims, config,
-            workers=1, shard_dir=str(tmp_path),
+            alg, binding, prims, config, shard_dir=str(tmp_path),
         )
         with obs.collecting() as reg:
             second = run_sharded_search(
-                alg, binding, prims, config,
-                workers=1, shard_dir=str(tmp_path),
+                alg, binding, prims, config, shard_dir=str(tmp_path),
             )
         assert second.payload_json() == first.payload_json()
-        # Every block was already published: no new claims were needed.
-        assert reg.counters.get("mapping.shard.claims", 0) == 0
+        # Every block was already published: none was evaluated again.
+        assert reg.counters.get("mapping.shard.evaluated_blocks") == 0
 
     def test_missing_block_is_recovered_by_the_coordinator(self, tmp_path):
         alg, binding = _bitlevel_instance()
         prims = designs.fig4_primitives(2)
-        config = SearchConfig(
-            block_values=[2], max_candidates=5, persist_cache=False,
-        )
+        config = SearchConfig(block_values=[2], max_candidates=5)
         first = run_sharded_search(
-            alg, binding, prims, config,
-            workers=1, shard_dir=str(tmp_path),
+            alg, binding, prims, config, shard_dir=str(tmp_path),
         )
         assert first.blocks > 1
-        # A worker claimed block 1 but died before publishing it.
+        # A worker died before publishing block 1.
         (lost,) = tmp_path.rglob(f"{first.run_key}-block-1.json")
         lost.unlink()
         with obs.collecting() as reg:
             second = run_sharded_search(
-                alg, binding, prims, config,
-                workers=1, shard_dir=str(tmp_path),
+                alg, binding, prims, config, shard_dir=str(tmp_path),
             )
         assert second.payload_json() == first.payload_json()
-        assert reg.counters.get("mapping.shard.recovered_blocks") == 1
-        # The ledger still records the claim: nobody re-claims the block.
-        assert reg.counters.get("mapping.shard.claims", 0) == 0
+        assert reg.counters.get("mapping.shard.evaluated_blocks") == 1
         assert len(list(tmp_path.rglob(f"{first.run_key}-block-1.json"))) == 1
+
+    def test_block_counters_reach_the_registry(self, tmp_path):
+        alg, binding = _bitlevel_instance()
+        prims = designs.fig4_primitives(2)
+        config = SearchConfig(block_values=[2], max_candidates=5, workers=2)
+        with obs.collecting() as reg:
+            result = run_sharded_search(
+                alg, binding, prims, config, shard_dir=str(tmp_path),
+            )
+        enumerated = result.metrics["mapping.candidates_enumerated"]
+        assert enumerated > 0
+        assert reg.counters["mapping.candidates_enumerated"] == enumerated
+        assert reg.counters["mapping.designs_found"] == len(result.designs)
+        assert reg.counters["mapping.shard.evaluated_blocks"] == result.blocks
+        # Reused blocks add nothing.
+        with obs.collecting() as reg:
+            run_sharded_search(
+                alg, binding, prims, config, shard_dir=str(tmp_path),
+            )
+        assert reg.counters.get("mapping.candidates_enumerated", 0) == 0

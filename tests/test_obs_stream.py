@@ -246,8 +246,7 @@ class TestCrossProcessDeterminism:
             found = run_search(
                 alg, {"u": 2, "p": 2}, designs.fig4_primitives(2),
                 SearchConfig(target_space_dim=2, block_values=[2],
-                             max_candidates=2, workers=workers,
-                             persist_cache=False),
+                             max_candidates=2, workers=workers),
             )
         return found, reg
 
