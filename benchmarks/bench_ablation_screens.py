@@ -4,15 +4,18 @@ The classical screening tests never change the result (they are
 conservative), but they prune Diophantine systems before the expensive
 in-index-set verification.  This ablation measures the exact analyzer with
 and without screening on the paper's programs and reports how many
-write/read pairs each screen eliminates.
+write/read pairs each screen eliminates.  Screens exist only on the
+scalar route, so every analysis here pins ``backend="scalar"``.
 """
 
 import pytest
 
-from repro.depanalysis import analyze
+from repro.depanalysis import AnalysisConfig, analyze
 from repro.experiments.tables import format_table
 from repro.ir.builders import addshift_pipelined, matmul_pipelined
 from repro.ir.expand import expand_bit_level
+
+SCALAR = AnalysisConfig(backend="scalar", cache=False)
 
 PROGRAMS = {
     "matmul-2.3 (u=4)": (matmul_pipelined(4), {"u": 4}),
@@ -30,8 +33,10 @@ def report(report_writer):
     yield
     rows = []
     for name, (prog, binding) in PROGRAMS.items():
-        with_s = analyze(prog, binding, "exact", use_screens=True)
-        without = analyze(prog, binding, "exact", use_screens=False)
+        with_s = analyze(prog, binding, "exact", use_screens=True,
+                         config=SCALAR)
+        without = analyze(prog, binding, "exact", use_screens=False,
+                          config=SCALAR)
         assert set(with_s.instances) == set(without.instances)
         rows.append(
             (
@@ -56,5 +61,5 @@ def report(report_writer):
                          ids=["screened", "bare"])
 def test_bench_exact_analyzer(benchmark, use_screens):
     prog, binding = PROGRAMS["bit-level expII (u=2,p=2)"]
-    result = benchmark(analyze, prog, binding, "exact", use_screens)
+    result = benchmark(analyze, prog, binding, "exact", use_screens, SCALAR)
     assert result.instances

@@ -1,21 +1,23 @@
-"""Benchmark: scalar vs batched dependence-analysis engine + artifact cache.
+"""Benchmark: scalar vs symbolic exact-analysis routes + artifact cache.
 
-Times :func:`repro.depanalysis.analyze` with both engine backends on the
-same expanded bit-level matmul programs and checks bit-identical results
-(same ordered instance list, same statistics counters), then measures the
-persistent artifact cache cold (miss + write) and warm (hit).
+Times :func:`repro.depanalysis.analyze` on both exact-analysis routes on
+the same expanded bit-level matmul programs -- the scalar Diophantine
+analyzer (the reference) and the symbolic closed form instantiated at the
+binding (the default) -- and checks that they return the same ordered
+instance list and agree on ``pairs_tested``/``instances``, then measures
+the persistent artifact cache cold (miss + write) and warm (hit) on the
+default route.
 
 Besides the pytest-benchmark kernels, this module doubles as a script:
 
 * ``python benchmarks/bench_analysis.py --smoke`` runs one small instance
-  through both backends plus a cache round-trip, asserting equivalence and
-  a >= 2x batched speedup -- the CI guard.
+  through both routes plus a cache round-trip, asserting equivalence and
+  a >= 2x symbolic speedup -- the CI guard.
 * ``python benchmarks/bench_analysis.py --record`` runs the E7-shaped
-  sweep on both backends (expecting >= 5x batched cold and >= 20x
-  warm-cache vs the scalar baseline), re-times E7 before/after, runs the
-  ``u = p = 16`` Theorem 3.1 cross-validation at scale, and updates
-  ``BENCH_analysis.json`` at the repo root (an existing baseline entry is
-  preserved).
+  sweep on both routes (expecting >= 5x symbolic and >= 20x warm-cache
+  vs scalar), re-times E7, runs the Theorem 3.1 cross-validation at scale
+  with the scalar hash-join (``method="enumerate"``), and rewrites
+  ``BENCH_analysis.json`` at the repo root.
 """
 
 import argparse
@@ -28,6 +30,7 @@ import pytest
 
 from repro import obs
 from repro.depanalysis import AnalysisConfig, analyze
+from repro.depanalysis.engine import SHARED_STATS
 from repro.experiments.tables import format_table
 from repro.ir.expand import expand_bit_level
 
@@ -46,7 +49,7 @@ def _program(u, p, expansion="II"):
 
 def _timed(program, p, method="exact", backend=None, cache=False,
            cache_dir=None, repeats=1):
-    """Best-of-N wall clock plus the (identical) result."""
+    """Best-of-N wall clock plus the result."""
     config = AnalysisConfig(backend=backend, cache=cache, cache_dir=cache_dir)
     best = None
     result = None
@@ -58,11 +61,14 @@ def _timed(program, p, method="exact", backend=None, cache=False,
     return best, result
 
 
-def _assert_identical(a, b, label):
-    assert [i.key() for i in a.instances] == [i.key() for i in b.instances], (
-        f"{label}: instance lists diverged"
-    )
-    assert a.stats == b.stats, f"{label}: stats diverged"
+def _assert_same_answer(reference, got, label):
+    assert [i.key() for i in reference.instances] == [
+        i.key() for i in got.instances
+    ], f"{label}: instance lists diverged"
+    for key in SHARED_STATS:
+        assert reference.stats[key] == got.stats[key], (
+            f"{label}: {key} diverged"
+        )
 
 
 # -- pytest-benchmark kernels -----------------------------------------------
@@ -79,25 +85,25 @@ def report(report_writer):
     for u, p in ((2, 2), (3, 2), (3, 3)):
         program = _program(u, p)
         t_s, r_s = _timed(program, p, backend="scalar")
-        t_b, r_b = _timed(program, p, backend="batched")
-        _assert_identical(r_s, r_b, f"u={u} p={p}")
+        t_y, r_y = _timed(program, p, backend="symbolic")
+        _assert_same_answer(r_s, r_y, f"u={u} p={p}")
         rows.append(
             (u, p, u**3 * p**2, r_s.stats["instances"],
-             f"{t_s * 1e3:.1f}", f"{t_b * 1e3:.1f}", f"{t_s / t_b:.1f}x")
+             f"{t_s * 1e3:.1f}", f"{t_y * 1e3:.1f}", f"{t_s / t_y:.1f}x")
         )
         data_rows.append({
             "u": u, "p": p, "instances": r_s.stats["instances"],
-            "scalar_s": round(t_s, 4), "batched_s": round(t_b, 4),
-            "speedup": round(t_s / t_b, 2), "identical": True,
+            "scalar_s": round(t_s, 4), "symbolic_s": round(t_y, 4),
+            "speedup": round(t_s / t_y, 2), "identical": True,
         })
     text = format_table(
-        ["u", "p", "|J|", "instances", "scalar ms", "batched ms", "speedup"],
+        ["u", "p", "|J|", "instances", "scalar ms", "symbolic ms", "speedup"],
         rows,
-        title="Analysis engine: exact method, scalar vs batched backend",
+        title="Exact analysis: scalar vs symbolic route",
     )
     report_writer(
         "analysis-engine", text,
-        data={"backend": "batched-vs-scalar", "rows": data_rows},
+        data={"backend": "symbolic-vs-scalar", "rows": data_rows},
     )
 
 
@@ -108,25 +114,23 @@ def test_bench_exact_scalar(benchmark):
     assert result.stats["instances"] > 0
 
 
-def test_bench_exact_batched(benchmark):
+def test_bench_exact_symbolic(benchmark):
     _, result = benchmark(
-        _timed, PROGRAM, P, method="exact", backend="batched"
+        _timed, PROGRAM, P, method="exact", backend="symbolic"
     )
     assert result.stats["instances"] > 0
 
 
-def test_bench_enumerate_batched(benchmark):
-    _, result = benchmark(
-        _timed, PROGRAM, P, method="enumerate", backend="batched"
-    )
+def test_bench_enumerate(benchmark):
+    _, result = benchmark(_timed, PROGRAM, P, method="enumerate")
     assert result.stats["instances"] > 0
 
 
 def test_bench_warm_cache(benchmark, tmp_path):
     cache_dir = str(tmp_path / "cache")
-    _timed(PROGRAM, P, backend="batched", cache=True, cache_dir=cache_dir)
+    _timed(PROGRAM, P, cache=True, cache_dir=cache_dir)
     _, result = benchmark(
-        _timed, PROGRAM, P, backend="batched", cache=True, cache_dir=cache_dir
+        _timed, PROGRAM, P, cache=True, cache_dir=cache_dir
     )
     assert result.stats["instances"] > 0
 
@@ -137,88 +141,90 @@ def _smoke() -> int:
     u, p = 3, 2
     program = _program(u, p)
     t_s, r_s = _timed(program, p, backend="scalar")
-    t_b, r_b = _timed(program, p, backend="batched")
-    _assert_identical(r_s, r_b, f"u={u} p={p} exact")
-    _, r_es = _timed(program, p, method="enumerate", backend="scalar")
-    _, r_eb = _timed(program, p, method="enumerate", backend="batched")
-    _assert_identical(r_es, r_eb, f"u={u} p={p} enumerate")
+    t_y, r_y = _timed(program, p, backend="symbolic")
+    _assert_same_answer(r_s, r_y, f"u={u} p={p} exact")
+    _, r_e = _timed(program, p, method="enumerate")
+    assert [i.key() for i in r_e.instances] == [
+        i.key() for i in r_y.instances
+    ], f"u={u} p={p}: hash-join diverged from the exact routes"
     with tempfile.TemporaryDirectory() as d:
-        t_cold, r_cold = _timed(program, p, backend="batched", cache=True,
+        t_cold, r_cold = _timed(program, p, backend="symbolic", cache=True,
                                 cache_dir=d)
-        t_warm, r_warm = _timed(program, p, backend="batched", cache=True,
+        t_warm, r_warm = _timed(program, p, backend="symbolic", cache=True,
                                 cache_dir=d)
-    _assert_identical(r_s, r_cold, f"u={u} p={p} cache cold")
-    _assert_identical(r_s, r_warm, f"u={u} p={p} cache warm")
-    speedup = t_s / t_b
+    assert r_cold.stats == r_y.stats and r_warm.stats == r_y.stats
+    _assert_same_answer(r_s, r_warm, f"u={u} p={p} cache warm")
+    speedup = t_s / t_y
     print(f"smoke: u={u} p={p}  scalar {t_s * 1e3:.1f} ms  "
-          f"batched {t_b * 1e3:.1f} ms  speedup {speedup:.1f}x  "
+          f"symbolic {t_y * 1e3:.1f} ms  speedup {speedup:.1f}x  "
           f"cache cold {t_cold * 1e3:.1f} ms warm {t_warm * 1e3:.1f} ms  "
           f"identical=True")
     assert speedup >= 2.0, (
-        f"batched speedup {speedup:.2f}x below the 2x smoke floor"
+        f"symbolic speedup {speedup:.2f}x below the 2x smoke floor"
     )
     return 0
 
 
 def _record(repeats: int, scale: int) -> int:
-    print(f"recording E7 sweep {list(SWEEP)} on both backends "
+    print(f"recording E7 sweep {list(SWEEP)} on both routes "
           f"(best of {repeats})...")
     sweep_rows = []
     total_scalar = 0.0
-    total_batched = 0.0
+    total_symbolic = 0.0
     total_cold = 0.0
     total_warm = 0.0
     with tempfile.TemporaryDirectory() as cache_dir:
         for u, p in SWEEP:
             program = _program(u, p)
             t_s, r_s = _timed(program, p, backend="scalar", repeats=repeats)
-            t_b, r_b = _timed(program, p, backend="batched", repeats=repeats)
-            _assert_identical(r_s, r_b, f"u={u} p={p}")
-            t_cold, r_cold = _timed(program, p, backend="batched", cache=True,
-                                    cache_dir=cache_dir)
-            t_warm, r_warm = _timed(program, p, backend="batched", cache=True,
-                                    cache_dir=cache_dir, repeats=repeats)
-            _assert_identical(r_s, r_cold, f"u={u} p={p} cache cold")
-            _assert_identical(r_s, r_warm, f"u={u} p={p} cache warm")
+            t_y, r_y = _timed(program, p, backend="symbolic",
+                              repeats=repeats)
+            _assert_same_answer(r_s, r_y, f"u={u} p={p}")
+            t_cold, r_cold = _timed(program, p, backend="symbolic",
+                                    cache=True, cache_dir=cache_dir)
+            t_warm, r_warm = _timed(program, p, backend="symbolic",
+                                    cache=True, cache_dir=cache_dir,
+                                    repeats=repeats)
+            _assert_same_answer(r_s, r_cold, f"u={u} p={p} cache cold")
+            _assert_same_answer(r_s, r_warm, f"u={u} p={p} cache warm")
             total_scalar += t_s
-            total_batched += t_b
+            total_symbolic += t_y
             total_cold += t_cold
             total_warm += t_warm
             sweep_rows.append({
                 "u": u, "p": p, "points": u**3 * p**2,
                 "instances": r_s.stats["instances"],
                 "scalar_s": round(t_s, 4),
-                "batched_s": round(t_b, 4),
+                "symbolic_s": round(t_y, 4),
                 "cache_cold_s": round(t_cold, 4),
                 "cache_warm_s": round(t_warm, 4),
-                "speedup_batched": round(t_s / t_b, 2),
+                "speedup_symbolic": round(t_s / t_y, 2),
             })
             print(f"  u={u} p={p}: scalar {t_s * 1e3:.1f} ms  "
-                  f"batched {t_b * 1e3:.1f} ms ({t_s / t_b:.1f}x)  "
+                  f"symbolic {t_y * 1e3:.1f} ms ({t_s / t_y:.1f}x)  "
                   f"cold {t_cold * 1e3:.1f} ms  warm {t_warm * 1e3:.1f} ms")
-    speedup_cold = total_scalar / total_batched
+    speedup_symbolic = total_scalar / total_symbolic
     speedup_warm = total_scalar / total_warm
     print(f"sweep totals: scalar {total_scalar:.3f}s  "
-          f"batched {total_batched:.3f}s ({speedup_cold:.1f}x)  "
+          f"symbolic {total_symbolic:.3f}s ({speedup_symbolic:.1f}x)  "
           f"warm cache {total_warm:.3f}s ({speedup_warm:.1f}x)")
 
-    print("re-timing E7 with each backend...")
+    print("re-timing E7 (scalar analyzer vs Theorem 3.1)...")
     from repro.experiments import e7_analysis_cost
 
-    e7 = {}
-    for backend in ("scalar", "batched"):
-        data = e7_analysis_cost.run(backend=backend)
-        e7[backend] = {
-            "general_ms": {
-                f"u{u}p{p}": general_ms
-                for u, p, _pts, _cand, general_ms, _comp, _ratio, _ok
-                in data["rows"]
-            },
-            "ok": data["ok"],
-        }
-        assert data["ok"], f"E7 disagreement under backend={backend}"
+    e7_data = e7_analysis_cost.run()
+    assert e7_data["ok"], "E7 disagreement"
+    e7 = {
+        "general_ms": {
+            f"u{u}p{p}": general_ms
+            for u, p, _pts, _cand, general_ms, _comp, _ratio, _ok
+            in e7_data["rows"]
+        },
+        "ok": True,
+    }
 
-    print(f"running the u=p={scale} Theorem 3.1 cross-validation...")
+    print(f"running the u=p={scale} Theorem 3.1 cross-validation "
+          f"(scalar hash-join)...")
     from repro.expansion.verify import verify_theorem31
 
     t0 = time.perf_counter()
@@ -232,15 +238,7 @@ def _record(repeats: int, scale: int) -> int:
           f"{rep.analysis_stats['instances']} instances, "
           f"matches=True in {t_scale:.1f}s")
 
-    data = {}
-    if BENCH_FILE.exists():
-        data = json.loads(BENCH_FILE.read_text())
-    data.setdefault("baseline", {
-        "backend": "scalar",
-        "seconds": round(total_scalar, 3),
-        "note": "point-by-point exact analyzer over the E7 sweep",
-    })
-    data.update({
+    data = {
         "instance": {
             "algorithm": "bit-level matmul (add-shift, expansion II)",
             "sweep": [[u, p] for u, p in SWEEP],
@@ -249,13 +247,13 @@ def _record(repeats: int, scale: int) -> int:
         "environment": obs.environment_info(),
         "engine": {
             "scalar": {"seconds": round(total_scalar, 3)},
-            "batched": {"seconds": round(total_batched, 3)},
+            "symbolic": {"seconds": round(total_symbolic, 3)},
             "cache_cold": {"seconds": round(total_cold, 3)},
             "cache_warm": {"seconds": round(total_warm, 3)},
             "results_identical_across_backends": True,
-            "speedup_batched_vs_scalar": round(speedup_cold, 2),
+            "speedup_symbolic_vs_scalar": round(speedup_symbolic, 2),
             "speedup_warm_cache_vs_scalar": round(speedup_warm, 2),
-            "speedup_warm_vs_cold_batched": round(total_cold / total_warm, 2),
+            "speedup_warm_vs_cold": round(total_cold / total_warm, 2),
         },
         "e7": e7,
         "scale_run": {
@@ -266,13 +264,11 @@ def _record(repeats: int, scale: int) -> int:
             "theorem31_matches": True,
         },
         "sweep": sweep_rows,
-    })
-    baseline = data["baseline"]["seconds"]
-    data["speedup_vs_baseline"] = round(baseline / total_batched, 2)
+    }
     BENCH_FILE.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
     print(f"wrote {BENCH_FILE}")
-    assert speedup_cold >= 5.0, (
-        f"batched speedup {speedup_cold:.2f}x below the 5x record floor"
+    assert speedup_symbolic >= 5.0, (
+        f"symbolic speedup {speedup_symbolic:.2f}x below the 5x record floor"
     )
     assert speedup_warm >= 20.0, (
         f"warm-cache speedup {speedup_warm:.2f}x below the 20x record floor"
@@ -284,11 +280,11 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     mode = parser.add_mutually_exclusive_group(required=True)
     mode.add_argument("--smoke", action="store_true",
-                      help="small instance on both backends plus a cache "
+                      help="small instance on both routes plus a cache "
                       "round-trip; assert equivalence and >= 2x")
     mode.add_argument("--record", action="store_true",
-                      help="measure the E7 sweep, cache, E7 before/after and "
-                      "the scale run; update BENCH_analysis.json")
+                      help="measure the E7 sweep, cache, E7 and the scale "
+                      "run; rewrite BENCH_analysis.json")
     parser.add_argument("--repeats", type=int, default=3,
                         help="best-of-N timing repeats for --record")
     parser.add_argument("--scale", type=int, default=16,

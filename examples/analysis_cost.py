@@ -16,7 +16,7 @@ Run:  python examples/analysis_cost.py
 
 import time
 
-from repro.depanalysis import analyze
+from repro.depanalysis import AnalysisConfig, analyze
 from repro.expansion import matmul_bit_level
 from repro.expansion.verify import effective_edges
 from repro.experiments.tables import format_table
@@ -32,7 +32,10 @@ def main() -> None:
         program = expand_bit_level(h1, h2, h3, [1, 1, 1], [u, u, u], p, "II")
 
         t0 = time.perf_counter()
-        result = analyze(program, {"p": p}, method="exact")
+        result = analyze(
+            program, {"p": p}, method="exact",
+            config=AnalysisConfig(backend="scalar", cache=False),
+        )
         t_general = time.perf_counter() - t0
 
         t0 = time.perf_counter()

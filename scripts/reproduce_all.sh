@@ -1,11 +1,13 @@
 #!/usr/bin/env bash
 # Full reproduction kit: tests, benchmarks, experiment reports, examples.
 #
-# Usage:  bash scripts/reproduce_all.sh [--backend scalar|batched|auto]
+# Usage:  bash scripts/reproduce_all.sh [--backend scalar|symbolic|auto]
 #                                       [--cache-dir DIR] [--no-cache]
 #
-#   --backend    analysis-engine backend for every stage (exported as
-#                REPRO_ANALYSIS_BACKEND; default: auto)
+#   --backend    exact-analysis route for every stage: scalar (the
+#                Diophantine reference) or symbolic (the closed form,
+#                instantiated); exported as REPRO_ANALYSIS_BACKEND;
+#                default: auto = symbolic
 #   --cache-dir  persistent artifact cache root (exported as
 #                REPRO_CACHE_DIR); a second run with the same dir skips
 #                re-analysis

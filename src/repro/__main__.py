@@ -448,15 +448,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_analyze.add_argument(
         "--method", choices=["exact", "enumerate"], default="exact",
-        help="exact (Diophantine) or enumerate (hash-join oracle)",
+        help="exact (the route --backend picks) or enumerate (hash-join "
+        "oracle)",
     )
     p_analyze.add_argument(
-        "--backend", choices=["auto", "scalar", "batched"], default=None,
-        help="engine backend (default: REPRO_ANALYSIS_BACKEND or auto)",
+        "--backend", choices=["auto", "scalar", "symbolic"], default=None,
+        help="exact-analysis route: scalar (Diophantine reference) or "
+        "symbolic (closed form instantiated at u/p; default: "
+        "REPRO_ANALYSIS_BACKEND or auto = symbolic)",
     )
     p_analyze.add_argument(
         "--no-screens", action="store_true",
-        help="skip GCD/Banerjee screening (method=exact only)",
+        help="skip GCD/Banerjee screening (method=exact on the scalar "
+        "route only)",
     )
     p_analyze.add_argument(
         "--no-cache", action="store_true",

@@ -3,8 +3,7 @@
 Content-addressed, on-disk memoization for the expensive pure derivations
 of the pipeline: dependence-analysis results and Theorem 3.1 structures.
 Keys are SHA-256 fingerprints of canonicalized inputs
-(:mod:`repro.cache.keys` -- including HNF normalization of per-pair
-subscript systems), values are exact JSON serializations
+(:mod:`repro.cache.keys`), values are exact JSON serializations
 (:mod:`repro.cache.serde`), and the store
 (:class:`repro.cache.store.ArtifactCache`) lives under
 ``$REPRO_CACHE_DIR`` or ``~/.cache/repro`` with a versioned schema and an
@@ -23,7 +22,6 @@ from repro.cache.keys import (
     shard_run_key,
     structure_key,
     symbolic_key,
-    system_key,
 )
 from repro.cache.serde import (
     Unserializable,
@@ -63,5 +61,4 @@ __all__ = [
     "shard_run_key",
     "structure_key",
     "symbolic_key",
-    "system_key",
 ]

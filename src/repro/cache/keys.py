@@ -2,21 +2,14 @@
 
 A cache key must change whenever anything that can change the result
 changes, and *should* coincide for inputs that provably yield the same
-result.  Two canonicalizations do the work:
-
-* :func:`analysis_key` keys a whole program instance.  Loop-index and
-  statement names are erased (subscripts become coefficient rows over the
-  positional index order), symbolic offsets/bounds/guard values are
-  evaluated under the concrete binding (so ``p`` vs ``q`` as a parameter
-  name cannot split the cache), and array names are kept verbatim because
-  they appear in the result.  Method and screen settings are part of the
-  key; the *backend* deliberately is not -- scalar and batched engines
-  produce bit-identical results, so they share entries.
-* :func:`system_key` keys one per-pair subscript system by the row-style
-  Hermite normal form of the augmented matrix ``[A | b]``.  Two systems
-  with the same HNF generate the same row lattice, hence have identical
-  solution sets, so HNF-equal pairs may share one cached Diophantine
-  solve and candidate enumeration.
+result.  :func:`analysis_key` keys a whole program instance: loop-index
+and statement names are erased (subscripts become coefficient rows over
+the positional index order), symbolic offsets/bounds/guard values are
+evaluated under the concrete binding (so ``p`` vs ``q`` as a parameter
+name cannot split the cache), and array names are kept verbatim because
+they appear in the result.  Method, screen setting and backend are part
+of the key: the scalar and symbolic routes return the same instances but
+different ``stats``, so each backend reads back its own entry.
 
 Inputs with no exact canonical form (unknown condition subclasses, unbound
 parameters) raise :class:`Uncacheable`; callers skip the cache and compute.
@@ -34,7 +27,6 @@ from repro.cache.serde import (
 )
 from repro.depanalysis.pairs import PointSet
 from repro.structures.conditions import And, Eq, Ne, Not, Or, _False, _True
-from repro.util.linalg import hermite_normal_form
 
 __all__ = [
     "Uncacheable",
@@ -43,7 +35,6 @@ __all__ = [
     "shard_run_key",
     "structure_key",
     "symbolic_key",
-    "system_key",
 ]
 
 
@@ -92,8 +83,11 @@ def _access_payload(access, order, binding) -> dict:
         raise Uncacheable(f"subscript mentions unbound parameter: {exc}") from exc
 
 
-def analysis_key(program, binding, method: str, use_screens: bool) -> str:
-    """Content-address one ``analyze()`` call (program instance + method)."""
+def analysis_key(
+    program, binding, method: str, use_screens: bool, backend: str
+) -> str:
+    """Content-address one ``analyze()`` call (program instance, method,
+    screen setting and resolved backend)."""
     try:
         bounds = program.index_set.bounds(binding)
     except KeyError as exc:
@@ -102,9 +96,11 @@ def analysis_key(program, binding, method: str, use_screens: bool) -> str:
     payload = {
         "kind": "analysis",
         "method": method,
-        # The enumerate method never screens; canonicalize so both flag
-        # values hit the same entry there.
+        # The enumerate method never screens and always runs the scalar
+        # hash-join; canonicalize so every flag and backend value hits the
+        # same entry there.
         "use_screens": bool(use_screens) if method == "exact" else True,
+        "backend": backend if method == "exact" else "scalar",
         "bounds": [[lo, hi] for lo, hi in bounds],
         "statements": [
             {
@@ -218,17 +214,3 @@ def shard_run_key(
         "blocks": int(blocks),
     }
     return fingerprint(payload)
-
-
-def system_key(a_rows, rhs) -> tuple:
-    """In-memory memo key for one subscript system ``A z = b``.
-
-    The row-HNF of ``[A | b]`` identifies the row lattice of the system:
-    HNF-equal systems have identical integer solution sets (each one's rows
-    are integer combinations of the other's), so they can share one solve.
-    """
-    if not a_rows:
-        return ("sys", 0, tuple(rhs))
-    aug = [list(row) + [int(b)] for row, b in zip(a_rows, rhs)]
-    h, _u = hermite_normal_form(aug)
-    return ("sys", tuple(tuple(r) for r in h if any(r)))

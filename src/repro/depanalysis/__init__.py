@@ -17,12 +17,13 @@ verification to see if the integer solutions are inside the index set"):
   :func:`~repro.depanalysis.analyzer.analyze`, including a fast
   hash-join oracle (``method="enumerate"``) used to cross-check the exact
   analyzer and to validate Theorem 3.1 on concrete instances;
-* :mod:`repro.depanalysis.engine` -- the vectorized engine: batched
-  GCD/Banerjee screening, block candidate enumeration, the batched
-  hash-join, backend resolution (``REPRO_ANALYSIS_BACKEND``), and the
-  persistent artifact cache (see :mod:`repro.cache` and
-  ``docs/ANALYSIS.md``).  Both backends are bit-identical to the scalar
-  reference.
+* :mod:`repro.depanalysis.engine` -- route selection and the persistent
+  artifact cache (see :mod:`repro.cache` and ``docs/ANALYSIS.md``):
+  exact analysis runs either the scalar analyzer above (``scalar``, the
+  reference) or the symbolic closed form of :mod:`repro.symbolic`
+  instantiated at the binding (``symbolic``, the default), which falls
+  back to the scalar analyzer on programs outside its support.  Both
+  routes return the same ordered instance list.
 """
 
 from repro.depanalysis.pairs import AnalysisResult, DependenceInstance, PointSet

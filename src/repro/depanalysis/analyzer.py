@@ -4,7 +4,10 @@
 
 * ``method="exact"`` -- the classical Diophantine-plus-verification analyzer
   (:mod:`repro.depanalysis.exact`); this is the baseline whose cost the
-  paper's compositional method avoids.
+  paper's compositional method avoids.  By default it is answered by the
+  symbolic closed form of the same pair systems, instantiated at the
+  binding (:mod:`repro.depanalysis.engine`); ``backend="scalar"`` runs the
+  Diophantine analyzer itself.
 * ``method="enumerate"`` -- a hash-join oracle that walks the iteration space
   once, records every element written, and joins reads against it.  For the
   single-assignment programs of the paper this is exact, fast, and serves as
@@ -90,16 +93,21 @@ def analyze(
     binding:
         Concrete values for the symbolic parameters in bounds/guards.
     method:
-        ``"exact"`` (Diophantine + in-set verification) or ``"enumerate"``
-        (hash-join oracle).
+        ``"exact"`` (every dependence the subscript systems admit inside
+        the index set) or ``"enumerate"`` (hash-join oracle, always the
+        scalar implementation).
     use_screens:
-        For ``method="exact"``: whether to apply GCD/Banerjee screening.
+        For ``method="exact"`` on the scalar route: whether to apply
+        GCD/Banerjee screening.  The symbolic route has no screens.
     config:
         Engine configuration (:class:`repro.depanalysis.engine.AnalysisConfig`):
-        backend selection (scalar vs batched; default ``auto``) and the
-        persistent artifact cache policy.  ``None`` uses the environment
-        defaults (``REPRO_ANALYSIS_BACKEND`` / ``REPRO_CACHE_DIR``); all
-        backends produce bit-identical results.
+        the exact route (``"scalar"`` Diophantine + in-set verification,
+        or ``"symbolic"`` closed form instantiated at ``binding``; default
+        ``auto`` = symbolic) and the persistent artifact cache policy.
+        ``None`` uses the environment defaults
+        (``REPRO_ANALYSIS_BACKEND`` / ``REPRO_CACHE_DIR``).  Both routes
+        return the same ordered instances; ``result.stats`` holds the
+        counters of the route that ran.
     """
     from repro.depanalysis.engine import run_analysis
 

@@ -51,9 +51,8 @@ def reduce_basis(basis: Sequence[Sequence[int]]) -> list[list[int]]:
 
     Already-independent bases are returned entry-for-entry unchanged, so
     the ``t̄`` parameterization (and everything downstream of
-    :func:`lattice_intervals`, e.g. the batched engine's candidate grids)
-    is bit-identical for the non-degenerate inputs the Smith-normal-form
-    solver produces.
+    :func:`lattice_intervals`) is bit-identical for the non-degenerate
+    inputs the Smith-normal-form solver produces.
     """
     rows = [list(r) for r in basis]
     nonzero = [r for r in rows if any(r)]
@@ -266,8 +265,6 @@ def lattice_intervals(
     hold -- the box of intervals over-approximates the feasible polytope).
     Returns ``None`` when there are provably no solutions; raises
     :class:`UnboundedLatticeError` when a direction cannot be bounded.
-    This is the entry point the batched analysis engine uses to enumerate
-    candidate blocks as a dense grid instead of by branch-and-prune.
 
     Rank-deficient generator sets are first reduced via
     :func:`reduce_basis`; the returned intervals then correspond to the

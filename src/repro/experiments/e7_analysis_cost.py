@@ -24,7 +24,7 @@ table rows.
 from __future__ import annotations
 
 from repro import obs
-from repro.depanalysis import AnalysisConfig, analyze, resolve_backend
+from repro.depanalysis import AnalysisConfig, analyze
 from repro.expansion.theorem31 import matmul_bit_level
 from repro.expansion.verify import effective_edges
 from repro.experiments.tables import format_table
@@ -38,16 +38,15 @@ _MATMUL_H = ([0, 1, 0], [1, 0, 0], [0, 0, 1])
 def run(
     cases: tuple[tuple[int, int], ...] = ((2, 2), (2, 3), (3, 2), (3, 3)),
     verify: bool = True,
-    backend: str | None = None,
 ) -> dict:
     """Time both derivations per ``(u, p)`` and check they agree.
 
-    ``backend`` selects the analysis engine (``"scalar"``/``"batched"``;
-    default: environment resolution).  The persistent cache is disabled so
-    the general-analysis column always measures a real analysis run.
+    The general-analysis column is the scalar Diophantine analyzer (the
+    paper's baseline, whose ``candidates_verified`` it reports), with the
+    persistent cache disabled so it always measures a real analysis run.
     """
     reg = obs.get_registry() or obs.Registry()
-    config = AnalysisConfig(backend=backend, cache=False)
+    config = AnalysisConfig(backend="scalar", cache=False)
     rows = []
     all_ok = True
     progress = reg.progress("e7.cases", total=len(cases))
@@ -85,24 +84,17 @@ def run(
             )
         )
     progress.close()
-    return {
-        "rows": rows,
-        "ok": all_ok,
-        "backend": resolve_backend(backend),
-        "metrics": reg.metrics(),
-    }
+    return {"rows": rows, "ok": all_ok, "metrics": reg.metrics()}
 
 
 def report(data: dict | None = None) -> str:
     """Render the E7 table."""
     data = data or run()
-    backend = data.get("backend", "scalar")
     table = format_table(
         ["u", "p", "|J|", "candidates verified", "general (ms)",
          "Theorem 3.1 (µs)", "ratio", "same structure"],
         data["rows"],
-        title=("E7: general dependence analysis vs Theorem 3.1 composition "
-               f"(engine backend: {backend})"),
+        title="E7: general dependence analysis vs Theorem 3.1 composition",
     )
     verdict = (
         "compositional derivation is orders of magnitude cheaper, same result"

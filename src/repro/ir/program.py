@@ -126,6 +126,17 @@ class LoopNest:
         self.index_set = index_set.rename(index_names)
         self.statements: tuple[Statement, ...] = tuple(statements)
         self.name = name
+        # Every analyzer equates subscripts position by position, so an
+        # array must have one rank across all of its accesses.
+        ranks: dict[str, int] = {}
+        for stmt in self.statements:
+            for acc in (stmt.write, *stmt.reads):
+                rank = ranks.setdefault(acc.array, acc.rank)
+                if rank != acc.rank:
+                    raise ValueError(
+                        f"rank mismatch on array {acc.array}: "
+                        f"{rank} vs {acc.rank}"
+                    )
 
     @property
     def dim(self) -> int:

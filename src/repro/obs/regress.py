@@ -1,14 +1,15 @@
 """The benchmark regression gate: guard the committed speedups in CI.
 
 The repo's performance story lives in the committed ``BENCH_*.json``
-baselines (batched analysis 16.5x over scalar, warm artifact cache 131x,
-compiled simulation ~100x over the pointwise reference,
-symbolic instantiation 500x over concrete enumeration, the solver-backed
-search enumerating ~100x fewer candidates than the catalog path on
-identical results).  Nothing re-checked them per PR: a change
-could quietly serialize the batched engine or break memoization and every
-test would stay green.  This module re-measures the smoke-scale versions
-of those ratios and fails when one drops below its requirement.
+baselines (the symbolic exact-analysis route over the scalar Diophantine
+analyzer, the warm artifact cache over a cold analysis, compiled
+simulation ~100x over the pointwise reference, symbolic instantiation
+over concrete enumeration, the solver-backed search enumerating ~100x
+fewer candidates than the catalog path on identical results).  Nothing
+re-checked them per PR: a change could quietly slow the default analysis
+route or break memoization and every test would stay green.  This module
+re-measures the smoke-scale versions of those ratios and fails when one
+drops below its requirement.
 
 Gate semantics
 --------------
@@ -60,7 +61,7 @@ DEFAULT_TOLERANCE = 0.2
 
 #: Hard minimums, mirroring the bench_*.py --smoke assertions.
 FLOORS = {
-    "analysis_batched": 2.0,
+    "analysis_symbolic": 2.0,
     "analysis_cache_warm": 2.0,
     "compiled_kernel": 3.0,
     "search_memo_hits": 1.0,
@@ -70,10 +71,10 @@ FLOORS = {
 
 #: Where each check's committed baseline ratio lives: file -> key path.
 BASELINE_KEYS = {
-    "analysis_batched": ("BENCH_analysis.json",
-                         ("engine", "speedup_batched_vs_scalar")),
+    "analysis_symbolic": ("BENCH_analysis.json",
+                          ("engine", "speedup_symbolic_vs_scalar")),
     "analysis_cache_warm": ("BENCH_analysis.json",
-                            ("engine", "speedup_warm_vs_cold_batched")),
+                            ("engine", "speedup_warm_vs_cold")),
     "compiled_kernel": ("BENCH_compiled.json",
                         ("engine", "speedup_compiled_vs_pointwise")),
     "symbolic_instantiate": ("BENCH_symbolic.json",
@@ -212,6 +213,7 @@ def _fast_repeats(repeats: int) -> int:
 
 def _check_analysis(report: GateReport, repeats: int, slowdown: float) -> None:
     from repro.depanalysis import AnalysisConfig, analyze
+    from repro.depanalysis.engine import SHARED_STATS
     from repro.ir.expand import expand_bit_level
 
     u, p = 3, 2
@@ -219,55 +221,54 @@ def _check_analysis(report: GateReport, repeats: int, slowdown: float) -> None:
         [0, 1, 0], [1, 0, 0], [0, 0, 1], [1, 1, 1], [u, u, u], p, "II"
     )
 
-    def run(backend, cache=False, cache_dir=None):
+    def run(backend="auto", cache=False, cache_dir=None):
         config = AnalysisConfig(backend=backend, cache=cache,
                                 cache_dir=cache_dir)
         return analyze(program, {"p": p}, method="exact", config=config)
 
-    r_scalar = r_batched = None
+    r_scalar = r_symbolic = None
 
     def scalar():
         nonlocal r_scalar
         r_scalar = run("scalar")
 
-    def batched():
-        nonlocal r_batched
-        r_batched = run("batched")
+    def symbolic():
+        # The default route keeps no memo: every run solves from scratch.
+        nonlocal r_symbolic
+        r_symbolic = run()
 
     t_scalar = _best_of(scalar, repeats)
-    t_batched = _best_of(batched, _fast_repeats(repeats), slowdown)
+    t_symbolic = _best_of(symbolic, _fast_repeats(repeats), slowdown)
     identical = (
         [i.key() for i in r_scalar.instances]
-        == [i.key() for i in r_batched.instances]
-        and r_scalar.stats == r_batched.stats
+        == [i.key() for i in r_symbolic.instances]
+        and all(r_scalar.stats[k] == r_symbolic.stats[k] for k in SHARED_STATS)
     )
-    required, baseline = _required("analysis_batched", report.tolerance)
-    measured = t_scalar / t_batched
+    required, baseline = _required("analysis_symbolic", report.tolerance)
+    measured = t_scalar / t_symbolic
     report.checks.append(GateCheck(
-        name="analysis_batched",
-        metric="speedup_batched_vs_scalar",
+        name="analysis_symbolic",
+        metric="speedup_symbolic_vs_scalar",
         measured=measured,
         required=required,
-        floor=FLOORS["analysis_batched"],
+        floor=FLOORS["analysis_symbolic"],
         baseline=baseline,
         passed=measured >= required and identical,
-        detail=(f"u={u} p={p}: scalar {t_scalar * 1e3:.1f}ms, batched "
-                f"{t_batched * 1e3:.1f}ms, identical={identical}"),
+        detail=(f"u={u} p={p}: scalar {t_scalar * 1e3:.1f}ms, symbolic "
+                f"{t_symbolic * 1e3:.1f}ms, identical={identical}"),
     ))
 
     with tempfile.TemporaryDirectory() as cache_dir:
-        t_cold = _best_of(
-            lambda: run("batched", cache=True, cache_dir=cache_dir), 1
-        )
+        t_cold = _best_of(lambda: run(cache=True, cache_dir=cache_dir), 1)
         t_warm = _best_of(
-            lambda: run("batched", cache=True, cache_dir=cache_dir),
+            lambda: run(cache=True, cache_dir=cache_dir),
             _fast_repeats(repeats), slowdown,
         )
     required, baseline = _required("analysis_cache_warm", report.tolerance)
     measured = t_cold / t_warm
     report.checks.append(GateCheck(
         name="analysis_cache_warm",
-        metric="speedup_warm_vs_cold_batched",
+        metric="speedup_warm_vs_cold",
         measured=measured,
         required=required,
         floor=FLOORS["analysis_cache_warm"],
@@ -347,7 +348,7 @@ def _check_symbolic(report: GateReport, repeats: int, slowdown: float) -> None:
         nonlocal r_concrete
         r_concrete = analyze(
             concrete_program, {"p": p}, method="enumerate",
-            config=AnalysisConfig(cache=False),
+            config=AnalysisConfig(backend="scalar", cache=False),
         )
 
     def instantiate():
@@ -372,7 +373,7 @@ def _check_symbolic(report: GateReport, repeats: int, slowdown: float) -> None:
         floor=FLOORS["symbolic_instantiate"],
         baseline=baseline,
         passed=measured >= required and identical,
-        detail=(f"u=p={u}: concrete {t_concrete * 1e3:.1f}ms, instantiate "
+        detail=(f"u=p={u}: hash-join {t_concrete * 1e3:.1f}ms, instantiate "
                 f"{t_instantiate * 1e3:.1f}ms, identical={identical}"),
     ))
 

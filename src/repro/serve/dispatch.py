@@ -104,14 +104,14 @@ def run_analyze_batch(
     registry=None,
     limits: JobLimits | None = None,
 ) -> list[JobResult]:
-    """Execute compatible analyze jobs as one vectorized-engine call.
+    """Execute compatible analyze jobs as one analysis-engine call.
 
     All specs must be ``kind="analyze"`` with equal engine knobs
     (method/screens/backend/cache policy) -- the server's batch grouping
     guarantees this.  The whole group goes through one
     :func:`repro.depanalysis.engine.run_analysis_batch` call (one cache
-    store, one shared Diophantine memo, one ``analysis.engine_calls``
-    increment), and each spec still gets its own byte-exact CLI output.
+    store, one ``analysis.engine_calls`` increment), and each spec still
+    gets its own byte-exact CLI output.
     """
     specs = list(specs)
     if not specs:

@@ -111,6 +111,10 @@ class JobSpec:
             raise ValueError(f"unknown expansion {self.expansion!r}")
         if self.method not in ("exact", "enumerate"):
             raise ValueError(f"unknown analysis method {self.method!r}")
+        if self.analysis_backend is not None:
+            from repro.depanalysis.engine import resolve_backend
+
+            resolve_backend(self.analysis_backend)
         if self.design not in ("fig4", "fig5"):
             raise ValueError(f"unknown design {self.design!r}")
         if self.primitives not in ("fig4", "fig5", "mesh", "none"):

@@ -39,8 +39,8 @@ requests therefore produce exactly one engine invocation
 (method/screens/backend/cache policy/budget) that are queued together --
 explicitly via ``/v1/batch``, or opportunistically when the worker
 drains its queue -- execute as one
-:func:`repro.depanalysis.engine.run_analysis_batch` call sharing a
-single Diophantine memo and cache store.
+:func:`repro.depanalysis.engine.run_analysis_batch` call sharing one
+cache store.
 
 **Budgets.**  :class:`~repro.serve.jobs.JobLimits` refuses oversized
 jobs up front (structured ``status="error"``); a running job that

@@ -18,7 +18,9 @@ enumerated instance list.  The returned :class:`SymbolicResult` then
 Results are cached in the content-addressed artifact store under the
 ``"symbolic"`` kind, keyed on the *symbolic* program (bounds and guard
 values as expressions, not evaluated), plus an in-process memo so
-repeated instantiation sweeps never re-solve.
+repeated instantiation sweeps never re-solve.  :func:`solve_program` is
+the same pair loop with neither: the concrete exact-analysis route runs
+it once per program instance and keeps nothing.
 """
 
 from __future__ import annotations
@@ -47,7 +49,12 @@ from repro.symbolic.solve import (
 )
 from repro.util.linalg import hermite_normal_form
 
-__all__ = ["SymbolicResult", "analyze_symbolic", "clear_memo"]
+__all__ = [
+    "SymbolicResult",
+    "analyze_symbolic",
+    "clear_memo",
+    "solve_program",
+]
 
 
 @dataclass(frozen=True)
@@ -225,6 +232,60 @@ def _pair_family(w_stmt, write, r_stmt, read, order, lowers, uppers, stats):
     )
 
 
+def solve_program(program: LoopNest) -> SymbolicResult:
+    """Run the symbolic pair loop on ``program``, with nothing memoized.
+
+    This is :func:`analyze_symbolic` without its memo and artifact
+    store: every call solves from scratch and keeps no reference to the
+    result.  The concrete analysis route
+    (:func:`repro.depanalysis.engine.run_analysis_batch`) calls it once
+    per program instance, so distinct concrete programs never
+    accumulate in the process.
+
+    Raises
+    ------
+    SymbolicUnsupported
+        As :func:`analyze_symbolic`.
+    """
+    order = program.index_names
+    lowers = tuple(program.index_set.lowers)
+    uppers = tuple(program.index_set.uppers)
+    stats = {
+        "pairs_tested": 0,
+        "systems_solved": 0,
+        "no_integer_solution": 0,
+        "self_dependences_dropped": 0,
+        "guard_infeasible": 0,
+        "uniform_families": 0,
+        "general_families": 0,
+    }
+    families: list = []
+    with obs.span(
+        "symbolic.analyze", statements=len(program.statements)
+    ):
+        for w_stmt in program.statements:
+            write = w_stmt.write
+            for r_stmt in program.statements:
+                for read in r_stmt.reads:
+                    if read.array != write.array:
+                        continue
+                    stats["pairs_tested"] += 1
+                    fam = _pair_family(
+                        w_stmt, write, r_stmt, read, order,
+                        lowers, uppers, stats,
+                    )
+                    if fam is not None:
+                        families.append(fam)
+    obs.count("symbolic.analyses")
+    return SymbolicResult(
+        families=tuple(families),
+        index_names=tuple(order),
+        lowers=lowers,
+        uppers=uppers,
+        stats=stats,
+    )
+
+
 def analyze_symbolic(
     program: LoopNest,
     cache=None,
@@ -278,43 +339,7 @@ def analyze_symbolic(
                 _MEMO[key] = result
                 return result
 
-    order = program.index_names
-    lowers = tuple(program.index_set.lowers)
-    uppers = tuple(program.index_set.uppers)
-    stats = {
-        "pairs_tested": 0,
-        "systems_solved": 0,
-        "no_integer_solution": 0,
-        "self_dependences_dropped": 0,
-        "guard_infeasible": 0,
-        "uniform_families": 0,
-        "general_families": 0,
-    }
-    families: list = []
-    with obs.span(
-        "symbolic.analyze", statements=len(program.statements)
-    ):
-        for w_stmt in program.statements:
-            write = w_stmt.write
-            for r_stmt in program.statements:
-                for read in r_stmt.reads:
-                    if read.array != write.array:
-                        continue
-                    stats["pairs_tested"] += 1
-                    fam = _pair_family(
-                        w_stmt, write, r_stmt, read, order,
-                        lowers, uppers, stats,
-                    )
-                    if fam is not None:
-                        families.append(fam)
-    obs.count("symbolic.analyses")
-    result = SymbolicResult(
-        families=tuple(families),
-        index_names=tuple(order),
-        lowers=lowers,
-        uppers=uppers,
-        stats=stats,
-    )
+    result = solve_program(program)
     if key is not None:
         _MEMO[key] = result
         if store is not None:

@@ -6,9 +6,9 @@ against independent implementations on randomized inputs:
 * :mod:`repro.verify.oracle_theorem31` -- the O(1) compositional bit-level
   dependence structure (Theorem 3.1) vs. brute-force dependence analysis
   of the expanded program;
-* :mod:`repro.verify.oracle_analysis` -- the batched (vectorized) analysis
-  engine vs. the scalar reference: identical instances and statistics on
-  randomized programs;
+* :mod:`repro.verify.oracle_analysis` -- the default exact-analysis route
+  (the symbolic closed form, instantiated) vs. the scalar reference:
+  identical ordered instances on randomized programs;
 * :mod:`repro.verify.oracle_symbolic` -- the parametric (closed-form)
   analyzer instantiated at randomized and adversarial concrete sizes vs.
   the concrete analyzer on the same program;

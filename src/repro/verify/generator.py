@@ -202,13 +202,14 @@ def gen_theorem31_case(
 
 @dataclass(frozen=True)
 class AnalysisCase:
-    """One expanded bit-level program for the scalar-vs-batched engine oracle.
+    """One expanded bit-level program for the analysis-route oracle.
 
     The same model-(3.5) shape as :class:`Theorem31Case`, but here the two
-    sides of the differential check are the two *backends* of
-    :mod:`repro.depanalysis.engine` on one program: the batched (vectorized)
-    engine must reproduce the scalar reference bit-for-bit -- same instance
-    list, same statistics counters.
+    sides of the differential check are two *routes* of
+    :mod:`repro.depanalysis.engine` on one program: the default exact
+    route (the symbolic closed form, instantiated) must reproduce the
+    scalar reference for the case's method -- the same ordered instance
+    list, and the same ``pairs_tested``/``instances`` counters.
     """
 
     h1: tuple[int, ...]
@@ -218,7 +219,7 @@ class AnalysisCase:
     uppers: tuple[int, ...]
     p: int
     expansion: str
-    #: analyzer method compared across backends
+    #: scalar reference method the default exact route is compared with
     method: str = "enumerate"
     #: exercise the GCD/Banerjee screens (method="exact" only)
     use_screens: bool = True

@@ -1,16 +1,15 @@
-"""Oracle: the batched dependence-analysis engine vs. the scalar reference.
+"""Oracle: the default exact-analysis route vs. the scalar reference.
 
-For one random expanded bit-level program, run :func:`repro.depanalysis.analyze`
-twice -- once with ``backend="scalar"``, once with ``backend="batched"`` --
-with the persistent cache disabled on both sides, and demand bit-identical
-results: the same ordered list of dependence instances *and* the same
-statistics counters (pairs tested, screens pruned, systems solved, points
-visited, ...).  This is the contract the vectorized engine advertises; any
-divergence is a bug in one of the two implementations.
-
-When numpy is unavailable the batched backend silently resolves to scalar
-and the check degenerates to a self-comparison, which is the intended
-no-numpy behavior.
+For one random expanded bit-level program, run
+:func:`repro.depanalysis.analyze` with ``method="exact"`` on the default
+route (``backend="auto"``: the symbolic closed form, instantiated at the
+binding), and the scalar reference for the case's method
+(``backend="scalar"``: the Diophantine analyzer for ``exact`` cases, the
+hash-join for ``enumerate`` cases), with the persistent cache disabled on
+both sides.  The two must return the same ordered list of dependence
+instances and agree on the route-independent counters, ``pairs_tested``
+(when both report it) and ``instances``.  Any divergence is a bug in one
+of the two implementations.
 """
 
 from __future__ import annotations
@@ -29,36 +28,39 @@ def generate(rng: random.Random, envelope: SizeEnvelope) -> AnalysisCase:
 
 
 def check(case: AnalysisCase) -> str | None:
-    """Return a divergence description, or ``None`` when backends agree."""
+    """Return a divergence description, or ``None`` when the routes agree."""
     from repro.depanalysis.analyzer import analyze
-    from repro.depanalysis.engine import AnalysisConfig
+    from repro.depanalysis.engine import SHARED_STATS, AnalysisConfig
 
     program = case.build_program()
     binding = {"p": case.p}
-    results = {}
-    for backend in ("scalar", "batched"):
-        results[backend] = analyze(
-            program, binding, method=case.method,
-            use_screens=case.use_screens,
-            config=AnalysisConfig(backend=backend, cache=False),
-        )
-    scalar, batched = results["scalar"], results["batched"]
-    s_keys = [inst.key() for inst in scalar.instances]
-    b_keys = [inst.key() for inst in batched.instances]
-    if s_keys != b_keys:
-        only_s = sorted(set(s_keys) - set(b_keys))
-        only_b = sorted(set(b_keys) - set(s_keys))
+    got = analyze(
+        program, binding, method="exact", use_screens=case.use_screens,
+        config=AnalysisConfig(backend="auto", cache=False),
+    )
+    want = analyze(
+        program, binding, method=case.method, use_screens=case.use_screens,
+        config=AnalysisConfig(backend="scalar", cache=False),
+    )
+    g_keys = [inst.key() for inst in got.instances]
+    w_keys = [inst.key() for inst in want.instances]
+    if g_keys != w_keys:
+        only_g = sorted(set(g_keys) - set(w_keys))
+        only_w = sorted(set(w_keys) - set(g_keys))
         return (
-            f"instance divergence ({case.method}): "
-            f"{len(s_keys)} scalar vs {len(b_keys)} batched; "
-            f"scalar-only (first 3): {only_s[:3]}; "
-            f"batched-only (first 3): {only_b[:3]}"
+            f"instance divergence (exact vs scalar {case.method}): "
+            f"{len(g_keys)} default vs {len(w_keys)} scalar; "
+            f"default-only (first 3): {only_g[:3]}; "
+            f"scalar-only (first 3): {only_w[:3]}"
         )
-    if scalar.stats != batched.stats:
-        diff = {
-            k: (scalar.stats.get(k), batched.stats.get(k))
-            for k in sorted(set(scalar.stats) | set(batched.stats))
-            if scalar.stats.get(k) != batched.stats.get(k)
-        }
-        return f"stats divergence ({case.method}): scalar vs batched {diff}"
+    diff = {
+        k: (got.stats[k], want.stats[k])
+        for k in SHARED_STATS
+        if k in want.stats and got.stats.get(k) != want.stats[k]
+    }
+    if diff:
+        return (
+            f"stats divergence (exact vs scalar {case.method}): "
+            f"default vs scalar {diff}"
+        )
     return None

@@ -4,11 +4,13 @@ For one random program (bit-level matmul with symbolic extents, or a
 strided 1-D nest exercising the congruence reasoning), run
 :func:`repro.symbolic.analyze_symbolic` once with ``u``/``p`` kept free,
 instantiate the result at the case's concrete binding, and demand that it
-reproduce :func:`repro.depanalysis.analyzer.analyze` on the same program
-bit for bit: identical instance keys in identical order.  The O(1)
-counting view (``summary``) is cross-checked against the same reference
--- total instances and the distinct-vector set must agree -- so both the
-extensional and the closed-form counting paths are covered by every case.
+reproduce the scalar reference (:func:`repro.depanalysis.analyzer.analyze`
+with ``backend="scalar"``, which never consults the symbolic solver) on
+the same program bit for bit: identical instance keys in identical
+order.  The O(1) counting view (``summary``) is cross-checked against the
+same reference -- total instances and the distinct-vector set must agree
+-- so both the extensional and the closed-form counting paths are covered
+by every case.
 
 A program whose system has no linear closed form is a failure here, not a
 skip: every case this generator draws is within the symbolic layer's
@@ -44,7 +46,7 @@ def check(case: SymbolicCase) -> str | None:
         return f"no closed form for a supported program: {exc}"
     want = analyze(
         program, binding, method=case.method,
-        config=AnalysisConfig(cache=False),
+        config=AnalysisConfig(backend="scalar", cache=False),
     )
     got = symbolic.instantiate(binding)
     g_keys = [inst.key() for inst in got.instances]

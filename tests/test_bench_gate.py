@@ -7,13 +7,13 @@ from repro.obs import regress
 
 class TestRequirements:
     def test_required_uses_committed_baseline_times_tolerance(self):
-        required, baseline = regress._required("analysis_batched", 0.5)
+        required, baseline = regress._required("analysis_symbolic", 0.5)
         if baseline is not None:
             assert required == max(
-                regress.FLOORS["analysis_batched"], baseline * 0.5
+                regress.FLOORS["analysis_symbolic"], baseline * 0.5
             )
         else:  # no committed file: floor alone
-            assert required == regress.FLOORS["analysis_batched"]
+            assert required == regress.FLOORS["analysis_symbolic"]
 
     def test_missing_baseline_degrades_to_floor(self):
         assert regress._load_baseline("no_such_check") is None
@@ -34,7 +34,7 @@ class TestGateRuns:
         report = regress.run_gate(repeats=1, history_path=history)
         assert report.ok, report.summary()
         assert {c.name for c in report.checks} == {
-            "analysis_batched", "analysis_cache_warm", "compiled_kernel",
+            "analysis_symbolic", "analysis_cache_warm", "compiled_kernel",
             "search_memo_hits", "symbolic_instantiate",
             "design_search_solver",
         }
@@ -56,7 +56,7 @@ class TestGateRuns:
         # Every timing-ratio check must trip; the structural memo check
         # is unaffected by a slowdown.
         assert failed >= {
-            "analysis_batched", "compiled_kernel", "symbolic_instantiate",
+            "analysis_symbolic", "compiled_kernel", "symbolic_instantiate",
         }
         (record,) = [
             json.loads(line) for line in history.read_text().splitlines()

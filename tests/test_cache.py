@@ -25,7 +25,6 @@ from repro.cache import (
     condition_to_payload,
     resolve_cache,
     structure_key,
-    system_key,
 )
 from repro.depanalysis import AnalysisConfig, analyze
 from repro.expansion.theorem31 import bit_level_structure, matmul_bit_level
@@ -78,32 +77,34 @@ class TestKeys:
     def test_analysis_key_stable_under_renaming(self):
         a = expand_bit_level([1], [1], [1], [1], [3], 2, "II")
         b = expand_bit_level([1], [1], [1], [1], [3], 2, "II")
-        assert analysis_key(a, {}, "exact", True) == \
-            analysis_key(b, {}, "exact", True)
+        assert analysis_key(a, {}, "exact", True, "scalar") == \
+            analysis_key(b, {}, "exact", True, "scalar")
 
     def test_analysis_key_separates_method_and_screens(self):
         prog = expand_bit_level([1], [1], [1], [1], [3], 2, "II")
         keys = {
-            analysis_key(prog, {}, "exact", True),
-            analysis_key(prog, {}, "exact", False),
-            analysis_key(prog, {}, "enumerate", True),
+            analysis_key(prog, {}, "exact", True, "scalar"),
+            analysis_key(prog, {}, "exact", False, "scalar"),
+            analysis_key(prog, {}, "exact", True, "symbolic"),
+            analysis_key(prog, {}, "enumerate", True, "scalar"),
         }
-        assert len(keys) == 3
+        assert len(keys) == 4
 
     def test_enumerate_ignores_screens_flag(self):
+        # ...and the backend: every backend runs the same hash-join.
         prog = expand_bit_level([1], [1], [1], [1], [3], 2, "II")
-        assert analysis_key(prog, {}, "enumerate", True) == \
-            analysis_key(prog, {}, "enumerate", False)
+        assert analysis_key(prog, {}, "enumerate", True, "scalar") == \
+            analysis_key(prog, {}, "enumerate", False, "symbolic")
 
     def test_analysis_key_binding_sensitivity(self):
         prog = builders.addshift_pipelined(None)
-        assert analysis_key(prog, {"p": 3}, "exact", True) != \
-            analysis_key(prog, {"p": 4}, "exact", True)
+        assert analysis_key(prog, {"p": 3}, "exact", True, "scalar") != \
+            analysis_key(prog, {"p": 4}, "exact", True, "scalar")
 
     def test_unbound_param_uncacheable(self):
         prog = builders.addshift_pipelined(None)
         with pytest.raises(Uncacheable):
-            analysis_key(prog, {}, "exact", True)
+            analysis_key(prog, {}, "exact", True, "scalar")
 
     def test_structure_key_depends_on_inputs(self):
         word = word_model_structure([0, 1, 0], [1, 0, 0], [0, 0, 1],
@@ -113,13 +114,6 @@ class TestKeys:
         assert base != structure_key(word, "add-shift", "I", 3)
         assert base != structure_key(word, "add-shift", "II", 4)
         assert base != structure_key(word, "carry-save", "II", 3)
-
-    def test_system_key_hnf_canonical(self):
-        # Row-equivalent systems share a key: [j1 - j2 = 1] written two ways.
-        a = system_key(((1, -1), (2, -2)), (1, 2))
-        b = system_key(((1, -1),), (1,))
-        assert a == b
-        assert system_key(((1, -1),), (1,)) != system_key(((1, -1),), (2,))
 
 
 class TestStore:
@@ -258,17 +252,27 @@ class TestEndToEnd:
             # Exact round-trip includes dict key *order*, not just equality.
             assert list(cold.stats) == list(other.stats)
 
-    def test_cache_shared_across_backends(self, tmp_path):
-        # The entry is keyed on the problem, not the backend: a scalar run
-        # warms the cache for a batched one.
+    def test_each_backend_reads_back_its_own_entry(self, tmp_path):
+        # The routes agree on instances but not on stats, so the backend is
+        # part of the key: each warm read returns its own route's stats.
         prog = expand_bit_level([1], [1], [1], [1], [3], 2, "II")
-        analyze(prog, {}, "exact",
-                config=self._config(tmp_path, backend="scalar"))
-        cache = ArtifactCache(tmp_path)
-        assert cache.stats()["entries"] == 1
-        analyze(prog, {}, "exact",
-                config=self._config(tmp_path, backend="batched"))
-        assert ArtifactCache(tmp_path).stats()["entries"] == 1
+        cold = {}
+        for backend in ("scalar", "symbolic"):
+            cold[backend] = analyze(
+                prog, {}, "exact",
+                config=self._config(tmp_path, backend=backend),
+            )
+        assert ArtifactCache(tmp_path).stats()["entries"] == 2
+        assert "candidates_verified" in cold["scalar"].stats
+        assert "uniform_families" in cold["symbolic"].stats
+        for backend, want in cold.items():
+            warm = analyze(prog, {}, "exact",
+                           config=self._config(tmp_path, backend=backend))
+            assert [i.key() for i in warm.instances] == [
+                i.key() for i in cold["scalar"].instances
+            ]
+            assert warm.stats == want.stats
+        assert ArtifactCache(tmp_path).stats()["entries"] == 2
 
     def test_structure_cache_round_trip(self, tmp_path):
         word = word_model_structure([0, 1, 0], [1, 0, 0], [0, 0, 1],

@@ -1,20 +1,21 @@
-"""Tests for the vectorized dependence-analysis engine.
+"""Tests for the dependence-analysis routes.
 
-The batched backend's contract is bit-identical equivalence with the
-scalar reference: the same ordered instance list and the same statistics
-counters, for both the exact (Diophantine) and enumerate (hash-join)
-methods, with and without screening.  These tests pin that contract plus
-the backend-resolution policy and the numpy-level helpers.
+Exact analysis has two routes: the scalar Diophantine analyzer (the
+reference) and the symbolic closed form instantiated at the binding (the
+default).  Their contract is the same *ordered* instance list; of the
+``stats`` only ``pairs_tested`` and ``instances`` are shared, the rest
+are the counters of the route that ran.  These tests pin that contract
+over the paper's program suite, against the hash-join oracle too, plus
+the fallback to the scalar analyzer, backend resolution and the numpy
+helpers ``expansion.verify`` uses.
 """
 
 import pytest
 
-from repro.depanalysis import analyze
+from repro.depanalysis import PointSet, analyze
 from repro.depanalysis.engine import (
     AnalysisConfig,
     BACKENDS,
-    analyze_enumerate_batched,
-    analyze_exact_batched,
     default_backend,
     resolve_backend,
 )
@@ -24,14 +25,21 @@ from repro.ir.expr import var
 from repro.ir.program import ArrayAccess, LoopNest, Statement
 from repro.structures.indexset import IndexSet
 
+#: the stats every route reports identically
+SHARED_STATS = ("pairs_tested", "instances")
 
-def _scalar(backend):
+
+def _config(backend):
     return AnalysisConfig(backend=backend, cache=False)
 
 
-def _assert_identical(a, b):
-    assert [i.key() for i in a.instances] == [i.key() for i in b.instances]
-    assert a.stats == b.stats
+def _assert_same_answer(reference, got):
+    assert [i.key() for i in got.instances] == [
+        i.key() for i in reference.instances
+    ]
+    for key in SHARED_STATS:
+        if key in reference.stats:
+            assert got.stats[key] == reference.stats[key], key
 
 
 PROGRAMS = [
@@ -44,39 +52,63 @@ PROGRAMS = [
 ]
 
 
+def _rank_mismatched():
+    j = var("j")
+    return LoopNest(
+        ("j",),
+        IndexSet([1], [3], ("j",)),
+        [Statement("S", ArrayAccess("x", [j]),
+                   [ArrayAccess("x", [j, j])])],
+    )
+
+
+def _point_set_guarded():
+    """``x(j) = f(x(j - 1))`` on the points of an extensional guard."""
+    j = var("j")
+    return LoopNest(
+        ("j",),
+        IndexSet([1], [6], ("j",)),
+        [Statement("S", ArrayAccess("x", [j]), [ArrayAccess("x", [j - 1])],
+                   guard=PointSet([(2,), (3,), (5,), (6,)]))],
+    )
+
+
 class TestBackendEquivalence:
     @pytest.mark.parametrize("prog,binding", PROGRAMS)
     def test_exact_screens_on(self, prog, binding):
-        _assert_identical(
-            analyze(prog, binding, "exact", config=_scalar("scalar")),
-            analyze(prog, binding, "exact", config=_scalar("batched")),
+        _assert_same_answer(
+            analyze(prog, binding, "exact", config=_config("scalar")),
+            analyze(prog, binding, "exact", config=_config("symbolic")),
         )
 
     @pytest.mark.parametrize("prog,binding", PROGRAMS)
     def test_exact_screens_off(self, prog, binding):
-        _assert_identical(
+        _assert_same_answer(
             analyze(prog, binding, "exact", use_screens=False,
-                    config=_scalar("scalar")),
+                    config=_config("scalar")),
             analyze(prog, binding, "exact", use_screens=False,
-                    config=_scalar("batched")),
+                    config=_config("symbolic")),
         )
 
     @pytest.mark.parametrize("prog,binding", PROGRAMS)
     def test_enumerate(self, prog, binding):
-        _assert_identical(
-            analyze(prog, binding, "enumerate", config=_scalar("scalar")),
-            analyze(prog, binding, "enumerate", config=_scalar("batched")),
+        # The hash-join oracle is an independent reference for the default
+        # exact route on these single-assignment programs.
+        _assert_same_answer(
+            analyze(prog, binding, "enumerate", config=_config("scalar")),
+            analyze(prog, binding, "exact", config=_config(None)),
         )
 
     def test_guarded_program(self):
         # Bit-level expansion guards statements with Eq/Or conditions; the
-        # batched mask path must replicate guard filtering exactly.
+        # symbolic region algebra must replicate guard filtering exactly.
         prog = expand_bit_level([0, 1, 0], [1, 0, 0], [0, 0, 1],
                                 [1, 1, 1], [2, 2, 2], 2, "II")
+        got = analyze(prog, {"p": 2}, "exact", config=_config("symbolic"))
         for method in ("exact", "enumerate"):
-            _assert_identical(
-                analyze(prog, {"p": 2}, method, config=_scalar("scalar")),
-                analyze(prog, {"p": 2}, method, config=_scalar("batched")),
+            _assert_same_answer(
+                analyze(prog, {"p": 2}, method, config=_config("scalar")),
+                got,
             )
 
     def test_reversed_dependences(self):
@@ -87,52 +119,97 @@ class TestBackendEquivalence:
             [Statement("S", ArrayAccess("x", [j]),
                        [ArrayAccess("x", [j + 1])])],
         )
-        res = analyze(prog, {}, "enumerate", config=_scalar("batched"))
+        res = analyze(prog, {}, "exact", config=_config("symbolic"))
         assert res.instances and all(
             i.kind == "reversed" for i in res.instances
         )
-        _assert_identical(res, analyze(prog, {}, "enumerate",
-                                       config=_scalar("scalar")))
-
-    def test_non_single_assignment_detected_batched(self):
-        j = var("j")
-        prog = LoopNest(
-            ("j",),
-            IndexSet([1], [3], ("j",)),
-            [Statement("S", ArrayAccess("z", [j - j]))],
+        _assert_same_answer(
+            analyze(prog, {}, "enumerate", config=_config("scalar")), res
         )
-        with pytest.raises(ValueError, match="single-assignment"):
-            analyze_enumerate_batched(prog, {})
 
     def test_rank_mismatch_raises_like_scalar(self):
-        j = var("j")
-        prog = LoopNest(
-            ("j",),
-            IndexSet([1], [3], ("j",)),
-            [Statement("S", ArrayAccess("x", [j]),
-                       [ArrayAccess("x", [j, j])])],
-        )
         with pytest.raises(ValueError, match="rank mismatch"):
-            analyze(prog, {}, "exact", config=_scalar("batched"))
-        with pytest.raises(ValueError, match="rank mismatch"):
-            analyze(prog, {}, "exact", config=_scalar("scalar"))
+            prog = _rank_mismatched()
+            analyze(prog, {}, "exact", config=_config("scalar"))
+
+    @pytest.mark.parametrize("route", ["analyze_symbolic", "screens_off"])
+    def test_rank_mismatch_rejected_on_every_route(self, route):
+        # Subscripts are equated position by position, so no route may
+        # analyze an array accessed at two ranks.
+        from repro.symbolic import analyze_symbolic
+
+        with pytest.raises(ValueError, match="rank mismatch on array x"):
+            prog = _rank_mismatched()
+            if route == "analyze_symbolic":
+                analyze_symbolic(prog, cache=False)
+            else:
+                analyze(prog, {}, "exact", use_screens=False,
+                        config=_config("scalar"))
+
+
+class TestSymbolicRoute:
+    def test_unsupported_guard_falls_back_to_scalar(self):
+        from repro import obs
+
+        prog = _point_set_guarded()
+        want = analyze(prog, {}, "exact", config=_config("scalar"))
+        with obs.collecting() as reg:
+            got = analyze(prog, {}, "exact", config=_config("symbolic"))
+        assert want.instances
+        assert [i.key() for i in got.instances] == [
+            i.key() for i in want.instances
+        ]
+        assert got.stats == want.stats
+        assert reg.counters["depanalysis.symbolic_fallbacks"] == 1
+
+    def test_route_leaves_the_symbolic_memo_alone(self):
+        # The route solves every concrete program from scratch: the
+        # never-evicting analyze_symbolic memo must not grow with it.
+        from repro.symbolic import analyze as symbolic_analyze
+
+        before = len(symbolic_analyze._MEMO)
+        for u in range(2, 7):
+            for p in range(2, 6):
+                for expansion in ("I", "II"):
+                    prog = expand_bit_level(
+                        [0, 1, 0], [1, 0, 0], [0, 0, 1], [1, 1, 1],
+                        [u, u, u], p, expansion,
+                    )
+                    assert analyze(prog, {"p": p},
+                                   config=_config("symbolic"))
+        assert len(symbolic_analyze._MEMO) <= before
 
 
 class TestBackendResolution:
     def test_backends_tuple(self):
-        assert BACKENDS == ("scalar", "batched")
+        assert BACKENDS == ("scalar", "symbolic")
 
     def test_explicit_names(self):
         assert resolve_backend("scalar") == "scalar"
-        assert resolve_backend("batched") == "batched"
+        assert resolve_backend("symbolic") == "symbolic"
 
     def test_auto_is_default(self):
         assert resolve_backend("auto") == default_backend()
-        assert default_backend() == "batched"
+        assert default_backend() == "symbolic"
 
     def test_unknown_backend(self):
         with pytest.raises(ValueError):
             resolve_backend("gpu")
+
+    def test_retired_batched_backend_rejected(self, monkeypatch):
+        from repro.__main__ import main
+        from repro.serve.jobs import JobSpec
+
+        with pytest.raises(ValueError, match="'batched'"):
+            AnalysisConfig(backend="batched")
+        with pytest.raises(ValueError, match="'batched'"):
+            JobSpec(kind="analyze", analysis_backend="batched")
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "--u", "2", "--p", "2", "--backend", "batched"])
+        assert exc.value.code == 2
+        monkeypatch.setenv("REPRO_ANALYSIS_BACKEND", "batched")
+        with pytest.raises(ValueError, match="'batched'"):
+            resolve_backend(None)
 
     def test_env_override(self, monkeypatch):
         monkeypatch.setenv("REPRO_ANALYSIS_BACKEND", "scalar")
@@ -143,7 +220,7 @@ class TestBackendResolution:
     def test_unknown_method(self):
         with pytest.raises(ValueError):
             analyze(builders.model_1d(upper=3), {}, "magic",
-                    config=_scalar("batched"))
+                    config=_config(None))
 
 
 class TestNumpyHelpers:
@@ -170,30 +247,27 @@ class TestNumpyHelpers:
             point = tuple(int(x) for x in row)
             assert bool(ok) == cond.holds(point, {})
 
-    def test_direct_batched_calls(self):
-        prog = builders.matmul_pipelined(3)
-        exact = analyze_exact_batched(prog, {"u": 3})
-        enum = analyze_enumerate_batched(prog, {"u": 3})
-        assert set(exact.instances) == set(enum.instances)
-
 
 class TestObsCounters:
     def test_batched_counters_emitted(self):
+        # The symbolic route's own counters reach the registry.
         from repro import obs
 
         prog = builders.matmul_pipelined(3)
         with obs.collecting() as reg:
-            analyze(prog, {"u": 3}, "exact", config=_scalar("batched"))
+            res = analyze(prog, {"u": 3}, "exact",
+                          config=_config("symbolic"))
         counters = dict(reg.counters)
-        assert counters.get("depanalysis.pairs_batch_screened", 0) > 0
-        assert counters.get("depanalysis.pairs_tested", 0) > 0
+        assert counters.get("depanalysis.uniform_families", 0) > 0
+        for key, value in res.stats.items():
+            assert counters.get(f"depanalysis.{key}") == value
 
     def test_scalar_counters_match_stats(self):
         from repro import obs
 
         prog = builders.matmul_pipelined(2)
         with obs.collecting() as reg:
-            res = analyze(prog, {"u": 2}, "exact", config=_scalar("scalar"))
+            res = analyze(prog, {"u": 2}, "exact", config=_config("scalar"))
         counters = dict(reg.counters)
         for key, value in res.stats.items():
             assert counters.get(f"depanalysis.{key}") == value

@@ -215,8 +215,8 @@ class TestInstrumentedLayers:
             assert reg.counters[f"depanalysis.{key}"] == value
 
     def test_analyze_scalar_times_each_pair(self):
-        # Only the scalar reference walks pairs one at a time; the batched
-        # engine screens them in bulk and records no per-pair histogram.
+        # Only the scalar reference times each pair's Diophantine solve;
+        # the symbolic route records no per-pair histogram.
         from repro.depanalysis import AnalysisConfig, analyze
         from repro.ir.expand import expand_bit_level
 

@@ -35,7 +35,9 @@ from repro.verify import (
     run_verification,
 )
 
-NO_CACHE = AnalysisConfig(cache=False)
+#: the concrete reference: the scalar route never consults the symbolic
+#: solver, so it stays independent of the closed form under test
+NO_CACHE = AnalysisConfig(backend="scalar", cache=False)
 
 
 def symbolic_matmul_program(expansion, dim=3):
