@@ -32,7 +32,8 @@ contents, and observability metrics; the default is selected by
 
 When an ambient :mod:`repro.obs` registry is installed, each run emits a
 ``machine.simulate`` span plus counters/gauges: store read/write and
-causality-check totals, per-PE busy beats (``machine.pe_busy.<coords>``),
+causality-check totals, the per-PE busy beats as one ``machine.pe_busy``
+histogram with ``machine.pe_busy_min``/``machine.pe_busy_max`` gauges,
 makespan, processor count, and link traffic per space displacement
 (``machine.link.<dx,dy>``, with ``machine.link.local`` for in-PE reuse) --
 the displacement a datum travels between producing and consuming PE, which
@@ -245,9 +246,12 @@ def emit_machine_metrics(reg, result: SimulationResult, store) -> None:
     reg.gauge("machine.processor_count", result.processor_count)
     reg.gauge("machine.mean_utilization", result.mean_utilization)
     reg.gauge("machine.always_busy", int(result.always_busy))
-    for pos, n in result.pe_busy.items():
-        label = ",".join(str(x) for x in pos)
-        reg.gauge(f"machine.pe_busy.{label}", n)
+    # A fixed-size summary whatever the PE count: served results carry
+    # these metrics, so per-PE entries would grow every job's payload.
+    busy = list(result.pe_busy.values())
+    reg.observe_many("machine.pe_busy", busy)
+    reg.gauge("machine.pe_busy_min", min(busy, default=0))
+    reg.gauge("machine.pe_busy_max", max(busy, default=0))
     if reg.sinks and result.busy_per_step:
         # Busy-PE count per beat as a bus series: the Chrome exporter
         # turns it into a utilization counter track (beat timebase).

@@ -53,12 +53,13 @@ pin.  Per-cut prune counts are published as ``mapping.solver.pruned.*``.
 from __future__ import annotations
 
 from math import gcd
+from operator import mul
 from typing import Sequence
 
 from repro import obs
 from repro.mapping.engine import space_map_catalog
 from repro.mapping.feasibility import FeasibilityReport, check_feasibility
-from repro.mapping.interconnect import solve_interconnect
+from repro.mapping.interconnect import _column_combinations
 from repro.mapping.memo import EvalCache
 from repro.mapping.transform import MappingMatrix
 from repro.structures.algorithm import Algorithm
@@ -127,9 +128,6 @@ class SolverContext:
         self.cache = cache
         self.n = algorithm.dim
         self.d_cols = [tuple(c) for c in algorithm.dependences.columns()]
-        self.d_matrix = [
-            [col[row] for col in self.d_cols] for row in range(self.n)
-        ]
         #: Per-schedule deadlines ``Π d̄_i``, aligned with ``schedules``.
         self.deadlines = [
             tuple(
@@ -138,6 +136,12 @@ class SolverContext:
             )
             for _, pi in schedules
         ]
+        #: Per dependence column, the largest deadline over the schedules:
+        #: the hop budget of the once-per-space condition-2 solve.
+        self.max_deadlines = [max(col) for col in zip(*self.deadlines)]
+        #: Per-schedule gcd of ``Π``'s entries: condition 5 splits as
+        #: ``gcd(T) = gcd(gcd(S), gcd(Π))``.
+        self.pi_gcd = [_vector_gcd(pi) for _, pi in schedules]
         self.all_mask = (1 << len(schedules)) - 1
         if primitives is not None:
             self.p_rows = [tuple(int(x) for x in row) for row in primitives]
@@ -177,6 +181,10 @@ class SolverContext:
             )
             self._disp_memo[row] = out
         return out
+
+    def targets(self, space: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
+        """The displacements ``S d̄_i`` of a space map, one per column."""
+        return list(zip(*(self.displacements(tuple(row)) for row in space)))
 
     def row_mask(self, row: tuple[int, ...], axis: int) -> int:
         """Bitmask of schedules admitting ``row`` at array axis ``axis``.
@@ -234,10 +242,7 @@ class SolverContext:
         """
         if self.p_rows is None:
             return True
-        for col in self.d_cols:
-            target = tuple(
-                sum(row[r] * col[r] for r in range(self.n)) for row in space
-            )
+        for target in self.targets(space):
             if any(target):
                 key = ("plattice", self.p_key, target)
                 solvable = self.cache.get_or_compute(
@@ -250,6 +255,45 @@ class SolverContext:
                 if not solvable:
                     return False
         return True
+
+    def space_tables(
+        self, space: list[list[int]]
+    ) -> tuple[int, list[list[int]] | None, list[int] | None]:
+        """The schedule-independent halves of conditions 5, 4 and 2.
+
+        Returns ``(g, null, hops)``; a schedule ``Π`` then passes
+
+        * the coprime pre-check iff ``gcd(g, gcd(Π)) == 1`` (``g`` is
+          the gcd of ``S``'s entries);
+        * the rank condition iff ``Π·v != 0`` for some ``v`` in ``null``,
+          an integer nullspace basis of ``S`` -- ``None`` when ``S`` is
+          rank-deficient, which fails every schedule;
+        * the interconnect condition iff ``Π d̄_i >= hops[i]`` for every
+          column.  ``hops[i]`` is the minimum hop count of ``S d̄_i``:
+          the depth-first solve returns the same minimum-hop ``k̄`` under
+          every budget at least that minimum, so one solve under the
+          largest deadline (memoized on the ``("icol", ...)`` key the
+          final gate uses) serves every schedule.  ``None`` when some
+          column needs more hops than any deadline allows; ``[]`` for an
+          unconstrained interconnect.
+        """
+        g = _vector_gcd([x for row in space for x in row])
+        null = integer_nullspace(space)
+        if len(null) != self.n - len(space):
+            null = None
+        if self.p_rows is None:
+            return g, null, []
+        hops: list[int] | None = []
+        for target, budget in zip(self.targets(space), self.max_deadlines):
+            k_col = self.cache.get_or_compute(
+                ("icol", self.p_key, target, budget),
+                lambda: _column_combinations(self.p_rows, target, budget),
+            )
+            if k_col is None:
+                hops = None
+                break
+            hops.append(sum(k_col))
+        return g, null, hops
 
     def conflict_screened(self, rows: list[list[int]]) -> bool:
         """True when a nullspace basis vector certifies a conflict."""
@@ -340,7 +384,9 @@ def evaluate_space_solver(
     shared time-sorted schedule list under the same
     ``mapping.evaluate_space`` span and returns the first feasible ``Π``,
     but discharges the cheap conditions as cuts before the final
-    :func:`check_feasibility` gate:
+    :func:`check_feasibility` gate.  Their schedule-independent halves
+    run once per space (:meth:`SolverContext.space_tables`), so each
+    schedule costs a few integer tests, attributed in this order:
 
     * ``mapping.solver.pruned.deadline`` -- schedule excluded by the
       precomputed row masks (condition 2 relaxations);
@@ -348,54 +394,56 @@ def evaluate_space_solver(
       as the catalog path (condition 5);
     * ``mapping.solver.pruned.rank`` -- ``Π`` linearly dependent on the
       space rows (condition 4);
-    * ``mapping.solver.pruned.interconnect`` -- the exact per-column
-      ``P k̄ = S d̄_i`` solve fails (condition 2; memoized on the same
-      ``("icol", ...)`` keys the final gate uses, so survivors re-check
-      for free);
+    * ``mapping.solver.pruned.interconnect`` -- some deadline ``Π d̄_i``
+      is below the minimum hop count of ``S d̄_i`` (condition 2);
     * ``mapping.solver.pruned.conflict_screen`` -- a nullspace basis
       vector inside the difference box certifies a conflict (condition 3).
 
-    Because every cut is sound, the returned ``(Π, report)`` is identical
-    to the catalog evaluator's for every space.
+    Counts cover the schedules up to the returned ``Π`` (all of them when
+    none is feasible) and are published once per space.  Because every
+    cut is sound, the returned ``(Π, report)`` is identical to the
+    catalog evaluator's for every space.
     """
     with obs.span("mapping.evaluate_space"):
         mask = ctx.all_mask
         for axis, row in enumerate(space):
             mask &= ctx.row_mask(tuple(row), axis)
+        g, null, hops = ctx.space_tables(space) if mask else (0, None, None)
         result: tuple[list[int], FeasibilityReport] | None = None
-        skipped = 0
+        # Tallied locally, published once below -- a per-schedule obs call
+        # would dominate the walk's cost.
+        deadline = coprime = rank = interconnect = screened = 0
         for idx, (_, pi) in enumerate(ctx.schedules):
             if not (mask >> idx) & 1:
-                # Tallied locally, published once below -- a per-schedule
-                # obs call would dominate the walk's cost.
-                skipped += 1
-                continue
-            rows = space + [list(pi)]
-            mapping = MappingMatrix(rows)
-            if ctx.require_busy and not mapping.entries_coprime():
-                obs.count("mapping.pruned.coprime_precheck")
-                continue
-            if integer_rank(rows) < len(rows):
-                obs.count("mapping.solver.pruned.rank")
-                continue
-            if ctx.primitives is not None:
-                interconnect = solve_interconnect(
-                    space, ctx.d_matrix, list(pi), ctx.primitives,
-                    cache=ctx.cache,
-                )
-                if interconnect is None:
-                    obs.count("mapping.solver.pruned.interconnect")
+                deadline += 1
+            elif ctx.require_busy and gcd(g, ctx.pi_gcd[idx]) != 1:
+                coprime += 1
+            elif null is None or not any(
+                sum(map(mul, pi, vec)) for vec in null
+            ):
+                rank += 1
+            elif hops is None or any(
+                t < h for t, h in zip(ctx.deadlines[idx], hops)
+            ):
+                interconnect += 1
+            else:
+                rows = space + [list(pi)]
+                if ctx.conflict_screened(rows):
+                    screened += 1
                     continue
-            if ctx.conflict_screened(rows):
-                obs.count("mapping.solver.pruned.conflict_screen")
-                continue
-            report = _final_gate(
-                mapping, ctx.algorithm, ctx.binding, ctx.primitives,
-                ctx.cache,
-            )
-            if report.feasible:
-                result = (list(pi), report)
-                break
-        if skipped:
-            obs.count("mapping.solver.pruned.deadline", skipped)
+                report = _final_gate(
+                    MappingMatrix(rows), ctx.algorithm, ctx.binding,
+                    ctx.primitives, ctx.cache,
+                )
+                if report.feasible:
+                    result = (list(pi), report)
+                    break
+        counts = {
+            "mapping.solver.pruned.deadline": deadline,
+            "mapping.pruned.coprime_precheck": coprime,
+            "mapping.solver.pruned.rank": rank,
+            "mapping.solver.pruned.interconnect": interconnect,
+            "mapping.solver.pruned.conflict_screen": screened,
+        }
+        obs.count_many({name: n for name, n in counts.items() if n})
         return result

@@ -19,7 +19,8 @@ span_start ``id``, ``parent``, ``name``, ``attrs``
 span_end   ``id``, ``name``, ``dur_s``
 counter    ``name``, ``delta``, ``value`` (cumulative)
 gauge      ``name``, ``value``
-observe    ``name``, ``value``
+observe    ``name``, ``value`` -- or, for an ``observe_many`` batch,
+           ``count``, ``sum``, ``min``, ``max``
 progress   ``name``, ``done``, ``total``, ``rate``, ``eta_s``, ``final``
 series     ``name``, ``points`` (``[[t, v], ...]`` on a caller timebase)
 ========== ==================================================================

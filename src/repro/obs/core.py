@@ -33,9 +33,11 @@ Two v2 capabilities live here:
 from __future__ import annotations
 
 import math
+import operator
 import os
 import time
-from typing import Iterator, Mapping
+from functools import reduce
+from typing import Iterable, Iterator, Mapping
 
 __all__ = ["Histogram", "Span", "Registry"]
 
@@ -81,6 +83,39 @@ class Histogram:
             self.samples.append(value)
         else:
             self.samples[(self.count - 1) % self.cap] = value
+
+    def observe_many(self, values: Iterable[float]) -> None:
+        """Fold a batch of observations in one call.
+
+        The state equals :meth:`observe` on each value in turn -- the sum
+        accumulates left to right and the reservoir slots fill and wrap in
+        the same order -- without a Python call per value.
+        """
+        batch = [float(v) for v in values]
+        if not batch:
+            return
+        seen = self.count
+        self.count += len(batch)
+        self.total = reduce(operator.add, batch, self.total)
+        lo, hi = min(batch), max(batch)
+        if self.min is None or lo < self.min:
+            self.min = lo
+        if self.max is None or hi > self.max:
+            self.max = hi
+        samples = self.samples
+        room = self.cap - len(samples)
+        if room > 0:
+            samples.extend(batch[:room])
+            seen += room
+            batch = batch[room:]
+        # Past the cap, observation ``seen + 1`` overwrites slot
+        # ``seen % cap``; only the last ``cap`` of the batch survive.
+        if len(batch) > self.cap:
+            seen += len(batch) - self.cap
+            batch = batch[-self.cap:]
+        for value in batch:
+            samples[seen % self.cap] = value
+            seen += 1
 
     @property
     def mean(self) -> float:
@@ -342,6 +377,22 @@ class Registry:
         hist.observe(value)
         if self.sinks:
             self._emit("observe", name, value=value)
+
+    def observe_many(self, name: str, values: Iterable[float]) -> None:
+        """Record a batch of observations into histogram ``name`` in one
+        call, in order (see :meth:`Histogram.observe_many`).  Sinks get one
+        ``observe`` event carrying the batch's ``count``, ``sum``, ``min``
+        and ``max``; an empty batch records nothing."""
+        batch = [float(v) for v in values]
+        if not batch:
+            return
+        hist = self.histograms.get(name)
+        if hist is None:
+            hist = self.histograms[name] = Histogram()
+        hist.observe_many(batch)
+        if self.sinks:
+            self._emit("observe", name, count=len(batch), sum=sum(batch),
+                       min=min(batch), max=max(batch))
 
     # -- spans ----------------------------------------------------------------
     def span(self, name: str, **attrs) -> _SpanContext:

@@ -21,7 +21,6 @@ is exactly what Banerjee-style exact dependence testing consumes.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Sequence
 
 __all__ = [
@@ -95,30 +94,36 @@ def transpose(a: Sequence[Sequence[int]]) -> Matrix:
 
 
 def integer_rank(a: Sequence[Sequence[int]]) -> int:
-    """Rank of an integer matrix, computed exactly over the rationals."""
+    """Rank of an integer matrix over the rationals, by fraction-free
+    (Bareiss) row reduction on Python ints.
+
+    After each pivot step every entry below the pivot row is a minor of
+    ``a``, so dividing by the previous pivot is exact and entries stay
+    bounded by Hadamard's inequality -- the same rank as rational
+    Gaussian elimination, without building a ``Fraction`` per entry.
+    """
     m, n = _dims(a)
     if m == 0 or n == 0:
         return 0
-    work = [[Fraction(x) for x in row] for row in a]
+    work = _copy(a)
     rank = 0
-    row = 0
+    prev = 1
     for col in range(n):
-        pivot = None
-        for r in range(row, m):
-            if work[r][col] != 0:
-                pivot = r
-                break
+        pivot = next((r for r in range(rank, m) if work[r][col]), None)
         if pivot is None:
             continue
-        work[row], work[pivot] = work[pivot], work[row]
-        pv = work[row][col]
-        for r in range(row + 1, m):
-            if work[r][col] != 0:
-                f = work[r][col] / pv
-                work[r] = [work[r][j] - f * work[row][j] for j in range(n)]
-        row += 1
+        work[rank], work[pivot] = work[pivot], work[rank]
+        top = work[rank]
+        pv = top[col]
+        for r in range(rank + 1, m):
+            row = work[r]
+            f = row[col]
+            for j in range(col + 1, n):
+                row[j] = (pv * row[j] - f * top[j]) // prev
+            row[col] = 0
+        prev = pv
         rank += 1
-        if row == m:
+        if rank == m:
             break
     return rank
 

@@ -115,7 +115,10 @@ class TestObservabilityFlags:
         metrics = json.loads(m_file.read_text())
         assert metrics["counters"]["machine.store_reads"] > 0
         assert metrics["counters"]["machine.store_writes"] > 0
-        assert any(
+        assert metrics["histograms"]["machine.pe_busy"]["count"] == (
+            metrics["gauges"]["machine.processor_count"]
+        )
+        assert not any(
             name.startswith("machine.pe_busy.") for name in metrics["gauges"]
         )
         records = [
@@ -154,7 +157,7 @@ class TestObservabilityFlags:
         ) == 0
         rows = json.loads(trace_file.read_text())
         counters = [r for r in rows if r.get("ph") == "C"]
-        assert any(r["name"].startswith("machine.pe_busy.") for r in counters)
+        assert any(r["name"] == "machine.pe_busy_max" for r in counters)
         assert any(r["name"] == "machine.busy_pes" for r in counters)
 
     def test_trace_renders_progress_lines(self, tmp_path, capsys):

@@ -1,6 +1,9 @@
 """Tests for the S·D = P·K factorization and primitive matrices."""
 
+from itertools import combinations_with_replacement
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.expansion.theorem31 import matmul_bit_level
 from repro.mapping.designs import (
@@ -11,6 +14,7 @@ from repro.mapping.designs import (
     fig5_primitives,
 )
 from repro.mapping.interconnect import (
+    _column_combinations,
     mesh_primitives,
     solve_interconnect,
     with_long_wires,
@@ -122,3 +126,54 @@ class TestSolveInterconnect:
         )
         assert sol is not None
         assert sol.hops == [1]
+
+
+#: Hop counts searched by the brute-force reference; budgets stay below it.
+_MAX_HOPS = 7
+
+
+def _min_hops(cols, target):
+    """Fewest primitive uses reaching ``target`` (None beyond _MAX_HOPS)."""
+    for hops in range(_MAX_HOPS + 1):
+        for combo in combinations_with_replacement(range(len(cols)), hops):
+            reached = [sum(cols[j][r] for j in combo) for r in range(len(target))]
+            if reached == list(target):
+                return hops
+    return None
+
+
+@st.composite
+def _primitive_problems(draw):
+    """A 2-row ``P`` like eq. (4.3): a zero column, a mixed-sign column and
+    a few random ones, plus a target displacement."""
+    entry = st.integers(-2, 2)
+    cols = draw(st.lists(st.tuples(entry, entry), min_size=1, max_size=3))
+    a = draw(st.integers(1, 2))
+    cols += [(0, 0), (a, -a)]
+    cols = draw(st.permutations(cols))
+    target = draw(st.tuples(st.integers(-4, 4), st.integers(-4, 4)))
+    return [[c[r] for c in cols] for r in range(2)], cols, target
+
+
+class TestColumnCombinationsBudget:
+    """The contract the solver's once-per-space condition-2 check needs:
+    the depth-first solve fails exactly when the minimum hop count exceeds
+    the budget, and otherwise returns one answer for every budget at least
+    that minimum."""
+
+    @given(_primitive_problems())
+    @settings(max_examples=150, deadline=None)
+    def test_budget_only_decides_feasibility(self, problem):
+        p_matrix, cols, target = problem
+        h = _min_hops(cols, target)
+        at_min = None if h is None else _column_combinations(p_matrix, target, h)
+        for budget in range(-1, _MAX_HOPS):
+            got = _column_combinations(p_matrix, target, budget)
+            if h is None or h > budget:
+                assert got is None
+                continue
+            assert got == at_min
+            assert all(k >= 0 for k in got) and sum(got) == h
+            assert [sum(k * c[r] for k, c in zip(got, cols))
+                    for r in range(2)] == list(target)
+

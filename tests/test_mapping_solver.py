@@ -10,7 +10,10 @@ Three contracts are pinned here:
   :func:`merge_frontiers` is associative over arbitrary partitions;
 * **shard determinism** -- :func:`run_sharded_search` produces
   byte-identical ``payload_json()`` for workers 1/2/4 and matches
-  :func:`run_search`.
+  :func:`run_search`;
+* **per-space equivalence** -- for every space :func:`enumerate_spaces`
+  yields, :func:`evaluate_space_solver` (per-space tables, integer tests
+  per schedule) returns the catalog evaluator's ``(Π, report)``.
 """
 
 import json
@@ -21,9 +24,10 @@ import pytest
 
 from repro.expansion.theorem31 import matmul_bit_level
 from repro.ir.builders import word_model_structure
-from repro.mapping import designs
+from repro.mapping import designs, engine
 from repro.mapping.engine import SearchConfig, run_search
 from repro.mapping.interconnect import mesh_primitives
+from repro.mapping.memo import EvalCache
 from repro.mapping.pareto import (
     METRIC_NAMES,
     FrontierPoint,
@@ -33,6 +37,7 @@ from repro.mapping.pareto import (
     pareto_frontier,
 )
 from repro.mapping.shard import run_sharded_search
+from repro.mapping.solver import evaluate_space_solver
 from repro import obs
 
 
@@ -52,6 +57,14 @@ def _word_instance():
 
 def _bitlevel_instance():
     return matmul_bit_level(2, 2, "II"), {"u": 2, "p": 2}
+
+
+def _primitives(name, p):
+    return {
+        "fig4": lambda: designs.fig4_primitives(p),
+        "mesh": lambda: mesh_primitives(2),
+        "none": lambda: None,
+    }[name]()
 
 
 class TestSearchConfigValidation:
@@ -87,11 +100,7 @@ class TestSolverEquivalence:
     @pytest.mark.parametrize("primitives", ["fig4", "mesh", "none"])
     def test_bitlevel_identical_to_catalog(self, primitives):
         alg, binding = _bitlevel_instance()
-        prims = {
-            "fig4": lambda: designs.fig4_primitives(2),
-            "mesh": lambda: mesh_primitives(2),
-            "none": lambda: None,
-        }[primitives]()
+        prims = _primitives(primitives, 2)
 
         def run(strategy):
             return run_search(alg, binding, prims, SearchConfig(
@@ -126,6 +135,53 @@ class TestSolverEquivalence:
                 ))
             counts[strategy] = reg.counters["mapping.candidates_enumerated"]
         assert counts["catalog"] >= 3 * counts["solver"]
+
+
+class TestPerSpaceEquivalence:
+    """The solver's once-per-space checks against the catalog walk.
+
+    Every space the solver enumerates goes through both evaluators on
+    separate memos; the solver must hand back the catalog's first
+    feasible ``Π`` and an equal :class:`FeasibilityReport`, or ``None``
+    for both.
+    """
+
+    @staticmethod
+    def _assert_every_space_agrees(alg, binding, prims, config):
+        ctx, spaces = engine._setup(alg, binding, prims, config)
+        catalog = replace(
+            ctx, strategy="catalog", cache=EvalCache(), solver_ctx=None
+        )
+        feasible = 0
+        for space in spaces:
+            got = evaluate_space_solver(space, ctx.solver_context())
+            assert got == engine._evaluate_space(space, catalog), space
+            feasible += got is not None
+        return len(spaces), feasible
+
+    @pytest.mark.parametrize("primitives", ["fig4", "mesh", "none"])
+    @pytest.mark.parametrize("u,p", [(2, 2), (2, 3), (3, 2), (3, 3)])
+    def test_bitlevel_every_space(self, u, p, primitives):
+        # Search reads only (J, D), which Expansions I and II share, so
+        # one walk covers the spaces both expansions yield.
+        first, second = matmul_bit_level(u, p, "I"), matmul_bit_level(u, p, "II")
+        assert first.dependences.columns() == second.dependences.columns()
+        binding = {"u": u, "p": p}
+        assert first.index_set.bounds(binding) == (
+            second.index_set.bounds(binding)
+        )
+        spaces, _ = self._assert_every_space_agrees(
+            second, binding, _primitives(primitives, p),
+            SearchConfig(block_values=[p]),
+        )
+        assert spaces
+
+    def test_word_level_every_space(self):
+        alg, binding = _word_instance()
+        spaces, feasible = self._assert_every_space_agrees(
+            alg, binding, mesh_primitives(2), SearchConfig(block_values=[2])
+        )
+        assert 0 < feasible < spaces
 
 
 class TestParetoAlgebra:

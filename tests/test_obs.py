@@ -1,6 +1,7 @@
 """Tests for the observability substrate (repro.obs)."""
 
 import json
+import random
 
 import pytest
 
@@ -37,6 +38,33 @@ class TestRegistryScalars:
 
     def test_empty_histogram_mean(self):
         assert Histogram().mean == 0.0
+
+    @pytest.mark.parametrize("sizes", [(5,), (300, 300), (0, 1500, 7), (513,)])
+    def test_observe_many_equals_observe_in_order(self, sizes):
+        rng = random.Random(sum(sizes))
+        one_by_one, folded = Histogram(), Histogram()
+        for size in sizes:
+            batch = [rng.choice((rng.randrange(50), rng.random() * 9.7))
+                     for _ in range(size)]
+            for value in batch:
+                one_by_one.observe(value)
+            folded.observe_many(batch)
+            assert folded.state_dict() == one_by_one.state_dict()
+
+    def test_registry_observe_many_emits_one_event(self):
+        reg = Registry()
+        events = []
+        reg.add_sink(obs.CallbackSink(events.append))
+        reg.observe_many("h", [3, 1, 2])
+        reg.observe_many("h", [])
+        assert reg.histograms["h"].state_dict() == {
+            "count": 3, "sum": 6.0, "min": 1.0, "max": 3.0,
+            "samples": [3.0, 1.0, 2.0],
+        }
+        assert [(e["type"], e["count"], e["sum"], e["min"], e["max"])
+                for e in events] == [("observe", 3, 6.0, 1.0, 3.0)]
+        reg.observe_many("empty", [])
+        assert "empty" not in reg.histograms
 
 
 class TestSpans:
@@ -242,8 +270,11 @@ class TestInstrumentedLayers:
         assert reg.counters["machine.computations"] == run.sim.computations
         assert reg.gauges["machine.makespan"] == run.sim.makespan
         assert reg.gauges["machine.always_busy"] == int(run.sim.always_busy)
-        pe_gauges = {k for k in reg.gauges if k.startswith("machine.pe_busy.")}
-        assert len(pe_gauges) == run.sim.processor_count
+        busy = reg.histograms["machine.pe_busy"]
+        assert busy.count == run.sim.processor_count
+        assert busy.total == run.sim.computations
+        assert reg.gauges["machine.pe_busy_max"] == max(run.sim.pe_busy.values())
+        assert not any(k.startswith("machine.pe_busy.") for k in reg.gauges)
         link = {k for k in reg.counters if k.startswith("machine.link.")}
         assert link  # dependences moved between PEs
         assert sum(run.sim.pe_busy.values()) == run.sim.computations

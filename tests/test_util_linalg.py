@@ -1,5 +1,8 @@
 """Tests for repro.util.linalg (exact integer linear algebra)."""
 
+import random
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -104,6 +107,61 @@ class TestRankDeterminant:
     @settings(max_examples=60)
     def test_rank_of_transpose(self, a):
         assert integer_rank(a) == integer_rank(transpose(a))
+
+
+def _fraction_rank(a):
+    """Rank by Gaussian elimination over ``Fraction`` -- the reference
+    the fraction-free :func:`integer_rank` must agree with."""
+    m = len(a)
+    n = len(a[0]) if m else 0
+    work = [[Fraction(x) for x in row] for row in a]
+    rank = 0
+    for col in range(n):
+        pivot = next((r for r in range(rank, m) if work[r][col] != 0), None)
+        if pivot is None:
+            continue
+        work[rank], work[pivot] = work[pivot], work[rank]
+        for r in range(rank + 1, m):
+            f = work[r][col] / work[rank][col]
+            work[r] = [x - f * y for x, y in zip(work[r], work[rank])]
+        rank += 1
+    return rank
+
+
+class TestRankAgainstFractionReference:
+    @staticmethod
+    def _random(rng, m, n, entries):
+        return [[rng.choice(entries) for _ in range(n)] for _ in range(m)]
+
+    def test_small_entries(self):
+        rng = random.Random(11)
+        entries = list(range(-3, 4))
+        for _ in range(2000):
+            a = self._random(rng, rng.randint(1, 6), rng.randint(1, 6), entries)
+            assert integer_rank(a) == _fraction_rank(a), a
+
+    def test_entries_near_2_pow_70(self):
+        rng = random.Random(12)
+        big = 1 << 70
+        entries = [0, 1, -1, big, -big, big - 1, -big + 3, big + 5]
+        for _ in range(600):
+            a = self._random(rng, rng.randint(1, 6), rng.randint(1, 6), entries)
+            assert integer_rank(a) == _fraction_rank(a), a
+
+    def test_low_rank_products(self):
+        rng = random.Random(13)
+        for _ in range(600):
+            m, n = rng.randint(1, 6), rng.randint(1, 6)
+            k = rng.randint(0, min(m, n))
+            b = self._random(rng, m, k, range(-4, 5))
+            c = self._random(rng, k, n, range(-4, 5))
+            a = [[sum(b[i][t] * c[t][j] for t in range(k)) for j in range(n)]
+                 for i in range(m)]
+            assert integer_rank(a) == _fraction_rank(a) <= k, a
+
+    @pytest.mark.parametrize("a", [[], [[]], [[], []], [[0]], [[0] * 6] * 6])
+    def test_empty_and_all_zero(self, a):
+        assert integer_rank(a) == _fraction_rank(a) == 0
 
 
 class TestHermite:
