@@ -11,12 +11,11 @@ Besides the pytest-benchmark kernels, this module doubles as a script:
   runs a small instance once and asserts the engine's memoization is
   live (``mapping.cache_hits > 0``) -- the CI guard.
 * ``python benchmarks/bench_design_search.py --record`` runs the blocked
-  u=3, p=3 instance three ways -- catalog strategy at ``workers=1`` and
-  ``workers=4``, then the branch-and-prune solver strategy -- verifies
-  every run returns identical designs, and rewrites
-  ``BENCH_design_search.json`` at the repo root with the engine timings
-  plus the solver's candidates-enumerated ratio and its wall-clock
-  speedup over the catalog scan timed in the same run.
+  u=3, p=3 instance two ways -- the catalog strategy, then the
+  branch-and-prune solver strategy -- verifies both return identical
+  designs, and rewrites ``BENCH_design_search.json`` at the repo root
+  with the catalog timing plus the solver's candidates-enumerated ratio
+  and its wall-clock speedup over the catalog scan timed in the same run.
 """
 
 import argparse
@@ -87,21 +86,6 @@ def test_bench_search_bit_level(benchmark):
     assert cands[0].time <= designs.t_fig4(2, 2)
 
 
-def test_bench_search_parallel_identical(benchmark):
-    """workers=4 merge path; asserts determinism against workers=1."""
-    alg = matmul_bit_level(2, 2, "II")
-    binding = {"u": 2, "p": 2}
-    prims = designs.fig4_primitives(2)
-    base = run_search(alg, binding, prims,
-                      SearchConfig(block_values=[2], max_candidates=5))
-    config = SearchConfig(block_values=[2], max_candidates=5, workers=4)
-    cands = benchmark.pedantic(
-        run_search, args=(alg, binding, prims, config), rounds=1, iterations=1
-    )
-    assert [(c.mapping.rows, c.time, c.processors) for c in cands] == \
-        [(c.mapping.rows, c.time, c.processors) for c in base]
-
-
 # -- script modes -----------------------------------------------------------
 
 def _candidate_rows(cands):
@@ -154,24 +138,19 @@ def _record(repeats: int) -> int:
     binding = {"u": u, "p": p}
     prims = designs.fig4_primitives(p)
 
-    def config(workers, strategy="catalog"):
+    def config(strategy):
         return SearchConfig(target_space_dim=2, block_values=[p],
                             schedule_bound=2, max_candidates=5,
-                            workers=workers, strategy=strategy)
+                            strategy=strategy)
 
     print(f"recording u={u} p={p} blocked-catalog instance "
           f"(best of {repeats})...")
     t_seq, cands_seq, m_seq = _timed_search(alg, binding, prims,
-                                            config(1), repeats)
-    t_par, cands_par, m_par = _timed_search(alg, binding, prims,
-                                            config(4), repeats)
-    identical = _candidate_rows(cands_seq) == _candidate_rows(cands_par)
-    print(f"workers=1: {t_seq:.3f}s  workers=4: {t_par:.3f}s  "
-          f"identical={identical}")
-    assert identical, "parallel search diverged from sequential"
+                                            config("catalog"), repeats)
+    print(f"catalog: {t_seq:.3f}s")
 
     t_sol, cands_sol, m_sol = _timed_search(
-        alg, binding, prims, config(1, strategy="solver"), repeats
+        alg, binding, prims, config("solver"), repeats
     )
     solver_identical = _candidate_rows(cands_sol) == _candidate_rows(cands_seq)
     n_catalog = m_seq["counters"].get("mapping.candidates_enumerated", 0)
@@ -193,7 +172,7 @@ def _record(repeats: int) -> int:
         "environment": {"cpu_count": os.cpu_count(),
                         "python": sys.version.split()[0]},
         "engine": {
-            "workers_1": {
+            "catalog": {
                 "seconds": round(t_seq, 3),
                 "cache_hits": m_seq["counters"].get("mapping.cache_hits"),
                 "cache_misses": m_seq["counters"].get("mapping.cache_misses"),
@@ -202,11 +181,6 @@ def _record(repeats: int) -> int:
                 "conflict_checks": m_seq["counters"].get(
                     "mapping.conflict_checks"),
             },
-            "workers_4": {
-                "seconds": round(t_par, 3),
-                "cache_hits": m_par["counters"].get("mapping.cache_hits"),
-            },
-            "results_identical_across_workers": identical,
         },
         "solver": {
             "seconds": round(t_sol, 3),

@@ -42,13 +42,11 @@ def test_bench_free_schedule_scaling(benchmark, u, p):
     assert t == designs.t_fig4(u, p)
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_bench_search_engine_scaling(benchmark, workers):
-    """Engine wall clock per worker count (single run; pools are costly)."""
+def test_bench_search_engine_scaling(benchmark):
+    """Engine wall clock on the u=p=2 bit-level instance (single run)."""
     alg = matmul_bit_level(2, 2, "II")
     config = SearchConfig(target_space_dim=2, block_values=[2],
-                          schedule_bound=2, max_candidates=5,
-                          workers=workers)
+                          schedule_bound=2, max_candidates=5)
     cands = benchmark.pedantic(
         run_search,
         args=(alg, {"u": 2, "p": 2}, designs.fig4_primitives(2), config),

@@ -105,7 +105,6 @@ def _cmd_search(args: argparse.Namespace) -> int:
         block=None if args.block is None else tuple(args.block),
         schedule_bound=args.schedule_bound,
         max_candidates=args.max_candidates,
-        workers=args.workers,
         overcollect=args.overcollect,
         exhaustive=args.exhaustive,
         primitives=args.primitives,
@@ -391,8 +390,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="max |entry| of candidate schedules")
     p_search.add_argument("--max-candidates", type=int, default=5,
                           help="ranked designs to return")
-    p_search.add_argument("--workers", type=int, default=1,
-                          help="worker processes for candidate evaluation")
     p_search.add_argument(
         "--overcollect", type=int, default=4,
         help="collect max_candidates*K feasible designs before ranking",
@@ -418,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument(
         "--shard-dir", metavar="DIR", default=None,
         help="shard the search: reuse the candidate blocks published in DIR "
-        "and publish the missing ones (evaluated on --workers processes)",
+        "and publish the missing ones",
     )
     _server_option(p_search)
     p_search.set_defaults(fn=_cmd_search)

@@ -197,8 +197,7 @@ def shard_run_key(
     Every invocation derives the same key from the same inputs, so block
     results published in a shared store never collide across distinct
     searches -- and a re-run of the identical search finds its blocks
-    already published.  The worker count is deliberately *not* part of
-    the key: a run with any number of workers reuses the same blocks.
+    already published.
     """
     payload = {
         "kind": "search-shard",

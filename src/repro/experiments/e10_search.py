@@ -17,9 +17,7 @@ from repro.mapping.engine import SearchConfig, run_search
 __all__ = ["run", "report"]
 
 
-def run(
-    u: int = 2, p: int = 2, max_candidates: int = 5, workers: int = 1
-) -> dict:
+def run(u: int = 2, p: int = 2, max_candidates: int = 5) -> dict:
     """Search and compare against the Fig. 4 reference point."""
     alg = matmul_bit_level(u, p, "II")
     config = SearchConfig(
@@ -27,7 +25,6 @@ def run(
         block_values=[p],
         schedule_bound=2,
         max_candidates=max_candidates,
-        workers=workers,
     )
     candidates = run_search(alg, {"u": u, "p": p},
                             designs.fig4_primitives(p), config)

@@ -13,16 +13,16 @@ Implements the design method of Definition 4.1 (Shang/Fortes [5,6], Li/Wah
   schedule search, and time-optimality certification;
 * :mod:`repro.mapping.spacetime` -- processor counts and array geometry;
 * :mod:`repro.mapping.engine` -- the design-space search engine (shared
-  schedule enumeration, short-circuit feasibility with memoization, and
-  process fan-out) behind the frozen :class:`SearchConfig`;
+  schedule enumeration, short-circuit feasibility with memoization) behind
+  the frozen :class:`SearchConfig`;
 * :mod:`repro.mapping.solver` -- Definition 4.1 as an integer constraint
   system: the branch-and-prune candidate generator whose sound cuts make
   the search enumerate orders of magnitude fewer candidates;
 * :mod:`repro.mapping.pareto` -- Pareto-frontier ranking over
   (makespan, PE count, wire length) with deterministic merge;
 * :mod:`repro.mapping.shard` -- the sharded search: candidate blocks
-  published to and reused from a shared directory, evaluated on the
-  engine's process pool, merged deterministically;
+  published to and reused from a shared directory, merged
+  deterministically;
 * :mod:`repro.mapping.designs` -- the paper's concrete designs: ``T`` of
   (4.2) with ``P, K`` of (4.3) (Fig. 4), ``T'`` of (4.6) with ``P', K'`` of
   (4.7) (Fig. 5), and the word-level baseline of Section 4.2.

@@ -1,4 +1,4 @@
-"""The design-space search engine: parallel, pruned, and memoized.
+"""The design-space search engine: pruned and memoized, in one process.
 
 The paper presents the *results* of a space-time mapping search (eqs.
 (4.2)/(4.6)); this module implements the search itself -- the joint
@@ -20,12 +20,12 @@ Ganapathy/Wah) -- as a staged engine:
    via :func:`~repro.mapping.feasibility.check_feasibility`, with conflict
    enumeration and interconnect column solves memoized in a run-scoped
    :class:`~repro.mapping.memo.EvalCache`.
-5. **Parallel merge**: with ``workers > 1`` space candidates fan out over a
-   ``ProcessPoolExecutor``; results are merged in candidate-catalog order,
-   so the ranked output is *identical* for every worker count
-   (``workers=1`` runs in-process with no executor at all).  The sharded
-   search (:mod:`repro.mapping.shard`) plans through the same set-up and
-   runs its blocks on the same pool (:func:`_pool`, :func:`_map_fresh`).
+
+Space candidates are scanned in catalog order until the early-stop cap,
+so the ranked output is deterministic.  The sharded search
+(:mod:`repro.mapping.shard`) plans through the same set-up
+(:func:`_setup`) and evaluates its blocks with the same per-space
+evaluator (:func:`_evaluate_space`).
 
 All knobs live on the frozen :class:`SearchConfig`; :func:`run_search` is
 the engine entry point and :func:`search_designs` the stable public API.
@@ -34,7 +34,6 @@ the engine entry point and :func:`search_designs` the stable public API.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Iterator, Sequence
 
@@ -80,15 +79,6 @@ class SearchConfig:
     max_candidates:
         Return at most this many designs, best first (``None`` =
         exhaustive).
-    require_busy:
-        Enforce condition 5 (coprime entries of ``T``) as a pre-screen
-        before the full feasibility check.
-    workers:
-        Process fan-out, the search's one worker-count knob.  ``1``
-        (default) evaluates in-process; higher values run space candidates
-        (or, in :func:`~repro.mapping.shard.run_sharded_search`, the
-        missing blocks) on one ``ProcessPoolExecutor``.  Results are
-        identical for every value -- only wall-clock changes.
     overcollect:
         Early-stop factor: the scan stops after collecting
         ``max_candidates * overcollect`` feasible designs, *before* the
@@ -123,8 +113,6 @@ class SearchConfig:
     block_values: tuple[int, ...] = ()
     schedule_bound: int = 2
     max_candidates: int | None = 10
-    require_busy: bool = True
-    workers: int = 1
     overcollect: int | None = 4
     strategy: str = "auto"
     frontier: tuple[str, ...] | None = None
@@ -143,8 +131,6 @@ class SearchConfig:
             raise ValueError("schedule_bound must be >= 0")
         if self.max_candidates is not None and self.max_candidates < 1:
             raise ValueError("max_candidates must be >= 1 or None")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
         if self.overcollect is not None and self.overcollect < 1:
             raise ValueError("overcollect must be >= 1 or None")
         if self.strategy not in ("auto", "catalog", "solver"):
@@ -306,7 +292,7 @@ def ranked_schedules(
 
 
 # ---------------------------------------------------------------------------
-# Stage 4: per-candidate evaluation (shared by sequential and worker paths)
+# Stage 4: per-candidate evaluation (shared with the sharded search)
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -317,19 +303,18 @@ class _EvalContext:
     binding: ParamBinding
     primitives: Sequence[Sequence[int]] | None
     schedules: list[tuple[int, tuple[int, ...]]]
-    require_busy: bool
     cache: EvalCache
     strategy: str = "catalog"
     solver_ctx: object | None = None
 
     def solver_context(self):
-        """The lazily built (and process-local) solver constraint tables."""
+        """The lazily built solver constraint tables."""
         if self.solver_ctx is None:
             from repro.mapping.solver import SolverContext
 
             self.solver_ctx = SolverContext(
                 self.algorithm, self.binding, self.primitives,
-                self.schedules, self.require_busy, self.cache,
+                self.schedules, self.cache,
             )
         return self.solver_ctx
 
@@ -349,7 +334,6 @@ def _setup(
     Shared by :func:`run_search` and the sharded search, so both scan the
     same candidate list against the same time-sorted schedules.
     """
-    obs.gauge("mapping.workers", config.workers)
     schedules = ranked_schedules(algorithm, binding, config.schedule_bound)
     obs.gauge("mapping.schedule_pool", len(schedules))
     ctx = _EvalContext(
@@ -357,7 +341,6 @@ def _setup(
         binding=binding,
         primitives=primitives,
         schedules=schedules,
-        require_busy=config.require_busy,
         cache=EvalCache(),
         strategy=config.resolved_strategy,
     )
@@ -384,10 +367,9 @@ def _evaluate_space(
 
     Walks the shared time-sorted schedule list and returns the first ``Π``
     whose full feasibility check (including conflict-freedom with this
-    specific ``S``) passes.  The walk runs under a
-    ``mapping.evaluate_space`` span -- the per-candidate trace unit that
-    worker processes ship back in their registry deltas, so sequential and
-    parallel runs produce the same span structure.
+    specific ``S``) passes.  Condition 5 (coprime entries of ``T``) is
+    pre-screened before the full check.  The walk runs under a
+    ``mapping.evaluate_space`` span, the per-candidate trace unit.
 
     Under ``strategy="solver"`` the walk is delegated to
     :func:`repro.mapping.solver.evaluate_space_solver`, which returns the
@@ -401,7 +383,7 @@ def _evaluate_space(
     with obs.span("mapping.evaluate_space"):
         for _, pi in ctx.schedules:
             mapping = MappingMatrix(space + [list(pi)])
-            if ctx.require_busy and not mapping.entries_coprime():
+            if not mapping.entries_coprime():
                 obs.count("mapping.pruned.coprime_precheck")
                 continue
             report = check_feasibility(
@@ -411,183 +393,6 @@ def _evaluate_space(
             if report.feasible:
                 return list(pi), report
     return None
-
-
-def _iter_sequential(
-    spaces: list[list[list[int]]],
-    ctx: _EvalContext,
-    cap: int | None,
-    progress=obs.NULL_PROGRESS,
-) -> Iterator[tuple[list[list[int]], list[int], FeasibilityReport]]:
-    yielded = 0
-    for space in spaces:
-        result = _evaluate_space(space, ctx)
-        progress.advance()
-        if result is None:
-            continue
-        yield space, result[0], result[1]
-        yielded += 1
-        if cap is not None and yielded >= cap:
-            return
-
-
-# ---------------------------------------------------------------------------
-# Stage 5: process fan-out with deterministic merge
-# ---------------------------------------------------------------------------
-
-#: Per-process evaluation context, installed by the pool initializer so the
-#: algorithm/schedule payload is shipped once per worker, not per task, and
-#: the memo cache persists across the chunks a worker processes.
-_WORKER_CTX: _EvalContext | None = None
-
-#: Whether the parent had telemetry enabled when the pool was created;
-#: workers only pay for per-candidate registries (and ship deltas back)
-#: when someone is collecting.
-_WORKER_TELEMETRY: bool = False
-
-
-def _worker_init(payload: tuple) -> None:
-    global _WORKER_CTX, _WORKER_TELEMETRY
-    (algorithm, binding, primitives, schedules, require_busy, strategy,
-     telemetry) = payload
-    _WORKER_CTX = _EvalContext(
-        algorithm=algorithm,
-        binding=binding,
-        primitives=primitives,
-        schedules=schedules,
-        require_busy=require_busy,
-        cache=EvalCache(),
-        strategy=strategy,
-    )
-    _WORKER_TELEMETRY = telemetry
-
-
-def _eval_chunk(
-    chunk: list[tuple[int, list[list[int]]]],
-) -> list[tuple[int, list[int] | None, FeasibilityReport | None, dict | None]]:
-    """Evaluate a chunk of (index, space) candidates in a worker process.
-
-    With telemetry on, every candidate is evaluated under its own
-    registry and returns ``(index, pi, report, delta)`` -- ``pi``/
-    ``report`` are ``None`` for infeasible candidates, and ``delta`` is
-    the candidate's full registry delta (counters, histograms, the
-    ``mapping.evaluate_space`` span tree).  Per-candidate deltas let the
-    parent merge telemetry in catalog order and stop merging exactly at
-    the early-stop point, so aggregate metrics match the sequential scan
-    even though workers evaluate speculatively past it.
-
-    With telemetry off, only feasible candidates are returned (with
-    ``delta=None``) and no registries are created.
-    """
-    ctx = _WORKER_CTX
-    assert ctx is not None, "worker used before initialization"
-    out: list[tuple[int, list[int] | None, FeasibilityReport | None,
-                    dict | None]] = []
-    for index, space in chunk:
-        if _WORKER_TELEMETRY:
-            with obs.collecting() as reg:
-                result = _evaluate_space(space, ctx)
-            pi, report = result if result is not None else (None, None)
-            out.append((index, pi, report, reg.delta()))
-        else:
-            result = _evaluate_space(space, ctx)
-            if result is not None:
-                out.append((index, result[0], result[1], None))
-    return out
-
-
-def _structural_copy(algorithm: Algorithm) -> Algorithm:
-    """The algorithm minus its computation set.
-
-    Feasibility only consults ``(J, D)``; dropping ``E`` keeps the worker
-    payload small and avoids pickling executable semantics closures.
-    """
-    return Algorithm(
-        algorithm.index_set, algorithm.dependences, None, algorithm.name
-    )
-
-
-def _pool(ctx: _EvalContext, workers: int) -> ProcessPoolExecutor:
-    """The search's one process pool; each worker holds a copy of ``ctx``.
-
-    The unsharded scan's chunks (:func:`_iter_parallel`) and the sharded
-    search's blocks (:func:`_map_fresh`) both run here.
-    """
-    payload = (
-        _structural_copy(ctx.algorithm),
-        ctx.binding,
-        ctx.primitives,
-        ctx.schedules,
-        ctx.require_busy,
-        ctx.strategy,
-        obs.enabled(),
-    )
-    return ProcessPoolExecutor(
-        max_workers=workers, initializer=_worker_init, initargs=(payload,)
-    )
-
-
-def _call_fresh(fn, task: tuple):
-    """Worker task: ``fn`` on a fresh copy of the worker's context."""
-    assert _WORKER_CTX is not None, "worker used before initialization"
-    return fn(_WORKER_CTX.fresh(), *task)
-
-
-def _map_fresh(ctx: _EvalContext, workers: int, fn, tasks: list[tuple]):
-    """Yield ``fn(fresh_ctx, *task)`` for each task, in task order.
-
-    Every call starts from an empty :class:`EvalCache`, so its result is a
-    pure function of the task wherever it ran: in-process for
-    ``workers=1`` or a single task, else on :func:`_pool`.
-    """
-    if workers <= 1 or len(tasks) <= 1:
-        for task in tasks:
-            yield fn(ctx.fresh(), *task)
-        return
-    with _pool(ctx, workers) as pool:
-        futures = [pool.submit(_call_fresh, fn, task) for task in tasks]
-        for future in futures:
-            yield future.result()
-
-
-def _iter_parallel(
-    spaces: list[list[list[int]]],
-    ctx: _EvalContext,
-    workers: int,
-    cap: int | None,
-    progress=obs.NULL_PROGRESS,
-) -> Iterator[tuple[list[list[int]], list[int], FeasibilityReport]]:
-    indexed = list(enumerate(spaces))
-    # Small chunks keep the pool busy near the early-stop point without
-    # flooding the result queue; the merge order (and hence the output) is
-    # chunk order, so the chunk size never affects results.
-    chunk_size = max(1, -(-len(indexed) // (workers * 8)))
-    chunks = [
-        indexed[i:i + chunk_size] for i in range(0, len(indexed), chunk_size)
-    ]
-    reg = obs.get_registry()
-    yielded = 0
-    with _pool(ctx, workers) as pool:
-        futures = [pool.submit(_eval_chunk, chunk) for chunk in chunks]
-        for future in futures:
-            # Futures are consumed (and per-candidate deltas merged) in
-            # catalog order, and the merge stops at the candidate that
-            # fills the early-stop cap -- exactly the prefix the
-            # sequential scan would have evaluated -- so aggregate
-            # metrics are identical for every worker count (up to the
-            # worker-local cache's hit/miss split, whose sum is stable).
-            for index, pi, report, delta in future.result():
-                if reg is not None and delta is not None:
-                    reg.merge_delta(delta)
-                    progress.advance()
-                if pi is None:
-                    continue
-                yield spaces[index], pi, report
-                yielded += 1
-                if cap is not None and yielded >= cap:
-                    for pending in futures:
-                        pending.cancel()
-                    return
 
 
 # ---------------------------------------------------------------------------
@@ -614,32 +419,30 @@ def run_search(
     config:
         The :class:`SearchConfig` (defaults throughout when omitted).
 
-    The ranked result list is deterministic and identical for every
-    ``config.workers`` value.
+    Space candidates are evaluated in scan order until
+    ``config.stop_after`` feasible designs are collected, so the ranked
+    result list is deterministic.
     """
     config = config if config is not None else SearchConfig()
+    stop_after = config.stop_after
     found: list[DesignCandidate] = []
     with obs.span(
         "mapping.search_designs",
         dim=algorithm.dim,
         target_space_dim=config.target_space_dim,
         schedule_bound=config.schedule_bound,
-        workers=config.workers,
         strategy=config.resolved_strategy,
     ):
         ctx, spaces = _setup(algorithm, binding, primitives, config)
         time_of = {pi: t for t, pi in ctx.schedules}
         d_cols = [tuple(c) for c in algorithm.dependences.columns()]
         with obs.progress("mapping.spaces", total=len(spaces)) as progress:
-            if config.workers <= 1 or len(spaces) <= 1 or not ctx.schedules:
-                feasible = _iter_sequential(
-                    spaces, ctx, config.stop_after, progress
-                )
-            else:
-                feasible = _iter_parallel(
-                    spaces, ctx, config.workers, config.stop_after, progress
-                )
-            for space, pi, report in feasible:
+            for space in spaces:
+                result = _evaluate_space(space, ctx)
+                progress.advance()
+                if result is None:
+                    continue
+                pi, report = result
                 mapping = MappingMatrix(
                     space + [pi], name=f"T-search-{len(found)}"
                 )
@@ -656,6 +459,8 @@ def run_search(
                         ),
                     )
                 )
+                if stop_after is not None and len(found) >= stop_after:
+                    break
         found = _rank(found, config)
         obs.count("mapping.designs_found", len(found))
     return found

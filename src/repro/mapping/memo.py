@@ -9,9 +9,8 @@ is a plain dictionary over *canonicalized* keys with hit/miss accounting
 surfaced through :mod:`repro.obs` (``mapping.cache_hits`` /
 ``mapping.cache_misses``).
 
-A cache is scoped to one search run -- one per worker process under
-``workers > 1``, and one per block of a sharded search -- and lives only
-in memory: nothing is persisted across runs.  Entries are never
+A cache is scoped to one search run -- or to one block of a sharded
+search -- and lives only in memory: nothing is persisted across runs.  Entries are never
 invalidated.  Cached callables must be deterministic and their results
 treated as immutable.
 """

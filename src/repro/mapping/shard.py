@@ -12,28 +12,27 @@ publish-and-reuse layer over the engine, built on the shared-mode
 * **Blocks.**  The space-candidate list -- planned by the engine's own
   set-up, exactly as :func:`~repro.mapping.engine.run_search` scans it --
   is split into contiguous index blocks whose size depends only on the
-  candidate count, never on the worker count.
+  candidate count.
 * **Results.**  Each block is published as one artifact-cache entry keyed
   by :func:`~repro.cache.keys.shard_run_key` + block id: the feasible
   designs in scan order, the block's partial Pareto frontier and its obs
   counters.  Every block is evaluated from a *fresh* :class:`EvalCache`,
-  so its payload is a pure function of the block -- the property that
-  makes merged metrics byte-identical for any worker count.
+  so its payload is a pure function of the block -- whichever run
+  published it, and whatever that run evaluated before it.
 * **Evaluation.**  A run evaluates only the blocks missing from
-  ``shard_dir`` when it starts -- in-process, or on the engine's one
-  process pool with ``config.workers > 1`` -- publishes each as it
-  finishes, and folds its counters into the ambient registry (reused
-  blocks add nothing).  There are no claims: invocations sharing a
-  directory each evaluate what was unpublished when they started, and a
-  block published twice is published identically.
+  ``shard_dir`` when it starts, in-process and in block order, publishes
+  each as it finishes, and folds its counters into the ambient registry
+  (reused blocks add nothing).  There are no claims: invocations sharing
+  a directory each evaluate what was unpublished when they started, and
+  a block published twice is published identically.
 * **Merge.**  Block payloads fold *in block-index order*: designs
   concatenate back into scan order (then rank or frontier-merge exactly
   as :func:`run_search` does), counters sum, partial frontiers merge.
 
-The result payload (:meth:`ShardedSearchResult.payload_json`) is
-byte-identical across worker counts -- pinned by tests and a CI diff --
-and its design list matches :func:`run_search` for the same
-:class:`SearchConfig`.
+The result payload (:meth:`ShardedSearchResult.payload_json`) is the
+same bytes whichever blocks were reused, and its design list (and
+frontier) matches :func:`run_search` for the same :class:`SearchConfig`
+-- pinned by tests and a CI diff.
 """
 
 from __future__ import annotations
@@ -49,7 +48,6 @@ from repro.mapping.engine import (
     SearchConfig,
     _EvalContext,
     _evaluate_space,
-    _map_fresh,
     _setup,
 )
 from repro.mapping.pareto import (
@@ -80,9 +78,6 @@ class ShardedSearchResult:
     ``rows``, ``pi``, ``time``, ``processors``, ``wire_length``;
     ``frontier`` is the merged Pareto frontier (``None`` outside frontier
     mode); ``metrics`` sums the per-block obs counters in block order.
-    ``workers`` is informational and deliberately excluded from
-    :meth:`payload` -- everything in the payload is identical for any
-    worker count.
     """
 
     designs: list[dict]
@@ -90,7 +85,6 @@ class ShardedSearchResult:
     metrics: dict[str, int]
     blocks: int
     run_key: str
-    workers: int
 
     def payload(self) -> dict:
         return {
@@ -102,7 +96,7 @@ class ShardedSearchResult:
         }
 
     def payload_json(self) -> str:
-        """Canonical bytes for the cross-worker-count identity contract."""
+        """Canonical bytes of :meth:`payload` (sorted keys, compact)."""
         return json.dumps(
             self.payload(), sort_keys=True, separators=(",", ":")
         )
@@ -115,8 +109,8 @@ class ShardedSearchResult:
 def _blocks(n_spaces: int) -> list[tuple[int, int]]:
     """Contiguous ``(start, end)`` candidate slices of one run.
 
-    The block size depends only on the candidate count -- a worker-count
-    dependence would break cross-count byte-identity of block payloads.
+    The block size depends only on the candidate count, so every run of
+    one search cuts the same blocks and can reuse another run's.
     """
     size = max(1, -(-n_spaces // _BLOCKS))
     return [
@@ -133,7 +127,6 @@ def _run_key(algorithm, binding, primitives, config, n_blocks) -> str:
     cfg["frontier"] = (
         None if cfg["frontier"] is None else list(cfg["frontier"])
     )
-    cfg.pop("workers")  # any worker count computes (and reuses) one run
     return shard_run_key(
         algorithm.name,
         [list(c) for c in algorithm.dependences.columns()],
@@ -157,12 +150,13 @@ def _eval_block(
     spaces: list[list[list[int]]],
     frontier_metrics: tuple[str, ...] | None,
 ) -> dict:
-    """Evaluate one block on a fresh context; JSON-native payload.
+    """Evaluate one block on a fresh copy of ``ctx``; JSON-native payload.
 
-    ``ctx`` carries an empty :class:`EvalCache` (see
-    :func:`~repro.mapping.engine._map_fresh`), which is what makes the
-    payload independent of where the block ran and what ran before it.
+    The copy starts from an empty :class:`EvalCache`
+    (:meth:`~repro.mapping.engine._EvalContext.fresh`), which is what
+    makes the payload independent of what ran before it.
     """
+    ctx = ctx.fresh()
     time_of = {pi: t for t, pi in ctx.schedules}
     d_cols = [tuple(c) for c in ctx.algorithm.dependences.columns()]
     designs: list[dict] = []
@@ -229,11 +223,9 @@ def run_sharded_search(
 
     Blocks already published in ``shard_dir`` -- by an earlier run of the
     same search, from any process or machine sharing the directory -- are
-    reused; the missing ones are evaluated on ``config.workers`` processes
-    and published (``shard_dir=None``: a fresh temporary directory).  The
-    merged result is byte-identical
-    (:meth:`ShardedSearchResult.payload_json`) for every
-    ``config.workers`` value, and its design list equals
+    reused; the missing ones are evaluated in-process, each on a fresh
+    memo, and published (``shard_dir=None``: a fresh temporary
+    directory).  The merged design list equals
     :func:`~repro.mapping.engine.run_search` under the same config.
     """
     from repro.cache import ArtifactCache
@@ -244,8 +236,7 @@ def run_sharded_search(
         shard_dir = tempfile.mkdtemp(prefix="repro-shard-")
     try:
         with obs.span(
-            "mapping.shard.search", workers=config.workers,
-            strategy=config.resolved_strategy,
+            "mapping.shard.search", strategy=config.resolved_strategy,
         ):
             ctx, spaces = _setup(algorithm, binding, primitives, config)
             blocks = _blocks(len(spaces))
@@ -259,11 +250,10 @@ def run_sharded_search(
                 for block_id in range(len(blocks))
             ]
             missing = [i for i, p in enumerate(payloads) if p is None]
-            tasks = [
-                (spaces[slice(*blocks[i])], config.frontier) for i in missing
-            ]
-            evaluated = _map_fresh(ctx, config.workers, _eval_block, tasks)
-            for block_id, payload in zip(missing, evaluated, strict=True):
+            for block_id in missing:
+                payload = _eval_block(
+                    ctx, spaces[slice(*blocks[block_id])], config.frontier
+                )
                 store.put(_KIND, _block_key(run_key, block_id), payload)
                 obs.count_many(payload["metrics"])
                 payloads[block_id] = payload
@@ -319,5 +309,4 @@ def _merge(
         metrics={name: metrics[name] for name in sorted(metrics)},
         blocks=len(payloads),
         run_key=run_key,
-        workers=config.workers,
     )

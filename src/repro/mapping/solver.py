@@ -105,8 +105,7 @@ def _final_gate(
 class SolverContext:
     """Precomputed constraint tables for one (algorithm, primitives) search.
 
-    Construction is deterministic, so worker processes rebuild identical
-    contexts from the same payload; the per-row admissibility bitmasks and
+    Construction is deterministic; the per-row admissibility bitmasks and
     per-displacement lattice answers are shared across every space
     candidate of the run.
     """
@@ -117,14 +116,12 @@ class SolverContext:
         binding: ParamBinding,
         primitives: Sequence[Sequence[int]] | None,
         schedules: list[tuple[int, tuple[int, ...]]],
-        require_busy: bool,
         cache: EvalCache,
     ) -> None:
         self.algorithm = algorithm
         self.binding = binding
         self.primitives = primitives
         self.schedules = schedules
-        self.require_busy = require_busy
         self.cache = cache
         self.n = algorithm.dim
         self.d_cols = [tuple(c) for c in algorithm.dependences.columns()]
@@ -416,7 +413,7 @@ def evaluate_space_solver(
         for idx, (_, pi) in enumerate(ctx.schedules):
             if not (mask >> idx) & 1:
                 deadline += 1
-            elif ctx.require_busy and gcd(g, ctx.pi_gcd[idx]) != 1:
+            elif gcd(g, ctx.pi_gcd[idx]) != 1:
                 coprime += 1
             elif null is None or not any(
                 sum(map(mul, pi, vec)) for vec in null

@@ -16,18 +16,9 @@ experiment does, to time both analyzers with one mechanism) or installed
 as the process-wide active registry via :func:`repro.obs.collecting`, in
 which case the library's built-in instrumentation feeds them.
 
-Two v2 capabilities live here:
-
-* **Streaming** -- sinks attached via :meth:`Registry.add_sink` receive a
-  structured event for every mutation in real time (see
-  :mod:`repro.obs.bus`).  With no sinks the emit branch is one truthiness
-  check on an empty list.
-* **Cross-process deltas** -- :meth:`Registry.delta` serializes a whole
-  registry (counters, gauges, histogram state, span trees) to a JSON-ready
-  dict and :meth:`Registry.merge_delta` folds such a delta into another
-  registry, attaching the foreign span trees under the currently open span
-  with process attribution.  This is how worker registries from a
-  ``ProcessPoolExecutor`` merge into the parent's single coherent trace.
+Sinks attached via :meth:`Registry.add_sink` receive a structured event
+for every mutation in real time (see :mod:`repro.obs.bus`).  With no sinks
+the emit branch is one truthiness check on an empty list.
 """
 
 from __future__ import annotations
@@ -137,54 +128,6 @@ class Histogram:
                           math.ceil(q * len(ordered) / 100) - 1))
         return ordered[rank]
 
-    def merge(self, other: "Histogram") -> None:
-        """Fold another histogram's state into this one.
-
-        Count/sum/min/max merge exactly.  The reservoirs are combined as a
-        multiset: while the union fits the cap it is kept whole (so
-        percentiles stay exact and independent of how observations were
-        partitioned across processes); an oversized union is sorted and
-        decimated to ``cap`` evenly spaced order statistics, which is a
-        pure function of the combined multiset -- merge order never
-        changes the result.
-        """
-        self.count += other.count
-        self.total += other.total
-        if other.min is not None and (self.min is None or other.min < self.min):
-            self.min = other.min
-        if other.max is not None and (self.max is None or other.max > self.max):
-            self.max = other.max
-        combined = self.samples + other.samples
-        if len(combined) <= self.cap:
-            self.samples = combined
-        else:
-            combined.sort()
-            n = len(combined)
-            self.samples = [
-                combined[round(i * (n - 1) / (self.cap - 1))]
-                for i in range(self.cap)
-            ]
-
-    def state_dict(self) -> dict:
-        """Full serializable state (for cross-process deltas)."""
-        return {
-            "count": self.count,
-            "sum": self.total,
-            "min": self.min,
-            "max": self.max,
-            "samples": list(self.samples),
-        }
-
-    @classmethod
-    def from_state(cls, state: Mapping) -> "Histogram":
-        hist = cls()
-        hist.count = int(state["count"])
-        hist.total = float(state["sum"])
-        hist.min = state["min"]
-        hist.max = state["max"]
-        hist.samples = [float(v) for v in state.get("samples", ())][:hist.cap]
-        return hist
-
     def as_dict(self) -> dict:
         """JSON-ready summary (count/sum/min/max/mean + percentiles)."""
         out = {
@@ -244,17 +187,6 @@ class Span:
         yield self
         for child in self.children:
             yield from child.walk()
-
-    def to_dict(self) -> dict:
-        """The subtree as a JSON-ready nested dict (ids are omitted; they
-        are registry-local and reassigned on merge)."""
-        return {
-            "name": self.name,
-            "start": self.start,
-            "end": self.end,
-            "attrs": dict(self.attrs),
-            "children": [child.to_dict() for child in self.children],
-        }
 
     def __repr__(self) -> str:
         return f"Span({self.name!r}, {self.duration * 1e3:.3f}ms)"
@@ -432,71 +364,6 @@ class Registry:
         """All spans, depth-first from each root."""
         for root in self.roots:
             yield from root.walk()
-
-    # -- cross-process deltas -------------------------------------------------
-    def delta(self) -> dict:
-        """The registry's full state as a JSON-ready dict.
-
-        Worker processes return this over the result channel; the parent
-        folds it back with :meth:`merge_delta`.
-        """
-        return {
-            "pid": self.pid,
-            "counters": dict(self.counters),
-            "gauges": dict(self.gauges),
-            "histograms": {
-                name: h.state_dict() for name, h in self.histograms.items()
-            },
-            "spans": [root.to_dict() for root in self.roots],
-        }
-
-    def _graft_span(self, parent: Span | None, node: Mapping,
-                    extra_attrs: Mapping | None) -> None:
-        self._next_id += 1
-        span = Span(
-            self._next_id,
-            parent.span_id if parent is not None else None,
-            node["name"],
-            node.get("attrs"),
-        )
-        if extra_attrs:
-            span.attrs.update(extra_attrs)
-        span.start = node["start"]
-        span.end = node["end"]
-        if parent is not None:
-            parent.children.append(span)
-        else:
-            self.roots.append(span)
-        for child in node.get("children", ()):
-            self._graft_span(span, child, None)
-
-    def merge_delta(self, delta: Mapping, attrs: Mapping | None = None) -> None:
-        """Fold a :meth:`delta` from another registry into this one.
-
-        Counters add, gauges last-write-win, histograms merge their exact
-        aggregates and sample reservoirs, and span trees are grafted under
-        the currently open span (or as new roots) with fresh ids.  The
-        delta's ``pid`` plus any ``attrs`` are stamped onto the root of
-        each grafted tree, so merged traces keep per-process attribution.
-        Merging the deltas of a partitioned run in partition order yields
-        the same aggregate metrics as the unpartitioned run (up to the
-        reservoir decimation documented on :meth:`Histogram.merge`).
-        """
-        for name, n in delta.get("counters", {}).items():
-            self.count(name, n)
-        for name, value in delta.get("gauges", {}).items():
-            self.gauge(name, value)
-        for name, state in delta.get("histograms", {}).items():
-            hist = self.histograms.get(name)
-            if hist is None:
-                hist = self.histograms[name] = Histogram()
-            hist.merge(Histogram.from_state(state))
-        root_attrs = dict(attrs) if attrs else {}
-        if "pid" in delta:
-            root_attrs.setdefault("pid", delta["pid"])
-        parent = self.current_span()
-        for node in delta.get("spans", ()):
-            self._graft_span(parent, node, root_attrs)
 
     # -- aggregation ----------------------------------------------------------
     def span_stats(self) -> dict[str, dict]:

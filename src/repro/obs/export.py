@@ -12,10 +12,10 @@ Four views of one :class:`~repro.obs.core.Registry`:
   (counters, gauges, histogram aggregates, per-span-name wall times);
 * :func:`chrome_trace_events` / :func:`write_chrome_trace` -- the Chrome
   trace-event (Perfetto) format: spans become ``"X"`` complete events on
-  per-process tracks, bus counter/gauge events become ``"C"`` counter
-  tracks, and ``series`` events (e.g. the simulator's busy-PE timeline)
-  become counter tracks on a synthetic track of their own.  The output is
-  one JSON array, loadable in ``chrome://tracing`` or
+  the registry's process track, bus counter/gauge events become ``"C"``
+  counter tracks, and ``series`` events (e.g. the simulator's busy-PE
+  timeline) become counter tracks on a synthetic track of their own.
+  The output is one JSON array, loadable in ``chrome://tracing`` or
   https://ui.perfetto.dev.
 """
 
@@ -139,15 +139,9 @@ def chrome_trace_events(
 ) -> list[dict]:
     """The registry (plus optional bus events) as Chrome trace events.
 
-    Spans become ``"X"`` complete events grouped into per-process tracks:
-    each root span carries the originating pid in its attrs when it was
-    grafted from a worker delta (see
-    :meth:`~repro.obs.core.Registry.merge_delta`), so a merged parallel
-    run renders as one parent track plus one track per worker process.
-    ``time.perf_counter`` reads ``CLOCK_MONOTONIC`` on Linux, which is
-    shared across processes, so worker timestamps land correctly relative
-    to the parent's; all timestamps are rebased to the earliest one and
-    scaled to microseconds.
+    Spans become ``"X"`` complete events on the registry's own process
+    track (labelled ``parent (pid N)``); all timestamps are rebased to the
+    earliest one and scaled to microseconds.
 
     ``events`` (typically a :class:`~repro.obs.bus.RingBufferSink`'s
     buffer) contributes ``"C"`` counter samples for every counter/gauge
@@ -161,21 +155,10 @@ def chrome_trace_events(
     full ``ts``/``dur``/``pid``/``tid``/``name`` key set; trace viewers
     ignore the extras and downstream tooling gets a uniform schema.
     """
-    span_rows: list[tuple[int, Span]] = []
-
-    def _collect(span: Span, inherited_pid: int) -> None:
-        # Grafted worker subtrees carry their origin pid on the subtree
-        # root (merge_delta stamps it); descendants inherit it.
-        pid = int(span.attrs.get("pid", inherited_pid))
-        span_rows.append((pid, span))
-        for child in span.children:
-            _collect(child, pid)
-
-    for root in registry.roots:
-        _collect(root, registry.pid)
-
+    pid = registry.pid
+    spans = list(registry.iter_spans())
     bus_events = [dict(e) for e in events] if events is not None else []
-    starts = [span.start for _, span in span_rows]
+    starts = [span.start for span in spans]
     starts.extend(
         e["ts"] for e in bus_events
         if e.get("type") in ("counter", "gauge") and "ts" in e
@@ -188,10 +171,7 @@ def chrome_trace_events(
     out: list[dict] = []
     track_names: dict[int, str] = {}
 
-    for pid, span in span_rows:
-        if pid not in track_names:
-            role = "parent" if pid == registry.pid else "worker"
-            track_names[pid] = f"{role} (pid {pid})"
+    for span in spans:
         end = span.end if span.end is not None else span.start
         args = {str(k): v for k, v in span.attrs.items()}
         out.append({
@@ -208,10 +188,6 @@ def chrome_trace_events(
     for event in bus_events:
         kind = event.get("type")
         if kind in ("counter", "gauge"):
-            pid = int(event.get("pid", registry.pid))
-            if pid not in track_names:
-                role = "parent" if pid == registry.pid else "worker"
-                track_names[pid] = f"{role} (pid {pid})"
             out.append({
                 "ph": "C",
                 "cat": kind,
@@ -237,6 +213,8 @@ def chrome_trace_events(
                     "args": {"value": value},
                 })
 
+    if any(row["pid"] == pid for row in out):
+        track_names[pid] = f"parent (pid {pid})"
     out.sort(key=lambda e: (e["pid"], e["ts"]))
     meta = [
         {
@@ -245,11 +223,11 @@ def chrome_trace_events(
             "name": "process_name",
             "ts": 0,
             "dur": 0,
-            "pid": pid,
+            "pid": track,
             "tid": 1,
             "args": {"name": label},
         }
-        for pid, label in sorted(track_names.items())
+        for track, label in sorted(track_names.items())
     ]
     return meta + out
 

@@ -102,7 +102,6 @@ class BitLevelDesigner:
         target_space_dim: int = 2,
         schedule_bound: int = 2,
         max_candidates: int = 5,
-        workers: int = 1,
     ) -> DesignCandidate:
         """Search the design space; return the best feasible design.
 
@@ -116,7 +115,6 @@ class BitLevelDesigner:
             block_values=[self.p],
             schedule_bound=schedule_bound,
             max_candidates=max_candidates,
-            workers=workers,
         )
         candidates = run_search(
             self.structure(), self.binding, primitives, config

@@ -302,12 +302,12 @@ def _handle_search(spec: JobSpec, out, verbose: bool):
         block_values=spec.block if spec.block is not None else [spec.p],
         schedule_bound=spec.schedule_bound,
         max_candidates=None if spec.exhaustive else spec.max_candidates,
-        workers=spec.workers,
         overcollect=None if spec.exhaustive else spec.overcollect,
         strategy=spec.strategy,
         frontier=spec.frontier,
     )
     sharded = None
+    scope = ""
     if spec.shard_dir is not None:
         from repro.mapping.shard import run_sharded_search
 
@@ -315,7 +315,7 @@ def _handle_search(spec: JobSpec, out, verbose: bool):
             alg, binding, primitives, config, shard_dir=spec.shard_dir
         )
         records = sharded.designs
-        scope = f"workers={sharded.workers}, blocks={sharded.blocks}"
+        scope = f", blocks={sharded.blocks}"
     else:
         found = run_search(alg, binding, primitives, config)
         records = [
@@ -327,7 +327,6 @@ def _handle_search(spec: JobSpec, out, verbose: bool):
             }
             for c in found
         ]
-        scope = f"workers={config.workers}"
     if not records:
         print("no feasible design within the search bounds", file=out)
         return 1, {"candidates": []}
@@ -340,7 +339,7 @@ def _handle_search(spec: JobSpec, out, verbose: bool):
         ]
         title = (f"Pareto frontier ({', '.join(spec.frontier)}): "
                  f"bit-level matmul (u={spec.u}, p={spec.p}, "
-                 f"primitives={spec.primitives}, {scope})")
+                 f"primitives={spec.primitives}{scope})")
     else:
         headers = ["rank", "time", "PEs", "T = [S; Π]"]
         rows = [
@@ -349,7 +348,7 @@ def _handle_search(spec: JobSpec, out, verbose: bool):
             for i, d in enumerate(records)
         ]
         title = (f"design-space search: bit-level matmul "
-                 f"(u={spec.u}, p={spec.p}, primitives={spec.primitives}, "
+                 f"(u={spec.u}, p={spec.p}, primitives={spec.primitives}"
                  f"{scope})")
     print(format_table(headers, rows, title=title), file=out)
     data: dict = {

@@ -21,9 +21,9 @@ analyze_symbolic  ``u p expansion cache cache_dir`` (the parametric
                   analysis is solved once with ``u``/``p`` free, then
                   instantiated at the spec's concrete sizes in O(1))
 search            ``u p expansion target_space_dim block schedule_bound
-                  max_candidates workers overcollect exhaustive
-                  primitives strategy frontier shard_dir`` (a set
-                  ``shard_dir`` shards the search over that directory)
+                  max_candidates overcollect exhaustive primitives
+                  strategy frontier shard_dir`` (a set ``shard_dir``
+                  shards the search over that directory)
 simulate          ``u p expansion design seed sim_backend gantt``
 verify            ``seed cases oracle_budget_s oracles``
 ================  =======================================================
@@ -81,7 +81,6 @@ class JobSpec:
     block: tuple[int, ...] | None = None
     schedule_bound: int = 2
     max_candidates: int | None = 5
-    workers: int = 1
     overcollect: int | None = 4
     exhaustive: bool = False
     primitives: str = "fig4"

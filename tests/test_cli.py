@@ -30,16 +30,12 @@ class TestTopLevelCli:
         out = capsys.readouterr().out
         assert "design-space search" in out
         assert "T = [S; Π]" in out
-        assert "workers=1" in out
 
-    def test_search_parallel_output_identical(self, capsys):
-        assert main(["search", "--u", "2", "--p", "2"]) == 0
-        sequential = capsys.readouterr().out
-        assert main(["search", "--u", "2", "--p", "2", "--workers", "2"]) == 0
-        parallel = capsys.readouterr().out
-        # Same ranked table; only the workers= header differs.
-        strip = lambda text: text.splitlines()[1:]
-        assert strip(parallel) == strip(sequential)
+    def test_search_rejects_the_retired_workers_option(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["search", "--u", "2", "--p", "2", "--workers", "2"])
+        assert exc.value.code == 2
+        assert "--workers" in capsys.readouterr().err
 
     def test_search_unconstrained_primitives(self, capsys):
         assert main(
@@ -57,7 +53,6 @@ class TestTopLevelCli:
         metrics = json.loads(out_file.read_text())
         assert metrics["counters"]["mapping.cache_hits"] > 0
         assert metrics["counters"]["mapping.designs_found"] > 0
-        assert metrics["gauges"]["mapping.workers"] == 1
         assert "mapping.search_designs" in metrics["spans"]
 
     def test_simulate_fig4(self, capsys):
@@ -133,7 +128,7 @@ class TestObservabilityFlags:
     def test_search_chrome_trace_with_workers(self, tmp_path, capsys):
         trace_file = tmp_path / "trace.json"
         assert main(
-            ["search", "--u", "2", "--p", "2", "--workers", "2",
+            ["search", "--u", "2", "--p", "2",
              "--trace", str(trace_file), "--trace-format", "chrome",
              "--quiet-metrics"]
         ) == 0
@@ -142,8 +137,6 @@ class TestObservabilityFlags:
         for row in rows:
             for key in ("ts", "dur", "pid", "tid", "name"):
                 assert key in row
-        span_pids = {r["pid"] for r in rows if r.get("ph") == "X"}
-        assert len(span_pids) >= 2  # parent + at least one worker track
         names = {r["name"] for r in rows}
         assert "cli.search" in names
         assert "mapping.evaluate_space" in names

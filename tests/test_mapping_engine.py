@@ -2,14 +2,13 @@
 
 Covers the SearchConfig API, the deprecated per-parameter shim, the
 unified conflict entry point, the feasibility short circuit, memoization,
-and the parallel path's determinism guarantee.
+and early stopping.
 """
 
 import dataclasses
 
 import pytest
 
-from repro import obs
 from repro.expansion.theorem31 import matmul_bit_level
 from repro.ir.builders import matmul_word_structure
 from repro.mapping import designs
@@ -27,19 +26,11 @@ from repro.mapping.transform import MappingMatrix
 from repro.structures.constrained import AffineConstraint, ConstrainedIndexSet
 
 
-def _signature(candidates):
-    return [
-        ([list(r) for r in c.mapping.rows], c.mapping.name, c.time,
-         c.processors, c.report.summary())
-        for c in candidates
-    ]
-
-
 class TestSearchConfig:
     def test_frozen(self):
         config = SearchConfig()
         with pytest.raises(dataclasses.FrozenInstanceError):
-            config.workers = 2
+            config.max_candidates = 2
 
     def test_block_values_coerced_to_tuple(self):
         config = SearchConfig(block_values=[2, 3])
@@ -53,8 +44,6 @@ class TestSearchConfig:
             SearchConfig(schedule_bound=-1)
         with pytest.raises(ValueError):
             SearchConfig(max_candidates=0)
-        with pytest.raises(ValueError):
-            SearchConfig(workers=0)
         with pytest.raises(ValueError):
             SearchConfig(overcollect=0)
 
@@ -159,36 +148,6 @@ class TestRankedSchedules:
     def test_empty_when_bound_too_small(self):
         alg = matmul_word_structure()
         assert ranked_schedules(alg, {"u": 3}, 0) == []
-
-
-class TestDeterminism:
-    @pytest.mark.parametrize("prims", ["fig4", "fig5"])
-    def test_workers_do_not_change_results(self, prims):
-        u, p = 2, 2
-        alg = matmul_bit_level(u, p, "II")
-        binding = {"u": u, "p": p}
-        primitives = (designs.fig4_primitives(p) if prims == "fig4"
-                      else designs.fig5_primitives())
-
-        def cfg(workers):
-            return SearchConfig(target_space_dim=2, block_values=[p],
-                                schedule_bound=2, max_candidates=5,
-                                workers=workers)
-
-        sequential = run_search(alg, binding, primitives, cfg(1))
-        parallel = run_search(alg, binding, primitives, cfg(4))
-        assert _signature(parallel) == _signature(sequential)
-
-    def test_parallel_counters_merged(self):
-        alg = matmul_bit_level(2, 2, "II")
-        config = SearchConfig(block_values=[2], max_candidates=3, workers=2)
-        with obs.collecting() as reg:
-            cands = run_search(alg, {"u": 2, "p": 2},
-                               designs.fig4_primitives(2), config)
-        assert cands
-        assert reg.counters["mapping.cache_hits"] > 0
-        assert reg.counters["mapping.candidates_enumerated"] > 0
-        assert reg.gauges["mapping.workers"] == 2
 
 
 class TestOvercollect:

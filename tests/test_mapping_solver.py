@@ -8,9 +8,8 @@ Three contracts are pinned here:
 * **Pareto algebra** -- dominance is irreflexive/antisymmetric/transitive
   on random triples, frontiers are deterministic under permutation, and
   :func:`merge_frontiers` is associative over arbitrary partitions;
-* **shard determinism** -- :func:`run_sharded_search` produces
-  byte-identical ``payload_json()`` for workers 1/2/4 and matches
-  :func:`run_search`;
+* **shard determinism** -- :func:`run_sharded_search` returns the
+  designs and frontier of :func:`run_search` and reuses published blocks;
 * **per-space equivalence** -- for every space :func:`enumerate_spaces`
   yields, :func:`evaluate_space_solver` (per-space tables, integer tests
   per schedule) returns the catalog evaluator's ``(Π, report)``.
@@ -280,36 +279,40 @@ class TestFrontierSearch:
 
 
 class TestShardDeterminism:
-    def _payloads(self, config, worker_counts=(1, 2, 4)):
+    def _sharded_against_direct(self, config):
+        """Check the sharded design list against :func:`run_search`."""
         alg, binding = _bitlevel_instance()
         prims = designs.fig4_primitives(2)
-        return alg, binding, prims, [
-            run_sharded_search(
-                alg, binding, prims, replace(config, workers=w)
-            ).payload_json()
-            for w in worker_counts
-        ]
+        payload = json.loads(
+            run_sharded_search(alg, binding, prims, config).payload_json()
+        )
+        direct = run_search(alg, binding, prims, config)
+        assert direct
+        assert [
+            (tuple(map(tuple, d["rows"])), d["time"], d["processors"],
+             d["wire_length"])
+            for d in payload["designs"]
+        ] == _signature(direct)
+        return payload, direct
 
-    def test_byte_identical_across_worker_counts_frontier(self):
+    def test_sharded_payload_matches_run_search_frontier(self):
         config = SearchConfig(
             block_values=[2], max_candidates=None,
             frontier=METRIC_NAMES,
         )
-        _alg, _binding, _prims, payloads = self._payloads(config)
-        assert payloads[0] == payloads[1] == payloads[2]
+        payload, direct = self._sharded_against_direct(config)
+        assert payload["frontier"] == [
+            {
+                "metrics": [c.time, c.processors, c.wire_length],
+                "rows": [list(r) for r in c.mapping.rows],
+            }
+            for c in direct
+        ]
 
-    def test_byte_identical_across_worker_counts_ranked(self):
+    def test_sharded_payload_matches_run_search_ranked(self):
         config = SearchConfig(block_values=[2], max_candidates=5)
-        alg, binding, prims, payloads = self._payloads(config)
-        assert payloads[0] == payloads[1] == payloads[2]
-        # ... and the sharded design list equals the in-process search.
-        direct = run_search(alg, binding, prims, config)
-        sharded = json.loads(payloads[0])["designs"]
-        assert [
-            (tuple(map(tuple, d["rows"])), d["time"], d["processors"],
-             d["wire_length"])
-            for d in sharded
-        ] == _signature(direct)
+        payload, _direct = self._sharded_against_direct(config)
+        assert payload["frontier"] is None
 
     def test_shard_frontier_matches_run_search(self):
         alg, binding = _bitlevel_instance()
@@ -318,9 +321,7 @@ class TestShardDeterminism:
             block_values=[2], max_candidates=None,
             frontier=METRIC_NAMES,
         )
-        result = run_sharded_search(
-            alg, binding, prims, replace(config, workers=2)
-        )
+        result = run_sharded_search(alg, binding, prims, config)
         direct = run_search(alg, binding, prims, config)
         assert result.frontier == [
             {
@@ -367,7 +368,7 @@ class TestShardDeterminism:
     def test_block_counters_reach_the_registry(self, tmp_path):
         alg, binding = _bitlevel_instance()
         prims = designs.fig4_primitives(2)
-        config = SearchConfig(block_values=[2], max_candidates=5, workers=2)
+        config = SearchConfig(block_values=[2], max_candidates=5)
         with obs.collecting() as reg:
             result = run_sharded_search(
                 alg, binding, prims, config, shard_dir=str(tmp_path),

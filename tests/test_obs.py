@@ -9,6 +9,11 @@ from repro import obs
 from repro.obs import Histogram, Registry
 
 
+def _state(hist):
+    """A histogram's whole state, reservoir included."""
+    return (hist.count, hist.total, hist.min, hist.max, list(hist.samples))
+
+
 class TestRegistryScalars:
     def test_counter_accumulates(self):
         reg = Registry()
@@ -49,7 +54,7 @@ class TestRegistryScalars:
             for value in batch:
                 one_by_one.observe(value)
             folded.observe_many(batch)
-            assert folded.state_dict() == one_by_one.state_dict()
+            assert _state(folded) == _state(one_by_one)
 
     def test_registry_observe_many_emits_one_event(self):
         reg = Registry()
@@ -57,10 +62,8 @@ class TestRegistryScalars:
         reg.add_sink(obs.CallbackSink(events.append))
         reg.observe_many("h", [3, 1, 2])
         reg.observe_many("h", [])
-        assert reg.histograms["h"].state_dict() == {
-            "count": 3, "sum": 6.0, "min": 1.0, "max": 3.0,
-            "samples": [3.0, 1.0, 2.0],
-        }
+        assert _state(reg.histograms["h"]) == (3, 6.0, 1.0, 3.0,
+                                               [3.0, 1.0, 2.0])
         assert [(e["type"], e["count"], e["sum"], e["min"], e["max"])
                 for e in events] == [("observe", 3, 6.0, 1.0, 3.0)]
         reg.observe_many("empty", [])
@@ -299,5 +302,4 @@ class TestInstrumentedLayers:
         assert c["mapping.space_candidates"] > 0
         assert c["mapping.schedules_tried"] >= c["mapping.schedules_valid"]
         assert c["mapping.cache_hits"] > 0
-        assert reg.gauges["mapping.workers"] == 1
         assert "mapping.search_designs" in reg.span_stats()

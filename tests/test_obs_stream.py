@@ -1,5 +1,5 @@
-"""Tests for obs v2: event bus, percentiles, progress, cross-process
-aggregation, and the Chrome trace exporter."""
+"""Tests for obs v2: event bus, percentiles, progress, and the Chrome
+trace exporter."""
 
 import io
 import json
@@ -110,38 +110,6 @@ class TestPercentiles:
         assert a.as_dict() == b.as_dict()
         assert len(a.samples) == a.cap
 
-    def test_merge_matches_unpartitioned_under_cap(self):
-        whole = Histogram()
-        left, right = Histogram(), Histogram()
-        values = [float(v) for v in range(200)]
-        for v in values:
-            whole.observe(v)
-        for v in values[:77]:
-            left.observe(v)
-        for v in values[77:]:
-            right.observe(v)
-        left.merge(right)
-        assert left.as_dict() == whole.as_dict()
-
-    def test_merge_aggregates_exactly(self):
-        left, right = Histogram(), Histogram()
-        for v in (1.0, 5.0):
-            left.observe(v)
-        for v in (2.0, 10.0):
-            right.observe(v)
-        left.merge(right)
-        assert (left.count, left.total, left.min, left.max) == (4, 18.0, 1.0,
-                                                                10.0)
-
-    def test_state_round_trip(self):
-        h = Histogram()
-        for v in (3.0, 1.0, 2.0):
-            h.observe(v)
-        back = Histogram.from_state(
-            json.loads(json.dumps(h.state_dict()))
-        )
-        assert back.as_dict() == h.as_dict()
-
     def test_render_tree_shows_percentiles(self):
         reg = Registry()
         for v in (1.0, 2.0, 3.0):
@@ -182,104 +150,6 @@ class TestProgress:
             with obs.progress("live", total=2) as prog:
                 prog.advance(2)
         assert reg.gauges["progress.live"] == 2
-
-
-class TestDeltaMerge:
-    def _worker_like_registry(self):
-        reg = Registry()
-        with reg.span("work", case=1):
-            reg.count("jobs", 3)
-            reg.gauge("level", 2.5)
-            reg.observe("seconds", 0.5)
-        return reg
-
-    def test_delta_is_json_ready(self):
-        delta = self._worker_like_registry().delta()
-        back = json.loads(json.dumps(delta))
-        assert back["counters"] == {"jobs": 3}
-        assert back["spans"][0]["name"] == "work"
-
-    def test_merge_combines_all_metric_kinds(self):
-        parent = Registry()
-        parent.count("jobs", 1)
-        parent.observe("seconds", 1.5)
-        delta = self._worker_like_registry().delta()
-        parent.merge_delta(delta)
-        assert parent.counters["jobs"] == 4
-        assert parent.gauges["level"] == 2.5
-        h = parent.histograms["seconds"]
-        assert h.count == 2 and h.max == 1.5
-
-    def test_merge_grafts_spans_under_open_span_with_pid(self):
-        parent = Registry()
-        delta = self._worker_like_registry().delta()
-        with parent.span("parent"):
-            parent.merge_delta(delta, attrs={"worker": 7})
-        (root,) = parent.roots
-        (graft,) = root.children
-        assert graft.name == "work"
-        assert graft.attrs["pid"] == delta["pid"]
-        assert graft.attrs["worker"] == 7
-        assert graft.attrs["case"] == 1
-
-    def test_merge_order_independent_aggregates(self):
-        deltas = [self._worker_like_registry().delta() for _ in range(3)]
-        a, b = Registry(), Registry()
-        for d in deltas:
-            a.merge_delta(d)
-        for d in reversed(deltas):
-            b.merge_delta(d)
-        assert a.counters == b.counters
-        assert a.histograms["seconds"].as_dict() == (
-            b.histograms["seconds"].as_dict()
-        )
-
-
-class TestCrossProcessDeterminism:
-    def _search_metrics(self, workers):
-        from repro.expansion.theorem31 import matmul_bit_level
-        from repro.mapping import designs
-        from repro.mapping.engine import SearchConfig, run_search
-
-        alg = matmul_bit_level(2, 2, "II")
-        with obs.collecting() as reg:
-            found = run_search(
-                alg, {"u": 2, "p": 2}, designs.fig4_primitives(2),
-                SearchConfig(target_space_dim=2, block_values=[2],
-                             max_candidates=2, workers=workers),
-            )
-        return found, reg
-
-    def test_same_trace_modulo_worker_id(self):
-        found_1, reg_1 = self._search_metrics(workers=1)
-        found_2, reg_2 = self._search_metrics(workers=2)
-        assert [(c.time, c.processors) for c in found_1] == (
-            [(c.time, c.processors) for c in found_2]
-        )
-        # Counters: identical except the worker-local memo's hit/miss
-        # split, whose sum (lookups) is partition-invariant.
-        c1, c2 = dict(reg_1.counters), dict(reg_2.counters)
-        split = ("mapping.cache_hits", "mapping.cache_misses")
-        assert sum(c1[k] for k in split) == sum(c2[k] for k in split)
-        for k in split:
-            c1.pop(k), c2.pop(k)
-        assert c1 == c2
-        # Histograms: same keys and observation counts (values are wall
-        # times and legitimately differ).
-        assert set(reg_1.histograms) == set(reg_2.histograms)
-        for name, h1 in reg_1.histograms.items():
-            assert h1.count == reg_2.histograms[name].count
-        # Spans: same name multiset; worker spans carry pid attribution.
-        names = lambda reg: sorted(s.name for s in reg.iter_spans())
-        assert names(reg_1) == names(reg_2)
-        worker_pids = {
-            s.attrs["pid"] for s in reg_2.iter_spans() if "pid" in s.attrs
-        }
-        assert worker_pids and reg_2.pid not in worker_pids
-        # Progress gauge: same number of candidates merged/evaluated.
-        assert reg_1.gauges["progress.mapping.spaces"] == (
-            reg_2.gauges["progress.mapping.spaces"]
-        )
 
 
 class TestChromeTrace:
@@ -327,15 +197,13 @@ class TestChromeTrace:
         assert root["ts"] <= child["ts"]
         assert root["dur"] >= child["dur"]
 
-    def test_merged_worker_spans_get_own_tracks(self):
-        parent = Registry()
-        worker = Registry()
-        worker.pid = parent.pid + 1  # simulate another process
-        with worker.span("mapping.evaluate_space"):
+    def test_every_span_on_the_registry_track(self):
+        # A ``pid`` attr does not move a span to a track of its own.
+        reg, ring = self._registry_with_events()
+        with reg.span("stamped", pid=reg.pid + 1):
             pass
-        with parent.span("mapping.search_designs"):
-            parent.merge_delta(worker.delta())
-        rows = obs.chrome_trace_events(parent)
-        by_name = {r["name"]: r for r in rows if r["ph"] == "X"}
-        assert by_name["mapping.search_designs"]["pid"] == parent.pid
-        assert by_name["mapping.evaluate_space"]["pid"] == worker.pid
+        rows = obs.chrome_trace_events(reg, ring.events)
+        assert {r["pid"] for r in rows if r["ph"] == "X"} == {reg.pid}
+        assert {r["args"]["name"] for r in rows if r["ph"] == "M"} == {
+            f"parent (pid {reg.pid})", "series (caller timebase)"
+        }

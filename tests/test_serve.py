@@ -58,6 +58,8 @@ class TestJobSchema:
     def test_unknown_fields_rejected(self):
         with pytest.raises(ValueError, match="unknown job fields: turbo"):
             JobSpec.from_payload({"kind": "analyze", "turbo": True})
+        with pytest.raises(ValueError, match="unknown job fields: workers"):
+            JobSpec.from_payload({"kind": "search", "workers": 2})
 
     def test_unknown_schema_rejected(self):
         with pytest.raises(ValueError, match="schema"):
