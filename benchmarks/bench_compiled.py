@@ -1,11 +1,12 @@
 """Benchmark: the compiled backend vs the pointwise reference.
 
-Times the ``compiled`` per-design codegen engine against the pointwise
-interpreter on the same bit-level matmul instances and checks they agree
-exactly -- same product, same :class:`SimulationResult`, same
+Times the ``compiled`` backend's per-design programs against the
+pointwise interpreter on the same bit-level matmul instances and checks
+they agree exactly -- same product, same :class:`SimulationResult`, same
 ``machine.*`` metrics -- so the speedup is measured on provably
 identical work.  Also measures the cold compile that the in-process
-program memo amortizes.
+program memo amortizes (fig4 and fig5, whose many slots make the
+costlier program), and the bytes of index arrays one program keeps.
 
 Besides the pytest-benchmark kernels, this module doubles as a script:
 
@@ -13,8 +14,8 @@ Besides the pytest-benchmark kernels, this module doubles as a script:
   add-shift instance on both backends, asserts identical results and a
   >= 3x compiled-vs-pointwise speedup -- the CI guard.
 * ``python benchmarks/bench_compiled.py --record`` measures the same
-  instance plus the cold-compile timing and updates
-  ``BENCH_compiled.json`` at the repo root.
+  instance plus the fig4/fig5 cold-compile timings and the u=p=16
+  program sizes, and updates ``BENCH_compiled.json`` at the repo root.
 """
 
 import argparse
@@ -26,6 +27,7 @@ import time
 import pytest
 
 from repro import obs
+from repro.compile.matmul import compile_matmul_program
 from repro.compile.plan import clear_plan_memo
 from repro.compile.runner import clear_program_memo
 from repro.experiments.tables import format_table
@@ -42,6 +44,10 @@ def _operands(u, p, seed=0):
     return x, y
 
 
+def _mapping(design, p):
+    return designs.fig5_mapping(p) if design == "fig5" else designs.fig4_mapping(p)
+
+
 def _timed_run(u, p, backend, repeats=3, expansion="II", design="fig4",
                warmup=0):
     """Best-of-N wall clock plus the (identical) run and metrics.
@@ -52,10 +58,9 @@ def _timed_run(u, p, backend, repeats=3, expansion="II", design="fig4",
     identity assertions.
     """
     x, y = _operands(u, p)
-    mapping = (
-        designs.fig5_mapping(p) if design == "fig5" else designs.fig4_mapping(p)
+    machine = BitLevelMatmulMachine(
+        u, p, _mapping(design, p), expansion, backend=backend
     )
-    machine = BitLevelMatmulMachine(u, p, mapping, expansion, backend=backend)
     for _ in range(warmup):
         machine.run(x, y)  # compile/allocator warm-up outside the clock
     best = None
@@ -88,10 +93,10 @@ def _assert_identical(runs, metrics, label):
         )
 
 
-def _cold_compile_seconds(u, p):
+def _cold_compile_seconds(u, p, design="fig4"):
     """Best of two full runs, each with every memo empty."""
     x, y = _operands(u, p)
-    mapping = designs.fig4_mapping(p)
+    mapping = _mapping(design, p)
     cold = None
     for _ in range(2):
         clear_program_memo()
@@ -102,6 +107,13 @@ def _cold_compile_seconds(u, p):
         elapsed = time.perf_counter() - t0
         cold = elapsed if cold is None else min(cold, elapsed)
     return cold
+
+
+def _program_index_bytes(n, design):
+    """Bytes of int32 index arrays one compiled u=p=n program keeps."""
+    program = compile_matmul_program(_mapping(design, n), n, n, "II")
+    clear_plan_memo()  # the u=p=16 plan is larger than the program
+    return program.index_bytes, program.n_points
 
 
 def _both_backends(u, p, repeats):
@@ -204,7 +216,17 @@ def _record(repeats: int) -> int:
           f"speedup {speedup:.1f}x  identical=True")
 
     cold = _cold_compile_seconds(u, p)
-    print(f"cold compile+run: {cold * 1e3:.1f} ms")
+    cold_fig5 = _cold_compile_seconds(u, p, "fig5")
+    print(f"cold compile+run: fig4 {cold * 1e3:.1f} ms, "
+          f"fig5 {cold_fig5 * 1e3:.1f} ms")
+    n = 16
+    sizes = {}
+    for design in ("fig4", "fig5"):
+        nbytes, points = _program_index_bytes(n, design)
+        sizes[design] = {"bytes": nbytes,
+                         "bytes_per_point": round(nbytes / points, 2)}
+        print(f"{design} u=p={n} program: {nbytes / 2**20:.1f} MiB of "
+              f"index arrays ({nbytes / points:.1f} B/point)")
 
     m_c = metrics["compiled"]
     data = {}
@@ -222,11 +244,15 @@ def _record(repeats: int) -> int:
             "compiled": {
                 "seconds": round(times["compiled"], 4),
                 "cold_compile_seconds": round(cold, 4),
+                "cold_compile_seconds_fig5": round(cold_fig5, 4),
                 "store_reads": m_c["counters"].get("machine.store_reads"),
                 "store_writes": m_c["counters"].get("machine.store_writes"),
             },
             "results_identical_across_backends": True,
             "speedup_compiled_vs_pointwise": round(speedup, 2),
+        },
+        "program_index_bytes": {
+            "u": n, "p": n, "expansion": "II", **sizes,
         },
     })
     BENCH_FILE.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
@@ -245,8 +271,9 @@ def main(argv=None) -> int:
                       help="u=p=8 on both backends; assert equal "
                            "results and >= 3x over pointwise")
     mode.add_argument("--record", action="store_true",
-                      help="measure u=p=8 plus the cold-compile timing; "
-                           "update BENCH_compiled.json")
+                      help="measure u=p=8 plus the cold-compile timings "
+                           "and u=p=16 program sizes; update "
+                           "BENCH_compiled.json")
     parser.add_argument("--repeats", type=int, default=3,
                         help="timing repeats for --record (best-of)")
     args = parser.parse_args(argv)

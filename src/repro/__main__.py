@@ -428,7 +428,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend", choices=["pointwise", "compiled"],
         default=None,
         help="simulator engine (default: REPRO_SIM_BACKEND or pointwise); "
-        "'compiled' runs per-design codegen kernels (see docs/COMPILE.md)",
+        "'compiled' replays per-design compiled index plans "
+        "(see docs/COMPILE.md)",
     )
     p_sim.add_argument("--gantt", action="store_true", help="print PE chart")
     _server_option(p_sim)

@@ -1,4 +1,4 @@
-"""Per-design compilation: from a space-time mapping to a specialized kernel.
+"""Per-design compilation: from a space-time mapping to a specialized program.
 
 Once a design ``T`` is fixed, the structure the simulator re-derives per
 run -- schedule tables, slot grouping, gather/scatter index plans, the
@@ -9,8 +9,9 @@ package resolves it once:
   lattice/times/slots structure), the batched machine-model checks, and
   the dense lattice-indexed value store the programs write into;
 * :mod:`repro.compile.matmul` / :mod:`repro.compile.word` -- design
-  compilers that emit loop-free, ``exec``-compiled NumPy kernels for the
-  bit-level and word-level matmul lattices;
+  compilers for the bit-level and word-level matmul lattices: per-slot
+  int32 index plans replayed by one slot loop, and a slot-free
+  broadcast-and-``cumsum`` program;
 * :mod:`repro.compile.runner` -- the ``compiled`` simulation backend:
   the in-process program memo, the generic per-point path for everything
   else, and the execution harness producing bit-identical results and

@@ -343,19 +343,17 @@ class SchedulePlan:
     """The dense run-invariant schedule structure of one design + box."""
 
     __slots__ = (
-        "lattice", "times", "procs", "order", "slices", "sorted_times",
-        "slot_times", "first", "last", "n_points", "_busy", "_pe_busy",
+        "lattice", "times", "procs", "order", "slices", "first", "last",
+        "n_points", "_busy", "_pe_busy",
     )
 
-    def __init__(self, lattice, times, procs, order, slices, sorted_times,
-                 first, last, busy, pe_busy):
+    def __init__(self, lattice, times, procs, order, slices, first, last,
+                 busy, pe_busy):
         self.lattice = lattice
         self.times = times
         self.procs = procs
         self.order = order
         self.slices = slices
-        self.sorted_times = sorted_times
-        self.slot_times = [int(sorted_times[s]) for s, _ in slices]
         self.first = first
         self.last = last
         self.n_points = len(lattice)
@@ -384,8 +382,7 @@ def _build_plan(
         first = int(times.min())
         last = int(times.max())
         order = _np.argsort(times, kind="stable")
-        sorted_times = times[order]
-        slices = _slot_slices(sorted_times)
+        slices = _slot_slices(times[order])
         step_values, step_counts = _np.unique(times, return_counts=True)
         busy = {
             int(t): int(n)
@@ -398,13 +395,11 @@ def _build_plan(
     else:
         first, last = 0, -1
         order = _np.zeros(0, dtype=_np.int64)
-        sorted_times = times
         slices = []
         busy = {}
         pe_busy = {}
     return SchedulePlan(
-        lattice, times, procs, order, slices, sorted_times,
-        first, last, busy, pe_busy,
+        lattice, times, procs, order, slices, first, last, busy, pe_busy,
     )
 
 

@@ -113,9 +113,12 @@ class BitLevelMatmulMachine:
             store.put("y", q, yb)
 
             inputs = xb & yb  # the partial product
-            # Carry along the row (d̄₅ direction for c).
+            # Carry along the row (d̄₅ direction for c).  This read and the
+            # δ̄₃/c' reads below have their source inside the lattice, where
+            # it is always written: no boundary default, so a schedule that
+            # reads one before its write raises instead of summing a 0.
             if i2 > 1:
-                inputs += store.get("c", (j1, j2, j3, i1, i2 - 1), 0)
+                inputs += store.get("c", (j1, j2, j3, i1, i2 - 1))
             # Re-routed boundary carries.
             inputs += store.pop_pending("nr", q)
 
@@ -128,19 +131,19 @@ class BitLevelMatmulMachine:
                     inputs += store.get("s", (j1, j2, j3 - 1, i1, i2))
                 if j3 == u:
                     if i1 > 1 and i2 < p:
-                        inputs += store.get("s", (j1, j2, j3, i1 - 1, i2 + 1), 0)
+                        inputs += store.get("s", (j1, j2, j3, i1 - 1, i2 + 1))
                     if i2 > 2:
-                        inputs += store.get("c2", (j1, j2, j3, i1, i2 - 2), 0)
+                        inputs += store.get("c2", (j1, j2, j3, i1, i2 - 2))
             else:
                 # Expansion II: the δ̄₃ collapse everywhere; final z bits of
                 # the previous word iteration injected at the boundary; c'
                 # on the i1 = p hyperplane.
                 if i1 > 1 and i2 < p:
-                    inputs += store.get("s", (j1, j2, j3, i1 - 1, i2 + 1), 0)
+                    inputs += store.get("s", (j1, j2, j3, i1 - 1, i2 + 1))
                 if on_boundary and j3 > 1:
                     inputs += store.get("s", (j1, j2, j3 - 1, i1, i2))
                 if i1 == p and i2 > 2:
-                    inputs += store.get("c2", (j1, j2, j3, i1, i2 - 2), 0)
+                    inputs += store.get("c2", (j1, j2, j3, i1, i2 - 2))
 
             if inputs > 7:
                 raise AssertionError(f"compressor overflow at {q}: {inputs}")

@@ -20,10 +20,11 @@ Two execution backends share this machine model (see ``docs/SIMULATION.md``):
   through a dict-backed store, with per-point memoized ``Π j̄`` / ``S j̄``;
 * ``"compiled"`` -- the design compiler of :mod:`repro.compile`: the
   run-invariant structure (schedule tables, slot grouping, gather/scatter
-  index plans) is compiled once per design into generated, loop-free NumPy
-  source (memoized in-process), so repeat simulations of a known design
-  skip straight to value execution.  Generic ``compute`` callables run through its
-  batched per-point path.  See ``docs/COMPILE.md``.
+  index plans) is compiled once per design into per-slot int32 index
+  plans that one slot loop replays (memoized in-process), so repeat
+  simulations of a known design skip straight to value execution.
+  Generic ``compute`` callables run through its batched per-point path.
+  See ``docs/COMPILE.md``.
 
 Both backends produce identical :class:`SimulationResult` values, store
 contents, and observability metrics; the default is selected by

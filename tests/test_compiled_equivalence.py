@@ -9,6 +9,10 @@ records as the pointwise reference.  This module pins that down across
   rectangular sizes, with store snapshots and PE firings), on the
   compiled program and on the generic per-point path (``kernel=None``);
 * the int64 lane gates (``p`` in {32, 33, 62, 63});
+* every ranked candidate of the ``design_flow`` search, whose non-paper
+  schedules mix full and empty site selections in one program;
+* a schedule sweep where the compiled backend decides causality at
+  compile time and the pointwise backend at run time;
 * every registered arithmetic structure, each on its machine path;
 * the generic model-(3.5) machine and >= 20 seeded random feasible
   mappings (the compiled backend's generic path), cold and replayed
@@ -24,6 +28,8 @@ The wavefront-vs-pointwise cases of the same machines live in
 
 from __future__ import annotations
 
+import collections
+import itertools
 import random
 
 import pytest
@@ -31,9 +37,11 @@ import pytest
 from repro.arith.registry import list_structures
 from repro.compile.plan import clear_plan_memo, plan_for
 from repro.compile.runner import clear_program_memo
+from repro.expansion.theorem31 import matmul_bit_level
 from repro.machine.bitlevel import BitLevelMatmulMachine
 from repro.machine.simulator import BACKENDS, default_backend, resolve_backend
 from repro.mapping import designs
+from repro.mapping.engine import SearchConfig, run_search
 from repro.mapping.transform import MappingMatrix
 from tests.conftest import random_matrix, reference_matmul
 from tests.equivalence import (
@@ -171,6 +179,97 @@ def test_bitlevel_int64_gate_products(p):
         assert pw.product == c.product == reference_matmul(x, y, mask)
         assert pw.sim == c.sim
         assert m_pw["counters"] == m_c["counters"]
+
+
+@pytest.mark.parametrize("u", [2, 3])
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("expansion", ["I", "II"])
+def test_searched_designs_compiled_equivalence(u, p, expansion, capture, rng):
+    """Every ranked candidate of the ``design_flow`` search (its config and
+    the fig4 primitives) runs on the compiled program exactly as on the
+    pointwise reference: product, result, store, counters, gauges."""
+    config = SearchConfig(target_space_dim=2, block_values=[p],
+                          schedule_bound=2, max_candidates=5)
+    found = run_search(matmul_bit_level(u, p, expansion), {"u": u, "p": p},
+                       designs.fig4_primitives(p), config)
+    assert found
+    x, y = random_matrix(rng, u, p), random_matrix(rng, u, p)
+    want = reference_matmul(x, y, (1 << (2 * p - 1)) - 1)
+    for cand in found:
+        outs, runs = {}, {}
+        for backend in BACKENDS:
+            outs[backend], runs[backend] = bitlevel_run(
+                u, p, cand.mapping, expansion, backend, x, y, capture
+            )
+        ref, got = outs["pointwise"], outs["compiled"]
+        assert got.product == ref.product == want
+        assert (got.dropped_bits, got.max_summands) == (
+            ref.dropped_bits, ref.max_summands
+        )
+        assert_runs_match(
+            runs["pointwise"], runs["compiled"],
+            f"searched design {cand.mapping.rows} exp {expansion}",
+        )
+
+
+#: Read displacements the bit-level lattice realizes at u = p = 2 under
+#: either expansion (the c' read along (0,0,0,0,2) needs p >= 3).
+_READS_AT_P2 = (
+    (1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0),
+    (0, 0, 0, 1, 0), (0, 0, 0, 0, 1), (0, 0, 0, 1, -1),
+)
+
+
+def test_schedule_sweep_causality_matches_pointwise():
+    """Every schedule in {-1..2}^5 under the fig4/fig5 space rows (the
+    two designs share them), both expansions, u = p = 2.
+
+    A conflict-free schedule with ``Π·d̄ >= 1`` on every realized read
+    runs on the compiled program and matches the pointwise run; any other
+    conflict-free schedule raises "causality violation" on the compiled
+    backend, which decides causality at compile time (the boundary
+    re-routes need no run-time guard), and the pointwise backend raises
+    too; a conflicting schedule raises on both."""
+    u = p = 2
+    x, y = [[3, 1], [2, 3]], [[1, 3], [3, 2]]
+    machines = {
+        (e, b): BitLevelMatmulMachine(u, p, designs.fig4_mapping(p), e,
+                                      backend=b)
+        for e in ("I", "II") for b in BACKENDS
+    }
+    spaces = {design_mapping(d, p).rows[:-1] for d in ("fig4", "fig5")}
+    outcomes = collections.Counter()
+    for space in sorted(spaces):
+        for schedule in itertools.product(range(-1, 3), repeat=5):
+            mapping = MappingMatrix([*space, schedule], "T-sweep")
+            causal = all(
+                sum(a * b for a, b in zip(schedule, d)) >= 1
+                for d in _READS_AT_P2
+            )
+            for expansion in ("I", "II"):
+                compiled = machines[expansion, "compiled"]
+                pointwise = machines[expansion, "pointwise"]
+                compiled.mapping = pointwise.mapping = mapping
+                try:
+                    out = compiled.run(x, y)
+                except ValueError as exc:
+                    assert "conflict" in str(exc)
+                    with pytest.raises((ValueError, AssertionError, KeyError)):
+                        pointwise.run(x, y)
+                    outcomes["conflict"] += 1
+                    continue
+                except AssertionError as exc:
+                    assert not causal, (schedule, expansion, str(exc))
+                    assert "causality violation" in str(exc)
+                    with pytest.raises((AssertionError, KeyError)):
+                        pointwise.run(x, y)
+                    outcomes["non-causal"] += 1
+                    continue
+                assert causal, (schedule, expansion)
+                ref = pointwise.run(x, y)
+                assert (out.product, out.sim) == (ref.product, ref.sim)
+                outcomes["ran"] += 1
+    assert outcomes == {"ran": 16, "non-causal": 1520, "conflict": 512}
 
 
 # ---------------------------------------------------------------------------
