@@ -8,21 +8,27 @@ fewer processors at small sizes).
 Besides the pytest-benchmark kernels, this module doubles as a script:
 
 * ``python benchmarks/bench_design_search.py --smoke [--metrics-out F]``
-  runs a small instance once and asserts the engine's memoization is
-  live (``mapping.cache_hits > 0``) -- the CI guard.
+  runs a small instance, then the same ``(D, P, config)`` at another u,
+  and asserts the engine's memoization is live (``mapping.cache_hits >
+  0``), the second search walked the first one's plan
+  (``mapping.plan_hits == 1``) and found the designs of a cold run -- the
+  CI guard.
 * ``python benchmarks/bench_design_search.py --record`` runs the blocked
   u=3, p=3 instance two ways -- the catalog strategy, then the
-  branch-and-prune solver strategy -- verifies both return identical
-  designs, and rewrites ``BENCH_design_search.json`` at the repo root
-  with the catalog timing plus the solver's candidates-enumerated ratio
-  and its wall-clock speedup over the catalog scan timed in the same run.
+  branch-and-prune solver strategy, each timed repeat from a cleared
+  search-plan memo -- verifies both return identical designs, then times
+  one ``design_flow`` pass of 36 searches from a cleared memo against the
+  same searches each from a cleared memo, and rewrites
+  ``BENCH_design_search.json`` at the repo root with the catalog timing,
+  the solver's candidates-enumerated ratio and wall-clock speedup over
+  the catalog scan timed in the same run, and the ``plan`` row.
 """
 
 import argparse
+import itertools
 import json
-import os
 import pathlib
-import sys
+import random
 import time
 
 import pytest
@@ -33,6 +39,7 @@ from repro.experiments.tables import format_table
 from repro.ir.builders import matmul_word_structure
 from repro.mapping import designs
 from repro.mapping.engine import SearchConfig, run_search
+from repro.mapping.solver import clear_search_plans
 
 BENCH_FILE = pathlib.Path(__file__).resolve().parent.parent / "BENCH_design_search.json"
 
@@ -97,11 +104,13 @@ def _candidate_rows(cands):
 
 
 def _timed_search(alg, binding, prims, config, repeats=3):
-    """Best-of-N wall clock plus the (identical) result and metrics."""
+    """Best-of-N wall clock plus the (identical) result and metrics; each
+    repeat starts from a cleared search-plan memo, so it builds its plan."""
     best = None
     cands = None
     metrics = None
     for _ in range(repeats):
+        clear_search_plans()
         with obs.collecting() as reg:
             t0 = time.perf_counter()
             cands = run_search(alg, binding, prims, config)
@@ -111,25 +120,76 @@ def _timed_search(alg, binding, prims, config, repeats=3):
     return best, cands, metrics
 
 
-def _smoke(metrics_out: str | None) -> int:
-    alg = matmul_bit_level(2, 2, "II")
-    config = SearchConfig(target_space_dim=2, block_values=[2],
+def _flow_search(u, p, e):
+    """One ``design_flow`` job's search: fig4 primitives, block [p]."""
+    config = SearchConfig(target_space_dim=2, block_values=[p],
                           schedule_bound=2, max_candidates=5)
+    return run_search(matmul_bit_level(u, p, e), {"u": u, "p": p},
+                      designs.fig4_primitives(p), config)
+
+
+def _smoke(metrics_out: str | None) -> int:
+    # u=2 builds the (D, P, config) plan; u=3 (same p) walks it.
+    clear_search_plans()
     with obs.collecting() as reg:
-        cands = run_search(alg, {"u": 2, "p": 2},
-                           designs.fig4_primitives(2), config)
+        cands = _flow_search(2, 2, "II")
+        warm = _flow_search(3, 2, "II")
+    clear_search_plans()
+    cold = _flow_search(3, 2, "II")
     metrics = obs.metrics_dict(reg)
     if metrics_out:
         pathlib.Path(metrics_out).write_text(
             json.dumps(metrics, indent=2, sort_keys=True) + "\n"
         )
-    hits = metrics["counters"].get("mapping.cache_hits", 0)
-    found = metrics["counters"].get("mapping.designs_found", 0)
-    print(f"smoke: {len(cands)} designs, cache_hits={hits}, "
-          f"designs_found={found}")
-    assert cands, "smoke search found no designs"
+    counters = metrics["counters"]
+    hits = counters.get("mapping.cache_hits", 0)
+    found = counters.get("mapping.designs_found", 0)
+    plan_hits = counters.get("mapping.plan_hits", 0)
+    print(f"smoke: {len(cands)} + {len(warm)} designs, cache_hits={hits}, "
+          f"designs_found={found}, plan_hits={plan_hits}")
+    assert cands and warm, "smoke search found no designs"
     assert hits > 0, "memoization produced no cache hits"
+    assert plan_hits == 1, "the second search did not reuse the plan"
+    assert _candidate_rows(warm) == _candidate_rows(cold), (
+        "warm plan changed designs"
+    )
     return 0
+
+
+def _record_plan() -> dict:
+    """One ``design_flow`` pass of 36 searches from a cleared plan memo,
+    against the same searches each from a cleared memo."""
+    instances = list(itertools.product((2, 3, 4), (2, 3, 4), ("I", "II")))
+    jobs = instances * 2
+    random.Random(0).shuffle(jobs)
+    clear_search_plans()
+    with obs.collecting() as reg:
+        t0 = time.perf_counter()
+        shared = [_candidate_rows(_flow_search(*job)) for job in jobs]
+        seconds = time.perf_counter() - t0
+    cold = {}
+    t0 = time.perf_counter()
+    for job in jobs:
+        clear_search_plans()
+        cold[job] = _candidate_rows(_flow_search(*job))
+    cold_seconds = time.perf_counter() - t0
+    identical = shared == [cold[job] for job in jobs]
+    hits = reg.counters.get("mapping.plan_hits", 0)
+    misses = reg.counters.get("mapping.plan_misses", 0)
+    print(f"plan: {len(jobs)} searches {seconds:.3f}s with shared plans, "
+          f"{cold_seconds:.3f}s each from a cleared memo "
+          f"({cold_seconds / seconds:.1f}x), plan hits {hits} / misses "
+          f"{misses}, identical={identical}")
+    assert identical, "searches on shared plans diverged from cold ones"
+    return {
+        "searches": len(jobs),
+        "seconds": round(seconds, 3),
+        "cold_seconds": round(cold_seconds, 3),
+        "speedup_vs_cold": round(cold_seconds / seconds, 2),
+        "plan_hits": hits,
+        "plan_misses": misses,
+        "results_identical_to_cold": identical,
+    }
 
 
 def _record(repeats: int) -> int:
@@ -169,8 +229,7 @@ def _record(repeats: int) -> int:
             "config": {"target_space_dim": 2, "block_values": [p],
                        "schedule_bound": 2, "max_candidates": 5},
         },
-        "environment": {"cpu_count": os.cpu_count(),
-                        "python": sys.version.split()[0]},
+        "environment": obs.environment_info(),
         "engine": {
             "catalog": {
                 "seconds": round(t_seq, 3),
@@ -192,6 +251,7 @@ def _record(repeats: int) -> int:
             "speedup_vs_catalog": round(t_seq / t_sol, 2),
             "results_identical_to_catalog": solver_identical,
         },
+        "plan": _record_plan(),
         "top_candidates": _candidate_rows(cands_seq),
     }
     BENCH_FILE.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")

@@ -112,7 +112,6 @@ def _cmd_search(args: argparse.Namespace) -> int:
         frontier=(
             ("time", "processors", "wire_length") if args.pareto else None
         ),
-        shard_dir=args.shard_dir,
     )
     return _finish(_dispatch(args, spec))
 
@@ -411,11 +410,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--pareto", action="store_true",
         help="return the Pareto frontier over (time, PEs, wire length) "
         "instead of the (time, PEs)-ranked list",
-    )
-    p_search.add_argument(
-        "--shard-dir", metavar="DIR", default=None,
-        help="shard the search: reuse the candidate blocks published in DIR "
-        "and publish the missing ones",
     )
     _server_option(p_search)
     p_search.set_defaults(fn=_cmd_search)

@@ -19,7 +19,6 @@ from repro.cache.keys import (
     Uncacheable,
     analysis_key,
     fingerprint,
-    shard_run_key,
     structure_key,
     symbolic_key,
 )
@@ -58,7 +57,6 @@ __all__ = [
     "default_cache_root",
     "fingerprint",
     "resolve_cache",
-    "shard_run_key",
     "structure_key",
     "symbolic_key",
 ]

@@ -32,7 +32,6 @@ __all__ = [
     "Uncacheable",
     "fingerprint",
     "analysis_key",
-    "shard_run_key",
     "structure_key",
     "symbolic_key",
 ]
@@ -183,33 +182,3 @@ def structure_key(word, arith_name: str, expansion_key: str, p) -> str:
     }
     return fingerprint(payload)
 
-
-def shard_run_key(
-    algorithm_name: str,
-    dependence_columns,
-    bounds,
-    primitives,
-    config: dict,
-    blocks: int,
-) -> str:
-    """Content key identifying one sharded design-space search run.
-
-    Every invocation derives the same key from the same inputs, so block
-    results published in a shared store never collide across distinct
-    searches -- and a re-run of the identical search finds its blocks
-    already published.
-    """
-    payload = {
-        "kind": "search-shard",
-        "algorithm": str(algorithm_name),
-        "columns": [[int(x) for x in col] for col in dependence_columns],
-        "bounds": [[int(lo), int(hi)] for lo, hi in bounds],
-        "primitives": (
-            None
-            if primitives is None
-            else [[int(x) for x in row] for row in primitives]
-        ),
-        "config": {k: config[k] for k in sorted(config)},
-        "blocks": int(blocks),
-    }
-    return fingerprint(payload)

@@ -172,8 +172,12 @@ class BitLevelModelMachine:
             store.put("y", q, yb)
 
             inputs = xb & yb
+            # The c, δ̄₃ s and c' reads have their source inside the
+            # lattice, where it is always written: no boundary default, so
+            # a schedule that reads one before its write raises instead of
+            # summing a 0.
             if i2 > 1:
-                inputs += store.get("c", (*j, i1, i2 - 1), 0)
+                inputs += store.get("c", (*j, i1, i2 - 1))
             inputs += store.pop_pending("nr", q)
 
             prev_j = word_shift(j, self.h3)
@@ -194,19 +198,19 @@ class BitLevelModelMachine:
                         inputs += z_boundary_bit(j, w)
                 if self._is_chain_final(j):
                     if i1 > 1 and i2 < p:
-                        inputs += store.get("s", (*j, i1 - 1, i2 + 1), 0)
+                        inputs += store.get("s", (*j, i1 - 1, i2 + 1))
                     if i2 > 2:
-                        inputs += store.get("c2", (*j, i1, i2 - 2), 0)
+                        inputs += store.get("c2", (*j, i1, i2 - 2))
             else:
                 if i1 > 1 and i2 < p:
-                    inputs += store.get("s", (*j, i1 - 1, i2 + 1), 0)
+                    inputs += store.get("s", (*j, i1 - 1, i2 + 1))
                 if on_boundary:
                     if prev_inside:
                         inputs += store.get("s", (*prev_j, i1, i2))
                     else:
                         inputs += z_boundary_bit(j, w)
                 if i1 == p and i2 > 2:
-                    inputs += store.get("c2", (*j, i1, i2 - 2), 0)
+                    inputs += store.get("c2", (*j, i1, i2 - 2))
 
             if inputs > 7:
                 raise AssertionError(f"compressor overflow at {q}: {inputs}")

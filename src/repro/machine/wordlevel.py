@@ -80,7 +80,9 @@ class WordLevelMatmulMachine:
             else:
                 yv = store.get("y", (j1 - 1, j2, j3))
             store.put("y", q, yv)
-            acc = store.get("z", (j1, j2, j3 - 1), 0)
+            # Only the first word iteration reads the zero boundary; a
+            # later one reads a write, so a read before it raises.
+            acc = store.get("z", (j1, j2, j3 - 1), 0 if j3 == 1 else None)
             store.put("z", q, acc + self.multiplier.multiply(xv, yv))
 
         sim = SpaceTimeSimulator(

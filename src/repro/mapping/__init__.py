@@ -17,12 +17,10 @@ Implements the design method of Definition 4.1 (Shang/Fortes [5,6], Li/Wah
   the frozen :class:`SearchConfig`;
 * :mod:`repro.mapping.solver` -- Definition 4.1 as an integer constraint
   system: the branch-and-prune candidate generator whose sound cuts make
-  the search enumerate orders of magnitude fewer candidates;
+  the search enumerate orders of magnitude fewer candidates, planned once
+  per ``(D, P, config)`` and walked per binding;
 * :mod:`repro.mapping.pareto` -- Pareto-frontier ranking over
   (makespan, PE count, wire length) with deterministic merge;
-* :mod:`repro.mapping.shard` -- the sharded search: candidate blocks
-  published to and reused from a shared directory, merged
-  deterministically;
 * :mod:`repro.mapping.designs` -- the paper's concrete designs: ``T`` of
   (4.2) with ``P, K`` of (4.3) (Fig. 4), ``T'`` of (4.6) with ``P', K'`` of
   (4.7) (Fig. 5), and the word-level baseline of Section 4.2.
@@ -57,7 +55,6 @@ from repro.mapping.pareto import (
     merge_frontiers,
     pareto_frontier,
 )
-from repro.mapping.shard import ShardedSearchResult, run_sharded_search
 from repro.mapping.schedule import (
     execution_time,
     find_optimal_schedule,

@@ -22,10 +22,10 @@ Ganapathy/Wah) -- as a staged engine:
    :class:`~repro.mapping.memo.EvalCache`.
 
 Space candidates are scanned in catalog order until the early-stop cap,
-so the ranked output is deterministic.  The sharded search
-(:mod:`repro.mapping.shard`) plans through the same set-up
-(:func:`_setup`) and evaluates its blocks with the same per-space
-evaluator (:func:`_evaluate_space`).
+so the ranked output is deterministic.  The default ``"solver"`` strategy
+walks a memoized binding-free plan of this scan
+(:func:`repro.mapping.solver.search_plan`) instead; the catalog walk
+stays the reference it is checked against.
 
 All knobs live on the frozen :class:`SearchConfig`; :func:`run_search` is
 the engine entry point and :func:`search_designs` the stable public API.
@@ -34,7 +34,7 @@ the engine entry point and :func:`search_designs` the stable public API.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
 from repro import obs
@@ -292,107 +292,77 @@ def ranked_schedules(
 
 
 # ---------------------------------------------------------------------------
-# Stage 4: per-candidate evaluation (shared with the sharded search)
+# Stage 4: per-candidate evaluation (the catalog reference)
 # ---------------------------------------------------------------------------
 
 @dataclass
-class _EvalContext:
-    """Everything needed to evaluate one space candidate."""
+class _CatalogWalk:
+    """The reference walk: each space against every time-sorted schedule.
+
+    ``spaces`` are walked by position (:meth:`evaluate`), like the
+    solver's :class:`~repro.mapping.solver.PlanWalk`, so
+    :func:`run_search` drives either one.
+    """
 
     algorithm: Algorithm
     binding: ParamBinding
     primitives: Sequence[Sequence[int]] | None
     schedules: list[tuple[int, tuple[int, ...]]]
-    cache: EvalCache
-    strategy: str = "catalog"
-    solver_ctx: object | None = None
+    spaces: list[list[list[int]]]
+    cache: EvalCache = field(default_factory=EvalCache)
 
-    def solver_context(self):
-        """The lazily built solver constraint tables."""
-        if self.solver_ctx is None:
-            from repro.mapping.solver import SolverContext
+    @property
+    def time_of(self) -> dict[tuple[int, ...], int]:
+        return {pi: t for t, pi in self.schedules}
 
-            self.solver_ctx = SolverContext(
-                self.algorithm, self.binding, self.primitives,
-                self.schedules, self.cache,
-            )
-        return self.solver_ctx
+    def evaluate(
+        self, index: int
+    ) -> tuple[list[int], FeasibilityReport] | None:
+        """The fastest schedule making ``[space; Π]`` pass Definition 4.1.
 
-    def fresh(self) -> "_EvalContext":
-        """A copy with an empty memo (and no solver tables built on it)."""
-        return replace(self, cache=EvalCache(), solver_ctx=None)
+        Walks the shared time-sorted schedule list and returns the first
+        ``Π`` whose full feasibility check (including conflict-freedom
+        with this specific ``S``) passes.  Condition 5 (coprime entries
+        of ``T``) is pre-screened before the full check.  The walk runs
+        under a ``mapping.evaluate_space`` span, the per-candidate trace
+        unit.
+        """
+        space = self.spaces[index]
+        with obs.span("mapping.evaluate_space"):
+            for _, pi in self.schedules:
+                mapping = MappingMatrix(space + [list(pi)])
+                if not mapping.entries_coprime():
+                    obs.count("mapping.pruned.coprime_precheck")
+                    continue
+                report = check_feasibility(
+                    mapping, self.algorithm, self.binding, self.primitives,
+                    cache=self.cache,
+                )
+                if report.feasible:
+                    return list(pi), report
+        return None
 
 
-def _setup(
+def _walk(
     algorithm: Algorithm,
     binding: ParamBinding,
     primitives: Sequence[Sequence[int]] | None,
     config: SearchConfig,
-) -> tuple[_EvalContext, list[list[list[int]]]]:
-    """The run's evaluation context and its space candidates, in scan order.
+):
+    """The run's walk: the solver's walk over its memoized plan, or the
+    catalog reference over the rank-screened catalog."""
+    if config.resolved_strategy == "solver":
+        from repro.mapping.solver import search_plan
 
-    Shared by :func:`run_search` and the sharded search, so both scan the
-    same candidate list against the same time-sorted schedules.
-    """
-    schedules = ranked_schedules(algorithm, binding, config.schedule_bound)
-    obs.gauge("mapping.schedule_pool", len(schedules))
-    ctx = _EvalContext(
-        algorithm=algorithm,
-        binding=binding,
-        primitives=primitives,
-        schedules=schedules,
-        cache=EvalCache(),
-        strategy=config.resolved_strategy,
+        plan = search_plan(algorithm, primitives, config)
+        return plan.walk(algorithm, binding, primitives)
+    return _CatalogWalk(
+        algorithm, binding, primitives,
+        ranked_schedules(algorithm, binding, config.schedule_bound),
+        list(_space_candidates(
+            algorithm.dim, config.target_space_dim, config.block_values
+        )),
     )
-    if ctx.strategy == "solver":
-        from repro.mapping.solver import enumerate_spaces
-
-        spaces = enumerate_spaces(
-            ctx.solver_context(), config.target_space_dim,
-            config.block_values,
-        )
-    else:
-        spaces = list(
-            _space_candidates(
-                algorithm.dim, config.target_space_dim, config.block_values
-            )
-        )
-    return ctx, spaces
-
-
-def _evaluate_space(
-    space: list[list[int]], ctx: _EvalContext
-) -> tuple[list[int], FeasibilityReport] | None:
-    """The fastest schedule making ``[space; Π]`` pass Definition 4.1.
-
-    Walks the shared time-sorted schedule list and returns the first ``Π``
-    whose full feasibility check (including conflict-freedom with this
-    specific ``S``) passes.  Condition 5 (coprime entries of ``T``) is
-    pre-screened before the full check.  The walk runs under a
-    ``mapping.evaluate_space`` span, the per-candidate trace unit.
-
-    Under ``strategy="solver"`` the walk is delegated to
-    :func:`repro.mapping.solver.evaluate_space_solver`, which returns the
-    same ``(Π, report)`` for every space while discharging the cheap
-    Definition 4.1 conditions as cuts before the full check.
-    """
-    if ctx.strategy == "solver":
-        from repro.mapping.solver import evaluate_space_solver
-
-        return evaluate_space_solver(space, ctx.solver_context())
-    with obs.span("mapping.evaluate_space"):
-        for _, pi in ctx.schedules:
-            mapping = MappingMatrix(space + [list(pi)])
-            if not mapping.entries_coprime():
-                obs.count("mapping.pruned.coprime_precheck")
-                continue
-            report = check_feasibility(
-                mapping, ctx.algorithm, ctx.binding, ctx.primitives,
-                cache=ctx.cache,
-            )
-            if report.feasible:
-                return list(pi), report
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -433,12 +403,14 @@ def run_search(
         schedule_bound=config.schedule_bound,
         strategy=config.resolved_strategy,
     ):
-        ctx, spaces = _setup(algorithm, binding, primitives, config)
-        time_of = {pi: t for t, pi in ctx.schedules}
+        walk = _walk(algorithm, binding, primitives, config)
+        time_of = walk.time_of
+        obs.gauge("mapping.schedule_pool", len(time_of))
         d_cols = [tuple(c) for c in algorithm.dependences.columns()]
+        spaces = walk.spaces
         with obs.progress("mapping.spaces", total=len(spaces)) as progress:
-            for space in spaces:
-                result = _evaluate_space(space, ctx)
+            for index, space in enumerate(spaces):
+                result = walk.evaluate(index)
                 progress.advance()
                 if result is None:
                     continue
@@ -473,9 +445,7 @@ def _rank(
 
     Classic mode sorts by ``(time, processors)``; frontier mode keeps the
     Pareto-non-dominated designs over the configured metrics, canonically
-    ordered by ``(metrics, rows)``.  The sharded coordinator applies the
-    same orders to its merged blocks, so both produce identical output
-    from the same feasible stream.
+    ordered by ``(metrics, rows)``.
     """
     if config.frontier is not None:
         by_point = {

@@ -9,9 +9,10 @@ is a plain dictionary over *canonicalized* keys with hit/miss accounting
 surfaced through :mod:`repro.obs` (``mapping.cache_hits`` /
 ``mapping.cache_misses``).
 
-A cache is scoped to one search run -- or to one block of a sharded
-search -- and lives only in memory: nothing is persisted across runs.  Entries are never
-invalidated.  Cached callables must be deterministic and their results
+A cache is scoped to one search run -- or, for the binding-free
+``plattice``/``icol`` solves, to one search plan
+(:class:`~repro.mapping.solver.SearchPlan`) -- and lives only in memory:
+nothing is persisted across runs.  Entries are never invalidated.  Cached callables must be deterministic and their results
 treated as immutable.
 """
 

@@ -14,10 +14,9 @@ buffers).  This module replaces the single optimum with the set of
 All metrics are exact integers, dominance is the standard product order
 (no worse everywhere, strictly better somewhere), and every function here
 is deterministic: frontiers are returned sorted by ``(metrics, rows)``, so
-two runs -- or two shards merged in any grouping -- produce byte-identical
-output.  :func:`merge_frontiers` is associative and commutative up to that
-canonical ordering, which is what lets the sharded search merge partial
-frontiers per block and still match the single-process scan exactly.
+two runs -- or two partial frontiers merged in any grouping -- produce
+byte-identical output.  :func:`merge_frontiers` is associative and
+commutative up to that canonical ordering.
 """
 
 from __future__ import annotations
@@ -121,7 +120,7 @@ def pareto_frontier(points: Iterable[FrontierPoint]) -> list[FrontierPoint]:
     Points with identical metrics but different ``rows`` are all kept
     (they are genuinely incomparable designs); exact duplicates collapse.
     The result is sorted by ``(metrics, rows)`` -- the deterministic
-    tie-break that makes frontiers byte-comparable across runs and shard
+    tie-break that makes frontiers byte-comparable across runs and
     partitions.
     """
     unique = sorted(set(points), key=lambda pt: pt.sort_key)
@@ -143,10 +142,9 @@ def merge_frontiers(
 
     Associative: ``merge(merge(a, b), c) == merge(a, merge(b, c)) ==
     merge(a, b, c)`` for any partition of a point set, because a point
-    dominated within one part can never join the global frontier.  This is
-    the shard-merge operation -- each worker publishes the frontier of its
-    blocks and the coordinator folds them in block order, yielding the
-    same list as one frontier over all designs.
+    dominated within one part can never join the global frontier, so
+    folding partial frontiers yields the same list as one frontier over
+    all designs.
     """
     pool: list[FrontierPoint] = []
     for part in parts:
@@ -157,8 +155,7 @@ def merge_frontiers(
 def frontier_payload(points: Sequence[FrontierPoint]) -> str:
     """Canonical JSON for a frontier (sorted keys, compact separators).
 
-    The byte-identity contract for sharded searches is stated over this
-    string: equal frontiers serialize to equal bytes.
+    Equal frontiers serialize to equal bytes.
     """
     return json.dumps(
         [pt.to_dict() for pt in points],

@@ -24,10 +24,10 @@ Constraint derivation (see docs/SEARCH.md for the full write-up):
     Smith-normal-form solver :func:`~repro.util.linalg.solve_integer_system`.
 
   The first two depend only on ``(row, axis, schedule)``, so they are
-  precomputed once per catalog row as a bitmask over the shared schedule
-  list; a partial row prefix whose accumulated mask is empty prunes its
-  entire subtree.  The lattice test depends only on ``S`` (not ``Π``)
-  and prunes every schedule of a space at once.
+  precomputed once per catalog row as a bitmask over the valid schedules;
+  a partial row prefix whose accumulated mask is empty prunes its entire
+  subtree.  The lattice test depends only on ``S`` (not ``Π``) and prunes
+  every schedule of a space at once.
 
 * **Condition 3** (``τ`` injective) fails whenever a nonzero integer
   nullspace vector of ``T`` fits the index-difference box -- in
@@ -48,19 +48,31 @@ to the catalog path's.  Survivors still pass through the full
 ``check_feasibility`` gate (the only place ``mapping.candidates_enumerated``
 counts), which is what the differential oracle and the equivalence suite
 pin.  Per-cut prune counts are published as ``mapping.solver.pruned.*``.
+
+**Plan and walk.**  Only the schedule *order* (the time (4.5)), the
+conflict screen's box test, the final gate and the PE count read the
+index-set bounds; everything else reads ``D``, ``P`` and the config.  So
+that binding-free part is a :class:`SearchPlan`, built once per key and
+kept in a small in-process LRU memo (:func:`search_plan`,
+:func:`clear_search_plans`), and each search is a :class:`PlanWalk` over
+it: time the valid schedules, sort them, and walk the planned spaces.
 """
 
 from __future__ import annotations
 
+import itertools
+import threading
+from collections import OrderedDict
 from math import gcd
 from operator import mul
 from typing import Sequence
 
 from repro import obs
-from repro.mapping.engine import space_map_catalog
+from repro.mapping.engine import SearchConfig, space_map_catalog
 from repro.mapping.feasibility import FeasibilityReport, check_feasibility
 from repro.mapping.interconnect import _column_combinations
 from repro.mapping.memo import EvalCache
+from repro.mapping.schedule import execution_time
 from repro.mapping.transform import MappingMatrix
 from repro.structures.algorithm import Algorithm
 from repro.structures.params import ParamBinding
@@ -70,7 +82,26 @@ from repro.util.linalg import (
     solve_integer_system,
 )
 
-__all__ = ["SolverContext", "enumerate_spaces", "evaluate_space_solver"]
+__all__ = ["SearchPlan", "PlanWalk", "search_plan", "clear_search_plans"]
+
+#: Plans kept in process; one per (D, P, config) key, least recently used
+#: evicted first.  A ``design_flow`` pass needs three.
+_PLAN_CAPACITY = 16
+
+_PLANS: "OrderedDict[tuple, SearchPlan]" = OrderedDict()
+_PLANS_LOCK = threading.Lock()
+
+#: Per-schedule outcome of the binding-free cuts, in the walk's
+#: attribution order; ``_OPEN`` schedules go on to the screen and gate.
+_DEADLINE, _COPRIME, _RANK, _INTERCONNECT, _SCREEN = range(5)
+_OPEN = _SCREEN
+_CUT_COUNTERS = (
+    "mapping.solver.pruned.deadline",
+    "mapping.pruned.coprime_precheck",
+    "mapping.solver.pruned.rank",
+    "mapping.solver.pruned.interconnect",
+    "mapping.solver.pruned.conflict_screen",
+)
 
 
 def _hop_budget(deadline: int) -> int:
@@ -102,69 +133,129 @@ def _final_gate(
     )
 
 
-class SolverContext:
-    """Precomputed constraint tables for one (algorithm, primitives) search.
+def _vector_gcd(row: Sequence[int]) -> int:
+    g = 0
+    for x in row:
+        g = gcd(g, abs(x))
+    return g
 
-    Construction is deterministic; the per-row admissibility bitmasks and
-    per-displacement lattice answers are shared across every space
-    candidate of the run.
+
+def _plan_key(
+    algorithm: Algorithm,
+    primitives: Sequence[Sequence[int]] | None,
+    config: SearchConfig,
+) -> tuple:
+    """Everything the binding-free stages read."""
+    return (
+        algorithm.dim,
+        tuple(tuple(c) for c in algorithm.dependences.columns()),
+        None if primitives is None
+        else tuple(tuple(int(x) for x in row) for row in primitives),
+        config.target_space_dim,
+        config.block_values,
+        config.schedule_bound,
+    )
+
+
+def clear_search_plans() -> None:
+    """Drop every memoized :class:`SearchPlan` (the next search of each
+    key builds its plan cold)."""
+    with _PLANS_LOCK:
+        _PLANS.clear()
+
+
+def search_plan(
+    algorithm: Algorithm,
+    primitives: Sequence[Sequence[int]] | None,
+    config: SearchConfig,
+) -> "SearchPlan":
+    """The memoized plan of ``(D, P, config)``, built on a miss.
+
+    Counts ``mapping.plan_hits`` / ``mapping.plan_misses``.  Two threads
+    that miss on one key at once both build it, and both use the plan
+    that reached the memo first.
+    """
+    key = _plan_key(algorithm, primitives, config)
+    with _PLANS_LOCK:
+        plan = _PLANS.get(key)
+        if plan is not None:
+            _PLANS.move_to_end(key)
+    if plan is not None:
+        obs.count("mapping.plan_hits")
+        return plan
+    obs.count("mapping.plan_misses")
+    built = SearchPlan(key)
+    with _PLANS_LOCK:
+        plan = _PLANS.setdefault(key, built)
+        _PLANS.move_to_end(key)
+        while len(_PLANS) > _PLAN_CAPACITY:
+            _PLANS.popitem(last=False)
+    return plan
+
+
+class SearchPlan:
+    """The binding-free half of one solver search.
+
+    Holds the valid schedules in enumeration order with their deadlines
+    ``Π d̄_i`` and gcds, the branch-and-prune survivors (``spaces``) with
+    their row masks over that order, and the stage counters a search
+    publishes whether it built the plan or reused it.  Each survivor's
+    cut outcomes (:meth:`space_cuts`) and each walked ``(S, Π)`` pair's
+    conflict-screen nullspace basis are filled in on first use and kept;
+    entries are only ever added, so concurrent walks can share a plan.
+    A plan is built from its memo key alone, so it cannot read a binding.
     """
 
-    def __init__(
-        self,
-        algorithm: Algorithm,
-        binding: ParamBinding,
-        primitives: Sequence[Sequence[int]] | None,
-        schedules: list[tuple[int, tuple[int, ...]]],
-        cache: EvalCache,
-    ) -> None:
-        self.algorithm = algorithm
-        self.binding = binding
-        self.primitives = primitives
-        self.schedules = schedules
-        self.cache = cache
-        self.n = algorithm.dim
-        self.d_cols = [tuple(c) for c in algorithm.dependences.columns()]
-        #: Per-schedule deadlines ``Π d̄_i``, aligned with ``schedules``.
-        self.deadlines = [
-            tuple(
-                sum(pi[r] * col[r] for r in range(self.n))
-                for col in self.d_cols
-            )
-            for _, pi in schedules
-        ]
+    def __init__(self, key: tuple) -> None:
+        n, d_cols, p_rows, target_space_dim, block_values, bound = key
+        self.n = n
+        self.d_cols = d_cols
+        self.p_rows = p_rows
+        #: The ``plattice``/``icol`` solves of the plan, shared by walks.
+        self.memo = EvalCache()
+        self.schedules: list[tuple[int, ...]] = []
+        self.deadlines: list[tuple[int, ...]] = []
+        tried = 0
+        for pi in itertools.product(range(-bound, bound + 1), repeat=n):
+            tried += 1
+            # Condition 1: Π D > 0.
+            if all(sum(map(mul, pi, col)) > 0 for col in d_cols):
+                self.schedules.append(pi)
+                self.deadlines.append(
+                    tuple(sum(map(mul, pi, col)) for col in d_cols)
+                )
         #: Per dependence column, the largest deadline over the schedules:
         #: the hop budget of the once-per-space condition-2 solve.
         self.max_deadlines = [max(col) for col in zip(*self.deadlines)]
         #: Per-schedule gcd of ``Π``'s entries: condition 5 splits as
         #: ``gcd(T) = gcd(gcd(S), gcd(Π))``.
-        self.pi_gcd = [_vector_gcd(pi) for _, pi in schedules]
-        self.all_mask = (1 << len(schedules)) - 1
-        if primitives is not None:
-            self.p_rows = [tuple(int(x) for x in row) for row in primitives]
+        self.pi_gcd = [_vector_gcd(pi) for pi in self.schedules]
+        self.all_mask = (1 << len(self.schedules)) - 1
+        if p_rows is not None:
             #: Per array axis: gcd and max |entry| of the primitive row.
-            self.row_gcd = [
-                _vector_gcd(row) for row in self.p_rows
-            ]
+            self.row_gcd = [_vector_gcd(row) for row in p_rows]
             self.row_max = [
-                max((abs(x) for x in row), default=0) for row in self.p_rows
+                max((abs(x) for x in row), default=0) for row in p_rows
             ]
-            self.p_key = tuple(self.p_rows)
-        else:
-            self.p_rows = None
-            self.row_gcd = []
-            self.row_max = []
-            self.p_key = None
-        #: Conflict screen: a nullspace basis vector of ``T`` inside the
-        #: index-difference box is a certain conflict -- valid only for
-        #: plain box index sets (constrained sets use pair enumeration).
-        if getattr(algorithm.index_set, "is_constrained", False):
-            self.diff_box = None
-        else:
-            bounds = algorithm.index_set.bounds(binding)
-            self.diff_box = tuple((lo - hi, hi - lo) for lo, hi in bounds)
         self._disp_memo: dict[tuple[int, ...], tuple[int, ...]] = {}
         self._mask_memo: dict[tuple[tuple[int, ...], int], int] = {}
+        self.spaces: list[list[list[int]]] = []
+        self.masks: list[int] = []
+        pruned = self._enumerate_spaces(target_space_dim, block_values)
+        self._cuts: list[bytes | None] = [None] * len(self.spaces)
+        #: Per space, schedule position -> nullspace basis of ``[S; Π]``.
+        self.bases: list[dict[int, list[list[int]]]] = [
+            {} for _ in self.spaces
+        ]
+        self.counters = {
+            "mapping.schedules_tried": tried,
+            "mapping.schedules_valid": len(self.schedules),
+            **{f"mapping.solver.pruned.{k}": v for k, v in pruned.items()},
+            "mapping.solver.space_candidates": len(self.spaces),
+            # The strategy-independent funnel counter: space candidates
+            # handed to the downstream schedule/feasibility stages.
+            "mapping.space_candidates": len(self.spaces),
+        }
 
     # -- per-row tables -------------------------------------------------------
 
@@ -172,10 +263,7 @@ class SolverContext:
         """``(s·d̄_1, ..., s·d̄_m)`` for one candidate space row."""
         out = self._disp_memo.get(row)
         if out is None:
-            out = tuple(
-                sum(row[r] * col[r] for r in range(self.n))
-                for col in self.d_cols
-            )
+            out = tuple(sum(map(mul, row, col)) for col in self.d_cols)
             self._disp_memo[row] = out
         return out
 
@@ -186,10 +274,10 @@ class SolverContext:
     def row_mask(self, row: tuple[int, ...], axis: int) -> int:
         """Bitmask of schedules admitting ``row`` at array axis ``axis``.
 
-        Bit ``i`` is set iff, for every dependence column, the
-        divisibility and hop-budget relaxations of condition 2 hold for
-        this (row, axis) under schedule ``i``.  All-ones when the target
-        interconnect is unconstrained.
+        Bit ``i`` (schedule ``i`` in enumeration order) is set iff, for
+        every dependence column, the divisibility and hop-budget
+        relaxations of condition 2 hold for this (row, axis) under that
+        schedule.  All-ones when the target interconnect is unconstrained.
         """
         if self.p_rows is None:
             return self.all_mask
@@ -197,31 +285,25 @@ class SolverContext:
         mask = self._mask_memo.get(key)
         if mask is not None:
             return mask
-        disps = self.displacements(row)
         g = self.row_gcd[axis]
         m_r = self.row_max[axis]
+        mask = 0
         # Schedule-independent subgroup test first: a violation kills the
         # row at this axis for every schedule.
-        feasible_cols = True
         min_hops = []
-        for disp in disps:
+        for disp in self.displacements(row):
             if disp == 0:
                 min_hops.append(0)
-                continue
-            if g == 0 or disp % g != 0 or m_r == 0:
-                feasible_cols = False
+            elif g == 0 or disp % g != 0 or m_r == 0:
                 break
-            min_hops.append(-(-abs(disp) // m_r))
-        if not feasible_cols:
-            mask = 0
+            else:
+                min_hops.append(-(-abs(disp) // m_r))
         else:
-            mask = 0
             for idx, deadlines in enumerate(self.deadlines):
-                budget_ok = all(
+                if all(
                     lb <= _hop_budget(deadline)
                     for lb, deadline in zip(min_hops, deadlines)
-                )
-                if budget_ok:
+                ):
                     mask |= 1 << idx
         self._mask_memo[key] = mask
         return mask
@@ -233,17 +315,14 @@ class SolverContext:
 
         ``S d̄_i = P k̄`` needs an *integer* solution before it can have a
         nonnegative one; decided by the Smith-form solver and memoized on
-        the displacement vector in the run's :class:`EvalCache` (the same
-        store the interconnect and conflict solves share), so equivalent
-        queries are answered once per run.
+        the displacement vector in the plan's :class:`EvalCache`.
         """
         if self.p_rows is None:
             return True
         for target in self.targets(space):
             if any(target):
-                key = ("plattice", self.p_key, target)
-                solvable = self.cache.get_or_compute(
-                    key,
+                solvable = self.memo.get_or_compute(
+                    ("plattice", self.p_rows, target),
                     lambda: solve_integer_system(
                         [list(r) for r in self.p_rows], list(target)
                     )
@@ -253,194 +332,216 @@ class SolverContext:
                     return False
         return True
 
-    def space_tables(
-        self, space: list[list[int]]
-    ) -> tuple[int, list[list[int]] | None, list[int] | None]:
-        """The schedule-independent halves of conditions 5, 4 and 2.
+    def _enumerate_spaces(
+        self, target_space_dim: int, block_values: Sequence[int]
+    ) -> dict[str, int]:
+        """Fill ``spaces``/``masks`` by branch-and-prune; return the cuts.
 
-        Returns ``(g, null, hops)``; a schedule ``Π`` then passes
+        Walks catalog-row combinations in the exact order of
+        ``itertools.combinations`` over :func:`space_map_catalog` -- the
+        engine's enumeration order -- but cuts subtrees as soon as a row
+        prefix is provably infeasible:
 
-        * the coprime pre-check iff ``gcd(g, gcd(Π)) == 1`` (``g`` is
-          the gcd of ``S``'s entries);
-        * the rank condition iff ``Π·v != 0`` for some ``v`` in ``null``,
-          an integer nullspace basis of ``S`` -- ``None`` when ``S`` is
-          rank-deficient, which fails every schedule;
-        * the interconnect condition iff ``Π d̄_i >= hops[i]`` for every
-          column.  ``hops[i]`` is the minimum hop count of ``S d̄_i``:
-          the depth-first solve returns the same minimum-hop ``k̄`` under
-          every budget at least that minimum, so one solve under the
-          largest deadline (memoized on the ``("icol", ...)`` key the
-          final gate uses) serves every schedule.  ``None`` when some
-          column needs more hops than any deadline allows; ``[]`` for an
-          unconstrained interconnect.
+        * ``rank_subtree`` -- the prefix is linearly dependent, so no
+          extension reaches rank ``k-1`` (condition 4);
+        * ``row_budget`` -- no schedule survives the accumulated
+          divisibility/hop-budget masks (condition 2);
+        * ``lattice`` -- some displacement ``S d̄_i`` is outside the
+          integer column lattice of ``P`` (condition 2).
+
+        Each cut at depth ``d`` discards all ``C(remaining, k-1-d)``
+        completions at once, which is where the enumeration savings come
+        from.  The survivors are a subset of the engine's rank-screened
+        candidates containing every feasible design, in identical order.
         """
+        catalog = space_map_catalog(self.n, block_values)
+        total = len(catalog)
+        pruned = {"rank_subtree": 0, "row_budget": 0, "lattice": 0}
+
+        def extend(
+            start: int, chosen: list[tuple[int, ...]], mask: int
+        ) -> None:
+            depth = len(chosen)
+            if depth == target_space_dim:
+                space = [list(r) for r in chosen]
+                if not self.lattice_feasible(space):
+                    pruned["lattice"] += 1
+                    return
+                self.spaces.append(space)
+                self.masks.append(mask)
+                return
+            for idx in range(start, total - (target_space_dim - depth - 1)):
+                row = catalog[idx]
+                new_mask = mask & self.row_mask(row, depth)
+                if new_mask == 0:
+                    pruned["row_budget"] += 1
+                    continue
+                prefix = [list(r) for r in chosen] + [list(row)]
+                if integer_rank(prefix) <= depth:
+                    pruned["rank_subtree"] += 1
+                    continue
+                extend(idx + 1, chosen + [row], new_mask)
+
+        extend(0, [], self.all_mask)
+        return pruned
+
+    def space_cuts(self, index: int) -> bytes:
+        """Which binding-free cut rejects each schedule of space ``index``.
+
+        One byte per schedule (enumeration order): ``_DEADLINE`` (row
+        masks), ``_COPRIME`` (condition 5), ``_RANK`` (condition 4),
+        ``_INTERCONNECT`` (condition 2), or ``_OPEN`` when the schedule
+        reaches the conflict screen.  The schedule-independent halves run
+        once per space:
+
+        * the coprime pre-check fails iff ``gcd(g, gcd(Π)) != 1`` (``g``
+          is the gcd of ``S``'s entries);
+        * the rank condition fails iff ``Π·v == 0`` for every ``v`` in an
+          integer nullspace basis of ``S`` (always, when ``S`` is
+          rank-deficient);
+        * the interconnect condition fails iff ``Π d̄_i < hops[i]`` for
+          some column, ``hops[i]`` being the minimum hop count of
+          ``S d̄_i``: the depth-first solve returns the same minimum-hop
+          ``k̄`` under every budget at least that minimum, so one solve
+          under the largest deadline (memoized on the ``("icol", ...)``
+          key the final gate uses) serves every schedule.
+        """
+        cuts = self._cuts[index]
+        if cuts is not None:
+            return cuts
+        space, mask = self.spaces[index], self.masks[index]
         g = _vector_gcd([x for row in space for x in row])
         null = integer_nullspace(space)
         if len(null) != self.n - len(space):
             null = None
-        if self.p_rows is None:
-            return g, null, []
         hops: list[int] | None = []
-        for target, budget in zip(self.targets(space), self.max_deadlines):
-            k_col = self.cache.get_or_compute(
-                ("icol", self.p_key, target, budget),
-                lambda: _column_combinations(self.p_rows, target, budget),
-            )
-            if k_col is None:
-                hops = None
-                break
-            hops.append(sum(k_col))
-        return g, null, hops
-
-    def conflict_screened(self, rows: list[list[int]]) -> bool:
-        """True when a nullspace basis vector certifies a conflict."""
-        if self.diff_box is None:
-            return False
-        for vec in integer_nullspace(rows):
-            if any(vec) and all(
-                lo <= x <= hi
-                for x, (lo, hi) in zip(vec, self.diff_box)
-            ):
-                return True
-        return False
-
-
-def _vector_gcd(row: Sequence[int]) -> int:
-    g = 0
-    for x in row:
-        g = gcd(g, abs(x))
-    return g
-
-
-def enumerate_spaces(
-    ctx: SolverContext,
-    target_space_dim: int,
-    block_values: Sequence[int],
-) -> list[list[list[int]]]:
-    """Space candidates surviving the branch-and-prune row search.
-
-    Walks catalog-row combinations in the exact order of
-    ``itertools.combinations`` over :func:`space_map_catalog` -- the
-    engine's enumeration order -- but cuts subtrees as soon as a row
-    prefix is provably infeasible:
-
-    * ``mapping.solver.pruned.rank_subtree`` -- the prefix is linearly
-      dependent, so no extension reaches rank ``k-1`` (condition 4);
-    * ``mapping.solver.pruned.row_budget`` -- no schedule survives the
-      accumulated divisibility/hop-budget masks (condition 2);
-    * ``mapping.solver.pruned.lattice`` -- some displacement ``S d̄_i``
-      is outside the integer column lattice of ``P`` (condition 2).
-
-    Each cut at depth ``d`` discards all ``C(remaining, k-1-d)``
-    completions at once, which is where the enumeration savings come
-    from.  The survivor list is a subset of the engine's rank-screened
-    candidates containing every feasible design, in identical order.
-    """
-    catalog = space_map_catalog(ctx.n, block_values)
-    total = len(catalog)
-    survivors: list[list[list[int]]] = []
-    pruned = {"rank_subtree": 0, "row_budget": 0, "lattice": 0}
-
-    def extend(
-        start: int, chosen: list[tuple[int, ...]], mask: int
-    ) -> None:
-        depth = len(chosen)
-        if depth == target_space_dim:
-            space = [list(r) for r in chosen]
-            if not ctx.lattice_feasible(space):
-                pruned["lattice"] += 1
-                return
-            survivors.append(space)
-            return
-        for idx in range(start, total - (target_space_dim - depth - 1)):
-            row = catalog[idx]
-            new_mask = mask & ctx.row_mask(row, depth)
-            if new_mask == 0:
-                pruned["row_budget"] += 1
-                continue
-            if integer_rank([list(r) for r in chosen] + [list(row)]) <= depth:
-                pruned["rank_subtree"] += 1
-                continue
-            extend(idx + 1, chosen + [row], new_mask)
-
-    extend(0, [], ctx.all_mask)
-    obs.count_many(pruned, prefix="mapping.solver.pruned.")
-    obs.count("mapping.solver.space_candidates", len(survivors))
-    # The strategy-independent funnel counter: space candidates handed to
-    # the downstream schedule/feasibility stages.
-    obs.count("mapping.space_candidates", len(survivors))
-    return survivors
-
-
-def evaluate_space_solver(
-    space: list[list[int]], ctx: SolverContext
-) -> tuple[list[int], FeasibilityReport] | None:
-    """The fastest schedule making ``[space; Π]`` pass Definition 4.1.
-
-    Drop-in replacement for the engine's catalog evaluator: walks the
-    shared time-sorted schedule list under the same
-    ``mapping.evaluate_space`` span and returns the first feasible ``Π``,
-    but discharges the cheap conditions as cuts before the final
-    :func:`check_feasibility` gate.  Their schedule-independent halves
-    run once per space (:meth:`SolverContext.space_tables`), so each
-    schedule costs a few integer tests, attributed in this order:
-
-    * ``mapping.solver.pruned.deadline`` -- schedule excluded by the
-      precomputed row masks (condition 2 relaxations);
-    * ``mapping.pruned.coprime_precheck`` -- same pre-screen and counter
-      as the catalog path (condition 5);
-    * ``mapping.solver.pruned.rank`` -- ``Π`` linearly dependent on the
-      space rows (condition 4);
-    * ``mapping.solver.pruned.interconnect`` -- some deadline ``Π d̄_i``
-      is below the minimum hop count of ``S d̄_i`` (condition 2);
-    * ``mapping.solver.pruned.conflict_screen`` -- a nullspace basis
-      vector inside the difference box certifies a conflict (condition 3).
-
-    Counts cover the schedules up to the returned ``Π`` (all of them when
-    none is feasible) and are published once per space.  Because every
-    cut is sound, the returned ``(Π, report)`` is identical to the
-    catalog evaluator's for every space.
-    """
-    with obs.span("mapping.evaluate_space"):
-        mask = ctx.all_mask
-        for axis, row in enumerate(space):
-            mask &= ctx.row_mask(tuple(row), axis)
-        g, null, hops = ctx.space_tables(space) if mask else (0, None, None)
-        result: tuple[list[int], FeasibilityReport] | None = None
-        # Tallied locally, published once below -- a per-schedule obs call
-        # would dominate the walk's cost.
-        deadline = coprime = rank = interconnect = screened = 0
-        for idx, (_, pi) in enumerate(ctx.schedules):
+        if self.p_rows is not None and mask:
+            for target, budget in zip(self.targets(space), self.max_deadlines):
+                k_col = self.memo.get_or_compute(
+                    ("icol", self.p_rows, target, budget),
+                    lambda: _column_combinations(self.p_rows, target, budget),
+                )
+                if k_col is None:
+                    hops = None
+                    break
+                hops.append(sum(k_col))
+        out = bytearray()
+        for idx, pi in enumerate(self.schedules):
             if not (mask >> idx) & 1:
-                deadline += 1
-            elif gcd(g, ctx.pi_gcd[idx]) != 1:
-                coprime += 1
+                out.append(_DEADLINE)
+            elif gcd(g, self.pi_gcd[idx]) != 1:
+                out.append(_COPRIME)
             elif null is None or not any(
                 sum(map(mul, pi, vec)) for vec in null
             ):
-                rank += 1
+                out.append(_RANK)
             elif hops is None or any(
-                t < h for t, h in zip(ctx.deadlines[idx], hops)
+                t < h for t, h in zip(self.deadlines[idx], hops)
             ):
-                interconnect += 1
+                out.append(_INTERCONNECT)
             else:
-                rows = space + [list(pi)]
-                if ctx.conflict_screened(rows):
-                    screened += 1
+                out.append(_OPEN)
+        cuts = self._cuts[index] = bytes(out)
+        return cuts
+
+    def walk(self, algorithm: Algorithm, binding: ParamBinding,
+             primitives: Sequence[Sequence[int]] | None) -> "PlanWalk":
+        """The per-binding walk over this plan (publishes the plan's
+        stage counters, as a cold build would)."""
+        obs.count_many(self.counters)
+        return PlanWalk(self, algorithm, binding, primitives)
+
+
+class PlanWalk:
+    """One search's pass over a :class:`SearchPlan` at one binding.
+
+    Keeps only what reads the index-set bounds: the schedule times and
+    their stable sort (the order of
+    :func:`~repro.mapping.engine.ranked_schedules`), the conflict
+    screen's difference box, and a run-scoped :class:`EvalCache` for the
+    final gate.
+    """
+
+    def __init__(
+        self,
+        plan: SearchPlan,
+        algorithm: Algorithm,
+        binding: ParamBinding,
+        primitives: Sequence[Sequence[int]] | None,
+    ) -> None:
+        self.plan = plan
+        self.algorithm = algorithm
+        self.binding = binding
+        self.primitives = primitives
+        self.spaces = plan.spaces
+        self.cache = EvalCache()
+        times = [
+            execution_time(pi, algorithm, binding) for pi in plan.schedules
+        ]
+        #: Schedule positions, fastest first (ties keep enumeration order).
+        self.order = sorted(range(len(times)), key=times.__getitem__)
+        self.time_of = dict(zip(plan.schedules, times))
+        #: Conflict screen: a nullspace basis vector of ``T`` inside the
+        #: index-difference box is a certain conflict -- valid only for
+        #: plain box index sets (constrained sets use pair enumeration).
+        if getattr(algorithm.index_set, "is_constrained", False):
+            self.diff_box = None
+        else:
+            self.diff_box = tuple(
+                (lo - hi, hi - lo)
+                for lo, hi in algorithm.index_set.bounds(binding)
+            )
+
+    def evaluate(
+        self, index: int
+    ) -> tuple[list[int], FeasibilityReport] | None:
+        """The fastest schedule making ``[S; Π]`` pass Definition 4.1,
+        ``S`` being planned space ``index``.
+
+        Walks the schedules fastest first under the
+        ``mapping.evaluate_space`` span and returns the first feasible
+        ``Π`` with its report -- the same ``(Π, report)`` as the catalog
+        evaluator, because every cut is sound.  Schedules the binding-free
+        cuts reject (:meth:`SearchPlan.space_cuts`) are only counted; the
+        rest go through the conflict screen (the pair's nullspace basis is
+        kept in the plan) and then :func:`_final_gate`.  Counts cover the
+        schedules up to the returned ``Π`` (all of them when none is
+        feasible) and are published once per space.
+        """
+        plan = self.plan
+        with obs.span("mapping.evaluate_space"):
+            cuts = plan.space_cuts(index)
+            bases = plan.bases[index]
+            space = plan.spaces[index]
+            diff_box = self.diff_box
+            counts = [0] * len(_CUT_COUNTERS)
+            result: tuple[list[int], FeasibilityReport] | None = None
+            for idx in self.order:
+                cut = cuts[idx]
+                if cut != _OPEN:
+                    counts[cut] += 1
                     continue
+                rows = space + [list(plan.schedules[idx])]
+                if diff_box is not None:
+                    basis = bases.get(idx)
+                    if basis is None:
+                        basis = bases[idx] = integer_nullspace(rows)
+                    if any(
+                        any(vec) and all(
+                            lo <= x <= hi for x, (lo, hi) in zip(vec, diff_box)
+                        )
+                        for vec in basis
+                    ):
+                        counts[_SCREEN] += 1
+                        continue
                 report = _final_gate(
-                    MappingMatrix(rows), ctx.algorithm, ctx.binding,
-                    ctx.primitives, ctx.cache,
+                    MappingMatrix(rows), self.algorithm, self.binding,
+                    self.primitives, self.cache,
                 )
                 if report.feasible:
-                    result = (list(pi), report)
+                    result = (rows[-1], report)
                     break
-        counts = {
-            "mapping.solver.pruned.deadline": deadline,
-            "mapping.pruned.coprime_precheck": coprime,
-            "mapping.solver.pruned.rank": rank,
-            "mapping.solver.pruned.interconnect": interconnect,
-            "mapping.solver.pruned.conflict_screen": screened,
-        }
-        obs.count_many({name: n for name, n in counts.items() if n})
-        return result
+            obs.count_many(
+                {name: n for name, n in zip(_CUT_COUNTERS, counts) if n}
+            )
+            return result

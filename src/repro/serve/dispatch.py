@@ -306,81 +306,49 @@ def _handle_search(spec: JobSpec, out, verbose: bool):
         strategy=spec.strategy,
         frontier=spec.frontier,
     )
-    sharded = None
-    scope = ""
-    if spec.shard_dir is not None:
-        from repro.mapping.shard import run_sharded_search
-
-        sharded = run_sharded_search(
-            alg, binding, primitives, config, shard_dir=spec.shard_dir
-        )
-        records = sharded.designs
-        scope = f", blocks={sharded.blocks}"
-    else:
-        found = run_search(alg, binding, primitives, config)
-        records = [
-            {
-                "rows": [list(r) for r in c.mapping.rows],
-                "time": c.time,
-                "processors": c.processors,
-                "wire_length": c.wire_length,
-            }
-            for c in found
-        ]
-    if not records:
+    found = run_search(alg, binding, primitives, config)
+    if not found:
         print("no feasible design within the search bounds", file=out)
         return 1, {"candidates": []}
+    records = [
+        {
+            "rank": i + 1,
+            "time": c.time,
+            "processors": c.processors,
+            "wire_length": c.wire_length,
+            "rows": [list(r) for r in c.mapping.rows],
+        }
+        for i, c in enumerate(found)
+    ]
     if spec.frontier is not None:
         headers = ["rank", "time", "PEs", "wire", "T = [S; Π]"]
         rows = [
-            (i + 1, d["time"], d["processors"], d["wire_length"],
-             "; ".join(str(list(r)) for r in d["rows"]))
-            for i, d in enumerate(records)
+            (d["rank"], d["time"], d["processors"], d["wire_length"],
+             "; ".join(str(r) for r in d["rows"]))
+            for d in records
         ]
         title = (f"Pareto frontier ({', '.join(spec.frontier)}): "
                  f"bit-level matmul (u={spec.u}, p={spec.p}, "
-                 f"primitives={spec.primitives}{scope})")
+                 f"primitives={spec.primitives})")
     else:
         headers = ["rank", "time", "PEs", "T = [S; Π]"]
         rows = [
-            (i + 1, d["time"], d["processors"],
-             "; ".join(str(list(r)) for r in d["rows"]))
-            for i, d in enumerate(records)
+            (d["rank"], d["time"], d["processors"],
+             "; ".join(str(r) for r in d["rows"]))
+            for d in records
         ]
         title = (f"design-space search: bit-level matmul "
-                 f"(u={spec.u}, p={spec.p}, primitives={spec.primitives}"
-                 f"{scope})")
+                 f"(u={spec.u}, p={spec.p}, primitives={spec.primitives})")
     print(format_table(headers, rows, title=title), file=out)
-    data: dict = {
-        "candidates": [
+    data: dict = {"candidates": records}
+    if spec.frontier is not None:
+        data["frontier"] = [
             {
-                "rank": i + 1,
-                "time": d["time"],
-                "processors": d["processors"],
-                "wire_length": d["wire_length"],
+                "metrics": [d[m] for m in spec.frontier],
                 "rows": [list(r) for r in d["rows"]],
             }
-            for i, d in enumerate(records)
+            for d in records
         ]
-    }
-    if spec.frontier is not None:
-        data["frontier"] = (
-            sharded.frontier
-            if sharded is not None
-            else [
-                {
-                    "metrics": [d[m] for m in spec.frontier],
-                    "rows": [list(r) for r in d["rows"]],
-                }
-                for d in records
-            ]
-        )
-    if sharded is not None:
-        data["shard"] = {
-            "run_key": sharded.run_key,
-            "blocks": sharded.blocks,
-            "metrics": sharded.metrics,
-        }
     return 0, data
 
 

@@ -22,8 +22,7 @@ analyze_symbolic  ``u p expansion cache cache_dir`` (the parametric
                   instantiated at the spec's concrete sizes in O(1))
 search            ``u p expansion target_space_dim block schedule_bound
                   max_candidates overcollect exhaustive primitives
-                  strategy frontier shard_dir`` (a set ``shard_dir``
-                  shards the search over that directory)
+                  strategy frontier``
 simulate          ``u p expansion design seed sim_backend gantt``
 verify            ``seed cases oracle_budget_s oracles``
 ================  =======================================================
@@ -86,7 +85,6 @@ class JobSpec:
     primitives: str = "fig4"
     strategy: str = "auto"
     frontier: tuple[str, ...] | None = None
-    shard_dir: str | None = None
     # -- simulate ------------------------------------------------------------
     design: str = "fig4"
     seed: int = 0
@@ -143,8 +141,6 @@ class JobSpec:
                     "('time', 'processors', 'wire_length')"
                 )
             object.__setattr__(self, "frontier", frontier)
-        if self.shard_dir is not None:
-            object.__setattr__(self, "shard_dir", str(self.shard_dir))
         if self.cache_dir is not None:
             object.__setattr__(self, "cache_dir", str(self.cache_dir))
 

@@ -17,8 +17,10 @@ baseline, which tries every catalog candidate through
 
 Word-model cases run exhaustively (true set equality over the whole
 design space); bit-level cases are capped and compare the identical
-ranked prefix.  Each run starts from its own empty memo, so no result
-can leak between the two strategies.
+ranked prefix.  The catalog run starts from its own empty memo and
+builds no search plan; the solver run may walk a plan an earlier case of
+the same ``(D, P, config)`` built, which holds no binding-dependent
+result, so no result can leak between the two strategies.
 """
 
 from __future__ import annotations

@@ -305,9 +305,14 @@ def run_search_mutation_check(
 
     ``mutation`` names an entry of :data:`SEARCH_MUTATIONS`.  Returns the
     shrunken counterexample (the *expected* outcome), or ``None`` if the
-    mutant survived the run -- the oracle has lost its teeth.
+    mutant survived the run -- the oracle has lost its teeth.  The
+    in-process search-plan memo is cleared on entry and exit, so neither a
+    plan built with the real seam hides the mutant nor a mutant plan
+    outlives it.
     """
     import importlib
+
+    from repro.mapping.solver import clear_search_plans
 
     try:
         module_path, attr, mutant = SEARCH_MUTATIONS[mutation]
@@ -319,6 +324,7 @@ def run_search_mutation_check(
     target = importlib.import_module(module_path)
     real = getattr(target, attr)
     setattr(target, attr, mutant)
+    clear_search_plans()
     try:
         config = VerifyConfig(
             seed=seed,
@@ -336,6 +342,7 @@ def run_search_mutation_check(
         return report.counterexamples[0] if report.counterexamples else None
     finally:
         setattr(target, attr, real)
+        clear_search_plans()
 
 
 def run_symbolic_mutation_check(

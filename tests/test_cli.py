@@ -37,6 +37,12 @@ class TestTopLevelCli:
         assert exc.value.code == 2
         assert "--workers" in capsys.readouterr().err
 
+    def test_search_rejects_the_retired_shard_dir_option(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["search", "--u", "2", "--p", "2", "--shard-dir", "blocks"])
+        assert exc.value.code == 2
+        assert "--shard-dir" in capsys.readouterr().err
+
     def test_search_unconstrained_primitives(self, capsys):
         assert main(
             ["search", "--u", "2", "--p", "2", "--primitives", "none",

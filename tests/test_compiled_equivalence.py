@@ -39,7 +39,9 @@ from repro.compile.plan import clear_plan_memo, plan_for
 from repro.compile.runner import clear_program_memo
 from repro.expansion.theorem31 import matmul_bit_level
 from repro.machine.bitlevel import BitLevelMatmulMachine
+from repro.machine.model import BitLevelModelMachine
 from repro.machine.simulator import BACKENDS, default_backend, resolve_backend
+from repro.machine.wordlevel import WordLevelMatmulMachine
 from repro.mapping import designs
 from repro.mapping.engine import SearchConfig, run_search
 from repro.mapping.transform import MappingMatrix
@@ -270,6 +272,72 @@ def test_schedule_sweep_causality_matches_pointwise():
                 assert (out.product, out.sim) == (ref.product, ref.sim)
                 outcomes["ran"] += 1
     assert outcomes == {"ran": 16, "non-causal": 1520, "conflict": 512}
+
+
+#: Matrix multiplication as model (3.5): h̄ of x, y and z.
+_MATMUL_H = ((0, 1, 0), (1, 0, 0), (0, 0, 1))
+
+
+def _sweep_outcome(run, reference):
+    """"ran" when ``run()`` returns ``reference``, "raised" when it
+    raises; a wrong product returned without an error fails the test."""
+    try:
+        got = run()
+    except (ValueError, AssertionError, KeyError):
+        return "raised"
+    assert got == reference
+    return "ran"
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_model_machine_schedule_sweep_never_returns_a_wrong_product(backend):
+    """The u = p = 2 schedule sweep above, on the model machine at
+    matmul's h̄.
+
+    Every Π in {-1..2}^5 under the fig4/fig5 space rows, both expansions:
+    each attempt returns the reference product or raises.  The c, δ̄₃ s
+    and c' reads have no boundary default, so a schedule that reads one
+    before its write raises instead of summing a 0."""
+    u = p = 2
+    x, y = [[3, 1], [2, 3]], [[1, 3], [3, 2]]
+    points = list(itertools.product(range(1, u + 1), repeat=3))
+    xw = {j: x[j[0] - 1][j[2] - 1] for j in points}
+    yw = {j: y[j[2] - 1][j[1] - 1] for j in points}
+    machines = {
+        e: BitLevelModelMachine(*_MATMUL_H, [1] * 3, [u] * 3, p,
+                                designs.fig4_mapping(p), e, backend=backend)
+        for e in ("I", "II")
+    }
+    references = {e: m.reference(xw, yw) for e, m in machines.items()}
+    spaces = {design_mapping(d, p).rows[:-1] for d in ("fig4", "fig5")}
+    outcomes = collections.Counter()
+    for space in sorted(spaces):
+        for schedule in itertools.product(range(-1, 3), repeat=5):
+            for e, machine in machines.items():
+                machine.mapping = MappingMatrix([*space, schedule], "T-sweep")
+                outcomes[_sweep_outcome(
+                    lambda: machine.run(xw, yw).outputs, references[e]
+                )] += 1
+    assert outcomes == {"ran": 16, "raised": 2032}
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_word_level_schedule_sweep_never_returns_a_wrong_product(backend):
+    """Every Π in {-1..2}^3 under the word-level space rows at u = p = 3:
+    the z read defaults to 0 only at j₃ = 1, so a schedule that reads a
+    later z before its write (π₃ = -1, say) raises."""
+    u, p = 3, 3
+    rng = random.Random(7)
+    x, y = random_matrix(rng, u, p), random_matrix(rng, u, p)
+    machine = WordLevelMatmulMachine(u, p, backend=backend)
+    space = machine.mapping.rows[:-1]
+    outcomes = collections.Counter()
+    for schedule in itertools.product(range(-1, 3), repeat=3):
+        machine.mapping = MappingMatrix([*space, schedule], "T-sweep")
+        outcomes[_sweep_outcome(
+            lambda: machine.run(x, y).product, reference_matmul(x, y)
+        )] += 1
+    assert outcomes == {"ran": 8, "raised": 56}
 
 
 # ---------------------------------------------------------------------------

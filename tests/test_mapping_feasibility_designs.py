@@ -1,10 +1,13 @@
 """Tests for feasibility reports, the paper's designs, and geometry."""
 
+import itertools
+
 import pytest
 
 from repro.expansion.theorem31 import matmul_bit_level
 from repro.ir.builders import matmul_word_structure
 from repro.mapping import designs
+from repro.mapping.engine import SearchConfig, run_search
 from repro.mapping.feasibility import check_feasibility
 from repro.mapping.spacetime import processor_count, processor_set, space_extents
 from repro.mapping.transform import MappingMatrix
@@ -119,6 +122,43 @@ class TestGeometry:
     def test_word_level_count(self):
         alg = matmul_word_structure()
         assert processor_count(designs.word_level_mapping(), alg.index_set, {"u": 4}) == 16
+
+    def test_closed_forms_4_2_and_4_6(self):
+        for u, p in itertools.product(range(2, 7), repeat=2):
+            index_set, binding = matmul_bit_level(u, p).index_set, {"u": u, "p": p}
+            assert processor_count(
+                designs.fig4_mapping(p), index_set, binding
+            ) == designs.fig4_processor_count(u, p)
+            assert processor_count(
+                designs.fig5_mapping(p), index_set, binding
+            ) == designs.fig5_processor_count(u, p)
+
+    def test_every_design_flow_candidate_matches_processor_set(self):
+        checked = 0
+        for u, p, e in itertools.product((2, 3, 4), (2, 3, 4), ("I", "II")):
+            alg, binding = matmul_bit_level(u, p, e), {"u": u, "p": p}
+            for cand in run_search(
+                alg, binding, designs.fig4_primitives(p),
+                SearchConfig(target_space_dim=2, block_values=[p],
+                             schedule_bound=2, max_candidates=5),
+            ):
+                assert cand.processors == len(
+                    processor_set(cand.mapping, alg.index_set, binding)
+                )
+                checked += 1
+        assert checked == 90
+
+    def test_wide_image_counts_by_enumeration(self, alg33):
+        # Entries this large could overflow the int64 key: the reference
+        # set counts instead.
+        t = MappingMatrix([[1 << 40, 1, 0, 0, 0], [0, 0, 1 << 40, 1, 0],
+                           [1, 1, 1, 2, 1]])
+        assert processor_count(t, alg33.index_set, BINDING33) == len(
+            processor_set(t, alg33.index_set, BINDING33)
+        )
+        # A schedule-only T (no space rows) maps J onto one processor.
+        schedule_only = MappingMatrix([[1, 1, 1, 2, 1]])
+        assert processor_count(schedule_only, alg33.index_set, BINDING33) == 1
 
     @pytest.mark.parametrize("u,p", [(2, 2), (2, 3), (3, 2)])
     def test_formula_matches_enumeration(self, u, p):

@@ -1,6 +1,6 @@
-"""Tests for the solver-backed search, Pareto frontiers, and sharding.
+"""Tests for the solver-backed search, its plans, and Pareto frontiers.
 
-Three contracts are pinned here:
+These contracts are pinned here:
 
 * **equivalence** -- the branch-and-prune solver strategy returns designs
   identical to the exhaustive catalog strategy (same ``T``s, same
@@ -8,25 +8,26 @@ Three contracts are pinned here:
 * **Pareto algebra** -- dominance is irreflexive/antisymmetric/transitive
   on random triples, frontiers are deterministic under permutation, and
   :func:`merge_frontiers` is associative over arbitrary partitions;
-* **shard determinism** -- :func:`run_sharded_search` returns the
-  designs and frontier of :func:`run_search` and reuses published blocks;
-* **per-space equivalence** -- for every space :func:`enumerate_spaces`
-  yields, :func:`evaluate_space_solver` (per-space tables, integer tests
-  per schedule) returns the catalog evaluator's ``(Π, report)``.
+* **per-space equivalence** -- for every space a
+  :class:`~repro.mapping.solver.SearchPlan` holds, its walk (binding-free
+  cuts, then the screen and the gate) returns the catalog evaluator's
+  ``(Π, report)``;
+* **plan reuse** -- a search that reuses a memoized plan returns the
+  designs and ``mapping.*`` counters of a cold one.
 """
 
-import json
 import random
+import sys
+import threading
 from dataclasses import replace
 
 import pytest
 
 from repro.expansion.theorem31 import matmul_bit_level
 from repro.ir.builders import word_model_structure
-from repro.mapping import designs, engine
+from repro.mapping import designs, engine, solver
 from repro.mapping.engine import SearchConfig, run_search
 from repro.mapping.interconnect import mesh_primitives
-from repro.mapping.memo import EvalCache
 from repro.mapping.pareto import (
     METRIC_NAMES,
     FrontierPoint,
@@ -35,8 +36,7 @@ from repro.mapping.pareto import (
     merge_frontiers,
     pareto_frontier,
 )
-from repro.mapping.shard import run_sharded_search
-from repro.mapping.solver import evaluate_space_solver
+from repro.mapping.solver import clear_search_plans, search_plan
 from repro import obs
 
 
@@ -147,16 +147,18 @@ class TestPerSpaceEquivalence:
 
     @staticmethod
     def _assert_every_space_agrees(alg, binding, prims, config):
-        ctx, spaces = engine._setup(alg, binding, prims, config)
-        catalog = replace(
-            ctx, strategy="catalog", cache=EvalCache(), solver_ctx=None
+        walk = search_plan(alg, prims, config).walk(alg, binding, prims)
+        catalog = engine._CatalogWalk(
+            alg, binding, prims,
+            engine.ranked_schedules(alg, binding, config.schedule_bound),
+            walk.spaces,
         )
         feasible = 0
-        for space in spaces:
-            got = evaluate_space_solver(space, ctx.solver_context())
-            assert got == engine._evaluate_space(space, catalog), space
+        for index, space in enumerate(walk.spaces):
+            got = walk.evaluate(index)
+            assert got == catalog.evaluate(index), space
             feasible += got is not None
-        return len(spaces), feasible
+        return len(walk.spaces), feasible
 
     @pytest.mark.parametrize("primitives", ["fig4", "mesh", "none"])
     @pytest.mark.parametrize("u,p", [(2, 2), (2, 3), (3, 2), (3, 3)])
@@ -278,109 +280,133 @@ class TestFrontierSearch:
         assert _signature(run(1)) == _signature(run(None))
 
 
-class TestShardDeterminism:
-    def _sharded_against_direct(self, config):
-        """Check the sharded design list against :func:`run_search`."""
+def _mapping_counters(reg, drop_memo_split=True):
+    """The run's ``mapping.*`` counters; the memo split (cache and plan
+    hits/misses) is the one part a reused plan may change."""
+    split = ("mapping.cache_hits", "mapping.cache_misses",
+             "mapping.plan_hits", "mapping.plan_misses")
+    return {
+        k: v for k, v in reg.counters.items()
+        if k.startswith("mapping.") and not (drop_memo_split and k in split)
+    }
+
+
+class TestSearchPlan:
+    """A search walking a memoized plan equals one that built it."""
+
+    CONFIGS = {
+        "ranked": SearchConfig(block_values=[2], max_candidates=5),
+        "exhaustive": SearchConfig(
+            block_values=[2], max_candidates=None, overcollect=None
+        ),
+        "frontier": SearchConfig(
+            block_values=[2], max_candidates=None, frontier=METRIC_NAMES
+        ),
+    }
+
+    @staticmethod
+    def _search(alg, binding, prims, config):
+        with obs.collecting() as reg:
+            found = run_search(alg, binding, prims, config)
+        return _signature(found), reg
+
+    @pytest.mark.parametrize("primitives,mode", [
+        ("fig4", "ranked"), ("mesh", "ranked"), ("none", "ranked"),
+        ("mesh", "exhaustive"), ("fig4", "frontier"),
+    ])
+    def test_warm_search_equals_cold(self, primitives, mode):
+        alg, binding = _bitlevel_instance()
+        prims, config = _primitives(primitives, 2), self.CONFIGS[mode]
+        clear_search_plans()
+        cold, cold_reg = self._search(alg, binding, prims, config)
+        # Another binding (and expansion) of the same (D, P, config)
+        # builds the plan the second search walks.
+        clear_search_plans()
+        run_search(matmul_bit_level(1, 2, "I"), {"u": 1, "p": 2}, prims,
+                   config)
+        warm, warm_reg = self._search(alg, binding, prims, config)
+        assert cold and warm == cold
+        assert cold_reg.counters["mapping.plan_misses"] == 1
+        assert warm_reg.counters["mapping.plan_hits"] == 1
+        assert "mapping.plan_misses" not in warm_reg.counters
+        assert _mapping_counters(warm_reg) == _mapping_counters(cold_reg)
+        assert warm_reg.gauges == cold_reg.gauges
+
+    def test_plan_key_covers_every_binding_free_input(self):
         alg, binding = _bitlevel_instance()
         prims = designs.fig4_primitives(2)
-        payload = json.loads(
-            run_sharded_search(alg, binding, prims, config).payload_json()
-        )
-        direct = run_search(alg, binding, prims, config)
-        assert direct
-        assert [
-            (tuple(map(tuple, d["rows"])), d["time"], d["processors"],
-             d["wire_length"])
-            for d in payload["designs"]
-        ] == _signature(direct)
-        return payload, direct
-
-    def test_sharded_payload_matches_run_search_frontier(self):
-        config = SearchConfig(
-            block_values=[2], max_candidates=None,
-            frontier=METRIC_NAMES,
-        )
-        payload, direct = self._sharded_against_direct(config)
-        assert payload["frontier"] == [
-            {
-                "metrics": [c.time, c.processors, c.wire_length],
-                "rows": [list(r) for r in c.mapping.rows],
-            }
-            for c in direct
+        clear_search_plans()
+        base = SearchConfig(block_values=[2], max_candidates=5)
+        keys = [
+            (prims, base),
+            (prims, replace(base, max_candidates=3)),  # not read by plans
+            (mesh_primitives(2), base),
+            (prims, replace(base, block_values=(3,))),
+            (prims, replace(base, schedule_bound=1)),
+            (None, base),
+            (None, replace(base, target_space_dim=1)),
         ]
+        with obs.collecting() as reg:
+            for p, config in keys:
+                run_search(alg, binding, p, config)
+            # Same bounds, other dependences: the word-level instance.
+            run_search(*_word_instance(), None, base)
+        assert reg.counters["mapping.plan_hits"] == 1
+        assert reg.counters["mapping.plan_misses"] == 7
 
-    def test_sharded_payload_matches_run_search_ranked(self):
-        config = SearchConfig(block_values=[2], max_candidates=5)
-        payload, _direct = self._sharded_against_direct(config)
-        assert payload["frontier"] is None
+    def test_memo_is_bounded_and_clearable(self):
+        alg, binding = _word_instance()
+        clear_search_plans()
+        for b in range(2, 3 + solver._PLAN_CAPACITY):
+            run_search(alg, binding, None, SearchConfig(block_values=[b]))
+        assert len(solver._PLANS) == solver._PLAN_CAPACITY
+        clear_search_plans()
+        assert not solver._PLANS
 
-    def test_shard_frontier_matches_run_search(self):
-        alg, binding = _bitlevel_instance()
-        prims = mesh_primitives(2)
-        config = SearchConfig(
-            block_values=[2], max_candidates=None,
-            frontier=METRIC_NAMES,
-        )
-        result = run_sharded_search(alg, binding, prims, config)
-        direct = run_search(alg, binding, prims, config)
-        assert result.frontier == [
-            {
-                "metrics": [c.time, c.processors, c.wire_length],
-                "rows": [list(r) for r in c.mapping.rows],
-            }
-            for c in direct
-        ]
-
-    def test_shared_dir_reuses_published_blocks(self, tmp_path):
+    def test_concurrent_searches_share_one_plan(self):
+        # More threads than cores, switching often: every thread walks
+        # the plan while others may still be filling its per-space cuts
+        # and bases.
         alg, binding = _bitlevel_instance()
         prims = designs.fig4_primitives(2)
         config = SearchConfig(block_values=[2], max_candidates=5)
-        first = run_sharded_search(
-            alg, binding, prims, config, shard_dir=str(tmp_path),
-        )
-        with obs.collecting() as reg:
-            second = run_sharded_search(
-                alg, binding, prims, config, shard_dir=str(tmp_path),
-            )
-        assert second.payload_json() == first.payload_json()
-        # Every block was already published: none was evaluated again.
-        assert reg.counters.get("mapping.shard.evaluated_blocks") == 0
+        clear_search_plans()
+        cold = _signature(run_search(alg, binding, prims, config))
+        clear_search_plans()
+        barrier = threading.Barrier(4)
+        results = []
 
-    def test_missing_block_is_recovered_by_the_coordinator(self, tmp_path):
-        alg, binding = _bitlevel_instance()
-        prims = designs.fig4_primitives(2)
-        config = SearchConfig(block_values=[2], max_candidates=5)
-        first = run_sharded_search(
-            alg, binding, prims, config, shard_dir=str(tmp_path),
-        )
-        assert first.blocks > 1
-        # A worker died before publishing block 1.
-        (lost,) = tmp_path.rglob(f"{first.run_key}-block-1.json")
-        lost.unlink()
-        with obs.collecting() as reg:
-            second = run_sharded_search(
-                alg, binding, prims, config, shard_dir=str(tmp_path),
-            )
-        assert second.payload_json() == first.payload_json()
-        assert reg.counters.get("mapping.shard.evaluated_blocks") == 1
-        assert len(list(tmp_path.rglob(f"{first.run_key}-block-1.json"))) == 1
+        def search():
+            barrier.wait(timeout=60)
+            results.append(_signature(run_search(alg, binding, prims, config)))
 
-    def test_block_counters_reach_the_registry(self, tmp_path):
-        alg, binding = _bitlevel_instance()
-        prims = designs.fig4_primitives(2)
-        config = SearchConfig(block_values=[2], max_candidates=5)
-        with obs.collecting() as reg:
-            result = run_sharded_search(
-                alg, binding, prims, config, shard_dir=str(tmp_path),
-            )
-        enumerated = result.metrics["mapping.candidates_enumerated"]
-        assert enumerated > 0
-        assert reg.counters["mapping.candidates_enumerated"] == enumerated
-        assert reg.counters["mapping.designs_found"] == len(result.designs)
-        assert reg.counters["mapping.shard.evaluated_blocks"] == result.blocks
-        # Reused blocks add nothing.
-        with obs.collecting() as reg:
-            run_sharded_search(
-                alg, binding, prims, config, shard_dir=str(tmp_path),
-            )
-        assert reg.counters.get("mapping.candidates_enumerated", 0) == 0
+        threads = [threading.Thread(target=search) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert results == [cold] * 4
+        assert len(solver._PLANS) == 1
+
+    @pytest.mark.parametrize(
+        "mutation", ["tight-deadline", "dropped-conflict-gate"]
+    )
+    def test_mutation_caught_after_plans_were_built(self, mutation):
+        from repro.verify import run_search_mutation_check
+        from repro.verify.runner import VerifyConfig, run_verification
+
+        # Ten cases need fewer plans than the memo holds, so every plan
+        # the check would walk is already built, with the real seams ...
+        clean = VerifyConfig(seed=0, cases=10, oracles=("search",))
+        assert not run_verification(clean).counterexamples
+        assert len(solver._PLANS) < solver._PLAN_CAPACITY
+        # ... and must not hide the mutant ...
+        assert run_search_mutation_check(mutation, seed=0, cases=10)
+        # ... nor plans built with the mutant outlive it.
+        assert not run_verification(clean).counterexamples

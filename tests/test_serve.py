@@ -60,6 +60,8 @@ class TestJobSchema:
             JobSpec.from_payload({"kind": "analyze", "turbo": True})
         with pytest.raises(ValueError, match="unknown job fields: workers"):
             JobSpec.from_payload({"kind": "search", "workers": 2})
+        with pytest.raises(ValueError, match="unknown job fields: shard_dir"):
+            JobSpec.from_payload({"kind": "search", "shard_dir": "blocks"})
 
     def test_unknown_schema_rejected(self):
         with pytest.raises(ValueError, match="schema"):
