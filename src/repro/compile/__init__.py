@@ -8,32 +8,23 @@ package resolves it once:
 * :mod:`repro.compile.plan` -- memoized schedule plans (the run-invariant
   lattice/times/slots structure), the batched machine-model checks, and
   the dense lattice-indexed value store the programs write into;
-* :mod:`repro.compile.matmul` / :mod:`repro.compile.word` -- design
-  compilers for the bit-level and word-level matmul lattices: per-slot
-  int32 index plans replayed by one slot loop, and a slot-free
-  broadcast-and-``cumsum`` program;
+* :mod:`repro.compile.model` / :mod:`repro.compile.word` -- design
+  compilers for the model-(3.5) lattices, one compiled form per level:
+  per-slot int32 index plans replayed by one slot loop (bit level), and
+  a slot-free batched-multiply-and-chain-sum program (word level);
 * :mod:`repro.compile.runner` -- the ``compiled`` simulation backend:
-  the in-process program memo, the generic per-point path for everything
-  else, and the execution harness producing bit-identical results and
-  metrics versus the pointwise backend.
+  the in-process program memo and the execution harness producing
+  bit-identical results and metrics versus the pointwise backend.
 
 See ``docs/COMPILE.md``.
 """
 
-from repro.compile.plan import (
-    GenericPlan,
-    SchedulePlan,
-    clear_plan_memo,
-    generic_plan_for,
-    plan_for,
-)
+from repro.compile.plan import SchedulePlan, clear_plan_memo, plan_for
 from repro.compile.runner import clear_program_memo, run_compiled
 
 __all__ = [
-    "GenericPlan",
     "SchedulePlan",
     "clear_plan_memo",
-    "generic_plan_for",
     "plan_for",
     "run_compiled",
     "clear_program_memo",

@@ -19,31 +19,20 @@ Programs are never persisted: the artifact cache (``REPRO_CACHE_DIR``)
 plays no part in a compiled run, so its metrics are the same whether or
 not the cache is on.
 
-Runs without a recognized kernel (generic ``compute`` callables such as
-the model machines, or operands past the int64 lane gates) take the
-generic per-point path :func:`_run_generic` -- every caller keeps
-working.
+A run without a kernel -- a raw ``compute`` callable, or operands past
+the int64 lane gates -- never reaches this module: the simulator fires
+it point by point on the pointwise interpreter.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Callable
 
 from repro import obs
-from repro.compile.matmul import MatmulSlotKernel, compile_matmul_program
-from repro.compile.plan import (
-    DenseValueStore,
-    _pes_materializer,
-    generic_plan_for,
-)
-from repro.compile.word import WordMatmulSlotKernel, compile_word_program
-from repro.machine.pe import ProcessorElement
-from repro.machine.simulator import (
-    SimulationResult,
-    ValueStore,
-    emit_machine_metrics,
-)
+from repro.compile.model import ModelKernel, compile_model_program
+from repro.compile.plan import DenseValueStore, _pes_materializer
+from repro.compile.word import WordModelKernel, compile_word_program
+from repro.machine.simulator import SimulationResult, emit_machine_metrics
 
 __all__ = ["run_compiled", "clear_program_memo"]
 
@@ -78,8 +67,7 @@ def _run_program(sim, kernel, program) -> SimulationResult:
     with obs.span(
         "machine.simulate", mapping=mapping.name, backend="compiled"
     ):
-        store = DenseValueStore(mapping, program.lowers, program.uppers)
-        store._registry = reg
+        store = DenseValueStore(program.lowers, program.uppers)
         sim.store = store
         busy: dict[int, int] = {}
         pe_busy: dict[tuple[int, ...], int] = {}
@@ -113,82 +101,23 @@ def _run_program(sim, kernel, program) -> SimulationResult:
     return result
 
 
-def _run_generic(sim, compute: Callable) -> SimulationResult:
-    """The generic per-point path: batched transforms + slot-ordered
-    per-point interpretation against the dict-backed :class:`ValueStore`.
-
-    The batched times/processors and the slot bucketing are constants of
-    (mapping, index-set bounds); they come from the memoized
-    :func:`repro.compile.plan.generic_plan_for` so repeat runs of the same
-    design skip straight to firing.
-    """
-    reg = obs.get_registry()
-    store: ValueStore = sim.store
-    store._registry = reg
-
-    with obs.span(
-        "machine.simulate", mapping=sim.mapping.name, backend="compiled"
-    ):
-        plan = generic_plan_for(
-            sim.mapping, sim.algorithm.index_set, sim.binding
-        )
-        points = plan.points
-        tlist = plan.times
-        store._time_cache.update(zip(points, tlist))
-        store._proc_cache.update(zip(points, plan.procs))
-
-        pes = sim.pes
-        busy: dict[int, int] = {}
-        for t, slot_points in plan.slots:
-            for point in slot_points:
-                pos = store.processor_of(point)
-                pe = pes.get(pos)
-                if pe is None:
-                    pe = pes[pos] = ProcessorElement(pos)
-                pe.fire(t, point)
-                busy[t] = busy.get(t, 0) + 1
-                store._set_context(t, point)
-                compute(point, store)
-        store._set_context(None, None)  # post-run reads: off the clock
-        result = SimulationResult(
-            makespan=(max(tlist) - min(tlist) + 1) if tlist else 0,
-            first_time=min(tlist) if tlist else 0,
-            last_time=max(tlist) if tlist else -1,
-            computations=len(points),
-            processor_count=len(pes),
-            busy_per_step=busy,
-            store_reads=store.reads,
-            store_writes=store.writes,
-            pe_busy={pos: pe.busy_cycles for pos, pe in pes.items()},
-        )
-    emit_machine_metrics(reg, result, store)
-    return result
-
-
-def run_compiled(sim, compute: Callable, kernel=None) -> SimulationResult:
+def run_compiled(sim, kernel) -> SimulationResult:
     """Execute ``sim`` under the ``compiled`` backend.
 
-    Kernels the compiler recognizes (:class:`MatmulSlotKernel`,
-    :class:`WordMatmulSlotKernel`) run through a compiled per-design
-    program (memoized in-process); anything else -- ``kernel=None``
-    or an unknown kernel -- runs ``compute`` through the generic per-point
-    path.  The result, store contents, and metrics are identical to the
-    pointwise backend's either way.
+    ``kernel`` (:class:`ModelKernel` or :class:`WordModelKernel`) names
+    the instance; its program comes from the in-process memo, compiled on
+    a miss.  The result, store contents, and metrics are identical to the
+    pointwise backend's.
     """
     mapping = sim.mapping
-    if isinstance(kernel, MatmulSlotKernel):
-        expkey = kernel.expansion_key
-        u, p = kernel.u, kernel.p
-        program = _program_for(
-            ("matmul", mapping.rows, u, p, expkey),
-            lambda: compile_matmul_program(mapping, u, p, expkey),
-        )
-        return _run_program(sim, kernel, program)
-    if isinstance(kernel, WordMatmulSlotKernel):
-        u = kernel.u
-        program = _program_for(
-            ("word", mapping.rows, u),
-            lambda: compile_word_program(mapping, u),
-        )
-        return _run_program(sim, kernel, program)
-    return _run_generic(sim, compute)
+    if isinstance(kernel, ModelKernel):
+        family, compile_fn = "model", compile_model_program
+    elif isinstance(kernel, WordModelKernel):
+        family, compile_fn = "word", compile_word_program
+    else:
+        raise TypeError(f"no compiled program for kernel {kernel!r}")
+    program = _program_for(
+        (family, mapping.rows, *kernel.key),
+        lambda: compile_fn(mapping, *kernel.key),
+    )
+    return _run_program(sim, kernel, program)

@@ -1,21 +1,22 @@
-"""The design compiler for the word-level baseline array.
+"""The design compiler for the word-level model-(3.5) array.
 
-The word-level matmul lattice is pure pipelining: ``x`` flows along
-``j2``, ``y`` along ``j1``, and ``z`` accumulates along ``j3``.  Once a
-design is conflict-checked and its read sites pass the ``Π·d̄ >= 1``
-causality census (both compile-time facts), the whole simulation
-collapses to three array expressions -- no slot loop at all:
+The word-level lattice is pure pipelining: ``x`` flows along ``h̄₁``,
+``y`` along ``h̄₂``, and ``z`` accumulates along ``h̄₃``.  Once a design
+is conflict-checked and its read sites pass the ``Π·h̄ >= 1`` causality
+census (both compile-time facts), the whole simulation collapses to a
+few array expressions -- no slot loop at all:
 
-* the final ``x``/``y`` planes are the operand matrices broadcast over
-  the pipelining axes (views; nothing is written);
+* the final ``x``/``y`` planes are the (chain-constant) operand words
+  themselves, so nothing is written;
 * every product is one batched ``multiply_block`` call over the full
   lattice (the sequential multiplier under test still computes every
   bit, elementwise exactly as the per-point compute would);
-* the running sums are a ``cumsum`` along ``j3``.
+* the running sums are a cumulative sum along the ``h̄₃`` chains, seeded
+  with the initial accumulator words: one gather-add per chain position
+  (for matmul, ``u - 1`` adds of one ``u x u`` plane each).
 
 All counters (reads, causality checks, link traffic, ``3N`` writes) are
-structural constants folded at compile time, so the program holds no
-index streams at all.
+structural constants folded at compile time.
 """
 
 from __future__ import annotations
@@ -23,39 +24,51 @@ from __future__ import annotations
 import numpy as _np
 
 from repro.compile.plan import SlotCounters, plan_for
+from repro.machine.model import WordBox
 from repro.mapping.transform import MappingMatrix
 
 __all__ = [
-    "WordMatmulSlotKernel",
+    "WordModelKernel",
     "CompiledWordProgram",
     "compile_word_program",
 ]
 
 
-class WordMatmulSlotKernel:
-    """The operands of one word-level matmul run, as the compiled program
+class WordModelKernel:
+    """The operands of one word-level model run, as the compiled program
     reads them.
 
-    :class:`~repro.machine.wordlevel.WordLevelMatmulMachine` passes one of
-    these as ``kernel=``; products come from the sequential multiplier's
-    batched ``multiply_block`` (add-shift or carry-save), so the
-    arithmetic algorithm under test still computes every product bit.
+    :class:`~repro.machine.wordmodel.WordLevelModelMachine` passes one of
+    these as ``kernel=``; ``key`` is the program's instance -- ``(h1, h2,
+    h3, lowers, uppers)``; ``x``/``y`` are the ``int64`` operand words over
+    the word box and ``z0`` is ``None`` or the ``int64`` initial words
+    (nonzero only at chain starts).  Products come from the sequential
+    multiplier's batched ``multiply_block`` (add-shift or carry-save), so
+    the arithmetic algorithm under test still computes every product bit.
     """
 
-    def __init__(self, u: int, multiplier, x, y):
-        self.u = int(u)
+    def __init__(self, key, multiplier, x, y, z0):
+        self.key = key
         self.multiplier = multiplier
-        self._x = _np.asarray(x, dtype=_np.int64)
-        self._y = _np.asarray(y, dtype=_np.int64)
+        self.x = x
+        self.y = y
+        self.z0 = z0
 
 
 class CompiledWordProgram:
-    """One design's compiled word-level matmul program."""
+    """One design's compiled word-level program.
 
-    def __init__(self, u, reads, causality_checks, writes_struct, links):
-        self.u = int(u)
-        self.lowers = (1, 1, 1)
-        self.uppers = (u, u, u)
+    ``layers`` holds ``(idx, src)`` per chain position ``k >= 1``: the flat
+    indices of the points ``k`` steps into their ``h̄₃`` chain, and of
+    their predecessors.
+    """
+
+    def __init__(self, lowers, uppers, layers, reads, causality_checks,
+                 writes_struct, links):
+        self.lowers = tuple(lowers)
+        self.uppers = tuple(uppers)
+        self.shape = tuple(hi - lo + 1 for lo, hi in zip(lowers, uppers))
+        self.layers = layers
         self.reads = int(reads)
         self.causality_checks = int(causality_checks)
         self.writes_struct = int(writes_struct)
@@ -68,19 +81,19 @@ class CompiledWordProgram:
 
     def execute(self, kernel, store) -> SlotCounters:
         np = _np
-        u = self.u
-        shape = (u, u, u)
-        # x[j1, j3] pipelined along j2; y[j3, j2] pipelined along j1.
-        Xv = np.broadcast_to(kernel._x[:, None, :], shape)
-        Yv = np.broadcast_to(kernel._y.T[None, :, :], shape)
-        products = kernel.multiplier.multiply_block(
-            Xv.reshape(-1), Yv.reshape(-1)
+        x, y = kernel.x, kernel.y
+        Z = np.asarray(
+            kernel.multiplier.multiply_block(x.reshape(-1), y.reshape(-1)),
+            dtype=np.int64,
         )
-        Z = np.asarray(products, dtype=np.int64).reshape(shape).cumsum(axis=2)
-        always = np.broadcast_to(np.bool_(True), shape)
-        store.attach("x", Xv, always)
-        store.attach("y", Yv, always)
-        store.attach("z", Z, always)
+        if kernel.z0 is not None:
+            Z = Z + kernel.z0.reshape(-1)
+        for idx, src in self.layers:
+            Z[idx] += Z[src]
+        always = np.broadcast_to(np.bool_(True), self.shape)
+        store.attach("x", x, always)
+        store.attach("y", y, always)
+        store.attach("z", Z.reshape(self.shape), always)
         return SlotCounters(
             reads=self.reads,
             writes=self.writes_struct,
@@ -89,19 +102,24 @@ class CompiledWordProgram:
         )
 
 
-def compile_word_program(mapping: MappingMatrix, u: int) -> CompiledWordProgram:
-    """Compile the (``T``, ``u``) pair to a word-level program."""
-    plan = plan_for(mapping, (1, 1, 1), (u, u, u))
-    lattice = plan.lattice
-    j1, j2, j3 = lattice[:, 0], lattice[:, 1], lattice[:, 2]
+def compile_word_program(
+    mapping: MappingMatrix, h1, h2, h3, lowers, uppers
+) -> CompiledWordProgram:
+    """Compile one (``T``, model, box) instance to a word-level program."""
+    plan = plan_for(mapping, lowers, uppers)
+    box = WordBox(h1, h2, h3, lowers, uppers)
     counters = SlotCounters()
-    counters.account_site(mapping, (0, 1, 0), int((j2 > 1).sum()))
-    counters.account_site(mapping, (1, 0, 0), int((j1 > 1).sum()))
-    counters.account_site(
-        mapping, (0, 0, 1), len(lattice), int((j3 > 1).sum())
-    )
+    for h, inside in ((h1, box.x_in), (h2, box.y_in), (h3, box.z_in)):
+        counters.account_site(mapping, h, int(inside.sum()))
+    off3 = box.offset(h3)
+    # Walk the chains from their starts, one h̄₃ step per layer.
+    layers = []
+    idx = _np.flatnonzero(~box.z_in)
+    while len(idx := idx[~box.final[idx]]):
+        layers.append((idx + off3, idx))
+        idx = idx + off3
     program = CompiledWordProgram(
-        u, counters.reads, counters.causality_checks,
+        lowers, uppers, layers, counters.reads, counters.causality_checks,
         3 * plan.n_points, counters.links,
     )
     program.busy = plan.busy_per_step()

@@ -13,11 +13,18 @@ early arrivals sit in link buffers:
 * :mod:`repro.machine.simulator` -- the space-time executor: runs an
   algorithm's computations in schedule order with exact arrival checking
   and conflict detection;
+* :mod:`repro.machine.model` -- the bit-level machine: executes any
+  model-(3.5) algorithm (Expansion I/II) on a mapped array, bit-exactly,
+  per point or through the design's compiled program;
 * :mod:`repro.machine.bitlevel` -- the bit-level matrix-multiplication
-  machine: executes the Expansion I/II matmul on a mapped array and checks
-  the product bit-exactly;
-* :mod:`repro.machine.wordlevel` -- the word-level baseline array [4] with
-  pluggable sequential arithmetic (``t_b``).
+  machine: the model machine at matmul's ``h̄`` (``MATMUL_H``) plus the
+  product extraction;
+* :mod:`repro.machine.wordmodel` / :mod:`repro.machine.wordlevel` -- the
+  word-level counterparts: any model-(3.5) algorithm with pluggable
+  sequential arithmetic (``t_b``), and the word-level matmul baseline
+  array [4] on top of it;
+* :mod:`repro.machine.partition` -- pass-partitioned runs of the model
+  machine on a fixed-depth array.
 """
 
 from repro.machine.array import SystolicArray

@@ -23,8 +23,8 @@ Two execution backends share this machine model (see ``docs/SIMULATION.md``):
   index plans) is compiled once per design into per-slot int32 index
   plans that one slot loop replays (memoized in-process), so repeat
   simulations of a known design skip straight to value execution.
-  Generic ``compute`` callables run through its batched per-point path.
-  See ``docs/COMPILE.md``.
+  It runs the model machines' compiled programs; any other ``compute``
+  callable runs on the pointwise interpreter.  See ``docs/COMPILE.md``.
 
 Both backends produce identical :class:`SimulationResult` values, store
 contents, and observability metrics; the default is selected by
@@ -299,29 +299,29 @@ class SpaceTimeSimulator:
 
     def run(
         self,
-        compute: Callable[[tuple[int, ...], ValueStore], None],
+        compute: Callable[[tuple[int, ...], ValueStore], None] | None,
         kernel=None,
     ) -> SimulationResult:
         """Fire every index point in schedule order.
 
-        ``compute`` receives the index point and the shared store (a
-        :class:`ValueStore`; under the compiled backend the store the
-        simulator ends up holding may be the dense
-        :class:`~repro.compile.plan.DenseValueStore` -- same interface);
-        it should read its inputs (with boundary defaults), compute, and
-        write its outputs.
+        ``compute`` receives the index point and the shared
+        :class:`ValueStore`; it should read its inputs (with boundary
+        defaults), compute, and write its outputs.
 
         ``kernel``, when given, holds the run's operands for a compiled
         program semantically equivalent to ``compute``
-        (:class:`~repro.compile.matmul.MatmulSlotKernel`,
-        :class:`~repro.compile.word.WordMatmulSlotKernel`); the compiled
-        backend runs that program instead of calling ``compute`` per
-        point.  The pointwise backend ignores it.
+        (:class:`~repro.compile.model.ModelKernel`,
+        :class:`~repro.compile.word.WordModelKernel`); the compiled
+        backend runs that program against a dense store
+        (:class:`~repro.compile.plan.DenseValueStore`, same interface),
+        which the simulator then holds.  Without a kernel -- any other
+        ``compute`` callable -- both backends fire ``compute`` point by
+        point.
         """
-        if self.backend == "compiled":
+        if self.backend == "compiled" and kernel is not None:
             from repro.compile.runner import run_compiled
 
-            return run_compiled(self, compute, kernel)
+            return run_compiled(self, kernel)
         return self._run_pointwise(compute)
 
     def _run_pointwise(

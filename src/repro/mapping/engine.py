@@ -39,6 +39,7 @@ from typing import Iterator, Sequence
 
 from repro import obs
 from repro.mapping.feasibility import FeasibilityReport, check_feasibility
+from repro.mapping.interconnect import check_primitive_rows
 from repro.mapping.memo import EvalCache
 from repro.mapping.pareto import (
     METRIC_NAMES,
@@ -391,9 +392,12 @@ def run_search(
 
     Space candidates are evaluated in scan order until
     ``config.stop_after`` feasible designs are collected, so the ranked
-    result list is deterministic.
+    result list is deterministic.  A ``primitives`` matrix whose row count
+    differs from ``config.target_space_dim`` raises ``ValueError``.
     """
     config = config if config is not None else SearchConfig()
+    if primitives is not None:
+        check_primitive_rows(primitives, config.target_space_dim)
     stop_after = config.stop_after
     found: list[DesignCandidate] = []
     with obs.span(

@@ -26,7 +26,11 @@ from typing import Sequence
 
 from repro import obs
 from repro.mapping.conflicts import find_conflicts
-from repro.mapping.interconnect import InterconnectSolution, solve_interconnect
+from repro.mapping.interconnect import (
+    InterconnectSolution,
+    check_primitive_rows,
+    solve_interconnect,
+)
 from repro.mapping.memo import EvalCache
 from repro.mapping.transform import MappingMatrix
 from repro.structures.algorithm import Algorithm
@@ -119,7 +123,8 @@ def check_feasibility(
         Parameter values instantiating ``J``.
     primitives:
         Interconnection primitive matrix ``P``; when omitted, condition 2 is
-        recorded as trivially satisfied (unconstrained target).
+        recorded as trivially satisfied (unconstrained target).  A ``P`` whose row
+        count differs from the space dimension raises ``ValueError``.
     full_report:
         Evaluate all five conditions even after a failure.  The default
         stops at the first violated condition (cheapest-first order: rank,
@@ -135,6 +140,8 @@ def check_feasibility(
         raise ValueError(
             f"mapping width {t.n} does not match algorithm dimension {n}"
         )
+    if primitives is not None:
+        check_primitive_rows(primitives, t.k - 1)
     reg = obs.get_registry()
     t0 = time.perf_counter() if reg is not None else 0.0
 

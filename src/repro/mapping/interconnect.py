@@ -27,6 +27,7 @@ __all__ = [
     "mesh_primitives",
     "with_long_wires",
     "solve_interconnect",
+    "check_primitive_rows",
     "InterconnectSolution",
 ]
 
@@ -120,6 +121,18 @@ def _column_combinations(
     return best
 
 
+def check_primitive_rows(p_matrix: Sequence[Sequence[int]], space_dim: int) -> None:
+    """Condition 2 compares ``S·D`` with ``P·K``, so ``P`` needs one row
+    per space dimension; raise a ``ValueError`` naming both otherwise."""
+    rows = len(p_matrix)
+    if rows != space_dim:
+        raise ValueError(
+            f"interconnection primitive matrix P has {rows} row(s) but the "
+            f"space mapping has {space_dim} dimension(s); condition 2 needs "
+            f"one row of P per space dimension"
+        )
+
+
 def solve_interconnect(
     s_matrix: Sequence[Sequence[int]],
     d_matrix: Sequence[Sequence[int]],
@@ -139,7 +152,10 @@ def solve_interconnect(
     a design-space search the same displacement/deadline pairs recur for
     every schedule sharing a space row, so most columns are answered
     without re-running the depth-first search.
+
+    Raises ``ValueError`` when ``P``'s row count differs from ``S``'s.
     """
+    check_primitive_rows(p_matrix, len(s_matrix))
     m = len(d_matrix[0]) if d_matrix else 0
     n = len(d_matrix)
     r = len(p_matrix[0]) if p_matrix else 0

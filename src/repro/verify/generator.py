@@ -718,7 +718,16 @@ class SimulatorCase:
       (sequential arithmetic inside each PE), exact product;
     * ``"baughwooley"`` -- the signed
       :class:`~repro.arith.baughwooley.BaughWooleyMultiplier` on the scalar
-      operand pair ``(a, b)``.
+      operand pair ``(a, b)``;
+    * ``"model"`` -- :class:`~repro.machine.model.BitLevelModelMachine` on
+      a model-(3.5) instance over the box ``[1..uppers]``, outputs compared
+      with its word-level ``reference``.  ``design`` ``"search"`` is the
+      convolution ``h̄ = (1,0), (1,-1), (0,1)`` (``x = (w,)`` the taps,
+      ``y = (signal,)``) on the best design ``BitLevelDesigner.design()``
+      finds; ``"fig4"``/``"fig5"`` is matmul's ``h̄`` on that paper
+      mapping (``x`` is ``uppers[0] x uppers[2]``, ``y`` is
+      ``uppers[2] x uppers[1]``).  ``z_init`` holds ``(point, word)``
+      initial accumulator pairs.
     """
 
     mode: str
@@ -731,6 +740,8 @@ class SimulatorCase:
     y: tuple[tuple[int, ...], ...] = ()
     a: int = 0
     b: int = 0
+    uppers: tuple[int, ...] = ()
+    z_init: tuple[tuple[tuple[int, ...], int], ...] = ()
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -754,23 +765,68 @@ class SimulatorCase:
             yield replace(self, a=smaller if self.a >= 0 else -smaller)
         for smaller in _shrink_int(abs(self.b), 0):
             yield replace(self, b=smaller if self.b >= 0 else -smaller)
+        for k, (point, word) in enumerate(self.z_init):
+            rest = self.z_init[:k] + self.z_init[k + 1:]
+            yield replace(self, z_init=rest)
+            for smaller in _shrink_int(word, 0):
+                yield replace(
+                    self, z_init=rest[:k] + ((point, smaller),) + rest[k:]
+                )
 
 
 def _random_matrix(
-    rng: random.Random, u: int, lo: int, hi: int
+    rng: random.Random, u: int, lo: int, hi: int, cols: int | None = None
 ) -> tuple[tuple[int, ...], ...]:
     return tuple(
-        tuple(rng.randint(lo, hi) for _ in range(u)) for _ in range(u)
+        tuple(rng.randint(lo, hi) for _ in range(u if cols is None else cols))
+        for _ in range(u)
     )
+
+
+def _gen_model_case(rng: random.Random, p: int) -> SimulatorCase:
+    """A model-(3.5) instance: a small convolution on a searched design,
+    or matmul's h̄ over a rectangular box on a paper mapping; half the
+    draws seed some chains with initial accumulator words."""
+    expansion = rng.choice(("I", "II"))
+    top = (1 << p) - 1
+    if rng.random() < 0.5:
+        points, taps = rng.randint(2, 4), rng.randint(2, 3)
+        case = SimulatorCase(
+            mode="model", u=0, p=p, design="search", expansion=expansion,
+            uppers=(points, taps),
+            x=_random_matrix(rng, 1, 0, top, taps),
+            y=_random_matrix(rng, 1, 0, top, points + taps - 1),
+        )
+        starts = [(j1, 1) for j1 in range(1, points + 1)]
+    else:
+        e1, e2, e3 = (rng.randint(1, 3) for _ in range(3))
+        case = SimulatorCase(
+            mode="model", u=0, p=p, design=rng.choice(("fig4", "fig5")),
+            expansion=expansion, uppers=(e1, e2, e3),
+            x=_random_matrix(rng, e1, 0, top, e3),
+            y=_random_matrix(rng, e3, 0, top, e2),
+        )
+        starts = [(j1, j2, 1) for j1 in range(1, e1 + 1)
+                  for j2 in range(1, e2 + 1)]
+    if rng.random() < 0.5:
+        zmax = (1 << (2 * p - 1)) - 1
+        case = replace(case, z_init=tuple(
+            (j, rng.randint(0, zmax)) for j in starts if rng.random() < 0.7
+        ))
+    return case
 
 
 def gen_simulator_case(
     rng: random.Random, env: SizeEnvelope = SizeEnvelope()
 ) -> SimulatorCase:
     """Draw a random simulator case inside the envelope."""
-    mode = rng.choice(("unsigned", "unsigned", "signed", "word", "baughwooley"))
+    mode = rng.choice(
+        ("unsigned", "unsigned", "signed", "word", "baughwooley", "model")
+    )
     u = rng.randint(2, env.max_u)
     p = rng.randint(env.min_p, env.max_p)
+    if mode == "model":
+        return _gen_model_case(rng, p)
     if mode == "baughwooley":
         half = 1 << (p - 1)
         return SimulatorCase(

@@ -2,15 +2,19 @@
 
 For one random operand set, run the full space-time machine (bit-level
 lattice on a paper design, the word-level systolic baseline, the signed
-coefficient-splitting driver, or the Baugh-Wooley signed multiplier) and
-compare against an independently computed reference product -- a numpy
-``object``-dtype matmul.  The bit-level modes also cross-check the
-simulator's measured makespan against the closed-form
-:func:`repro.mapping.schedule.execution_time` of the design's schedule.
+coefficient-splitting driver, the Baugh-Wooley signed multiplier, or the
+model machine on a convolution or a rectangular matmul box) and compare
+against an independently computed reference -- a numpy ``object``-dtype
+matmul, or the model's word-level recurrence.  The bit-level matmul modes
+also cross-check the simulator's measured makespan against the
+closed-form :func:`repro.mapping.schedule.execution_time` of the design's
+schedule.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import random
 
 import numpy as _np
@@ -75,6 +79,9 @@ def check(case: SimulatorCase, backend: str | None = None) -> str | None:
             )
         return None
 
+    if case.mode == "model":
+        return _check_model(case, backend)
+
     if case.mode == "word":
         from repro.machine.wordlevel import WordLevelMatmulMachine
 
@@ -133,5 +140,54 @@ def check(case: SimulatorCase, backend: str | None = None) -> str | None:
             f"measured makespan {run.sim.makespan} != closed-form "
             f"execution time {expected_makespan} (design {case.design}, "
             f"u={case.u}, p={case.p})"
+        )
+    return None
+
+
+#: The convolution as model (3.5): h̄ of x (taps), y (signal) and z.
+CONV_H = ((1, 0), (1, -1), (0, 1))
+
+
+@functools.lru_cache(maxsize=64)
+def _searched_design(uppers: tuple[int, ...], p: int, expansion: str):
+    """The best design the pipeline finds for the convolution instance
+    (memoized: shrinking re-checks one instance with other operands)."""
+    from repro.pipeline import BitLevelDesigner
+
+    designer = BitLevelDesigner(
+        *CONV_H, lowers=[1] * len(uppers), uppers=list(uppers), p=p,
+        expansion=expansion,
+    )
+    return designer.design().mapping
+
+
+def _check_model(case: SimulatorCase, backend: str | None) -> str | None:
+    from repro.machine.model import MATMUL_H, BitLevelModelMachine
+
+    uppers = tuple(case.uppers)
+    points = list(itertools.product(*(range(1, e + 1) for e in uppers)))
+    if case.design == "search":
+        h = CONV_H
+        mapping = _searched_design(uppers, case.p, case.expansion)
+        taps, signal = case.x[0], case.y[0]
+        xw = {j: taps[j[1] - 1] for j in points}
+        yw = {j: signal[j[0] + j[1] - 2] for j in points}
+    else:
+        h = MATMUL_H
+        mapping = _design_mapping(case)
+        xw = {j: case.x[j[0] - 1][j[2] - 1] for j in points}
+        yw = {j: case.y[j[2] - 1][j[1] - 1] for j in points}
+    machine = BitLevelModelMachine(
+        *h, [1] * len(uppers), uppers, case.p, mapping, case.expansion,
+        backend=backend,
+    )
+    z_init = {tuple(j): v for j, v in case.z_init}
+    got = machine.run(xw, yw, z_init).outputs
+    want = machine.reference(xw, yw, z_init)
+    if got != want:
+        return (
+            f"model machine outputs {got} != reference {want} (h̄ {h}, "
+            f"box {uppers}, design {case.design}, expansion "
+            f"{case.expansion})"
         )
     return None

@@ -3,23 +3,27 @@
 ``tests/test_wavefront_equivalence.py`` and
 ``tests/test_compiled_equivalence.py`` both compare the ``compiled``
 backend against the ``pointwise`` reference.  The machines build their
-simulator internally, so store snapshots and PE firings are grabbed by
-substituting a recording :class:`SpaceTimeSimulator` subclass.
+simulator internally (the bit-level and word-level model machines, which
+the matmul machines wrap), so store snapshots and PE firings are grabbed
+by substituting a recording :class:`SpaceTimeSimulator` subclass.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 
 from repro import obs
 from repro.arith.baughwooley import BaughWooleyMultiplier
-from repro.machine import bitlevel as bitlevel_mod
-from repro.machine import wordlevel as wordlevel_mod
+from repro.machine import model as model_mod
+from repro.machine import wordmodel as wordmodel_mod
 from repro.machine.bitlevel import BitLevelMatmulMachine
 from repro.machine.model import BitLevelModelMachine
+from repro.machine.partition import PartitionedModelMachine
 from repro.machine.signed import signed_matmul
 from repro.machine.simulator import SpaceTimeSimulator
 from repro.machine.wordlevel import WordLevelMatmulMachine
+from repro.machine.wordmodel import WordLevelModelMachine
 from repro.mapping import check_feasibility, designs
 from repro.mapping.transform import MappingMatrix
 from repro.verify.generator import gen_mapping_case
@@ -34,25 +38,12 @@ class CaptureSimulator(SpaceTimeSimulator):
         return super().run(compute, kernel)
 
 
-class GenericPathSimulator(CaptureSimulator):
-    """Drops the machine's kernel: the compiled backend then runs the
-    per-point ``compute`` through its generic path."""
-
-    def run(self, compute, kernel=None):
-        return super().run(compute, None)
-
-
 def install_capture(monkeypatch) -> list[SpaceTimeSimulator]:
     """Patch the machine modules to record every simulator they build."""
     CaptureSimulator.instances = []
-    monkeypatch.setattr(bitlevel_mod, "SpaceTimeSimulator", CaptureSimulator)
-    monkeypatch.setattr(wordlevel_mod, "SpaceTimeSimulator", CaptureSimulator)
+    monkeypatch.setattr(model_mod, "SpaceTimeSimulator", CaptureSimulator)
+    monkeypatch.setattr(wordmodel_mod, "SpaceTimeSimulator", CaptureSimulator)
     return CaptureSimulator.instances
-
-
-def use_generic_path(monkeypatch) -> None:
-    """From now on, bit-level machines run without their kernel."""
-    monkeypatch.setattr(bitlevel_mod, "SpaceTimeSimulator", GenericPathSimulator)
 
 
 def observed(fn):
@@ -164,15 +155,36 @@ def assert_arithmetic_equivalent(arith, backends, seed):
 
 
 # ---------------------------------------------------------------------------
-# Generic model-(3.5) machine (convolution mapping -> generic path)
+# Model-(3.5) machines at non-matmul h̄
 # ---------------------------------------------------------------------------
 
 CONV_T = MappingMatrix([[3, 0, 1, 0], [0, 0, 0, 1], [2, 1, 2, 1]], "T-conv")
 
 
-def model_machine_run(backend, expansion, rng):
-    """A 4-point, 3-tap convolution on the model machine; returns
-    ``((z_words, outputs, dropped_bits), (sim_result, metrics))``."""
+def captured_run(fn, capture):
+    """Run ``fn`` under a fresh obs registry; return ``(out, run)`` where
+    ``run`` is ``(sim_results, snapshots, metrics, firings)`` over every
+    simulator ``fn`` built (needs :func:`install_capture` active)."""
+    before = len(capture)
+    out, metrics = observed(fn)
+    sims = capture[before:]
+    return out, (
+        _results(out),
+        [sim.store.snapshot() for sim in sims],
+        metrics,
+        [firings(sim) for sim in sims],
+    )
+
+
+def _results(out):
+    passes = getattr(out, "passes", None)
+    return [r.sim for r in passes] if passes is not None else [out.sim]
+
+
+def model_machine_run(backend, expansion, rng, capture):
+    """A 4-point, 3-tap convolution on the model machine, with initial
+    accumulator words; returns ``((z_words, outputs, dropped_bits,
+    max_summands), run)``."""
     n_pts, taps, p = 4, 3, 3
     w = [rng.randrange(1 << p) for _ in range(taps)]
     sig = [rng.randrange(1 << p) for _ in range(n_pts + taps - 1)]
@@ -181,13 +193,64 @@ def model_machine_run(backend, expansion, rng):
         for j2 in range(1, taps + 1):
             xw[(j1, j2)] = w[j2 - 1]
             yw[(j1, j2)] = sig[j1 + j2 - 2]
+    z0 = {(j1, 1): rng.randrange(1 << (2 * p - 1)) for j1 in (1, 3)}
     machine = BitLevelModelMachine(
         [1, 0], [1, -1], [0, 1], [1, 1], [n_pts, taps], p, CONV_T,
         expansion, backend=backend,
     )
-    out, metrics = observed(lambda: machine.run(xw, yw))
-    assert out.outputs == machine.reference(xw, yw)
-    return (out.z_words, out.outputs, out.dropped_bits), (out.sim, metrics)
+    out, run = captured_run(lambda: machine.run(xw, yw, z0), capture)
+    assert out.outputs == machine.reference(xw, yw, z0)
+    return (out.z_words, out.outputs, out.dropped_bits, out.max_summands), run
+
+
+def partitioned_run(backend, expansion, rng, capture, monkeypatch):
+    """Matmul streamed through a depth-2 array in passes (``z`` words
+    carried between passes as ``z_init``) plus an initial accumulator."""
+    u, depth, p = 2, 5, 3
+    monkeypatch.setenv("REPRO_SIM_BACKEND", backend)
+    x = [[rng.randrange(1 << p) for _ in range(depth)] for _ in range(u)]
+    y = [[rng.randrange(1 << p) for _ in range(u)] for _ in range(depth)]
+    xw, yw = {}, {}
+    for j1 in range(1, u + 1):
+        for j2 in range(1, u + 1):
+            for j3 in range(1, depth + 1):
+                xw[(j1, j2, j3)] = x[j1 - 1][j3 - 1]
+                yw[(j1, j2, j3)] = y[j3 - 1][j2 - 1]
+    z0 = {(j1, j2, 1): rng.randrange(1 << (2 * p - 1))
+          for j1 in range(1, u + 1) for j2 in range(1, u + 1)}
+    machine = PartitionedModelMachine(
+        [0, 1, 0], [1, 0, 0], [0, 0, 1], [1, 1, 1], [u, u, depth], p,
+        designs.fig4_mapping(p), 2, expansion,
+    )
+    out, run = captured_run(lambda: machine.run(xw, yw, z0), capture)
+    assert out.outputs == machine.reference(xw, yw, z0)
+    return out.outputs, run
+
+
+def chain_words(h, lowers, uppers, rng, top):
+    """Random words constant along the ``h`` chains of the box."""
+    words = {}
+    ranges = (range(lo, hi + 1) for lo, hi in zip(lowers, uppers))
+    for j in itertools.product(*ranges):  # a chain predecessor comes first
+        src = tuple(a - b for a, b in zip(j, h))
+        words[j] = words[src] if src in words else rng.randrange(top)
+    return words
+
+
+def word_model_run(case, t, backend, seed, capture):
+    """A generator ``kind="word"`` draw on the word-level model machine,
+    with operands constant along their chains and initial words at some
+    chain starts."""
+    rng = random.Random(seed)
+    p = 3
+    lowers, uppers = case.lowers, case.uppers
+    xw = chain_words(case.h1, lowers, uppers, rng, 1 << p)
+    yw = chain_words(case.h2, lowers, uppers, rng, 1 << p)
+    z0 = {j: rng.randrange(100) for j in list(xw)[::3]}
+    machine = WordLevelModelMachine(
+        case.h1, case.h2, case.h3, lowers, uppers, p, t, backend=backend,
+    )
+    return captured_run(lambda: machine.run(xw, yw, z0), capture)
 
 
 # ---------------------------------------------------------------------------
@@ -217,37 +280,3 @@ def feasible_cases(seed, count=N_RANDOM_MAPPINGS, max_attempts=400):
         f"loosen the draw budget"
     )
     return out
-
-
-def generic_compute(alg, binding):
-    """A deterministic per-point computation exercising every dependence:
-    read each (valid) source along its cause variables, fold, write every
-    cause variable once at the firing point."""
-    deps = list(alg.dependences)
-
-    def compute(q, store):
-        total = sum((i + 1) * v for i, v in enumerate(q)) % 17
-        written = []
-        for k, dep in enumerate(deps):
-            causes = dep.causes or (f"d{k}",)
-            for var in causes:
-                if var not in written:
-                    written.append(var)
-            if not dep.valid_at(q, binding):
-                continue
-            src = tuple(a - b for a, b in zip(q, dep.vector))
-            for var in causes:
-                total += store.get(var, src, 0)
-        for var in written:
-            store.put(var, q, total % 251)
-
-    return compute
-
-
-def generic_run(alg, binding, t, backend):
-    """Simulate ``generic_compute`` directly; returns a comparable run."""
-    compute = generic_compute(alg, binding)
-    with obs.collecting() as reg:
-        sim = SpaceTimeSimulator(t, alg, binding, backend=backend)
-        result = sim.run(compute)
-    return (result, sim.store.snapshot(), obs.metrics_dict(reg), firings(sim))

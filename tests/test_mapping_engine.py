@@ -170,3 +170,23 @@ class TestOvercollect:
                            SearchConfig(schedule_bound=1, max_candidates=1))
         assert isinstance(cands[0], DesignCandidate)
         assert cands[0].report.feasible
+
+
+@pytest.mark.parametrize("strategy", ["catalog", "solver"])
+@pytest.mark.parametrize("dim, prims", [(2, "mesh1"), (3, "fig5")])
+def test_run_search_rejects_primitive_rows_off_the_space_dimension(
+    strategy, dim, prims
+):
+    """A P with a row count other than ``target_space_dim`` raises a
+    ValueError naming both before any plan is built, on both strategies,
+    instead of checking designs against a truncated condition 2."""
+    from repro.mapping.interconnect import mesh_primitives
+
+    primitives = mesh_primitives(1) if prims == "mesh1" else designs.fig5_primitives()
+    rows = len(primitives)
+    config = SearchConfig(target_space_dim=dim, block_values=[2],
+                          schedule_bound=2, strategy=strategy)
+    with pytest.raises(
+        ValueError, match=rf"P has {rows} row\(s\).* {dim} dim"
+    ):
+        run_search(matmul_bit_level(2, 2), {"u": 2, "p": 2}, primitives, config)

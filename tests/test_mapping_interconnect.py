@@ -177,3 +177,30 @@ class TestColumnCombinationsBudget:
             assert [sum(k * c[r] for k, c in zip(got, cols))
                     for r in range(2)] == list(target)
 
+
+
+class TestPrimitiveRowCount:
+    """Condition 2 with a P whose row count is not the space dimension:
+    ``solve_interconnect`` and ``check_feasibility`` raise a ValueError
+    naming both counts instead of solving a truncated system."""
+
+    SPACE = [[1, -1, 0, 0, 0], [1, 0, -1, 0, 0]]
+    SCHEDULE = [1, 1, 1, 1, 1]
+
+    def test_solve_interconnect_raises(self):
+        from repro.mapping.interconnect import mesh_primitives
+
+        d_cols = matmul_bit_level(2, 2).dependences.columns()
+        d = [[col[r] for col in d_cols] for r in range(5)]
+        with pytest.raises(ValueError, match=r"P has 1 row\(s\).* 2 dim"):
+            solve_interconnect(self.SPACE, d, self.SCHEDULE, mesh_primitives(1))
+
+    def test_check_feasibility_raises(self):
+        from repro.mapping.feasibility import check_feasibility
+        from repro.mapping.interconnect import mesh_primitives
+        from repro.mapping.transform import MappingMatrix
+
+        t = MappingMatrix([*self.SPACE, self.SCHEDULE], "T-rows")
+        with pytest.raises(ValueError, match=r"P has 1 row\(s\).* 2 dim"):
+            check_feasibility(t, matmul_bit_level(2, 2), {"u": 2, "p": 2},
+                              mesh_primitives(1))

@@ -70,10 +70,13 @@ class TestDesignAndBuild:
         assert rep.feasible
 
     def test_infeasible_search_raises(self):
+        from repro.mapping.interconnect import mesh_primitives
+
         d = matmul_designer(2, 2)
         with pytest.raises(RuntimeError):
             # A 1-D array with tiny schedule coefficients is impossible.
-            d.design(target_space_dim=1, schedule_bound=1, max_candidates=1)
+            d.design(primitives=mesh_primitives(1), target_space_dim=1,
+                     schedule_bound=1, max_candidates=1)
 
     def test_default_primitives_include_long_wires(self):
         d = matmul_designer(2, 3)

@@ -500,3 +500,13 @@ class TestPublicApi:
 
         with pytest.raises(AttributeError):
             repro.definitely_not_an_attribute
+
+
+def test_served_search_names_a_primitive_row_mismatch():
+    """A search whose target space dimension differs from P's row count
+    (fig4's P has 2 rows) returns the validation message, not a solver
+    traceback from a truncated system."""
+    result = run_job(JobSpec(kind="search", u=2, p=2, target_space_dim=1))
+    assert result.status == "error"
+    assert ("P has 2 row(s) but the space mapping has 1 dimension(s)"
+            in result.error)

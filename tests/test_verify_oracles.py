@@ -192,3 +192,43 @@ def test_verify_emits_obs_counters():
         metrics = obs.metrics_dict(reg)
     assert metrics["counters"]["verify.theorem31.cases"] == SMALL.cases
     assert "verify.theorem31" in metrics["spans"]
+
+
+def _model_cases(count, seed=0):
+    rng = random.Random(seed)
+    cases = []
+    while len(cases) < count:
+        case = gen_simulator_case(rng)
+        if case.mode == "model":
+            cases.append(case)
+    return cases
+
+
+@pytest.mark.parametrize("backend", ["pointwise", "compiled"])
+def test_simulator_model_mode_matches_reference(backend):
+    """The model mode draws convolutions on searched designs and matmul's
+    h̄ over rectangular boxes, some with initial words; each run equals
+    the word-level reference on both backends."""
+    from repro.verify import oracle_simulator
+
+    cases = _model_cases(24)
+    assert {c.design for c in cases} == {"search", "fig4", "fig5"}
+    assert any(c.z_init for c in cases)
+    for case in cases:
+        assert oracle_simulator.check(case, backend=backend) is None, case
+
+
+def test_simulator_model_mode_catches_and_shrinks_a_dropped_z_init(
+    monkeypatch,
+):
+    """A seeded bug -- the machine drops its initial words -- is caught,
+    and shrinking keeps the counterexample a model case."""
+    from repro.machine.model import WordBox
+    from repro.verify import oracle_simulator
+
+    monkeypatch.setattr(WordBox, "initial", lambda self, z_init, mask=None: None)
+    case = next(c for c in _model_cases(24) if any(v for _, v in c.z_init))
+    assert oracle_simulator.check(case) is not None
+    small, steps = shrink(case, lambda c: oracle_simulator.check(c) is not None)
+    assert small.mode == "model" and steps > 0
+    assert sum(v for _, v in small.z_init) == 1

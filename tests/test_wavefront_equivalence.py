@@ -2,21 +2,19 @@
 
 The paper's machine fires every index point of a hyperplane
 ``Pi j = t`` -- one wavefront -- in a single beat.  The ``compiled``
-backend executes a design wavefront by wavefront (one slot per ``t``,
-either as a compiled program or through its generic per-point path);
+backend executes a design wavefront by wavefront (one slot per ``t``);
 the ``pointwise`` oracle fires one point at a time.  Batching is only a
 speedup if it is *undetectable*: same product, same
 :class:`~repro.machine.simulator.SimulationResult`, same store contents,
 same ``machine.*`` metric values, same PE firings.  This module pins that
 down across
 
-* the bit-level matmul machine (both designs x both expansions, with and
-  without the compiled slot program);
+* the bit-level matmul machine (both designs x both expansions);
 * every registered arithmetic structure, each exercised on the machine
   path that executes it;
-* the generic model-(3.5) machine;
-* >= 20 seeded random feasible mappings drawn from
-  :mod:`repro.verify.generator`.
+* the bit-level model machine on a convolution, with initial words;
+* the word-level model machine on the ``kind="word"`` draws among >= 20
+  seeded random feasible mappings from :mod:`repro.verify.generator`.
 """
 
 from __future__ import annotations
@@ -34,10 +32,9 @@ from tests.equivalence import (
     bitlevel_run,
     design_mapping,
     feasible_cases,
-    generic_run,
     install_capture,
     model_machine_run,
-    use_generic_path,
+    word_model_run,
 )
 
 
@@ -76,24 +73,6 @@ def test_bitlevel_machine_equivalence(design, expansion, capture, rng):
     )
 
 
-def test_bitlevel_kernel_and_shim_agree(capture, monkeypatch, rng):
-    """Same backend, kernel dropped (``kernel=None``): the generic
-    per-point path must reproduce the compiled program's run on fig5 /
-    expansion I, store and firings included."""
-    u = p = 3
-    x, y = random_matrix(rng, u, p), random_matrix(rng, u, p)
-    mapping = design_mapping("fig5", p)
-    out_kernel, run_kernel = bitlevel_run(
-        u, p, mapping, "I", "compiled", x, y, capture
-    )
-    use_generic_path(monkeypatch)
-    out_shim, run_shim = bitlevel_run(
-        u, p, mapping, "I", "compiled", x, y, capture
-    )
-    assert out_kernel.product == out_shim.product
-    assert_runs_match(run_kernel, run_shim, "fig5/exp I program vs generic")
-
-
 # ---------------------------------------------------------------------------
 # Every registered arithmetic structure
 # ---------------------------------------------------------------------------
@@ -104,38 +83,41 @@ def test_registered_arithmetic_equivalence(arith):
 
 
 # ---------------------------------------------------------------------------
-# Generic model-(3.5) machine (convolution mapping -> generic path)
+# Model-(3.5) machines at non-matmul h̄
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("expansion", ["I", "II"])
-def test_model_machine_equivalence(expansion, rng):
+def test_model_machine_equivalence(expansion, capture, rng):
     state = rng.getstate()
     runs = {}
     for backend in BACKENDS:
         rng.setstate(state)  # same operands on every backend
-        runs[backend] = model_machine_run(backend, expansion, rng)
-    (out_pw, (sim_pw, m_pw)), (out_c, (sim_c, m_c)) = (
-        runs["pointwise"], runs["compiled"]
-    )
+        runs[backend] = model_machine_run(backend, expansion, rng, capture)
+    (out_pw, run_pw), (out_c, run_c) = runs["pointwise"], runs["compiled"]
     assert out_pw == out_c
-    assert sim_pw == sim_c
-    assert m_pw["counters"] == m_c["counters"]
-    assert m_pw["gauges"] == m_c["gauges"]
+    assert_runs_match(run_pw, run_c, f"convolution exp {expansion}")
 
 
 # ---------------------------------------------------------------------------
 # Random feasible mappings from the verification generator
 # ---------------------------------------------------------------------------
 
-def test_random_feasible_mappings_equivalent():
-    for case, alg, binding, t in feasible_cases(seed=42):
+def test_random_feasible_mappings_equivalent(capture):
+    """The word-level model machine on the ``kind="word"`` draws (random
+    h̄ and mapping)."""
+    cases = [
+        (case, t) for case, _, _, t in feasible_cases(seed=42)
+        if case.kind == "word"
+    ]
+    assert len(cases) >= 5
+    for k, (case, t) in enumerate(cases):
         runs = {
-            backend: generic_run(alg, binding, t, backend)
+            backend: word_model_run(case, t, backend, k, capture)
             for backend in BACKENDS
         }
-        assert_runs_match(
-            runs["pointwise"], runs["compiled"], f"{case.kind} mapping {t.rows}"
-        )
+        (out_pw, run_pw), (out_c, run_c) = runs["pointwise"], runs["compiled"]
+        assert out_pw.z_words == out_c.z_words
+        assert_runs_match(run_pw, run_c, f"word model mapping {t.rows}")
 
 
 def test_random_mapping_count_is_at_least_twenty():
