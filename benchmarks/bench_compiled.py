@@ -166,7 +166,7 @@ def _conv_row(repeats):
 def _both_backends(u, p, repeats):
     runs, metrics, times = {}, {}, {}
     times["pointwise"], runs["pointwise"], metrics["pointwise"] = _timed_run(
-        u, p, "pointwise", repeats=1
+        u, p, "pointwise", repeats=repeats
     )
     # The compiled engine runs in a few ms where allocator/frequency
     # warm-up dominates the first several iterations; give it untimed

@@ -1,16 +1,13 @@
 #!/usr/bin/env python
 """CI smoke test for the analysis-as-a-service tier.
 
-Starts an in-process job server, pushes a mixed batch of jobs through
-the thin HTTP client, and checks the three serving guarantees end to
-end:
+Starts an in-process job server, pushes a mix of jobs through the thin
+HTTP client, and checks the two serving guarantees end to end:
 
 1. **CLI parity** -- every served result's ``output`` equals the direct
    CLI subcommand's stdout byte-for-byte (wall-clock timings masked);
 2. **Coalescing** -- N concurrent identical analyze submissions produce
-   exactly one vectorized-engine call and N identical results;
-3. **Batching** -- compatible analyze specs submitted together fuse
-   into a single engine invocation.
+   exactly one analysis-engine call and N identical results.
 
 Exits non-zero on the first violation.  Run from a checkout:
 
@@ -61,7 +58,7 @@ def main() -> int:
         print(f"serve-smoke: server on port {handle.port}")
 
         # 1. CLI parity across all four job kinds.
-        print("mixed batch vs direct CLI runs:")
+        print("mixed jobs vs direct CLI runs:")
         cases = [
             (JobSpec(kind="analyze", u=2, p=2, cache=False),
              ["analyze", "--u", "2", "--p", "2", "--no-cache"]),
@@ -110,25 +107,6 @@ def main() -> int:
               f"stats={stats}")
         check("coalescing: 8 byte-identical results",
               all(p == payloads[0] for p in payloads) and results[0].ok)
-
-    # 3. Batching (fresh server again).
-    with ServerThread() as handle:
-        client = ServeClient(port=handle.port)
-        specs = [JobSpec(kind="analyze", u=u, p=p, cache=False)
-                 for u, p in ((2, 2), (2, 3), (3, 2), (3, 3))]
-        batched = client.run_many(specs, timeout=300)
-        stats = client.stats()["server"]
-        check("batching: 4 compatible jobs -> 1 engine call",
-              all(r.ok for r in batched)
-              and stats.get("analysis.engine_calls") == 1
-              and stats.get("serve.batches") == 1,
-              f"stats={stats}")
-        for spec, result in zip(specs, batched):
-            from repro.serve import run_job
-
-            solo = run_job(spec)
-            check(f"batching: u={spec.u} p={spec.p} output == solo run",
-                  _norm(result.output) == _norm(solo.output))
 
     failed = checks.count(False)
     print(f"serve-smoke: {len(checks) - failed}/{len(checks)} checks passed")

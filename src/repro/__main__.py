@@ -289,7 +289,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             max_cases=args.max_cases,
             max_budget_s=args.max_budget_s,
         ),
-        max_batch=args.max_batch,
     )
     server = JobServer(config)
 
@@ -546,10 +545,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument(
         "--max-budget-s", type=float, default=None, metavar="S",
         help="cap (and default) for per-job wall-clock budgets",
-    )
-    p_serve.add_argument(
-        "--max-batch", type=int, default=16,
-        help="max analyze jobs fused into one vectorized-engine call",
     )
     _obs_options(p_serve, top_level=False)
     p_serve.set_defaults(fn=_cmd_serve)

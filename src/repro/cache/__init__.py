@@ -1,7 +1,7 @@
 """Persistent cross-run artifact cache.
 
 Content-addressed, on-disk memoization for the expensive pure derivations
-of the pipeline: dependence-analysis results and Theorem 3.1 structures.
+of the pipeline: dependence-analysis results and symbolic closed forms.
 Keys are SHA-256 fingerprints of canonicalized inputs
 (:mod:`repro.cache.keys`), values are exact JSON serializations
 (:mod:`repro.cache.serde`), and the store
@@ -19,13 +19,10 @@ from repro.cache.keys import (
     Uncacheable,
     analysis_key,
     fingerprint,
-    structure_key,
     symbolic_key,
 )
 from repro.cache.serde import (
     Unserializable,
-    algorithm_from_payload,
-    algorithm_to_payload,
     analysis_result_from_payload,
     analysis_result_to_payload,
     condition_from_payload,
@@ -47,8 +44,6 @@ __all__ = [
     "FileLock",
     "Uncacheable",
     "Unserializable",
-    "algorithm_from_payload",
-    "algorithm_to_payload",
     "analysis_key",
     "analysis_result_from_payload",
     "analysis_result_to_payload",
@@ -57,6 +52,5 @@ __all__ = [
     "default_cache_root",
     "fingerprint",
     "resolve_cache",
-    "structure_key",
     "symbolic_key",
 ]

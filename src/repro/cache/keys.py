@@ -20,11 +20,7 @@ from __future__ import annotations
 import hashlib
 import json
 
-from repro.cache.serde import (
-    Unserializable,
-    algorithm_to_payload,
-    condition_to_payload,
-)
+from repro.cache.serde import Unserializable, condition_to_payload
 from repro.depanalysis.pairs import PointSet
 from repro.structures.conditions import And, Eq, Ne, Not, Or, _False, _True
 
@@ -32,7 +28,6 @@ __all__ = [
     "Uncacheable",
     "fingerprint",
     "analysis_key",
-    "structure_key",
     "symbolic_key",
 ]
 
@@ -155,30 +150,3 @@ def symbolic_key(program) -> str:
     except Unserializable as exc:
         raise Uncacheable(str(exc)) from exc
     return fingerprint(payload)
-
-
-def structure_key(word, arith_name: str, expansion_key: str, p) -> str:
-    """Content-address one symbolic Theorem 3.1 composition.
-
-    ``word`` is the word-level :class:`~repro.structures.algorithm.Algorithm`
-    (serialized exactly, symbolic bounds and validity conditions included),
-    ``arith_name``/``expansion_key`` the registered arithmetic structure and
-    expansion, ``p`` the symbolic-or-``None`` stage count.
-    """
-    try:
-        word_payload = algorithm_to_payload(word)
-        for vec in word.dependences:
-            # Validity must be canonically serializable too (checked above via
-            # algorithm_to_payload); nothing extra needed here.
-            condition_to_payload(vec.validity)
-    except Unserializable as exc:
-        raise Uncacheable(str(exc)) from exc
-    payload = {
-        "kind": "theorem31",
-        "word": word_payload,
-        "arith": arith_name,
-        "expansion": expansion_key,
-        "p": None if p is None else repr(p),
-    }
-    return fingerprint(payload)
-

@@ -7,20 +7,19 @@ to) what the miss path would have built.  Two families are covered:
 * the dependence-analysis result types
   (:class:`~repro.depanalysis.pairs.AnalysisResult` with its
   :class:`~repro.depanalysis.pairs.DependenceInstance` tuple and stats);
-* the Theorem 3.1 structure types (:class:`LinExpr`, the condition
-  algebra including extensional :class:`PointSet`\\ s, :class:`IndexSet`,
-  :class:`DependenceVector`, :class:`Algorithm`).
+* the symbolic atoms (:class:`LinExpr` and the condition algebra
+  including extensional :class:`PointSet`\\ s), which
+  :mod:`repro.symbolic.serde` and :func:`repro.cache.keys.symbolic_key`
+  build on.
 
-Objects that cannot be represented exactly (e.g. an
-:class:`~repro.structures.algorithm.ComputationSet` carrying an
-executable ``semantics`` callable, or an unknown condition subclass)
-raise :class:`Unserializable`; callers treat that as "skip the cache".
+Objects that cannot be represented exactly (an unknown condition
+subclass) raise :class:`Unserializable`; callers treat that as "skip the
+cache".
 """
 
 from __future__ import annotations
 
 from repro.depanalysis.pairs import AnalysisResult, DependenceInstance, PointSet
-from repro.structures.algorithm import Algorithm, ComputationSet
 from repro.structures.conditions import (
     And,
     Condition,
@@ -33,8 +32,6 @@ from repro.structures.conditions import (
     _False,
     _True,
 )
-from repro.structures.dependence import DependenceMatrix, DependenceVector
-from repro.structures.indexset import IndexSet
 from repro.structures.params import LinExpr
 
 __all__ = [
@@ -43,12 +40,8 @@ __all__ = [
     "linexpr_from_payload",
     "condition_to_payload",
     "condition_from_payload",
-    "indexset_to_payload",
-    "indexset_from_payload",
     "analysis_result_to_payload",
     "analysis_result_from_payload",
-    "algorithm_to_payload",
-    "algorithm_from_payload",
 ]
 
 
@@ -57,7 +50,7 @@ class Unserializable(TypeError):
 
 
 # ---------------------------------------------------------------------------
-# Structure types
+# Symbolic atoms
 # ---------------------------------------------------------------------------
 
 def linexpr_to_payload(expr: LinExpr) -> list:
@@ -110,22 +103,6 @@ def condition_from_payload(payload) -> Condition:
     raise Unserializable(f"unknown condition tag {tag!r}")
 
 
-def indexset_to_payload(index_set: IndexSet) -> dict:
-    return {
-        "lowers": [linexpr_to_payload(b) for b in index_set.lowers],
-        "uppers": [linexpr_to_payload(b) for b in index_set.uppers],
-        "names": list(index_set.names),
-    }
-
-
-def indexset_from_payload(payload) -> IndexSet:
-    return IndexSet(
-        [linexpr_from_payload(b) for b in payload["lowers"]],
-        [linexpr_from_payload(b) for b in payload["uppers"]],
-        payload["names"],
-    )
-
-
 # ---------------------------------------------------------------------------
 # Analysis results
 # ---------------------------------------------------------------------------
@@ -146,41 +123,3 @@ def analysis_result_from_payload(payload) -> AnalysisResult:
         for sink, vector, variable, kind in payload["instances"]
     ]
     return AnalysisResult(instances, dict(payload["stats"]))
-
-
-# ---------------------------------------------------------------------------
-# Algorithms (Theorem 3.1 structures)
-# ---------------------------------------------------------------------------
-
-def algorithm_to_payload(algorithm: Algorithm) -> dict:
-    if algorithm.computations.semantics is not None:
-        raise Unserializable("executable semantics cannot be cached")
-    return {
-        "index_set": indexset_to_payload(algorithm.index_set),
-        "dependences": [
-            {
-                "vector": list(v.vector),
-                "causes": list(v.causes),
-                "validity": condition_to_payload(v.validity),
-            }
-            for v in algorithm.dependences
-        ],
-        "computations": [list(pair) for pair in algorithm.computations.statements],
-        "name": algorithm.name,
-    }
-
-
-def algorithm_from_payload(payload) -> Algorithm:
-    dep = DependenceMatrix(
-        DependenceVector(
-            v["vector"], v["causes"], condition_from_payload(v["validity"])
-        )
-        for v in payload["dependences"]
-    )
-    comp = ComputationSet([tuple(pair) for pair in payload["computations"]])
-    return Algorithm(
-        indexset_from_payload(payload["index_set"]),
-        dep,
-        comp,
-        name=payload["name"],
-    )

@@ -13,13 +13,13 @@ in :meth:`ArtifactCache.put` is LRU, and any unreadable/corrupt entry is
 treated as a miss and deleted.  The store is best-effort throughout: I/O
 errors disable the affected operation, never the caller.
 
-**Shared mode.**  A store directory may be shared by many processes at
+**Sharing.**  A store directory may be shared by many processes at
 once (the ``repro.serve`` front-end, its workers, and any number of
 CLI runs).  Entry reads/writes are already safe to interleave (atomic
 replace + whole-file reads), so the two cross-process hazards are the
 read-modify-write operations: LRU eviction and the persistent stats
-ledger.  Both run under an advisory :class:`~repro.cache.lock.FileLock`
-on ``<base>/.lock`` when ``shared=True`` (the default).  Session
+ledger.  Both always run under an advisory
+:class:`~repro.cache.lock.FileLock` on ``<base>/.lock``.  Session
 counters (hits/misses/evictions/writes of *this* process) are flushed
 to ``<root>/stats.json`` as **deltas** under the lock -- flushing is
 idempotent (a counter increment is added to the ledger exactly once, no
@@ -75,21 +75,19 @@ def default_cache_root() -> pathlib.Path:
 class ArtifactCache:
     """Content-addressed persistent cache with an LRU byte cap.
 
-    ``shared=True`` (default) serializes eviction and stats-ledger
-    updates across processes with a file lock; ``shared=False`` skips
-    the locking for strictly-private store dirs.
+    Eviction and stats-ledger updates are serialized across processes
+    with a file lock, so any number of processes may share one store.
     """
 
     __slots__ = (
         "base", "root", "max_bytes", "hits", "misses", "evictions", "writes",
-        "shared", "_lock", "_flushed",
+        "_lock", "_flushed",
     )
 
     def __init__(
         self,
         root: str | os.PathLike | None = None,
         max_bytes: int = DEFAULT_MAX_BYTES,
-        shared: bool = True,
     ):
         self.base = pathlib.Path(root) if root is not None else default_cache_root()
         self.root = self.base / f"v{SCHEMA_VERSION}"
@@ -98,7 +96,6 @@ class ArtifactCache:
         self.misses = 0
         self.evictions = 0
         self.writes = 0
-        self.shared = bool(shared)
         self._lock = FileLock(self.base / ".lock")
         #: session counts already accumulated into the on-disk ledger;
         #: flushing writes only the delta beyond this snapshot, so the
@@ -107,12 +104,6 @@ class ArtifactCache:
 
     def _path(self, kind: str, key: str) -> pathlib.Path:
         return self.root / kind / key[:2] / f"{key}.json"
-
-    def _locked(self):
-        """The store lock in shared mode; a no-op context otherwise."""
-        if self.shared:
-            return self._lock
-        return _UNLOCKED
 
     # -- core operations ------------------------------------------------------
     def get(self, kind: str, key: str):
@@ -168,7 +159,7 @@ class ArtifactCache:
             obs.count("cache.put_bytes", path.stat().st_size)
         except OSError:
             pass
-        with self._locked():
+        with self._lock:
             self._evict()
 
     # -- maintenance ----------------------------------------------------------
@@ -232,7 +223,7 @@ class ArtifactCache:
         delta = {k: session[k] - self._flushed[k] for k in _STATS_KEYS}
         if not any(delta.values()):
             return self._read_ledger()
-        with self._locked():
+        with self._lock:
             totals = self._read_ledger()
             for k in _STATS_KEYS:
                 totals[k] += delta[k]
@@ -328,22 +319,6 @@ class ArtifactCache:
             f"ArtifactCache({str(self.base)!r}, {self.hits} hits, "
             f"{self.misses} misses)"
         )
-
-
-class _Unlocked:
-    """Context stand-in used when ``shared=False``."""
-
-    __slots__ = ()
-    held = False
-
-    def __enter__(self) -> "_Unlocked":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        return None
-
-
-_UNLOCKED = _Unlocked()
 
 
 def resolve_cache(

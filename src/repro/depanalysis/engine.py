@@ -27,7 +27,6 @@ runs skip re-analysis entirely.
 
 from __future__ import annotations
 
-import contextlib
 import os
 from dataclasses import dataclass
 
@@ -56,7 +55,6 @@ __all__ = [
     "default_backend",
     "resolve_backend",
     "run_analysis",
-    "run_analysis_batch",
 ]
 
 BACKENDS = ("scalar", "symbolic")
@@ -201,114 +199,44 @@ def run_analysis(
 
     The cache key covers the canonicalized program instance, the method,
     the screen setting and the backend, so each backend reads back its
-    own entry with its own ``stats``.  Delegates to
-    :func:`run_analysis_batch` with a batch of one.
+    own entry with its own ``stats``.  A hit returns the stored result;
+    a miss computes it, stores it, and counts one
+    ``analysis.engine_calls`` -- the counter the ``repro.serve``
+    coalescing guarantee is stated in.  The store's session counters are
+    flushed once per call.
     """
-    return run_analysis_batch(
-        [(program, binding, method, use_screens)], config=config
-    )[0]
-
-
-def run_analysis_batch(
-    requests,
-    config: AnalysisConfig | None = None,
-    timings: list | None = None,
-) -> list[AnalysisResult]:
-    """Run several analyses as **one** engine call.
-
-    ``requests`` is a sequence of ``(program, binding, method,
-    use_screens)`` tuples; the return list holds each request's
-    :class:`AnalysisResult` in request order, identical to what
-    per-request :func:`run_analysis` calls would produce.
-
-    Batching buys two things over a loop of single calls:
-
-    * one cache store (one lock acquisition pattern, one stats flush)
-      serves the whole batch;
-    * cache hits are peeled off first, and the ``analysis.engine_calls``
-      obs counter increments **once** for the whole batch iff anything
-      is actually computed (``analysis.engine_jobs`` counts the computed
-      requests) -- this is the counter the ``repro.serve`` coalescing
-      guarantee is stated in.
-
-    When ``timings`` (an empty list) is passed, one wall-clock figure
-    per request -- its cache lookup plus, for misses, its share of the
-    batch's compute -- is appended in request order.
-    """
-    import time
-
-    reqs = [
-        (program, binding, method, use_screens)
-        for program, binding, method, use_screens in requests
-    ]
-    for _prog, _bind, method, _scr in reqs:
-        if method not in ("exact", "enumerate"):
-            raise ValueError(f"unknown analysis method {method!r}")
+    if method not in ("exact", "enumerate"):
+        raise ValueError(f"unknown analysis method {method!r}")
     if config is None:
         config = AnalysisConfig()
     backend = resolve_backend(config.backend)
     store = resolve_cache(config.cache, config.cache_dir)
 
-    results: list[AnalysisResult | None] = [None] * len(reqs)
-    spent = [0.0] * len(reqs)
-    pending: list[tuple[int, str | None]] = []
-    for idx, (program, binding, method, use_screens) in enumerate(reqs):
-        t0 = time.perf_counter()
-        key = None
-        if store is not None:
+    result = None
+    key = None
+    if store is not None:
+        try:
+            key = analysis_key(program, binding, method, use_screens, backend)
+        except Uncacheable:
+            pass  # no canonical key: compute without the cache
+        payload = None if key is None else store.get("analysis", key)
+        if payload is not None:
             try:
-                key = analysis_key(
-                    program, binding, method, use_screens, backend
-                )
-            except Uncacheable:
-                key = None
-            if key is not None:
-                payload = store.get("analysis", key)
-                if payload is not None:
-                    try:
-                        results[idx] = analysis_result_from_payload(payload)
-                        spent[idx] = time.perf_counter() - t0
-                        continue
-                    except (KeyError, TypeError, ValueError):
-                        pass  # malformed entry: recompute (and overwrite)
-        spent[idx] = time.perf_counter() - t0
-        pending.append((idx, key))
-
-    if pending:
+                result = analysis_result_from_payload(payload)
+            except (KeyError, TypeError, ValueError):
+                pass  # malformed entry: recompute (and overwrite)
+    if result is None:
         from repro.depanalysis.analyzer import analyze_enumerate
 
         obs.count("analysis.engine_calls")
-        obs.count("analysis.engine_jobs", len(pending))
-        batch_span = (
-            obs.span(
-                "depanalysis.engine_batch", jobs=len(pending), backend=backend
-            )
-            if len(reqs) > 1
-            else contextlib.nullcontext()
-        )
-        with batch_span:
-            for idx, key in pending:
-                t0 = time.perf_counter()
-                program, binding, method, use_screens = reqs[idx]
-                if method == "enumerate":
-                    result = analyze_enumerate(program, binding)
-                elif backend == "symbolic":
-                    result = _analyze_exact_symbolic(
-                        program, binding, use_screens
-                    )
-                else:
-                    result = analyze_exact(
-                        program, binding, use_screens=use_screens
-                    )
-                if store is not None and key is not None:
-                    store.put(
-                        "analysis", key, analysis_result_to_payload(result)
-                    )
-                results[idx] = result
-                spent[idx] += time.perf_counter() - t0
-
+        if method == "enumerate":
+            result = analyze_enumerate(program, binding)
+        elif backend == "symbolic":
+            result = _analyze_exact_symbolic(program, binding, use_screens)
+        else:
+            result = analyze_exact(program, binding, use_screens=use_screens)
+        if key is not None:
+            store.put("analysis", key, analysis_result_to_payload(result))
     if store is not None:
         store.flush_stats()
-    if timings is not None:
-        timings.extend(spent)
-    return results
+    return result

@@ -82,9 +82,11 @@ def bit_level_structure(
     arith: ArithmeticStructure | str = "add-shift",
     expansion: str | Expansion = "II",
     p: LinExpr | int | None = None,
-    config=None,
 ) -> Algorithm:
     """Assemble the bit-level dependence structure per Theorem 3.1.
+
+    The construction touches a constant number of symbols, so its result
+    is not persisted: building it is cheaper than reading it from disk.
 
     Parameters
     ----------
@@ -99,14 +101,6 @@ def bit_level_structure(
     p:
         Word length used when ``arith`` is given by name (symbolic ``p``
         when omitted).
-    config:
-        Optional :class:`repro.depanalysis.engine.AnalysisConfig`; only its
-        cache policy matters here.  When caching is enabled and ``arith``
-        is a registry name, the assembled structure is stored in / fetched
-        from the persistent artifact cache (:mod:`repro.cache`).  The
-        construction is already O(1), so this mainly spares repeated
-        pipeline runs the symbolic assembly and keeps cache semantics
-        uniform across the analysis entry points.
 
     Returns
     -------
@@ -117,33 +111,7 @@ def bit_level_structure(
         causes).
     """
     exp = get_expansion(expansion)
-
-    store = None
-    cache_key = None
     if isinstance(arith, str):
-        # Cache only name-resolved arithmetics: a structure *instance* may
-        # carry arbitrary state the serde layer cannot reproduce.
-        if config is not None and config.cache is not False:
-            from repro.cache import (
-                Uncacheable,
-                algorithm_from_payload,
-                resolve_cache,
-                structure_key,
-            )
-
-            store = resolve_cache(config.cache, config.cache_dir)
-            if store is not None:
-                try:
-                    cache_key = structure_key(word, arith, exp.key, p)
-                except Uncacheable:
-                    cache_key = None
-                if cache_key is not None:
-                    payload = store.get("structure", cache_key)
-                    if payload is not None:
-                        try:
-                            return algorithm_from_payload(payload)
-                        except (KeyError, TypeError, ValueError):
-                            pass  # malformed entry: rebuild and overwrite
         arith = get_structure(arith, p)
 
     n = word.dim
@@ -219,15 +187,7 @@ def bit_level_structure(
         }
     )
     name = f"{word.name}/bit-level-{arith.name}-exp{exp.key}"
-    out = Algorithm(index_set, dep, comp, name)
-    if store is not None and cache_key is not None:
-        from repro.cache import Unserializable, algorithm_to_payload
-
-        try:
-            store.put("structure", cache_key, algorithm_to_payload(out))
-        except Unserializable:
-            pass
-    return out
+    return Algorithm(index_set, dep, comp, name)
 
 
 def matmul_bit_level(
@@ -235,7 +195,6 @@ def matmul_bit_level(
     p: LinExpr | int | None = None,
     expansion: str | Expansion = "II",
     arith: str = "add-shift",
-    config=None,
 ) -> Algorithm:
     """Example 3.1: the bit-level matrix multiplication structure.
 
@@ -243,9 +202,7 @@ def matmul_bit_level(
     ``{1 <= j1,j2,j3 <= u, 1 <= i1,i2 <= p}`` and the seven dependence
     vectors with their validity conditions under Expansion II.
     """
-    return bit_level_structure(
-        matmul_word_structure(u), arith, expansion, p, config=config
-    )
+    return bit_level_structure(matmul_word_structure(u), arith, expansion, p)
 
 
 def bit_level_from_vectors(
@@ -257,8 +214,7 @@ def bit_level_from_vectors(
     p: LinExpr | int | None = None,
     expansion: str | Expansion = "II",
     arith: str = "add-shift",
-    config=None,
 ) -> Algorithm:
     """Convenience: Theorem 3.1 for a model (3.5) given by raw vectors."""
     word = word_model_structure(h1, h2, h3, lowers, uppers)
-    return bit_level_structure(word, arith, expansion, p, config=config)
+    return bit_level_structure(word, arith, expansion, p)

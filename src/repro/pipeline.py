@@ -51,7 +51,7 @@ class BitLevelDesigner:
     p: int
     arithmetic: str = "add-shift"
     expansion: str | Expansion = "II"
-    #: engine backend + persistent-cache policy for the analysis steps
+    #: engine backend + persistent-cache policy for :meth:`validate`
     analysis: AnalysisConfig | None = None
     _structure: Algorithm | None = field(default=None, repr=False)
 
@@ -64,12 +64,12 @@ class BitLevelDesigner:
 
     # -- step 1+2: expansion & dependence analysis (the fast way) ---------
     def structure(self) -> Algorithm:
-        """The bit-level dependence structure, via Theorem 3.1 (cached)."""
+        """The bit-level dependence structure, via Theorem 3.1 (memoized
+        on this designer)."""
         if self._structure is None:
             self._structure = bit_level_from_vectors(
                 self.h1, self.h2, self.h3, self.lowers, self.uppers,
                 self.p, self.expansion.key, self.arithmetic,
-                config=self.analysis,
             )
         return self._structure
 

@@ -13,12 +13,11 @@ Layers (each importable on its own):
 - :mod:`repro.serve.jobs` -- the frozen JobSpec/JobResult schema,
   content-addressed :func:`~repro.serve.jobs.job_key`, and
   :class:`~repro.serve.jobs.JobLimits` admission control;
-- :mod:`repro.serve.dispatch` -- synchronous executors
-  (:func:`~repro.serve.dispatch.run_job`,
-  :func:`~repro.serve.dispatch.run_analyze_batch`) shared by the CLI
-  and the server;
+- :mod:`repro.serve.dispatch` -- the synchronous executor
+  :func:`~repro.serve.dispatch.run_job`, shared by the CLI and the
+  server;
 - :mod:`repro.serve.server` -- the stdlib-asyncio HTTP server with
-  request coalescing, analyze batching, obs event streaming, and
+  request coalescing, one execution per job, obs event streaming, and
   wall-clock budgets;
 - :mod:`repro.serve.client` -- the stdlib ``http.client`` thin client.
 
@@ -26,7 +25,7 @@ See ``docs/SERVE.md`` for the protocol walkthrough.
 """
 
 from repro.serve.client import ServeClient, ServeError
-from repro.serve.dispatch import run_analyze_batch, run_job
+from repro.serve.dispatch import run_job
 from repro.serve.jobs import (
     JOB_KINDS,
     JOB_SCHEMA_VERSION,
@@ -53,6 +52,5 @@ __all__ = [
     "check_limits",
     "estimate_points",
     "job_key",
-    "run_analyze_batch",
     "run_job",
 ]

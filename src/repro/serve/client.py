@@ -2,8 +2,8 @@
 
 Stdlib-only (``http.client``), one connection per call, no retry magic:
 the client is deliberately dumb so that everything interesting --
-coalescing, batching, budgets, streaming -- lives server-side and is
-shared by every front-end.  The CLI's ``--server`` mode and the CI
+coalescing, budgets, streaming -- lives server-side and is shared by
+every front-end.  The CLI's ``--server`` mode and the CI
 smoke test are both just this class.
 
 Typical use::
@@ -84,14 +84,6 @@ class ServeClient:
         """Enqueue one job; returns ``{"job_id", "key", "coalesced", ...}``."""
         return self._request("POST", "/v1/jobs", spec.to_payload())
 
-    def submit_batch(self, specs: Iterable[JobSpec]) -> list[dict]:
-        """Enqueue several jobs at once (lets the server batch them)."""
-        reply = self._request(
-            "POST", "/v1/batch",
-            {"specs": [spec.to_payload() for spec in specs]},
-        )
-        return reply["jobs"]
-
     def status(self, job_id: str, wait: float | None = None) -> dict:
         path = f"/v1/jobs/{job_id}"
         if wait is not None:
@@ -124,11 +116,9 @@ class ServeClient:
     def run_many(
         self, specs: Iterable[JobSpec], timeout: float | None = None
     ) -> list[JobResult]:
-        """Submit a batch and collect every result, in submission order."""
-        submitted = self.submit_batch(specs)
-        return [
-            self.wait(item["job_id"], timeout=timeout) for item in submitted
-        ]
+        """Submit each spec as its own job, then wait for each, in order."""
+        job_ids = [self.submit(spec)["job_id"] for spec in specs]
+        return [self.wait(job_id, timeout=timeout) for job_id in job_ids]
 
     def iter_events(self, job_id: str) -> Iterator[dict]:
         """Stream a job's obs events (NDJSON) until its ``job_done`` record."""

@@ -34,7 +34,7 @@ import traceback
 from repro import obs
 from repro.serve.jobs import JobLimits, JobResult, JobSpec, check_limits
 
-__all__ = ["run_analyze_batch", "run_job"]
+__all__ = ["run_job"]
 
 
 @contextlib.contextmanager
@@ -99,123 +99,16 @@ def run_job(
     )
 
 
-def run_analyze_batch(
-    specs,
-    registry=None,
-    limits: JobLimits | None = None,
-) -> list[JobResult]:
-    """Execute compatible analyze jobs as one analysis-engine call.
-
-    All specs must be ``kind="analyze"`` with equal engine knobs
-    (method/screens/backend/cache policy) -- the server's batch grouping
-    guarantees this.  The whole group goes through one
-    :func:`repro.depanalysis.engine.run_analysis_batch` call (one cache
-    store, one ``analysis.engine_calls`` increment), and each spec still
-    gets its own byte-exact CLI output.
-    """
-    specs = list(specs)
-    if not specs:
-        return []
-    refused: dict[int, JobResult] = {}
-    admitted: list[tuple[int, JobSpec]] = []
-    for i, spec in enumerate(specs):
-        if spec.kind != "analyze":
-            raise ValueError("run_analyze_batch accepts only analyze jobs")
-        reason = check_limits(spec, limits)
-        if reason is not None:
-            refused[i] = _refusal(spec, reason)
-        else:
-            admitted.append((i, spec))
-    results: list[JobResult | None] = [None] * len(specs)
-    for i, refusal in refused.items():
-        results[i] = refusal
-
-    if admitted:
-        from repro.depanalysis.engine import AnalysisConfig, run_analysis_batch
-        from repro.ir.expand import expand_bit_level
-
-        t0 = time.perf_counter()
-        with _installed(registry):
-            try:
-                head = admitted[0][1]
-                config = AnalysisConfig(
-                    backend=head.analysis_backend,
-                    cache=head.cache,
-                    cache_dir=head.cache_dir,
-                )
-                requests = []
-                for _i, spec in admitted:
-                    u = spec.u
-                    program = expand_bit_level(
-                        [0, 1, 0], [1, 0, 0], [0, 0, 1], [1, 1, 1],
-                        [u, u, u], spec.p, spec.expansion,
-                    )
-                    requests.append(
-                        (program, {"p": spec.p}, spec.method,
-                         spec.use_screens)
-                    )
-                timings: list[float] = []
-                analyses = run_analysis_batch(
-                    requests, config=config, timings=timings
-                )
-                failure = None
-            except Exception:
-                analyses = None
-                failure = traceback.format_exc()
-        elapsed = time.perf_counter() - t0
-        metrics = None if registry is None else registry.metrics()
-        for pos, (i, spec) in enumerate(admitted):
-            if analyses is None:
-                results[i] = JobResult(
-                    kind="analyze", status="error", exit_code=3,
-                    error=failure, metrics=metrics, elapsed_s=elapsed,
-                )
-                continue
-            out = io.StringIO()
-            _render_analysis(spec, analyses[pos], timings[pos], out)
-            results[i] = JobResult(
-                kind="analyze",
-                status="ok",
-                exit_code=0,
-                output=out.getvalue(),
-                data=_analysis_data(analyses[pos]),
-                metrics=metrics,
-                elapsed_s=elapsed,
-            )
-    return results
-
-
 # ---------------------------------------------------------------------------
 # Kind handlers (exact ports of the CLI subcommand bodies)
 # ---------------------------------------------------------------------------
 
-def _analysis_data(result) -> dict:
-    return {
-        "instances": len(result.instances),
-        "distinct_vectors": [list(v) for v in result.distinct_vectors()],
-        "stats": dict(result.stats),
-    }
-
-
-def _render_analysis(spec: JobSpec, result, elapsed: float, out) -> None:
-    from repro.depanalysis.engine import resolve_backend
-
-    print(f"bit-level matmul u={spec.u} p={spec.p} "
-          f"expansion={spec.expansion}: "
-          f"method={spec.method} "
-          f"backend={resolve_backend(spec.analysis_backend)} "
-          f"screens={spec.use_screens}", file=out)
-    print(f"{len(result.instances)} dependence instances, "
-          f"{len(result.distinct_vectors())} distinct vectors "
-          f"({elapsed:.3f}s)", file=out)
-    for vec in result.distinct_vectors():
-        print(f"  d = {list(vec)}", file=out)
-    for key, value in result.stats.items():
-        print(f"  {key}: {value}", file=out)
-
-
 def _handle_analyze(spec: JobSpec, out, verbose: bool):
-    from repro.depanalysis.engine import AnalysisConfig, run_analysis_batch
+    from repro.depanalysis.engine import (
+        AnalysisConfig,
+        resolve_backend,
+        run_analysis,
+    )
     from repro.ir.expand import expand_bit_level
 
     u, p = spec.u, spec.p
@@ -228,13 +121,30 @@ def _handle_analyze(spec: JobSpec, out, verbose: bool):
         cache=spec.cache,
         cache_dir=spec.cache_dir,
     )
-    timings: list[float] = []
-    result, = run_analysis_batch(
-        [(program, {"p": p}, spec.method, spec.use_screens)],
-        config=config, timings=timings,
+    t0 = time.perf_counter()
+    result = run_analysis(
+        program, {"p": p}, spec.method, spec.use_screens, config=config
     )
-    _render_analysis(spec, result, timings[0], out)
-    return 0, _analysis_data(result)
+    elapsed = time.perf_counter() - t0
+    vectors = result.distinct_vectors()
+    print(f"bit-level matmul u={u} p={p} "
+          f"expansion={spec.expansion}: "
+          f"method={spec.method} "
+          f"backend={resolve_backend(spec.analysis_backend)} "
+          f"screens={spec.use_screens}", file=out)
+    print(f"{len(result.instances)} dependence instances, "
+          f"{len(vectors)} distinct vectors "
+          f"({elapsed:.3f}s)", file=out)
+    for vec in vectors:
+        print(f"  d = {list(vec)}", file=out)
+    for key, value in result.stats.items():
+        print(f"  {key}: {value}", file=out)
+    data = {
+        "instances": len(result.instances),
+        "distinct_vectors": [list(v) for v in vectors],
+        "stats": dict(result.stats),
+    }
+    return 0, data
 
 
 def _handle_analyze_symbolic(spec: JobSpec, out, verbose: bool):

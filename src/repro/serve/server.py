@@ -2,12 +2,13 @@
 
 A single-process async server over the shared job dispatch
 (:mod:`repro.serve.dispatch`).  The event loop owns admission, queueing,
-coalescing, batching, and streaming; the jobs themselves run on worker
-threads (the engines are CPU-bound sync code), one execution at a time,
-so the per-job obs registry install is race-free.  Scale-out is by
-process: any number of servers and CLI runs may share one
-``$REPRO_CACHE_DIR`` thanks to the store's shared mode
-(:mod:`repro.cache.store`).
+coalescing and streaming; the jobs themselves run on worker threads (the
+engines are CPU-bound sync code), one spec per execution and one
+execution at a time, so the per-job obs registry install is race-free
+and each job's metrics, timing, event stream and budget are its own.
+Scale-out is by process: any number of servers and CLI runs may share
+one ``$REPRO_CACHE_DIR``, whose store serializes eviction and its stats
+ledger under a file lock (:mod:`repro.cache.store`).
 
 Endpoints (all JSON; ``Connection: close`` per request):
 
@@ -17,9 +18,6 @@ Endpoints (all JSON; ``Connection: close`` per request):
                                        counters, queue depths
 ``POST /v1/jobs``                      body = ``JobSpec`` payload; returns
                                        ``{"job_id", "key", "coalesced"}``
-``POST /v1/batch``                     body = ``{"specs": [...]}``;
-                                       compatible analyze jobs are grouped
-                                       into one vectorized-engine call
 ``GET  /v1/jobs/<id>[?wait=S]``        status envelope; ``wait`` long-polls
                                        up to ``S`` seconds for completion
 ``GET  /v1/jobs/<id>/events``          chunked NDJSON stream of the job's
@@ -30,17 +28,10 @@ Endpoints (all JSON; ``Connection: close`` per request):
 **Coalescing.**  Submissions are content-addressed by
 :func:`~repro.serve.jobs.job_key`.  A spec equal to one that is queued or
 running attaches to that execution (new job id, same result object); a
-spec equal to one of the last ``result_cache_size`` completed jobs is
+spec equal to one of the last ``_RESULT_CACHE_SIZE`` completed jobs is
 answered from the retained result.  N identical concurrent analyze
 requests therefore produce exactly one engine invocation
 (``analysis.engine_calls``) and N byte-identical results.
-
-**Batching.**  Distinct analyze specs with equal engine knobs
-(method/screens/backend/cache policy/budget) that are queued together --
-explicitly via ``/v1/batch``, or opportunistically when the worker
-drains its queue -- execute as one
-:func:`repro.depanalysis.engine.run_analysis_batch` call sharing one
-cache store.
 
 **Budgets.**  :class:`~repro.serve.jobs.JobLimits` refuses oversized
 jobs up front (structured ``status="error"``); a running job that
@@ -66,6 +57,7 @@ from repro.serve.jobs import JobLimits, JobResult, JobSpec, job_key
 __all__ = ["JobServer", "ServerConfig", "ServerThread"]
 
 _MAX_BODY = 1 << 20  # 1 MiB request cap
+_RESULT_CACHE_SIZE = 256  # completed executions retained for coalescing
 
 _REASONS = {
     200: "OK", 202: "Accepted", 400: "Bad Request", 404: "Not Found",
@@ -75,29 +67,23 @@ _REASONS = {
 
 
 class ServerConfig:
-    """Front-end knobs (host/port, admission limits, batch/retention caps)."""
+    """Front-end knobs (host/port, admission limits)."""
 
-    __slots__ = (
-        "host", "port", "limits", "max_batch", "result_cache_size",
-    )
+    __slots__ = ("host", "port", "limits")
 
     def __init__(
         self,
         host: str = "127.0.0.1",
         port: int = 0,
         limits: JobLimits | None = JobLimits(),
-        max_batch: int = 16,
-        result_cache_size: int = 256,
     ):
         self.host = host
         self.port = port
         self.limits = limits
-        self.max_batch = max_batch
-        self.result_cache_size = result_cache_size
 
 
 class _Execution:
-    """One scheduled computation; possibly shared by many job ids."""
+    """One scheduled job; possibly shared by many coalesced job ids."""
 
     __slots__ = ("spec", "key", "status", "result", "done", "events",
                  "subscribers")
@@ -110,14 +96,6 @@ class _Execution:
         self.done = asyncio.Event()
         self.events: list[dict] = []
         self.subscribers: list[asyncio.Queue] = []
-
-
-def _batch_compat_key(spec: JobSpec):
-    """Specs with equal keys may share one engine batch call."""
-    return (
-        spec.kind, spec.method, spec.use_screens, spec.analysis_backend,
-        spec.cache, spec.cache_dir, spec.budget_s,
-    )
 
 
 def loop_sink(loop: asyncio.AbstractEventLoop, fn) -> obs.CallbackSink:
@@ -189,7 +167,7 @@ class JobServer:
         self._jobs[job_id] = execution
         return job_id
 
-    def _submit(self, spec: JobSpec) -> tuple[str, _Execution, bool]:
+    def submit(self, spec: JobSpec) -> tuple[str, _Execution, bool]:
         """Coalesce-or-enqueue one spec (returns ``coalesced`` flag)."""
         key = job_key(spec)
         self.counters["serve.jobs_submitted"] += 1
@@ -199,119 +177,51 @@ class JobServer:
             return self._new_job_id(execution), execution, True
         execution = _Execution(spec, key)
         self._inflight[key] = execution
+        self._queue.put_nowait(execution)
         return self._new_job_id(execution), execution, False
-
-    def _enqueue(self, group: list[_Execution]) -> None:
-        self._queue.put_nowait(group)
-
-    def submit(self, spec: JobSpec) -> tuple[str, _Execution, bool]:
-        job_id, execution, coalesced = self._submit(spec)
-        if not coalesced:
-            self._enqueue([execution])
-        return job_id, execution, coalesced
-
-    def submit_batch(self, specs) -> list[tuple[str, _Execution, bool]]:
-        """Submit several specs, pre-grouping compatible analyze jobs."""
-        out = []
-        groups: dict = {}
-        order: list[list[_Execution]] = []
-        for spec in specs:
-            job_id, execution, coalesced = self._submit(spec)
-            out.append((job_id, execution, coalesced))
-            if coalesced:
-                continue
-            if spec.kind == "analyze":
-                bucket = groups.get(_batch_compat_key(spec))
-                if bucket is not None and len(bucket) < self.config.max_batch:
-                    bucket.append(execution)
-                    continue
-                bucket = [execution]
-                groups[_batch_compat_key(spec)] = bucket
-                order.append(bucket)
-            else:
-                order.append([execution])
-        for group in order:
-            self._enqueue(group)
-        return out
 
     # -- the worker ----------------------------------------------------------
     async def _worker_loop(self) -> None:
         while True:
-            group = await self._queue.get()
-            if group is None:
+            execution = await self._queue.get()
+            if execution is None:
                 return
-            group = self._merge_compatible(group)
             try:
-                await self._run_group(group)
+                await self._run_execution(execution)
             except Exception as exc:  # defensive: never kill the worker
-                for execution in group:
-                    if execution.status != "done":
-                        self._finish(
-                            execution,
-                            JobResult(
-                                kind=execution.spec.kind, status="error",
-                                exit_code=3, error=repr(exc),
-                            ),
-                        )
+                if execution.status != "done":
+                    self._finish(
+                        execution,
+                        JobResult(
+                            kind=execution.spec.kind, status="error",
+                            exit_code=3, error=repr(exc),
+                        ),
+                    )
 
-    def _merge_compatible(self, group: list[_Execution]) -> list[_Execution]:
-        """Opportunistic batching: fold queued compatible analyze jobs in."""
-        if group[0].spec.kind != "analyze":
-            return group
-        compat = _batch_compat_key(group[0].spec)
-        holdback = []
-        while len(group) < self.config.max_batch:
-            try:
-                other = self._queue.get_nowait()
-            except asyncio.QueueEmpty:
-                break
-            if other is None:
-                holdback.append(other)
-                break
-            if (
-                len(other) == 1
-                and other[0].spec.kind == "analyze"
-                and _batch_compat_key(other[0].spec) == compat
-            ):
-                group = group + other
-            else:
-                holdback.append(other)
-        for item in holdback:
-            self._queue.put_nowait(item)
-        return group
-
-    async def _run_group(self, group: list[_Execution]) -> None:
+    async def _run_execution(self, execution: _Execution) -> None:
         loop = asyncio.get_running_loop()
-        for execution in group:
-            execution.status = "running"
+        execution.status = "running"
         self._orphans = [f for f in self._orphans if not f.is_set()]
         registry = None
         if not self._orphans:
             registry = obs.Registry()
             registry.add_sink(
-                loop_sink(loop, lambda event: self._fanout(group, event))
+                loop_sink(loop, lambda event: self._fanout(execution, event))
             )
-        specs = [execution.spec for execution in group]
+        spec = execution.spec
         limits = self.config.limits
-        budget = None if limits is None else limits.effective_budget(specs[0])
+        budget = None if limits is None else limits.effective_budget(spec)
         done_flag = threading.Event()
 
         def work():
             try:
-                if len(specs) > 1:
-                    return dispatch.run_analyze_batch(
-                        specs, registry=registry, limits=limits
-                    )
-                return [
-                    dispatch.run_job(specs[0], registry=registry,
-                                     limits=limits)
-                ]
+                return dispatch.run_job(spec, registry=registry, limits=limits)
             finally:
                 done_flag.set()
 
         future = loop.run_in_executor(None, work)
         try:
-            results = await asyncio.wait_for(
+            result = await asyncio.wait_for(
                 asyncio.shield(future), timeout=budget
             )
         except asyncio.TimeoutError:
@@ -319,48 +229,38 @@ class JobServer:
             # discarded and jobs run uninstrumented until it drains.
             self._orphans.append(done_flag)
             future.add_done_callback(lambda f: f.exception())
-            self.counters["serve.jobs_timed_out"] += len(group)
-            results = [
-                JobResult(
-                    kind=spec.kind, status="timeout", exit_code=4,
-                    error=(
-                        f"budget: job exceeded its wall-clock budget of "
-                        f"{budget}s"
-                    ),
-                )
-                for spec in specs
-            ]
+            self.counters["serve.jobs_timed_out"] += 1
+            result = JobResult(
+                kind=spec.kind, status="timeout", exit_code=4,
+                error=(
+                    f"budget: job exceeded its wall-clock budget of {budget}s"
+                ),
+            )
         self.counters["serve.executions"] += 1
-        if len(group) > 1:
-            self.counters["serve.batches"] += 1
-            self.counters["serve.batched_jobs"] += len(group)
-        shared_metrics = results[0].metrics if results else None
-        if shared_metrics:
-            for name, value in shared_metrics.get("counters", {}).items():
+        if result.metrics:
+            for name, value in result.metrics.get("counters", {}).items():
                 if name.startswith(("analysis.", "cache.", "depanalysis.")):
                     self.counters[name] += value
-        for execution, result in zip(group, results):
-            self._finish(execution, result)
+        self._finish(execution, result)
 
     def _finish(self, execution: _Execution, result: JobResult) -> None:
         execution.result = result
         execution.status = "done"
         self._inflight.pop(execution.key, None)
         self._results[execution.key] = execution
-        while len(self._results) > self.config.result_cache_size:
+        while len(self._results) > _RESULT_CACHE_SIZE:
             self._results.popitem(last=False)
         execution.done.set()
         self._fanout(
-            [execution],
+            execution,
             {"type": "job_done", "status": result.status,
              "exit_code": result.exit_code},
         )
 
-    def _fanout(self, group: list[_Execution], event: dict) -> None:
-        for execution in group:
-            execution.events.append(event)
-            for queue in execution.subscribers:
-                queue.put_nowait(event)
+    def _fanout(self, execution: _Execution, event: dict) -> None:
+        execution.events.append(event)
+        for queue in execution.subscribers:
+            queue.put_nowait(event)
 
     # -- HTTP ----------------------------------------------------------------
     async def _handle_client(self, reader, writer) -> None:
@@ -422,9 +322,6 @@ class JobServer:
         if path == "/v1/jobs" and method == "POST":
             self._handle_submit(body, writer)
             return
-        if path == "/v1/batch" and method == "POST":
-            self._handle_submit_batch(body, writer)
-            return
         if path.startswith("/v1/jobs/"):
             rest = path[len("/v1/jobs/"):]
             if method != "GET":
@@ -459,12 +356,9 @@ class JobServer:
             return
         self._respond(writer, 404, {"error": f"no route {method} {path}"})
 
-    def _parse_spec(self, payload) -> JobSpec:
-        return JobSpec.from_payload(payload)
-
     def _handle_submit(self, body, writer) -> None:
         try:
-            spec = self._parse_spec(json.loads(body.decode("utf-8")))
+            spec = JobSpec.from_payload(json.loads(body.decode("utf-8")))
         except (ValueError, TypeError, UnicodeDecodeError) as exc:
             self._respond(writer, 400, {"error": str(exc)})
             return
@@ -474,22 +368,6 @@ class JobServer:
             "key": execution.key,
             "coalesced": coalesced,
             "status": execution.status,
-        })
-
-    def _handle_submit_batch(self, body, writer) -> None:
-        try:
-            payload = json.loads(body.decode("utf-8"))
-            specs = [self._parse_spec(p) for p in payload["specs"]]
-        except (ValueError, TypeError, KeyError, UnicodeDecodeError) as exc:
-            self._respond(writer, 400, {"error": str(exc)})
-            return
-        submitted = self.submit_batch(specs)
-        self._respond(writer, 202, {
-            "jobs": [
-                {"job_id": job_id, "key": execution.key,
-                 "coalesced": coalesced, "status": execution.status}
-                for job_id, execution, coalesced in submitted
-            ]
         })
 
     def _envelope(self, job_id: str, execution: _Execution) -> dict:

@@ -238,7 +238,7 @@ def solve_program(program: LoopNest) -> SymbolicResult:
     This is :func:`analyze_symbolic` without its memo and artifact
     store: every call solves from scratch and keeps no reference to the
     result.  The concrete analysis route
-    (:func:`repro.depanalysis.engine.run_analysis_batch`) calls it once
+    (:func:`repro.depanalysis.engine.run_analysis`) calls it once
     per program instance, so distinct concrete programs never
     accumulate in the process.
 

@@ -2,12 +2,14 @@
 
 Covers the frozen JobSpec schema and its exact JSON round-trip, the
 shared dispatch's CLI-output parity, request coalescing (N concurrent
-identical analyze jobs -> exactly one vectorized-engine call), analyze
-batching, budget enforcement, the HTTP client/server round trip, and
-the promoted top-level API with its deprecation shims.
+identical analyze jobs -> exactly one analysis-engine call), one
+execution per job (each job's metrics, events and budget are its own),
+budget enforcement, the HTTP client/server round trip, and the promoted
+top-level API with its deprecation shims.
 """
 
 import contextlib
+import dataclasses
 import json
 import re
 import threading
@@ -20,6 +22,7 @@ from repro.serve import (
     JobResult,
     JobSpec,
     ServeClient,
+    ServeError,
     ServerConfig,
     ServerThread,
     job_key,
@@ -185,7 +188,7 @@ class TestLimits:
 
 
 # ---------------------------------------------------------------------------
-# The server: coalescing, batching, budgets, streaming
+# The server: coalescing, budgets, streaming
 # ---------------------------------------------------------------------------
 
 @pytest.fixture()
@@ -205,7 +208,7 @@ class TestServer:
         self, server
     ):
         """The acceptance check: 8 identical analyze submissions, one
-        vectorized-engine invocation, 8 byte-identical results."""
+        analysis-engine invocation, 8 byte-identical results."""
         spec = JobSpec(kind="analyze", u=2, p=2, cache=False)
         results = [None] * 8
 
@@ -238,22 +241,6 @@ class TestServer:
         assert client.wait(
             submitted["job_id"], timeout=30
         ).to_payload() == first.to_payload()
-
-    def test_batch_compatible_analyze_jobs_fuse(self, server):
-        client = ServeClient(port=server.port)
-        specs = [
-            JobSpec(kind="analyze", u=u, p=p, cache=False)
-            for u, p in ((2, 2), (2, 3), (3, 2))
-        ]
-        results = client.run_many(specs, timeout=120)
-        assert all(r.ok for r in results)
-        for spec, result in zip(specs, results):
-            solo = run_job(spec)
-            assert _norm(result.output) == _norm(solo.output)
-        stats = client.stats()["server"]
-        assert stats["analysis.engine_calls"] == 1
-        assert stats["serve.batches"] == 1
-        assert stats["serve.batched_jobs"] == 3
 
     def test_mixed_batch_runs_every_kind(self, server):
         client = ServeClient(port=server.port)
@@ -288,16 +275,12 @@ class TestServer:
         assert any(e.get("type") == "span_end" for e in events)
 
     def test_unknown_job_is_404(self, server):
-        from repro.serve import ServeError
-
         client = ServeClient(port=server.port)
         with pytest.raises(ServeError) as excinfo:
             client.status("j999999")
         assert excinfo.value.status == 404
 
     def test_malformed_spec_is_400(self, server):
-        from repro.serve import ServeError
-
         client = ServeClient(port=server.port)
         with pytest.raises(ServeError) as excinfo:
             client._request("POST", "/v1/jobs", {"kind": "nope"})
@@ -392,6 +375,94 @@ class TestServerBudget:
         registry.add_sink(loop_sink(loop, lambda event: None))
         result = run_job(JobSpec(kind="simulate", u=2, p=2), registry=registry)
         assert result.ok, result.error
+
+
+# ---------------------------------------------------------------------------
+# One execution per job
+# ---------------------------------------------------------------------------
+
+#: three distinct analyze jobs that differ only in size
+_QUEUED_ANALYSES = [
+    JobSpec(kind="analyze", u=n, p=n, analysis_backend="symbolic",
+            cache=False)
+    for n in (2, 3, 4)
+]
+
+
+def _queue_behind_held_job(monkeypatch, client, specs):
+    """Submit ``specs`` one at a time through ``/v1/jobs`` while a held
+    simulate job keeps the worker busy, so all of them wait in the queue
+    together; release the worker and return their job ids."""
+    with _held_jobs(monkeypatch, {"simulate"}):
+        client.submit(JobSpec(kind="simulate", u=2, p=2))
+        return [client.submit(spec)["job_id"] for spec in specs]
+
+
+class TestOneExecutionPerJob:
+    def test_queued_jobs_report_their_own_metrics_and_events(
+        self, monkeypatch
+    ):
+        with ServerThread(ServerConfig()) as handle:
+            client = ServeClient(port=handle.port)
+            job_ids = _queue_behind_held_job(
+                monkeypatch, client, _QUEUED_ANALYSES
+            )
+            for job_id in job_ids:
+                result = client.wait(job_id, timeout=60)
+                assert result.ok, result.error
+                counters = result.metrics["counters"]
+                assert (counters["depanalysis.instances"]
+                        == result.data["instances"])
+                spans = [
+                    e for e in client.iter_events(job_id)
+                    if e.get("type") == "span_end"
+                    and e.get("name") == "depanalysis.analyze_exact"
+                ]
+                assert len(spans) == 1
+            stats = client.stats()["server"]
+            assert stats["serve.executions"] == 1 + len(_QUEUED_ANALYSES)
+
+    def test_each_queued_job_runs_under_its_own_budget(self, monkeypatch):
+        """One slowed analysis fits the budget and three do not, so a
+        job charged for its queue neighbours would time out."""
+        import repro.depanalysis.engine as engine_mod
+
+        real = engine_mod._analyze_exact_symbolic
+        delay_s = 1.0
+
+        def slowed(program, binding, use_screens):
+            time.sleep(delay_s)
+            return real(program, binding, use_screens)
+
+        monkeypatch.setattr(engine_mod, "_analyze_exact_symbolic", slowed)
+        specs = [
+            dataclasses.replace(spec, budget_s=2 * delay_s)
+            for spec in _QUEUED_ANALYSES
+        ]
+        with ServerThread(ServerConfig()) as handle:
+            client = ServeClient(port=handle.port)
+            job_ids = _queue_behind_held_job(monkeypatch, client, specs)
+            results = [client.wait(job_id, timeout=60) for job_id in job_ids]
+        assert [r.status for r in results] == ["ok"] * len(specs)
+
+
+class TestRetiredBatchSurface:
+    def test_batch_route_is_gone(self, server):
+        client = ServeClient(port=server.port)
+        with pytest.raises(ServeError) as excinfo:
+            client._request("POST", "/v1/batch", {
+                "specs": [JobSpec(kind="analyze", u=2, p=2).to_payload()]
+            })
+        assert excinfo.value.status == 404
+
+    def test_max_batch_setting_is_gone(self):
+        from repro.__main__ import build_parser
+
+        with pytest.raises(TypeError):
+            ServerConfig(max_batch=4)
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["serve", "--max-batch", "4"])
+        assert excinfo.value.code == 2
 
 
 # ---------------------------------------------------------------------------
