@@ -8,11 +8,12 @@ instance list and agree on ``pairs_tested``/``instances``, then measures
 the persistent artifact cache cold (miss + write) and warm (hit) on the
 default route.
 
-Besides the pytest-benchmark kernels, this module doubles as a script:
+Besides the pytest-benchmark kernels:
 
-* ``python benchmarks/bench_analysis.py --smoke`` runs one small instance
-  through both routes plus a cache round-trip, asserting equivalence and
-  a >= 2x symbolic speedup -- the CI guard.
+* :func:`smoke` measures the ``analysis_symbolic`` and
+  ``analysis_cache_warm`` rows of the perf gate (``scripts/bench_gate.py``)
+  on one small instance, and raises when the routes, the hash-join or the
+  cache disagree.
 * ``python benchmarks/bench_analysis.py --record`` runs the E7-shaped
   sweep on both routes (expecting >= 5x symbolic and >= 20x warm-cache
   vs scalar), re-times E7, runs the Theorem 3.1 cross-validation at scale
@@ -27,6 +28,7 @@ import tempfile
 import time
 
 import pytest
+from _timing import best_of
 
 from repro import obs
 from repro.depanalysis import AnalysisConfig, analyze
@@ -51,14 +53,10 @@ def _timed(program, p, method="exact", backend=None, cache=False,
            cache_dir=None, repeats=1):
     """Best-of-N wall clock plus the result."""
     config = AnalysisConfig(backend=backend, cache=cache, cache_dir=cache_dir)
-    best = None
-    result = None
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        result = analyze(program, {"p": p}, method=method, config=config)
-        elapsed = time.perf_counter() - t0
-        best = elapsed if best is None else min(best, elapsed)
-    return best, result
+    return best_of(
+        lambda: analyze(program, {"p": p}, method=method, config=config),
+        repeats,
+    )
 
 
 def _assert_same_answer(reference, got, label):
@@ -135,13 +133,21 @@ def test_bench_warm_cache(benchmark, tmp_path):
     assert result.stats["instances"] > 0
 
 
-# -- script modes -----------------------------------------------------------
+# -- the gate rows and the record --------------------------------------------
 
-def _smoke() -> int:
+def smoke() -> dict:
+    """The perf gate's analysis rows at u=3, p=2, each side best of 3.
+
+    ``analysis_symbolic`` times the symbolic route (it keeps no memo, so
+    every run solves from scratch) against the scalar analyzer;
+    ``analysis_cache_warm`` times a warm artifact-cache read against the
+    cold miss that wrote it.  Raises when the two routes, the hash-join
+    or the cache disagree.
+    """
     u, p = 3, 2
     program = _program(u, p)
-    t_s, r_s = _timed(program, p, backend="scalar")
-    t_y, r_y = _timed(program, p, backend="symbolic")
+    t_s, r_s = _timed(program, p, backend="scalar", repeats=3)
+    t_y, r_y = _timed(program, p, backend="symbolic", repeats=3)
     _assert_same_answer(r_s, r_y, f"u={u} p={p} exact")
     _, r_e = _timed(program, p, method="enumerate")
     assert [i.key() for i in r_e.instances] == [
@@ -151,18 +157,18 @@ def _smoke() -> int:
         t_cold, r_cold = _timed(program, p, backend="symbolic", cache=True,
                                 cache_dir=d)
         t_warm, r_warm = _timed(program, p, backend="symbolic", cache=True,
-                                cache_dir=d)
-    assert r_cold.stats == r_y.stats and r_warm.stats == r_y.stats
-    _assert_same_answer(r_s, r_warm, f"u={u} p={p} cache warm")
-    speedup = t_s / t_y
-    print(f"smoke: u={u} p={p}  scalar {t_s * 1e3:.1f} ms  "
-          f"symbolic {t_y * 1e3:.1f} ms  speedup {speedup:.1f}x  "
-          f"cache cold {t_cold * 1e3:.1f} ms warm {t_warm * 1e3:.1f} ms  "
-          f"identical=True")
-    assert speedup >= 2.0, (
-        f"symbolic speedup {speedup:.2f}x below the 2x smoke floor"
+                                cache_dir=d, repeats=3)
+    assert r_cold.stats == r_y.stats and r_warm.stats == r_y.stats, (
+        f"u={u} p={p}: cached stats diverged"
     )
-    return 0
+    _assert_same_answer(r_s, r_warm, f"u={u} p={p} cache warm")
+    instance = f"matmul u={u} p={p} exp II"
+    return {
+        "analysis_symbolic": {"instance": instance, "reference_s": t_s,
+                              "fast_s": t_y},
+        "analysis_cache_warm": {"instance": instance, "reference_s": t_cold,
+                                "fast_s": t_warm},
+    }
 
 
 def _record(repeats: int, scale: int) -> int:
@@ -278,21 +284,15 @@ def _record(repeats: int, scale: int) -> int:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    mode = parser.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--smoke", action="store_true",
-                      help="small instance on both routes plus a cache "
-                      "round-trip; assert equivalence and >= 2x")
-    mode.add_argument("--record", action="store_true",
-                      help="measure the E7 sweep, cache, E7 and the scale "
-                      "run; rewrite BENCH_analysis.json")
+    parser.add_argument("--record", action="store_true", required=True,
+                        help="measure the E7 sweep, cache, E7 and the scale "
+                        "run; rewrite BENCH_analysis.json")
     parser.add_argument("--repeats", type=int, default=3,
                         help="best-of-N timing repeats for --record")
     parser.add_argument("--scale", type=int, default=16,
                         help="u = p for the --record cross-validation scale "
                         "run (default 16; lower for quick refreshes)")
     args = parser.parse_args(argv)
-    if args.smoke:
-        return _smoke()
     return _record(args.repeats, args.scale)
 
 

@@ -11,11 +11,12 @@ finds.  Also measures the cold compile that the in-process program memo
 amortizes (fig4 and fig5, whose many slots make the costlier program),
 and the bytes of index arrays one program keeps.
 
-Besides the pytest-benchmark kernels, this module doubles as a script:
+Besides the pytest-benchmark kernels:
 
-* ``python benchmarks/bench_compiled.py --smoke`` runs both instances on
-  both backends, asserts identical results and a >= 3x
-  compiled-vs-pointwise speedup on each -- the CI guard.
+* :func:`smoke` measures the ``compiled_kernel`` and
+  ``compiled_convolution`` rows of the perf gate
+  (``scripts/bench_gate.py``): both instances on both backends, raising
+  when the results differ.
 * ``python benchmarks/bench_compiled.py --record`` measures the same
   instances plus the fig4/fig5 cold-compile timings and the u=p=16
   program sizes, and updates ``BENCH_compiled.json`` at the repo root.
@@ -26,9 +27,9 @@ import itertools
 import json
 import pathlib
 import random
-import time
 
 import pytest
+from _timing import best_of
 
 from repro import obs
 from repro.compile.model import compile_model_program
@@ -54,20 +55,6 @@ def _mapping(design, p):
     return designs.fig5_mapping(p) if design == "fig5" else designs.fig4_mapping(p)
 
 
-def _best_of(fn, repeats, warmup=0):
-    """Best-of-N wall clock of ``fn()`` after ``warmup`` untimed calls
-    (compile/allocator warm-up outside the clock)."""
-    for _ in range(warmup):
-        fn()
-    best = None
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        fn()
-        elapsed = time.perf_counter() - t0
-        best = elapsed if best is None else min(best, elapsed)
-    return best
-
-
 def _timed_run(u, p, backend, repeats=3, expansion="II", design="fig4",
                warmup=0):
     """Best-of-N wall clock plus the (identical) run and metrics.
@@ -81,7 +68,7 @@ def _timed_run(u, p, backend, repeats=3, expansion="II", design="fig4",
     machine = BitLevelMatmulMachine(
         u, p, _mapping(design, p), expansion, backend=backend
     )
-    best = _best_of(lambda: machine.run(x, y), repeats, warmup)
+    best, _ = best_of(lambda: machine.run(x, y), repeats, warmup)
     with obs.collecting() as reg:
         out = machine.run(x, y)
     metrics = obs.metrics_dict(reg)
@@ -110,15 +97,17 @@ def _cold_compile_seconds(u, p, design="fig4"):
     """Best of two full runs, each with every memo empty."""
     x, y = _operands(u, p)
     mapping = _mapping(design, p)
-    cold = None
-    for _ in range(2):
+
+    def clear():
         clear_program_memo()
         clear_plan_memo()
-        t0 = time.perf_counter()
-        machine = BitLevelMatmulMachine(u, p, mapping, "II", backend="compiled")
-        machine.run(x, y)
-        elapsed = time.perf_counter() - t0
-        cold = elapsed if cold is None else min(cold, elapsed)
+
+    cold, _ = best_of(
+        lambda: BitLevelMatmulMachine(
+            u, p, mapping, "II", backend="compiled"
+        ).run(x, y),
+        repeats=2, setup=clear,
+    )
     return cold
 
 
@@ -155,7 +144,8 @@ def _conv_row(repeats):
                                   ("compiled", max(repeats, 5), 3)):
         machine = designer.build_machine(mapping)
         machine.backend = backend
-        times[backend] = _best_of(lambda: machine.run(xw, yw), reps, warmup)
+        times[backend], _ = best_of(lambda: machine.run(xw, yw), reps,
+                                    warmup)
         with obs.collecting() as reg:
             runs[backend] = machine.run(xw, yw)
         metrics[backend] = obs.metrics_dict(reg)
@@ -236,27 +226,27 @@ def test_bench_compiled_cold_compile(benchmark):
     assert out.sim.makespan == designs.t_fig4(U, P)
 
 
-# -- script modes -----------------------------------------------------------
+# -- the gate rows and the record --------------------------------------------
 
-def _smoke() -> int:
+def smoke() -> dict:
+    """The perf gate's compiled rows: the u=p=8 matmul (fig4, Expansion II)
+    and the 16x16 convolution, each timed on both backends (pointwise best
+    of 3; compiled warmed up, best of 5).  Raises when a compiled run's
+    output, result or ``machine.*`` metrics differ from pointwise."""
     u = p = 8
-    runs, _, times = _both_backends(u, p, repeats=3)
-    _, conv, conv_times = _conv_row(repeats=3)
-    for label, points, t in (
-        (f"matmul u={u} p={p}", runs["pointwise"].sim.computations, times),
-        (f"convolution {CONV_N}x{CONV_N} p={CONV_P}", conv.sim.computations,
-         conv_times),
-    ):
-        speedup = t["pointwise"] / t["compiled"]
-        print(f"smoke: {label} ({points} points)  "
-              f"pointwise {t['pointwise'] * 1e3:.1f} ms  "
-              f"compiled {t['compiled'] * 1e3:.1f} ms  "
-              f"speedup {speedup:.1f}x  identical=True")
-        assert speedup >= 3.0, (
-            f"{label}: compiled speedup {speedup:.2f}x vs pointwise is "
-            f"below the 3x smoke floor"
-        )
-    return 0
+    _, _, times = _both_backends(u, p, repeats=3)
+    _, _, conv_times = _conv_row(repeats=3)
+    return {
+        "compiled_kernel": {
+            "instance": f"matmul u=p={u} fig4 exp II",
+            "reference_s": times["pointwise"], "fast_s": times["compiled"],
+        },
+        "compiled_convolution": {
+            "instance": f"convolution {CONV_N}x{CONV_N} p={CONV_P} exp II",
+            "reference_s": conv_times["pointwise"],
+            "fast_s": conv_times["compiled"],
+        },
+    }
 
 
 def _record(repeats: int) -> int:
@@ -337,20 +327,13 @@ def _record(repeats: int) -> int:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    mode = parser.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--smoke", action="store_true",
-                      help="u=p=8 matmul and the 16x16 convolution on "
-                           "both backends; assert equal results and >= 3x "
-                           "over pointwise")
-    mode.add_argument("--record", action="store_true",
-                      help="measure u=p=8 matmul and the convolution "
-                           "plus the cold-compile timings and u=p=16 "
-                           "program sizes; update BENCH_compiled.json")
+    parser.add_argument("--record", action="store_true", required=True,
+                        help="measure u=p=8 matmul and the convolution "
+                             "plus the cold-compile timings and u=p=16 "
+                             "program sizes; update BENCH_compiled.json")
     parser.add_argument("--repeats", type=int, default=3,
                         help="timing repeats for --record (best-of)")
     args = parser.parse_args(argv)
-    if args.smoke:
-        return _smoke()
     return _record(args.repeats)
 
 

@@ -5,14 +5,16 @@ Fig. 4, and reports the best designs found for the bit-level matmul
 structure -- including ones the paper does not list (same optimal time,
 fewer processors at small sizes).
 
-Besides the pytest-benchmark kernels, this module doubles as a script:
+Besides the pytest-benchmark kernels:
 
-* ``python benchmarks/bench_design_search.py --smoke [--metrics-out F]``
-  runs a small instance, then the same ``(D, P, config)`` at another u,
-  and asserts the engine's memoization is live (``mapping.cache_hits >
-  0``), the second search walked the first one's plan
-  (``mapping.plan_hits == 1``) and found the designs of a cold run -- the
-  CI guard.
+* :func:`smoke` measures the ``search_memo_hits`` and
+  ``design_search_solver`` rows of the perf gate
+  (``scripts/bench_gate.py``).  It runs a small instance, then the same
+  ``(D, P, config)`` at another u, and raises unless the second search
+  walked the first one's plan (``mapping.plan_hits == 1``,
+  ``mapping.plan_misses == 1``) and found the designs of a cold run; then
+  it runs the small instance on both strategies and raises unless they
+  return the same designs.
 * ``python benchmarks/bench_design_search.py --record`` runs the blocked
   u=3, p=3 instance two ways -- the catalog strategy, then the
   branch-and-prune solver strategy, each timed repeat from a cleared
@@ -32,6 +34,7 @@ import random
 import time
 
 import pytest
+from _timing import best_of
 
 from repro import obs
 from repro.expansion.theorem31 import matmul_bit_level
@@ -93,7 +96,7 @@ def test_bench_search_bit_level(benchmark):
     assert cands[0].time <= designs.t_fig4(2, 2)
 
 
-# -- script modes -----------------------------------------------------------
+# -- the gate rows and the record --------------------------------------------
 
 def _candidate_rows(cands):
     return [
@@ -103,57 +106,87 @@ def _candidate_rows(cands):
     ]
 
 
+def _cold_counters(fn):
+    """``fn()`` run from a cleared search-plan memo, and the counters it
+    reported."""
+    clear_search_plans()
+    with obs.collecting() as reg:
+        result = fn()
+    return result, dict(reg.counters)
+
+
 def _timed_search(alg, binding, prims, config, repeats=3):
-    """Best-of-N wall clock plus the (identical) result and metrics; each
-    repeat starts from a cleared search-plan memo, so it builds its plan."""
-    best = None
-    cands = None
-    metrics = None
-    for _ in range(repeats):
-        clear_search_plans()
-        with obs.collecting() as reg:
-            t0 = time.perf_counter()
-            cands = run_search(alg, binding, prims, config)
-            elapsed = time.perf_counter() - t0
-        metrics = obs.metrics_dict(reg)
-        best = elapsed if best is None else min(best, elapsed)
-    return best, cands, metrics
+    """Best-of-N wall clock plus the (identical) result and counters; each
+    repeat starts from a cleared search-plan memo, so it builds its plan.
+    Timing runs without a metrics registry; one more cold run, collected,
+    supplies the counters."""
+    def search():
+        return run_search(alg, binding, prims, config)
+
+    best, _ = best_of(search, repeats, setup=clear_search_plans)
+    cands, counters = _cold_counters(search)
+    return best, cands, counters
 
 
-def _flow_search(u, p, e):
+def _flow_search(u, p, e, strategy="solver"):
     """One ``design_flow`` job's search: fig4 primitives, block [p]."""
     config = SearchConfig(target_space_dim=2, block_values=[p],
-                          schedule_bound=2, max_candidates=5)
+                          schedule_bound=2, max_candidates=5,
+                          strategy=strategy)
     return run_search(matmul_bit_level(u, p, e), {"u": u, "p": p},
                       designs.fig4_primitives(p), config)
 
 
-def _smoke(metrics_out: str | None) -> int:
-    # u=2 builds the (D, P, config) plan; u=3 (same p) walks it.
-    clear_search_plans()
-    with obs.collecting() as reg:
-        cands = _flow_search(2, 2, "II")
-        warm = _flow_search(3, 2, "II")
-    clear_search_plans()
-    cold = _flow_search(3, 2, "II")
-    metrics = obs.metrics_dict(reg)
-    if metrics_out:
-        pathlib.Path(metrics_out).write_text(
-            json.dumps(metrics, indent=2, sort_keys=True) + "\n"
-        )
-    counters = metrics["counters"]
-    hits = counters.get("mapping.cache_hits", 0)
-    found = counters.get("mapping.designs_found", 0)
-    plan_hits = counters.get("mapping.plan_hits", 0)
-    print(f"smoke: {len(cands)} + {len(warm)} designs, cache_hits={hits}, "
-          f"designs_found={found}, plan_hits={plan_hits}")
+def smoke() -> dict:
+    """The perf gate's search rows, both exact counts.
+
+    ``search_memo_hits`` counts ``mapping.cache_hits`` over a u=p=2 search
+    and a u=3, p=2 search that walks the plan the first one built;
+    ``design_search_solver`` is the catalog's enumerated candidates over
+    the solver's on the u=p=2 search.  Raises when a search finds no
+    design, when the second search did not take the first one's plan
+    (``plan_hits == plan_misses == 1``) or found other designs than a cold
+    run, or when the two strategies disagree.
+    """
+    (cands, warm), counters = _cold_counters(
+        lambda: (_flow_search(2, 2, "II"), _flow_search(3, 2, "II"))
+    )
+    cold, _ = _cold_counters(lambda: _flow_search(3, 2, "II"))
     assert cands and warm, "smoke search found no designs"
-    assert hits > 0, "memoization produced no cache hits"
-    assert plan_hits == 1, "the second search did not reuse the plan"
+    assert counters.get("mapping.designs_found", 0) > 0, (
+        "mapping.designs_found is 0"
+    )
+    assert counters.get("mapping.plan_hits") == 1, (
+        "the second search did not reuse the plan"
+    )
+    assert counters.get("mapping.plan_misses") == 1, (
+        "the second search built a plan of its own"
+    )
     assert _candidate_rows(warm) == _candidate_rows(cold), (
         "warm plan changed designs"
     )
-    return 0
+    enumerated = {}
+    found = {}
+    for strategy in ("catalog", "solver"):
+        found[strategy], strategy_counters = _cold_counters(
+            lambda: _flow_search(2, 2, "II", strategy)
+        )
+        enumerated[strategy] = strategy_counters.get(
+            "mapping.candidates_enumerated", 0
+        )
+    assert found["solver"] and (
+        _candidate_rows(found["solver"]) == _candidate_rows(found["catalog"])
+    ), "solver search diverged from catalog"
+    return {
+        "search_memo_hits": {
+            "instance": "matmul u=p=2, then u=3 p=2, exp II",
+            "count": counters.get("mapping.cache_hits", 0),
+        },
+        "design_search_solver": {
+            "instance": "matmul u=p=2 exp II",
+            "count": enumerated["catalog"], "per": enumerated["solver"],
+        },
+    }
 
 
 def _record_plan() -> dict:
@@ -205,16 +238,16 @@ def _record(repeats: int) -> int:
 
     print(f"recording u={u} p={p} blocked-catalog instance "
           f"(best of {repeats})...")
-    t_seq, cands_seq, m_seq = _timed_search(alg, binding, prims,
+    t_seq, cands_seq, c_seq = _timed_search(alg, binding, prims,
                                             config("catalog"), repeats)
     print(f"catalog: {t_seq:.3f}s")
 
-    t_sol, cands_sol, m_sol = _timed_search(
+    t_sol, cands_sol, c_sol = _timed_search(
         alg, binding, prims, config("solver"), repeats
     )
     solver_identical = _candidate_rows(cands_sol) == _candidate_rows(cands_seq)
-    n_catalog = m_seq["counters"].get("mapping.candidates_enumerated", 0)
-    n_solver = m_sol["counters"].get("mapping.candidates_enumerated", 0)
+    n_catalog = c_seq.get("mapping.candidates_enumerated", 0)
+    n_solver = c_sol.get("mapping.candidates_enumerated", 0)
     ratio = n_catalog / max(n_solver, 1)
     print(f"solver: {t_sol:.3f}s ({t_seq / t_sol:.1f}x faster)  candidates "
           f"{n_solver} vs catalog {n_catalog} ({ratio:.1f}x fewer)  "
@@ -233,18 +266,18 @@ def _record(repeats: int) -> int:
         "engine": {
             "catalog": {
                 "seconds": round(t_seq, 3),
-                "cache_hits": m_seq["counters"].get("mapping.cache_hits"),
-                "cache_misses": m_seq["counters"].get("mapping.cache_misses"),
-                "candidates_enumerated": m_seq["counters"].get(
+                "cache_hits": c_seq.get("mapping.cache_hits"),
+                "cache_misses": c_seq.get("mapping.cache_misses"),
+                "candidates_enumerated": c_seq.get(
                     "mapping.candidates_enumerated"),
-                "conflict_checks": m_seq["counters"].get(
+                "conflict_checks": c_seq.get(
                     "mapping.conflict_checks"),
             },
         },
         "solver": {
             "seconds": round(t_sol, 3),
-            "cache_hits": m_sol["counters"].get("mapping.cache_hits"),
-            "cache_misses": m_sol["counters"].get("mapping.cache_misses"),
+            "cache_hits": c_sol.get("mapping.cache_hits"),
+            "cache_misses": c_sol.get("mapping.cache_misses"),
             "candidates_enumerated": n_solver,
             "catalog_candidates_enumerated": n_catalog,
             "candidates_ratio": round(ratio, 2),
@@ -261,19 +294,12 @@ def _record(repeats: int) -> int:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    mode = parser.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--smoke", action="store_true",
-                      help="small instance; assert memoization is live")
-    mode.add_argument("--record", action="store_true",
-                      help="measure the u=3,p=3 instance and update "
-                           "BENCH_design_search.json")
-    parser.add_argument("--metrics-out", metavar="FILE", default=None,
-                        help="write the smoke run's metrics dict as JSON")
+    parser.add_argument("--record", action="store_true", required=True,
+                        help="measure the u=3,p=3 instance and update "
+                             "BENCH_design_search.json")
     parser.add_argument("--repeats", type=int, default=3,
                         help="timing repeats for --record (best-of)")
     args = parser.parse_args(argv)
-    if args.smoke:
-        return _smoke(args.metrics_out)
     return _record(args.repeats)
 
 

@@ -9,12 +9,13 @@ at ``u = p = 64/256/1024`` (flat in size, milliseconds) against the
 concrete enumeration cost at the largest size concrete analysis can
 still afford (``u = p = 8``, seconds).
 
-Besides the pytest-benchmark kernels, this module doubles as a script:
+Besides the pytest-benchmark kernels:
 
-* ``python benchmarks/bench_symbolic.py --smoke`` solves once, checks
-  instantiation against concrete analysis at two small sizes, and
-  asserts a >= 2x instantiate-vs-concrete speedup plus a sub-second
-  ``u = p = 1024`` answer -- the CI guard.
+* :func:`smoke` measures the ``symbolic_instantiate`` row of the perf
+  gate (``scripts/bench_gate.py``) at ``u = p = 6``: it solves once,
+  checks instantiation against concrete analysis at two sizes, and raises
+  on any difference or when the ``u = p = 1024`` answer takes a second
+  or more.
 * ``python benchmarks/bench_symbolic.py --record`` measures the solve,
   the instantiation latency ladder, and the concrete reference at
   ``u = p = 8`` (expecting the symbolic path >= 100x faster), verifies
@@ -25,9 +26,9 @@ Besides the pytest-benchmark kernels, this module doubles as a script:
 import argparse
 import json
 import pathlib
-import time
 
 import pytest
+from _timing import best_of
 
 from repro import obs
 from repro.depanalysis import AnalysisConfig, analyze
@@ -62,36 +63,21 @@ def _concrete_program(u, p, expansion="II"):
 
 def _timed_solve(program, repeats=1):
     """Best-of-N parametric solve (memo cleared so every run is real)."""
-    best = result = None
-    for _ in range(repeats):
-        clear_memo()
-        t0 = time.perf_counter()
-        result = analyze_symbolic(program, cache=False)
-        elapsed = time.perf_counter() - t0
-        best = elapsed if best is None else min(best, elapsed)
-    return best, result
+    return best_of(lambda: analyze_symbolic(program, cache=False), repeats,
+                   setup=clear_memo)
 
 
 def _timed_instantiate(result, u, p, repeats=3):
-    best = summary = None
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        summary = result.summary({"u": u, "p": p})
-        elapsed = time.perf_counter() - t0
-        best = elapsed if best is None else min(best, elapsed)
-    return best, summary
+    return best_of(lambda: result.summary({"u": u, "p": p}), repeats)
 
 
 def _timed_concrete(u, p, repeats=1):
     program = _concrete_program(u, p)
     config = AnalysisConfig(cache=False)
-    best = result = None
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        result = analyze(program, {"p": p}, method="enumerate", config=config)
-        elapsed = time.perf_counter() - t0
-        best = elapsed if best is None else min(best, elapsed)
-    return best, result
+    return best_of(
+        lambda: analyze(program, {"p": p}, method="enumerate", config=config),
+        repeats,
+    )
 
 
 def _assert_identical(summary, concrete, label):
@@ -160,28 +146,33 @@ def test_bench_concrete_reference(benchmark):
     assert result.stats["instances"] > 0
 
 
-# -- script modes -----------------------------------------------------------
+# -- the gate row and the record ---------------------------------------------
 
-def _smoke() -> int:
-    t_solve, result = _timed_solve(_symbolic_program())
+def smoke() -> dict:
+    """The perf gate's ``symbolic_instantiate`` row: O(1) instantiation of
+    the closed form against the scalar hash-join at u=p=6, each side best
+    of 3.  Raises when the closed form's instance count or distinct
+    vectors differ from concrete analysis (at u=3, p=2 and at u=p=6), or
+    when the u=p=1024 instantiation takes a second or more."""
+    _, result = _timed_solve(_symbolic_program())
     assert result.closed_form, "matmul family must solve in closed form"
-    for u, p in ((3, 2), (4, 4)):
-        t_c, concrete = _timed_concrete(u, p)
-        t_i, summary = _timed_instantiate(result, u, p)
-        _assert_identical(summary, concrete, f"u={u} p={p}")
-    speedup = t_c / t_i
-    t_big, big = _timed_instantiate(result, 1024, 1024)
-    print(f"smoke: solve {t_solve * 1e3:.1f} ms  u=4 p=4 concrete "
-          f"{t_c * 1e3:.1f} ms  instantiate {t_i * 1e3:.2f} ms "
-          f"({speedup:.1f}x)  u=p=1024 {t_big * 1e3:.2f} ms "
-          f"({big['instances']} instances)  identical=True")
-    assert speedup >= 2.0, (
-        f"instantiate speedup {speedup:.2f}x below the 2x smoke floor"
-    )
+    _, concrete = _timed_concrete(3, 2)
+    _, summary = _timed_instantiate(result, 3, 2, repeats=1)
+    _assert_identical(summary, concrete, "u=3 p=2")
+    u = p = 6
+    t_c, concrete = _timed_concrete(u, p, repeats=3)
+    t_i, summary = _timed_instantiate(result, u, p)
+    _assert_identical(summary, concrete, f"u=p={u}")
+    t_big, _ = _timed_instantiate(result, 1024, 1024, repeats=1)
     assert t_big < 1.0, (
         f"u=p=1024 instantiation took {t_big:.2f}s; closed form must be O(1)"
     )
-    return 0
+    return {
+        "symbolic_instantiate": {
+            "instance": f"matmul u=p={u} exp II",
+            "reference_s": t_c, "fast_s": t_i,
+        },
+    }
 
 
 def _record(repeats: int) -> int:
@@ -259,18 +250,12 @@ def _record(repeats: int) -> int:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    mode = parser.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--smoke", action="store_true",
-                      help="solve + two cross-validated sizes; assert "
-                      "identity, >= 2x, and sub-second u=p=1024")
-    mode.add_argument("--record", action="store_true",
-                      help="measure the solve, ladder and concrete "
-                      "reference; update BENCH_symbolic.json")
+    parser.add_argument("--record", action="store_true", required=True,
+                        help="measure the solve, ladder and concrete "
+                        "reference; update BENCH_symbolic.json")
     parser.add_argument("--repeats", type=int, default=3,
                         help="best-of-N timing repeats for --record")
     args = parser.parse_args(argv)
-    if args.smoke:
-        return _smoke()
     return _record(args.repeats)
 
 

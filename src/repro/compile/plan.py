@@ -33,6 +33,7 @@ import numpy as _np
 
 from repro.machine.pe import ProcessorElement
 from repro.mapping.transform import MappingMatrix
+from repro.structures.indexset import box_lattice
 
 __all__ = [
     "DenseValueStore",
@@ -169,16 +170,6 @@ class SlotCounters:
 # Array helpers
 # ---------------------------------------------------------------------------
 
-def _box_lattice(lowers, uppers):
-    """All lattice points of the box as one ``(N, n)`` int64 block, in
-    lexicographic order (the order ``IndexSet.points`` enumerates)."""
-    axes = [_np.arange(lo, hi + 1, dtype=_np.int64) for lo, hi in zip(lowers, uppers)]
-    if any(len(ax) == 0 for ax in axes):
-        return _np.zeros((0, len(axes)), dtype=_np.int64)
-    grids = _np.meshgrid(*axes, indexing="ij")
-    return _np.stack([g.reshape(-1) for g in grids], axis=1)
-
-
 def _slot_slices(sorted_times):
     """``(start, end)`` index pairs of the equal-time runs."""
     cuts = _np.flatnonzero(_np.diff(sorted_times)) + 1
@@ -271,7 +262,7 @@ def _build_plan(
     lowers: Sequence[int],
     uppers: Sequence[int],
 ) -> SchedulePlan:
-    lattice = _box_lattice(lowers, uppers)
+    lattice = box_lattice(list(zip(lowers, uppers)))
     times = mapping.times_of(lattice)
     procs = mapping.processors_of(lattice)
     if len(lattice):

@@ -30,8 +30,6 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro import obs
 from repro.cache import (
     Uncacheable,
@@ -43,15 +41,12 @@ from repro.cache import (
 from repro.depanalysis.exact import analyze_exact
 from repro.depanalysis.pairs import AnalysisResult
 from repro.ir.program import LoopNest
-from repro.structures.conditions import And, Condition, Eq, Ne, Not, Or, _False, _True
 from repro.structures.params import ParamBinding
 
 __all__ = [
     "AnalysisConfig",
     "BACKENDS",
     "SHARED_STATS",
-    "box_lattice",
-    "condition_mask",
     "default_backend",
     "resolve_backend",
     "run_analysis",
@@ -104,57 +99,6 @@ def resolve_backend(name: str | None = None) -> str:
             f"{('auto',) + BACKENDS}"
         )
     return name
-
-
-# ---------------------------------------------------------------------------
-# Shared vector helpers
-# ---------------------------------------------------------------------------
-
-def box_lattice(bounds):
-    """All points of an integer box as an ``(N, n)`` int64 array, in the
-    lexicographic order of ``itertools.product`` (``meshgrid`` with
-    ``indexing="ij"``)."""
-    axes = [np.arange(lo, hi + 1, dtype=np.int64) for lo, hi in bounds]
-    grids = np.meshgrid(*axes, indexing="ij")
-    return np.stack([g.reshape(-1) for g in grids], axis=1)
-
-
-def condition_mask(cond: Condition, pts, binding: ParamBinding):
-    """Evaluate a condition over an ``(N, n)`` point block as a bool mask.
-
-    The intensional algebra (``Eq``/``Ne``/``And``/``Or``/``Not`` and the
-    constants) vectorizes directly; any other condition type (including
-    extensional :class:`PointSet`\\ s) falls back to per-point ``holds``.
-    """
-    n_pts = len(pts)
-    if isinstance(cond, _True):
-        return np.ones(n_pts, dtype=bool)
-    if isinstance(cond, _False):
-        return np.zeros(n_pts, dtype=bool)
-    if isinstance(cond, Eq):
-        return pts[:, cond.axis] == cond.value.evaluate(binding)
-    if isinstance(cond, Ne):
-        return pts[:, cond.axis] != cond.value.evaluate(binding)
-    if isinstance(cond, And):
-        mask = np.ones(n_pts, dtype=bool)
-        for term in cond.terms:
-            mask &= condition_mask(term, pts, binding)
-        return mask
-    if isinstance(cond, Or):
-        mask = np.zeros(n_pts, dtype=bool)
-        for term in cond.terms:
-            mask |= condition_mask(term, pts, binding)
-        return mask
-    if isinstance(cond, Not):
-        return ~condition_mask(cond.term, pts, binding)
-    return np.fromiter(
-        (
-            cond.holds(tuple(int(x) for x in row), binding)
-            for row in pts
-        ),
-        dtype=bool,
-        count=n_pts,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -22,11 +22,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
+import numpy as np
+
 from repro.depanalysis.analyzer import analyze
 from repro.expansion.theorem31 import bit_level_structure
 from repro.ir.builders import word_model_structure
 from repro.ir.expand import expand_bit_level
 from repro.structures.algorithm import Algorithm
+from repro.structures.conditions import And, Condition, Eq, Ne, Not, Or, _False, _True
+from repro.structures.indexset import IndexSet, box_lattice
 from repro.structures.params import ParamBinding
 
 __all__ = ["VerificationReport", "verify_theorem31", "effective_edges"]
@@ -60,6 +64,44 @@ class VerificationReport:
         )
 
 
+def condition_mask(cond: Condition, pts, binding: ParamBinding):
+    """Evaluate a condition over an ``(N, n)`` point block as a bool mask.
+
+    The intensional algebra (``Eq``/``Ne``/``And``/``Or``/``Not`` and the
+    constants) vectorizes directly; any other condition type (including
+    extensional :class:`PointSet`\\ s) falls back to per-point ``holds``.
+    """
+    n_pts = len(pts)
+    if isinstance(cond, _True):
+        return np.ones(n_pts, dtype=bool)
+    if isinstance(cond, _False):
+        return np.zeros(n_pts, dtype=bool)
+    if isinstance(cond, Eq):
+        return pts[:, cond.axis] == cond.value.evaluate(binding)
+    if isinstance(cond, Ne):
+        return pts[:, cond.axis] != cond.value.evaluate(binding)
+    if isinstance(cond, And):
+        mask = np.ones(n_pts, dtype=bool)
+        for term in cond.terms:
+            mask &= condition_mask(term, pts, binding)
+        return mask
+    if isinstance(cond, Or):
+        mask = np.zeros(n_pts, dtype=bool)
+        for term in cond.terms:
+            mask |= condition_mask(term, pts, binding)
+        return mask
+    if isinstance(cond, Not):
+        return ~condition_mask(cond.term, pts, binding)
+    return np.fromiter(
+        (
+            cond.holds(tuple(int(x) for x in row), binding)
+            for row in pts
+        ),
+        dtype=bool,
+        count=n_pts,
+    )
+
+
 def effective_edges(
     algorithm: Algorithm, binding: ParamBinding
 ) -> set[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -68,19 +110,14 @@ def effective_edges(
 
     When the index set is a plain box, each dependence vector is resolved
     over the whole point block at once (validity via
-    :func:`repro.depanalysis.engine.condition_mask`, source membership via
+    :func:`condition_mask`, source membership via
     array comparisons), which is what lets Theorem 3.1 cross-validation
     scale to ``u = p = 16``.  A subclassed index set (e.g. a constrained
     one) falls back to the per-point loop.
     """
-    from repro.depanalysis import engine as _engine
-    from repro.structures.indexset import IndexSet
-
     index_set = algorithm.index_set
     out: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
     if type(index_set) is IndexSet:
-        import numpy as np
-
         bounds = index_set.bounds(binding)
         if (
             index_set.dim > 0
@@ -88,7 +125,7 @@ def effective_edges(
             and (not bounds
                  or max(max(abs(lo), abs(hi)) for lo, hi in bounds) < 1 << 62)
         ):
-            pts = _engine.box_lattice(bounds)
+            pts = box_lattice(bounds)
             lo = np.asarray([b[0] for b in bounds], dtype=np.int64)
             hi = np.asarray([b[1] for b in bounds], dtype=np.int64)
             for vec in algorithm.dependences:
@@ -97,7 +134,7 @@ def effective_edges(
                 )
                 src = pts - d
                 mask = np.all((src >= lo) & (src <= hi), axis=1)
-                mask &= _engine.condition_mask(vec.validity, pts, binding)
+                mask &= condition_mask(vec.validity, pts, binding)
                 vtuple = tuple(int(x) for x in vec.vector)
                 for row in pts[mask]:
                     out.add((tuple(int(x) for x in row), vtuple))

@@ -27,7 +27,7 @@ from repro.expansion.verify import VerificationReport, verify_theorem31
 from repro.machine.model import BitLevelModelMachine
 from repro.mapping.engine import DesignCandidate, SearchConfig, run_search
 from repro.mapping.feasibility import FeasibilityReport, check_feasibility
-from repro.mapping.interconnect import mesh_primitives, with_long_wires
+from repro.mapping.interconnect import with_long_wires
 from repro.mapping.transform import MappingMatrix
 from repro.structures.algorithm import Algorithm
 
@@ -92,9 +92,15 @@ class BitLevelDesigner:
         )
 
     # -- step 3: mapping ----------------------------------------------------
-    def default_primitives(self) -> list[list[int]]:
-        """Mesh + diagonal + length-``p`` wires (a Fig. 4-shaped target)."""
-        return with_long_wires([[1, -1], [self.p, 0], [0, self.p]], 2)
+    def default_primitives(self, dim: int = 2) -> list[list[int]]:
+        """The interconnect of a ``dim``-D array: at ``dim = 2`` mesh +
+        diagonal + length-``p`` wires (a Fig. 4-shaped target), otherwise
+        the mesh plus a length-``p`` wire along each axis."""
+        if dim == 2:
+            return with_long_wires([[1, -1], [self.p, 0], [0, self.p]], 2)
+        wires = [[self.p if r == axis else 0 for r in range(dim)]
+                 for axis in range(dim)]
+        return with_long_wires(wires, dim)
 
     def design(
         self,
@@ -109,7 +115,7 @@ class BitLevelDesigner:
         search bounds (widen ``schedule_bound`` or the primitive set).
         """
         if primitives is None:
-            primitives = self.default_primitives()
+            primitives = self.default_primitives(target_space_dim)
         config = SearchConfig(
             target_space_dim=target_space_dim,
             block_values=[self.p],
@@ -133,7 +139,7 @@ class BitLevelDesigner:
     ) -> FeasibilityReport:
         """Check a user-supplied mapping against Definition 4.1."""
         if primitives is None:
-            primitives = self.default_primitives()
+            primitives = self.default_primitives(len(mapping.space))
         return check_feasibility(
             mapping, self.structure(), self.binding, primitives
         )

@@ -14,8 +14,9 @@ Endpoints (all JSON; ``Connection: close`` per request):
 
 =====================================  ====================================
 ``GET  /v1/health``                    liveness + version
-``GET  /v1/stats``                     server counters, aggregated engine
-                                       counters, queue depths
+``GET  /v1/stats``                     server counters, the sum of every
+                                       counter the jobs reported, queue
+                                       depths
 ``POST /v1/jobs``                      body = ``JobSpec`` payload; returns
                                        ``{"job_id", "key", "coalesced"}``
 ``GET  /v1/jobs/<id>[?wait=S]``        status envelope; ``wait`` long-polls
@@ -238,9 +239,7 @@ class JobServer:
             )
         self.counters["serve.executions"] += 1
         if result.metrics:
-            for name, value in result.metrics.get("counters", {}).items():
-                if name.startswith(("analysis.", "cache.", "depanalysis.")):
-                    self.counters[name] += value
+            self.counters.update(result.metrics.get("counters", {}))
         self._finish(execution, result)
 
     def _finish(self, execution: _Execution, result: JobResult) -> None:

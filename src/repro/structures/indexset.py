@@ -6,6 +6,8 @@ parameters ``p`` (word length) and ``u`` (problem size).  :class:`IndexSet`
 stores the bounds symbolically, supports Cartesian products (used by Theorem
 3.1: the bit-level index set is ``J_w x J_as``), membership tests, exact
 enumeration after parameter instantiation, and cardinality.
+:func:`box_lattice` is the same enumeration as one integer array, for the
+vectorized callers.
 """
 
 from __future__ import annotations
@@ -13,9 +15,22 @@ from __future__ import annotations
 import itertools
 from typing import Iterator, Sequence
 
+import numpy as np
+
 from repro.structures.params import LinExpr, ParamBinding, as_linexpr
 
-__all__ = ["IndexSet"]
+__all__ = ["IndexSet", "box_lattice"]
+
+
+def box_lattice(bounds: Sequence[tuple[int, int]]) -> np.ndarray:
+    """All points of the integer box ``bounds`` (``(lo, hi)`` per axis) as
+    one ``(N, n)`` int64 array, in the lexicographic order of
+    :meth:`IndexSet.points`; an empty axis gives ``N = 0``."""
+    axes = [np.arange(lo, hi + 1, dtype=np.int64) for lo, hi in bounds]
+    if any(len(ax) == 0 for ax in axes):
+        return np.zeros((0, len(axes)), dtype=np.int64)
+    grids = np.meshgrid(*axes, indexing="ij")
+    return np.stack([g.reshape(-1) for g in grids], axis=1)
 
 
 class IndexSet:

@@ -31,17 +31,24 @@ class TestTopLevelCli:
         assert "design-space search" in out
         assert "T = [S; Π]" in out
 
-    def test_search_rejects_the_retired_workers_option(self, capsys):
+    @pytest.mark.parametrize("argv, option", [
+        (["simulate", "--u", "2", "--p", "2", "--backend", "wavefront"],
+         "--backend"),
+        (["analyze", "--u", "2", "--p", "2", "--backend", "batched"],
+         "--backend"),
+        (["search", "--u", "2", "--p", "2", "--workers", "2"], "--workers"),
+        (["search", "--u", "2", "--p", "2", "--shard-dir", "blocks"],
+         "--shard-dir"),
+        (["serve", "--port", "0", "--max-batch", "4"], "--max-batch"),
+    ], ids=["simulate-wavefront", "analyze-batched", "search-workers",
+            "search-shard-dir", "serve-max-batch"])
+    def test_retired_option_exits_2(self, argv, option, capsys):
+        # Parsing only: a command line that got through would not run,
+        # so ``serve`` never starts a server here.
         with pytest.raises(SystemExit) as exc:
-            main(["search", "--u", "2", "--p", "2", "--workers", "2"])
+            build_parser().parse_args(argv)
         assert exc.value.code == 2
-        assert "--workers" in capsys.readouterr().err
-
-    def test_search_rejects_the_retired_shard_dir_option(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["search", "--u", "2", "--p", "2", "--shard-dir", "blocks"])
-        assert exc.value.code == 2
-        assert "--shard-dir" in capsys.readouterr().err
+        assert option in capsys.readouterr().err
 
     def test_search_unconstrained_primitives(self, capsys):
         assert main(

@@ -223,31 +223,6 @@ class TestBackendResolution:
                     config=_config(None))
 
 
-class TestNumpyHelpers:
-    def test_box_lattice_matches_product_order(self):
-        import itertools
-
-        from repro.depanalysis.engine import box_lattice
-
-        bounds = [(1, 3), (-1, 1), (2, 2)]
-        pts = box_lattice(bounds)
-        expected = list(itertools.product(*[range(lo, hi + 1)
-                                            for lo, hi in bounds]))
-        assert [tuple(int(x) for x in row) for row in pts] == expected
-
-    def test_condition_mask_matches_holds(self):
-        from repro.depanalysis.engine import box_lattice, condition_mask
-        from repro.structures.conditions import And, Eq, Ne, Not, Or
-
-        cond = Or(And(Eq(0, 1), Ne(1, 2)), Not(Eq(2, 3)))
-        bounds = [(1, 3)] * 3
-        pts = box_lattice(bounds)
-        mask = condition_mask(cond, pts, {})
-        for row, ok in zip(pts, mask):
-            point = tuple(int(x) for x in row)
-            assert bool(ok) == cond.holds(point, {})
-
-
 class TestObsCounters:
     def test_batched_counters_emitted(self):
         # The symbolic route's own counters reach the registry.

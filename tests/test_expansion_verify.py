@@ -28,6 +28,34 @@ class TestEffectiveEdges:
         assert edges == {((3,), (2,))}
 
 
+class TestNumpyHelpers:
+    def test_box_lattice_matches_product_order(self):
+        import itertools
+
+        from repro.structures.indexset import box_lattice
+
+        bounds = [(1, 3), (-1, 1), (2, 2)]
+        pts = box_lattice(bounds)
+        expected = list(itertools.product(*[range(lo, hi + 1)
+                                            for lo, hi in bounds]))
+        assert [tuple(int(x) for x in row) for row in pts] == expected
+        # An empty axis empties the box; the shape keeps its n columns.
+        assert box_lattice([(1, 3), (2, 1)]).shape == (0, 2)
+
+    def test_condition_mask_matches_holds(self):
+        from repro.expansion.verify import condition_mask
+        from repro.structures.conditions import And, Eq, Ne, Not, Or
+        from repro.structures.indexset import box_lattice
+
+        cond = Or(And(Eq(0, 1), Ne(1, 2)), Not(Eq(2, 3)))
+        bounds = [(1, 3)] * 3
+        pts = box_lattice(bounds)
+        mask = condition_mask(cond, pts, {})
+        for row, ok in zip(pts, mask):
+            point = tuple(int(x) for x in row)
+            assert bool(ok) == cond.holds(point, {})
+
+
 class TestVerifyTheorem31:
     @pytest.mark.parametrize("expansion", ["I", "II"])
     def test_1d_matches(self, expansion):

@@ -83,3 +83,17 @@ class TestDesignAndBuild:
         prims = d.default_primitives()
         cols = {tuple(prims[r][j] for r in range(2)) for j in range(len(prims[0]))}
         assert (3, 0) in cols and (0, 3) in cols and (1, -1) in cols
+
+    def test_default_primitives_for_a_3d_array(self):
+        # Without primitives, design() and check() build the interconnect
+        # for the mapping's space dimension (mesh + length-p wires).
+        d = matmul_designer(2, 2)
+        best = d.design(target_space_dim=3)
+        assert len(best.mapping.space) == 3
+        assert (best.time, best.processors) == (7, 8)
+        assert d.check(best.mapping).feasible
+
+    def test_default_primitives_for_a_1d_array(self):
+        # The search runs (no P-row ValueError) and finds nothing.
+        with pytest.raises(RuntimeError, match="no feasible design"):
+            matmul_designer(2, 2).design(target_space_dim=1)

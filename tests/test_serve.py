@@ -204,6 +204,26 @@ class TestServer:
         stats = client.stats()
         assert stats["inflight"] == 0
 
+    def test_stats_sum_every_counter_a_job_reports(self, server):
+        # Not only the analysis and cache layers: a search's mapping.*
+        # and a symbolic analysis's symbolic.* counters reach /v1/stats.
+        from repro.symbolic import clear_memo
+
+        clear_memo()  # so the served analysis solves and counts it
+        client = ServeClient(port=server.port)
+        search = client.run(JobSpec(kind="search", u=2, p=2), timeout=120)
+        symbolic = client.run(
+            JobSpec(kind="analyze_symbolic", u=2, p=2, cache=False),
+            timeout=120,
+        )
+        assert search.ok and symbolic.ok
+        stats = client.stats()["server"]
+        for result, name in ((search, "mapping.designs_found"),
+                             (symbolic, "symbolic.analyses")):
+            own = result.metrics["counters"][name]
+            assert own > 0
+            assert stats[name] == own, name
+
     def test_concurrent_identical_jobs_coalesce_to_one_engine_call(
         self, server
     ):
@@ -456,13 +476,9 @@ class TestRetiredBatchSurface:
         assert excinfo.value.status == 404
 
     def test_max_batch_setting_is_gone(self):
-        from repro.__main__ import build_parser
-
+        # ``repro serve --max-batch`` is in test_cli's retired options.
         with pytest.raises(TypeError):
             ServerConfig(max_batch=4)
-        with pytest.raises(SystemExit) as excinfo:
-            build_parser().parse_args(["serve", "--max-batch", "4"])
-        assert excinfo.value.code == 2
 
 
 # ---------------------------------------------------------------------------
