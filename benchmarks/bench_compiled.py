@@ -1,15 +1,16 @@
 """Benchmark: the compiled backend vs the pointwise reference.
 
-Times the ``compiled`` backend's per-design programs against the
-pointwise interpreter on the same bit-level instances and checks they
+Times the ``compiled`` backend's programs against the pointwise
+interpreter on the same bit-level instances and checks they
 agree exactly -- same product or outputs, same :class:`SimulationResult`,
 same ``machine.*`` metrics -- so the speedup is measured on provably
 identical work.  Two instances: the u=p=8 matmul on the fig4 design, and
 a 16x16-point, p=8 convolution (model (3.5) at ``h̄ = (1,0), (1,-1),
 (0,1)``, 16,384 lattice points) on the design ``BitLevelDesigner``
-finds.  Also measures the cold compile that the in-process program memo
-amortizes (fig4 and fig5, whose many slots make the costlier program),
-and the bytes of index arrays one program keeps.
+finds.  Also measures the cold compile that the in-process memos
+amortize (fig4 and fig5, whose schedule plans are built there), and the
+bytes of index arrays the u=p=16 value program keeps, which every design
+at that size shares.
 
 Besides the pytest-benchmark kernels:
 
@@ -19,7 +20,8 @@ Besides the pytest-benchmark kernels:
   when the results differ.
 * ``python benchmarks/bench_compiled.py --record`` measures the same
   instances plus the fig4/fig5 cold-compile timings and the u=p=16
-  program sizes, and updates ``BENCH_compiled.json`` at the repo root.
+  value-program size, and updates ``BENCH_compiled.json`` at the repo
+  root.
 """
 
 import argparse
@@ -112,7 +114,8 @@ def _cold_compile_seconds(u, p, design="fig4"):
 
 
 def _program_index_bytes(n, design):
-    """Bytes of int32 index arrays one compiled u=p=n program keeps."""
+    """Bytes of int32 index arrays a compiled u=p=n run replays: its value
+    program's, shared by fig4 and fig5."""
     program = compile_model_program(
         _mapping(design, n), *MATMUL_H, (1, 1, 1), (n, n, n), n, "II"
     )
@@ -268,8 +271,8 @@ def _record(repeats: int) -> int:
         nbytes, points = _program_index_bytes(n, design)
         sizes[design] = {"bytes": nbytes,
                          "bytes_per_point": round(nbytes / points, 2)}
-        print(f"{design} u=p={n} program: {nbytes / 2**20:.1f} MiB of "
-              f"index arrays ({nbytes / points:.1f} B/point)")
+        print(f"{design} u=p={n} program: {nbytes:,} B of index arrays "
+              f"({nbytes / points:.2f} B/point)")
 
     mapping, conv, conv_times = _conv_row(repeats)
     conv_speedup = conv_times["pointwise"] / conv_times["compiled"]
@@ -329,8 +332,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--record", action="store_true", required=True,
                         help="measure u=p=8 matmul and the convolution "
-                             "plus the cold-compile timings and u=p=16 "
-                             "program sizes; update BENCH_compiled.json")
+                             "plus the cold-compile timings and the u=p=16 "
+                             "value-program size; update BENCH_compiled.json")
     parser.add_argument("--repeats", type=int, default=3,
                         help="timing repeats for --record (best-of)")
     args = parser.parse_args(argv)

@@ -18,7 +18,8 @@ Besides the pytest-benchmark kernels:
   or more.
 * ``python benchmarks/bench_symbolic.py --record`` measures the solve,
   the instantiation latency ladder, and the concrete reference at
-  ``u = p = 8`` (expecting the symbolic path >= 100x faster), verifies
+  ``u = p = 8`` (expecting the symbolic path >= 100x faster), each best
+  of ``--repeats``, verifies
   instance counts at every rung, and updates ``BENCH_symbolic.json``
   at the repo root.
 """
@@ -186,7 +187,7 @@ def _record(repeats: int) -> int:
     crossval = []
     t_concrete = concrete = None
     for u, p in CROSSVAL_SIZES:
-        t_concrete, concrete = _timed_concrete(u, p)
+        t_concrete, concrete = _timed_concrete(u, p, repeats=repeats)
         t_i, summary = _timed_instantiate(result, u, p, repeats=repeats)
         _assert_identical(summary, concrete, f"u={u} p={p}")
         crossval.append({

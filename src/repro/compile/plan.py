@@ -2,15 +2,16 @@
 
 Everything a run would otherwise re-derive on every ``simulate`` call --
 the box lattice, the batched ``Π j̄`` / ``S j̄`` transforms, the conflict
-check, the time-sorted slot grouping, busy-per-step and per-PE busy
-counts -- is a constant of ``(T, lowers, uppers)``.  :func:`plan_for`
-builds that structure exactly once per design and memoizes it in-process
-(an LRU keyed like the mapping engine's ``EvalCache``: by content, not
-identity), so repeat simulations of the same design -- the serve tier's
-bread and butter -- skip straight to value execution.
+check, busy-per-step and per-PE busy counts -- is a constant of
+``(T, lowers, uppers)``.  :func:`plan_for` builds that structure exactly
+once per design and memoizes it in-process (an LRU keyed like the
+mapping engine's ``EvalCache``: by content, not identity), so repeat
+simulations of the same design -- the serve tier's bread and butter --
+skip straight to value execution.
 
-A :class:`SchedulePlan` holds dense arrays + slot slices, the substrate
-the design compilers turn into per-slot index plans.
+A :class:`SchedulePlan` holds the dense lattice, time and processor
+arrays, the substrate of the design statistics and of the PE firing
+records.
 
 Plans are read-only by convention: consumers receive *copies* of the
 mutable per-run statistics (``busy_per_step``, ``pe_busy``) and must not
@@ -170,14 +171,6 @@ class SlotCounters:
 # Array helpers
 # ---------------------------------------------------------------------------
 
-def _slot_slices(sorted_times):
-    """``(start, end)`` index pairs of the equal-time runs."""
-    cuts = _np.flatnonzero(_np.diff(sorted_times)) + 1
-    starts = _np.concatenate([[0], cuts])
-    ends = _np.concatenate([cuts, [len(sorted_times)]])
-    return list(zip(starts.tolist(), ends.tolist()))
-
-
 def _encode_columns(columns):
     """Mixed-radix encoding of integer columns into one int64 key array."""
     key = None
@@ -231,17 +224,14 @@ class SchedulePlan:
     """The dense run-invariant schedule structure of one design + box."""
 
     __slots__ = (
-        "lattice", "times", "procs", "order", "slices", "first", "last",
-        "n_points", "_busy", "_pe_busy",
+        "lattice", "times", "procs", "first", "last", "n_points", "_busy",
+        "_pe_busy",
     )
 
-    def __init__(self, lattice, times, procs, order, slices, first, last,
-                 busy, pe_busy):
+    def __init__(self, lattice, times, procs, first, last, busy, pe_busy):
         self.lattice = lattice
         self.times = times
         self.procs = procs
-        self.order = order
-        self.slices = slices
         self.first = first
         self.last = last
         self.n_points = len(lattice)
@@ -269,8 +259,6 @@ def _build_plan(
         _check_conflicts(lattice, times, procs)
         first = int(times.min())
         last = int(times.max())
-        order = _np.argsort(times, kind="stable")
-        slices = _slot_slices(times[order])
         step_values, step_counts = _np.unique(times, return_counts=True)
         busy = {
             int(t): int(n)
@@ -282,13 +270,9 @@ def _build_plan(
         )
     else:
         first, last = 0, -1
-        order = _np.zeros(0, dtype=_np.int64)
-        slices = []
         busy = {}
         pe_busy = {}
-    return SchedulePlan(
-        lattice, times, procs, order, slices, first, last, busy, pe_busy,
-    )
+    return SchedulePlan(lattice, times, procs, first, last, busy, pe_busy)
 
 
 def plan_for(

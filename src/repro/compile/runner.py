@@ -29,24 +29,26 @@ from __future__ import annotations
 from collections import OrderedDict
 
 from repro import obs
-from repro.compile.model import ModelKernel, compile_model_program
+from repro.compile.model import ModelKernel, compile_model_program, value_program
 from repro.compile.plan import DenseValueStore, _pes_materializer
 from repro.compile.word import WordModelKernel, compile_word_program
 from repro.machine.simulator import SimulationResult, emit_machine_metrics
 
 __all__ = ["run_compiled", "clear_program_memo"]
 
-#: Compiled programs hold O(points) int32 index plans; keep a small
-#: in-process working set (a serve process sees a handful of designs).
+#: A compiled program holds its design's census and statistics (the
+#: shared value programs have their own memo); keep a small in-process
+#: working set (a serve process sees a handful of designs).
 _MEMO_CAPACITY = 8
 
 _PROGRAMS: "OrderedDict[tuple, object]" = OrderedDict()
 
 
 def clear_program_memo() -> None:
-    """Drop every memoized compiled program (tests/benchmarks force cold
-    compiles with this)."""
+    """Drop every memoized compiled program and value program
+    (tests/benchmarks force cold compiles with this)."""
     _PROGRAMS.clear()
+    value_program.cache_clear()
 
 
 def _program_for(memo_key, compile_fn):

@@ -12,8 +12,9 @@ few array expressions -- no slot loop at all:
   lattice (the sequential multiplier under test still computes every
   bit, elementwise exactly as the per-point compute would);
 * the running sums are a cumulative sum along the ``h̄₃`` chains, seeded
-  with the initial accumulator words: one gather-add per chain position
-  (for matmul, ``u - 1`` adds of one ``u x u`` plane each).
+  with the initial accumulator words: the products are laid out in the
+  box's end-aligned chain grid (:class:`~repro.machine.model.WordBox`),
+  where a shorter chain's padding is zero, and summed down its positions.
 
 All counters (reads, causality checks, link traffic, ``3N`` writes) are
 structural constants folded at compile time.
@@ -56,19 +57,14 @@ class WordModelKernel:
 
 
 class CompiledWordProgram:
-    """One design's compiled word-level program.
+    """One design's compiled word-level program over the box's chain
+    layout (``box``, a :class:`~repro.machine.model.WordBox`)."""
 
-    ``layers`` holds ``(idx, src)`` per chain position ``k >= 1``: the flat
-    indices of the points ``k`` steps into their ``h̄₃`` chain, and of
-    their predecessors.
-    """
-
-    def __init__(self, lowers, uppers, layers, reads, causality_checks,
-                 writes_struct, links):
-        self.lowers = tuple(lowers)
-        self.uppers = tuple(uppers)
-        self.shape = tuple(hi - lo + 1 for lo, hi in zip(lowers, uppers))
-        self.layers = layers
+    def __init__(self, box, reads, causality_checks, writes_struct, links):
+        self.lowers = box.lowers
+        self.uppers = box.uppers
+        self.shape = box.shape
+        self.box = box
         self.reads = int(reads)
         self.causality_checks = int(causality_checks)
         self.writes_struct = int(writes_struct)
@@ -88,12 +84,12 @@ class CompiledWordProgram:
         )
         if kernel.z0 is not None:
             Z = Z + kernel.z0.reshape(-1)
-        for idx, src in self.layers:
-            Z[idx] += Z[src]
+        box = self.box
+        Z = box.from_chains(np.cumsum(box.to_chains(Z.reshape(box.shape)), axis=0))
         always = np.broadcast_to(np.bool_(True), self.shape)
         store.attach("x", x, always)
         store.attach("y", y, always)
-        store.attach("z", Z.reshape(self.shape), always)
+        store.attach("z", Z, always)
         return SlotCounters(
             reads=self.reads,
             writes=self.writes_struct,
@@ -111,16 +107,9 @@ def compile_word_program(
     counters = SlotCounters()
     for h, inside in ((h1, box.x_in), (h2, box.y_in), (h3, box.z_in)):
         counters.account_site(mapping, h, int(inside.sum()))
-    off3 = box.offset(h3)
-    # Walk the chains from their starts, one h̄₃ step per layer.
-    layers = []
-    idx = _np.flatnonzero(~box.z_in)
-    while len(idx := idx[~box.final[idx]]):
-        layers.append((idx + off3, idx))
-        idx = idx + off3
     program = CompiledWordProgram(
-        lowers, uppers, layers, counters.reads, counters.causality_checks,
-        3 * plan.n_points, counters.links,
+        box, counters.reads, counters.causality_checks, 3 * plan.n_points,
+        counters.links,
     )
     program.busy = plan.busy_per_step()
     program.pe_busy = plan.pe_busy()

@@ -85,7 +85,59 @@ class WordBox:
         self.strides = strides
         #: flat word indices of the chain ends, in C order
         self.final_index = _np.flatnonzero(self.final)
+        # The chain layout: chain ``c`` is the one ending at
+        # ``final_index[c]``, and every chain is end-aligned in a
+        # ``(chain_length, n_chains)`` grid, so a word ``m`` steps before
+        # its chain's end sits at position ``chain_length - 1 - m``.
+        off3 = self.offset(h3)
+        dist = _np.zeros(len(self.final), dtype=_np.int64)
+        index = _np.zeros(len(self.final), dtype=_np.int64)
+        idx = self.final_index
+        chain = _np.arange(len(idx))
+        steps = 0
+        while len(idx):
+            dist[idx] = steps
+            index[idx] = chain
+            back = self.z_in[idx]
+            idx, chain = idx[back] - off3, chain[back]
+            steps += 1
+        #: the longest chain's word count ``K`` and the chain count ``C``
+        self.chain_length = steps
+        self.n_chains = len(self.final_index)
+        #: per word, flat in C order: its end-aligned chain position and
+        #: its chain index
+        self.chain_pos = steps - 1 - dist
+        self.chain_index = index
+        # Every chain a run of consecutive flat word indices, in chain
+        # order (matmul, convolutions along the last axis).
+        self._chains_contiguous = bool(
+            (index * steps + self.chain_pos == _np.arange(len(index))).all()
+        )
         self._points: list[Point] | None = None
+
+    def to_chains(self, values):
+        """Per-word ``values`` (shape ``J_w + rest``) laid out in the chain
+        grid: a new array of shape ``(K, *rest, C)``, zero in the padding
+        before a shorter chain's start."""
+        values = _np.asarray(values)
+        rest = values.shape[len(self.shape):]
+        out = _np.zeros(
+            (self.chain_length, *rest, self.n_chains), dtype=values.dtype
+        )
+        out[self.chain_pos, ..., self.chain_index] = values.reshape(
+            len(self.chain_pos), *rest
+        )
+        return out
+
+    def from_chains(self, grid):
+        """The per-word values of a chain grid ``(K, *rest, C)``, shape
+        ``J_w + rest``: a view of ``grid`` when every chain is a run of
+        consecutive flat word indices in chain order (matmul, convolutions
+        along the last axis), a copy otherwise."""
+        rows = _np.moveaxis(grid, -1, 0)
+        if not self._chains_contiguous:
+            rows = rows[self.chain_index, self.chain_pos]
+        return rows.reshape(*self.shape, *grid.shape[1:-1])
 
     @property
     def points(self) -> list[Point]:
@@ -205,10 +257,6 @@ class BitLevelModelMachine:
         self.box = WordBox(self.h1, self.h2, self.h3, lowers, uppers)
         self.binding: dict[str, int] = {}
 
-    def _is_chain_final(self, j: Point) -> bool:
-        nxt = tuple(a + b for a, b in zip(j, self.h3))
-        return not self.word_set.contains(nxt, {})
-
     # -- execution ----------------------------------------------------------------
     def run(
         self,
@@ -278,13 +326,8 @@ class BitLevelModelMachine:
         ybits = ((y[..., None] >> shifts) & 1).astype(_np.int8)
         zbits = None
         if z0 is not None:
-            # Bit w of a chain's initial word enters at the boundary point
-            # of weight position w: (w, 1) for w <= p, else (p, w - p + 1).
-            bits = ((z0[..., None] >> _np.array(range(2 * p - 1), dtype=object))
-                    & 1).astype(_np.int8)
-            zbits = _np.zeros((*self.box.shape, p, p), dtype=_np.int8)
-            zbits[..., :, 0] = bits[..., :p]
-            zbits[..., p - 1, 1:] = bits[..., p:]
+            zbits = ((z0[..., None] >> _np.array(range(2 * p - 1), dtype=object))
+                     & 1).astype(_np.int8)
         box = self.box
         key = (self.h1, self.h2, self.h3, box.lowers, box.uppers, p,
                self.expansion.key)
@@ -412,7 +455,7 @@ class BitLevelModelMachine:
         nbits = 2 * p - 1
         s = getattr(store, "_arrays", {}).get("s")
         if s is not None and nbits <= 63:
-            planes = s.reshape(-1, p, p)[sel]
+            planes = s[_np.unravel_index(sel, self.box.shape)]
             bits = _np.concatenate((planes[:, :, 0], planes[:, p - 1, 1:]), axis=1)
             store.reads += len(sel) * nbits
             weights = _np.int64(1) << _np.arange(nbits, dtype=_np.int64)
@@ -439,9 +482,15 @@ class BitLevelModelMachine:
         """The word-level recurrence evaluated directly, mod ``2^{2p-1}``."""
         z_init = dict(z_init or {})
         mask = (1 << (2 * self.p - 1)) - 1
+        box = self.box
+        points = box.points
         z: dict[Point, int] = {}
-        for j in self.word_set.points({}):  # lexicographic: sources first
-            prev = tuple(a - b for a, b in zip(j, self.h3))
-            acc = z[prev] if self.word_set.contains(prev, {}) else z_init.get(j, 0)
+        # In chain-position order, so each chain predecessor comes first.
+        for k in _np.argsort(box.chain_pos, kind="stable").tolist():
+            j = points[k]
+            if box.z_in[k]:
+                acc = z[tuple(a - b for a, b in zip(j, self.h3))]
+            else:
+                acc = z_init.get(j, 0)
             z[j] = (acc + x_words[j] * y_words[j]) & mask
-        return {j: v for j, v in z.items() if self._is_chain_final(j)}
+        return {points[k]: z[points[k]] for k in box.final_index.tolist()}

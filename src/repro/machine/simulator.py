@@ -19,10 +19,10 @@ Two execution backends share this machine model (see ``docs/SIMULATION.md``):
 * ``"pointwise"`` -- the reference interpreter: one index point at a time
   through a dict-backed store, with per-point memoized ``Π j̄`` / ``S j̄``;
 * ``"compiled"`` -- the design compiler of :mod:`repro.compile`: the
-  run-invariant structure (schedule tables, slot grouping, gather/scatter
-  index plans) is compiled once per design into per-slot int32 index
-  plans that one slot loop replays (memoized in-process), so repeat
-  simulations of a known design skip straight to value execution.
+  run-invariant structure (schedule tables, the conflict and causality
+  checks, the structural census) is compiled once per design, over a
+  value program compiled once per chain shape (memoized in-process), so
+  repeat simulations of a known design skip straight to value execution.
   It runs the model machines' compiled programs; any other ``compute``
   callable runs on the pointwise interpreter.  See ``docs/COMPILE.md``.
 

@@ -123,8 +123,9 @@ def environment_info() -> dict:
     """Hardware/software provenance for benchmark and metrics reports.
 
     Captures what a reader needs to interpret recorded timings -- CPU
-    count, interpreter, platform, numpy version and the git commit --
-    without failing anywhere: unavailable fields come back ``None``.
+    count, interpreter, platform, numpy version and the git commit, with
+    ``-dirty`` appended when tracked files differ from it -- without
+    failing anywhere: unavailable fields come back ``None``.
     """
     import os
     import platform
@@ -141,19 +142,25 @@ def environment_info() -> dict:
         info["numpy"] = numpy.__version__
     except ImportError:
         info["numpy"] = None
+    info["commit"] = None
     try:
         import subprocess
 
-        proc = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
-            capture_output=True,
-            text=True,
-            timeout=5,
-            cwd=os.path.dirname(os.path.abspath(__file__)),
-        )
-        info["commit"] = proc.stdout.strip() or None
+        def git(*args):
+            return subprocess.run(
+                ["git", *args],
+                capture_output=True,
+                text=True,
+                timeout=5,
+                cwd=os.path.dirname(os.path.abspath(__file__)),
+            ).stdout.strip()
+
+        info["commit"] = git("rev-parse", "--short", "HEAD") or None
+        if info["commit"] and git("--no-optional-locks", "status",
+                                  "--porcelain", "--untracked-files=no"):
+            info["commit"] += "-dirty"
     except (OSError, subprocess.SubprocessError):
-        info["commit"] = None
+        pass
     return info
 
 

@@ -15,8 +15,12 @@ records as the pointwise reference.  This module pins that down across
 * every registered arithmetic structure, each on its machine path;
 * the model machines at non-matmul ``h̄``: the convolution model with
   initial words (cold compile and replayed from the program memo),
-  rectangular matmul boxes, pass-partitioned runs, and the word-level
-  model machine on >= 20 seeded random feasible mappings;
+  rectangular matmul boxes, ragged and C-order-reversed ``h̄₃`` chains
+  on ``BitLevelDesigner`` designs, pass-partitioned runs, and the
+  word-level model machine on >= 20 seeded random feasible mappings;
+* the value program shared by every design with one chain shape, and a
+  crafted compressor overflow named at the point each design fires
+  first;
 * the artifact cache's absence from compiled runs: programs live only in
   the in-process memo, so ``REPRO_CACHE_DIR`` changes no result or
   metric and receives no file.
@@ -35,9 +39,11 @@ import random
 import pytest
 
 from repro.arith.registry import list_structures
+from repro.compile.model import compile_model_program, value_program
 from repro.compile.plan import DenseValueStore, clear_plan_memo, plan_for
 from repro.compile.runner import clear_program_memo
 from repro.expansion.theorem31 import matmul_bit_level
+from repro.machine import model as model_mod
 from repro.machine.bitlevel import BitLevelMatmulMachine
 from repro.machine.model import MATMUL_H, BitLevelModelMachine
 from repro.machine.simulator import BACKENDS, default_backend, resolve_backend
@@ -46,6 +52,7 @@ from repro.machine.wordmodel import WordLevelModelMachine
 from repro.mapping import designs
 from repro.mapping.engine import SearchConfig, run_search
 from repro.mapping.transform import MappingMatrix
+from repro.pipeline import BitLevelDesigner
 from tests.conftest import random_matrix, reference_matmul
 from tests.equivalence import (
     assert_arithmetic_equivalent,
@@ -53,6 +60,7 @@ from tests.equivalence import (
     bitlevel_run,
     design_mapping,
     captured_run,
+    chain_words,
     feasible_cases,
     firings,
     install_capture,
@@ -399,6 +407,115 @@ def test_model_machine_rectangular_matmul_box(bounds, expansion, capture):
     assert_runs_match(runs["pointwise"], runs["compiled"], f"box {bounds}")
 
 
+#: Model-(3.5) instances whose h̄₃ chains are ragged (h̄₃ = (1,1),
+#: (1,-1)) or run against C order (h̄₃ = (0,-1)): ``(h̄₁, h̄₂, h̄₃, uppers)``
+#: over boxes from ``(1, 1)``.
+RAGGED_MODELS = [
+    ((1, 0), (0, 1), (1, 1), (3, 4)),
+    ((1, 0), (0, 1), (1, 1), (5, 2)),
+    ((1, 0), (1, -1), (0, -1), (4, 3)),
+    ((1, 0), (0, 1), (1, -1), (3, 3)),
+]
+
+
+@pytest.mark.parametrize("expansion", ["I", "II"])
+@pytest.mark.parametrize("h1, h2, h3, uppers", RAGGED_MODELS)
+def test_model_machine_ragged_chains(h1, h2, h3, uppers, expansion, capture):
+    """On the design ``BitLevelDesigner`` finds, with initial words at
+    some chain starts: the pointwise run, a cold compiled run and a warm
+    one agree in outputs, z words, results, store, counters, gauges and
+    firings, and the outputs equal the reference."""
+    p = 3
+    lowers = (1, 1)
+    designer = BitLevelDesigner(h1=h1, h2=h2, h3=h3, lowers=lowers,
+                                uppers=uppers, p=p, expansion=expansion)
+    machine = designer.build_machine(designer.design().mapping)
+    rng = random.Random(sum(uppers))
+    xw = chain_words(h1, lowers, uppers, rng, 1 << p)
+    yw = chain_words(h2, lowers, uppers, rng, 1 << p)
+    box = machine.box
+    starts = [j for j, inside in zip(box.points, box.z_in) if not inside]
+    z0 = {j: rng.randrange(1 << (2 * p - 1)) for j in starts[::2]}
+    want = machine.reference(xw, yw, z0)
+    runs = []
+    for backend in ("pointwise", "compiled", "compiled"):
+        machine.backend = backend
+        out, run = captured_run(lambda: machine.run(xw, yw, z0), capture)
+        assert out.outputs == want
+        runs.append(((out.z_words, out.dropped_bits, out.max_summands), run))
+    (out_pw, run_pw), *compiled = runs
+    for leg, (out_c, run_c) in zip(("cold", "warm"), compiled):
+        assert out_pw == out_c
+        assert_runs_match(run_pw, run_c,
+                          f"h3 {h3} over {uppers} exp {expansion} ({leg})")
+
+
+def test_one_value_program_per_chain_shape():
+    """fig4 and fig5 at one (u, p, expansion) share one value program, as
+    do matmul boxes whose chains have the same length; another chain
+    length or expansion gets its own."""
+    p = 3
+
+    def program(design, lowers, uppers, expansion="II"):
+        return compile_model_program(
+            design_mapping(design, p), *MATMUL_H, lowers, uppers, p, expansion
+        )
+
+    fig4 = program("fig4", (1, 1, 1), (3, 3, 3))
+    assert program("fig5", (1, 1, 1), (3, 3, 3)).values is fig4.values
+    assert value_program.cache_info().currsize == 1
+    for lowers, uppers in (((1, 1, 1), (2, 4, 3)), ((2, 1, 3), (4, 2, 5))):
+        assert program("fig4", lowers, uppers).values is fig4.values
+    assert value_program.cache_info().currsize == 1
+    assert program("fig4", (1, 1, 1), (3, 3, 2)).values is not fig4.values
+    assert program("fig4", (1, 1, 1), (3, 3, 3), "I").values is not fig4.values
+    assert fig4.index_bytes == fig4.values.index_bytes
+
+
+def test_overflow_names_the_point_the_design_fires_first(monkeypatch):
+    """A crafted compressor overflow: initial-word bits enter with weight
+    8, so the two boundary points that take one overflow.  Both backends
+    name the one the design fires first: (2,2,1,1,1) at t = 8 before
+    (1,1,1,3,1) at t = 10 under fig4, the other way round (16 and 14)
+    under fig5."""
+    u = p = 3
+    real_to_bits = model_mod.to_bits
+
+    def to_bits(value, n):
+        bits = real_to_bits(value, n)
+        return [8 * b for b in bits] if n == 2 * p - 1 else bits
+
+    real_kernel = BitLevelModelMachine._kernel
+
+    def kernel(self, *args):
+        k = real_kernel(self, *args)
+        k.zbits = k.zbits * 8
+        return k
+
+    monkeypatch.setattr(model_mod, "to_bits", to_bits)
+    monkeypatch.setattr(BitLevelModelMachine, "_kernel", kernel)
+    points = list(itertools.product(range(1, u + 1), repeat=3))
+    xw = {j: 5 for j in points}
+    yw = {j: 3 for j in points}
+    z0 = {(1, 1, 1): 0b100, (2, 2, 1): 0b001}  # at (3, 1) and (1, 1)
+    named = {}
+    for design in ("fig4", "fig5"):
+        for backend in BACKENDS:
+            machine = BitLevelModelMachine(
+                *MATMUL_H, [1] * 3, [u] * 3, p, design_mapping(design, p),
+                "II", backend=backend,
+            )
+            with pytest.raises(AssertionError) as info:
+                machine.run(xw, yw, z0)
+            named[design, backend] = str(info.value)
+    assert named["fig4", "pointwise"] == named["fig4", "compiled"]
+    assert named["fig5", "pointwise"] == named["fig5", "compiled"]
+    assert named["fig4", "compiled"].startswith(
+        "compressor overflow at (2, 2, 1, 1, 1):")
+    assert named["fig5", "compiled"].startswith(
+        "compressor overflow at (1, 1, 1, 3, 1):")
+
+
 @pytest.mark.parametrize("expansion", ["I", "II"])
 def test_partitioned_machine_compiled_equivalence(
     expansion, capture, monkeypatch
@@ -410,6 +527,7 @@ def test_partitioned_machine_compiled_equivalence(
         outs[backend], runs[backend] = partitioned_run(
             backend, expansion, random.Random(5), capture, monkeypatch
         )
+        assert {sim.backend for sim in capture[-3:]} == {backend}
     assert outs["pointwise"] == outs["compiled"]
     assert_runs_match(
         runs["pointwise"], runs["compiled"], f"partitioned exp {expansion}"

@@ -176,3 +176,32 @@ class TestExpansion1ZInit:
             for j1 in range(1, u + 1) for j2 in range(1, u + 1)
         }
         assert m.run(xw, yw, z_init=z0).outputs == m.reference(xw, yw, z0)
+
+
+class TestReferenceChainOrder:
+    """Regression: ``reference`` walks each ``h̄₃`` chain from its start,
+    so a lexicographically negative ``h̄₃`` works."""
+
+    def test_negative_h3(self, rng):
+        p = 3
+        h1, h2, h3 = (1, 0), (1, -1), (0, -1)
+        mapping = MappingMatrix(
+            [[0, 1, 0, 0], [1, 0, -1, 0], [1, -1, 2, 1]], "T-neg"
+        )
+        m = BitLevelModelMachine(h1, h2, h3, [1, 1], [4, 3], p, mapping)
+        points = [(j1, j2) for j1 in range(1, 5) for j2 in range(1, 4)]
+        xw, yw = {}, {}
+        for j in points:  # constant along h̄₁ / h̄₂ (predecessors first)
+            xs = (j[0] - 1, j[1])
+            ys = (j[0] - 1, j[1] + 1)
+            xw[j] = xw[xs] if xs in xw else rng.randrange(1 << p)
+            yw[j] = yw[ys] if ys in yw else rng.randrange(1 << p)
+        z0 = {(j1, 3): rng.randrange(1 << (2 * p - 1)) for j1 in (1, 4)}
+        mask = (1 << (2 * p - 1)) - 1
+        want = {
+            (j1, 1): (z0.get((j1, 3), 0)
+                      + sum(xw[j1, j2] * yw[j1, j2] for j2 in (1, 2, 3))) & mask
+            for j1 in range(1, 5)
+        }
+        assert m.reference(xw, yw, z0) == want
+        assert m.run(xw, yw, z0).outputs == want

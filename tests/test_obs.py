@@ -303,3 +303,21 @@ class TestInstrumentedLayers:
         assert c["mapping.schedules_tried"] >= c["mapping.schedules_valid"]
         assert c["mapping.cache_hits"] > 0
         assert "mapping.search_designs" in reg.span_stats()
+
+
+class TestEnvironmentInfo:
+    @pytest.mark.parametrize("status, commit", [
+        ("", "abc1234"),
+        (" M src/repro/obs/core.py\n", "abc1234-dirty"),
+    ], ids=["clean", "dirty"])
+    def test_commit_marks_uncommitted_edits(self, monkeypatch, status, commit):
+        """A record taken on a tree whose tracked files differ from the
+        commit says so."""
+        import subprocess
+
+        def run(cmd, **kwargs):
+            out = "abc1234\n" if "rev-parse" in cmd else status
+            return subprocess.CompletedProcess(cmd, 0, stdout=out, stderr="")
+
+        monkeypatch.setattr(subprocess, "run", run)
+        assert obs.environment_info()["commit"] == commit
