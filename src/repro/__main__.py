@@ -352,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_exp = sub.add_parser("experiments", help="reproduce the paper's figures")
-    p_exp.add_argument("ids", nargs="*", help="experiment ids (e1..e8)")
+    p_exp.add_argument("ids", nargs="*", help="experiment ids (e1..e10)")
     _obs_options(p_exp, top_level=False)
     p_exp.set_defaults(fn=_cmd_experiments)
 

@@ -32,7 +32,6 @@ from repro.arith.structure import ArithmeticStructure
 from repro.arith.addshift import AddShiftMultiplier, addshift_structure
 from repro.arith.baughwooley import BaughWooleyMultiplier, baughwooley_structure
 from repro.arith.carrysave import CarrySaveMultiplier, carrysave_structure
-from repro.arith.division import NonRestoringDivider, division_row_structure
 from repro.arith.ripple import RippleCarryAdder, ripple_structure
 from repro.arith.sequential import (
     SequentialAddShift,
@@ -53,8 +52,6 @@ __all__ = [
     "baughwooley_structure",
     "CarrySaveMultiplier",
     "carrysave_structure",
-    "NonRestoringDivider",
-    "division_row_structure",
     "RippleCarryAdder",
     "ripple_structure",
     "SequentialAddShift",

@@ -19,7 +19,6 @@ from repro.expansion.expansions import EXPANSION_I, EXPANSION_II, Expansion
 from repro.expansion.theorem31 import bit_level_structure, matmul_bit_level
 from repro.expansion.semantics import BitLevelEvaluator
 from repro.expansion.verify import VerificationReport, verify_theorem31
-from repro.expansion.recognize import RecognitionReport, recognize_expansion
 
 __all__ = [
     "EXPANSION_I",
@@ -30,6 +29,4 @@ __all__ = [
     "BitLevelEvaluator",
     "VerificationReport",
     "verify_theorem31",
-    "RecognitionReport",
-    "recognize_expansion",
 ]

@@ -15,6 +15,8 @@ E5     Fig. 5 / eqs. (4.6)-(4.8)                        ``e5_fig5``
 E6     Section 4.2 speedup claims                       ``e6_speedup``
 E7     Section 1/3: analysis cost                       ``e7_analysis_cost``
 E8     Section 2 / eqs. (2.2)-(2.4)                     ``e8_wordlevel``
+E9     Thm. 4.5 / eq. (4.5): free-schedule lower bound  ``e9_bounds``
+E10    Definition 4.1 design search vs Fig. 4           ``e10_search``
 =====  ===============================================  =======================
 """
 

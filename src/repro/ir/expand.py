@@ -47,7 +47,6 @@ def expand_bit_level(
     uppers: Sequence[LinExpr | int],
     p: LinExpr | int | None = None,
     expansion: str = EXPANSION_II,
-    p2: LinExpr | int | None = None,
 ) -> LoopNest:
     """Generate the explicit bit-level program for model (3.5).
 
@@ -58,15 +57,10 @@ def expand_bit_level(
     lowers, uppers:
         Bounds of the word-level index set ``J_w`` (entries may be symbolic).
     p:
-        Word length of the multiplier ``y`` (the ``i1`` extent; symbolic
-        ``p`` by default).
+        Word length (the ``i1`` and ``i2`` extents; symbolic ``p`` by
+        default).
     expansion:
         ``"I"`` or ``"II"`` selecting the algorithm expansion.
-    p2:
-        Word length of the multiplicand ``x`` (the ``i2`` extent); defaults
-        to ``p`` (the paper's square lattice).  Passing a different value
-        generates the mixed-word-length program matching
-        :func:`repro.arith.rectangular.rectangular_addshift_structure`.
 
     Returns
     -------
@@ -90,7 +84,6 @@ def expand_bit_level(
     if not (len(h2) == len(h3) == len(lowers) == len(uppers) == n):
         raise ValueError("h̄ vectors and bounds must share one dimension")
     p = S("p") if p is None else as_linexpr(p)
-    p2 = p if p2 is None else as_linexpr(p2)
 
     word_names = tuple(f"j{k + 1}" for k in range(n))
     names = word_names + ("i1", "i2")
@@ -110,9 +103,7 @@ def expand_bit_level(
         """q̄ - [0̄, d1, d2]ᵀ."""
         return [*jvars, i1 - d1, i2 - d2]
 
-    index_set = IndexSet(
-        list(lowers) + [1, 1], list(uppers) + [p, p2], names
-    )
+    index_set = IndexSet(list(lowers) + [1, 1], list(uppers) + [p, p], names)
 
     on_entry_row = Eq(ax_i1, 1)
     off_entry_row = Ne(ax_i1, 1)

@@ -29,7 +29,6 @@ early arrivals sit in link buffers:
 
 from repro.machine.array import SystolicArray
 from repro.machine.bitlevel import BitLevelMatmulMachine
-from repro.machine.io_schedule import input_schedule, output_schedule
 from repro.machine.model import BitLevelModelMachine
 from repro.machine.partition import PartitionedModelMachine
 from repro.machine.simulator import (
@@ -50,8 +49,6 @@ __all__ = [
     "BitLevelMatmulMachine",
     "BitLevelModelMachine",
     "PartitionedModelMachine",
-    "input_schedule",
-    "output_schedule",
     "SimulationResult",
     "SpaceTimeSimulator",
     "WordLevelMatmulMachine",

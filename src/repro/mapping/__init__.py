@@ -20,7 +20,7 @@ Implements the design method of Definition 4.1 (Shang/Fortes [5,6], Li/Wah
   the search enumerate orders of magnitude fewer candidates, planned once
   per ``(D, P, config)`` and walked per binding;
 * :mod:`repro.mapping.pareto` -- Pareto-frontier ranking over
-  (makespan, PE count, wire length) with deterministic merge;
+  (makespan, PE count, wire length);
 * :mod:`repro.mapping.designs` -- the paper's concrete designs: ``T`` of
   (4.2) with ``P, K`` of (4.3) (Fig. 4), ``T'`` of (4.6) with ``P', K'`` of
   (4.7) (Fig. 5), and the word-level baseline of Section 4.2.
@@ -52,7 +52,6 @@ from repro.mapping.pareto import (
     FrontierPoint,
     design_wire_length,
     dominates,
-    merge_frontiers,
     pareto_frontier,
 )
 from repro.mapping.schedule import (
@@ -61,10 +60,6 @@ from repro.mapping.schedule import (
     schedule_is_valid,
 )
 from repro.mapping.spacetime import processor_count, space_extents
-from repro.mapping.throughput import (
-    pipelining_period,
-    steady_state_utilization,
-)
 from repro.mapping.bounds import (
     critical_path_length,
     free_schedule_time,
@@ -97,7 +92,5 @@ __all__ = [
     "critical_path_length",
     "free_schedule_time",
     "free_schedule_times",
-    "pipelining_period",
-    "steady_state_utilization",
     "designs",
 ]

@@ -14,14 +14,11 @@ buffers).  This module replaces the single optimum with the set of
 All metrics are exact integers, dominance is the standard product order
 (no worse everywhere, strictly better somewhere), and every function here
 is deterministic: frontiers are returned sorted by ``(metrics, rows)``, so
-two runs -- or two partial frontiers merged in any grouping -- produce
-byte-identical output.  :func:`merge_frontiers` is associative and
-commutative up to that canonical ordering.
+two runs produce byte-identical output.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -30,8 +27,6 @@ __all__ = [
     "FrontierPoint",
     "design_wire_length",
     "dominates",
-    "frontier_payload",
-    "merge_frontiers",
     "pareto_frontier",
 ]
 
@@ -92,12 +87,6 @@ class FrontierPoint:
     def sort_key(self) -> tuple:
         return (self.metrics, self.rows)
 
-    def to_dict(self) -> dict:
-        return {
-            "metrics": list(self.metrics),
-            "rows": [list(r) for r in self.rows],
-        }
-
 
 def dominates(a: Sequence[int], b: Sequence[int]) -> bool:
     """Product-order dominance: ``a`` no worse everywhere, better somewhere.
@@ -120,8 +109,7 @@ def pareto_frontier(points: Iterable[FrontierPoint]) -> list[FrontierPoint]:
     Points with identical metrics but different ``rows`` are all kept
     (they are genuinely incomparable designs); exact duplicates collapse.
     The result is sorted by ``(metrics, rows)`` -- the deterministic
-    tie-break that makes frontiers byte-comparable across runs and
-    partitions.
+    tie-break that makes frontiers byte-comparable across runs.
     """
     unique = sorted(set(points), key=lambda pt: pt.sort_key)
     out = []
@@ -133,32 +121,3 @@ def pareto_frontier(points: Iterable[FrontierPoint]) -> list[FrontierPoint]:
         ):
             out.append(pt)
     return out
-
-
-def merge_frontiers(
-    *parts: Iterable[FrontierPoint],
-) -> list[FrontierPoint]:
-    """Frontier of the union of partial frontiers.
-
-    Associative: ``merge(merge(a, b), c) == merge(a, merge(b, c)) ==
-    merge(a, b, c)`` for any partition of a point set, because a point
-    dominated within one part can never join the global frontier, so
-    folding partial frontiers yields the same list as one frontier over
-    all designs.
-    """
-    pool: list[FrontierPoint] = []
-    for part in parts:
-        pool.extend(part)
-    return pareto_frontier(pool)
-
-
-def frontier_payload(points: Sequence[FrontierPoint]) -> str:
-    """Canonical JSON for a frontier (sorted keys, compact separators).
-
-    Equal frontiers serialize to equal bytes.
-    """
-    return json.dumps(
-        [pt.to_dict() for pt in points],
-        sort_keys=True,
-        separators=(",", ":"),
-    )

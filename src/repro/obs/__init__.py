@@ -35,7 +35,6 @@ from typing import Callable, Iterator
 from repro.obs.bus import (
     NULL_PROGRESS,
     CallbackSink,
-    JsonlSink,
     Progress,
     RingBufferSink,
 )
@@ -53,7 +52,6 @@ from repro.obs.export import (
 __all__ = [
     "CallbackSink",
     "Histogram",
-    "JsonlSink",
     "NULL_PROGRESS",
     "Progress",
     "Registry",

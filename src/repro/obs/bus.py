@@ -25,15 +25,13 @@ progress   ``name``, ``done``, ``total``, ``rate``, ``eta_s``, ``final``
 series     ``name``, ``points`` (``[[t, v], ...]`` on a caller timebase)
 ========== ==================================================================
 
-Three sinks cover the expected consumers:
+Two sinks cover the consumers:
 
-* :class:`JsonlSink` -- one JSON object per event, flushed per event, for
-  tailing a live run;
 * :class:`RingBufferSink` -- a bounded in-memory buffer, used by the
   Chrome-trace exporter to reconstruct counter tracks;
 * :class:`CallbackSink` -- an arbitrary callable (optionally filtered by
-  event type), the subscription point a future ``repro.serve`` front-end
-  streams from, and what the CLI uses to render live progress lines.
+  event type): the subscription point ``repro.serve`` streams job events
+  from, and what the CLI uses to render live progress lines.
 
 :class:`Progress` is the live progress API: ``obs.progress(name, total)``
 yields a tracker whose ``advance()`` emits rate/ETA events over the bus
@@ -45,51 +43,14 @@ dict.
 from __future__ import annotations
 
 import collections
-import json
 import time
 from typing import Callable, Iterable
 
 __all__ = [
     "CallbackSink",
-    "JsonlSink",
     "Progress",
     "RingBufferSink",
 ]
-
-
-class JsonlSink:
-    """Write each event as one JSON line, flushed immediately.
-
-    Accepts a path (opened and owned, closed by :meth:`close`) or any
-    writable text file object (borrowed, left open).  Write errors
-    disable the sink instead of failing the instrumented run.
-    """
-
-    def __init__(self, target) -> None:
-        if hasattr(target, "write"):
-            self._fh = target
-            self._owned = False
-        else:
-            self._fh = open(target, "w")
-            self._owned = True
-        self._dead = False
-
-    def emit(self, event: dict) -> None:
-        if self._dead:
-            return
-        try:
-            self._fh.write(json.dumps(event, sort_keys=True, default=str) + "\n")
-            self._fh.flush()
-        except (OSError, ValueError):
-            self._dead = True
-
-    def close(self) -> None:
-        if self._owned and not self._dead:
-            try:
-                self._fh.close()
-            except OSError:
-                pass
-            self._dead = True
 
 
 class RingBufferSink:
@@ -112,9 +73,9 @@ class CallbackSink:
     """Forward events to a callable, optionally filtered by event type.
 
     This is the subscription mechanism for live consumers (the CLI's
-    stderr progress renderer today, ``repro.serve`` streaming tomorrow):
-    attach one to a registry and every matching event is pushed to the
-    callback as it happens.
+    stderr progress renderer and ``repro.serve``'s event streams): attach
+    one to a registry and every matching event is pushed to the callback
+    as it happens.
     """
 
     def __init__(

@@ -1,42 +1,29 @@
-"""Text rendering of dependence structures, arrays and schedules.
+"""Text rendering of dependence structures and schedules.
 
 The paper communicates through annotated matrices (causes above the
-columns, validity conditions below) and array diagrams (Figs. 4/5).  This
-module renders the library's objects in the same spirit, monospace-only:
+columns, validity conditions below).  This module renders the library's
+objects in the same spirit, monospace-only:
 
 * :func:`render_dependence_matrix` -- the paper's ``D`` layout: one column
   per dependence vector, cause labels on top, validity conditions below;
 * :func:`render_algorithm` -- index set + dependence matrix;
-* :func:`render_array` -- a floorplan of a :class:`~repro.machine.array.
-  SystolicArray`: PE grid extents, link inventory by primitive, wiring and
-  buffer statistics;
 * :func:`render_gantt` -- PE-occupancy over time for a finished simulation
-  (which beats were busy where);
-* :func:`render_wavefronts` -- the equitemporal hyperplanes ``Π q̄ = t``:
-  which index points fire at each beat.
+  (which beats were busy where).
 
 Everything returns plain strings; nothing here touches a display.
 """
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
-from typing import Sequence
-
-from repro.machine.array import SystolicArray
 from repro.machine.pe import ProcessorElement
-from repro.mapping.transform import MappingMatrix
 from repro.structures.algorithm import Algorithm
 from repro.structures.conditions import TRUE
 from repro.structures.dependence import DependenceMatrix
-from repro.structures.params import ParamBinding
 
 __all__ = [
     "render_dependence_matrix",
     "render_algorithm",
-    "render_array",
     "render_gantt",
-    "render_wavefronts",
 ]
 
 
@@ -81,45 +68,6 @@ def render_algorithm(algorithm: Algorithm) -> str:
     return header + "\n" + render_dependence_matrix(algorithm.dependences)
 
 
-def render_array(array: SystolicArray, max_cells: int = 400) -> str:
-    """Floorplan summary of a systolic array.
-
-    For small arrays a dot-grid is drawn (one character per PE); large
-    arrays get the statistics block only.
-    """
-    lines = [
-        f"SystolicArray: {array.processor_count} PEs, "
-        f"{array.link_count} directed links",
-    ]
-    extents = array.extents()
-    lines.append(
-        "extents: "
-        + " x ".join(f"[{lo}..{hi}]" for lo, hi in extents)
-    )
-    if array.links:
-        by_prim = Counter(link.primitive for link in array.links.values())
-        inventory = ", ".join(
-            f"{list(prim)}x{count}" for prim, count in sorted(by_prim.items())
-        )
-        lines.append(f"links by primitive: {inventory}")
-        lines.append(
-            f"longest wire: {array.longest_wire}, total wire length: "
-            f"{array.total_wire_length}, buffer stages: {array.buffer_count}"
-        )
-    if len(extents) == 2:
-        (x0, x1), (y0, y1) = extents
-        cells = (x1 - x0 + 1) * (y1 - y0 + 1)
-        if cells <= max_cells:
-            lines.append("")
-            for i in range(x0, x1 + 1):
-                row = "".join(
-                    "#" if (i, j) in array.pes else "."
-                    for j in range(y0, y1 + 1)
-                )
-                lines.append(row)
-    return "\n".join(lines)
-
-
 def render_gantt(
     pes: dict[tuple[int, ...], ProcessorElement],
     max_pes: int = 24,
@@ -147,27 +95,4 @@ def render_gantt(
     hidden = len(pes) - len(ordered)
     if hidden > 0:
         lines.append(f"... ({hidden} more PEs)")
-    return "\n".join(lines)
-
-
-def render_wavefronts(
-    algorithm: Algorithm,
-    mapping: MappingMatrix,
-    binding: ParamBinding,
-    max_fronts: int = 12,
-    max_points_per_front: int = 8,
-) -> str:
-    """The equitemporal hyperplanes: points grouped by firing time."""
-    fronts: dict[int, list[tuple[int, ...]]] = defaultdict(list)
-    for point in algorithm.index_set.points(binding):
-        fronts[mapping.time_of(point)].append(point)
-    lines = []
-    for i, t in enumerate(sorted(fronts)):
-        if i >= max_fronts:
-            lines.append(f"... ({len(fronts) - max_fronts} more fronts)")
-            break
-        pts = fronts[t]
-        shown = ", ".join(str(list(p)) for p in pts[:max_points_per_front])
-        more = f", ... +{len(pts) - max_points_per_front}" if len(pts) > max_points_per_front else ""
-        lines.append(f"t={t:4d}  ({len(pts):4d} points)  {shown}{more}")
     return "\n".join(lines)

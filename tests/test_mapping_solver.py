@@ -6,8 +6,7 @@ These contracts are pinned here:
   identical to the exhaustive catalog strategy (same ``T``s, same
   metrics, same order) while enumerating far fewer candidates;
 * **Pareto algebra** -- dominance is irreflexive/antisymmetric/transitive
-  on random triples, frontiers are deterministic under permutation, and
-  :func:`merge_frontiers` is associative over arbitrary partitions;
+  on random triples, and frontiers are deterministic under permutation;
 * **per-space equivalence** -- for every space a
   :class:`~repro.mapping.solver.SearchPlan` holds, its walk (binding-free
   cuts, then the screen and the gate) returns the catalog evaluator's
@@ -32,8 +31,6 @@ from repro.mapping.pareto import (
     METRIC_NAMES,
     FrontierPoint,
     dominates,
-    frontier_payload,
-    merge_frontiers,
     pareto_frontier,
 )
 from repro.mapping.solver import clear_search_plans, search_plan
@@ -222,29 +219,6 @@ class TestParetoAlgebra:
         # Both non-dominated (equal vectors dominate neither way), ordered
         # canonically by rows; exact duplicates collapse.
         assert pareto_frontier([a, b, a]) == [b, a]
-
-    def test_merge_associative_over_partitions(self):
-        rng = random.Random(23)
-        points = [
-            FrontierPoint(
-                metrics=tuple(rng.randint(0, 4) for _ in range(3)),
-                rows=((i, i + 1),),
-            )
-            for i in range(60)
-        ]
-        whole = pareto_frontier(points)
-        for _ in range(5):
-            shuffled = points[:]
-            rng.shuffle(shuffled)
-            cut1, cut2 = sorted(rng.sample(range(len(points)), 2))
-            a, b, c = (
-                shuffled[:cut1], shuffled[cut1:cut2], shuffled[cut2:]
-            )
-            left = merge_frontiers(merge_frontiers(a, b), c)
-            right = merge_frontiers(a, merge_frontiers(b, c))
-            flat = merge_frontiers(a, b, c)
-            assert left == right == flat == whole
-            assert frontier_payload(left) == frontier_payload(whole)
 
 
 class TestFrontierSearch:

@@ -1,14 +1,12 @@
 """Tests for obs v2: event bus, percentiles, progress, and the Chrome
 trace exporter."""
 
-import io
 import json
 
 from repro import obs
 from repro.obs import (
     CallbackSink,
     Histogram,
-    JsonlSink,
     Registry,
     RingBufferSink,
 )
@@ -47,28 +45,6 @@ class TestEventBus:
             ring.emit({"type": "counter", "i": i})
         assert len(ring) == 4
         assert [e["i"] for e in ring.events] == [6, 7, 8, 9]
-
-    def test_jsonl_sink_writes_parseable_lines(self):
-        buf = io.StringIO()
-        reg = Registry()
-        reg.add_sink(JsonlSink(buf))
-        reg.count("x")
-        with reg.span("s"):
-            pass
-        lines = [json.loads(l) for l in buf.getvalue().splitlines()]
-        assert [l["type"] for l in lines] == [
-            "counter", "span_start", "span_end"
-        ]
-
-    def test_jsonl_sink_owns_path(self, tmp_path):
-        path = tmp_path / "bus.jsonl"
-        reg = Registry()
-        sink = JsonlSink(path)
-        reg.add_sink(sink)
-        reg.count("x", 3)
-        reg.remove_sink(sink)  # closes owned file
-        (record,) = [json.loads(l) for l in path.read_text().splitlines()]
-        assert record["value"] == 3
 
     def test_callback_sink_filters_kinds(self):
         seen = []

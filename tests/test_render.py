@@ -4,16 +4,13 @@ import pytest
 
 from repro.expansion.theorem31 import matmul_bit_level
 from repro.ir.builders import matmul_word_structure
-from repro.machine.array import SystolicArray
 from repro.machine.bitlevel import BitLevelMatmulMachine
 from repro.machine.simulator import SpaceTimeSimulator
-from repro.mapping import check_feasibility, designs
+from repro.mapping import designs
 from repro.render import (
     render_algorithm,
-    render_array,
     render_dependence_matrix,
     render_gantt,
-    render_wavefronts,
 )
 from repro.structures.dependence import DependenceMatrix
 
@@ -56,37 +53,6 @@ class TestAlgorithm:
         assert "uniform" in out
 
 
-class TestArray:
-    def make(self, u=2, p=2):
-        alg = matmul_bit_level(u, p, "II")
-        binding = {"u": u, "p": p}
-        rep = check_feasibility(
-            designs.fig4_mapping(p), alg, binding,
-            primitives=designs.fig4_primitives(p),
-        )
-        return SystolicArray(designs.fig4_mapping(p), alg, binding, rep.interconnect)
-
-    def test_stats_present(self):
-        out = render_array(self.make())
-        assert "16 PEs" in out
-        assert "longest wire: 2" in out
-        assert "buffer stages" in out
-
-    def test_grid_drawn_when_small(self):
-        out = render_array(self.make())
-        assert "####" in out
-
-    def test_grid_suppressed_when_large(self):
-        out = render_array(self.make(), max_cells=1)
-        assert "####" not in out
-
-    def test_no_links(self):
-        alg = matmul_bit_level(2, 2, "II")
-        arr = SystolicArray(designs.fig4_mapping(2), alg, {"u": 2, "p": 2})
-        out = render_array(arr)
-        assert "links by primitive" not in out
-
-
 class TestGanttWavefronts:
     def test_gantt(self):
         m = BitLevelMatmulMachine(2, 2, designs.fig4_mapping(2), "II")
@@ -104,17 +70,3 @@ class TestGanttWavefronts:
 
     def test_gantt_empty(self):
         assert "no PEs" in render_gantt({})
-
-    def test_wavefronts(self):
-        alg = matmul_bit_level(2, 2, "II")
-        out = render_wavefronts(alg, designs.fig4_mapping(2), {"u": 2, "p": 2})
-        assert out.startswith("t=")
-        # First front is the single corner point at t = Π[1,1,1,1,1] = 6.
-        assert "(   1 points)" in out.splitlines()[0]
-
-    def test_wavefront_truncation(self):
-        alg = matmul_bit_level(3, 3, "II")
-        out = render_wavefronts(
-            alg, designs.fig4_mapping(3), {"u": 3, "p": 3}, max_fronts=2
-        )
-        assert "more fronts" in out
