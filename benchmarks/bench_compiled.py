@@ -119,8 +119,7 @@ def _program_index_bytes(n, design):
     program = compile_model_program(
         _mapping(design, n), *MATMUL_H, (1, 1, 1), (n, n, n), n, "II"
     )
-    clear_plan_memo()  # the u=p=16 plan is larger than the program
-    return program.index_bytes, program.n_points
+    return program.index_bytes, program.plan.n_points
 
 
 #: The convolution row: model (3.5) at these h̄ over [1..N]², p-bit words.

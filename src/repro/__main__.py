@@ -421,8 +421,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend", choices=["pointwise", "compiled"],
         default=None,
         help="simulator engine (default: REPRO_SIM_BACKEND or pointwise); "
-        "'compiled' replays per-design compiled index plans "
-        "(see docs/COMPILE.md)",
+        "'compiled' runs each design's census over a value program "
+        "shared by its chain shape (see docs/COMPILE.md)",
     )
     p_sim.add_argument("--gantt", action="store_true", help="print PE chart")
     _server_option(p_sim)

@@ -328,9 +328,12 @@ class CompiledModelProgram:
     the pointwise machine's values and counters bit for bit.
     """
 
-    def __init__(self, mapping, box, p, values, reads, causality_checks,
-                 writes_struct, links):
+    def __init__(self, mapping, plan, box, p, values, reads,
+                 causality_checks, writes_struct, links):
         self.mapping = mapping
+        #: the design's :class:`~repro.compile.plan.SchedulePlan`: its
+        #: busy-per-step, per-PE busy beats, schedule extent, point count
+        self.plan = plan
         self.box = box
         self.p = int(p)
         self.lowers = (*box.lowers, 1, 1)
@@ -344,13 +347,6 @@ class CompiledModelProgram:
         self.causality_checks = int(causality_checks)
         self.writes_struct = int(writes_struct)
         self.links = dict(links)
-        # Utilization statistics of the design (set by the compiler):
-        # busy-per-step, per-PE busy beats, schedule extent, point count.
-        self.busy: dict[int, int] = {}
-        self.pe_busy: dict[tuple[int, ...], int] = {}
-        self.first = 0
-        self.last = -1
-        self.n_points = 0
 
     # -- execution -----------------------------------------------------------
     def execute(self, kernel, store) -> SlotCounters:
@@ -483,14 +479,9 @@ def compile_model_program(
                     f"which the read census should have refused"
                 )
 
-    program = CompiledModelProgram(
-        mapping, box, p, value_program(box.chain_length, p, expansion_key),
+    return CompiledModelProgram(
+        mapping, plan, box, p,
+        value_program(box.chain_length, p, expansion_key),
         counters.reads, counters.causality_checks, writes_struct,
         counters.links,
     )
-    program.busy = plan.busy_per_step()
-    program.pe_busy = plan.pe_busy()
-    program.first = plan.first
-    program.last = plan.last
-    program.n_points = plan.n_points
-    return program

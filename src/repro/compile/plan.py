@@ -1,26 +1,27 @@
 """Per-design schedule plans and the dense store the compiled programs use.
 
 Everything a run would otherwise re-derive on every ``simulate`` call --
-the box lattice, the batched ``Π j̄`` / ``S j̄`` transforms, the conflict
-check, busy-per-step and per-PE busy counts -- is a constant of
-``(T, lowers, uppers)``.  :func:`plan_for` builds that structure exactly
-once per design and memoizes it in-process (an LRU keyed like the
-mapping engine's ``EvalCache``: by content, not identity), so repeat
-simulations of the same design -- the serve tier's bread and butter --
-skip straight to value execution.
+the conflict check, busy-per-step and per-PE busy counts -- is a
+constant of ``(T, lowers, uppers)``.  :func:`plan_for` builds that
+structure exactly once per design and memoizes it in-process (an LRU
+keyed like the mapping engine's ``EvalCache``: by content, not
+identity), so repeat simulations of the same design -- the serve tier's
+bread and butter -- skip straight to value execution.
 
-A :class:`SchedulePlan` holds the dense lattice, time and processor
-arrays, the substrate of the design statistics and of the PE firing
-records.
+A :class:`SchedulePlan` is counted from ``T`` and the box, never from
+its points: the image census
+(:func:`~repro.structures.indexset.image_census`) of ``Π`` gives the
+busy PEs of every beat, that of ``S`` the busy beats of every PE, so a
+plan holds O(steps + PEs).  Only a conflicting design's error and the
+PE firing records (:func:`_pes_materializer`) list the box.
 
 Plans are read-only by convention: consumers receive *copies* of the
-mutable per-run statistics (``busy_per_step``, ``pe_busy``) and must not
-write into the shared arrays.
+mutable per-run statistics (``busy_per_step``, ``pe_busy``).
 
 The machine-model checks of Definition 4.1 run here in batch form:
-*conflicts* (condition 3) by uniqueness of ``(S j̄, Π j̄)`` over the
-whole run (:func:`_check_conflicts`, at plan build time), *causality*
-(condition 1) by ``Π d̄ >= 1`` per realized read displacement
+*conflicts* (condition 3) by the search gate's exact lattice test,
+:func:`~repro.mapping.conflicts.find_conflicts` (at plan build time),
+*causality* (condition 1) by ``Π d̄ >= 1`` per realized read displacement
 (:meth:`SlotCounters.account_site`, at compile time).
 """
 
@@ -33,8 +34,9 @@ from typing import Sequence
 import numpy as _np
 
 from repro.machine.pe import ProcessorElement
+from repro.mapping.conflicts import find_conflicts
 from repro.mapping.transform import MappingMatrix
-from repro.structures.indexset import box_lattice
+from repro.structures.indexset import IndexSet, box_lattice, image_census
 
 __all__ = [
     "DenseValueStore",
@@ -44,8 +46,8 @@ __all__ = [
     "clear_plan_memo",
 ]
 
-#: In-process memo capacity (plans are O(points) memory; a handful of
-#: designs is the realistic working set of a serve process).
+#: In-process memo capacity (plans are O(steps + PEs) memory; a handful
+#: of designs is the realistic working set of a serve process).
 _MEMO_CAPACITY = 32
 
 _PLAN_MEMO: "OrderedDict[tuple, SchedulePlan]" = OrderedDict()
@@ -168,75 +170,22 @@ class SlotCounters:
 
 
 # ---------------------------------------------------------------------------
-# Array helpers
-# ---------------------------------------------------------------------------
-
-def _encode_columns(columns):
-    """Mixed-radix encoding of integer columns into one int64 key array."""
-    key = None
-    for col in columns:
-        lo = int(col.min())
-        span = int(col.max()) - lo + 1
-        shifted = col - lo
-        key = shifted if key is None else key * span + shifted
-    return key
-
-
-def _check_conflicts(lattice, times, procs):
-    """Condition 3, vectorized: ``(S j̄, Π j̄)`` must be unique across the
-    run.  Raises the same ``ValueError`` the pointwise PE would."""
-    columns = [procs[:, k] for k in range(procs.shape[1])] + [times]
-    key = _encode_columns(columns)
-    order = _np.argsort(key, kind="stable")
-    sorted_key = key[order]
-    dup = _np.flatnonzero(sorted_key[1:] == sorted_key[:-1])
-    if len(dup) == 0:
-        return
-    # Report the earliest-scheduled collision, pointwise-style.
-    pairs = order[dup], order[dup + 1]
-    worst = int(_np.argmin(times[pairs[0]]))
-    i, j = int(pairs[0][worst]), int(pairs[1][worst])
-    pos = tuple(int(x) for x in procs[i])
-    raise ValueError(
-        f"conflict on PE {pos} at t={int(times[i])}: "
-        f"{tuple(int(x) for x in lattice[i])} vs "
-        f"{tuple(int(x) for x in lattice[j])}"
-    )
-
-
-def _group_counts(encoded, rows):
-    """``{tuple(row): multiplicity}`` for the distinct rows of an encoded
-    column set (used for per-PE busy counts)."""
-    uniq, first, counts = _np.unique(
-        encoded, return_index=True, return_counts=True
-    )
-    out = {}
-    for idx, n in zip(first.tolist(), counts.tolist()):
-        out[tuple(int(x) for x in rows[idx])] = int(n)
-    return out
-
-
-# ---------------------------------------------------------------------------
 # Schedule plans
 # ---------------------------------------------------------------------------
 
 class SchedulePlan:
-    """The dense run-invariant schedule structure of one design + box."""
+    """The run-invariant schedule statistics of one design + box:
+    ``busy`` maps each beat (ascending) to its busy-PE count, ``pe_busy``
+    each PE (lexicographic) to its busy-beat count."""
 
-    __slots__ = (
-        "lattice", "times", "procs", "first", "last", "n_points", "_busy",
-        "_pe_busy",
-    )
+    __slots__ = ("first", "last", "n_points", "_busy", "_pe_busy")
 
-    def __init__(self, lattice, times, procs, first, last, busy, pe_busy):
-        self.lattice = lattice
-        self.times = times
-        self.procs = procs
-        self.first = first
-        self.last = last
-        self.n_points = len(lattice)
+    def __init__(self, busy, pe_busy):
         self._busy = busy
         self._pe_busy = pe_busy
+        self.n_points = sum(busy.values())
+        beats = list(busy)
+        self.first, self.last = (beats[0], beats[-1]) if beats else (0, -1)
 
     def busy_per_step(self) -> dict[int, int]:
         """Per-time-step busy-PE counts (a fresh dict per caller)."""
@@ -252,27 +201,37 @@ def _build_plan(
     lowers: Sequence[int],
     uppers: Sequence[int],
 ) -> SchedulePlan:
-    lattice = box_lattice(list(zip(lowers, uppers)))
-    times = mapping.times_of(lattice)
-    procs = mapping.processors_of(lattice)
-    if len(lattice):
-        _check_conflicts(lattice, times, procs)
-        first = int(times.min())
-        last = int(times.max())
-        step_values, step_counts = _np.unique(times, return_counts=True)
-        busy = {
-            int(t): int(n)
-            for t, n in zip(step_values.tolist(), step_counts.tolist())
-        }
-        pe_busy = _group_counts(
-            _encode_columns([procs[:, k] for k in range(procs.shape[1])]),
-            procs,
-        )
-    else:
-        first, last = 0, -1
-        busy = {}
-        pe_busy = {}
-    return SchedulePlan(lattice, times, procs, first, last, busy, pe_busy)
+    bounds = list(zip(lowers, uppers))
+    times, per_step = image_census(mapping.rows[-1:], bounds)
+    if len(times) and find_conflicts(
+        mapping, IndexSet(lowers, uppers), {}, limit=1
+    ):
+        raise _first_conflict(mapping, bounds)
+    pes, per_pe = image_census(mapping.rows[:-1], bounds)
+    return SchedulePlan(
+        dict(zip(times[:, 0].tolist(), per_step.tolist())),
+        dict(zip(map(tuple, pes.tolist()), per_pe.tolist())),
+    )
+
+
+def _first_conflict(mapping: MappingMatrix, bounds) -> ValueError:
+    """The conflict the pointwise machine raises on: it fires the points
+    in ``Π j̄`` order, C order within a beat, and stops at the first point
+    whose ``(S j̄, Π j̄)`` slot is taken, naming the slot's first point."""
+    lattice = box_lattice(bounds)
+    fired = lattice[_np.argsort(mapping.times_of(lattice), kind="stable")]
+    times = mapping.times_of(fired)
+    slots = _np.column_stack([mapping.processors_of(fired), times])
+    _, first, inverse = _np.unique(
+        slots, axis=0, return_index=True, return_inverse=True
+    )
+    owner = first[inverse.reshape(-1)]
+    i = int(_np.flatnonzero(owner != _np.arange(len(fired)))[0])
+    pos = tuple(int(x) for x in slots[i, :-1])
+    return ValueError(
+        f"conflict on PE {pos} at t={int(times[i])}: "
+        f"{tuple(fired[owner[i]].tolist())} vs {tuple(fired[i].tolist())}"
+    )
 
 
 def plan_for(
@@ -305,10 +264,12 @@ def _pes_materializer(mapping, lowers, uppers):
     firings are bulk-inserted."""
 
     def build() -> dict[tuple[int, ...], ProcessorElement]:
-        plan = plan_for(mapping, lowers, uppers)
+        lattice = box_lattice(list(zip(lowers, uppers)))
         pes: dict[tuple[int, ...], ProcessorElement] = {}
         for pos_row, t, pt in zip(
-            plan.procs.tolist(), plan.times.tolist(), plan.lattice.tolist()
+            mapping.processors_of(lattice).tolist(),
+            mapping.times_of(lattice).tolist(),
+            lattice.tolist(),
         ):
             pos = tuple(pos_row)
             pe = pes.get(pos)

@@ -7,10 +7,10 @@ a compiled per-design program:
   from the in-process program memo, and only on a miss compile it --
   a recompile reuses the memoized schedule plan
   (:func:`repro.compile.plan.plan_for`), so repeat simulations of a
-  known design skip the lattice/argsort work either way;
+  known design skip its census and conflict check either way;
 * execute it against a fresh :class:`~repro.compile.plan.DenseValueStore`
   and assemble the :class:`~repro.machine.simulator.SimulationResult`
-  from the program's precomputed utilization statistics, emitting
+  from the utilization statistics of the program's plan, emitting
   metrics through the same
   :func:`~repro.machine.simulator.emit_machine_metrics` as the pointwise
   backend (bit-identical names and values).
@@ -71,10 +71,8 @@ def _run_program(sim, kernel, program) -> SimulationResult:
     ):
         store = DenseValueStore(program.lowers, program.uppers)
         sim.store = store
-        busy: dict[int, int] = {}
-        pe_busy: dict[tuple[int, ...], int] = {}
-        first, last = 0, -1
-        if program.n_points:
+        plan = program.plan
+        if plan.n_points:
             counters = program.execute(kernel, store)
             store.reads += counters.reads
             store.writes += counters.writes
@@ -82,19 +80,17 @@ def _run_program(sim, kernel, program) -> SimulationResult:
             if reg is not None:
                 for label in sorted(counters.links):
                     reg.count(label, counters.links[label])
-            busy = dict(program.busy)
-            pe_busy = dict(program.pe_busy)
-            first, last = program.first, program.last
             sim._pes_builder = _pes_materializer(
                 mapping, program.lowers, program.uppers
             )
+        pe_busy = plan.pe_busy()
         result = SimulationResult(
-            makespan=last - first + 1,
-            first_time=first,
-            last_time=last,
-            computations=program.n_points,
+            makespan=plan.last - plan.first + 1,
+            first_time=plan.first,
+            last_time=plan.last,
+            computations=plan.n_points,
             processor_count=len(pe_busy),
-            busy_per_step=busy,
+            busy_per_step=plan.busy_per_step(),
             store_reads=store.reads,
             store_writes=store.writes,
             pe_busy=pe_busy,

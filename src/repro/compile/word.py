@@ -58,9 +58,12 @@ class WordModelKernel:
 
 class CompiledWordProgram:
     """One design's compiled word-level program over the box's chain
-    layout (``box``, a :class:`~repro.machine.model.WordBox`)."""
+    layout (``box``, a :class:`~repro.machine.model.WordBox`), with the
+    design's :class:`~repro.compile.plan.SchedulePlan` (``plan``)."""
 
-    def __init__(self, box, reads, causality_checks, writes_struct, links):
+    def __init__(self, plan, box, reads, causality_checks, writes_struct,
+                 links):
+        self.plan = plan
         self.lowers = box.lowers
         self.uppers = box.uppers
         self.shape = box.shape
@@ -69,11 +72,6 @@ class CompiledWordProgram:
         self.causality_checks = int(causality_checks)
         self.writes_struct = int(writes_struct)
         self.links = dict(links)
-        self.busy: dict[int, int] = {}
-        self.pe_busy: dict[tuple[int, ...], int] = {}
-        self.first = 0
-        self.last = -1
-        self.n_points = 0
 
     def execute(self, kernel, store) -> SlotCounters:
         np = _np
@@ -107,13 +105,7 @@ def compile_word_program(
     counters = SlotCounters()
     for h, inside in ((h1, box.x_in), (h2, box.y_in), (h3, box.z_in)):
         counters.account_site(mapping, h, int(inside.sum()))
-    program = CompiledWordProgram(
-        box, counters.reads, counters.causality_checks, 3 * plan.n_points,
-        counters.links,
+    return CompiledWordProgram(
+        plan, box, counters.reads, counters.causality_checks,
+        3 * plan.n_points, counters.links,
     )
-    program.busy = plan.busy_per_step()
-    program.pe_busy = plan.pe_busy()
-    program.first = plan.first
-    program.last = plan.last
-    program.n_points = plan.n_points
-    return program

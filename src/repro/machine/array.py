@@ -13,6 +13,7 @@ from __future__ import annotations
 from repro.machine.links import Link, wire_length
 from repro.machine.pe import ProcessorElement
 from repro.mapping.interconnect import InterconnectSolution
+from repro.mapping.spacetime import processor_set
 from repro.mapping.transform import MappingMatrix
 from repro.structures.algorithm import Algorithm
 from repro.structures.params import ParamBinding
@@ -35,12 +36,13 @@ class SystolicArray:
         self.binding = dict(binding)
         self.interconnect = interconnect
 
-        #: position -> ProcessorElement
-        self.pes: dict[tuple[int, ...], ProcessorElement] = {}
-        for point in algorithm.index_set.points(binding):
-            pos = mapping.processor_of(point)
-            if pos not in self.pes:
-                self.pes[pos] = ProcessorElement(pos)
+        #: position -> ProcessorElement, in coordinate order
+        self.pes: dict[tuple[int, ...], ProcessorElement] = {
+            pos: ProcessorElement(pos)
+            for pos in sorted(
+                processor_set(mapping, algorithm.index_set, binding)
+            )
+        }
 
         #: (src, primitive) -> Link, for primitives actually used
         self.links: dict[tuple[tuple[int, ...], tuple[int, ...]], Link] = {}
@@ -104,14 +106,6 @@ class SystolicArray:
     def buffer_count(self) -> int:
         """Total buffer stages across all links."""
         return sum(link.buffers for link in self.links.values())
-
-    def extents(self) -> list[tuple[int, int]]:
-        """Per-dimension (min, max) PE coordinates."""
-        dims = len(next(iter(self.pes))) if self.pes else 0
-        return [
-            (min(p[d] for p in self.pes), max(p[d] for p in self.pes))
-            for d in range(dims)
-        ]
 
     def __repr__(self) -> str:
         return (

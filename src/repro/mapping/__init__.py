@@ -11,7 +11,7 @@ Implements the design method of Definition 4.1 (Shang/Fortes [5,6], Li/Wah
 * :mod:`repro.mapping.conflicts` -- exact computational-conflict detection;
 * :mod:`repro.mapping.schedule` -- execution time (4.5), optimal linear
   schedule search, and time-optimality certification;
-* :mod:`repro.mapping.spacetime` -- processor counts and array geometry;
+* :mod:`repro.mapping.spacetime` -- processor sets and counts;
 * :mod:`repro.mapping.engine` -- the design-space search engine (shared
   schedule enumeration, short-circuit feasibility with memoization) behind
   the frozen :class:`SearchConfig`;
@@ -59,7 +59,7 @@ from repro.mapping.schedule import (
     find_optimal_schedule,
     schedule_is_valid,
 )
-from repro.mapping.spacetime import processor_count, space_extents
+from repro.mapping.spacetime import processor_count
 from repro.mapping.bounds import (
     critical_path_length,
     free_schedule_time,
@@ -88,7 +88,6 @@ __all__ = [
     "find_optimal_schedule",
     "schedule_is_valid",
     "processor_count",
-    "space_extents",
     "critical_path_length",
     "free_schedule_time",
     "free_schedule_times",

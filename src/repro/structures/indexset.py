@@ -7,19 +7,21 @@ stores the bounds symbolically, supports Cartesian products (used by Theorem
 3.1: the bit-level index set is ``J_w x J_as``), membership tests, exact
 enumeration after parameter instantiation, and cardinality.
 :func:`box_lattice` is the same enumeration as one integer array, for the
-vectorized callers.
+vectorized callers; :func:`image_census` counts the image ``R j̄`` of a box
+under an integer matrix without that enumeration.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from repro.structures.params import LinExpr, ParamBinding, as_linexpr
 
-__all__ = ["IndexSet", "box_lattice"]
+__all__ = ["IndexSet", "box_lattice", "image_census"]
 
 
 def box_lattice(bounds: Sequence[tuple[int, int]]) -> np.ndarray:
@@ -31,6 +33,76 @@ def box_lattice(bounds: Sequence[tuple[int, int]]) -> np.ndarray:
         return np.zeros((0, len(axes)), dtype=np.int64)
     grids = np.meshgrid(*axes, indexing="ij")
     return np.stack([g.reshape(-1) for g in grids], axis=1)
+
+
+def image_census(
+    rows: Sequence[Sequence[int]], bounds: Sequence[tuple[int, int]]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of ``R j̄`` over the integer box ``bounds`` and
+    how many points map to each, without listing the box.
+
+    ``R`` is given by its ``rows``.  Returns ``(values, counts)``: the
+    ``(m, len(rows))`` int64 image in lexicographic order and the int64
+    multiplicity of each value.  Values are keys of a mixed-radix int64
+    numbering of the image's bounding box; starting from the empty sum,
+    each axis ``a`` adds its arithmetic progression ``R[:, a]·j_a`` to
+    every key and re-counts, so the work follows the image, not the box.
+    Where the key range reaches ``2**62`` the enumerated box is counted
+    instead.
+    """
+    rows = [[int(x) for x in row] for row in rows]
+    if any(hi < lo for lo, hi in bounds):
+        return np.zeros((0, len(rows)), np.int64), np.zeros(0, np.int64)
+    lows = [
+        sum(min(c * lo, c * hi) for c, (lo, hi) in zip(row, bounds))
+        for row in rows
+    ]
+    spans = [
+        sum(abs(c) * (hi - lo) for c, (lo, hi) in zip(row, bounds)) + 1
+        for row in rows
+    ]
+    if math.prod(spans) >= 1 << 62:
+        matrix = np.array(rows, np.int64).reshape(len(rows), len(bounds))
+        return np.unique(
+            box_lattice(bounds) @ matrix.T, axis=0, return_counts=True
+        )
+    strides = [math.prod(spans[r + 1:]) for r in range(len(rows))]
+    keys, counts = np.zeros(1, np.int64), np.ones(1, np.int64)
+    for a, (lo, hi) in enumerate(bounds):
+        # Each row's term starts at 0 (its least value over the axis), so
+        # every partial sum stays inside the image's bounding box.
+        start = sum(
+            max(0, row[a] * (lo - hi)) * s for row, s in zip(rows, strides)
+        )
+        step = sum(row[a] * s for row, s in zip(rows, strides))
+        keys, counts = _add_progression(
+            keys + start, counts, step, hi - lo + 1
+        )
+    values = np.empty((len(keys), len(rows)), np.int64)
+    for r, (low, span, stride) in enumerate(zip(lows, spans, strides)):
+        values[:, r] = keys // stride % span + low
+    return values, counts
+
+
+def _add_progression(keys, counts, step, n):
+    """The key multiset ``keys + {0, step, ..., (n-1)·step}``, re-counted.
+    By doubling: the sum over the first ``n // 2`` terms, shifted by
+    ``(n // 2)·step``, is the sum over the next ``n // 2``."""
+    if n == 1:
+        return keys, counts
+    half = n // 2
+    half_keys, half_counts = _add_progression(keys, counts, step, half)
+    key_parts = [half_keys, half_keys + half * step]
+    count_parts = [half_counts, half_counts]
+    if n % 2:
+        key_parts.append(keys + (n - 1) * step)
+        count_parts.append(counts)
+    keys, counts = np.concatenate(key_parts), np.concatenate(count_parts)
+    # The parts are sorted runs, which a stable (merge) sort joins cheaply.
+    order = np.argsort(keys, kind="stable")
+    keys, counts = keys[order], counts[order]
+    starts = np.flatnonzero(np.diff(keys, prepend=-1))
+    return keys[starts], np.add.reduceat(counts, starts)
 
 
 class IndexSet:

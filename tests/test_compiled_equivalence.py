@@ -21,6 +21,9 @@ records as the pointwise reference.  This module pins that down across
 * the value program shared by every design with one chain shape, and a
   crafted compressor overflow named at the point each design fires
   first;
+* the schedule plan: one per design, sized by its beats and PEs rather
+  than its points, and a conflicting design's error naming the collision
+  the pointwise machine raises on;
 * the artifact cache's absence from compiled runs: programs live only in
   the in-process memo, so ``REPRO_CACHE_DIR`` changes no result or
   metric and receives no file.
@@ -46,13 +49,20 @@ from repro.expansion.theorem31 import matmul_bit_level
 from repro.machine import model as model_mod
 from repro.machine.bitlevel import BitLevelMatmulMachine
 from repro.machine.model import MATMUL_H, BitLevelModelMachine
-from repro.machine.simulator import BACKENDS, default_backend, resolve_backend
+from repro.machine.simulator import (
+    BACKENDS,
+    SpaceTimeSimulator,
+    default_backend,
+    resolve_backend,
+)
 from repro.machine.wordlevel import WordLevelMatmulMachine
 from repro.machine.wordmodel import WordLevelModelMachine
 from repro.mapping import designs
 from repro.mapping.engine import SearchConfig, run_search
 from repro.mapping.transform import MappingMatrix
 from repro.pipeline import BitLevelDesigner
+from repro.structures.algorithm import Algorithm
+from repro.structures.indexset import IndexSet
 from tests.conftest import random_matrix, reference_matmul
 from tests.equivalence import (
     assert_arithmetic_equivalent,
@@ -579,8 +589,8 @@ def test_word_model_words_must_follow_their_chains():
 # ---------------------------------------------------------------------------
 
 def test_schedule_plan_is_memoized_across_runs():
-    """Repeat simulations of the same design reuse one SchedulePlan (the
-    per-run argsort/grouping work is paid once per design)."""
+    """Repeat simulations of the same design reuse one SchedulePlan (its
+    census and conflict check are paid once per design)."""
     p = 3
     mapping = designs.fig4_mapping(p)
     lowers = (1, 1, 1, 1, 1)
@@ -595,8 +605,8 @@ def test_schedule_plan_is_memoized_across_runs():
 
 
 def test_compiled_runs_share_plan_memo(capture, rng):
-    """Recompiling a design and materializing its PE firings hit the same
-    memoized plan entry rather than regrouping the lattice."""
+    """Recompiling a design reuses its memoized plan, and materializing
+    its PE firings builds no plan."""
     import repro.compile.plan as plan_mod
 
     u = p = 3
@@ -623,6 +633,27 @@ def test_compiled_runs_share_plan_memo(capture, rng):
     assert len(calls) == 1, f"plan rebuilt {len(calls)} times for one design"
 
 
+@pytest.mark.parametrize("design", ["fig4", "fig5"])
+def test_plan_size_follows_steps_and_pes(design):
+    """A u = p = 16 plan (1,048,576 points, 65,536 PEs) holds its
+    statistics, not its points: listing them took 64 MiB of int64
+    lattice, times and processors."""
+    import tracemalloc
+
+    mapping = design_mapping(design, 16)
+    clear_plan_memo()
+    tracemalloc.start()
+    try:
+        plan = plan_for(mapping, (1,) * 5, (16,) * 5)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        clear_plan_memo()
+    assert plan.n_points == 16 ** 5
+    assert retained <= 12 << 20, retained
+    assert peak < 32 << 20, peak
+
+
 def test_plan_memo_failures_not_cached():
     """Conflicting mappings raise on every call (errors never memoize)."""
     bad = MappingMatrix(
@@ -632,6 +663,34 @@ def test_plan_memo_failures_not_cached():
     for _ in range(2):
         with pytest.raises(ValueError, match="conflict"):
             plan_for(bad, (1, 1, 1, 1, 1), (2, 2, 2, 2, 2))
+
+
+def test_plan_conflict_names_the_pointwise_collision():
+    """A conflicting design's plan error is the pointwise machine's: the
+    first point in firing order (``Π·j̄``, C order within a beat) whose
+    ``(S·j̄, Π·j̄)`` slot is taken, against the slot's first point."""
+    rng = random.Random(28)
+    compared = 0
+    while compared < 200:
+        n = rng.randint(1, 4)
+        rows = [[rng.randint(-2, 2) for _ in range(n)]
+                for _ in range(rng.randint(1, n))]
+        uppers = tuple(rng.randint(1, 4) for _ in range(n))
+        mapping = MappingMatrix(rows, "T-random")
+        sim = SpaceTimeSimulator(
+            mapping, Algorithm(IndexSet([1] * n, uppers), []), {},
+            backend="pointwise",
+        )
+        try:
+            sim.run(lambda point, store: None)
+        except ValueError as exc:
+            expected = str(exc)
+        else:
+            continue
+        with pytest.raises(ValueError) as raised:
+            plan_for(mapping, (1,) * n, uppers)
+        assert str(raised.value) == expected, (rows, uppers)
+        compared += 1
 
 
 # ---------------------------------------------------------------------------

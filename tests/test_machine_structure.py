@@ -144,10 +144,6 @@ class TestSystolicArray:
         arr = self.build(2, 2, "fig5")
         assert arr.total_wire_length == arr.link_count  # all unit
 
-    def test_extents(self):
-        arr = self.build(2, 2, "fig4")
-        assert arr.extents() == [(3, 6), (3, 6)]
-
     def test_no_interconnect_no_links(self):
         alg = matmul_bit_level(2, 2, "II")
         arr = SystolicArray(designs.fig4_mapping(2), alg, {"u": 2, "p": 2})

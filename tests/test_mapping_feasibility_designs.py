@@ -9,7 +9,7 @@ from repro.ir.builders import matmul_word_structure
 from repro.mapping import designs
 from repro.mapping.engine import SearchConfig, run_search
 from repro.mapping.feasibility import check_feasibility
-from repro.mapping.spacetime import processor_count, processor_set, space_extents
+from repro.mapping.spacetime import processor_count, processor_set
 from repro.mapping.transform import MappingMatrix
 
 
@@ -114,10 +114,6 @@ class TestGeometry:
         s4 = processor_set(designs.fig4_mapping(3), alg33.index_set, BINDING33)
         s5 = processor_set(designs.fig5_mapping(3), alg33.index_set, BINDING33)
         assert s4 == s5
-
-    def test_extents(self, alg33):
-        t = designs.fig4_mapping(3)
-        assert space_extents(t, alg33.index_set, BINDING33) == [(4, 12), (4, 12)]
 
     def test_word_level_count(self):
         alg = matmul_word_structure()

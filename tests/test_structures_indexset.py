@@ -1,9 +1,14 @@
 """Tests for repro.structures.indexset."""
 
+import itertools
+import random
+
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.structures.indexset import IndexSet
+from repro.mapping import designs
+from repro.structures.indexset import IndexSet, box_lattice, image_census
 from repro.structures.params import S
 
 
@@ -104,3 +109,58 @@ class TestEquality:
     def test_repr_mentions_bounds(self):
         r = repr(IndexSet.cube(1, S("u")))
         assert "u" in r
+
+
+def _enumerated_census(rows, bounds):
+    """The census by listing the box: the reference."""
+    matrix = np.array(rows, np.int64).reshape(len(rows), len(bounds))
+    image = box_lattice(bounds) @ matrix.T
+    if not len(image):
+        return np.zeros((0, len(rows)), np.int64), np.zeros(0, np.int64)
+    return np.unique(image, axis=0, return_counts=True)
+
+
+class TestImageCensus:
+    def test_matches_enumeration(self):
+        """Seeded random matrices (negative, zero and no rows) over boxes
+        with negative, single-point and empty axes."""
+        rng = random.Random(6)
+        for _ in range(300):
+            n = rng.randint(1, 4)
+            rows = [[rng.randint(-3, 3) for _ in range(n)]
+                    for _ in range(rng.randint(0, 3))]
+            bounds = []
+            for _ in range(n):
+                lo = rng.randint(-3, 2)
+                bounds.append((lo, lo + rng.randint(-1, 5)))
+            values, counts = image_census(rows, bounds)
+            ref_values, ref_counts = _enumerated_census(rows, bounds)
+            assert values.shape == ref_values.shape, (rows, bounds)
+            assert (values == ref_values).all(), (rows, bounds)
+            assert (counts == ref_counts).all(), (rows, bounds)
+
+    def test_wide_keys_count_the_enumerated_box(self):
+        rows = [[1 << 40, 1, 0], [0, 1 << 40, 1]]
+        bounds = [(1, 3)] * 3
+        values, counts = image_census(rows, bounds)
+        ref_values, ref_counts = _enumerated_census(rows, bounds)
+        assert (values == ref_values).all() and (counts == ref_counts).all()
+
+    def test_paper_closed_forms(self):
+        """Π's census spans eqs. (4.5)/(4.8)'s beats and S's census holds
+        u²p² / (up)² PEs, far past the sizes the machines run."""
+        for u, p in itertools.product((1, 2, 3, 5, 8, 16, 64, 256), repeat=2):
+            bounds = [(1, u)] * 3 + [(1, p)] * 2
+            for mapping, beats in ((designs.fig4_mapping(p), designs.t_fig4),
+                                   (designs.fig5_mapping(p), designs.t_fig5)):
+                times, counts = image_census(mapping.rows[-1:], bounds)
+                assert times[-1, 0] - times[0, 0] + 1 == beats(u, p)
+                assert counts.sum() == u ** 3 * p ** 2
+        for u, p in itertools.product((1, 2, 3, 5, 8, 16), repeat=2):
+            bounds = [(1, u)] * 3 + [(1, p)] * 2
+            for mapping, pes in (
+                (designs.fig4_mapping(p), designs.fig4_processor_count),
+                (designs.fig5_mapping(p), designs.fig5_processor_count),
+            ):
+                values, _ = image_census(mapping.rows[:-1], bounds)
+                assert len(values) == pes(u, p)
