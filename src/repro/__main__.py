@@ -520,7 +520,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_verify.add_argument(
         "--search-mutation", metavar="NAME", default=None,
-        choices=["tight-deadline", "dropped-conflict-gate"],
+        choices=["tight-deadline", "dropped-conflict-screen"],
         help="self-test: seed NAME into the search solver's cuts and "
         "require the search differential oracle to catch it",
     )

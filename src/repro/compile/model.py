@@ -191,10 +191,11 @@ class ValueProgram:
         summands exceed 7 (``v`` holds the slot's sums).
         """
         np = _np
-        S = np.zeros_like(base)
-        C = np.zeros_like(base)
-        C2 = np.zeros_like(base)
-        N = np.zeros_like(base)
+        # One block, not four: glibc maps four separate 1 MiB blocks (u=p=16)
+        # afresh and trims them back to the system on every run, about
+        # 1,300 page faults a run; freeing one 4 MiB block raises its
+        # thresholds, so later runs reuse the heap.
+        S, C, C2, N = np.zeros((4, *base.shape), dtype=base.dtype)
         arrays = (S, C, C2, N)
         ms = dd = 0
         overflows = []

@@ -15,11 +15,12 @@ busy PEs of every beat, that of ``S`` the busy beats of every PE, so a
 plan holds O(steps + PEs).  Only a conflicting design's error and the
 PE firing records (:func:`_pes_materializer`) list the box.
 
-Plans are read-only by convention: consumers receive *copies* of the
-mutable per-run statistics (``busy_per_step``, ``pe_busy``).
+Plans are read-only: their per-run statistics (``busy_per_step``,
+``pe_busy``) are ``MappingProxyType`` views, which every run's result
+shares and no caller can change.
 
 The machine-model checks of Definition 4.1 run here in batch form:
-*conflicts* (condition 3) by the search gate's exact lattice test,
+*conflicts* (condition 3) by the search's exact lattice test,
 :func:`~repro.mapping.conflicts.find_conflicts` (at plan build time),
 *causality* (condition 1) by ``Π d̄ >= 1`` per realized read displacement
 (:meth:`SlotCounters.account_site`, at compile time).
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Sequence
 
 import numpy as _np
@@ -175,25 +177,19 @@ class SlotCounters:
 
 class SchedulePlan:
     """The run-invariant schedule statistics of one design + box:
-    ``busy`` maps each beat (ascending) to its busy-PE count, ``pe_busy``
-    each PE (lexicographic) to its busy-beat count."""
+    ``busy_per_step`` maps each beat (ascending) to its busy-PE count,
+    ``pe_busy`` each PE (lexicographic) to its busy-beat count.  Both are
+    read-only views, so every run's result shares them with the memoized
+    plan without a copy."""
 
-    __slots__ = ("first", "last", "n_points", "_busy", "_pe_busy")
+    __slots__ = ("first", "last", "n_points", "busy_per_step", "pe_busy")
 
     def __init__(self, busy, pe_busy):
-        self._busy = busy
-        self._pe_busy = pe_busy
+        self.busy_per_step = MappingProxyType(busy)
+        self.pe_busy = MappingProxyType(pe_busy)
         self.n_points = sum(busy.values())
         beats = list(busy)
         self.first, self.last = (beats[0], beats[-1]) if beats else (0, -1)
-
-    def busy_per_step(self) -> dict[int, int]:
-        """Per-time-step busy-PE counts (a fresh dict per caller)."""
-        return dict(self._busy)
-
-    def pe_busy(self) -> dict[tuple[int, ...], int]:
-        """Per-PE busy-beat counts (a fresh dict per caller)."""
-        return dict(self._pe_busy)
 
 
 def _build_plan(

@@ -83,17 +83,16 @@ def _run_program(sim, kernel, program) -> SimulationResult:
             sim._pes_builder = _pes_materializer(
                 mapping, program.lowers, program.uppers
             )
-        pe_busy = plan.pe_busy()
         result = SimulationResult(
             makespan=plan.last - plan.first + 1,
             first_time=plan.first,
             last_time=plan.last,
             computations=plan.n_points,
-            processor_count=len(pe_busy),
-            busy_per_step=plan.busy_per_step(),
+            processor_count=len(plan.pe_busy),
+            busy_per_step=plan.busy_per_step,
             store_reads=store.reads,
             store_writes=store.writes,
-            pe_busy=pe_busy,
+            pe_busy=plan.pe_busy,
         )
     emit_machine_metrics(reg, result, store)
     return result

@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 from repro import obs
 from repro.machine.pe import ProcessorElement
@@ -199,12 +199,13 @@ class SimulationResult:
     last_time: int
     computations: int
     processor_count: int
-    #: per-time-step count of busy PEs
-    busy_per_step: dict[int, int] = field(default_factory=dict)
+    #: per-time-step count of busy PEs (on the compiled backend, this
+    #: and ``pe_busy`` are read-only views of the memoized plan's counts)
+    busy_per_step: Mapping[int, int] = field(default_factory=dict)
     store_reads: int = 0
     store_writes: int = 0
     #: per-PE busy-beat counts, keyed by processor coordinates
-    pe_busy: dict[tuple[int, ...], int] = field(default_factory=dict)
+    pe_busy: Mapping[tuple[int, ...], int] = field(default_factory=dict)
 
     @property
     def always_busy(self) -> bool:

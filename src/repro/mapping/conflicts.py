@@ -12,7 +12,9 @@ in two flavors:
   ``T j̄`` over the enumerated index set; exact for any index set,
   exponential in the instance size.
 
-:func:`find_conflicts` is the single entry point: it dispatches to the
+:func:`find_conflicts` is the single entry point, and the one condition-3
+test of the package: the search solver's screen, ``check_feasibility`` and
+the compiled backend's schedule plans all call it.  It dispatches to the
 lattice check for plain box index sets and to exact pair enumeration for
 affine-constrained ones (where a lattice direction may fit the bounding box
 but not the actual domain).
@@ -25,7 +27,6 @@ from repro.mapping.memo import EvalCache
 from repro.mapping.transform import MappingMatrix
 from repro.structures.indexset import IndexSet
 from repro.structures.params import ParamBinding
-from repro.util.linalg import integer_nullspace
 
 __all__ = [
     "is_conflict_free",
@@ -53,11 +54,13 @@ def find_conflicts(
       and return concrete colliding *pairs* ``(j̄₁, j̄₂)``.
 
     An empty list means ``τ`` is injective on ``J``.  ``limit`` bounds the
-    number of witnesses returned (``None`` = all); ``cache``, when given,
-    memoizes the enumeration on a canonicalized key -- the nullspace basis
-    and difference box for the lattice check, the instantiated domain for
-    the pair check -- so equivalent queries across candidate mappings are
-    answered once.
+    number of witnesses returned (``None`` = all).  With ``limit=1`` on a
+    box, a basis vector of ``T``'s nullspace lattice that fits the
+    difference box is returned before any enumeration.  ``cache``, when
+    given, memoizes the enumeration on a canonicalized key -- the
+    nullspace basis and difference box for the lattice check, the
+    instantiated domain for the pair check -- so equivalent queries across
+    candidate mappings are answered once.
     """
     if getattr(index_set, "is_constrained", False):
         if cache is None:
@@ -84,11 +87,15 @@ def _lattice_directions(
     cache: EvalCache | None,
 ) -> list[tuple[int, ...]]:
     """The lattice flavor: nullspace directions inside the difference box."""
-    nullspace = integer_nullspace([list(r) for r in t.rows])
+    nullspace = t.nullspace()
     if not nullspace:
         return []
     bounds = index_set.bounds(binding)
     diff_box = tuple((lo - hi, hi - lo) for lo, hi in bounds)
+    if limit == 1:
+        for vec in nullspace:
+            if all(lo <= x <= hi for x, (lo, hi) in zip(vec, diff_box)):
+                return [vec]
 
     def compute() -> list[tuple]:
         try:
@@ -105,17 +112,12 @@ def _lattice_directions(
 
     if cache is None:
         return compute()
-    key = (
-        "lattice",
-        tuple(tuple(int(x) for x in vec) for vec in nullspace),
-        diff_box,
-        limit,
-    )
+    key = ("lattice", nullspace, diff_box, limit)
     return cache.get_or_compute(key, compute)
 
 
 def _enumerate_directions(
-    nullspace: list[list[int]],
+    nullspace: tuple[tuple[int, ...], ...],
     diff_box: tuple[tuple[int, int], ...],
     n: int,
     limit: int | None,

@@ -29,28 +29,30 @@ Constraint derivation (see docs/SEARCH.md for the full write-up):
   subtree.  The lattice test depends only on ``S`` (not ``Π``) and prunes
   every schedule of a space at once.
 
-* **Condition 3** (``τ`` injective) fails whenever a nonzero integer
-  nullspace vector of ``T`` fits the index-difference box -- in
-  particular when a *basis* vector of the nullspace lattice
-  (:func:`~repro.util.linalg.integer_nullspace`, again Smith form) does.
-  That one-sided screen certifies most conflicts without the bounded
-  lattice-point enumeration (box index sets only; constrained sets skip
-  the screen).
+* **Condition 3** (``τ`` injective) is decided exactly per ``(S, Π)``
+  pair by :func:`~repro.mapping.conflicts.find_conflicts`, the package's
+  one condition-3 test: a nonzero vector of ``T``'s integer nullspace
+  lattice inside the index-difference box (a *basis* vector in the box
+  answers without enumerating), or a colliding pair on an
+  affine-constrained index set.
 
 * **Condition 4** (``rank T = k``) is monotone under row extension, so
   rank-deficient prefixes are cut at the branch point.
 
 Every cut is *sound*: it only removes candidates that
-:func:`check_feasibility` would reject, and enumeration follows the exact
-catalog order of the engine, so the feasible-design stream -- and hence
-the ranked or Pareto output, even under an early-stop cap -- is identical
-to the catalog path's.  Survivors still pass through the full
-``check_feasibility`` gate (the only place ``mapping.candidates_enumerated``
-counts), which is what the differential oracle and the equivalence suite
-pin.  Per-cut prune counts are published as ``mapping.solver.pruned.*``.
+:func:`check_feasibility` would reject.  Per pair, the cuts of conditions
+1, 2, 4 and 5 and the conflict screen are exact, and enumeration follows
+the exact catalog order of the engine, so the feasible-design stream --
+and hence the ranked or Pareto output, even under an early-stop cap -- is
+identical to the catalog path's.  ``check_feasibility`` runs once per
+returned design, to certify it and supply its report (on this path the
+only place ``mapping.candidates_enumerated`` counts); a design it rejects
+raises ``RuntimeError`` naming it, which the differential oracle and the
+equivalence suite pin never happens.  Per-cut prune counts are published
+as ``mapping.solver.pruned.*``.
 
 **Plan and walk.**  Only the schedule *order* (the time (4.5)), the
-conflict screen's box test, the final gate and the PE count read the
+conflict screen, the certifying check and the PE count read the
 index-set bounds; everything else reads ``D``, ``P`` and the config.  So
 that binding-free part is a :class:`SearchPlan`, built once per key and
 kept in a small in-process LRU memo (:func:`search_plan`,
@@ -68,6 +70,7 @@ from operator import mul
 from typing import Sequence
 
 from repro import obs
+from repro.mapping.conflicts import find_conflicts
 from repro.mapping.engine import SearchConfig, space_map_catalog
 from repro.mapping.feasibility import FeasibilityReport, check_feasibility
 from repro.mapping.interconnect import _column_combinations
@@ -92,7 +95,7 @@ _PLANS: "OrderedDict[tuple, SearchPlan]" = OrderedDict()
 _PLANS_LOCK = threading.Lock()
 
 #: Per-schedule outcome of the binding-free cuts, in the walk's
-#: attribution order; ``_OPEN`` schedules go on to the screen and gate.
+#: attribution order; ``_OPEN`` schedules go on to the conflict screen.
 _DEADLINE, _COPRIME, _RANK, _INTERCONNECT, _SCREEN = range(5)
 _OPEN = _SCREEN
 _CUT_COUNTERS = (
@@ -113,24 +116,6 @@ def _hop_budget(deadline: int) -> int:
     oracle notices an unsound cut.
     """
     return deadline
-
-
-def _final_gate(
-    mapping: MappingMatrix,
-    algorithm: Algorithm,
-    binding: ParamBinding,
-    primitives: Sequence[Sequence[int]] | None,
-    cache: EvalCache | None,
-) -> FeasibilityReport:
-    """The full Definition 4.1 check every surviving candidate must pass.
-
-    A named seam like :func:`_hop_budget`: the verify mutation check swaps
-    it for a gate that drops the conflict condition and demands that the
-    differential oracle produce a counterexample.
-    """
-    return check_feasibility(
-        mapping, algorithm, binding, primitives, cache=cache
-    )
 
 
 def _vector_gcd(row: Sequence[int]) -> int:
@@ -201,8 +186,9 @@ class SearchPlan:
     their row masks over that order, and the stage counters a search
     publishes whether it built the plan or reused it.  Each survivor's
     cut outcomes (:meth:`space_cuts`) and each walked ``(S, Π)`` pair's
-    conflict-screen nullspace basis are filled in on first use and kept;
-    entries are only ever added, so concurrent walks can share a plan.
+    :class:`MappingMatrix` (which keeps the nullspace basis the conflict
+    screen reads) are filled in on first use and kept; entries are only
+    ever added, so concurrent walks can share a plan.
     A plan is built from its memo key alone, so it cannot read a binding.
     """
 
@@ -243,8 +229,8 @@ class SearchPlan:
         self.masks: list[int] = []
         pruned = self._enumerate_spaces(target_space_dim, block_values)
         self._cuts: list[bytes | None] = [None] * len(self.spaces)
-        #: Per space, schedule position -> nullspace basis of ``[S; Π]``.
-        self.bases: list[dict[int, list[list[int]]]] = [
+        #: Per space, schedule position -> the pair's ``T = [S; Π]``.
+        self.mappings: list[dict[int, MappingMatrix]] = [
             {} for _ in self.spaces
         ]
         self.counters = {
@@ -404,7 +390,7 @@ class SearchPlan:
           ``S d̄_i``: the depth-first solve returns the same minimum-hop
           ``k̄`` under every budget at least that minimum, so one solve
           under the largest deadline (memoized on the ``("icol", ...)``
-          key the final gate uses) serves every schedule.
+          key ``check_feasibility`` uses) serves every schedule.
         """
         cuts = self._cuts[index]
         if cuts is not None:
@@ -457,9 +443,8 @@ class PlanWalk:
 
     Keeps only what reads the index-set bounds: the schedule times and
     their stable sort (the order of
-    :func:`~repro.mapping.engine.ranked_schedules`), the conflict
-    screen's difference box, and a run-scoped :class:`EvalCache` for the
-    final gate.
+    :func:`~repro.mapping.engine.ranked_schedules`), and a run-scoped
+    :class:`EvalCache` for the conflict screen and the certifying check.
     """
 
     def __init__(
@@ -481,16 +466,6 @@ class PlanWalk:
         #: Schedule positions, fastest first (ties keep enumeration order).
         self.order = sorted(range(len(times)), key=times.__getitem__)
         self.time_of = dict(zip(plan.schedules, times))
-        #: Conflict screen: a nullspace basis vector of ``T`` inside the
-        #: index-difference box is a certain conflict -- valid only for
-        #: plain box index sets (constrained sets use pair enumeration).
-        if getattr(algorithm.index_set, "is_constrained", False):
-            self.diff_box = None
-        else:
-            self.diff_box = tuple(
-                (lo - hi, hi - lo)
-                for lo, hi in algorithm.index_set.bounds(binding)
-            )
 
     def evaluate(
         self, index: int
@@ -499,21 +474,22 @@ class PlanWalk:
         ``S`` being planned space ``index``.
 
         Walks the schedules fastest first under the
-        ``mapping.evaluate_space`` span and returns the first feasible
-        ``Π`` with its report -- the same ``(Π, report)`` as the catalog
-        evaluator, because every cut is sound.  Schedules the binding-free
-        cuts reject (:meth:`SearchPlan.space_cuts`) are only counted; the
-        rest go through the conflict screen (the pair's nullspace basis is
-        kept in the plan) and then :func:`_final_gate`.  Counts cover the
-        schedules up to the returned ``Π`` (all of them when none is
+        ``mapping.evaluate_space`` span and returns the first ``Π`` that
+        passes the binding-free cuts (:meth:`SearchPlan.space_cuts`) and
+        the conflict screen (:func:`find_conflicts`, one witness), with
+        the report of :func:`check_feasibility` certifying it -- the same
+        ``(Π, report)`` as the catalog evaluator, because every cut is
+        sound and the per-pair tests are exact.  A ``Π`` that passes the
+        screen but fails the check raises ``RuntimeError``.  Counts cover
+        the schedules up to the returned ``Π`` (all of them when none is
         feasible) and are published once per space.
         """
         plan = self.plan
         with obs.span("mapping.evaluate_space"):
             cuts = plan.space_cuts(index)
-            bases = plan.bases[index]
+            mappings = plan.mappings[index]
             space = plan.spaces[index]
-            diff_box = self.diff_box
+            index_set = self.algorithm.index_set
             counts = [0] * len(_CUT_COUNTERS)
             result: tuple[list[int], FeasibilityReport] | None = None
             for idx in self.order:
@@ -521,26 +497,28 @@ class PlanWalk:
                 if cut != _OPEN:
                     counts[cut] += 1
                     continue
-                rows = space + [list(plan.schedules[idx])]
-                if diff_box is not None:
-                    basis = bases.get(idx)
-                    if basis is None:
-                        basis = bases[idx] = integer_nullspace(rows)
-                    if any(
-                        any(vec) and all(
-                            lo <= x <= hi for x, (lo, hi) in zip(vec, diff_box)
-                        )
-                        for vec in basis
-                    ):
-                        counts[_SCREEN] += 1
-                        continue
-                report = _final_gate(
-                    MappingMatrix(rows), self.algorithm, self.binding,
-                    self.primitives, self.cache,
+                mapping = mappings.get(idx)
+                if mapping is None:
+                    mapping = mappings[idx] = MappingMatrix(
+                        space + [list(plan.schedules[idx])]
+                    )
+                if find_conflicts(
+                    mapping, index_set, self.binding, limit=1,
+                    cache=self.cache,
+                ):
+                    counts[_SCREEN] += 1
+                    continue
+                report = check_feasibility(
+                    mapping, self.algorithm, self.binding, self.primitives,
+                    cache=self.cache,
                 )
-                if report.feasible:
-                    result = (rows[-1], report)
-                    break
+                if not report.feasible:
+                    raise RuntimeError(
+                        f"search passed {mapping!r}, which fails "
+                        f"Definition 4.1: {report.summary()}"
+                    )
+                result = (list(plan.schedules[idx]), report)
+                break
             obs.count_many(
                 {name: n for name, n in zip(_CUT_COUNTERS, counts) if n}
             )

@@ -14,7 +14,7 @@ import numpy as _np
 
 from repro.structures.params import ParamBinding
 from repro.util.intmath import gcd_list
-from repro.util.linalg import integer_rank, mat_vec
+from repro.util.linalg import integer_nullspace, integer_rank, mat_vec
 
 __all__ = ["MappingMatrix"]
 
@@ -22,7 +22,7 @@ __all__ = ["MappingMatrix"]
 class MappingMatrix:
     """``T = [S; Π]`` with the space map ``S`` and linear schedule ``Π``."""
 
-    __slots__ = ("rows", "name", "_np_schedule", "_np_space")
+    __slots__ = ("rows", "name", "_np_schedule", "_np_space", "_nullspace")
 
     def __init__(self, rows: Sequence[Sequence[int]], name: str = "T"):
         self.rows: tuple[tuple[int, ...], ...] = tuple(
@@ -36,6 +36,7 @@ class MappingMatrix:
         self.name = name
         self._np_schedule = None  # lazy numpy views, built on first batch call
         self._np_space = None
+        self._nullspace = None
 
     # -- structure -----------------------------------------------------------
     @property
@@ -113,6 +114,15 @@ class MappingMatrix:
     def rank(self) -> int:
         """Rank of ``T`` over the rationals (condition 4 needs ``rank = k``)."""
         return integer_rank([list(r) for r in self.rows])
+
+    def nullspace(self) -> tuple[tuple[int, ...], ...]:
+        """A basis of the integer nullspace lattice ``{δ̄ : T δ̄ = 0}``
+        (Smith form), computed on first use and kept."""
+        if self._nullspace is None:
+            self._nullspace = tuple(
+                tuple(vec) for vec in integer_nullspace(self.rows)
+            )
+        return self._nullspace
 
     def entries_coprime(self) -> bool:
         """Condition 5: the gcd of all entries of ``T`` is 1."""

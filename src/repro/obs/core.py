@@ -82,7 +82,10 @@ class Histogram:
         accumulates left to right and the reservoir slots fill and wrap in
         the same order -- without a Python call per value.
         """
-        batch = [float(v) for v in values]
+        self._fold([float(v) for v in values])
+
+    def _fold(self, batch: list[float]) -> None:
+        """:meth:`observe_many` on a batch already converted to floats."""
         if not batch:
             return
         seen = self.count
@@ -321,7 +324,7 @@ class Registry:
         hist = self.histograms.get(name)
         if hist is None:
             hist = self.histograms[name] = Histogram()
-        hist.observe_many(batch)
+        hist._fold(batch)
         if self.sinks:
             self._emit("observe", name, count=len(batch), sum=sum(batch),
                        min=min(batch), max=max(batch))

@@ -13,7 +13,10 @@ baseline, which tries every catalog candidate through
 * the ranked lists must agree element-wise in ``(rows, time,
   processors, wire_length)`` -- the solver contract is not merely
   set-equality but identical enumeration order, so capped searches
-  return the same prefix.
+  return the same prefix;
+* the solver search must not raise: it raises when a design it would
+  return fails the ``check_feasibility`` that certifies it, and the
+  error is reported as the disagreement.
 
 Word-model cases run exhaustively (true set equality over the whole
 design space); bit-level cases are capped and compare the identical
@@ -54,9 +57,15 @@ def check(case: SearchCase) -> str | None:
     catalog = run_search(
         algorithm, binding, primitives, case.config("catalog")
     )
-    solver = run_search(
-        algorithm, binding, primitives, case.config("solver")
-    )
+    try:
+        solver = run_search(
+            algorithm, binding, primitives, case.config("solver")
+        )
+    except Exception as exc:
+        return (
+            f"[{case.kind}/{case.primitives}] solver raised "
+            f"{type(exc).__name__}: {exc}"
+        )
     catalog_sig = _signature(catalog)
     solver_sig = _signature(solver)
     if catalog_sig == solver_sig:

@@ -252,34 +252,24 @@ def _mutant_hop_budget(deadline: int) -> int:
     arrival deadline (4.1) actually permits.
 
     Designs whose dependences need exactly ``Π d̄_i`` hops (the paper's
-    Fig. 4 family among them) get pruned before the final gate, so the
-    solver's feasible set loses designs the catalog still finds: the
+    Fig. 4 family among them) get pruned before the conflict screen, so
+    the solver's feasible set loses designs the catalog still finds: the
     differential oracle must report a missing design.
     """
     return deadline - 1
 
 
-def _mutant_final_gate(mapping, algorithm, binding, primitives, cache):
-    """Seeded bug: the final gate ignores condition 3 (computational
-    conflicts), as if the solver's one-sided conflict screen were treated
-    as exact.
+def _mutant_find_conflicts(mapping, index_set, binding, limit=None, *,
+                           cache=None):
+    """Seeded bug: the solver's conflict screen finds no witness, as if
+    every ``τ`` were injective.
 
-    Candidates whose only violation is a ``τ`` collision now pass, so the
-    solver admits designs the catalog rejects: the differential oracle
-    must report an extra design.
+    A candidate whose only violation is a ``τ`` collision now reaches the
+    check that certifies the solver's designs, which rejects it, so the
+    search raises instead of returning: the differential oracle must
+    report the solver's error.
     """
-    import dataclasses
-
-    from repro.mapping.feasibility import check_feasibility
-
-    report = check_feasibility(
-        mapping, algorithm, binding, primitives, cache=cache
-    )
-    if report.conflict_free is False:
-        report = dataclasses.replace(
-            report, conflict_free=True, conflicts=[]
-        )
-    return report
+    return []
 
 
 #: mutation name -> (module path, attribute, mutant callable)
@@ -287,8 +277,8 @@ SEARCH_MUTATIONS = {
     "tight-deadline": (
         "repro.mapping.solver", "_hop_budget", _mutant_hop_budget,
     ),
-    "dropped-conflict-gate": (
-        "repro.mapping.solver", "_final_gate", _mutant_final_gate,
+    "dropped-conflict-screen": (
+        "repro.mapping.solver", "find_conflicts", _mutant_find_conflicts,
     ),
 }
 
@@ -300,8 +290,9 @@ def run_search_mutation_check(
     envelope: SizeEnvelope = SizeEnvelope(),
     max_shrink_steps: int = 200,
 ) -> Counterexample | None:
-    """Self-test: seed a deliberate bug into the search solver's cuts and
-    confirm the solver-vs-catalog differential oracle catches it.
+    """Self-test: seed a deliberate bug into the search solver's cuts or
+    its conflict screen and confirm the solver-vs-catalog differential
+    oracle catches it.
 
     ``mutation`` names an entry of :data:`SEARCH_MUTATIONS`.  Returns the
     shrunken counterexample (the *expected* outcome), or ``None`` if the

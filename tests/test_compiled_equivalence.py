@@ -604,6 +604,27 @@ def test_schedule_plan_is_memoized_across_runs():
     assert other is not first
 
 
+def test_run_counts_cannot_change_the_next_run(rng):
+    """A compiled run's per-PE and per-beat counts are the memoized plan's
+    own, shared without a copy: read-only, so changing one run's cannot
+    change the next run's result."""
+    u = p = 3
+    x, y = random_matrix(rng, u, p), random_matrix(rng, u, p)
+    machine = BitLevelMatmulMachine(
+        u, p, designs.fig4_mapping(p), "II", backend="compiled"
+    )
+    first = machine.run(x, y).sim
+    want = dict(first.pe_busy), dict(first.busy_per_step)
+    for counts in (first.pe_busy, first.busy_per_step):
+        key = next(iter(counts))
+        with pytest.raises(TypeError):
+            counts[key] += 1
+        with pytest.raises(TypeError):
+            del counts[key]
+    again = machine.run(x, y).sim
+    assert (dict(again.pe_busy), dict(again.busy_per_step)) == want
+
+
 def test_compiled_runs_share_plan_memo(capture, rng):
     """Recompiling a design reuses its memoized plan, and materializing
     its PE firings builds no plan."""

@@ -9,8 +9,10 @@ These contracts are pinned here:
   on random triples, and frontiers are deterministic under permutation;
 * **per-space equivalence** -- for every space a
   :class:`~repro.mapping.solver.SearchPlan` holds, its walk (binding-free
-  cuts, then the screen and the gate) returns the catalog evaluator's
+  cuts, then the conflict screen) returns the catalog evaluator's
   ``(Π, report)``;
+* **an exact screen** -- ``check_feasibility`` only certifies designs
+  the solver returns, on box and affine-constrained index sets alike;
 * **plan reuse** -- a search that reuses a memoized plan returns the
   designs and ``mapping.*`` counters of a cold one.
 """
@@ -23,7 +25,7 @@ from dataclasses import replace
 import pytest
 
 from repro.expansion.theorem31 import matmul_bit_level
-from repro.ir.builders import word_model_structure
+from repro.ir.builders import lu_word_structure, word_model_structure
 from repro.mapping import designs, engine, solver
 from repro.mapping.engine import SearchConfig, run_search
 from repro.mapping.interconnect import mesh_primitives
@@ -131,6 +133,60 @@ class TestSolverEquivalence:
                 ))
             counts[strategy] = reg.counters["mapping.candidates_enumerated"]
         assert counts["catalog"] >= 3 * counts["solver"]
+
+
+def _certified_case(kind, a, b):
+    """``(algorithm, binding, primitives, config)``: an exhaustive search
+    of the triangular LU set onto a ``b``-D mesh, or the capped fig4
+    search of a ``design_flow`` job at ``u=a, p=b``."""
+    if kind == "lu":
+        return lu_word_structure(a), {"n": a}, mesh_primitives(b), (
+            SearchConfig(target_space_dim=b, block_values=[2],
+                         max_candidates=None, overcollect=None)
+        )
+    return matmul_bit_level(a, b, "II"), {"u": a, "p": b}, (
+        designs.fig4_primitives(b)
+    ), SearchConfig(block_values=[b], max_candidates=5)
+
+
+class TestExactScreen:
+    """The conflict screen is ``find_conflicts``, so every design the
+    solver hands to ``check_feasibility`` is feasible -- including on an
+    affine-constrained index set, where the pair enumeration decides
+    condition 3."""
+
+    @pytest.mark.parametrize("kind,a,b", [
+        ("lu", 3, 1), ("lu", 3, 2), ("lu", 4, 1), ("lu", 4, 2),
+        ("fig4", 2, 2), ("fig4", 2, 3), ("fig4", 3, 2), ("fig4", 3, 3),
+    ])
+    def test_check_feasibility_only_certifies(self, kind, a, b):
+        alg, binding, prims, config = _certified_case(kind, a, b)
+        catalog = run_search(
+            alg, binding, prims, replace(config, strategy="catalog")
+        )
+        clear_search_plans()
+        with obs.collecting() as reg:
+            found = run_search(
+                alg, binding, prims, replace(config, strategy="solver")
+            )
+        assert found and _signature(found) == _signature(catalog)
+        counters = reg.counters
+        assert counters["mapping.pruned"] == 0
+        assert counters["mapping.candidates_enumerated"] == (
+            counters["mapping.feasible"]
+        )
+
+    def test_screen_error_names_the_design(self, monkeypatch):
+        # A screen that misses a conflict must not pass silently: the
+        # certifying check rejects the design and the search says which.
+        alg, binding, prims, config = _certified_case("fig4", 2, 2)
+        monkeypatch.setattr(solver, "find_conflicts", lambda *a, **k: [])
+        clear_search_plans()
+        with pytest.raises(
+            RuntimeError, match=r"MappingMatrix .*no-conflict:FAIL"
+        ):
+            run_search(alg, binding, prims, config)
+        clear_search_plans()
 
 
 class TestPerSpaceEquivalence:
@@ -369,7 +425,7 @@ class TestSearchPlan:
         assert len(solver._PLANS) == 1
 
     @pytest.mark.parametrize(
-        "mutation", ["tight-deadline", "dropped-conflict-gate"]
+        "mutation", ["tight-deadline", "dropped-conflict-screen"]
     )
     def test_mutation_caught_after_plans_were_built(self, mutation):
         from repro.verify import run_search_mutation_check
