@@ -12,8 +12,10 @@ surfaced through :mod:`repro.obs` (``mapping.cache_hits`` /
 A cache is scoped to one search run -- or, for the binding-free
 ``plattice``/``icol`` solves, to one search plan
 (:class:`~repro.mapping.solver.SearchPlan`) -- and lives only in memory:
-nothing is persisted across runs.  Entries are never invalidated.  Cached callables must be deterministic and their results
-treated as immutable.
+nothing is persisted across runs.  Entries are never invalidated; a
+witness list (:meth:`EvalCache.get_witnesses`) is only replaced by the
+longer list of a larger limit.  Cached callables must be deterministic
+and their results treated as immutable.
 """
 
 from __future__ import annotations
@@ -30,12 +32,17 @@ V = TypeVar("V")
 class EvalCache:
     """A run-scoped memo table with obs-visible hit/miss counters."""
 
-    __slots__ = ("data", "hits", "misses")
+    __slots__ = ("data", "hits", "misses", "box")
 
     def __init__(self) -> None:
         self.data: dict[Hashable, object] = {}
         self.hits = 0
         self.misses = 0
+        #: The last index set and binding a condition-3 query instantiated,
+        #: with their bounds and the widths of the difference box
+        #: (:func:`~repro.mapping.conflicts.find_conflicts`); a search walk
+        #: asks about one of each, so it evaluates them once.
+        self.box: tuple | None = None
 
     def get_or_compute(self, key: Hashable, compute: Callable[[], V]) -> V:
         """Return the cached value for ``key``, computing it on first use."""
@@ -49,6 +56,36 @@ class EvalCache:
         value = compute()
         data[key] = value
         return value
+
+    def get_witnesses(
+        self, key: Hashable, limit: int | None,
+        compute: Callable[[int | None], list],
+    ) -> list:
+        """``compute(limit)``, a list of at most ``limit`` witnesses
+        (``None``: all of them), memoized on ``key`` for every limit.
+
+        A stored list shorter than the limit it was computed under is
+        complete and serves any limit; a full one serves every limit up to
+        its length, truncated (``compute`` must list witnesses in one fixed
+        order, so truncating equals computing under the smaller limit).  A
+        larger limit misses and replaces the stored list.
+        """
+        entry = self.data.get(key)
+        if entry is not None:
+            stored_limit, witnesses = entry  # type: ignore[misc]
+            if (
+                stored_limit is None
+                or len(witnesses) < stored_limit
+                or (limit is not None and limit <= len(witnesses))
+            ):
+                self.hits += 1
+                obs.count("mapping.cache_hits")
+                return witnesses[:limit]
+        self.misses += 1
+        obs.count("mapping.cache_misses")
+        witnesses = compute(limit)
+        self.data[key] = (limit, witnesses)
+        return witnesses
 
     def __len__(self) -> int:
         return len(self.data)

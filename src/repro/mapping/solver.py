@@ -32,9 +32,12 @@ Constraint derivation (see docs/SEARCH.md for the full write-up):
 * **Condition 3** (``τ`` injective) is decided exactly per ``(S, Π)``
   pair by :func:`~repro.mapping.conflicts.find_conflicts`, the package's
   one condition-3 test: a nonzero vector of ``T``'s integer nullspace
-  lattice inside the index-difference box (a *basis* vector in the box
-  answers without enumerating), or a colliding pair on an
-  affine-constrained index set.
+  lattice inside the index-difference box, or a colliding pair on an
+  affine-constrained index set.  The plan keeps each pair's
+  :class:`MappingMatrix`, whose Lagrange-reduced nullspace basis is
+  computed once; a conflicting pair is usually answered by a basis
+  vector in the box, and enumeration runs to prove a pair
+  conflict-free.
 
 * **Condition 4** (``rank T = k``) is monotone under row extension, so
   rank-deficient prefixes are cut at the branch point.
@@ -444,7 +447,9 @@ class PlanWalk:
     Keeps only what reads the index-set bounds: the schedule times and
     their stable sort (the order of
     :func:`~repro.mapping.engine.ranked_schedules`), and a run-scoped
-    :class:`EvalCache` for the conflict screen and the certifying check.
+    :class:`EvalCache` for the conflict screen and the certifying check
+    (which keeps the instantiated difference box, and serves the check
+    the screen's complete answer for a conflict-free pair).
     """
 
     def __init__(

@@ -14,7 +14,12 @@ import numpy as _np
 
 from repro.structures.params import ParamBinding
 from repro.util.intmath import gcd_list
-from repro.util.linalg import integer_nullspace, integer_rank, mat_vec
+from repro.util.linalg import (
+    integer_nullspace,
+    integer_rank,
+    lagrange_reduce,
+    mat_vec,
+)
 
 __all__ = ["MappingMatrix"]
 
@@ -116,11 +121,21 @@ class MappingMatrix:
         return integer_rank([list(r) for r in self.rows])
 
     def nullspace(self) -> tuple[tuple[int, ...], ...]:
-        """A basis of the integer nullspace lattice ``{δ̄ : T δ̄ = 0}``
-        (Smith form), computed on first use and kept."""
+        """A reduced basis of the integer nullspace lattice
+        ``{δ̄ : T δ̄ = 0}``, shortest vector first, computed on first use
+        and kept.
+
+        The Smith-form basis spans the lattice but may carry long vectors
+        where short ones exist; Lagrange reduction
+        (:func:`~repro.util.linalg.lagrange_reduce`) turns it into a basis
+        of the same lattice whose vectors are short, so a conflict
+        direction inside a small difference box is usually a basis vector
+        (condition 3, :func:`~repro.mapping.conflicts.find_conflicts`).
+        """
         if self._nullspace is None:
             self._nullspace = tuple(
-                tuple(vec) for vec in integer_nullspace(self.rows)
+                tuple(vec)
+                for vec in lagrange_reduce(integer_nullspace(self.rows))
             )
         return self._nullspace
 

@@ -35,20 +35,29 @@ def box_lattice(bounds: Sequence[tuple[int, int]]) -> np.ndarray:
     return np.stack([g.reshape(-1) for g in grids], axis=1)
 
 
+#: A box and key range both of at most this many values are counted by
+#: keying every listed point and binning the keys: the doubling merge pays
+#: a fixed cost per axis and level (a handful of numpy calls) that exceeds
+#: one pass over a box this small.
+_LISTED_POINTS = 1 << 13
+
+
 def image_census(
     rows: Sequence[Sequence[int]], bounds: Sequence[tuple[int, int]]
 ) -> tuple[np.ndarray, np.ndarray]:
     """The distinct values of ``R j̄`` over the integer box ``bounds`` and
-    how many points map to each, without listing the box.
+    how many points map to each.
 
     ``R`` is given by its ``rows``.  Returns ``(values, counts)``: the
     ``(m, len(rows))`` int64 image in lexicographic order and the int64
     multiplicity of each value.  Values are keys of a mixed-radix int64
-    numbering of the image's bounding box; starting from the empty sum,
-    each axis ``a`` adds its arithmetic progression ``R[:, a]·j_a`` to
-    every key and re-counts, so the work follows the image, not the box.
-    Where the key range reaches ``2**62`` the enumerated box is counted
-    instead.
+    numbering of the image's bounding box.  Unless the box and that key
+    range both hold at most ``_LISTED_POINTS`` values, the box is not
+    listed: starting from the empty sum, each axis ``a`` adds its
+    arithmetic progression ``R[:, a]·j_a`` to every key and re-counts, so
+    the work follows the image, not the box.  Otherwise the progressions
+    are summed into one key per point and the keys binned.  Where the key
+    range reaches ``2**62`` the enumerated box is counted instead.
     """
     rows = [[int(x) for x in row] for row in rows]
     if any(hi < lo for lo, hi in bounds):
@@ -61,23 +70,35 @@ def image_census(
         sum(abs(c) * (hi - lo) for c, (lo, hi) in zip(row, bounds)) + 1
         for row in rows
     ]
-    if math.prod(spans) >= 1 << 62:
+    key_range = math.prod(spans)
+    if key_range >= 1 << 62:
         matrix = np.array(rows, np.int64).reshape(len(rows), len(bounds))
         return np.unique(
             box_lattice(bounds) @ matrix.T, axis=0, return_counts=True
         )
     strides = [math.prod(spans[r + 1:]) for r in range(len(rows))]
-    keys, counts = np.zeros(1, np.int64), np.ones(1, np.int64)
-    for a, (lo, hi) in enumerate(bounds):
-        # Each row's term starts at 0 (its least value over the axis), so
-        # every partial sum stays inside the image's bounding box.
-        start = sum(
-            max(0, row[a] * (lo - hi)) * s for row, s in zip(rows, strides)
+    # Per axis: its first key offset, key step and length.  Each row's
+    # term starts at 0 (its least value over the axis), so every partial
+    # sum stays inside the image's bounding box.
+    axes = [
+        (
+            sum(max(0, row[a] * (lo - hi)) * s for row, s in zip(rows, strides)),
+            sum(row[a] * s for row, s in zip(rows, strides)),
+            hi - lo + 1,
         )
-        step = sum(row[a] * s for row, s in zip(rows, strides))
-        keys, counts = _add_progression(
-            keys + start, counts, step, hi - lo + 1
-        )
+        for a, (lo, hi) in enumerate(bounds)
+    ]
+    keys = np.zeros(1, np.int64)
+    if max(key_range, math.prod(n for _, _, n in axes)) <= _LISTED_POINTS:
+        for start, step, n in axes:
+            keys = (keys[:, None] + (start + step * np.arange(n))).reshape(-1)
+        counts = np.bincount(keys)
+        keys = np.flatnonzero(counts)
+        counts = counts[keys]
+    else:
+        counts = np.ones(1, np.int64)
+        for start, step, n in axes:
+            keys, counts = _add_progression(keys + start, counts, step, n)
     values = np.empty((len(keys), len(rows)), np.int64)
     for r, (low, span, stride) in enumerate(zip(lows, spans, strides)):
         values[:, r] = keys // stride % span + low

@@ -17,10 +17,13 @@ integer row/column reduction with explicit unimodular transform tracking:
 ``solve_integer_system(A, b)`` then yields the full integer solution lattice
 of ``A x = b`` (particular solution + basis of the integer nullspace), which
 is exactly what Banerjee-style exact dependence testing consumes.
+``lagrange_reduce`` turns a lattice basis into one of short vectors, which
+the mapping layer's conflict test reads off the nullspace of ``T``.
 """
 
 from __future__ import annotations
 
+import itertools
 from typing import Sequence
 
 __all__ = [
@@ -34,6 +37,7 @@ __all__ = [
     "hermite_normal_form",
     "smith_normal_form",
     "integer_nullspace",
+    "lagrange_reduce",
     "solve_integer_system",
 ]
 
@@ -315,6 +319,32 @@ def integer_nullspace(a: Sequence[Sequence[int]]) -> list[Vector]:
     r = sum(1 for i in range(min(m, n)) if d[i][i] != 0)
     # Columns r..n-1 of V span the nullspace lattice.
     return [[v[row][col] for row in range(n)] for col in range(r, n)]
+
+
+def lagrange_reduce(basis: Sequence[Sequence[int]]) -> list[Vector]:
+    """A size-reduced basis of the lattice spanned by the independent
+    ``basis``, shortest vector first.
+
+    Pairwise Lagrange reduction: while subtracting the nearest integer
+    multiple ``q·b_j`` of another basis vector shortens some ``b_i``
+    (``2|b_i·b_j| > b_j·b_j``), do it.  Each step is unimodular and lowers
+    ``Σ b_i·b_i``, a positive integer, so the loop ends, with every pair
+    size-reduced: ``2|b_i·b_j| <= b_j·b_j``.
+    """
+    vecs = [list(map(int, v)) for v in basis]
+    norms = [sum(x * x for x in v) for v in vecs]
+    shortened = True
+    while shortened:
+        shortened = False
+        for i, j in itertools.permutations(range(len(vecs)), 2):
+            dot = sum(x * y for x, y in zip(vecs[i], vecs[j]))
+            if 2 * abs(dot) > norms[j]:
+                q = (2 * dot + norms[j]) // (2 * norms[j])  # round(dot / |b_j|²)
+                vecs[i] = [x - q * y for x, y in zip(vecs[i], vecs[j])]
+                norms[i] = sum(x * x for x in vecs[i])
+                shortened = True
+    order = sorted(range(len(vecs)), key=norms.__getitem__)
+    return [vecs[i] for i in order]
 
 
 def solve_integer_system(

@@ -4,6 +4,7 @@ Two independent implementations of the same question must agree:
 
 * conflict detection: the lattice method (integer nullspace of ``T``
   bounded by the difference box) vs brute-force hashing of ``T j̄``;
+* the reduced nullspace basis vs the Smith-form one: the same lattice;
 * execution time: the corner formula vs explicit maximization;
 * schedule optimality: `find_optimal_schedule` vs brute force over the
   same coefficient box.
@@ -29,6 +30,7 @@ from repro.structures.algorithm import Algorithm
 from repro.structures.conditions import TRUE
 from repro.structures.dependence import DependenceVector
 from repro.structures.indexset import IndexSet
+from repro.util.linalg import hermite_normal_form, integer_nullspace
 
 
 def random_mapping(draw, k, n, bound=2):
@@ -60,6 +62,33 @@ class TestConflictCrossCheck:
         for d in find_conflicts(t, index_set, {}):
             assert any(d)
             assert t.map_vector(list(d)) == [0] * t.k
+
+
+class TestReducedNullspace:
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_reduced_basis_spans_the_smith_lattice(self, data):
+        n = data.draw(st.integers(2, 5))
+        k = data.draw(st.integers(1, n))
+        t = random_mapping(data.draw, k, n, bound=3)
+        basis = [list(v) for v in t.nullspace()]
+        smith = integer_nullspace(t.rows)
+        assert len(basis) == len(smith)
+        if basis:
+            # Equal Hermite forms: the two bases span one lattice.
+            assert hermite_normal_form(basis)[0] == (
+                hermite_normal_form(smith)[0]
+            )
+        for v in basis:
+            assert t.map_vector(v) == [0] * t.k
+
+        def dot(a, b):
+            return sum(x * y for x, y in zip(a, b))
+
+        norms = [dot(v, v) for v in basis]
+        assert norms == sorted(norms)
+        for i, j in itertools.permutations(range(len(basis)), 2):
+            assert 2 * abs(dot(basis[i], basis[j])) <= norms[j]
 
 
 class TestExecutionTimeCrossCheck:

@@ -102,6 +102,46 @@ class TestConflictDispatch:
         assert first == again
         assert cache.hits == 1 and cache.misses == 1
 
+    def test_cache_serves_every_limit_its_answer_covers(self):
+        alg = matmul_word_structure()
+        binding = {"u": 3}
+        # A complete answer (shorter than its limit) serves any limit:
+        # ker T is spanned by (0, 1, -3), outside the difference box.
+        clean = MappingMatrix([[1, 0, 0], [0, 3, 1]])
+        cache = EvalCache()
+        assert find_conflicts(clean, alg.index_set, binding, limit=1,
+                              cache=cache) == []
+        for limit in (5, None):
+            assert find_conflicts(clean, alg.index_set, binding,
+                                  limit=limit, cache=cache) == []
+        assert cache.hits == 2 and cache.misses == 1
+        # A full answer serves smaller limits, truncated; a larger limit
+        # is computed again.
+        t = MappingMatrix([[1, 0, 0], [1, 0, 0]])
+        every = find_conflicts(t, alg.index_set, binding)
+        cache = EvalCache()
+        assert find_conflicts(t, alg.index_set, binding, limit=3,
+                              cache=cache) == every[:3]
+        assert find_conflicts(t, alg.index_set, binding, limit=2,
+                              cache=cache) == every[:2]
+        assert cache.hits == 1 and cache.misses == 1
+        assert find_conflicts(t, alg.index_set, binding, limit=5,
+                              cache=cache) == every[:5]
+        assert cache.hits == 1 and cache.misses == 2
+
+    def test_cache_reinstantiates_a_changed_binding(self):
+        # The cache keeps the last instantiated box; a binding that
+        # changed since (even the same dict) is instantiated again.
+        alg = matmul_word_structure()
+        t = MappingMatrix([[1, 0, 0], [0, 3, 1]])
+        binding = {"u": 3}
+        cache = EvalCache()
+        assert find_conflicts(t, alg.index_set, binding, cache=cache) == []
+        binding["u"] = 4
+        assert find_conflicts(t, alg.index_set, binding, cache=cache) == [
+            (0, -1, 3), (0, 1, -3)
+        ]
+
 
 class TestShortCircuit:
     def test_rank_failure_skips_rest(self):

@@ -17,6 +17,9 @@ These contracts are pinned here:
   designs and ``mapping.*`` counters of a cold one.
 """
 
+import hashlib
+import itertools
+import json
 import random
 import sys
 import threading
@@ -26,7 +29,7 @@ import pytest
 
 from repro.expansion.theorem31 import matmul_bit_level
 from repro.ir.builders import lu_word_structure, word_model_structure
-from repro.mapping import designs, engine, solver
+from repro.mapping import conflicts, designs, engine, solver
 from repro.mapping.engine import SearchConfig, run_search
 from repro.mapping.interconnect import mesh_primitives
 from repro.mapping.pareto import (
@@ -174,6 +177,43 @@ class TestExactScreen:
         assert counters["mapping.pruned"] == 0
         assert counters["mapping.candidates_enumerated"] == (
             counters["mapping.feasible"]
+        )
+
+    def test_screen_enumerates_only_what_it_passes(self, monkeypatch):
+        # The 18 design_flow instances from cold plans.  A conflicting
+        # pair is answered by a reduced nullspace basis vector inside the
+        # difference box, so enumeration only certifies conflict-freedom,
+        # once per pair (the certifying check reuses the screen's
+        # complete answer).  The ranked lists are those recorded before
+        # the basis was reduced.
+        enumerated = []
+        real = conflicts._enumerate_directions
+
+        def counting(*args):
+            out = real(*args)
+            enumerated.append(out)
+            return out
+
+        monkeypatch.setattr(conflicts, "_enumerate_directions", counting)
+        clear_search_plans()
+        ranked = []
+        with obs.collecting() as reg:
+            for u, p, e in itertools.product((2, 3, 4), (2, 3, 4), ("I", "II")):
+                found = run_search(
+                    matmul_bit_level(u, p, e), {"u": u, "p": p},
+                    designs.fig4_primitives(p),
+                    SearchConfig(block_values=[p], max_candidates=5),
+                )
+                ranked.append([
+                    [[list(r) for r in c.mapping.rows], c.time,
+                     c.processors, c.wire_length]
+                    for c in found
+                ])
+        clear_search_plans()
+        assert enumerated and not any(enumerated)
+        assert len(enumerated) <= reg.counters["mapping.conflict_checks"]
+        assert hashlib.sha256(json.dumps(ranked).encode()).hexdigest() == (
+            "578a07bc1ddb0319f52e9b7ea81b3411a0c266c1d45273f67f37691aac79cdc1"
         )
 
     def test_screen_error_names_the_design(self, monkeypatch):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.mapping import designs
+from repro.structures import indexset
 from repro.structures.indexset import IndexSet, box_lattice, image_census
 from repro.structures.params import S
 
@@ -120,24 +121,37 @@ def _enumerated_census(rows, bounds):
     return np.unique(image, axis=0, return_counts=True)
 
 
+def _check_random_boxes():
+    """Seeded random matrices (negative, zero and no rows) over boxes with
+    negative, single-point and empty axes, against the enumerated box."""
+    rng = random.Random(6)
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        rows = [[rng.randint(-3, 3) for _ in range(n)]
+                for _ in range(rng.randint(0, 3))]
+        bounds = []
+        for _ in range(n):
+            lo = rng.randint(-3, 2)
+            bounds.append((lo, lo + rng.randint(-1, 5)))
+        values, counts = image_census(rows, bounds)
+        ref_values, ref_counts = _enumerated_census(rows, bounds)
+        assert values.shape == ref_values.shape, (rows, bounds)
+        assert (values == ref_values).all(), (rows, bounds)
+        assert (counts == ref_counts).all(), (rows, bounds)
+
+
 class TestImageCensus:
     def test_matches_enumeration(self):
-        """Seeded random matrices (negative, zero and no rows) over boxes
-        with negative, single-point and empty axes."""
-        rng = random.Random(6)
-        for _ in range(300):
-            n = rng.randint(1, 4)
-            rows = [[rng.randint(-3, 3) for _ in range(n)]
-                    for _ in range(rng.randint(0, 3))]
-            bounds = []
-            for _ in range(n):
-                lo = rng.randint(-3, 2)
-                bounds.append((lo, lo + rng.randint(-1, 5)))
-            values, counts = image_census(rows, bounds)
-            ref_values, ref_counts = _enumerated_census(rows, bounds)
-            assert values.shape == ref_values.shape, (rows, bounds)
-            assert (values == ref_values).all(), (rows, bounds)
-            assert (counts == ref_counts).all(), (rows, bounds)
+        """Nearly every random box here (198 of the 201 non-empty ones)
+        is small enough, in points and in key range, to be counted from
+        its listed keys."""
+        _check_random_boxes()
+
+    def test_doubling_matches_enumeration(self, monkeypatch):
+        """The same boxes through the doubling merge, which counts every
+        box of more than ``_LISTED_POINTS`` points or keys."""
+        monkeypatch.setattr(indexset, "_LISTED_POINTS", 0)
+        _check_random_boxes()
 
     def test_wide_keys_count_the_enumerated_box(self):
         rows = [[1 << 40, 1, 0], [0, 1 << 40, 1]]

@@ -90,6 +90,30 @@ def test_mutation_check_catches_seeded_bug():
     assert "MISMATCH" in counterexample.detail
 
 
+def test_mapping_oracle_catches_a_sublattice_nullspace(monkeypatch):
+    # A reduction that returns a sublattice (one basis vector doubled)
+    # makes find_conflicts miss conflicts.  The search oracle cannot see
+    # it, because the catalog and the solver both certify with
+    # check_feasibility; the mapping oracle rehashes every image.
+    from repro.mapping import transform
+
+    real = transform.lagrange_reduce
+
+    def doubled(basis):
+        out = real(basis)
+        if out:
+            out[0] = [2 * x for x in out[0]]
+        return out
+
+    monkeypatch.setattr(transform, "lagrange_reduce", doubled)
+    report = run_verification(VerifyConfig(
+        seed=0, cases=200, oracles=("mapping",), max_counterexamples=1,
+    ))
+    assert not report.ok
+    (counterexample,) = report.counterexamples
+    assert "find_conflicts says clean" in counterexample.detail
+
+
 def test_mutation_counterexample_is_shrunken():
     counterexample = run_mutation_check(seed=0, cases=30)
     assert counterexample is not None
