@@ -25,13 +25,13 @@ progress   ``name``, ``done``, ``total``, ``rate``, ``eta_s``, ``final``
 series     ``name``, ``points`` (``[[t, v], ...]`` on a caller timebase)
 ========== ==================================================================
 
-Two sinks cover the consumers:
+Two sinks cover the consumers, both in the CLI:
 
 * :class:`RingBufferSink` -- a bounded in-memory buffer, used by the
   Chrome-trace exporter to reconstruct counter tracks;
 * :class:`CallbackSink` -- an arbitrary callable (optionally filtered by
-  event type): the subscription point ``repro.serve`` streams job events
-  from, and what the CLI uses to render live progress lines.
+  event type): what the CLI uses to render live ``--trace`` progress
+  lines.
 
 :class:`Progress` is the live progress API: ``obs.progress(name, total)``
 yields a tracker whose ``advance()`` emits rate/ETA events over the bus
@@ -62,9 +62,6 @@ class RingBufferSink:
     def emit(self, event: dict) -> None:
         self.events.append(event)
 
-    def close(self) -> None:
-        pass
-
     def __len__(self) -> int:
         return len(self.events)
 
@@ -73,9 +70,8 @@ class CallbackSink:
     """Forward events to a callable, optionally filtered by event type.
 
     This is the subscription mechanism for live consumers (the CLI's
-    stderr progress renderer and ``repro.serve``'s event streams): attach
-    one to a registry and every matching event is pushed to the callback
-    as it happens.
+    stderr progress renderer): attach one to a registry and every
+    matching event is pushed to the callback as it happens.
     """
 
     def __init__(
@@ -89,9 +85,6 @@ class CallbackSink:
     def emit(self, event: dict) -> None:
         if self._kinds is None or event["type"] in self._kinds:
             self._fn(event)
-
-    def close(self) -> None:
-        pass
 
 
 class Progress:

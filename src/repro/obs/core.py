@@ -17,8 +17,10 @@ as the process-wide active registry via :func:`repro.obs.collecting`, in
 which case the library's built-in instrumentation feeds them.
 
 Sinks attached via :meth:`Registry.add_sink` receive a structured event
-for every mutation in real time (see :mod:`repro.obs.bus`).  With no sinks
-the emit branch is one truthiness check on an empty list.
+for every mutation in real time (see :mod:`repro.obs.bus`), for as long
+as the registry lives.  Only the CLI attaches sinks; a served job's
+registry has none.  With no sinks the emit branch is one truthiness check
+on an empty list.
 """
 
 from __future__ import annotations
@@ -238,16 +240,9 @@ class Registry:
 
     # -- the event bus --------------------------------------------------------
     def add_sink(self, sink) -> None:
-        """Attach a sink; every subsequent mutation streams to it."""
+        """Attach a sink for the registry's life; every subsequent
+        mutation streams to it."""
         self.sinks.append(sink)
-
-    def remove_sink(self, sink) -> None:
-        """Detach (and close) a previously attached sink."""
-        try:
-            self.sinks.remove(sink)
-        except ValueError:
-            return
-        sink.close()
 
     def _emit(self, type_: str, name: str, **fields) -> None:
         event = {

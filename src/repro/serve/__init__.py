@@ -17,7 +17,7 @@ Layers (each importable on its own):
   :func:`~repro.serve.dispatch.run_job`, shared by the CLI and the
   server;
 - :mod:`repro.serve.server` -- the stdlib-asyncio HTTP server with
-  request coalescing, one execution per job, obs event streaming, and
+  content-keyed job ids, request coalescing, one execution per job, and
   wall-clock budgets;
 - :mod:`repro.serve.client` -- the stdlib ``http.client`` thin client.
 

@@ -2,7 +2,7 @@
 
 Stdlib-only (``http.client``), one connection per call, no retry magic:
 the client is deliberately dumb so that everything interesting --
-coalescing, budgets, streaming -- lives server-side and is shared by
+coalescing, budgets, job retention -- lives server-side and is shared by
 every front-end.  The CLI's ``--server`` mode and the CI
 smoke test are both just this class.
 
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import http.client
 import json
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from repro.serve.jobs import JobResult, JobSpec
 
@@ -116,35 +116,10 @@ class ServeClient:
     def run_many(
         self, specs: Iterable[JobSpec], timeout: float | None = None
     ) -> list[JobResult]:
-        """Submit each spec as its own job, then wait for each, in order."""
+        """Submit each spec as its own job, then wait for each, in order.
+
+        The server retains only its last 256 results, so a batch of more
+        specs than that can lose its first results before they are read.
+        """
         job_ids = [self.submit(spec)["job_id"] for spec in specs]
         return [self.wait(job_id, timeout=timeout) for job_id in job_ids]
-
-    def iter_events(self, job_id: str) -> Iterator[dict]:
-        """Stream a job's obs events (NDJSON) until its ``job_done`` record."""
-        conn = http.client.HTTPConnection(
-            self.host, self.port, timeout=self.timeout
-        )
-        try:
-            conn.request("GET", f"/v1/jobs/{job_id}/events")
-            response = conn.getresponse()
-            if response.status >= 400:
-                raw = response.read().decode("utf-8", "replace")
-                try:
-                    message = json.loads(raw).get("error", raw)
-                except ValueError:
-                    message = raw
-                raise ServeError(response.status, str(message))
-            while True:
-                line = response.readline()
-                if not line:
-                    return
-                line = line.strip()
-                if not line:
-                    continue
-                event = json.loads(line.decode("utf-8"))
-                yield event
-                if event.get("type") == "job_done":
-                    return
-        finally:
-            conn.close()

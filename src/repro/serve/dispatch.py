@@ -64,9 +64,9 @@ def run_job(
 ) -> JobResult:
     """Execute one job; never raises for job-level failures.
 
-    ``registry`` (a fresh :class:`repro.obs.Registry`, typically with a
-    streaming sink attached) is installed for the duration of the run
-    and its flat metrics dict lands in ``JobResult.metrics``.  ``limits``
+    ``registry`` (a fresh :class:`repro.obs.Registry`; the server's has
+    no sinks) is installed for the duration of the run and its flat
+    metrics dict lands in ``JobResult.metrics``.  ``limits``
     applies admission control first (structured ``status="error"``).
     """
     reason = check_limits(spec, limits)

@@ -1,14 +1,14 @@
 """Analysis-as-a-service: the asyncio HTTP front-end.
 
 A single-process async server over the shared job dispatch
-(:mod:`repro.serve.dispatch`).  The event loop owns admission, queueing,
-coalescing and streaming; the jobs themselves run on worker threads (the
-engines are CPU-bound sync code), one spec per execution and one
-execution at a time, so the per-job obs registry install is race-free
-and each job's metrics, timing, event stream and budget are its own.
-Scale-out is by process: any number of servers and CLI runs may share
-one ``$REPRO_CACHE_DIR``, whose store serializes eviction and its stats
-ledger under a file lock (:mod:`repro.cache.store`).
+(:mod:`repro.serve.dispatch`).  The event loop owns admission, queueing
+and coalescing; the jobs themselves run on worker threads (the engines
+are CPU-bound sync code), one spec per execution and one execution at a
+time, so the per-job obs registry install is race-free and each job's
+metrics, timing and budget are its own.  Scale-out is by process: any
+number of servers and CLI runs may share one ``$REPRO_CACHE_DIR``, whose
+store serializes eviction and its stats ledger under a file lock
+(:mod:`repro.cache.store`).
 
 Endpoints (all JSON; ``Connection: close`` per request):
 
@@ -21,18 +21,19 @@ Endpoints (all JSON; ``Connection: close`` per request):
                                        ``{"job_id", "key", "coalesced"}``
 ``GET  /v1/jobs/<id>[?wait=S]``        status envelope; ``wait`` long-polls
                                        up to ``S`` seconds for completion
-``GET  /v1/jobs/<id>/events``          chunked NDJSON stream of the job's
-                                       obs bus events (history + live),
-                                       closed by a ``job_done`` record
 =====================================  ====================================
 
-**Coalescing.**  Submissions are content-addressed by
-:func:`~repro.serve.jobs.job_key`.  A spec equal to one that is queued or
-running attaches to that execution (new job id, same result object); a
-spec equal to one of the last ``_RESULT_CACHE_SIZE`` completed jobs is
-answered from the retained result.  N identical concurrent analyze
-requests therefore produce exactly one engine invocation
-(``analysis.engine_calls``) and N byte-identical results.
+**Job ids.**  A job's id is its content key, :func:`~repro.serve.jobs.job_key`
+of its spec.  The server holds only the executions that are queued or
+running and the last ``_RESULT_CACHE_SIZE`` completed ones; an id found
+in neither gets a 404 saying so.
+
+**Coalescing.**  A spec equal to one that is queued or running attaches
+to that execution (the same id, same result object); a spec equal to one
+of the last ``_RESULT_CACHE_SIZE`` completed jobs is answered from the
+retained result.  N identical concurrent analyze requests therefore
+produce exactly one engine invocation (``analysis.engine_calls``) and N
+byte-identical results.
 
 **Budgets.**  :class:`~repro.serve.jobs.JobLimits` refuses oversized
 jobs up front (structured ``status="error"``); a running job that
@@ -46,7 +47,6 @@ from __future__ import annotations
 
 import asyncio
 import collections
-import itertools
 import json
 import threading
 import urllib.parse
@@ -58,7 +58,7 @@ from repro.serve.jobs import JobLimits, JobResult, JobSpec, job_key
 __all__ = ["JobServer", "ServerConfig", "ServerThread"]
 
 _MAX_BODY = 1 << 20  # 1 MiB request cap
-_RESULT_CACHE_SIZE = 256  # completed executions retained for coalescing
+_RESULT_CACHE_SIZE = 256  # completed executions retained
 
 _REASONS = {
     200: "OK", 202: "Accepted", 400: "Bad Request", 404: "Not Found",
@@ -84,10 +84,9 @@ class ServerConfig:
 
 
 class _Execution:
-    """One scheduled job; possibly shared by many coalesced job ids."""
+    """One scheduled job; shared by every submission of its spec."""
 
-    __slots__ = ("spec", "key", "status", "result", "done", "events",
-                 "subscribers")
+    __slots__ = ("spec", "key", "status", "result", "done")
 
     def __init__(self, spec: JobSpec, key: str):
         self.spec = spec
@@ -95,26 +94,6 @@ class _Execution:
         self.status = "queued"  # queued | running | done
         self.result: JobResult | None = None
         self.done = asyncio.Event()
-        self.events: list[dict] = []
-        self.subscribers: list[asyncio.Queue] = []
-
-
-def loop_sink(loop: asyncio.AbstractEventLoop, fn) -> obs.CallbackSink:
-    """An obs sink that hands each event to ``fn`` on ``loop``'s thread.
-
-    Events arriving after the loop has closed are dropped: a
-    budget-orphaned worker can outlive the server, and its registry stays
-    installed process-wide until it finishes, so any thread may emit into
-    this sink late.  Raising there would fail an unrelated job.
-    """
-
-    def post(event: dict) -> None:
-        try:
-            loop.call_soon_threadsafe(fn, event)
-        except RuntimeError:  # the loop is closed; nobody is listening
-            pass
-
-    return obs.CallbackSink(post)
 
 
 class JobServer:
@@ -125,14 +104,12 @@ class JobServer:
         self.host = self.config.host
         self.port = self.config.port
         self.counters: collections.Counter = collections.Counter()
-        self._jobs: dict[str, _Execution] = {}
         self._inflight: dict[str, _Execution] = {}
         self._results: collections.OrderedDict[str, _Execution] = (
             collections.OrderedDict()
         )
         self._queue: asyncio.Queue | None = None
         self._orphans: list[threading.Event] = []
-        self._ids = itertools.count(1)
         self._server: asyncio.base_events.Server | None = None
         self._worker: asyncio.Task | None = None
 
@@ -163,23 +140,21 @@ class JobServer:
                 self._worker.cancel()
 
     # -- submission / coalescing ---------------------------------------------
-    def _new_job_id(self, execution: _Execution) -> str:
-        job_id = f"j{next(self._ids):06d}"
-        self._jobs[job_id] = execution
-        return job_id
-
-    def submit(self, spec: JobSpec) -> tuple[str, _Execution, bool]:
+    def submit(self, spec: JobSpec) -> tuple[_Execution, bool]:
         """Coalesce-or-enqueue one spec (returns ``coalesced`` flag)."""
         key = job_key(spec)
         self.counters["serve.jobs_submitted"] += 1
-        execution = self._inflight.get(key) or self._results.get(key)
+        execution = self._lookup(key)
         if execution is not None:
             self.counters["serve.jobs_coalesced"] += 1
-            return self._new_job_id(execution), execution, True
+            return execution, True
         execution = _Execution(spec, key)
         self._inflight[key] = execution
         self._queue.put_nowait(execution)
-        return self._new_job_id(execution), execution, False
+        return execution, False
+
+    def _lookup(self, key: str) -> _Execution | None:
+        return self._inflight.get(key) or self._results.get(key)
 
     # -- the worker ----------------------------------------------------------
     async def _worker_loop(self) -> None:
@@ -203,12 +178,7 @@ class JobServer:
         loop = asyncio.get_running_loop()
         execution.status = "running"
         self._orphans = [f for f in self._orphans if not f.is_set()]
-        registry = None
-        if not self._orphans:
-            registry = obs.Registry()
-            registry.add_sink(
-                loop_sink(loop, lambda event: self._fanout(execution, event))
-            )
+        registry = None if self._orphans else obs.Registry()
         spec = execution.spec
         limits = self.config.limits
         budget = None if limits is None else limits.effective_budget(spec)
@@ -250,16 +220,6 @@ class JobServer:
         while len(self._results) > _RESULT_CACHE_SIZE:
             self._results.popitem(last=False)
         execution.done.set()
-        self._fanout(
-            execution,
-            {"type": "job_done", "status": result.status,
-             "exit_code": result.exit_code},
-        )
-
-    def _fanout(self, execution: _Execution, event: dict) -> None:
-        execution.events.append(event)
-        for queue in execution.subscribers:
-            queue.put_nowait(event)
 
     # -- HTTP ----------------------------------------------------------------
     async def _handle_client(self, reader, writer) -> None:
@@ -279,7 +239,13 @@ class JobServer:
                     break
                 name, _, value = line.decode("latin-1").partition(":")
                 headers[name.strip().lower()] = value.strip()
-            length = int(headers.get("content-length", 0) or 0)
+            raw_length = headers.get("content-length", "0")
+            if not (raw_length.isascii() and raw_length.isdigit()):
+                self._respond(writer, 400, {
+                    "error": f"malformed Content-Length: {raw_length!r}"
+                })
+                return
+            length = int(raw_length)
             if length > _MAX_BODY:
                 self._respond(writer, 413, {"error": "request body too large"})
                 return
@@ -321,22 +287,17 @@ class JobServer:
         if path == "/v1/jobs" and method == "POST":
             self._handle_submit(body, writer)
             return
-        if path.startswith("/v1/jobs/"):
-            rest = path[len("/v1/jobs/"):]
+        head, _, job_id = path.rpartition("/")
+        if head == "/v1/jobs":
             if method != "GET":
                 self._respond(writer, 405, {"error": "GET only"})
                 return
-            if rest.endswith("/events"):
-                job_id = rest[: -len("/events")]
-                execution = self._jobs.get(job_id)
-                if execution is None:
-                    self._respond(writer, 404, {"error": f"no job {job_id}"})
-                    return
-                await self._stream_events(job_id, execution, writer)
-                return
-            execution = self._jobs.get(rest)
+            execution = self._lookup(job_id)
             if execution is None:
-                self._respond(writer, 404, {"error": f"no job {rest}"})
+                self._respond(writer, 404, {"error": (
+                    f"job {job_id} is not queued, not running and not "
+                    f"among the last {_RESULT_CACHE_SIZE} results"
+                )})
                 return
             wait_s = None
             if "wait" in query:
@@ -351,7 +312,7 @@ class JobServer:
                     )
                 except asyncio.TimeoutError:
                     pass
-            self._respond(writer, 200, self._envelope(rest, execution))
+            self._respond(writer, 200, self._envelope(execution))
             return
         self._respond(writer, 404, {"error": f"no route {method} {path}"})
 
@@ -361,17 +322,17 @@ class JobServer:
         except (ValueError, TypeError, UnicodeDecodeError) as exc:
             self._respond(writer, 400, {"error": str(exc)})
             return
-        job_id, execution, coalesced = self.submit(spec)
+        execution, coalesced = self.submit(spec)
         self._respond(writer, 202, {
-            "job_id": job_id,
+            "job_id": execution.key,
             "key": execution.key,
             "coalesced": coalesced,
             "status": execution.status,
         })
 
-    def _envelope(self, job_id: str, execution: _Execution) -> dict:
+    def _envelope(self, execution: _Execution) -> dict:
         envelope = {
-            "job_id": job_id,
+            "job_id": execution.key,
             "key": execution.key,
             "status": execution.status,
             "kind": execution.spec.kind,
@@ -385,7 +346,6 @@ class JobServer:
             "server": dict(sorted(self.counters.items())),
             "inflight": len(self._inflight),
             "queued": self._queue.qsize() if self._queue is not None else 0,
-            "jobs": len(self._jobs),
             "results_retained": len(self._results),
             "orphaned_workers": len(
                 [f for f in self._orphans if not f.is_set()]
@@ -401,46 +361,6 @@ class JobServer:
             f"Connection: close\r\n\r\n"
         )
         writer.write(head.encode("ascii") + body)
-
-    async def _stream_events(self, job_id, execution, writer) -> None:
-        head = (
-            "HTTP/1.1 200 OK\r\n"
-            "Content-Type: application/x-ndjson\r\n"
-            "Transfer-Encoding: chunked\r\n"
-            "Connection: close\r\n\r\n"
-        )
-        writer.write(head.encode("ascii"))
-
-        def chunk(obj: dict) -> None:
-            data = json.dumps(obj, sort_keys=True, default=str).encode()
-            writer.write(
-                f"{len(data) + 1:x}\r\n".encode() + data + b"\n\r\n"
-            )
-
-        queue: asyncio.Queue = asyncio.Queue()
-        live = execution.status != "done"
-        if live:
-            execution.subscribers.append(queue)
-        # Snapshot before any await: events arriving later land in `queue`.
-        history = list(execution.events)
-        try:
-            for event in history:
-                chunk(event)
-            await writer.drain()
-            if live:
-                while True:
-                    event = await queue.get()
-                    chunk(event)
-                    await writer.drain()
-                    if event.get("type") == "job_done":
-                        break
-            writer.write(b"0\r\n\r\n")
-        finally:
-            if live:
-                try:
-                    execution.subscribers.remove(queue)
-                except ValueError:
-                    pass
 
 
 class ServerThread:

@@ -27,7 +27,6 @@ See ``docs/VERIFY.md``.
 
 from repro.verify.generator import (
     EDGE_SIZES,
-    HAVE_HYPOTHESIS,
     AnalysisCase,
     MappingCase,
     SearchCase,
@@ -57,7 +56,6 @@ from repro.verify.shrink import shrink
 
 __all__ = [
     "EDGE_SIZES",
-    "HAVE_HYPOTHESIS",
     "SizeEnvelope",
     "Theorem31Case",
     "AnalysisCase",

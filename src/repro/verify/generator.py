@@ -12,12 +12,11 @@ This module owns
   generator so :mod:`repro.verify.shrink` can minimize counterexamples
   without knowing their shape;
 * seeded pure-``random`` generators (``gen_*``) used by the CLI runner --
-  fully deterministic for a given ``random.Random``;
-* Hypothesis strategies mirroring the same envelopes, exported for the
-  property-based test suites.  Hypothesis is optional: when it is not
-  importable, :data:`HAVE_HYPOTHESIS` is ``False``, the strategy helpers
-  raise, and the pure-random generators (which never touch Hypothesis)
-  keep working.
+  fully deterministic for a given ``random.Random``.
+
+The Hypothesis strategies over the same envelopes live with the
+property-based suites, in ``tests/strategies.py``: the package never
+imports Hypothesis.
 """
 
 from __future__ import annotations
@@ -26,17 +25,8 @@ import random
 from dataclasses import asdict, dataclass, replace
 from typing import Iterator, Sequence
 
-try:  # pragma: no cover - exercised implicitly by the test suites
-    from hypothesis import strategies as st
-
-    HAVE_HYPOTHESIS = True
-except ImportError:  # pragma: no cover
-    st = None  # type: ignore[assignment]
-    HAVE_HYPOTHESIS = False
-
 __all__ = [
     "EDGE_SIZES",
-    "HAVE_HYPOTHESIS",
     "SizeEnvelope",
     "Theorem31Case",
     "AnalysisCase",
@@ -52,10 +42,6 @@ __all__ = [
     "gen_search_case",
     "gen_simulator_case",
     "gen_symbolic_case",
-    "word_vector_strategy",
-    "theorem31_case_strategy",
-    "int_vector_strategy",
-    "int_matrix_strategy",
 ]
 
 
@@ -853,79 +839,3 @@ def gen_simulator_case(
         arithmetic=rng.choice(("add-shift", "carry-save")),
         x=x, y=y,
     )
-
-
-# ---------------------------------------------------------------------------
-# Hypothesis strategies (optional)
-# ---------------------------------------------------------------------------
-
-def _require_hypothesis() -> None:
-    if not HAVE_HYPOTHESIS:  # pragma: no cover
-        raise RuntimeError(
-            "hypothesis is not installed; use the gen_* pure-random "
-            "generators instead"
-        )
-
-
-def word_vector_strategy(dim: int, max_step: int = 2):
-    """Lexicographically positive ``dim``-vectors, by construction (no
-    filtering): a zero prefix, a positive pivot, free trailing entries."""
-    _require_hypothesis()
-
-    def build(pivot: int):
-        return st.tuples(
-            *(
-                [st.just(0)] * pivot
-                + [st.integers(1, max_step)]
-                + [st.integers(-max_step, max_step)] * (dim - pivot - 1)
-            )
-        )
-
-    return st.integers(0, dim - 1).flatmap(build)
-
-
-def theorem31_case_strategy(env: SizeEnvelope = SizeEnvelope()):
-    """Whole :class:`Theorem31Case` draws for property-based suites."""
-    _require_hypothesis()
-
-    def build(dim: int):
-        vec = word_vector_strategy(dim, env.max_step)
-        return st.builds(
-            Theorem31Case,
-            h1=vec,
-            h2=vec,
-            h3=vec,
-            lowers=st.just((1,) * dim),
-            uppers=st.tuples(*([st.integers(2, env.max_extent)] * dim)),
-            p=st.integers(env.min_p, env.max_p),
-            expansion=st.sampled_from(("I", "II")),
-            method=st.just("enumerate"),
-        )
-
-    return st.sampled_from(env.word_dims).flatmap(build)
-
-
-def int_vector_strategy(max_len: int = 4, bound: int = 6):
-    """Short integer vectors for :mod:`repro.util` property tests."""
-    _require_hypothesis()
-    return st.lists(
-        st.integers(-bound, bound), min_size=1, max_size=max_len
-    )
-
-
-def int_matrix_strategy(max_dim: int = 4, bound: int = 6):
-    """Small non-ragged integer matrices for :mod:`repro.util.linalg`
-    property tests."""
-    _require_hypothesis()
-
-    def build(shape: tuple[int, int]):
-        rows, cols = shape
-        return st.lists(
-            st.lists(st.integers(-bound, bound), min_size=cols, max_size=cols),
-            min_size=rows,
-            max_size=rows,
-        )
-
-    return st.tuples(
-        st.integers(1, max_dim), st.integers(1, max_dim)
-    ).flatmap(build)

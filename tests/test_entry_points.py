@@ -17,12 +17,18 @@ Edges follow absolute and relative imports, by name:
   own code a use, and the names its definitions read are followed.
 
 An ordinary module that is reached uses everything it imports.
+
+The entry points also import no test-only dependency: Hypothesis is for
+the property-based suites alone.
 """
 
 from __future__ import annotations
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -291,3 +297,16 @@ def test_allowed_modules_exist_and_are_unreached(graph, reached):
 def test_every_package_import_resolves(graph, reached):
     # A name the graph cannot resolve would drop an edge silently.
     assert not graph.unresolved, sorted(graph.unresolved)
+
+
+def test_entry_points_do_not_import_hypothesis():
+    code = (
+        "import sys, repro, repro.__main__, repro.serve; "
+        "print('hypothesis' in sys.modules)"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    run = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True,
+        text=True, timeout=60, check=True,
+    )
+    assert run.stdout.strip() == "False"

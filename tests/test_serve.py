@@ -2,16 +2,20 @@
 
 Covers the frozen JobSpec schema and its exact JSON round-trip, the
 shared dispatch's CLI-output parity, request coalescing (N concurrent
-identical analyze jobs -> exactly one analysis-engine call), one
-execution per job (each job's metrics, events and budget are its own),
-budget enforcement, the HTTP client/server round trip, and the promoted
-top-level API with its deprecation shims.
+identical analyze jobs -> exactly one analysis-engine call), job ids
+that are content keys and a job table bounded by the in-flight and
+retained executions, one execution per job (each job's metrics, spans
+and budget are its own, under a registry with no sinks), budget
+enforcement, malformed requests, the HTTP client/server round trip, and
+the promoted top-level API with its deprecation shims.
 """
 
 import contextlib
 import dataclasses
+import gc
 import json
 import re
+import socket
 import threading
 import time
 
@@ -29,6 +33,7 @@ from repro.serve import (
     run_job,
 )
 from repro.serve import dispatch as dispatch_mod
+from repro.serve.server import _Execution
 
 
 def _norm(text: str) -> str:
@@ -188,7 +193,7 @@ class TestLimits:
 
 
 # ---------------------------------------------------------------------------
-# The server: coalescing, budgets, streaming
+# The server: coalescing, job ids, budgets
 # ---------------------------------------------------------------------------
 
 @pytest.fixture()
@@ -284,15 +289,46 @@ class TestServer:
             direct = run_job(spec)
             assert _norm(served.output) == _norm(direct.output)
 
-    def test_event_stream_ends_with_job_done(self, server):
+    @pytest.mark.parametrize("spec", [
+        JobSpec(kind="analyze", u=2, p=2, cache=False),
+        JobSpec(kind="analyze_symbolic", u=2, p=2, cache=False),
+        JobSpec(kind="search", u=2, p=2),
+        JobSpec(kind="simulate", u=2, p=2),
+        JobSpec(kind="verify", cases=2, oracle_budget_s=10.0),
+    ], ids=lambda spec: spec.kind)
+    def test_served_metrics_equal_in_process_metrics(self, server, spec):
+        from repro import obs
+        from repro.compile.plan import clear_plan_memo
+        from repro.compile.runner import clear_program_memo
+        from repro.mapping.solver import clear_search_plans
+        from repro.symbolic import clear_memo
+
+        def run(fn):
+            for clear in (clear_plan_memo, clear_program_memo,
+                          clear_search_plans, clear_memo):
+                clear()  # each side starts from the same cold memos
+            metrics = fn().metrics
+            histograms = {
+                # Timing histograms can agree in their counts only.
+                name: h["count"] if name.endswith("_seconds") else h
+                for name, h in metrics["histograms"].items()
+            }
+            return metrics["counters"], metrics["gauges"], histograms
+
         client = ServeClient(port=server.port)
-        job_id = client.submit(JobSpec(kind="simulate", u=2, p=2))["job_id"]
-        events = list(client.iter_events(job_id))
-        assert events
-        assert events[-1]["type"] == "job_done"
-        assert events[-1]["status"] == "ok"
-        # The simulator's instrumentation flowed through the job registry.
-        assert any(e.get("type") == "span_end" for e in events)
+        served = run(lambda: client.run(spec, timeout=120))
+        direct = run(lambda: run_job(spec, registry=obs.Registry()))
+        assert served == direct
+        assert served[0], "the job reported no counters"
+
+    def test_one_spec_has_one_job_id_its_key(self, server):
+        client = ServeClient(port=server.port)
+        spec = JobSpec(kind="simulate", u=2, p=2)
+        first = client.submit(spec)
+        second = client.submit(spec)
+        assert second["coalesced"] is True
+        assert first["job_id"] == second["job_id"] == first["key"]
+        assert first["key"] == job_key(spec)
 
     def test_unknown_job_is_404(self, server):
         client = ServeClient(port=server.port)
@@ -300,11 +336,74 @@ class TestServer:
             client.status("j999999")
         assert excinfo.value.status == 404
 
+    def test_job_table_stays_bounded(self):
+        """300 distinct jobs: the server keeps the newest 256, and an
+        expired id gets a 404 that says why."""
+        specs = [
+            JobSpec(kind="analyze", u=3, p=3, seed=seed)
+            for seed in range(10_000, 10_300)
+        ]
+        config = ServerConfig(limits=JobLimits(max_points=10))
+        with ServerThread(config) as handle:
+            client = ServeClient(port=handle.port)
+            job_ids = [client.submit(spec)["job_id"] for spec in specs]
+            # Jobs run in order, so the last one done means all are.
+            last = client.wait(job_ids[-1], timeout=60)
+            assert last.status == "error" and "budget" in last.error
+            gc.collect()
+            ours = set(specs)
+            live = [
+                obj for obj in gc.get_objects()
+                if isinstance(obj, _Execution) and obj.spec in ours
+            ]
+            assert len(live) <= 256
+            with pytest.raises(ServeError) as excinfo:
+                client.status(job_ids[0])
+            assert excinfo.value.status == 404
+            assert "not among the last 256 results" in str(excinfo.value)
+            assert client.status(job_ids[-1])["status"] == "done"
+
     def test_malformed_spec_is_400(self, server):
         client = ServeClient(port=server.port)
         with pytest.raises(ServeError) as excinfo:
             client._request("POST", "/v1/jobs", {"kind": "nope"})
         assert excinfo.value.status == 400
+
+    @pytest.mark.parametrize("length", ["abc", "-5"])
+    def test_malformed_content_length_is_400(self, server, length):
+        request = (
+            f"POST /v1/jobs HTTP/1.1\r\nHost: localhost\r\n"
+            f"Content-Length: {length}\r\n\r\n"
+        )
+        with socket.create_connection(
+            ("127.0.0.1", server.port), timeout=10
+        ) as sock:
+            sock.sendall(request.encode("ascii"))
+            reply = b""
+            while chunk := sock.recv(4096):
+                reply += chunk
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.split(b"\r\n")[0] == b"HTTP/1.1 400 Bad Request"
+        assert "Content-Length" in json.loads(body)["error"]
+
+    def test_served_job_registry_has_no_sinks(self, monkeypatch):
+        real_run_job = dispatch_mod.run_job
+        registries = []
+
+        def recording_run_job(spec, registry=None, limits=None):
+            registries.append(registry)
+            return real_run_job(spec, registry=registry, limits=limits)
+
+        monkeypatch.setattr(dispatch_mod, "run_job", recording_run_job)
+        with ServerThread(ServerConfig()) as handle:
+            result = ServeClient(port=handle.port).run(
+                JobSpec(kind="simulate", u=2, p=2), timeout=60
+            )
+        assert result.ok, result.error
+        [registry] = registries
+        assert registry is not None
+        assert registry.sinks == []
+        assert result.metrics == registry.metrics()
 
     def test_admission_refusal_is_structured(self):
         config = ServerConfig(limits=JobLimits(max_points=10))
@@ -381,21 +480,6 @@ class TestServerBudget:
                 )
                 assert result.status == "timeout"
 
-    def test_job_outliving_its_server_loop_is_ok(self):
-        """A late worker's events go to a closed loop; the sink drops
-        them instead of failing the job."""
-        import asyncio
-
-        from repro import obs
-        from repro.serve.server import loop_sink
-
-        loop = asyncio.new_event_loop()
-        loop.close()
-        registry = obs.Registry()
-        registry.add_sink(loop_sink(loop, lambda event: None))
-        result = run_job(JobSpec(kind="simulate", u=2, p=2), registry=registry)
-        assert result.ok, result.error
-
 
 # ---------------------------------------------------------------------------
 # One execution per job
@@ -419,7 +503,7 @@ def _queue_behind_held_job(monkeypatch, client, specs):
 
 
 class TestOneExecutionPerJob:
-    def test_queued_jobs_report_their_own_metrics_and_events(
+    def test_queued_jobs_report_their_own_metrics_and_spans(
         self, monkeypatch
     ):
         with ServerThread(ServerConfig()) as handle:
@@ -433,12 +517,8 @@ class TestOneExecutionPerJob:
                 counters = result.metrics["counters"]
                 assert (counters["depanalysis.instances"]
                         == result.data["instances"])
-                spans = [
-                    e for e in client.iter_events(job_id)
-                    if e.get("type") == "span_end"
-                    and e.get("name") == "depanalysis.analyze_exact"
-                ]
-                assert len(spans) == 1
+                spans = result.metrics["spans"]
+                assert spans["depanalysis.analyze_exact"]["count"] == 1
             stats = client.stats()["server"]
             assert stats["serve.executions"] == 1 + len(_QUEUED_ANALYSES)
 
@@ -473,6 +553,13 @@ class TestRetiredBatchSurface:
             client._request("POST", "/v1/batch", {
                 "specs": [JobSpec(kind="analyze", u=2, p=2).to_payload()]
             })
+        assert excinfo.value.status == 404
+
+    def test_event_stream_route_is_gone(self, server):
+        client = ServeClient(port=server.port)
+        job_id = client.submit(JobSpec(kind="simulate", u=2, p=2))["job_id"]
+        with pytest.raises(ServeError) as excinfo:
+            client._request("GET", f"/v1/jobs/{job_id}/events")
         assert excinfo.value.status == 404
 
     def test_max_batch_setting_is_gone(self):

@@ -3,19 +3,17 @@
 Random lexicographically-positive word-level models at tiny sizes; the
 compositional structure must match general dependence analysis of the
 expanded program for every draw.  The sampling strategies are the shared
-ones from :mod:`repro.verify.generator` (lex-positive by construction, no
-filtering), so this suite and the ``repro verify`` oracle runner exercise
-the same case distribution.
+ones from ``tests/strategies.py`` (lex-positive by construction, no
+filtering), drawn from the :mod:`repro.verify.generator` envelopes, so
+this suite and the ``repro verify`` oracle runner exercise the same case
+distribution.
 """
 
 from hypothesis import given, settings, strategies as st
 
 from repro.expansion.verify import verify_theorem31
-from repro.verify.generator import (
-    SizeEnvelope,
-    theorem31_case_strategy,
-    word_vector_strategy,
-)
+from repro.verify.generator import SizeEnvelope
+from tests.strategies import theorem31_case_strategy, word_vector_strategy
 
 vec_1d = word_vector_strategy(1, max_step=2)
 vec_2d = word_vector_strategy(2, max_step=2)

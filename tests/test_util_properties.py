@@ -4,7 +4,7 @@
 These modules underpin every exactness claim in the repository (the GCD
 dependence test, lattice enumeration, rank/coprimality feasibility
 conditions), so they are tested against their algebraic contracts on
-random inputs drawn from the shared :mod:`repro.verify.generator`
+random inputs drawn from the shared ``tests/strategies.py``
 strategies: Bézout identities, divisibility laws, full round-trips of
 the Hermite/Smith transform matrices and integer system solutions, and
 brute-force cross-checks of bounded lattice enumeration (including
@@ -40,7 +40,7 @@ from repro.util.linalg import (
     smith_normal_form,
     solve_integer_system,
 )
-from repro.verify.generator import int_matrix_strategy, int_vector_strategy
+from tests.strategies import int_matrix_strategy, int_vector_strategy
 
 ints = st.integers(-50, 50)
 
