@@ -32,7 +32,7 @@ from repro.arith.structure import ArithmeticStructure
 from repro.arith.addshift import AddShiftMultiplier, addshift_structure
 from repro.arith.baughwooley import BaughWooleyMultiplier, baughwooley_structure
 from repro.arith.carrysave import CarrySaveMultiplier, carrysave_structure
-from repro.arith.ripple import RippleCarryAdder, ripple_structure
+from repro.arith.ripple import RippleCarryAdder
 from repro.arith.sequential import (
     SequentialAddShift,
     SequentialCarrySave,
@@ -53,7 +53,6 @@ __all__ = [
     "CarrySaveMultiplier",
     "carrysave_structure",
     "RippleCarryAdder",
-    "ripple_structure",
     "SequentialAddShift",
     "SequentialCarrySave",
     "get_structure",

@@ -10,20 +10,18 @@ two Boolean functions
     f(x_1, x_2, x_3) &= x_1 \\oplus x_2 \\oplus x_3 \\qquad \\text{(sum)}
 
 i.e. a full adder.  Points that must sum more than three bits (Expansion II's
-``i1 = p`` hyperplane, Expansion I's final word iteration) generalize to a
-small *compressor*: :func:`compress` decomposes an input count ``v <= 7``
-into a sum bit, a carry and a second carry ``c'``.
+``i1 = p`` hyperplane, Expansion I's final word iteration) generalize it to
+a small *compressor* with a second carry ``c'``.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 __all__ = [
     "carry_bit",
     "sum_bit",
     "full_adder",
-    "compress",
     "to_bits",
     "from_bits",
 ]
@@ -42,25 +40,6 @@ def sum_bit(x1: int, x2: int, x3: int) -> int:
 def full_adder(x1: int, x2: int, x3: int) -> tuple[int, int]:
     """Return ``(sum, carry)`` of three bits."""
     return sum_bit(x1, x2, x3), carry_bit(x1, x2, x3)
-
-
-def compress(bits: Iterable[int]) -> tuple[int, int, int]:
-    """Compress up to seven input bits into ``(sum, carry, carry2)``.
-
-    ``sum`` has the weight of the inputs, ``carry`` one position higher,
-    ``carry2`` two positions higher (the paper's second carry ``c'``).
-    Raises ``ValueError`` when more than seven bits are supplied -- the
-    expansions never need more, and silently dropping value would corrupt
-    functional verification.
-    """
-    v = 0
-    for b in bits:
-        if b not in (0, 1):
-            raise ValueError(f"non-bit input {b!r}")
-        v += b
-    if v > 7:
-        raise ValueError(f"compressor overflow: {v} input ones > 7")
-    return v & 1, (v >> 1) & 1, (v >> 2) & 1
 
 
 def to_bits(value: int, width: int) -> list[int]:

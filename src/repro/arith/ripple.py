@@ -4,20 +4,15 @@ The paper's technical report [7] contains "the dependence structure of an
 algorithm for adding two integers"; the conference version omits it for
 space.  The canonical such algorithm is the ripple-carry adder: a 1-D chain
 of full adders in which the carry is the only cross-iteration dependence
-(``δ̄ = [1]``).  It is included both as an executable primitive (used by the
-sequential word multipliers) and as a dependence structure.
+(``δ̄ = [1]``).  It is included as an executable primitive, used by the
+sequential word multipliers.
 """
 
 from __future__ import annotations
 
 from repro.arith.bitops import from_bits, full_adder, to_bits
-from repro.structures.algorithm import Algorithm, ComputationSet
-from repro.structures.conditions import TRUE
-from repro.structures.dependence import DependenceMatrix, DependenceVector
-from repro.structures.indexset import IndexSet
-from repro.structures.params import LinExpr, S, as_linexpr
 
-__all__ = ["RippleCarryAdder", "ripple_structure"]
+__all__ = ["RippleCarryAdder"]
 
 
 class RippleCarryAdder:
@@ -43,20 +38,3 @@ class RippleCarryAdder:
     def steps(self) -> int:
         """Full-adder evaluations on the carry chain (``width``)."""
         return self.width
-
-
-def ripple_structure(p: LinExpr | int | None = None) -> Algorithm:
-    """The 1-D dependence structure of ripple-carry addition.
-
-    Index set ``{i : 1 <= i <= p}``; one uniform dependence vector ``[1]``
-    caused by the carry.
-    """
-    p = S("p") if p is None else as_linexpr(p)
-    dep = DependenceMatrix([DependenceVector([1], ("c",), TRUE)])
-    comp = ComputationSet(
-        {
-            "S_s": "s(i) = f(a(i), b(i), c(i-1))",
-            "S_c": "c(i) = g(a(i), b(i), c(i-1))",
-        }
-    )
-    return Algorithm(IndexSet([1], [p], ("i",)), dep, comp, "ripple-carry-adder")

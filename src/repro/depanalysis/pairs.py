@@ -5,10 +5,9 @@ A :class:`DependenceInstance` is one concrete dependence pair
 iteration ``j̄' = j̄ - d̄`` (the *source*), through variable ``variable``.
 
 An :class:`AnalysisResult` aggregates all instances found for a program on a
-concrete parameter binding, and distills them into the paper's dependence-
-matrix view: distinct dependence vectors, each with an extensional validity
-domain (:class:`PointSet`).  Extensional domains are exactly what is needed
-to cross-validate Theorem 3.1's *symbolic* validity conditions.
+concrete parameter binding; its distinct vectors are the columns of the
+paper's dependence matrix.  A :class:`PointSet` is an extensional validity
+domain, a finite set of concrete points.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ from collections import defaultdict
 from typing import Iterable, Sequence
 
 from repro.structures.conditions import Condition
-from repro.structures.dependence import DependenceMatrix, DependenceVector
 from repro.structures.params import ParamBinding
 
 __all__ = ["DependenceInstance", "PointSet", "AnalysisResult"]
@@ -56,9 +54,6 @@ class PointSet(Condition):
 
     def shift_axes(self, offset: int) -> Condition:
         return PointSet(self.points, offset=self.offset + offset)
-
-    def params(self) -> frozenset[str]:
-        return frozenset()
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -139,33 +134,6 @@ class AnalysisResult:
         for inst in self.instances:
             out[inst.variable].add(inst.vector)
         return dict(out)
-
-    def edge_set(self) -> set[tuple[tuple[int, ...], tuple[int, ...]]]:
-        """The set of (source, sink) pairs, ignoring variables."""
-        return {(inst.source, inst.sink) for inst in self.instances}
-
-    def sinks_of(self, vector: Sequence[int]) -> set[tuple[int, ...]]:
-        """All sink points at which a given dependence vector occurs."""
-        v = tuple(int(x) for x in vector)
-        return {inst.sink for inst in self.instances if inst.vector == v}
-
-    def to_dependence_matrix(self) -> DependenceMatrix:
-        """Distill into the paper's dependence-matrix form.
-
-        One column per distinct dependence vector; causes are the union of the
-        variables observed for that vector; the validity condition is the
-        extensional :class:`PointSet` of sink points.
-        """
-        sinks: dict[tuple[int, ...], set[tuple[int, ...]]] = defaultdict(set)
-        causes: dict[tuple[int, ...], set[str]] = defaultdict(set)
-        for inst in self.instances:
-            sinks[inst.vector].add(inst.sink)
-            causes[inst.vector].add(inst.variable)
-        vectors = [
-            DependenceVector(vec, sorted(causes[vec]), PointSet(sinks[vec]))
-            for vec in sorted(sinks)
-        ]
-        return DependenceMatrix(vectors)
 
     def __len__(self) -> int:
         return len(self.instances)

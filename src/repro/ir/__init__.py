@@ -10,9 +10,8 @@ the index vector.  This package provides:
   :class:`~repro.ir.program.LoopNest` programs;
 * :mod:`repro.ir.builders` -- the paper's concrete programs: matrix
   multiplication (2.2)/(2.3), the add-shift multiplier (3.1)/(3.3), the 1-D
-  model (3.7), convolution and matrix-vector products;
-* :mod:`repro.ir.transform` -- single-assignment conversion and
-  Fortes-Moldovan broadcast elimination;
+  model (3.7), convolution and LU decomposition;
+* :mod:`repro.ir.transform` -- Fortes-Moldovan broadcast elimination;
 * :mod:`repro.ir.expand` -- the bit-level program expander generating the
   explicit ``(n+2)``-dimensional programs of Expansion I / II.
 """

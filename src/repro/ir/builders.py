@@ -14,15 +14,15 @@ triplet), mirroring the equations of the paper:
 * :func:`model_1d` -- the 1-D model (3.7);
 * :func:`word_model` / :func:`word_model_structure` -- the general model
   (3.5)/(3.6);
-* :func:`convolution_word_structure`, :func:`matvec_word_structure` --
-  further instances of model (3.5) named in the paper's applicability list.
+* :func:`convolution_word_structure`, :func:`lu_word_structure` -- further
+  instances of model (3.5) named in the paper's applicability list.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from repro.ir.expr import AffineExpr, const, var
+from repro.ir.expr import AffineExpr, var
 from repro.ir.program import ArrayAccess, LoopNest, Statement
 from repro.structures.algorithm import Algorithm, ComputationSet
 from repro.structures.conditions import TRUE
@@ -40,7 +40,6 @@ __all__ = [
     "word_model",
     "word_model_structure",
     "convolution_word_structure",
-    "matvec_word_structure",
     "lu_word_structure",
 ]
 
@@ -327,21 +326,6 @@ def convolution_word_structure(
     taps = S("k") if taps is None else as_linexpr(taps)
     return word_model_structure(
         [1, 0], [1, -1], [0, 1], [1, 1], [n_points, taps], "convolution-word-level"
-    )
-
-
-def matvec_word_structure(u: LinExpr | int | None = None) -> Algorithm:
-    """Word-level matrix-vector product as an instance of model (3.5).
-
-    ``z(j1) = sum_{j2} x(j1,j2) · y(j2)``: ``y(j2)`` is reused along ``j1``
-    (``h̄₂ = [1,0]``), the accumulation runs along ``j2`` (``h̄₃ = [0,1]``).
-    Each ``x(j1,j2)`` is used exactly once; the model still requires a formal
-    pipelining direction for ``x`` and we use ``h̄₁ = [0,1]`` (input skewed
-    along rows), which adds no real communication.
-    """
-    u = S("u") if u is None else as_linexpr(u)
-    return word_model_structure(
-        [0, 1], [1, 0], [0, 1], [1, 1], [u, u], "matvec-word-level"
     )
 
 

@@ -13,7 +13,7 @@ from typing import Mapping, Sequence, Union
 
 from repro.structures.params import LinExpr, ParamBinding, as_linexpr
 
-__all__ = ["AffineExpr", "var", "const"]
+__all__ = ["AffineExpr", "var"]
 
 ExprLike = Union["AffineExpr", LinExpr, int]
 
@@ -43,11 +43,6 @@ class AffineExpr:
         """The expression consisting of the single loop index ``name``."""
         return AffineExpr({name: 1})
 
-    @staticmethod
-    def constant(value: LinExpr | int) -> "AffineExpr":
-        """A constant (possibly symbolic) expression."""
-        return AffineExpr({}, value)
-
     # -- queries --------------------------------------------------------------
     @property
     def is_constant(self) -> bool:
@@ -75,17 +70,6 @@ class AffineExpr:
     def coeff_vector(self, index_order: Sequence[str]) -> list[int]:
         """Coefficient row aligned to a fixed index ordering."""
         return [self.coeff(name) for name in index_order]
-
-    def substitute(self, mapping: Mapping[str, "AffineExpr"]) -> "AffineExpr":
-        """Substitute loop indices by affine expressions (for transforms)."""
-        out = AffineExpr({}, self.offset)
-        for name, c in self.coeffs:
-            repl = mapping.get(name)
-            if repl is None:
-                out = out + c * AffineExpr.index(name)
-            else:
-                out = out + c * repl
-        return out
 
     # -- arithmetic -------------------------------------------------------------
     def _as_expr(self, other: ExprLike) -> "AffineExpr":
@@ -149,8 +133,3 @@ class AffineExpr:
 def var(name: str) -> AffineExpr:
     """Shorthand for :meth:`AffineExpr.index`."""
     return AffineExpr.index(name)
-
-
-def const(value: LinExpr | int) -> AffineExpr:
-    """Shorthand for :meth:`AffineExpr.constant`."""
-    return AffineExpr.constant(value)

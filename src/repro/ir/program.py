@@ -159,10 +159,6 @@ class LoopNest:
         """Names of arrays written by some statement."""
         return {s.write.array for s in self.statements}
 
-    def arrays_read(self) -> set[str]:
-        """Names of arrays read by some statement."""
-        return {acc.array for s in self.statements for acc in s.reads}
-
     def verify_single_assignment(self, binding: ParamBinding) -> bool:
         """Check the paper's single-assignment premise on a concrete instance.
 

@@ -1,33 +1,28 @@
-"""Program transformations: single-assignment conversion and broadcast
-elimination.
+"""Program transformation: broadcast elimination.
 
-Two preprocessing steps precede dependence analysis in the paper:
+Two preprocessing steps precede dependence analysis in the paper.  The
+first, single-assignment conversion (Example 2.1), is written into the
+builders: :func:`repro.ir.builders.matmul_naive` is program (2.2) already.
+The second is done here:
 
-1. **Single-assignment conversion** (Example 2.1): an accumulation such as
-   ``z(j1,j2) = z(j1,j2) + ...`` writes the same element once per ``j3``
-   iteration; extending the array with the missing loop indices yields
-   program (2.2), in which every element is written exactly once and only
-   flow dependences remain.
-
-2. **Broadcast elimination** (Fortes and Moldovan [2]): a read whose
-   subscript map is non-injective over the iteration space (e.g.
-   ``x(j1,j3)`` inside a ``(j1,j2,j3)`` nest) means one datum is needed by
-   many iterations simultaneously.  Broadcasting is undesirable in VLSI, so
-   the datum is *pipelined* instead: a propagation statement
-   ``x(j̄) = x(j̄ - d̄)`` is added, with ``d̄`` an integer generator of the
-   nullspace of the subscript map, and the original read becomes ``x(j̄)``.
-   Applying this to (2.2) yields program (2.3), and to (3.1) yields (3.3).
+**Broadcast elimination** (Fortes and Moldovan [2]): a read whose
+subscript map is non-injective over the iteration space (e.g.
+``x(j1,j3)`` inside a ``(j1,j2,j3)`` nest) means one datum is needed by
+many iterations simultaneously.  Broadcasting is undesirable in VLSI, so
+the datum is *pipelined* instead: a propagation statement
+``x(j̄) = x(j̄ - d̄)`` is added, with ``d̄`` an integer generator of the
+nullspace of the subscript map, and the original read becomes ``x(j̄)``.
+Applying this to (2.2) yields program (2.3), and to (3.1) yields (3.3).
 """
 
 from __future__ import annotations
 
-from repro.ir.expr import AffineExpr, var
+from repro.ir.expr import var
 from repro.ir.program import ArrayAccess, LoopNest, Statement
 from repro.util.intmath import gcd_list
 from repro.util.linalg import integer_nullspace, integer_rank
 
 __all__ = [
-    "to_single_assignment",
     "eliminate_broadcasts",
     "broadcast_directions",
 ]
@@ -44,60 +39,6 @@ def _is_injective(access: ArrayAccess, index_order: tuple[str, ...]) -> bool:
     if not mat:
         return len(index_order) == 0
     return integer_rank(mat) == len(index_order)
-
-
-def to_single_assignment(program: LoopNest) -> LoopNest:
-    """Convert accumulation statements to single-assignment form.
-
-    Handles the paper's accumulation pattern: a statement whose write access
-    is non-injective *and* which reads the identical access (the running
-    total).  The write is extended with the loop indices missing from its
-    subscripts, and the self-read references the previous iteration of the
-    innermost added index (offset ``-1``), exactly as (2.1) becomes (2.2).
-
-    Statements already in single-assignment form pass through unchanged.
-    """
-    order = program.index_names
-    new_statements: list[Statement] = []
-    for stmt in program.statements:
-        if _is_injective(stmt.write, order):
-            new_statements.append(stmt)
-            continue
-        # Indices absent from the write subscripts (the accumulation axes).
-        used = set()
-        for e in stmt.write.subscripts:
-            used |= e.indices()
-        missing = [name for name in order if name not in used]
-        if not missing:
-            raise NotImplementedError(
-                f"cannot single-assign {stmt.name}: write map is non-injective "
-                "but mentions every loop index"
-            )
-        new_write = ArrayAccess(
-            stmt.write.array,
-            list(stmt.write.subscripts) + [var(name) for name in missing],
-        )
-        new_reads: list[ArrayAccess] = []
-        for acc in stmt.reads:
-            if acc == stmt.write:
-                # The running total: previous value along the innermost added
-                # axis, same value of the other added axes.
-                extra: list[AffineExpr] = [var(name) for name in missing]
-                extra[-1] = extra[-1] - 1
-                new_reads.append(
-                    ArrayAccess(acc.array, list(acc.subscripts) + extra)
-                )
-            else:
-                new_reads.append(acc)
-        new_statements.append(
-            Statement(stmt.name, new_write, new_reads, stmt.guard, stmt.description)
-        )
-    return LoopNest(
-        program.index_names,
-        program.index_set,
-        new_statements,
-        program.name + "+sa",
-    )
 
 
 def broadcast_directions(program: LoopNest) -> dict[str, list[int]]:

@@ -98,11 +98,6 @@ class SystolicArray:
         return max((link.length for link in self.links.values()), default=0)
 
     @property
-    def total_wire_length(self) -> int:
-        """Sum of all link lengths (a proxy for wiring area)."""
-        return sum(link.length for link in self.links.values())
-
-    @property
     def buffer_count(self) -> int:
         """Total buffer stages across all links."""
         return sum(link.buffers for link in self.links.values())

@@ -49,11 +49,6 @@ class Link:
         """Physical wire length (Chebyshev norm of the primitive)."""
         return wire_length(self.primitive)
 
-    @property
-    def latency(self) -> int:
-        """Time units from source to destination: one hop plus buffers."""
-        return 1 + self.buffers
-
     def __repr__(self) -> str:
         buf = f" +{self.buffers}buf" if self.buffers else ""
         return f"Link{self.src}->{self.dst} via {self.primitive}{buf}"

@@ -45,9 +45,5 @@ class ProcessorElement:
         """Number of time slots in which this PE computes."""
         return len(self.firings)
 
-    def utilization(self, total_time: int) -> float:
-        """Fraction of the makespan during which the PE is busy."""
-        return self.busy_cycles / total_time if total_time else 0.0
-
     def __repr__(self) -> str:
         return f"PE{self.position}({self.busy_cycles} firings)"

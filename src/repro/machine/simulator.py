@@ -125,9 +125,6 @@ class ValueStore:
             pos = self._proc_cache[point] = self._mapping.processor_of(point)
         return pos
 
-    def _set_time(self, time: int | None) -> None:
-        self._current_time = time
-
     def _set_context(self, time: int | None, point: Sequence[int] | None) -> None:
         """Clock + reading index point (for link-traffic attribution)."""
         self._current_time = time

@@ -150,9 +150,3 @@ def word_level_time(u: int, p: int, arithmetic: str = "add-shift") -> int:
     """``t = (3(u-1)+1) · t_b`` with ``t_b`` from the sequential multiplier
     of the named arithmetic algorithm (Section 4.2)."""
     return (3 * (u - 1) + 1) * word_multiplier_cycles(arithmetic, p)
-
-
-def speedup(u: int, p: int, arithmetic: str = "add-shift") -> float:
-    """Speedup of the time-optimal bit-level design over the word-level
-    baseline: ``O(p²)`` for add-shift, ``O(p)`` for carry-save (u > p)."""
-    return word_level_time(u, p, arithmetic) / t_fig4(u, p)

@@ -18,7 +18,6 @@ from repro.util.linalg import (
     integer_nullspace,
     integer_rank,
     lagrange_reduce,
-    mat_vec,
 )
 
 __all__ = ["MappingMatrix"]
@@ -73,10 +72,6 @@ class MappingMatrix:
         """Processor coordinates ``S j̄`` of the computation at ``point``."""
         return tuple(sum(c * x for c, x in zip(row, point)) for row in self.rows[:-1])
 
-    def apply(self, point: Sequence[int]) -> tuple[tuple[int, ...], int]:
-        """``(processor, time)`` of a computation."""
-        return self.processor_of(point), self.time_of(point)
-
     # -- batch application ------------------------------------------------------
     def times_of(self, points):
         """``Π j̄`` for a whole block of points in one shot.
@@ -110,10 +105,6 @@ class MappingMatrix:
         if block.ndim == 1:
             block = block.reshape(1, -1)
         return block @ self._np_space.T
-
-    def map_vector(self, vector: Sequence[int]) -> list[int]:
-        """``T d̄``: the space-time displacement of a dependence vector."""
-        return mat_vec([list(r) for r in self.rows], list(vector))
 
     # -- simple structural predicates -----------------------------------------
     def rank(self) -> int:

@@ -19,7 +19,7 @@ module-level helpers below::
     obs.write_trace(reg, "trace.jsonl")  # JSON-lines span trace
 
 **Zero cost when disabled.**  By default no registry is installed and
-every helper (``count``, ``gauge``, ``observe``, ``span``, ``traced``)
+every helper (``count``, ``count_many``, ``gauge``, ``span``, ``progress``)
 reduces to a single ``is None`` check (``span`` returns a shared no-op
 context manager).  Instrumented hot loops additionally batch into local
 dicts and report once on exit, so the disabled path never pays per-event
@@ -28,9 +28,8 @@ costs.
 
 from __future__ import annotations
 
-import functools
 from contextlib import contextmanager
-from typing import Callable, Iterator
+from typing import Iterator
 
 from repro.obs.bus import (
     NULL_PROGRESS,
@@ -61,19 +60,16 @@ __all__ = [
     "collecting",
     "count",
     "count_many",
-    "current_span",
     "enabled",
     "environment_info",
     "gauge",
     "get_registry",
     "metrics_dict",
-    "observe",
     "progress",
     "render_tree",
     "set_registry",
     "span",
     "trace_lines",
-    "traced",
     "write_chrome_trace",
     "write_metrics",
     "write_trace",
@@ -199,25 +195,12 @@ def gauge(name: str, value: float) -> None:
         reg.gauge(name, value)
 
 
-def observe(name: str, value: float) -> None:
-    """Record a histogram observation on the ambient registry."""
-    reg = _ACTIVE
-    if reg is not None:
-        reg.observe(name, value)
-
-
 def span(name: str, **attrs):
     """Open an ambient span (a shared no-op when disabled)."""
     reg = _ACTIVE
     if reg is None:
         return _NULL_SPAN
     return reg.span(name, **attrs)
-
-
-def current_span() -> Span | None:
-    """The innermost open ambient span, if any."""
-    reg = _ACTIVE
-    return reg.current_span() if reg is not None else None
 
 
 def progress(name: str, total: int | None = None, **kw):
@@ -230,27 +213,3 @@ def progress(name: str, total: int | None = None, **kw):
     if reg is None:
         return NULL_PROGRESS
     return reg.progress(name, total, **kw)
-
-
-def traced(name: str | None = None) -> Callable:
-    """Decorator wrapping a function call in an ambient span.
-
-    The span is named after the function (``module.qualname``) unless
-    ``name`` is given; when collection is disabled the wrapper adds one
-    ``is None`` check and tail-calls the function.
-    """
-
-    def decorate(fn: Callable) -> Callable:
-        label = name or f"{fn.__module__}.{fn.__qualname__}"
-
-        @functools.wraps(fn)
-        def wrapper(*args, **kwargs):
-            reg = _ACTIVE
-            if reg is None:
-                return fn(*args, **kwargs)
-            with reg.span(label):
-                return fn(*args, **kwargs)
-
-        return wrapper
-
-    return decorate

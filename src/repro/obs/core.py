@@ -354,10 +354,6 @@ class Registry:
             )
         return _SpanContext(self, span)
 
-    def current_span(self) -> Span | None:
-        """The innermost open span, if any."""
-        return self._stack[-1] if self._stack else None
-
     def iter_spans(self) -> Iterator[Span]:
         """All spans, depth-first from each root."""
         for root in self.roots:

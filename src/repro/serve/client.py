@@ -116,10 +116,9 @@ class ServeClient:
     def run_many(
         self, specs: Iterable[JobSpec], timeout: float | None = None
     ) -> list[JobResult]:
-        """Submit each spec as its own job, then wait for each, in order.
+        """Run each spec to completion, in order.
 
-        The server retains only its last 256 results, so a batch of more
-        specs than that can lose its first results before they are read.
+        The server runs one execution at a time, so submitting ahead
+        gains nothing, and each result is read before the next is due.
         """
-        job_ids = [self.submit(spec)["job_id"] for spec in specs]
-        return [self.wait(job_id, timeout=timeout) for job_id in job_ids]
+        return [self.run(spec, timeout=timeout) for spec in specs]

@@ -31,9 +31,11 @@ in neither gets a 404 saying so.
 **Coalescing.**  A spec equal to one that is queued or running attaches
 to that execution (the same id, same result object); a spec equal to one
 of the last ``_RESULT_CACHE_SIZE`` completed jobs is answered from the
-retained result.  N identical concurrent analyze requests therefore
-produce exactly one engine invocation (``analysis.engine_calls``) and N
-byte-identical results.
+retained result, unless that result is a timeout: a timeout depends on
+the load, not on the spec, so the spec runs again under the same id.
+N identical concurrent analyze requests therefore produce exactly one
+engine invocation (``analysis.engine_calls``) and N byte-identical
+results.
 
 **Budgets.**  :class:`~repro.serve.jobs.JobLimits` refuses oversized
 jobs up front (structured ``status="error"``); a running job that
@@ -146,8 +148,12 @@ class JobServer:
         self.counters["serve.jobs_submitted"] += 1
         execution = self._lookup(key)
         if execution is not None:
-            self.counters["serve.jobs_coalesced"] += 1
-            return execution, True
+            result = execution.result
+            if result is None or result.status != "timeout":
+                self.counters["serve.jobs_coalesced"] += 1
+                return execution, True
+            # A timeout depends on the load, not on the spec: run it again.
+            del self._results[key]
         execution = _Execution(spec, key)
         self._inflight[key] = execution
         self._queue.put_nowait(execution)

@@ -13,7 +13,6 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from repro.structures.dependence import DependenceMatrix, DependenceVector
 from repro.structures.indexset import IndexSet
-from repro.structures.params import ParamBinding
 
 __all__ = ["ComputationSet", "Algorithm"]
 
@@ -95,46 +94,6 @@ class Algorithm:
     def is_uniform(self) -> bool:
         """True for a *uniform dependence algorithm* (all vectors uniform)."""
         return self.dependences.is_uniform
-
-    def check_dependences_inside(self, binding: ParamBinding) -> bool:
-        """Sanity check: for every point ``q̄`` where a vector ``d̄`` is valid,
-        the source ``q̄ - d̄`` lies inside ``J`` or on its input boundary.
-
-        The paper treats boundary reads (initial values like ``z(j₁,j₂,0)=0``)
-        as external inputs, so a source strictly outside ``J`` is permitted
-        only when it is reachable by a single ``d̄`` step across a face.  For
-        uniform structures this is automatic; the check here validates that at
-        least *some* valid point has its source inside ``J`` for each vector
-        (guarding against dependence vectors that never connect two iterations).
-        """
-        for vec in self.dependences:
-            connects = False
-            for point in self.index_set.points(binding):
-                if not vec.valid_at(point, binding):
-                    continue
-                src = tuple(x - d for x, d in zip(point, vec.vector))
-                if self.index_set.contains(src, binding):
-                    connects = True
-                    break
-            if not connects:
-                return False
-        return True
-
-    def dependence_edges(
-        self, binding: ParamBinding
-    ) -> list[tuple[tuple[int, ...], tuple[int, ...], DependenceVector]]:
-        """All concrete dependence edges ``(source, sink, d̄)`` inside ``J``.
-
-        Only edges whose both endpoints lie in the instantiated index set are
-        reported; boundary inputs are not edges.
-        """
-        edges = []
-        for point in self.index_set.points(binding):
-            for vec in self.dependences.valid_vectors_at(point, binding):
-                src = tuple(x - d for x, d in zip(point, vec.vector))
-                if self.index_set.contains(src, binding):
-                    edges.append((src, point, vec))
-        return edges
 
     def __repr__(self) -> str:
         kind = "uniform" if self.is_uniform else "conditional"

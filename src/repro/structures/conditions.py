@@ -39,10 +39,6 @@ class Condition:
         """Return the same predicate with every axis index moved by ``offset``."""
         raise NotImplementedError
 
-    def params(self) -> frozenset[str]:
-        """Symbolic parameters mentioned by the predicate."""
-        raise NotImplementedError
-
     # Convenience combinators -------------------------------------------------
     def __and__(self, other: "Condition") -> "Condition":
         return And(self, other)
@@ -63,9 +59,6 @@ class _True(Condition):
     def shift_axes(self, offset: int) -> "Condition":
         return self
 
-    def params(self) -> frozenset[str]:
-        return frozenset()
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, _True)
 
@@ -84,9 +77,6 @@ class _False(Condition):
 
     def shift_axes(self, offset: int) -> "Condition":
         return self
-
-    def params(self) -> frozenset[str]:
-        return frozenset()
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, _False)
@@ -117,9 +107,6 @@ class Eq(Condition):
     def shift_axes(self, offset: int) -> "Condition":
         return Eq(self.axis + offset, self.value)
 
-    def params(self) -> frozenset[str]:
-        return self.value.params()
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, Eq)
@@ -148,9 +135,6 @@ class Ne(Condition):
 
     def shift_axes(self, offset: int) -> "Condition":
         return Ne(self.axis + offset, self.value)
-
-    def params(self) -> frozenset[str]:
-        return self.value.params()
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -199,12 +183,6 @@ class And(Condition):
     def shift_axes(self, offset: int) -> "Condition":
         return And(*(t.shift_axes(offset) for t in self.terms))
 
-    def params(self) -> frozenset[str]:
-        out: frozenset[str] = frozenset()
-        for t in self.terms:
-            out |= t.params()
-        return out
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, And) and set(self.terms) == set(other.terms)
 
@@ -233,12 +211,6 @@ class Or(Condition):
     def shift_axes(self, offset: int) -> "Condition":
         return Or(*(t.shift_axes(offset) for t in self.terms))
 
-    def params(self) -> frozenset[str]:
-        out: frozenset[str] = frozenset()
-        for t in self.terms:
-            out |= t.params()
-        return out
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Or) and set(self.terms) == set(other.terms)
 
@@ -264,9 +236,6 @@ class Not(Condition):
 
     def shift_axes(self, offset: int) -> "Condition":
         return Not(self.term.shift_axes(offset))
-
-    def params(self) -> frozenset[str]:
-        return self.term.params()
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Not) and self.term == other.term

@@ -39,9 +39,6 @@ class AffineConstraint:
             total += c * x
         return total >= 0
 
-    def params(self) -> frozenset[str]:
-        return self.offset.params()
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, AffineConstraint):
             return NotImplemented
@@ -96,12 +93,6 @@ class ConstrainedIndexSet(IndexSet):
 
     def size(self, binding: ParamBinding) -> int:
         return sum(1 for _ in self.points(binding))
-
-    def params(self) -> frozenset[str]:
-        out = super().params()
-        for c in self.constraints:
-            out |= c.params()
-        return out
 
     # -- structure-preserving rebuilds -----------------------------------------
     def rename(self, names: Sequence[str]) -> "ConstrainedIndexSet":

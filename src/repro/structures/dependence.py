@@ -9,9 +9,8 @@ index set at which the dependence holds.  A vector with validity ``TRUE`` is
 *uniform* in the paper's sense.
 
 A :class:`DependenceMatrix` is an ordered collection of distinct dependence
-vectors (the columns of ``D``) with helpers to view the plain integer matrix,
-compare structurally against a reference (e.g. the paper's eq. (3.12)), and
-enumerate validity domains.
+vectors (the columns of ``D``) with helpers to list its columns, select
+them by cause and find the vectors valid at a point.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ from __future__ import annotations
 from typing import Iterable, Iterator, Sequence
 
 from repro.structures.conditions import Condition, TRUE
-from repro.structures.indexset import IndexSet
 from repro.structures.params import ParamBinding
 
 __all__ = ["DependenceVector", "DependenceMatrix"]
@@ -91,10 +89,6 @@ class DependenceVector:
         """Return a copy with a replaced validity condition."""
         return DependenceVector(self.vector, self.causes, validity)
 
-    def with_causes(self, causes: Iterable[str]) -> "DependenceVector":
-        """Return a copy with replaced cause labels."""
-        return DependenceVector(self.vector, causes, self.validity)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DependenceVector):
             return NotImplemented
@@ -141,11 +135,6 @@ class DependenceMatrix:
         """Row count ``n`` of the matrix (algorithm dimension)."""
         return self.vectors[0].dim if self.vectors else 0
 
-    def as_matrix(self) -> list[list[int]]:
-        """The plain ``n x m`` integer matrix (columns = vectors)."""
-        n, m = self.dim, len(self.vectors)
-        return [[self.vectors[c].vector[r] for c in range(m)] for r in range(n)]
-
     def columns(self) -> list[tuple[int, ...]]:
         """The column vectors as tuples."""
         return [v.vector for v in self.vectors]
@@ -167,27 +156,6 @@ class DependenceMatrix:
         return [v for v in self.vectors if v.valid_at(point, binding)]
 
     # -- comparisons -----------------------------------------------------------
-    def structurally_equal(
-        self,
-        other: "DependenceMatrix",
-        index_set: IndexSet,
-        binding: ParamBinding,
-    ) -> bool:
-        """Semantic equality on a concrete index set.
-
-        Two dependence matrices are considered equal when, at *every* point of
-        ``index_set`` (instantiated with ``binding``), the multiset of valid
-        dependence vectors is identical.  This compares validity conditions by
-        extension rather than syntactically, which is what matters for
-        correctness of Theorem 3.1 cross-validation.
-        """
-        for point in index_set.points(binding):
-            mine = sorted(v.vector for v in self.valid_vectors_at(point, binding))
-            theirs = sorted(v.vector for v in other.valid_vectors_at(point, binding))
-            if mine != theirs:
-                return False
-        return True
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DependenceMatrix):
             return NotImplemented

@@ -181,13 +181,6 @@ class IndexSet:
         """Number of axes (the algorithm dimension ``n``)."""
         return len(self.lowers)
 
-    def params(self) -> frozenset[str]:
-        """All symbolic parameters mentioned by any bound."""
-        out: frozenset[str] = frozenset()
-        for b in self.lowers + self.uppers:
-            out |= b.params()
-        return out
-
     def bounds(self, binding: ParamBinding) -> list[tuple[int, int]]:
         """Concrete per-axis ``(lower, upper)`` bounds under ``binding``."""
         return [
@@ -217,14 +210,6 @@ class IndexSet:
         """Iterate over all integer points in lexicographic order."""
         ranges = [range(lo, hi + 1) for lo, hi in self.bounds(binding)]
         return itertools.product(*ranges)
-
-    def corner_min(self, binding: ParamBinding) -> tuple[int, ...]:
-        """The lexicographically smallest corner (all lower bounds)."""
-        return tuple(lo.evaluate(binding) for lo in self.lowers)
-
-    def corner_max(self, binding: ParamBinding) -> tuple[int, ...]:
-        """The corner of all upper bounds."""
-        return tuple(hi.evaluate(binding) for hi in self.uppers)
 
     # -- equality / display -------------------------------------------------------
     def __eq__(self, other: object) -> bool:

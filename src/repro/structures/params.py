@@ -53,11 +53,6 @@ class LinExpr:
         """The expression consisting of a single parameter."""
         return LinExpr(0, {name: 1})
 
-    @staticmethod
-    def constant(value: int) -> "LinExpr":
-        """The constant expression ``value``."""
-        return LinExpr(int(value))
-
     # -- queries -----------------------------------------------------------
     @property
     def is_constant(self) -> bool:
@@ -69,10 +64,6 @@ class LinExpr:
         if not self.is_constant:
             raise ValueError(f"{self!r} is not constant")
         return self.const
-
-    def params(self) -> frozenset[str]:
-        """Names of the parameters appearing with nonzero coefficient."""
-        return frozenset(name for name, _ in self.coeffs)
 
     def evaluate(self, binding: ParamBinding) -> int:
         """Evaluate under ``binding``; raises ``KeyError`` on missing params."""

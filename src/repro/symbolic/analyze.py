@@ -72,15 +72,6 @@ class SymbolicResult:
         """True when every family instantiates by O(1) counting."""
         return all(isinstance(f, UniformFamily) for f in self.families)
 
-    def params(self) -> frozenset[str]:
-        out: set[str] = set()
-        for expr in (*self.lowers, *self.uppers):
-            out |= expr.params()
-        for fam in self.families:
-            for z in fam.zeros:
-                out |= z.params()
-        return frozenset(out)
-
     # -- instantiation -----------------------------------------------------
     def instantiate(self, binding: ParamBinding) -> AnalysisResult:
         """The exact analyzer's result at ``binding``, bit for bit.

@@ -3,8 +3,7 @@
 This package provides the exact-integer linear algebra needed by the
 dependence-analysis and space-time-mapping layers:
 
-* :mod:`repro.util.intmath` -- extended gcd, gcd of vectors, single linear
-  Diophantine equations, and modular helpers.
+* :mod:`repro.util.intmath` -- gcd of vectors and floor/ceiling division.
 * :mod:`repro.util.linalg` -- exact operations on integer matrices: rank over
   the rationals, Hermite and Smith normal forms, unimodular factor tracking,
   integer nullspaces and particular solutions of ``A x = b`` over ``Z``.
@@ -14,19 +13,12 @@ NumPy object/int64 arrays or nested lists; none of them ever rounds through
 floating point, so results are exact for arbitrarily large entries.
 """
 
-from repro.util.intmath import (
-    egcd,
-    gcd_list,
-    lcm,
-    lcm_list,
-    solve_linear_diophantine_eq,
-)
+from repro.util.intmath import gcd_list
 from repro.util.linalg import (
     hermite_normal_form,
     identity_matrix,
     integer_nullspace,
     integer_rank,
-    is_unimodular,
     mat_mul,
     mat_vec,
     smith_normal_form,
@@ -34,16 +26,11 @@ from repro.util.linalg import (
 )
 
 __all__ = [
-    "egcd",
     "gcd_list",
-    "lcm",
-    "lcm_list",
-    "solve_linear_diophantine_eq",
     "hermite_normal_form",
     "identity_matrix",
     "integer_nullspace",
     "integer_rank",
-    "is_unimodular",
     "mat_mul",
     "mat_vec",
     "smith_normal_form",

@@ -9,48 +9,13 @@ exact for arbitrary magnitudes.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from typing import Iterable
 
 __all__ = [
-    "egcd",
     "gcd_list",
-    "lcm",
-    "lcm_list",
-    "sign",
     "ceil_div",
     "floor_div",
-    "solve_linear_diophantine_eq",
 ]
-
-
-def sign(x: int) -> int:
-    """Return the sign of ``x`` as ``-1``, ``0`` or ``1``."""
-    if x > 0:
-        return 1
-    if x < 0:
-        return -1
-    return 0
-
-
-def egcd(a: int, b: int) -> tuple[int, int, int]:
-    """Extended Euclidean algorithm.
-
-    Returns ``(g, x, y)`` with ``g = gcd(a, b) >= 0`` and ``a*x + b*y == g``.
-
-    >>> egcd(12, 30)
-    (6, -2, 1)
-    """
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r != 0:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
 
 
 def gcd_list(values: Iterable[int]) -> int:
@@ -62,23 +27,6 @@ def gcd_list(values: Iterable[int]) -> int:
     for v in values:
         g = math.gcd(g, v)
     return g
-
-
-def lcm(a: int, b: int) -> int:
-    """Least common multiple of two integers (``0`` if either is ``0``)."""
-    if a == 0 or b == 0:
-        return 0
-    return abs(a * b) // math.gcd(a, b)
-
-
-def lcm_list(values: Iterable[int]) -> int:
-    """Least common multiple of an iterable of integers (``1`` if empty)."""
-    out = 1
-    for v in values:
-        out = lcm(out, v)
-        if out == 0:
-            return 0
-    return out
 
 
 def floor_div(a: int, b: int) -> int:
@@ -93,74 +41,3 @@ def floor_div(a: int, b: int) -> int:
 def ceil_div(a: int, b: int) -> int:
     """Ceiling division ``ceil(a / b)`` for nonzero integer ``b``."""
     return -((-a) // b)
-
-
-def solve_linear_diophantine_eq(
-    coeffs: Sequence[int], rhs: int
-) -> tuple[list[int], list[list[int]]] | None:
-    """Solve ``sum_i coeffs[i] * x_i == rhs`` over the integers.
-
-    Returns ``None`` when no integer solution exists (``gcd(coeffs)`` does not
-    divide ``rhs``).  Otherwise returns ``(particular, basis)`` where
-    ``particular`` is one integer solution and ``basis`` is a list of
-    ``len(coeffs) - rank`` integer vectors spanning the solution lattice of the
-    homogeneous equation, i.e. the general solution is
-    ``particular + sum_k t_k * basis[k]`` for integer ``t_k``.
-
-    The classic GCD dependence test (:mod:`repro.depanalysis.gcdtest`) is
-    exactly the *existence* half of this routine.
-    """
-    n = len(coeffs)
-    if n == 0:
-        return ([], []) if rhs == 0 else None
-    g = gcd_list(coeffs)
-    if g == 0:
-        if rhs != 0:
-            return None
-        # 0 == 0: every integer point solves it.
-        basis = [[1 if j == i else 0 for j in range(n)] for i in range(n)]
-        return [0] * n, basis
-
-    if rhs % g != 0:
-        return None
-
-    # Build the solution incrementally: maintain a particular solution of
-    # c_1 x_1 + ... + c_k x_k = g_k where g_k = gcd(c_1..c_k), together with a
-    # lattice basis of the homogeneous solutions, by folding one variable at a
-    # time through the extended Euclidean algorithm.
-    particular = [0] * n
-    basis: list[list[int]] = []
-    g_cur = coeffs[0]
-    # expr holds, for each processed variable, its coefficient in terms of the
-    # "combined" variable representing g_cur; start with x_0 alone.
-    combo = [0] * n
-    combo[0] = 1
-    if g_cur == 0:
-        # x_0 is free.
-        free = [0] * n
-        free[0] = 1
-        basis.append(free)
-    for k in range(1, n):
-        c = coeffs[k]
-        if c == 0:
-            free = [0] * n
-            free[k] = 1
-            basis.append(free)
-            continue
-        if g_cur == 0:
-            g_cur = c
-            combo = [0] * n
-            combo[k] = 1
-            continue
-        g_new, s, t = egcd(g_cur, c)
-        # New combined variable y with g_new = s*g_cur + t*c; the homogeneous
-        # direction is (c/g_new) * combo - (g_cur/g_new) * e_k.
-        hom = [(c // g_new) * combo[j] for j in range(n)]
-        hom[k] -= g_cur // g_new
-        basis.append(hom)
-        combo = [s * combo[j] for j in range(n)]
-        combo[k] += t
-        g_cur = g_new
-    scale = rhs // g_cur
-    particular = [scale * combo[j] for j in range(n)]
-    return particular, basis

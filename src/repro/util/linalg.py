@@ -2,8 +2,8 @@
 
 The dependence analyzer reduces "does iteration ``j̄`` depend on iteration
 ``j̄'``" to integer solvability of linear systems built from affine array
-subscripts; the mapping layer needs ranks, unimodularity checks, and
-``S·D = P·K`` factorizations.  Both are served by the routines here, which
+subscripts; the mapping layer needs ranks, nullspaces and ``S·D = P·K``
+factorizations.  Both are served by the routines here, which
 work on nested lists of Python ints so that no precision is ever lost.
 
 The central algorithms are the Hermite and Smith normal forms computed by
@@ -30,10 +30,7 @@ __all__ = [
     "identity_matrix",
     "mat_mul",
     "mat_vec",
-    "transpose",
     "integer_rank",
-    "is_unimodular",
-    "determinant",
     "hermite_normal_form",
     "smith_normal_form",
     "integer_nullspace",
@@ -91,12 +88,6 @@ def mat_vec(a: Sequence[Sequence[int]], v: Sequence[int]) -> Vector:
     return [sum(a[i][j] * v[j] for j in range(na)) for i in range(ma)]
 
 
-def transpose(a: Sequence[Sequence[int]]) -> Matrix:
-    """Matrix transpose (nested-list representation)."""
-    m, n = _dims(a)
-    return [[a[i][j] for i in range(m)] for j in range(n)]
-
-
 def integer_rank(a: Sequence[Sequence[int]]) -> int:
     """Rank of an integer matrix over the rationals, by fraction-free
     (Bareiss) row reduction on Python ints.
@@ -130,39 +121,6 @@ def integer_rank(a: Sequence[Sequence[int]]) -> int:
         if rank == m:
             break
     return rank
-
-
-def determinant(a: Sequence[Sequence[int]]) -> int:
-    """Exact determinant of a square integer matrix (Bareiss algorithm)."""
-    m, n = _dims(a)
-    if m != n:
-        raise ValueError("determinant requires a square matrix")
-    if n == 0:
-        return 1
-    work = _copy(a)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if work[k][k] == 0:
-            swap = next((r for r in range(k + 1, n) if work[r][k] != 0), None)
-            if swap is None:
-                return 0
-            work[k], work[swap] = work[swap], work[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                work[i][j] = (work[i][j] * work[k][k] - work[i][k] * work[k][j]) // prev
-            work[i][k] = 0
-        prev = work[k][k]
-    return sign * work[n - 1][n - 1]
-
-
-def is_unimodular(a: Sequence[Sequence[int]]) -> bool:
-    """True when ``a`` is square with determinant ``+1`` or ``-1``."""
-    m, n = _dims(a)
-    if m != n:
-        return False
-    return determinant(a) in (1, -1)
 
 
 def hermite_normal_form(a: Sequence[Sequence[int]]) -> tuple[Matrix, Matrix]:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -30,3 +31,26 @@ def reference_matmul(
     if mask is not None:
         out = [[v & mask for v in row] for row in out]
     return out
+
+
+def unimodular(a: list[list[int]]) -> bool:
+    """``a`` is square with determinant ``±1``, by elimination over
+    ``Fraction``: the reference the Hermite and Smith transforms are
+    checked against."""
+    n = len(a)
+    if any(len(row) != n for row in a):
+        return False
+    work = [[Fraction(x) for x in row] for row in a]
+    det = Fraction(1)
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if work[r][col]), None)
+        if pivot is None:
+            return False
+        if pivot != col:
+            work[col], work[pivot] = work[pivot], work[col]
+            det = -det
+        det *= work[col][col]
+        for r in range(col + 1, n):
+            f = work[r][col] / work[col][col]
+            work[r] = [x - f * y for x, y in zip(work[r], work[col])]
+    return abs(det) == 1

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.arith.registry import get_structure, list_structures, register_structure
-from repro.arith.ripple import RippleCarryAdder, ripple_structure
+from repro.arith.ripple import RippleCarryAdder
 from repro.arith.sequential import (
     SequentialAddShift,
     SequentialCarrySave,
@@ -38,12 +38,6 @@ class TestRippleAdder:
     def test_invalid_width(self):
         with pytest.raises(ValueError):
             RippleCarryAdder(0)
-
-    def test_structure(self):
-        alg = ripple_structure(4)
-        assert alg.dim == 1
-        assert [v.vector for v in alg.dependences] == [(1,)]
-        assert alg.is_uniform
 
 
 class TestSequentialMultipliers:

@@ -5,7 +5,6 @@ from hypothesis import given, strategies as st
 
 from repro.arith.bitops import (
     carry_bit,
-    compress,
     from_bits,
     full_adder,
     sum_bit,
@@ -32,25 +31,6 @@ class TestFullAdder:
     def test_value_conservation(self, a, b, c):
         s, cy = full_adder(a, b, c)
         assert s + 2 * cy == a + b + c
-
-
-class TestCompress:
-    @pytest.mark.parametrize("n", range(8))
-    def test_value_conservation(self, n):
-        bits = [1] * n + [0] * (7 - n)
-        s, c, c2 = compress(bits)
-        assert s + 2 * c + 4 * c2 == n
-
-    def test_empty(self):
-        assert compress([]) == (0, 0, 0)
-
-    def test_overflow_rejected(self):
-        with pytest.raises(ValueError):
-            compress([1] * 8)
-
-    def test_non_bit_rejected(self):
-        with pytest.raises(ValueError):
-            compress([2])
 
 
 class TestBitCodec:

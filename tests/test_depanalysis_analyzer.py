@@ -59,23 +59,25 @@ class TestInstanceSemantics:
 
     def test_edge_set(self):
         res = analyze(builders.model_1d(upper=3), {}, "enumerate")
-        edges = res.edge_set()
+        edges = {(i.source, i.sink) for i in res.instances}
         assert ((1,), (2,)) in edges and ((2,), (3,)) in edges
 
     def test_sinks_of(self):
         res = analyze(builders.model_1d(upper=4), {}, "enumerate")
-        assert res.sinks_of((1,)) == {(2,), (3,), (4,)}
+        sinks = {i.sink for i in res.instances if i.vector == (1,)}
+        assert sinks == {(2,), (3,), (4,)}
 
     def test_to_dependence_matrix(self):
+        # The paper's D_as of eq. (3.4), with its causes and the validity
+        # of the (1, -1) sum chain, read off the instances.
         res = analyze(builders.addshift_pipelined(3), {"p": 3}, "enumerate")
-        mat = res.to_dependence_matrix()
-        assert {v.vector for v in mat} == {(1, 0), (0, 1), (1, -1)}
-        by_vec = {v.vector: v for v in mat}
-        assert set(by_vec[(0, 1)].causes) == {"b", "c"}
+        assert set(res.distinct_vectors()) == {(1, 0), (0, 1), (1, -1)}
+        causes = {i.variable for i in res.instances if i.vector == (0, 1)}
+        assert causes == {"b", "c"}
         # Validity of (1, -1): s-chain sinks have i1 >= 2, i2 <= p-1.
-        for point in [(2, 1), (3, 2)]:
-            assert by_vec[(1, -1)].valid_at(point, {})
-        assert not by_vec[(1, -1)].valid_at((1, 2), {})
+        sinks = {i.sink for i in res.instances if i.vector == (1, -1)}
+        assert {(2, 1), (3, 2)} <= sinks
+        assert (1, 2) not in sinks
 
     def test_stats_present(self):
         res = analyze(builders.matmul_pipelined(2), {"u": 2}, "exact")
@@ -122,9 +124,6 @@ class TestPointSet:
     def test_mixed_widths_rejected(self):
         with pytest.raises(ValueError):
             PointSet([(1,), (1, 2)])
-
-    def test_no_params(self):
-        assert PointSet([(1,)]).params() == frozenset()
 
 
 class TestErrorPaths:

@@ -93,12 +93,6 @@ class TestModelBuilders:
         }
         assert alg.index_set.bounds({}) == [(1, 5), (1, 3)]
 
-    def test_matvec_structure(self):
-        alg = builders.matvec_word_structure(4)
-        assert alg.dim == 2
-        assert alg.is_uniform
-        assert len(alg.dependences) >= 2  # x/z may merge on (0,1)
-
     def test_convolution_reuses_weights_along_j1(self):
         # The dependence analysis of the convolution program agrees with
         # the declared structure.

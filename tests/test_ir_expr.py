@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.ir.expr import AffineExpr, const, var
+from repro.ir.expr import AffineExpr, var
 from repro.structures.params import LinExpr, S
 
 
@@ -15,12 +15,12 @@ class TestConstruction:
         assert not e.is_constant
 
     def test_const_int(self):
-        e = const(5)
+        e = AffineExpr({}, 5)
         assert e.is_constant
         assert e.evaluate({}, {}) == 5
 
     def test_const_symbolic(self):
-        e = const(S("p"))
+        e = AffineExpr({}, S("p"))
         assert e.is_constant  # no loop index, though symbolic
         assert e.evaluate({}, {"p": 7}) == 7
 
@@ -69,26 +69,16 @@ class TestQueries:
     def test_coeff_absent(self):
         assert var("a").coeff("b") == 0
 
-    def test_substitute(self):
-        e = var("j") + 1
-        out = e.substitute({"j": var("k") - 1})
-        assert out.evaluate({"k": 5}, {}) == 5
-
-    def test_substitute_partial(self):
-        e = var("j") + var("m")
-        out = e.substitute({"j": const(2)})
-        assert out.evaluate({"m": 3}, {}) == 5
-
 
 class TestEquality:
     def test_equal(self):
         assert var("j") + 1 == 1 + var("j")
 
     def test_int_equality(self):
-        assert const(3) == 3
+        assert AffineExpr({}, 3) == 3
 
     def test_linexpr_equality(self):
-        assert const(S("p")) == S("p")
+        assert AffineExpr({}, S("p")) == S("p")
 
     def test_hash(self):
         assert len({var("j") + 1, 1 + var("j")}) == 1

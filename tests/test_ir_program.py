@@ -70,7 +70,6 @@ class TestLoopNest:
     def test_arrays(self):
         prog = matmul_pipelined()
         assert prog.arrays_written() == {"x", "y", "z"}
-        assert prog.arrays_read() == {"x", "y", "z"}
 
     def test_name_count_mismatch(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
-"""Tests for repro.ir.transform: single-assignment + broadcast elimination."""
+"""Tests for repro.ir.transform: broadcast elimination, and the
+single-assignment premise it needs."""
 
 import pytest
 
@@ -6,11 +7,7 @@ from repro.depanalysis import analyze
 from repro.ir import builders
 from repro.ir.expr import var
 from repro.ir.program import ArrayAccess, LoopNest, Statement
-from repro.ir.transform import (
-    broadcast_directions,
-    eliminate_broadcasts,
-    to_single_assignment,
-)
+from repro.ir.transform import broadcast_directions, eliminate_broadcasts
 from repro.structures.indexset import IndexSet
 
 
@@ -38,43 +35,6 @@ def accumulation_matmul() -> LoopNest:
 class TestSingleAssignment:
     def test_accumulation_is_not_single_assignment(self):
         assert not accumulation_matmul().verify_single_assignment({})
-
-    def test_conversion_produces_22(self):
-        sa = to_single_assignment(accumulation_matmul())
-        assert sa.verify_single_assignment({})
-        stmt = sa.statements[0]
-        # Write extended to z(j1, j2, j3).
-        assert stmt.write.rank == 3
-        # Self-read becomes z(j1, j2, j3 - 1).
-        z_reads = [a for a in stmt.reads if a.array == "z"]
-        assert len(z_reads) == 1
-        assert z_reads[0].subscripts[2] == var("j3") - 1
-
-    def test_already_single_assignment_passthrough(self):
-        prog = builders.matmul_naive(3)
-        sa = to_single_assignment(prog)
-        assert [s.write for s in sa.statements] == [
-            s.write for s in prog.statements
-        ]
-
-    def test_conversion_matches_builder_22(self):
-        sa = to_single_assignment(accumulation_matmul())
-        # After broadcast elimination both should have the (2.4) structure.
-        res_a = analyze(eliminate_broadcasts(sa), {}, "exact")
-        res_b = analyze(eliminate_broadcasts(builders.matmul_naive(3)), {"u": 3}, "exact")
-        assert res_a.vectors_by_variable() == res_b.vectors_by_variable()
-
-    def test_unconvertible_raises(self):
-        # Non-injective write that mentions all indices: j1 + j2.
-        j1, j2 = var("j1"), var("j2")
-        prog = LoopNest(
-            ("j1", "j2"),
-            IndexSet.cube(2, 3),
-            [Statement("S", ArrayAccess("z", [j1 + j2]),
-                       [ArrayAccess("z", [j1 + j2])])],
-        )
-        with pytest.raises(NotImplementedError):
-            to_single_assignment(prog)
 
 
 class TestBroadcastElimination:

@@ -30,7 +30,7 @@ from repro.structures.algorithm import Algorithm
 from repro.structures.conditions import TRUE
 from repro.structures.dependence import DependenceVector
 from repro.structures.indexset import IndexSet
-from repro.util.linalg import hermite_normal_form, integer_nullspace
+from repro.util.linalg import hermite_normal_form, integer_nullspace, mat_vec
 
 
 def random_mapping(draw, k, n, bound=2):
@@ -61,7 +61,7 @@ class TestConflictCrossCheck:
         index_set = IndexSet.cube(n, 3)
         for d in find_conflicts(t, index_set, {}):
             assert any(d)
-            assert t.map_vector(list(d)) == [0] * t.k
+            assert mat_vec(t.rows, d) == [0] * t.k
 
 
 class TestReducedNullspace:
@@ -80,7 +80,7 @@ class TestReducedNullspace:
                 hermite_normal_form(smith)[0]
             )
         for v in basis:
-            assert t.map_vector(v) == [0] * t.k
+            assert mat_vec(t.rows, v) == [0] * t.k
 
         def dot(a, b):
             return sum(x * y for x, y in zip(a, b))

@@ -24,6 +24,7 @@ from repro.mapping.feasibility import check_feasibility
 from repro.mapping.memo import EvalCache
 from repro.mapping.transform import MappingMatrix
 from repro.structures.constrained import AffineConstraint, ConstrainedIndexSet
+from repro.util.linalg import mat_vec
 
 
 class TestSearchConfig:
@@ -80,7 +81,7 @@ class TestConflictDispatch:
         assert out
         for d in out:
             assert any(d)
-            assert t.map_vector(list(d)) == [0, 0]
+            assert mat_vec(t.rows, d) == [0, 0]
 
     def test_constrained_returns_pairs(self):
         triangle = ConstrainedIndexSet(
@@ -91,7 +92,7 @@ class TestConflictDispatch:
         assert out
         for a, b in out:
             assert a != b
-            assert t.apply(list(a)) == t.apply(list(b))
+            assert mat_vec(t.rows, a) == mat_vec(t.rows, b)
 
     def test_cache_reuses_equivalent_queries(self):
         alg = matmul_word_structure()

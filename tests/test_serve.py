@@ -6,8 +6,10 @@ identical analyze jobs -> exactly one analysis-engine call), job ids
 that are content keys and a job table bounded by the in-flight and
 retained executions, one execution per job (each job's metrics, spans
 and budget are its own, under a registry with no sinks), budget
-enforcement, malformed requests, the HTTP client/server round trip, and
-the promoted top-level API with its deprecation shims.
+enforcement (a timed-out result is never coalesced onto), malformed
+requests and a client dropped mid-long-poll, the HTTP client/server
+round trip (``run_many`` past the retained-result limit), and the
+promoted top-level API with its deprecation shims.
 """
 
 import contextlib
@@ -363,6 +365,52 @@ class TestServer:
             assert "not among the last 256 results" in str(excinfo.value)
             assert client.status(job_ids[-1])["status"] == "done"
 
+    def test_run_many_returns_every_result(self):
+        """More specs than the server retains: each result is read before
+        it can expire."""
+        specs = [
+            JobSpec(kind="analyze", u=3, p=3, seed=seed)
+            for seed in range(10_000, 10_300)
+        ]
+        config = ServerConfig(limits=JobLimits(max_points=10))
+        with ServerThread(config) as handle:
+            results = ServeClient(port=handle.port).run_many(
+                specs, timeout=60
+            )
+        assert len(results) == len(specs)
+        for result in results:
+            assert result.status == "error"
+            assert "exceed the server limit of 10" in result.error
+
+    def test_client_dropped_during_long_poll(self, monkeypatch, caplog):
+        """A client that closes its socket mid-``wait`` costs the job
+        nothing: it finishes once, its result stays readable by id, and
+        the server keeps answering."""
+        spec = JobSpec(kind="simulate", u=2, p=2)
+        with ServerThread(ServerConfig()) as handle:
+            client = ServeClient(port=handle.port)
+            with _held_jobs(monkeypatch, {"simulate"}):
+                job_id = client.submit(spec)["job_id"]
+                deadline = time.monotonic() + 30
+                while client.status(job_id)["status"] != "running":
+                    assert time.monotonic() < deadline, "never started"
+                    time.sleep(0.01)
+                with socket.create_connection(
+                    ("127.0.0.1", handle.port), timeout=10
+                ) as sock:
+                    sock.sendall(
+                        f"GET /v1/jobs/{job_id}?wait=30 HTTP/1.1\r\n"
+                        f"Host: localhost\r\n\r\n".encode("ascii")
+                    )
+                assert client.health()["ok"] is True
+            result = client.wait(job_id, timeout=60)
+            assert result.ok, result.error
+            envelope = client.status(job_id)
+            assert envelope["result"] == result.to_payload()
+            assert client.health()["ok"] is True
+            assert client.stats()["server"]["serve.executions"] == 1
+        assert not [r for r in caplog.records if r.name == "asyncio"]
+
     def test_malformed_spec_is_400(self, server):
         client = ServeClient(port=server.port)
         with pytest.raises(ServeError) as excinfo:
@@ -419,17 +467,19 @@ class TestServer:
 
 @contextlib.contextmanager
 def _held_jobs(monkeypatch, held_kinds):
-    """Hold jobs of ``held_kinds`` in the worker until the block exits,
-    then release them and wait for the worker to finish: a
+    """Hold the first job of ``held_kinds`` in the worker until the block
+    exits, then release it and wait for the worker to finish: a
     budget-orphaned worker keeps its registry installed process-wide, so
     it must not outlive its test."""
     real_run_job = dispatch_mod.run_job
+    held = threading.Event()
     release = threading.Event()
     finished = threading.Event()
 
     def slow_run_job(spec, registry=None, limits=None):
-        if spec.kind not in held_kinds:
+        if spec.kind not in held_kinds or held.is_set():
             return real_run_job(spec, registry=registry, limits=limits)
+        held.set()
         try:
             release.wait(20)
             return real_run_job(spec, registry=registry, limits=limits)
@@ -479,6 +529,29 @@ class TestServerBudget:
                     JobSpec(kind="simulate", u=2, p=2), timeout=30
                 )
                 assert result.status == "timeout"
+
+    def test_timeout_is_not_coalesced_onto(self, monkeypatch):
+        """A timeout depends on the load, not on the spec: the same spec
+        sent again runs again under the same id, and until then the id
+        answers with the timeout."""
+        spec = JobSpec(kind="simulate", u=2, p=2)
+        with _held_jobs(monkeypatch, {"simulate"}):
+            config = ServerConfig(limits=JobLimits(max_budget_s=1.0))
+            with ServerThread(config) as handle:
+                client = ServeClient(port=handle.port)
+                first = client.submit(spec)
+                timed_out = client.wait(first["job_id"], timeout=30)
+                assert timed_out.status == "timeout"
+                envelope = client.status(first["job_id"])
+                assert envelope["result"]["status"] == "timeout"
+                again = client.submit(spec)
+                assert again["coalesced"] is False
+                assert again["job_id"] == first["job_id"]
+                result = client.wait(again["job_id"], timeout=30)
+                assert result.ok, result.error
+                stats = client.stats()["server"]
+                assert stats["serve.executions"] == 2
+                assert stats["serve.jobs_timed_out"] == 1
 
 
 # ---------------------------------------------------------------------------

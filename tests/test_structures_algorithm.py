@@ -44,35 +44,6 @@ class TestAlgorithm:
         )
         assert not alg.is_uniform
 
-    def test_check_dependences_inside(self):
-        alg = matmul_word_structure()
-        assert alg.check_dependences_inside({"u": 3})
-
-    def test_check_fails_for_escaping_vector(self):
-        # Dependence longer than the box never connects two iterations.
-        alg = Algorithm(
-            IndexSet.cube(1, 3),
-            [DependenceVector([5], ("x",))],
-        )
-        assert not alg.check_dependences_inside({})
-
-    def test_dependence_edges_count(self):
-        alg = matmul_word_structure()
-        edges = alg.dependence_edges({"u": 2})
-        # Each of the 3 unit vectors connects (u-1)*u*u = 4 pairs.
-        assert len(edges) == 12
-        for src, snk, vec in edges:
-            assert tuple(s + d for s, d in zip(src, vec.vector)) == snk
-
-    def test_dependence_edges_respect_validity(self):
-        alg = Algorithm(
-            IndexSet.cube(2, 3),
-            [DependenceVector([1, 0], ("x",), Eq(1, 1))],  # only at j2 = 1
-        )
-        edges = alg.dependence_edges({})
-        assert all(snk[1] == 1 for _, snk, _ in edges)
-        assert len(edges) == 2  # (1,1)->(2,1), (2,1)->(3,1)
-
     def test_repr(self):
         alg = matmul_word_structure()
         assert "uniform" in repr(alg)

@@ -33,11 +33,6 @@ class TestAtoms:
         assert c.holds((3,), {"u": 4})
         assert not c.holds((4,), {"u": 4})
 
-    def test_params(self):
-        assert Eq(0, S("p")).params() == {"p"}
-        assert Ne(0, 3).params() == frozenset()
-        assert TRUE.params() == frozenset()
-
 
 class TestCombinators:
     def test_and(self):

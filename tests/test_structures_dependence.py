@@ -4,8 +4,6 @@ import pytest
 
 from repro.structures.conditions import Eq, Ne, TRUE
 from repro.structures.dependence import DependenceMatrix, DependenceVector
-from repro.structures.indexset import IndexSet
-from repro.structures.params import S
 
 
 class TestDependenceVector:
@@ -47,10 +45,6 @@ class TestDependenceVector:
         v = DependenceVector([1], ("x",)).with_validity(Eq(0, 2))
         assert not v.is_uniform
 
-    def test_with_causes(self):
-        v = DependenceVector([1], ("x",)).with_causes(("y", "c"))
-        assert set(v.causes) == {"y", "c"}
-
     def test_equality_cause_order_insensitive(self):
         a = DependenceVector([0, 1], ("y", "c"))
         b = DependenceVector([0, 1], ("c", "y"))
@@ -83,9 +77,6 @@ class TestDependenceMatrix:
     def test_dim(self):
         assert self.make_addshift().dim == 2
 
-    def test_as_matrix(self):
-        assert self.make_addshift().as_matrix() == [[1, 0, 1], [0, 1, -1]]
-
     def test_columns(self):
         assert self.make_addshift().columns() == [(1, 0), (0, 1), (1, -1)]
 
@@ -116,14 +107,6 @@ class TestDependenceMatrix:
         )
         assert len(d.valid_vectors_at((1, 5), {})) == 2
         assert len(d.valid_vectors_at((2, 5), {})) == 1
-
-    def test_structurally_equal_extensional(self):
-        # Same extension, different syntax: Eq(0, p) vs Eq(0, 3) at p=3.
-        j = IndexSet.cube(2, 3)
-        a = DependenceMatrix([DependenceVector([1, 0], ("x",), Eq(0, S("p")))])
-        b = DependenceMatrix([DependenceVector([1, 0], ("x",), Eq(0, 3))])
-        assert a.structurally_equal(b, j, {"p": 3})
-        assert not a.structurally_equal(b, j, {"p": 2})
 
     def test_empty_matrix(self):
         d = DependenceMatrix([])

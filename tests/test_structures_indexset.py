@@ -21,7 +21,6 @@ class TestConstruction:
 
     def test_symbolic_cube(self):
         j = IndexSet.cube(2, S("p"))
-        assert j.params() == {"p"}
         assert j.bounds({"p": 5}) == [(1, 5), (1, 5)]
 
     def test_mismatched_bounds(self):
@@ -79,11 +78,6 @@ class TestQueries:
     def test_points_count(self):
         j = IndexSet([0, 1], [2, 3])
         assert len(list(j.points({}))) == j.size({}) == 9
-
-    def test_corners(self):
-        j = IndexSet([1, 2], [S("u"), 5])
-        assert j.corner_min({"u": 9}) == (1, 2)
-        assert j.corner_max({"u": 9}) == (9, 5)
 
     def test_symbolic_bounds_expression(self):
         j = IndexSet([1], [2 * S("p") - 1])

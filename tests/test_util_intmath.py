@@ -2,65 +2,11 @@
 
 import math
 
-import pytest
 from hypothesis import given, strategies as st
 
-from repro.util.intmath import (
-    ceil_div,
-    egcd,
-    floor_div,
-    gcd_list,
-    lcm,
-    lcm_list,
-    sign,
-    solve_linear_diophantine_eq,
-)
+from repro.util.intmath import ceil_div, floor_div, gcd_list
 
 ints = st.integers(min_value=-10**6, max_value=10**6)
-small_ints = st.integers(min_value=-50, max_value=50)
-
-
-class TestSign:
-    def test_positive(self):
-        assert sign(7) == 1
-
-    def test_negative(self):
-        assert sign(-3) == -1
-
-    def test_zero(self):
-        assert sign(0) == 0
-
-
-class TestEgcd:
-    def test_basic(self):
-        g, x, y = egcd(12, 30)
-        assert g == 6
-        assert 12 * x + 30 * y == 6
-
-    def test_coprime(self):
-        g, x, y = egcd(7, 13)
-        assert g == 1
-        assert 7 * x + 13 * y == 1
-
-    def test_zero_left(self):
-        assert egcd(0, 5)[0] == 5
-
-    def test_zero_right(self):
-        assert egcd(5, 0)[0] == 5
-
-    def test_both_zero(self):
-        assert egcd(0, 0)[0] == 0
-
-    def test_negative_inputs(self):
-        g, x, y = egcd(-12, 30)
-        assert g == 6
-        assert -12 * x + 30 * y == 6
-
-    @given(ints, ints)
-    def test_bezout_identity(self, a, b):
-        g, x, y = egcd(a, b)
-        assert g == math.gcd(a, b)
-        assert a * x + b * y == g
 
 
 class TestGcdLcm:
@@ -75,22 +21,6 @@ class TestGcdLcm:
 
     def test_gcd_list_with_negative(self):
         assert gcd_list([-4, 6]) == 2
-
-    def test_lcm(self):
-        assert lcm(4, 6) == 12
-
-    def test_lcm_zero(self):
-        assert lcm(0, 5) == 0
-
-    def test_lcm_list(self):
-        assert lcm_list([2, 3, 4]) == 12
-
-    def test_lcm_list_empty(self):
-        assert lcm_list([]) == 1
-
-    @given(st.integers(1, 1000), st.integers(1, 1000))
-    def test_lcm_gcd_product(self, a, b):
-        assert lcm(a, b) * math.gcd(a, b) == a * b
 
 
 class TestDivision:
@@ -110,88 +40,3 @@ class TestDivision:
 
     def test_ceil_div_negative(self):
         assert ceil_div(-7, 3) == -2
-
-
-class TestSolveLinearDiophantine:
-    def test_simple(self):
-        sol = solve_linear_diophantine_eq([2, 3], 7)
-        assert sol is not None
-        particular, basis = sol
-        assert 2 * particular[0] + 3 * particular[1] == 7
-        assert len(basis) == 1
-        for vec in basis:
-            assert 2 * vec[0] + 3 * vec[1] == 0
-
-    def test_no_solution(self):
-        assert solve_linear_diophantine_eq([2, 4], 7) is None
-
-    def test_single_variable(self):
-        sol = solve_linear_diophantine_eq([5], 15)
-        assert sol is not None
-        assert sol[0] == [3]
-        assert sol[1] == []
-
-    def test_single_variable_infeasible(self):
-        assert solve_linear_diophantine_eq([5], 7) is None
-
-    def test_empty(self):
-        assert solve_linear_diophantine_eq([], 0) == ([], [])
-
-    def test_empty_infeasible(self):
-        assert solve_linear_diophantine_eq([], 3) is None
-
-    def test_all_zero_coeffs_feasible(self):
-        sol = solve_linear_diophantine_eq([0, 0], 0)
-        assert sol is not None
-        particular, basis = sol
-        assert particular == [0, 0]
-        assert len(basis) == 2  # every point solves it
-
-    def test_all_zero_coeffs_infeasible(self):
-        assert solve_linear_diophantine_eq([0, 0], 1) is None
-
-    def test_zero_coefficient_mixed(self):
-        sol = solve_linear_diophantine_eq([0, 3], 9)
-        assert sol is not None
-        particular, basis = sol
-        assert 3 * particular[1] == 9
-        # x_0 is free
-        assert any(vec[0] != 0 for vec in basis)
-
-    @given(
-        st.lists(small_ints, min_size=1, max_size=5),
-        st.integers(-100, 100),
-    )
-    def test_solutions_satisfy_equation(self, coeffs, rhs):
-        sol = solve_linear_diophantine_eq(coeffs, rhs)
-        g = gcd_list(coeffs)
-        if sol is None:
-            if g != 0:
-                assert rhs % g != 0
-            else:
-                assert rhs != 0
-            return
-        particular, basis = sol
-        assert sum(c * x for c, x in zip(coeffs, particular)) == rhs
-        for vec in basis:
-            assert sum(c * x for c, x in zip(coeffs, vec)) == 0
-        # Lattice rank: n - 1 free directions when some coeff is nonzero.
-        nonzero = any(coeffs)
-        expected = len(coeffs) - (1 if nonzero else 0)
-        assert len(basis) == expected
-
-    @given(
-        st.lists(small_ints, min_size=1, max_size=4),
-        st.integers(-30, 30),
-        st.lists(st.integers(-3, 3), min_size=4, max_size=4),
-    )
-    def test_lattice_generates_solutions(self, coeffs, rhs, ts):
-        sol = solve_linear_diophantine_eq(coeffs, rhs)
-        if sol is None:
-            return
-        particular, basis = sol
-        point = list(particular)
-        for t, vec in zip(ts, basis):
-            for i in range(len(point)):
-                point[i] += t * vec[i]
-        assert sum(c * x for c, x in zip(coeffs, point)) == rhs

@@ -7,18 +7,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.util.linalg import (
-    determinant,
     hermite_normal_form,
     identity_matrix,
     integer_nullspace,
     integer_rank,
-    is_unimodular,
     mat_mul,
     mat_vec,
     smith_normal_form,
     solve_integer_system,
-    transpose,
 )
+from tests.conftest import unimodular
 
 
 def matrices(max_dim=4, max_entry=6):
@@ -58,9 +56,6 @@ class TestBasicOps:
         with pytest.raises(ValueError):
             mat_vec([[1, 2]], [1, 2, 3])
 
-    def test_transpose(self):
-        assert transpose([[1, 2, 3], [4, 5, 6]]) == [[1, 4], [2, 5], [3, 6]]
-
     def test_ragged_rejected(self):
         with pytest.raises(ValueError):
             integer_rank([[1, 2], [3]])
@@ -82,31 +77,10 @@ class TestRankDeterminant:
     def test_rank_tall(self):
         assert integer_rank([[1, 2], [3, 6], [1, 0]]) == 2
 
-    def test_det_2x2(self):
-        assert determinant([[2, 1], [1, 1]]) == 1
-
-    def test_det_singular(self):
-        assert determinant([[1, 2], [2, 4]]) == 0
-
-    def test_det_3x3(self):
-        assert determinant([[2, 0, 1], [1, 1, 0], [0, 3, 1]]) == 5
-
-    def test_det_requires_square(self):
-        with pytest.raises(ValueError):
-            determinant([[1, 2, 3]])
-
-    def test_det_needs_pivot_swap(self):
-        assert determinant([[0, 1], [1, 0]]) == -1
-
-    def test_unimodular(self):
-        assert is_unimodular([[1, 1], [0, 1]])
-        assert not is_unimodular([[2, 0], [0, 1]])
-        assert not is_unimodular([[1, 0, 0], [0, 1, 0]])
-
     @given(matrices())
     @settings(max_examples=60)
     def test_rank_of_transpose(self, a):
-        assert integer_rank(a) == integer_rank(transpose(a))
+        assert integer_rank(a) == integer_rank([list(c) for c in zip(*a)])
 
 
 def _fraction_rank(a):
@@ -168,7 +142,7 @@ class TestHermite:
     def test_simple(self):
         h, u = hermite_normal_form([[2, 4], [1, 1]])
         assert mat_mul(u, [[2, 4], [1, 1]]) == h
-        assert is_unimodular(u)
+        assert unimodular(u)
         # Echelon, positive pivots.
         assert h[0][0] > 0
 
@@ -177,7 +151,7 @@ class TestHermite:
     def test_uah_identity(self, a):
         h, u = hermite_normal_form(a)
         assert mat_mul(u, a) == h
-        assert is_unimodular(u)
+        assert unimodular(u)
 
     @given(matrices())
     @settings(max_examples=80)
@@ -202,16 +176,16 @@ class TestSmith:
         a = [[2, 4, 4], [-6, 6, 12], [10, 4, 16]]
         d, u, v = smith_normal_form(a)
         assert mat_mul(mat_mul(u, a), v) == d
-        assert is_unimodular(u)
-        assert is_unimodular(v)
+        assert unimodular(u)
+        assert unimodular(v)
 
     @given(matrices())
     @settings(max_examples=80)
     def test_uav_identity(self, a):
         d, u, v = smith_normal_form(a)
         assert mat_mul(mat_mul(u, a), v) == d
-        assert is_unimodular(u)
-        assert is_unimodular(v)
+        assert unimodular(u)
+        assert unimodular(v)
 
     @given(matrices())
     @settings(max_examples=80)

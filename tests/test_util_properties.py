@@ -5,14 +5,13 @@ These modules underpin every exactness claim in the repository (the GCD
 dependence test, lattice enumeration, rank/coprimality feasibility
 conditions), so they are tested against their algebraic contracts on
 random inputs drawn from the shared ``tests/strategies.py``
-strategies: Bézout identities, divisibility laws, full round-trips of
+strategies: divisibility laws, full round-trips of
 the Hermite/Smith transform matrices and integer system solutions, and
 brute-force cross-checks of bounded lattice enumeration (including
 zero-coefficient rows, negative strides, and GCD-unsatisfiable systems).
 """
 
 import itertools
-from math import gcd
 
 from hypothesis import given, settings, strategies as st
 
@@ -22,24 +21,17 @@ from repro.depanalysis.diophantine import (
     lattice_intervals,
     reduce_basis,
 )
-from repro.util.intmath import (
-    ceil_div,
-    egcd,
-    floor_div,
-    gcd_list,
-    lcm_list,
-    solve_linear_diophantine_eq,
-)
+from repro.util.intmath import ceil_div, floor_div, gcd_list
 from repro.util.linalg import (
     hermite_normal_form,
     integer_nullspace,
     integer_rank,
-    is_unimodular,
     mat_mul,
     mat_vec,
     smith_normal_form,
     solve_integer_system,
 )
+from tests.conftest import unimodular
 from tests.strategies import int_matrix_strategy, int_vector_strategy
 
 ints = st.integers(-50, 50)
@@ -48,13 +40,6 @@ ints = st.integers(-50, 50)
 # ---------------------------------------------------------------------------
 # intmath
 # ---------------------------------------------------------------------------
-
-@given(ints, ints)
-def test_egcd_bezout_identity(a, b):
-    g, x, y = egcd(a, b)
-    assert g == gcd(a, b)
-    assert a * x + b * y == g
-
 
 @given(int_vector_strategy())
 def test_gcd_list_divides_every_entry(vec):
@@ -67,46 +52,12 @@ def test_gcd_list_divides_every_entry(vec):
         assert g == 0
 
 
-@given(int_vector_strategy(bound=4))
-def test_lcm_list_is_a_common_multiple(vec):
-    nonzero = [v for v in vec if v]
-    if not nonzero:
-        assert lcm_list(vec) == 0
-        return
-    m = lcm_list(nonzero)
-    assert m > 0
-    assert all(m % v == 0 for v in nonzero)
-    # Minimality: no proper divisor of m is a common multiple.
-    assert all(
-        any(d % v != 0 for v in nonzero)
-        for d in range(1, m)
-        if m % d == 0
-    )
-
-
 @given(ints, st.integers(-8, 8).filter(bool))
 def test_floor_ceil_div_bracket_the_quotient(a, b):
     lo, hi = floor_div(a, b), ceil_div(a, b)
     assert lo * b <= a if b > 0 else lo * b >= a
     assert lo <= a / b <= hi
     assert hi - lo in (0, 1)
-
-
-@given(int_vector_strategy(), st.integers(-30, 30))
-def test_diophantine_solution_round_trip(coeffs, rhs):
-    solved = solve_linear_diophantine_eq(coeffs, rhs)
-    g = gcd_list(coeffs)
-    if solved is None:
-        # Exactly the GCD test: solvable iff gcd | rhs.
-        assert g == 0 and rhs != 0 or g != 0 and rhs % g != 0
-        return
-    particular, basis = solved
-    assert sum(c * x for c, x in zip(coeffs, particular)) == rhs
-    for vec in basis:
-        assert sum(c * x for c, x in zip(coeffs, vec)) == 0
-    # Shifting the particular by any basis vector stays a solution.
-    shifted = [x + v for x, v in zip(particular, basis[0])] if basis else particular
-    assert sum(c * x for c, x in zip(coeffs, shifted)) == rhs
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +68,7 @@ def test_diophantine_solution_round_trip(coeffs, rhs):
 @given(int_matrix_strategy())
 def test_hermite_round_trip(a):
     h, u = hermite_normal_form(a)
-    assert is_unimodular(u)
+    assert unimodular(u)
     assert mat_mul(u, a) == h
     # Echelon shape: pivot columns strictly increase; pivots positive.
     last = -1
@@ -134,7 +85,7 @@ def test_hermite_round_trip(a):
 @given(int_matrix_strategy())
 def test_smith_round_trip_and_divisibility(a):
     d, u, v = smith_normal_form(a)
-    assert is_unimodular(u) and is_unimodular(v)
+    assert unimodular(u) and unimodular(v)
     assert mat_mul(mat_mul(u, a), v) == d
     m, n = len(d), len(d[0])
     diag = [d[i][i] for i in range(min(m, n))]
@@ -216,9 +167,9 @@ def test_gcd_unsatisfiable_equation_has_no_solution(coeffs, rhs):
     g = gcd_list(coeffs)
     if g > 1:
         rhs = rhs * g + 1  # force g ∤ rhs
-        assert solve_linear_diophantine_eq(coeffs, rhs) is None
+        assert solve_integer_system([coeffs], [rhs]) is None
     elif g == 1:
-        assert solve_linear_diophantine_eq(coeffs, rhs) is not None
+        assert solve_integer_system([coeffs], [rhs]) is not None
 
 
 @given(
