@@ -39,7 +39,7 @@ Subpackages
 ``repro.experiments``  harnesses regenerating every figure of the paper
 ``repro.verify``       differential verification (randomized oracles)
 ``repro.cache``        persistent content-addressed artifact cache
-``repro.obs``          observability: metrics, spans, event bus
+``repro.obs``          observability: metrics, spans, exporters
 ``repro.serve``        async job server, thin client, unified JobSpec API
 """
 

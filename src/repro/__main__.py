@@ -23,11 +23,14 @@ printed before the dispatch existed.
 Every subcommand honors the global observability flags (before or after the
 subcommand name): ``--metrics-out FILE`` writes the flat metrics dict as
 JSON, ``--trace FILE`` writes a span trace (``--trace-format jsonl`` for
-JSON-lines, ``chrome`` for a Chrome trace-event / Perfetto file with
-per-process tracks and counter tracks), and either one also prints a
-human-readable trace tree -- plus live progress lines while the run goes
--- to stderr unless ``--quiet-metrics`` is given.  Without these flags no
-registry is installed and output is exactly the uninstrumented program's.
+JSON-lines, ``chrome`` for a Chrome trace-event / Perfetto file with the
+spans and one final-value sample per counter and gauge), and either one
+also prints a human-readable trace tree to stderr unless
+``--quiet-metrics`` is given.  Without these flags no registry is
+installed and output is exactly the uninstrumented program's.  With
+``--server``, the served job's counters and gauges are folded into the
+command's registry; its histograms and span timings stay in the
+``JobResult``.
 """
 
 from __future__ import annotations
@@ -37,14 +40,25 @@ import sys
 
 
 def _dispatch(args: argparse.Namespace, spec) -> "object":
-    """Run ``spec`` locally or on ``--server``; returns the JobResult."""
+    """Run ``spec`` locally or on ``--server``; returns the JobResult.
+
+    A served job ran under the server's registry: its counters and gauges
+    are folded into the ambient one, as an in-process run records them.
+    """
     server = getattr(args, "server", None)
     if server:
+        from repro import obs
         from repro.serve import ServeClient
 
         host, _, port = server.rpartition(":")
         client = ServeClient(host=host or "127.0.0.1", port=int(port))
-        return client.run(spec)
+        result = client.run(spec)
+        reg = obs.get_registry()
+        if reg is not None and result.metrics:
+            reg.count_many(result.metrics["counters"])
+            for name, value in result.metrics["gauges"].items():
+                reg.gauge(name, value)
+        return result
     from repro.serve.dispatch import run_job
 
     return run_job(spec)
@@ -551,23 +565,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _progress_line(event: dict) -> None:
-    """Render one bus ``progress`` event as a stderr status line."""
-    done, total = event["done"], event["total"]
-    parts = [
-        f"[{event['name']}] {done}" + (f"/{total}" if total is not None else "")
-    ]
-    rate = event.get("rate")
-    if rate:
-        parts.append(f"{rate:.1f}/s")
-    eta = event.get("eta_s")
-    if eta is not None:
-        parts.append(f"eta {eta:.1f}s")
-    if event.get("final"):
-        parts.append("done")
-    print("  ".join(parts), file=sys.stderr)
-
-
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     if not (args.trace or args.metrics_out):
@@ -576,19 +573,12 @@ def main(argv: list[str] | None = None) -> int:
     from repro import obs
 
     with obs.collecting() as reg:
-        ring = None
-        if args.trace and args.trace_format == "chrome":
-            # Buffer bus events so the exporter can rebuild counter tracks.
-            ring = obs.RingBufferSink()
-            reg.add_sink(ring)
-        if args.trace and not args.quiet_metrics:
-            reg.add_sink(obs.CallbackSink(_progress_line, kinds={"progress"}))
         with reg.span(f"cli.{args.command}"):
             rc = args.fn(args)
         try:
             if args.trace:
                 if args.trace_format == "chrome":
-                    obs.write_chrome_trace(reg, args.trace, ring.events)
+                    obs.write_chrome_trace(reg, args.trace)
                 else:
                     obs.write_trace(reg, args.trace)
             if args.metrics_out:

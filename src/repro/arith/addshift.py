@@ -93,11 +93,6 @@ class AddShiftMultiplier:
         """The exact product ``a * b`` computed by the lattice."""
         return from_bits(self.result_bits(a, b))
 
-    @property
-    def steps(self) -> int:
-        """Number of full-adder evaluations (``p²``)."""
-        return self.p * self.p
-
 
 def _multiply(a: int, b: int, p: int) -> int:
     return AddShiftMultiplier(p).multiply(a, b)

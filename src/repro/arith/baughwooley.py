@@ -121,11 +121,6 @@ class BaughWooleyMultiplier:
             (total >> (2 * p - 1)) != 0, total - (1 << (2 * p)), total
         )
 
-    @property
-    def steps(self) -> int:
-        """Lattice size (``p²`` partial products plus two corrections)."""
-        return self.p * self.p + 2
-
 
 def _multiply(a: int, b: int, p: int) -> int:
     return BaughWooleyMultiplier(p).multiply(a, b)

@@ -68,11 +68,6 @@ class CarrySaveMultiplier:
         value += sum(c[(p, i2)] << (p + i2 - 1) for i2 in range(1, p + 1))
         return value
 
-    @property
-    def steps(self) -> int:
-        """3-to-2 compressor evaluations (``p²``) before the final adder."""
-        return self.p * self.p
-
 
 def _multiply(a: int, b: int, p: int) -> int:
     return CarrySaveMultiplier(p).multiply(a, b)

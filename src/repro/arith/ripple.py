@@ -33,8 +33,3 @@ class RippleCarryAdder:
             sb, carry = full_adder(a_bits[k], b_bits[k], carry)
             out.append(sb)
         return from_bits(out), carry
-
-    @property
-    def steps(self) -> int:
-        """Full-adder evaluations on the carry chain (``width``)."""
-        return self.width

@@ -29,7 +29,7 @@ from typing import Sequence
 
 from repro.ir.expr import AffineExpr, var
 from repro.ir.program import ArrayAccess, LoopNest, Statement
-from repro.structures.conditions import Condition, Eq, Ne, Or, TRUE
+from repro.structures.conditions import Condition, Eq, Ne, Or
 from repro.structures.indexset import IndexSet
 from repro.structures.params import LinExpr, S, as_linexpr
 

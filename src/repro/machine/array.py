@@ -10,7 +10,7 @@ link; Fig. 5 is pure nearest-neighbour).
 
 from __future__ import annotations
 
-from repro.machine.links import Link, wire_length
+from repro.machine.links import Link
 from repro.machine.pe import ProcessorElement
 from repro.mapping.interconnect import InterconnectSolution
 from repro.mapping.spacetime import processor_set

@@ -251,13 +251,6 @@ def emit_machine_metrics(reg, result: SimulationResult, store) -> None:
     reg.observe_many("machine.pe_busy", busy)
     reg.gauge("machine.pe_busy_min", min(busy, default=0))
     reg.gauge("machine.pe_busy_max", max(busy, default=0))
-    if reg.sinks and result.busy_per_step:
-        # Busy-PE count per beat as a bus series: the Chrome exporter
-        # turns it into a utilization counter track (beat timebase).
-        reg.emit_series(
-            "machine.busy_pes",
-            sorted(result.busy_per_step.items()),
-        )
 
 
 class SpaceTimeSimulator:

@@ -16,8 +16,6 @@ minimum, a sharper fact than the paper states.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from repro.structures.algorithm import Algorithm
 from repro.structures.params import ParamBinding
 

@@ -26,7 +26,6 @@
 from __future__ import annotations
 
 from repro.arith.sequential import word_multiplier_cycles
-from repro.mapping.interconnect import mesh_primitives, with_long_wires
 from repro.mapping.transform import MappingMatrix
 
 __all__ = [

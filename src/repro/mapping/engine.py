@@ -412,31 +412,32 @@ def run_search(
         obs.gauge("mapping.schedule_pool", len(time_of))
         d_cols = [tuple(c) for c in algorithm.dependences.columns()]
         spaces = walk.spaces
-        with obs.progress("mapping.spaces", total=len(spaces)) as progress:
-            for index, space in enumerate(spaces):
-                result = walk.evaluate(index)
-                progress.advance()
-                if result is None:
-                    continue
-                pi, report = result
-                mapping = MappingMatrix(
-                    space + [pi], name=f"T-search-{len(found)}"
+        evaluated = len(spaces)
+        for index, space in enumerate(spaces):
+            result = walk.evaluate(index)
+            if result is None:
+                continue
+            pi, report = result
+            mapping = MappingMatrix(
+                space + [pi], name=f"T-search-{len(found)}"
+            )
+            found.append(
+                DesignCandidate(
+                    mapping=mapping,
+                    time=time_of[tuple(pi)],
+                    processors=processor_count(
+                        mapping, algorithm.index_set, binding
+                    ),
+                    report=report,
+                    wire_length=design_wire_length(
+                        report.interconnect, space, d_cols
+                    ),
                 )
-                found.append(
-                    DesignCandidate(
-                        mapping=mapping,
-                        time=time_of[tuple(pi)],
-                        processors=processor_count(
-                            mapping, algorithm.index_set, binding
-                        ),
-                        report=report,
-                        wire_length=design_wire_length(
-                            report.interconnect, space, d_cols
-                        ),
-                    )
-                )
-                if stop_after is not None and len(found) >= stop_after:
-                    break
+            )
+            if stop_after is not None and len(found) >= stop_after:
+                evaluated = index + 1
+                break
+        obs.gauge("progress.mapping.spaces", evaluated)
         found = _rank(found, config)
         obs.count("mapping.designs_found", len(found))
     return found

@@ -19,11 +19,12 @@ module-level helpers below::
     obs.write_trace(reg, "trace.jsonl")  # JSON-lines span trace
 
 **Zero cost when disabled.**  By default no registry is installed and
-every helper (``count``, ``count_many``, ``gauge``, ``span``, ``progress``)
-reduces to a single ``is None`` check (``span`` returns a shared no-op
-context manager).  Instrumented hot loops additionally batch into local
-dicts and report once on exit, so the disabled path never pays per-event
-costs.
+every helper (``count``, ``count_many``, ``gauge``, ``span``) reduces to
+a single ``is None`` check (``span`` returns a shared no-op context
+manager).  Instrumented hot loops additionally batch into local dicts
+and report once on exit, so the disabled path never pays per-event
+costs.  A loop's progress is one ``progress.<name>`` gauge, set when the
+loop ends.
 """
 
 from __future__ import annotations
@@ -31,12 +32,6 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Iterator
 
-from repro.obs.bus import (
-    NULL_PROGRESS,
-    CallbackSink,
-    Progress,
-    RingBufferSink,
-)
 from repro.obs.core import Histogram, Registry, Span
 from repro.obs.export import (
     chrome_trace_events,
@@ -49,12 +44,8 @@ from repro.obs.export import (
 )
 
 __all__ = [
-    "CallbackSink",
     "Histogram",
-    "NULL_PROGRESS",
-    "Progress",
     "Registry",
-    "RingBufferSink",
     "Span",
     "chrome_trace_events",
     "collecting",
@@ -65,7 +56,6 @@ __all__ = [
     "gauge",
     "get_registry",
     "metrics_dict",
-    "progress",
     "render_tree",
     "set_registry",
     "span",
@@ -202,14 +192,3 @@ def span(name: str, **attrs):
         return _NULL_SPAN
     return reg.span(name, **attrs)
 
-
-def progress(name: str, total: int | None = None, **kw):
-    """A live progress tracker on the ambient registry.
-
-    Returns a shared no-op when collection is disabled, so loops can call
-    ``advance()`` unconditionally.
-    """
-    reg = _ACTIVE
-    if reg is None:
-        return NULL_PROGRESS
-    return reg.progress(name, total, **kw)

@@ -16,11 +16,8 @@ experiment does, to time both analyzers with one mechanism) or installed
 as the process-wide active registry via :func:`repro.obs.collecting`, in
 which case the library's built-in instrumentation feeds them.
 
-Sinks attached via :meth:`Registry.add_sink` receive a structured event
-for every mutation in real time (see :mod:`repro.obs.bus`), for as long
-as the registry lives.  Only the CLI attaches sinks; a served job's
-registry has none.  With no sinks the emit branch is one truthiness check
-on an empty list.
+A registry records; it does not stream.  Every view of a run (the metrics
+dict, the span trace, the Chrome trace) is read from it after the fact.
 """
 
 from __future__ import annotations
@@ -211,17 +208,9 @@ class _SpanContext:
 
     def __exit__(self, *exc) -> None:
         self._span.close()
-        registry = self._registry
-        stack = registry._stack
+        stack = self._registry._stack
         if stack and stack[-1] is self._span:
             stack.pop()
-        if registry.sinks:
-            registry._emit(
-                "span_end",
-                self._span.name,
-                id=self._span.span_id,
-                dur_s=self._span.duration,
-            )
         return None
 
 
@@ -233,71 +222,25 @@ class Registry:
         self.gauges: dict[str, float] = {}
         self.histograms: dict[str, Histogram] = {}
         self.roots: list[Span] = []
-        self.sinks: list = []
         self.pid = os.getpid()
         self._stack: list[Span] = []
         self._next_id = 0
 
-    # -- the event bus --------------------------------------------------------
-    def add_sink(self, sink) -> None:
-        """Attach a sink for the registry's life; every subsequent
-        mutation streams to it."""
-        self.sinks.append(sink)
-
-    def _emit(self, type_: str, name: str, **fields) -> None:
-        event = {
-            "type": type_,
-            "ts": time.perf_counter(),
-            "pid": self.pid,
-            "name": name,
-        }
-        event.update(fields)
-        for sink in self.sinks:
-            sink.emit(event)
-
-    def emit_series(self, name: str, points) -> None:
-        """Stream a pre-computed time series (e.g. busy PEs per beat).
-
-        ``points`` is an iterable of ``(t, value)`` pairs on a timebase
-        the producer defines (the simulator uses beats).  Emitted only
-        when sinks are attached; series are bus-only, never part of the
-        metrics dict.
-        """
-        if self.sinks:
-            self._emit(
-                "series", name, points=[[t, v] for t, v in points]
-            )
-
-    def progress(self, name: str, total: int | None = None, **kw):
-        """A live :class:`~repro.obs.bus.Progress` tracker on this registry."""
-        from repro.obs.bus import Progress
-
-        return Progress(self, name, total, **kw)
-
     # -- scalar metrics -------------------------------------------------------
     def count(self, name: str, n: int = 1) -> None:
         """Increment counter ``name`` by ``n``."""
-        value = self.counters.get(name, 0) + n
-        self.counters[name] = value
-        if self.sinks:
-            self._emit("counter", name, delta=n, value=value)
+        self.counters[name] = self.counters.get(name, 0) + n
 
     def count_many(self, values: Mapping[str, int], prefix: str = "") -> None:
         """Fold a whole ``{name: n}`` mapping into the counters at once
         (lets hot loops keep a local dict and report on exit)."""
-        emit = bool(self.sinks)
         for key, n in values.items():
             name = prefix + key
-            value = self.counters.get(name, 0) + n
-            self.counters[name] = value
-            if emit:
-                self._emit("counter", name, delta=n, value=value)
+            self.counters[name] = self.counters.get(name, 0) + n
 
     def gauge(self, name: str, value: float) -> None:
         """Set gauge ``name`` (last write wins)."""
         self.gauges[name] = value
-        if self.sinks:
-            self._emit("gauge", name, value=value)
 
     def observe(self, name: str, value: float) -> None:
         """Record one observation into histogram ``name``."""
@@ -305,14 +248,11 @@ class Registry:
         if hist is None:
             hist = self.histograms[name] = Histogram()
         hist.observe(value)
-        if self.sinks:
-            self._emit("observe", name, value=value)
 
     def observe_many(self, name: str, values: Iterable[float]) -> None:
         """Record a batch of observations into histogram ``name`` in one
-        call, in order (see :meth:`Histogram.observe_many`).  Sinks get one
-        ``observe`` event carrying the batch's ``count``, ``sum``, ``min``
-        and ``max``; an empty batch records nothing."""
+        call, in order (see :meth:`Histogram.observe_many`); an empty
+        batch records nothing."""
         batch = [float(v) for v in values]
         if not batch:
             return
@@ -320,9 +260,6 @@ class Registry:
         if hist is None:
             hist = self.histograms[name] = Histogram()
         hist._fold(batch)
-        if self.sinks:
-            self._emit("observe", name, count=len(batch), sum=sum(batch),
-                       min=min(batch), max=max(batch))
 
     # -- spans ----------------------------------------------------------------
     def span(self, name: str, **attrs) -> _SpanContext:
@@ -344,14 +281,6 @@ class Registry:
         else:
             self.roots.append(span)
         self._stack.append(span)
-        if self.sinks:
-            self._emit(
-                "span_start",
-                name,
-                id=span.span_id,
-                parent=span.parent_id,
-                attrs=span.attrs,
-            )
         return _SpanContext(self, span)
 
     def iter_spans(self) -> Iterator[Span]:

@@ -12,10 +12,9 @@ Four views of one :class:`~repro.obs.core.Registry`:
   (counters, gauges, histogram aggregates, per-span-name wall times);
 * :func:`chrome_trace_events` / :func:`write_chrome_trace` -- the Chrome
   trace-event (Perfetto) format: spans become ``"X"`` complete events on
-  the registry's process track, bus counter/gauge events become ``"C"``
-  counter tracks, and ``series`` events (e.g. the simulator's busy-PE
-  timeline) become counter tracks on a synthetic track of their own.
-  The output is one JSON array, loadable in ``chrome://tracing`` or
+  the registry's process track, and each counter and gauge becomes one
+  ``"C"`` sample of its final value at the end of the run.  The output
+  is one JSON array, loadable in ``chrome://tracing`` or
   https://ui.perfetto.dev.
 """
 
@@ -23,7 +22,7 @@ from __future__ import annotations
 
 import json
 import pathlib
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from repro.obs.core import Registry, Span
 
@@ -128,27 +127,14 @@ def write_metrics(registry: Registry, path: str | pathlib.Path) -> None:
     )
 
 
-#: Synthetic pid hosting caller-timebase ``series`` tracks (beat-indexed
-#: timelines like PE utilization, which live on their own clock).
-_SERIES_PID = 0
-
-
-def chrome_trace_events(
-    registry: Registry,
-    events: Iterable[dict] | None = None,
-) -> list[dict]:
-    """The registry (plus optional bus events) as Chrome trace events.
+def chrome_trace_events(registry: Registry) -> list[dict]:
+    """The registry as Chrome trace events.
 
     Spans become ``"X"`` complete events on the registry's own process
     track (labelled ``parent (pid N)``); all timestamps are rebased to the
-    earliest one and scaled to microseconds.
-
-    ``events`` (typically a :class:`~repro.obs.bus.RingBufferSink`'s
-    buffer) contributes ``"C"`` counter samples for every counter/gauge
-    event -- cache hit/miss tracks, PE-utilization gauges -- and turns
-    ``series`` events into counter tracks on a synthetic process whose
-    timebase is the series' own (the simulator emits beats as
-    microseconds).
+    earliest span start and scaled to microseconds.  Each counter and
+    gauge becomes one ``"C"`` sample holding its final value, stamped at
+    the end of the last span to close.
 
     Every emitted event -- including ``"M"`` metadata and ``"C"`` counter
     events, where the format itself would not require it -- carries the
@@ -157,22 +143,16 @@ def chrome_trace_events(
     """
     pid = registry.pid
     spans = list(registry.iter_spans())
-    bus_events = [dict(e) for e in events] if events is not None else []
-    starts = [span.start for span in spans]
-    starts.extend(
-        e["ts"] for e in bus_events
-        if e.get("type") in ("counter", "gauge") and "ts" in e
-    )
-    t0 = min(starts, default=0.0)
+    t0 = min((span.start for span in spans), default=0.0)
 
     def _us(t: float) -> float:
         return round((t - t0) * 1e6, 3)
 
     out: list[dict] = []
-    track_names: dict[int, str] = {}
-
+    t_end = t0
     for span in spans:
         end = span.end if span.end is not None else span.start
+        t_end = max(t_end, end)
         args = {str(k): v for k, v in span.attrs.items()}
         out.append({
             "ph": "X",
@@ -184,61 +164,38 @@ def chrome_trace_events(
             "tid": 1,
             "args": args,
         })
-
-    for event in bus_events:
-        kind = event.get("type")
-        if kind in ("counter", "gauge"):
+    for kind, values in (("counter", registry.counters),
+                         ("gauge", registry.gauges)):
+        for name in sorted(values):
             out.append({
                 "ph": "C",
                 "cat": kind,
-                "name": event["name"],
-                "ts": _us(event["ts"]),
+                "name": name,
+                "ts": _us(t_end),
                 "dur": 0,
                 "pid": pid,
                 "tid": 1,
-                "args": {"value": event.get("value", 0)},
+                "args": {"value": values[name]},
             })
-        elif kind == "series":
-            track_names.setdefault(_SERIES_PID, "series (caller timebase)")
-            name = event["name"]
-            for t, value in event.get("points", ()):
-                out.append({
-                    "ph": "C",
-                    "cat": "series",
-                    "name": name,
-                    "ts": float(t),
-                    "dur": 0,
-                    "pid": _SERIES_PID,
-                    "tid": 1,
-                    "args": {"value": value},
-                })
-
-    if any(row["pid"] == pid for row in out):
-        track_names[pid] = f"parent (pid {pid})"
-    out.sort(key=lambda e: (e["pid"], e["ts"]))
-    meta = [
-        {
-            "ph": "M",
-            "cat": "__metadata",
-            "name": "process_name",
-            "ts": 0,
-            "dur": 0,
-            "pid": track,
-            "tid": 1,
-            "args": {"name": label},
-        }
-        for track, label in sorted(track_names.items())
-    ]
-    return meta + out
+    out.sort(key=lambda e: e["ts"])
+    if not out:
+        return out
+    meta = {
+        "ph": "M",
+        "cat": "__metadata",
+        "name": "process_name",
+        "ts": 0,
+        "dur": 0,
+        "pid": pid,
+        "tid": 1,
+        "args": {"name": f"parent (pid {pid})"},
+    }
+    return [meta] + out
 
 
-def write_chrome_trace(
-    registry: Registry,
-    path: str | pathlib.Path,
-    events: Iterable[dict] | None = None,
-) -> None:
+def write_chrome_trace(registry: Registry, path: str | pathlib.Path) -> None:
     """Write the Chrome trace-event JSON array to ``path``."""
-    rows = chrome_trace_events(registry, events)
+    rows = chrome_trace_events(registry)
     with open(path, "w") as fh:
         fh.write("[\n")
         fh.write(",\n".join(json.dumps(row, sort_keys=True) for row in rows))

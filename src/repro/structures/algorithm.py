@@ -9,7 +9,7 @@ Python callable over the local input bits/words).
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping
 
 from repro.structures.dependence import DependenceMatrix, DependenceVector
 from repro.structures.indexset import IndexSet

@@ -41,12 +41,8 @@ from repro.symbolic.families import (
     lex_kind,
     region_and,
     region_count,
-    universe,
 )
-from repro.symbolic.solve import (
-    SymbolicUnsupported,
-    solve_symbolic_system,
-)
+from repro.symbolic.solve import solve_symbolic_system
 from repro.util.linalg import hermite_normal_form
 
 __all__ = [

@@ -89,7 +89,6 @@ def _run_oracle(
     rng = random.Random(f"{config.seed}:{module.NAME}")
     started = time.monotonic()
     found: list[Counterexample] = []
-    progress = obs.progress(f"verify.{module.NAME}", total=config.cases)
     for _ in range(config.cases):
         if (
             config.budget_s is not None
@@ -99,7 +98,6 @@ def _run_oracle(
             break
         case = module.generate(rng, config.envelope)
         outcome.cases_run += 1
-        progress.advance()
         obs.count(f"verify.{module.NAME}.cases")
         detail = module.check(case)
         if detail is None:
@@ -122,7 +120,7 @@ def _run_oracle(
         )
         if len(found) >= config.max_counterexamples:
             break
-    progress.close()
+    obs.gauge(f"progress.verify.{module.NAME}", outcome.cases_run)
     outcome.elapsed_s = time.monotonic() - started
     return found
 

@@ -32,9 +32,6 @@ class TestRippleAdder:
         s, c = RippleCarryAdder(8).add(a, b, cin)
         assert s + (c << 8) == a + b + cin
 
-    def test_steps(self):
-        assert RippleCarryAdder(6).steps == 6
-
     def test_invalid_width(self):
         with pytest.raises(ValueError):
             RippleCarryAdder(0)

@@ -43,9 +43,6 @@ class TestFunctional:
         with pytest.raises(ValueError):
             BaughWooleyMultiplier(1)
 
-    def test_steps(self):
-        assert BaughWooleyMultiplier(4).steps == 18
-
     def test_heap_positions_bounded(self):
         heap = BaughWooleyMultiplier(4).partial_product_bits(-3, 5)
         assert max(heap) <= 2 * 4 - 1

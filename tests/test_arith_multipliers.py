@@ -50,9 +50,6 @@ class TestAddShiftFunctional:
         t = m.trace(3, 3)  # 9 = 1001b
         assert t["carry_out"] == 1
 
-    def test_steps(self):
-        assert AddShiftMultiplier(4).steps == 16
-
     def test_invalid_p(self):
         with pytest.raises(ValueError):
             AddShiftMultiplier(0)
@@ -80,9 +77,6 @@ class TestCarrySaveFunctional:
     def test_invalid_p(self):
         with pytest.raises(ValueError):
             CarrySaveMultiplier(0)
-
-    def test_steps(self):
-        assert CarrySaveMultiplier(3).steps == 9
 
 
 class TestStructures:

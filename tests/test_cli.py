@@ -156,25 +156,50 @@ class TestObservabilityFlags:
 
     def test_simulate_chrome_trace_counter_tracks(self, tmp_path):
         trace_file = tmp_path / "trace.json"
+        m_file = tmp_path / "m.json"
         assert main(
             ["simulate", "--u", "2", "--p", "2",
              "--trace", str(trace_file), "--trace-format", "chrome",
-             "--quiet-metrics"]
+             "--metrics-out", str(m_file), "--quiet-metrics"]
         ) == 0
         rows = json.loads(trace_file.read_text())
         counters = [r for r in rows if r.get("ph") == "C"]
         assert any(r["name"] == "machine.pe_busy_max" for r in counters)
-        assert any(r["name"] == "machine.busy_pes" for r in counters)
+        # One sample per counter and gauge, carrying its final value.
+        metrics = json.loads(m_file.read_text())
+        assert len(counters) == len({r["name"] for r in counters})
+        assert {r["name"]: r["args"]["value"] for r in counters} == {
+            **metrics["counters"], **metrics["gauges"]
+        }
 
-    def test_trace_renders_progress_lines(self, tmp_path, capsys):
-        trace_file = tmp_path / "trace.jsonl"
-        assert main(
-            ["verify", "--seed", "0", "--cases", "3",
-             "--oracle", "theorem31", "--trace", str(trace_file)]
-        ) == 0
-        err = capsys.readouterr().err
-        assert "[verify.theorem31] 3/3" in err
-        assert "done" in err
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--u", "2", "--p", "2", "--no-cache"],
+        ["search", "--u", "2", "--p", "2"],
+        ["simulate", "--u", "2", "--p", "2"],
+    ], ids=lambda argv: argv[0])
+    def test_server_metrics_out_equals_in_process(self, argv, tmp_path):
+        from repro.compile.plan import clear_plan_memo
+        from repro.compile.runner import clear_program_memo
+        from repro.mapping.solver import clear_search_plans
+        from repro.serve import ServerConfig, ServerThread
+        from repro.symbolic import clear_memo
+
+        def metrics(*flags):
+            for clear in (clear_plan_memo, clear_program_memo,
+                          clear_search_plans, clear_memo):
+                clear()  # each side starts from the same cold memos
+            out_file = tmp_path / "m.json"
+            assert main(
+                [*argv, *flags, "--metrics-out", str(out_file),
+                 "--quiet-metrics"]
+            ) == 0
+            written = json.loads(out_file.read_text())
+            return written["counters"], written["gauges"]
+
+        with ServerThread(ServerConfig()) as handle:
+            served = metrics("--server", f"127.0.0.1:{handle.port}")
+        assert served == metrics()
+        assert served[0], "the job reported no counters"
 
     def test_flags_accepted_before_subcommand(self, tmp_path):
         out_file = tmp_path / "m.json"

@@ -16,9 +16,9 @@ A name is followed by what it refers to:
   it, by a ``Name`` bound to it (by its definition or an import) or by
   an ``alias.attr`` chain resolved through package re-exports.  A
   docstring, an ``__all__`` entry or the name's own body is no use;
-* a method of a reached class is reached when reached code reads an
-  attribute of that name.  Dunder methods (dataclass hooks among them)
-  and properties always are;
+* a method or property of a reached class is reached when reached code
+  reads an attribute of that name.  Dunder methods (dataclass hooks
+  among them) always are;
 * a module's top-level code runs when the module is imported or one of
   its names is reached.  An ordinary module's imports run the modules
   they import from; a package ``__init__``'s re-exports run nothing, so
@@ -27,6 +27,11 @@ A name is followed by what it refers to:
 What stays unreached and is kept is named, with its reason, in
 ``ALLOWED_UNREACHED`` (modules) or ``ALLOWED_UNREACHED_NAMES``; what an
 allowed entry refers to counts as reached.
+
+An import runs its module by design, so the reach cannot see a name that
+is imported and never used: every name a module's top-level imports bind
+is read in that module, or listed in its ``__all__``.  A package
+``__init__`` imports to re-export and is exempt.
 
 The entry points also import no test-only dependency: Hypothesis is for
 the property-based suites alone.
@@ -114,22 +119,26 @@ def _chain(node: ast.Attribute) -> tuple[str, list[str]] | None:
     return cur.id, attrs[::-1]
 
 
+def _dunder_all(tree: ast.Module) -> list[str]:
+    """The names a module lists in ``__all__``."""
+    names: list[str] = []
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__"
+            for t in node.targets
+        ):
+            names += [e.value for e in node.value.elts]
+    return names
+
+
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 _FUNCS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
 def _always_reached(method: ast.FunctionDef) -> bool:
-    """Dunder methods and properties run without a named read."""
-    if method.name.startswith("__") and method.name.endswith("__"):
-        return True
-    for dec in method.decorator_list:
-        if isinstance(dec, ast.Name) and dec.id == "property":
-            return True
-        if isinstance(dec, ast.Attribute) and dec.attr in (
-            "setter", "deleter",
-        ):
-            return True
-    return False
+    """Dunder methods run without a named read; a property (with its
+    setter) is reached by a read of its name, as a method is."""
+    return method.name.startswith("__") and method.name.endswith("__")
 
 
 class Reach:
@@ -390,12 +399,7 @@ class Reach:
         defines and those its ``__all__`` re-exports) and the public
         methods of those classes."""
         names = [n for n in self.defs[module] if not n.startswith("_")]
-        for node in self.trees[module].body:
-            if isinstance(node, ast.Assign) and any(
-                isinstance(t, ast.Name) and t.id == "__all__"
-                for t in node.targets
-            ):
-                names += [e.value for e in node.value.elts]
+        names += _dunder_all(self.trees[module])
         out: list[tuple] = [("code", module)]
         for name in names:
             target = self.lookup(module, name)
@@ -528,6 +532,34 @@ def test_allowed_names_exist_and_are_unreached(graph, reached):
 def test_every_package_import_resolves(graph, reached):
     # A name the graph cannot resolve would drop an edge silently.
     assert not graph.unresolved, sorted(graph.unresolved)
+
+
+def test_every_import_is_read(graph):
+    unread = []
+    for module, tree in graph.trees.items():
+        if graph.is_package(module):
+            continue
+        read = set(_dunder_all(tree)) | {
+            node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                bound = [a.asname or a.name.split(".")[0] for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and (
+                node.module != "__future__"
+            ):
+                bound = [a.asname or a.name for a in node.names]
+            else:
+                continue
+            unread += [
+                f"{module}:{node.lineno} {name}"
+                for name in bound if name not in read
+            ]
+    assert not unread, (
+        "these imports bind a name their module never reads; delete "
+        "them:\n  " + "\n  ".join(unread)
+    )
 
 
 def test_entry_points_do_not_import_hypothesis():

@@ -1,65 +1,10 @@
-"""Tests for obs v2: event bus, percentiles, progress, and the Chrome
-trace exporter."""
+"""Tests for obs v2: percentiles, the loops' progress gauges, and the
+Chrome trace exporter."""
 
 import json
 
 from repro import obs
-from repro.obs import (
-    CallbackSink,
-    Histogram,
-    Registry,
-    RingBufferSink,
-)
-
-
-class TestEventBus:
-    def test_no_sinks_no_emission(self):
-        reg = Registry()
-        assert reg.sinks == []
-        reg.count("c")
-        reg.gauge("g", 1.0)  # must not raise; nothing to observe
-
-    def test_events_stream_to_ring_buffer(self):
-        reg = Registry()
-        ring = RingBufferSink()
-        reg.add_sink(ring)
-        with reg.span("outer", u=2):
-            reg.count("c", 2)
-            reg.gauge("g", 1.5)
-            reg.observe("h", 3.0)
-        kinds = [e["type"] for e in ring.events]
-        assert kinds == ["span_start", "counter", "gauge", "observe",
-                        "span_end"]
-        for event in ring.events:
-            assert event["pid"] == reg.pid
-            assert isinstance(event["ts"], float)
-            assert "name" in event
-        counter = next(e for e in ring.events if e["type"] == "counter")
-        assert counter["delta"] == 2 and counter["value"] == 2
-        end = ring.events[-1]
-        assert end["name"] == "outer" and end["dur_s"] >= 0.0
-
-    def test_ring_buffer_capacity(self):
-        ring = RingBufferSink(capacity=4)
-        for i in range(10):
-            ring.emit({"type": "counter", "i": i})
-        assert len(ring) == 4
-        assert [e["i"] for e in ring.events] == [6, 7, 8, 9]
-
-    def test_callback_sink_filters_kinds(self):
-        seen = []
-        reg = Registry()
-        reg.add_sink(CallbackSink(seen.append, kinds={"gauge"}))
-        reg.count("c")
-        reg.gauge("g", 2.0)
-        assert [e["type"] for e in seen] == ["gauge"]
-
-    def test_count_many_streams_per_name(self):
-        reg = Registry()
-        ring = RingBufferSink()
-        reg.add_sink(ring)
-        reg.count_many({"a": 1, "b": 2}, prefix="pre.")
-        assert {e["name"] for e in ring.events} == {"pre.a", "pre.b"}
+from repro.obs import Histogram, Registry
 
 
 class TestPercentiles:
@@ -93,58 +38,68 @@ class TestPercentiles:
         assert "p50=2" in obs.render_tree(reg)
 
 
-class TestProgress:
-    def test_emits_over_bus_and_sets_gauge(self):
-        reg = Registry()
-        ring = RingBufferSink()
-        reg.add_sink(ring)
-        with reg.progress("work", total=3, min_interval=0.0) as prog:
-            for _ in range(3):
-                prog.advance()
-        events = [e for e in ring.events if e["type"] == "progress"]
-        assert events, "no progress events emitted"
-        assert events[-1]["final"] is True
-        assert events[-1]["done"] == 3 and events[-1]["total"] == 3
-        assert events[-1]["rate"] is None or events[-1]["rate"] > 0
-        assert reg.gauges["progress.work"] == 3
+class TestProgressGauges:
+    """Each instrumented loop reports how far it got as one
+    ``progress.<name>`` gauge, set when the loop ends."""
 
-    def test_throttled_without_sinks(self):
-        reg = Registry()
-        with reg.progress("quiet", total=5) as prog:
-            for _ in range(5):
-                prog.advance()
-        assert reg.gauges["progress.quiet"] == 5
+    @staticmethod
+    def _search(**config):
+        from repro.expansion.theorem31 import matmul_bit_level
+        from repro.mapping import designs
+        from repro.mapping.engine import SearchConfig, run_search
 
-    def test_ambient_helper_null_when_disabled(self):
-        prog = obs.progress("nothing", total=10)
-        assert prog is obs.NULL_PROGRESS
-        prog.advance()
-        prog.close()  # no-ops
-
-    def test_ambient_helper_live_when_collecting(self):
         with obs.collecting() as reg:
-            with obs.progress("live", total=2) as prog:
-                prog.advance(2)
-        assert reg.gauges["progress.live"] == 2
+            found = run_search(
+                matmul_bit_level(2, 2), {"u": 2, "p": 2},
+                designs.fig4_primitives(2),
+                SearchConfig(block_values=[2], **config),
+            )
+        return len(found), reg.gauges["progress.mapping.spaces"]
+
+    def test_search_counts_the_spaces_it_evaluated(self):
+        # The plan holds 1,475 spaces.  A search that stops once it has
+        # ``stop_after`` designs counts up to the space that completed them.
+        assert self._search(max_candidates=None) == (156, 1475)
+        assert self._search() == (10, 384)
+        assert self._search(max_candidates=1, overcollect=1) == (1, 40)
+
+    def test_verify_counts_each_oracles_cases(self):
+        from repro.verify import VerifyConfig, run_verification
+
+        with obs.collecting() as reg:
+            run_verification(
+                VerifyConfig(seed=0, cases=3, oracles=("theorem31", "search"))
+            )
+        progress = {
+            name: value for name, value in reg.gauges.items()
+            if name.startswith("progress.verify.")
+        }
+        assert progress == {
+            "progress.verify.theorem31": 3, "progress.verify.search": 3,
+        }
+
+    def test_e7_counts_its_cases(self):
+        from repro.experiments import e7_analysis_cost
+
+        data = e7_analysis_cost.run(cases=((2, 2), (2, 3)), verify=False)
+        assert data["metrics"]["gauges"]["progress.e7.cases"] == 2
 
 
 class TestChromeTrace:
-    def _registry_with_events(self):
+    def _registry(self):
         reg = Registry()
-        ring = RingBufferSink()
-        reg.add_sink(ring)
         with reg.span("root", kind="test"):
             reg.count("hits", 2)
             reg.gauge("util", 0.5)
             with reg.span("child"):
                 pass
-        reg.emit_series("busy", [(0, 1), (1, 3), (2, 0)])
-        return reg, ring
+            reg.count("hits")
+        return reg
 
     def test_schema_round_trip(self, tmp_path):
-        reg, ring = self._registry_with_events()
+        reg = self._registry()
         path = tmp_path / "trace.json"
-        obs.write_chrome_trace(reg, path, ring.events)
+        obs.write_chrome_trace(reg, path)
         rows = json.loads(path.read_text())
         assert isinstance(rows, list) and rows
         for row in rows:
@@ -152,20 +107,22 @@ class TestChromeTrace:
                 assert key in row, f"{row.get('ph')} event missing {key}"
         span_names = [r["name"] for r in rows if r["ph"] == "X"]
         assert sorted(span_names) == ["child", "root"]
+        # One sample per counter and gauge: its final value, at the end
+        # of the last span.
+        root = next(r for r in rows if r["name"] == "root")
         counters = [r for r in rows if r["ph"] == "C"]
-        assert {r["name"] for r in counters} >= {"hits", "util", "busy"}
-        series = [r for r in counters if r["name"] == "busy"]
-        assert [(r["ts"], r["args"]["value"]) for r in series] == [
-            (0.0, 1), (1.0, 3), (2.0, 0)
+        assert [(r["cat"], r["name"], r["args"]["value"], r["ts"])
+                for r in counters] == [
+            ("counter", "hits", 3, root["ts"] + root["dur"]),
+            ("gauge", "util", 0.5, root["ts"] + root["dur"]),
         ]
         metas = [r for r in rows if r["ph"] == "M"]
-        assert {m["args"]["name"] for m in metas} >= {
-            f"parent (pid {reg.pid})", "series (caller timebase)"
-        }
+        assert [m["args"]["name"] for m in metas] == [
+            f"parent (pid {reg.pid})"
+        ]
 
     def test_timestamps_rebased_to_zero(self):
-        reg, ring = self._registry_with_events()
-        rows = obs.chrome_trace_events(reg, ring.events)
+        rows = obs.chrome_trace_events(self._registry())
         span_rows = [r for r in rows if r["ph"] == "X"]
         assert min(r["ts"] for r in span_rows) == 0.0
         root = next(r for r in span_rows if r["name"] == "root")
@@ -175,11 +132,11 @@ class TestChromeTrace:
 
     def test_every_span_on_the_registry_track(self):
         # A ``pid`` attr does not move a span to a track of its own.
-        reg, ring = self._registry_with_events()
+        reg = self._registry()
         with reg.span("stamped", pid=reg.pid + 1):
             pass
-        rows = obs.chrome_trace_events(reg, ring.events)
-        assert {r["pid"] for r in rows if r["ph"] == "X"} == {reg.pid}
+        rows = obs.chrome_trace_events(reg)
+        assert {r["pid"] for r in rows} == {reg.pid}
         assert {r["args"]["name"] for r in rows if r["ph"] == "M"} == {
-            f"parent (pid {reg.pid})", "series (caller timebase)"
+            f"parent (pid {reg.pid})"
         }

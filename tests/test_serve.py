@@ -5,11 +5,10 @@ shared dispatch's CLI-output parity, request coalescing (N concurrent
 identical analyze jobs -> exactly one analysis-engine call), job ids
 that are content keys and a job table bounded by the in-flight and
 retained executions, one execution per job (each job's metrics, spans
-and budget are its own, under a registry with no sinks), budget
-enforcement (a timed-out result is never coalesced onto), malformed
-requests and a client dropped mid-long-poll, the HTTP client/server
-round trip (``run_many`` past the retained-result limit), and the
-promoted top-level API with its deprecation shims.
+and budget are its own), budget enforcement (a timed-out result is never
+coalesced onto), malformed requests and a client dropped mid-long-poll,
+the HTTP client/server round trip (``run_many`` past the retained-result
+limit), and the promoted top-level API with its deprecation shims.
 """
 
 import contextlib
@@ -450,7 +449,6 @@ class TestServer:
         assert result.ok, result.error
         [registry] = registries
         assert registry is not None
-        assert registry.sinks == []
         assert result.metrics == registry.metrics()
 
     def test_admission_refusal_is_structured(self):
