@@ -300,9 +300,9 @@ def ranked_schedules(
 class _CatalogWalk:
     """The reference walk: each space against every time-sorted schedule.
 
-    ``spaces`` are walked by position (:meth:`evaluate`), like the
-    solver's :class:`~repro.mapping.solver.PlanWalk`, so
-    :func:`run_search` drives either one.
+    Its :meth:`stream` of ``(index, Π, report)`` is the one the solver's
+    :class:`~repro.mapping.solver.PlanWalk` yields, so :func:`run_search`
+    drives either one.
     """
 
     algorithm: Algorithm
@@ -324,24 +324,36 @@ class _CatalogWalk:
         Walks the shared time-sorted schedule list and returns the first
         ``Π`` whose full feasibility check (including conflict-freedom
         with this specific ``S``) passes.  Condition 5 (coprime entries
-        of ``T``) is pre-screened before the full check.  The walk runs
-        under a ``mapping.evaluate_space`` span, the per-candidate trace
-        unit.
+        of ``T``) is pre-screened before the full check.
         """
         space = self.spaces[index]
-        with obs.span("mapping.evaluate_space"):
-            for _, pi in self.schedules:
-                mapping = MappingMatrix(space + [list(pi)])
-                if not mapping.entries_coprime():
-                    obs.count("mapping.pruned.coprime_precheck")
-                    continue
-                report = check_feasibility(
-                    mapping, self.algorithm, self.binding, self.primitives,
-                    cache=self.cache,
-                )
-                if report.feasible:
-                    return list(pi), report
+        for _, pi in self.schedules:
+            mapping = MappingMatrix(space + [list(pi)])
+            if not mapping.entries_coprime():
+                obs.count("mapping.pruned.coprime_precheck")
+                continue
+            report = check_feasibility(
+                mapping, self.algorithm, self.binding, self.primitives,
+                cache=self.cache,
+            )
+            if report.feasible:
+                return list(pi), report
         return None
+
+    def stream(
+        self, stop_after: int | None
+    ) -> Iterator[tuple[int, list[int], FeasibilityReport]]:
+        """``(index, Π, report)`` for each space :meth:`evaluate` finds a
+        design for, in space order, until ``stop_after`` designs
+        (``None``: every space)."""
+        found = 0
+        for index in range(len(self.spaces)):
+            result = self.evaluate(index)
+            if result is not None:
+                yield (index, *result)
+                found += 1
+                if found == stop_after:
+                    return
 
 
 def _walk(
@@ -411,13 +423,9 @@ def run_search(
         time_of = walk.time_of
         obs.gauge("mapping.schedule_pool", len(time_of))
         d_cols = [tuple(c) for c in algorithm.dependences.columns()]
-        spaces = walk.spaces
-        evaluated = len(spaces)
-        for index, space in enumerate(spaces):
-            result = walk.evaluate(index)
-            if result is None:
-                continue
-            pi, report = result
+        evaluated = len(walk.spaces)
+        for index, pi, report in walk.stream(stop_after):
+            space = walk.spaces[index]
             mapping = MappingMatrix(
                 space + [pi], name=f"T-search-{len(found)}"
             )
@@ -434,9 +442,8 @@ def run_search(
                     ),
                 )
             )
-            if stop_after is not None and len(found) >= stop_after:
+            if len(found) == stop_after:
                 evaluated = index + 1
-                break
         obs.gauge("progress.mapping.spaces", evaluated)
         found = _rank(found, config)
         obs.count("mapping.designs_found", len(found))

@@ -171,7 +171,8 @@ def check_feasibility(
         proceed = full_report or schedule_valid
 
     # Condition 2: S·D = P·K under the arrival deadline (bounded DFS per
-    # dependence column; memoized per (P, S d̄_i, Π d̄_i) when cached).
+    # dependence column; memoized per (P, S d̄_i) when cached, one answer
+    # serving every deadline it covers).
     if proceed:
         if primitives is not None:
             d_cols = algorithm.dependences.columns()

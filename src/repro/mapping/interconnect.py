@@ -121,6 +121,25 @@ def _column_combinations(
     return best
 
 
+def _solve_column(
+    p_key: tuple[tuple[int, ...], ...],
+    target: Sequence[int],
+    budget: int,
+    cache=None,
+) -> list[int] | None:
+    """:func:`_column_combinations` for ``P`` given by its rows as
+    tuples, memoized in ``cache`` (an
+    :class:`~repro.mapping.memo.EvalCache`) on ``(P, target)`` for every
+    budget its answer covers
+    (:meth:`~repro.mapping.memo.EvalCache.get_column`)."""
+    if cache is None:
+        return _column_combinations(p_key, target, budget)
+    return cache.get_column(
+        (p_key, tuple(target)), budget,
+        lambda b: _column_combinations(p_key, target, b),
+    )
+
+
 def check_primitive_rows(p_matrix: Sequence[Sequence[int]], space_dim: int) -> None:
     """Condition 2 compares ``S·D`` with ``P·K``, so ``P`` needs one row
     per space dimension; raise a ``ValueError`` naming both otherwise."""
@@ -147,11 +166,16 @@ def solve_interconnect(
     with the given primitives within its schedule slack.
 
     ``cache`` (an :class:`repro.mapping.memo.EvalCache`) memoizes the
-    per-column subproblem ``P k̄ = S d̄_i`` with ``Σ k̄ <= Π d̄_i`` on the
-    canonical key ``(P, S d̄_i, Π d̄_i)`` -- across the candidate mappings of
-    a design-space search the same displacement/deadline pairs recur for
-    every schedule sharing a space row, so most columns are answered
-    without re-running the depth-first search.
+    per-column subproblem ``P k̄ = S d̄_i`` on the canonical key
+    ``(P, S d̄_i)``, with the budget it ran under
+    (:meth:`~repro.mapping.memo.EvalCache.get_column`): the minimum-hop
+    ``k̄`` does not depend on the budget once the budget covers it, so one
+    solve answers every deadline ``Π d̄_i`` it covers.  Across the
+    candidate mappings of a design-space search the same displacements
+    recur for every schedule sharing a space row, and a solver search's
+    certifying check reads the column its plan solved under the largest
+    deadline, so most columns are answered without re-running the
+    depth-first search.
 
     Raises ``ValueError`` when ``P``'s row count differs from ``S``'s.
     """
@@ -159,11 +183,7 @@ def solve_interconnect(
     m = len(d_matrix[0]) if d_matrix else 0
     n = len(d_matrix)
     r = len(p_matrix[0]) if p_matrix else 0
-    p_key = (
-        tuple(tuple(int(x) for x in row) for row in p_matrix)
-        if cache is not None
-        else None
-    )
+    p_key = tuple(tuple(int(x) for x in row) for row in p_matrix)
     k_cols: list[list[int]] = []
     hops: list[int] = []
     deadlines: list[int] = []
@@ -171,14 +191,7 @@ def solve_interconnect(
         d_col = [d_matrix[row][i] for row in range(n)]
         target = mat_vec(list(s_matrix), d_col)
         deadline = sum(schedule[row] * d_col[row] for row in range(n))
-        if cache is None:
-            k_col = _column_combinations(p_matrix, target, deadline)
-        else:
-            key = ("icol", p_key, tuple(target), deadline)
-            k_col = cache.get_or_compute(
-                key,
-                lambda: _column_combinations(p_matrix, target, deadline),
-            )
+        k_col = _solve_column(p_key, target, deadline, cache)
         if k_col is None:
             return None
         k_cols.append(k_col)

@@ -3,19 +3,21 @@
 The per-candidate work of the search -- conflict enumeration and
 interconnect factorization -- is pure in its inputs, and the inputs repeat
 heavily across candidates: many mappings ``T = [S; Π]`` share a nullspace
-lattice, and the interconnect subproblems ``P k̄ = S d̄_i`` under a deadline
-``Π d̄_i`` recur for every schedule sharing a space row.  :class:`EvalCache`
-is a plain dictionary over *canonicalized* keys with hit/miss accounting
-surfaced through :mod:`repro.obs` (``mapping.cache_hits`` /
-``mapping.cache_misses``).
+lattice, and the interconnect subproblems ``P k̄ = S d̄_i`` recur for every
+schedule sharing a space row, under the deadlines ``Π d̄_i`` of those
+schedules.  :class:`EvalCache` is a plain dictionary over *canonicalized*
+keys with hit/miss accounting surfaced through :mod:`repro.obs`
+(``mapping.cache_hits`` / ``mapping.cache_misses``).
 
 A cache is scoped to one search run -- or, for the binding-free
-``plattice``/``icol`` solves, to one search plan
-(:class:`~repro.mapping.solver.SearchPlan`) -- and lives only in memory:
-nothing is persisted across runs.  Entries are never invalidated; a
-witness list (:meth:`EvalCache.get_witnesses`) is only replaced by the
-longer list of a larger limit.  Cached callables must be deterministic
-and their results treated as immutable.
+``plattice`` solves and the interconnect column answers, to one search
+plan (:class:`~repro.mapping.solver.SearchPlan`), whose walks share its
+column table -- and lives only in memory: nothing is persisted across
+runs.  Entries are never invalidated; a witness list
+(:meth:`EvalCache.get_witnesses`) is only replaced by the longer list of a
+larger limit, and a column answer (:meth:`EvalCache.get_column`) with no
+solution only by the answer of a larger budget.  Cached callables must be
+deterministic and their results treated as immutable.
 """
 
 from __future__ import annotations
@@ -32,10 +34,15 @@ V = TypeVar("V")
 class EvalCache:
     """A run-scoped memo table with obs-visible hit/miss counters."""
 
-    __slots__ = ("data", "hits", "misses", "box")
+    __slots__ = ("data", "columns", "hits", "misses", "box")
 
-    def __init__(self) -> None:
+    def __init__(self, columns: dict | None = None) -> None:
         self.data: dict[Hashable, object] = {}
+        #: Interconnect column answers (:meth:`get_column`); a search walk
+        #: shares its plan's table, so certification reads the plan's solves.
+        self.columns: dict[Hashable, tuple] = (
+            {} if columns is None else columns
+        )
         self.hits = 0
         self.misses = 0
         #: The last index set and binding a condition-3 query instantiated,
@@ -87,11 +94,38 @@ class EvalCache:
         self.data[key] = (limit, witnesses)
         return witnesses
 
+    def get_column(
+        self, key: Hashable, budget: int,
+        compute: Callable[[int], list[int] | None],
+    ) -> list[int] | None:
+        """``compute(budget)``, the minimum-hop ``k̄`` of one interconnect
+        column within ``budget`` hops or ``None``, memoized on ``key`` (the
+        column's ``(P, S d̄_i)``) for every budget.
+
+        The depth-first solve returns the same minimum-hop ``k̄`` under
+        every budget at least its hop count, and nothing below it; so a
+        stored ``k̄`` serves every budget (``None`` below its hop count),
+        and a stored ``None`` serves every budget up to the one it was
+        computed under.  A larger budget misses and replaces a ``None``.
+        """
+        entry = self.columns.get(key)
+        if entry is not None:
+            stored_budget, k_col = entry
+            if k_col is not None or budget <= stored_budget:
+                self.hits += 1
+                obs.count("mapping.cache_hits")
+                return k_col if k_col is None or sum(k_col) <= budget else None
+        self.misses += 1
+        obs.count("mapping.cache_misses")
+        k_col = compute(budget)
+        self.columns[key] = (budget, k_col)
+        return k_col
+
     def __len__(self) -> int:
-        return len(self.data)
+        return len(self.data) + len(self.columns)
 
     def __repr__(self) -> str:
         return (
-            f"EvalCache({len(self.data)} entries, "
+            f"EvalCache({len(self)} entries, "
             f"{self.hits} hits, {self.misses} misses)"
         )

@@ -30,14 +30,16 @@ Constraint derivation (see docs/SEARCH.md for the full write-up):
   every schedule of a space at once.
 
 * **Condition 3** (``τ`` injective) is decided exactly per ``(S, Π)``
-  pair by :func:`~repro.mapping.conflicts.find_conflicts`, the package's
-  one condition-3 test: a nonzero vector of ``T``'s integer nullspace
-  lattice inside the index-difference box, or a colliding pair on an
-  affine-constrained index set.  The plan keeps each pair's
-  :class:`MappingMatrix`, whose Lagrange-reduced nullspace basis is
-  computed once; a conflicting pair is usually answered by a basis
-  vector in the box, and enumeration runs to prove a pair
-  conflict-free.
+  pair by the conflict screen (:func:`_screen`).  On a box index set a
+  pair conflicts when a vector of ``T``'s Lagrange-reduced nullspace
+  basis fits the index-difference box; the plan keeps each open pair's
+  :class:`MappingMatrix` and the |entries| of that basis, stacked into one
+  ``int64`` array per block of spaces, so a walk compares a whole block
+  with the box widths at once.  Every pair no basis vector answers --
+  every open pair, on an affine-constrained index set -- goes to
+  :func:`~repro.mapping.conflicts.find_conflicts`, the package's one
+  condition-3 test, whose enumeration is the only proof of
+  conflict-freedom.
 
 * **Condition 4** (``rank T = k``) is monotone under row extension, so
   rank-deficient prefixes are cut at the branch point.
@@ -52,15 +54,20 @@ returned design, to certify it and supply its report (on this path the
 only place ``mapping.candidates_enumerated`` counts); a design it rejects
 raises ``RuntimeError`` naming it, which the differential oracle and the
 equivalence suite pin never happens.  Per-cut prune counts are published
-as ``mapping.solver.pruned.*``.
+as ``mapping.solver.pruned.*``, once per search.
 
 **Plan and walk.**  Only the schedule *order* (the time (4.5)), the
-conflict screen, the certifying check and the PE count read the
-index-set bounds; everything else reads ``D``, ``P`` and the config.  So
-that binding-free part is a :class:`SearchPlan`, built once per key and
-kept in a small in-process LRU memo (:func:`search_plan`,
-:func:`clear_search_plans`), and each search is a :class:`PlanWalk` over
-it: time the valid schedules, sort them, and walk the planned spaces.
+difference box of the conflict screen, its enumeration proofs, the
+certifying check and the PE count read the index-set bounds; everything
+else reads ``D``, ``P`` and the config.  So that binding-free part is a
+:class:`SearchPlan`, built once per key and kept in a small in-process
+LRU memo (:func:`search_plan`, :func:`clear_search_plans`).  It settles
+its spaces in blocks of ``_BLOCK`` the first time a walk reaches them:
+per space the cut counts and the open schedule positions, per open pair
+the matrix and its |basis| rows, and the interconnect column answers.
+Each search is a :class:`PlanWalk` over it: time the valid schedules,
+sort them, screen each block of spaces with a few array operations, and
+certify the designs the screen passes.
 """
 
 from __future__ import annotations
@@ -68,15 +75,18 @@ from __future__ import annotations
 import itertools
 import threading
 from collections import OrderedDict
+from dataclasses import dataclass
 from math import gcd
 from operator import mul
-from typing import Sequence
+from typing import Iterator, Sequence
+
+import numpy as np
 
 from repro import obs
 from repro.mapping.conflicts import find_conflicts
 from repro.mapping.engine import SearchConfig, space_map_catalog
 from repro.mapping.feasibility import FeasibilityReport, check_feasibility
-from repro.mapping.interconnect import _column_combinations
+from repro.mapping.interconnect import _solve_column
 from repro.mapping.memo import EvalCache
 from repro.mapping.schedule import execution_time
 from repro.mapping.transform import MappingMatrix
@@ -108,6 +118,16 @@ _CUT_COUNTERS = (
     "mapping.solver.pruned.interconnect",
     "mapping.solver.pruned.conflict_screen",
 )
+
+#: Spaces a plan settles at once, the first time a walk reaches them: a
+#: walk that stops early settles at most one block it does not need, and a
+#: walk over settled blocks screens each with a few array operations.
+_BLOCK = 64
+
+#: A |basis| entry is stored as at most this, and a box width as at most
+#: one less, so an entry beyond ``int64`` never fits and its pair goes to
+#: :func:`find_conflicts`.
+_I64_MAX = int(np.iinfo(np.int64).max)
 
 
 def _hop_budget(deadline: int) -> int:
@@ -187,10 +207,9 @@ class SearchPlan:
     Holds the valid schedules in enumeration order with their deadlines
     ``Π d̄_i`` and gcds, the branch-and-prune survivors (``spaces``) with
     their row masks over that order, and the stage counters a search
-    publishes whether it built the plan or reused it.  Each survivor's
-    cut outcomes (:meth:`space_cuts`) and each walked ``(S, Π)`` pair's
-    :class:`MappingMatrix` (which keeps the nullspace basis the conflict
-    screen reads) are filled in on first use and kept; entries are only
+    publishes whether it built the plan or reused it.  The survivors are
+    settled in blocks of ``_BLOCK`` (:meth:`block`) on first use and kept,
+    as are the interconnect column answers of ``memo``; entries are only
     ever added, so concurrent walks can share a plan.
     A plan is built from its memo key alone, so it cannot read a binding.
     """
@@ -200,7 +219,8 @@ class SearchPlan:
         self.n = n
         self.d_cols = d_cols
         self.p_rows = p_rows
-        #: The ``plattice``/``icol`` solves of the plan, shared by walks.
+        #: The plan's ``plattice`` solves and interconnect column answers;
+        #: walks share its column table.
         self.memo = EvalCache()
         self.schedules: list[tuple[int, ...]] = []
         self.deadlines: list[tuple[int, ...]] = []
@@ -231,11 +251,13 @@ class SearchPlan:
         self.spaces: list[list[list[int]]] = []
         self.masks: list[int] = []
         pruned = self._enumerate_spaces(target_space_dim, block_values)
-        self._cuts: list[bytes | None] = [None] * len(self.spaces)
-        #: Per space, schedule position -> the pair's ``T = [S; Π]``.
-        self.mappings: list[dict[int, MappingMatrix]] = [
-            {} for _ in self.spaces
-        ]
+        #: Nullspace dimension of a full-rank ``T = [S; Π]``.
+        self.null_dim = max(n - target_space_dim - 1, 0)
+        #: The settled blocks of spaces (:meth:`block`), ``None`` until a
+        #: walk reaches them.
+        self.blocks: list[_Block | None] = [None] * -(
+            -len(self.spaces) // _BLOCK
+        )
         self.counters = {
             "mapping.schedules_tried": tried,
             "mapping.schedules_valid": len(self.schedules),
@@ -392,12 +414,11 @@ class SearchPlan:
           some column, ``hops[i]`` being the minimum hop count of
           ``S d̄_i``: the depth-first solve returns the same minimum-hop
           ``k̄`` under every budget at least that minimum, so one solve
-          under the largest deadline (memoized on the ``("icol", ...)``
-          key ``check_feasibility`` uses) serves every schedule.
+          under the largest deadline serves every schedule.  It is kept in
+          the column table of ``memo``, keyed on ``(P, S d̄_i)``, where the
+          certifying check of every walk reads it
+          (:meth:`~repro.mapping.memo.EvalCache.get_column`).
         """
-        cuts = self._cuts[index]
-        if cuts is not None:
-            return cuts
         space, mask = self.spaces[index], self.masks[index]
         g = _vector_gcd([x for row in space for x in row])
         null = integer_nullspace(space)
@@ -406,10 +427,7 @@ class SearchPlan:
         hops: list[int] | None = []
         if self.p_rows is not None and mask:
             for target, budget in zip(self.targets(space), self.max_deadlines):
-                k_col = self.memo.get_or_compute(
-                    ("icol", self.p_rows, target, budget),
-                    lambda: _column_combinations(self.p_rows, target, budget),
-                )
+                k_col = _solve_column(self.p_rows, target, budget, self.memo)
                 if k_col is None:
                     hops = None
                     break
@@ -430,8 +448,63 @@ class SearchPlan:
                 out.append(_INTERCONNECT)
             else:
                 out.append(_OPEN)
-        cuts = self._cuts[index] = bytes(out)
-        return cuts
+        return bytes(out)
+
+    def block(self, number: int) -> "_Block":
+        """Spaces ``number * _BLOCK`` onward, settled on first use."""
+        block = self.blocks[number]
+        if block is None:
+            block = self.blocks[number] = self._settle(number)
+        return block
+
+    def _settle(self, number: int) -> "_Block":
+        """Block ``number``: the cuts of its spaces and its open pairs."""
+        start = number * _BLOCK
+        stop = min(start + _BLOCK, len(self.spaces))
+        cuts = [self.space_cuts(index) for index in range(start, stop)]
+        space_of: list[int] = []
+        pos_of: list[int] = []
+        mappings: list[MappingMatrix] = []
+        for index, row in enumerate(cuts, start):
+            space = self.spaces[index]
+            for pos, cut in enumerate(row):
+                if cut == _OPEN:
+                    space_of.append(index)
+                    pos_of.append(pos)
+                    mappings.append(
+                        MappingMatrix(space + [list(self.schedules[pos])])
+                    )
+        table = np.frombuffer(b"".join(cuts), dtype=np.uint8).reshape(
+            stop - start, len(self.schedules)
+        )
+        counts = (
+            table[:, :, None] == np.arange(len(_CUT_COUNTERS), dtype=np.uint8)
+        ).sum(axis=1)
+        return _Block(
+            start, stop, cuts, counts, space_of, pos_of, mappings,
+            self._abs_basis(mappings),
+        )
+
+    def _abs_basis(self, mappings: list[MappingMatrix]) -> np.ndarray:
+        """The |entries| of each matrix's reduced nullspace basis, as one
+        ``int64`` array of shape ``(len(mappings), n - k, n)``.
+
+        An entry whose magnitude ``int64`` cannot hold is stored as
+        ``_I64_MAX``, which fits no box, so its pair goes to
+        :func:`find_conflicts`.
+        """
+        bases = [mapping.nullspace() for mapping in mappings]
+        shape = (len(mappings), self.null_dim, self.n)
+        try:
+            out = np.abs(np.array(bases, dtype=np.int64).reshape(shape))
+        except OverflowError:
+            out = np.array(
+                [[[min(abs(x), _I64_MAX) for x in vec] for vec in basis]
+                 for basis in bases],
+                dtype=np.int64,
+            ).reshape(shape)
+        out[out < 0] = _I64_MAX  # |-2**63| wraps
+        return out
 
     def walk(self, algorithm: Algorithm, binding: ParamBinding,
              primitives: Sequence[Sequence[int]] | None) -> "PlanWalk":
@@ -441,15 +514,86 @@ class SearchPlan:
         return PlanWalk(self, algorithm, binding, primitives)
 
 
+@dataclass(frozen=True)
+class _Block:
+    """Spaces ``start`` to ``stop - 1`` of a plan, settled: what a walk
+    reads of them that does not depend on the binding.
+
+    Per space, its :meth:`SearchPlan.space_cuts` bytes (``cuts``) and how
+    many of its schedules each cut rejects, open ones counted as screened
+    (``counts``, one row per space).  Per open pair
+    ``(S, Π)``, in space order, then schedule enumeration order: its
+    space index (``space``), schedule position (``pos``),
+    :class:`MappingMatrix` (``mappings``) and the |entries| of that
+    matrix's reduced nullspace basis (``basis``, ``int64``, shape
+    ``(pairs, n - k, n)``).
+    """
+
+    start: int
+    stop: int
+    cuts: list[bytes]
+    counts: np.ndarray
+    space: list[int]
+    pos: list[int]
+    mappings: list[MappingMatrix]
+    basis: np.ndarray
+
+    def walk_order(
+        self, pairs: Sequence[int], ranks: Sequence[int]
+    ) -> list[int]:
+        """``pairs`` in space order, then in a walk's schedule order
+        (``ranks[pos]`` is a schedule position's place in it)."""
+        return sorted(
+            pairs, key=lambda i: (self.space[i], ranks[self.pos[i]])
+        )
+
+
+def _screen(walk: "PlanWalk", block: _Block) -> Iterator[int]:
+    """The solver's conflict screen (condition 3) over one block.
+
+    Yields, in space order, the first pair of each space, in the walk's
+    schedule order, that has no conflict witness; a space whose open
+    pairs all conflict yields nothing.  On a box index set a pair has a
+    witness when a vector of its reduced nullspace basis fits the
+    difference box ``Π [−w_i, w_i]``: one comparison of the block's
+    |basis| array with the walk's widths decides that for every pair (the
+    first step of :func:`find_conflicts`, batched).  Every other pair --
+    every open pair on an affine-constrained index set, where the walk
+    has no widths -- goes to :func:`find_conflicts`, in order, until one
+    returns no witness; its enumeration is the only proof of
+    conflict-freedom.  A generator, so a walk that stops early proves
+    nothing past its last design.  One seam for the whole screen, so the
+    verify mutation check can drop it.
+    """
+    if walk.widths is None:
+        pairs: Sequence[int] = range(len(block.mappings))
+    else:
+        pairs = np.flatnonzero(
+            ~(block.basis <= walk.widths).all(axis=2).any(axis=1)
+        ).tolist()
+    index_set = walk.algorithm.index_set
+    done = None
+    for pair in block.walk_order(pairs, walk.ranks):
+        space = block.space[pair]
+        if space != done and not find_conflicts(
+            block.mappings[pair], index_set, walk.binding, limit=1,
+            cache=walk.cache,
+        ):
+            done = space
+            yield pair
+
+
 class PlanWalk:
     """One search's pass over a :class:`SearchPlan` at one binding.
 
     Keeps only what reads the index-set bounds: the schedule times and
     their stable sort (the order of
-    :func:`~repro.mapping.engine.ranked_schedules`), and a run-scoped
-    :class:`EvalCache` for the conflict screen and the certifying check
-    (which keeps the instantiated difference box, and serves the check
-    the screen's complete answer for a conflict-free pair).
+    :func:`~repro.mapping.engine.ranked_schedules`), the widths of the
+    difference box, and a run-scoped :class:`EvalCache` for the conflict
+    screen's enumeration and the certifying check (which keeps the
+    instantiated difference box, serves the check the screen's complete
+    answer for a conflict-free pair, and shares the plan's interconnect
+    column answers).
     """
 
     def __init__(
@@ -464,55 +608,56 @@ class PlanWalk:
         self.binding = binding
         self.primitives = primitives
         self.spaces = plan.spaces
-        self.cache = EvalCache()
+        self.cache = EvalCache(plan.memo.columns)
         times = [
             execution_time(pi, algorithm, binding) for pi in plan.schedules
         ]
         #: Schedule positions, fastest first (ties keep enumeration order).
         self.order = sorted(range(len(times)), key=times.__getitem__)
         self.time_of = dict(zip(plan.schedules, times))
+        #: Schedule position -> its place in ``order``.
+        self.ranks = [0] * len(times)
+        for rank, pos in enumerate(self.order):
+            self.ranks[pos] = rank
+        #: The difference box's widths ``hi_i - lo_i``, clipped into
+        #: ``[-1, _I64_MAX - 1]`` (a negative width fits nothing), or
+        #: ``None`` on an affine-constrained index set.
+        self.widths: np.ndarray | None = None
+        index_set = algorithm.index_set
+        if not getattr(index_set, "is_constrained", False):
+            self.widths = np.array(
+                [min(max(hi - lo, -1), _I64_MAX - 1)
+                 for lo, hi in index_set.bounds(binding)],
+                dtype=np.int64,
+            )
 
-    def evaluate(
-        self, index: int
-    ) -> tuple[list[int], FeasibilityReport] | None:
-        """The fastest schedule making ``[S; Π]`` pass Definition 4.1,
-        ``S`` being planned space ``index``.
+    def stream(
+        self, stop_after: int | None
+    ) -> Iterator[tuple[int, list[int], FeasibilityReport]]:
+        """``(index, Π, report)`` for each planned space ``S`` with a
+        design, in space order: the fastest ``Π`` making ``[S; Π]`` pass
+        Definition 4.1, certified by :func:`check_feasibility`.
 
-        Walks the schedules fastest first under the
-        ``mapping.evaluate_space`` span and returns the first ``Π`` that
-        passes the binding-free cuts (:meth:`SearchPlan.space_cuts`) and
-        the conflict screen (:func:`find_conflicts`, one witness), with
-        the report of :func:`check_feasibility` certifying it -- the same
-        ``(Π, report)`` as the catalog evaluator, because every cut is
-        sound and the per-pair tests are exact.  A ``Π`` that passes the
-        screen but fails the check raises ``RuntimeError``.  Counts cover
-        the schedules up to the returned ``Π`` (all of them when none is
-        feasible) and are published once per space.
+        Walks the plan block by block: the binding-free cuts
+        (:meth:`SearchPlan.space_cuts`) leave each space's open pairs, and
+        the conflict screen (:func:`_screen`) passes the first of them
+        without a witness -- the same ``(Π, report)`` as the catalog
+        evaluator, because every cut is sound and the per-pair tests are
+        exact.  A ``Π`` that passes the screen but fails the check raises
+        ``RuntimeError``.  Stops after ``stop_after`` designs (``None``:
+        after every space), then publishes the cut counters once: per
+        space walked, the schedules up to its returned ``Π``, or all of
+        them when it has none.
         """
         plan = self.plan
-        with obs.span("mapping.evaluate_space"):
-            cuts = plan.space_cuts(index)
-            mappings = plan.mappings[index]
-            space = plan.spaces[index]
-            index_set = self.algorithm.index_set
-            counts = [0] * len(_CUT_COUNTERS)
-            result: tuple[list[int], FeasibilityReport] | None = None
-            for idx in self.order:
-                cut = cuts[idx]
-                if cut != _OPEN:
-                    counts[cut] += 1
-                    continue
-                mapping = mappings.get(idx)
-                if mapping is None:
-                    mapping = mappings[idx] = MappingMatrix(
-                        space + [list(plan.schedules[idx])]
-                    )
-                if find_conflicts(
-                    mapping, index_set, self.binding, limit=1,
-                    cache=self.cache,
-                ):
-                    counts[_SCREEN] += 1
-                    continue
+        totals = [0] * len(_CUT_COUNTERS)
+        found = 0
+        for number in range(len(plan.blocks)):
+            block = plan.block(number)
+            stop = block.stop
+            for pair in _screen(self, block):
+                index, pos = block.space[pair], block.pos[pair]
+                mapping = block.mappings[pair]
                 report = check_feasibility(
                     mapping, self.algorithm, self.binding, self.primitives,
                     cache=self.cache,
@@ -522,9 +667,22 @@ class PlanWalk:
                         f"search passed {mapping!r}, which fails "
                         f"Definition 4.1: {report.summary()}"
                     )
-                result = (list(plan.schedules[idx]), report)
+                # This space counts the schedules walked before its Π.
+                local = index - block.start
+                cuts = block.cuts[local]
+                for kind, n in enumerate(block.counts[local].tolist()):
+                    totals[kind] -= n
+                for q in self.order[:self.ranks[pos]]:
+                    totals[cuts[q]] += 1
+                yield index, list(plan.schedules[pos]), report
+                found += 1
+                if found == stop_after:
+                    stop = index + 1
+                    break
+            walked = block.counts[:stop - block.start].sum(axis=0).tolist()
+            totals = [a + b for a, b in zip(totals, walked)]
+            if found == stop_after:
                 break
-            obs.count_many(
-                {name: n for name, n in zip(_CUT_COUNTERS, counts) if n}
-            )
-            return result
+        obs.count_many(
+            {name: n for name, n in zip(_CUT_COUNTERS, totals) if n}
+        )

@@ -257,17 +257,21 @@ def _mutant_hop_budget(deadline: int) -> int:
     return deadline - 1
 
 
-def _mutant_find_conflicts(mapping, index_set, binding, limit=None, *,
-                           cache=None):
+def _mutant_screen(walk, block):
     """Seeded bug: the solver's conflict screen finds no witness, as if
-    every ``τ`` were injective.
+    every ``τ`` were injective -- each space's first open pair in the
+    walk's schedule order passes.
 
     A candidate whose only violation is a ``τ`` collision now reaches the
     check that certifies the solver's designs, which rejects it, so the
     search raises instead of returning: the differential oracle must
     report the solver's error.
     """
-    return []
+    done = None
+    for pair in block.walk_order(range(len(block.mappings)), walk.ranks):
+        if block.space[pair] != done:
+            done = block.space[pair]
+            yield pair
 
 
 #: mutation name -> (module path, attribute, mutant callable)
@@ -276,7 +280,7 @@ SEARCH_MUTATIONS = {
         "repro.mapping.solver", "_hop_budget", _mutant_hop_budget,
     ),
     "dropped-conflict-screen": (
-        "repro.mapping.solver", "find_conflicts", _mutant_find_conflicts,
+        "repro.mapping.solver", "_screen", _mutant_screen,
     ),
 }
 

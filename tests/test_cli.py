@@ -152,7 +152,10 @@ class TestObservabilityFlags:
                 assert key in row
         names = {r["name"] for r in rows}
         assert "cli.search" in names
-        assert "mapping.evaluate_space" in names
+        # One span per search, none per space: the walk publishes its
+        # cut counters once, under the search's span.
+        assert "mapping.search_designs" in names
+        assert "mapping.evaluate_space" not in names
 
     def test_simulate_chrome_trace_counter_tracks(self, tmp_path):
         trace_file = tmp_path / "trace.json"

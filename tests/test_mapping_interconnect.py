@@ -19,6 +19,7 @@ from repro.mapping.interconnect import (
     solve_interconnect,
     with_long_wires,
 )
+from repro.mapping.memo import EvalCache
 from repro.util.linalg import mat_mul
 
 
@@ -176,6 +177,64 @@ class TestColumnCombinationsBudget:
             assert all(k >= 0 for k in got) and sum(got) == h
             assert [sum(k * c[r] for k, c in zip(got, cols))
                     for r in range(2)] == list(target)
+
+    @staticmethod
+    def _solve(p_matrix, target, deadline, cache):
+        """One column: ``S d̄ = target`` and ``Π d̄ = deadline``."""
+        return solve_interconnect(
+            [[1, 0, 0], [0, 1, 0]], [[target[0]], [target[1]], [1]],
+            [0, 0, deadline], p_matrix, cache=cache,
+        )
+
+    @given(
+        _primitive_problems(),
+        st.lists(st.integers(-1, _MAX_HOPS), max_size=4),
+        st.lists(
+            st.tuples(st.tuples(st.integers(-4, 4), st.integers(-4, 4)),
+                      st.integers(-1, _MAX_HOPS)),
+            max_size=4,
+        ),
+        st.integers(-1, _MAX_HOPS),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_column_memo_equals_uncached(self, problem, budgets, others,
+                                         deadline):
+        # The column memo keeps one answer per (P, S d̄_i) with the budget
+        # it ran under; whatever budgets primed it, found or not, larger
+        # or smaller, every deadline gets the uncached answer.
+        p_matrix, _, target = problem
+        cache = EvalCache()
+        primes = [(target, b) for b in budgets] + others
+        for tgt, budget in primes:
+            self._solve(p_matrix, tgt, budget, cache)
+        assert self._solve(p_matrix, target, deadline, cache) == (
+            self._solve(p_matrix, target, deadline, None)
+        )
+        for tgt, budget in primes:
+            assert self._solve(p_matrix, tgt, budget, cache) == (
+                self._solve(p_matrix, tgt, budget, None)
+            )
+
+    def test_column_memo_serves_the_budgets_it_covers(self):
+        # Target (2, 0) on a mesh needs exactly 2 hops.
+        mesh, target = mesh_primitives(2), (2, 0)
+        cache = EvalCache()
+
+        def solve(deadline):
+            got = self._solve(mesh, target, deadline, cache)
+            assert got == self._solve(mesh, target, deadline, None)
+            return None if got is None else got.hops
+
+        assert solve(1) is None and (cache.hits, cache.misses) == (0, 1)
+        # A None serves every budget up to its own ...
+        assert solve(0) is None and solve(-1) is None
+        assert (cache.hits, cache.misses) == (2, 1)
+        # ... and a larger one misses and replaces it.
+        assert solve(5) == [2] and (cache.hits, cache.misses) == (2, 2)
+        # A found k̄ serves every budget: itself from its hop count up,
+        # None below it.
+        assert [solve(d) for d in (7, 2, 1, 0)] == [[2], [2], None, None]
+        assert (cache.hits, cache.misses) == (6, 2)
 
 
 

@@ -8,11 +8,12 @@ These contracts are pinned here:
 * **Pareto algebra** -- dominance is irreflexive/antisymmetric/transitive
   on random triples, and frontiers are deterministic under permutation;
 * **per-space equivalence** -- for every space a
-  :class:`~repro.mapping.solver.SearchPlan` holds, its walk (binding-free
-  cuts, then the conflict screen) returns the catalog evaluator's
-  ``(Π, report)``;
+  :class:`~repro.mapping.solver.SearchPlan` holds, its walk's stream
+  (binding-free cuts, then the conflict screen) yields the catalog
+  evaluator's ``(Π, report)``, or nothing for both;
 * **an exact screen** -- ``check_feasibility`` only certifies designs
-  the solver returns, on box and affine-constrained index sets alike;
+  the solver returns, on box and affine-constrained index sets alike,
+  and the cut counters a search publishes once are the per-space ones;
 * **plan reuse** -- a search that reuses a memoized plan returns the
   designs and ``mapping.*`` counters of a cold one.
 """
@@ -39,6 +40,7 @@ from repro.mapping.pareto import (
     pareto_frontier,
 )
 from repro.mapping.solver import clear_search_plans, search_plan
+from repro.mapping.transform import MappingMatrix
 from repro import obs
 
 
@@ -153,10 +155,10 @@ def _certified_case(kind, a, b):
 
 
 class TestExactScreen:
-    """The conflict screen is ``find_conflicts``, so every design the
-    solver hands to ``check_feasibility`` is feasible -- including on an
-    affine-constrained index set, where the pair enumeration decides
-    condition 3."""
+    """The conflict screen decides condition 3 exactly, so every design
+    the solver hands to ``check_feasibility`` is feasible -- including on
+    an affine-constrained index set, where the pair enumeration of
+    ``find_conflicts`` decides it for every open pair."""
 
     @pytest.mark.parametrize("kind,a,b", [
         ("lu", 3, 1), ("lu", 3, 2), ("lu", 4, 1), ("lu", 4, 2),
@@ -185,7 +187,8 @@ class TestExactScreen:
         # difference box, so enumeration only certifies conflict-freedom,
         # once per pair (the certifying check reuses the screen's
         # complete answer).  The ranked lists are those recorded before
-        # the basis was reduced.
+        # the basis was reduced, and the cut counters those published
+        # once per space before the walk published them once per search.
         enumerated = []
         real = conflicts._enumerate_directions
 
@@ -211,7 +214,33 @@ class TestExactScreen:
                 ])
         clear_search_plans()
         assert enumerated and not any(enumerated)
-        assert len(enumerated) <= reg.counters["mapping.conflict_checks"]
+        counters = reg.counters
+        assert len(enumerated) <= counters["mapping.conflict_checks"]
+        assert {
+            name: counters.get(name, 0) for name in (
+                "mapping.solver.pruned.deadline",
+                "mapping.pruned.coprime_precheck",
+                "mapping.solver.pruned.rank",
+                "mapping.solver.pruned.interconnect",
+                "mapping.solver.pruned.conflict_screen",
+                "mapping.solver.pruned.rank_subtree",
+                "mapping.candidates_enumerated",
+                "mapping.feasible",
+                "mapping.conflict_checks",
+                "mapping.designs_found",
+            )
+        } == {
+            "mapping.solver.pruned.deadline": 0,
+            "mapping.pruned.coprime_precheck": 0,
+            "mapping.solver.pruned.rank": 0,
+            "mapping.solver.pruned.interconnect": 136_080,
+            "mapping.solver.pruned.conflict_screen": 22_456,
+            "mapping.solver.pruned.rank_subtree": 180,
+            "mapping.candidates_enumerated": 308,
+            "mapping.feasible": 308,
+            "mapping.conflict_checks": 308,
+            "mapping.designs_found": 90,
+        }
         assert hashlib.sha256(json.dumps(ranked).encode()).hexdigest() == (
             "578a07bc1ddb0319f52e9b7ea81b3411a0c266c1d45273f67f37691aac79cdc1"
         )
@@ -219,8 +248,14 @@ class TestExactScreen:
     def test_screen_error_names_the_design(self, monkeypatch):
         # A screen that misses a conflict must not pass silently: the
         # certifying check rejects the design and the search says which.
+        # The seam is the one the dropped-conflict-screen mutation
+        # replaces: the whole screen, its array step included.
+        from repro.verify.runner import SEARCH_MUTATIONS
+
+        module, attr, mutant = SEARCH_MUTATIONS["dropped-conflict-screen"]
+        assert module == solver.__name__
         alg, binding, prims, config = _certified_case("fig4", 2, 2)
-        monkeypatch.setattr(solver, "find_conflicts", lambda *a, **k: [])
+        monkeypatch.setattr(solver, attr, mutant)
         clear_search_plans()
         with pytest.raises(
             RuntimeError, match=r"MappingMatrix .*no-conflict:FAIL"
@@ -230,28 +265,31 @@ class TestExactScreen:
 
 
 class TestPerSpaceEquivalence:
-    """The solver's once-per-space checks against the catalog walk.
+    """The solver's walk against the catalog walk, space by space.
 
-    Every space the solver enumerates goes through both evaluators on
-    separate memos; the solver must hand back the catalog's first
-    feasible ``Π`` and an equal :class:`FeasibilityReport`, or ``None``
-    for both.
+    Both walks' streams run over every space the solver plans, on
+    separate memos (``stop_after=None``); for each space the solver must
+    yield the catalog's first feasible ``Π`` and an equal
+    :class:`FeasibilityReport`, or nothing for both.
     """
 
     @staticmethod
     def _assert_every_space_agrees(alg, binding, prims, config):
+        clear_search_plans()
         walk = search_plan(alg, prims, config).walk(alg, binding, prims)
         catalog = engine._CatalogWalk(
             alg, binding, prims,
             engine.ranked_schedules(alg, binding, config.schedule_bound),
             walk.spaces,
         )
-        feasible = 0
+        got = {index: (pi, report) for index, pi, report in walk.stream(None)}
+        want = {
+            index: (pi, report) for index, pi, report in catalog.stream(None)
+        }
         for index, space in enumerate(walk.spaces):
-            got = walk.evaluate(index)
-            assert got == catalog.evaluate(index), space
-            feasible += got is not None
-        return len(walk.spaces), feasible
+            assert got.get(index) == want.get(index), space
+        assert set(got) <= set(range(len(walk.spaces)))
+        return len(walk.spaces), len(got)
 
     @pytest.mark.parametrize("primitives", ["fig4", "mesh", "none"])
     @pytest.mark.parametrize("u,p", [(2, 2), (2, 3), (3, 2), (3, 3)])
@@ -276,6 +314,95 @@ class TestPerSpaceEquivalence:
             alg, binding, mesh_primitives(2), SearchConfig(block_values=[2])
         )
         assert 0 < feasible < spaces
+
+    def test_triangular_every_space(self, monkeypatch):
+        # On the affine-constrained LU set the array step must not run:
+        # a basis vector inside the bounding box need not be a conflict,
+        # so every open pair goes to find_conflicts, in order, until one
+        # is conflict-free.
+        alg, binding, prims, config = _certified_case("lu", 4, 1)
+        assert alg.index_set.is_constrained
+        screened = {}
+        real = solver.find_conflicts
+
+        def recording(mapping, *args, **kwargs):
+            screened[mapping] = real(mapping, *args, **kwargs)
+            return screened[mapping]
+
+        monkeypatch.setattr(solver, "find_conflicts", recording)
+        with obs.collecting() as reg:
+            spaces, feasible = self._assert_every_space_agrees(
+                alg, binding, prims, config
+            )
+        clear_search_plans()
+        assert 0 < feasible < spaces
+        assert len(screened) == feasible + reg.counters[
+            "mapping.solver.pruned.conflict_screen"
+        ]
+        # Some pair the enumeration proved conflict-free has a basis
+        # vector inside the bounding box, which the array step would
+        # have taken for a conflict.
+        widths = [hi - lo for lo, hi in alg.index_set.bounds(binding)]
+        assert any(
+            all(abs(x) <= w for x, w in zip(vec, widths))
+            for mapping, witnesses in screened.items() if not witnesses
+            for vec in mapping.nullspace()
+        )
+
+
+class TestInt64Range:
+    """The screen's array step holds |basis| entries and box widths in
+    ``int64``.  A value beyond that range must neither raise nor wrap: an
+    entry is stored as the largest ``int64``, a width as one less, so such
+    a pair never fits and goes to ``find_conflicts``, which decides it on
+    Python ints."""
+
+    CONFIG = SearchConfig(target_space_dim=1, block_values=[2])
+    H = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+
+    def _walk(self, uppers):
+        alg = word_model_structure(*self.H, (0, 0, 0), uppers)
+        return alg, search_plan(alg, None, self.CONFIG).walk(alg, {}, None)
+
+    def test_entries_and_widths_are_clipped(self):
+        _, walk = self._walk((2**71, -2**70, 1))
+        big = solver._I64_MAX
+        assert walk.widths.tolist() == [big - 1, -1, 1]
+        rows = (
+            [[1, 0, 0], [0, 1, 2]],
+            [[1, 0, 0], [0, 1, 2**70]],
+            [[1, 0, 0], [0, 1, 2**63]],  # basis entry -2**63: |x| wraps
+        )
+        got = [walk.plan._abs_basis([MappingMatrix(r)]).tolist() for r in rows]
+        assert got == [[[[0, 2, 1]]], [[[0, big, 1]]], [[[0, big, 1]]]]
+
+    def test_pair_beyond_int64_goes_to_find_conflicts(self, monkeypatch):
+        alg, walk = self._walk((2**71, 2**71, 2**71))
+        mapping = MappingMatrix([[1, 0, 0], [0, 1, 2**70]])
+        block = solver._Block(
+            0, 1, [bytes([solver._OPEN])], None, [0], [0], [mapping],
+            walk.plan._abs_basis([mapping]),
+        )
+        asked = []
+        real = solver.find_conflicts
+
+        def recording(t, *args, **kwargs):
+            asked.append(t)
+            return real(t, *args, **kwargs)
+
+        monkeypatch.setattr(solver, "find_conflicts", recording)
+        passed = list(solver._screen(walk, block))
+        # (0, -2**70, 1) fits the real box, so find_conflicts finds it.
+        assert asked == [mapping] and passed == []
+
+    def test_search_beyond_int64(self):
+        # Every open pair has a short basis vector inside the huge box.
+        alg, _ = self._walk((2**70, 2**70, 2**70))
+        clear_search_plans()
+        with obs.collecting() as reg:
+            assert run_search(alg, {}, None, self.CONFIG) == []
+        assert reg.counters["mapping.solver.pruned.conflict_screen"] > 0
+        clear_search_plans()
 
 
 class TestParetoAlgebra:
@@ -435,8 +562,7 @@ class TestSearchPlan:
 
     def test_concurrent_searches_share_one_plan(self):
         # More threads than cores, switching often: every thread walks
-        # the plan while others may still be filling its per-space cuts
-        # and bases.
+        # the plan while others may still be settling its blocks.
         alg, binding = _bitlevel_instance()
         prims = designs.fig4_primitives(2)
         config = SearchConfig(block_values=[2], max_candidates=5)
