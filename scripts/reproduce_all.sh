@@ -1,13 +1,13 @@
 #!/usr/bin/env bash
 # Full reproduction kit: tests, benchmarks, experiment reports, examples.
 #
-# Usage:  bash scripts/reproduce_all.sh [--backend scalar|symbolic|auto]
+# Usage:  bash scripts/reproduce_all.sh [--backend scalar|symbolic]
 #                                       [--cache-dir DIR] [--no-cache]
 #
 #   --backend    exact-analysis route for every stage: scalar (the
 #                Diophantine reference) or symbolic (the closed form,
 #                instantiated); exported as REPRO_ANALYSIS_BACKEND;
-#                default: auto = symbolic
+#                default: symbolic
 #   --cache-dir  persistent artifact cache root (exported as
 #                REPRO_CACHE_DIR); a second run with the same dir skips
 #                re-analysis
@@ -33,7 +33,7 @@ while [[ $# -gt 0 ]]; do
             echo "unknown option: $1" >&2; exit 2 ;;
     esac
 done
-echo "analysis backend: ${REPRO_ANALYSIS_BACKEND:-auto}" \
+echo "analysis backend: ${REPRO_ANALYSIS_BACKEND:-symbolic}" \
      " cache: ${REPRO_CACHE_DIR:-off}"
 
 stage_started=$SECONDS

@@ -17,8 +17,10 @@ thin clients of the unified job dispatch (:mod:`repro.serve`): each one
 builds a frozen :class:`~repro.serve.jobs.JobSpec`, runs it through
 :func:`~repro.serve.dispatch.run_job` (or, with ``--server HOST:PORT``,
 ships it to a running ``repro serve`` instance), and prints the
-``JobResult``'s output -- which is byte-identical to what the subcommand
-printed before the dispatch existed.
+``JobResult``'s output.  The spec resolves its backends in this process,
+so a served command prints the same bytes as the in-process one.
+``verify --mutation NAME`` runs in-process: it patches a seeded bug
+into this process and demands that its oracle catch it.
 
 Every subcommand honors the global observability flags (before or after the
 subcommand name): ``--metrics-out FILE`` writes the flat metrics dict as
@@ -27,7 +29,7 @@ JSON-lines, ``chrome`` for a Chrome trace-event / Perfetto file with the
 spans and one final-value sample per counter and gauge), and either one
 also prints a human-readable trace tree to stderr unless
 ``--quiet-metrics`` is given.  Without these flags no registry is
-installed and output is exactly the uninstrumented program's.  With
+installed; with or without them, stdout is the same.  With
 ``--server``, the served job's counters and gauges are folded into the
 command's registry; its histograms and span timings stay in the
 ``JobResult``.
@@ -118,9 +120,8 @@ def _cmd_search(args: argparse.Namespace) -> int:
         target_space_dim=args.target_dim,
         block=None if args.block is None else tuple(args.block),
         schedule_bound=args.schedule_bound,
-        max_candidates=args.max_candidates,
-        overcollect=args.overcollect,
-        exhaustive=args.exhaustive,
+        max_candidates=None if args.exhaustive else args.max_candidates,
+        overcollect=None if args.exhaustive else args.overcollect,
         primitives=args.primitives,
         strategy=args.strategy,
         frontier=(
@@ -204,61 +205,22 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     cases = 10 if args.smoke and args.cases is None else (args.cases or 50)
     budget = 5.0 if args.smoke and args.budget_s is None else args.budget_s
 
-    if args.mutation_check:
-        from repro.verify import run_mutation_check
+    if args.mutation:
+        from repro.verify import MUTATIONS, run_mutation_check
 
-        counterexample = run_mutation_check(seed=args.seed, cases=cases)
+        counterexample = run_mutation_check(
+            args.mutation, seed=args.seed, cases=cases
+        )
         if counterexample is None:
             print(
-                "mutation check FAILED: oracle_theorem31 did not catch the "
-                "seeded validity bug"
+                f"mutation check FAILED: "
+                f"oracle_{MUTATIONS[args.mutation].oracle} did not catch "
+                f"the seeded {args.mutation} bug"
             )
             return 1
         print(
-            f"mutation check ok: seeded c' validity bug caught, "
+            f"mutation check ok: seeded {args.mutation} bug caught, "
             f"counterexample shrunk in {counterexample.shrink_steps} steps"
-        )
-        print(f"  case: {dict(counterexample.case)}")
-        print(f"  {counterexample.detail}")
-        return 0
-
-    if args.search_mutation:
-        from repro.verify import run_search_mutation_check
-
-        counterexample = run_search_mutation_check(
-            args.search_mutation, seed=args.seed, cases=cases
-        )
-        if counterexample is None:
-            print(
-                f"mutation check FAILED: oracle_search did not catch the "
-                f"seeded {args.search_mutation} bug"
-            )
-            return 1
-        print(
-            f"mutation check ok: seeded {args.search_mutation} bug "
-            f"caught, counterexample shrunk in "
-            f"{counterexample.shrink_steps} steps"
-        )
-        print(f"  case: {dict(counterexample.case)}")
-        print(f"  {counterexample.detail}")
-        return 0
-
-    if args.symbolic_mutation:
-        from repro.verify import run_symbolic_mutation_check
-
-        counterexample = run_symbolic_mutation_check(
-            args.symbolic_mutation, seed=args.seed, cases=cases
-        )
-        if counterexample is None:
-            print(
-                f"mutation check FAILED: oracle_symbolic did not catch the "
-                f"seeded {args.symbolic_mutation} bug"
-            )
-            return 1
-        print(
-            f"mutation check ok: seeded {args.symbolic_mutation} bug "
-            f"caught, counterexample shrunk in "
-            f"{counterexample.shrink_steps} steps"
         )
         print(f"  case: {dict(counterexample.case)}")
         print(f"  {counterexample.detail}")
@@ -415,9 +377,9 @@ def build_parser() -> argparse.ArgumentParser:
         default="fig4", help="interconnection-primitive set P",
     )
     p_search.add_argument(
-        "--strategy", choices=["auto", "catalog", "solver"], default="auto",
-        help="candidate generation: 'solver' prunes with the Definition 4.1 "
-        "constraint system, 'catalog' enumerates everything (auto = solver)",
+        "--strategy", choices=["catalog", "solver"], default="solver",
+        help="candidate generation: 'solver' (default) prunes with the "
+        "Definition 4.1 constraint system, 'catalog' enumerates everything",
     )
     p_search.add_argument(
         "--pareto", action="store_true",
@@ -438,7 +400,11 @@ def build_parser() -> argparse.ArgumentParser:
         "'compiled' runs each design's census over a value program "
         "shared by its chain shape (see docs/COMPILE.md)",
     )
-    p_sim.add_argument("--gantt", action="store_true", help="print PE chart")
+    p_sim.add_argument(
+        "--gantt", action="store_true",
+        help="print the per-PE detail: condition 5, utilization, "
+        "ValueStore traffic and the PE chart",
+    )
     _server_option(p_sim)
     p_sim.set_defaults(fn=_cmd_simulate)
 
@@ -457,10 +423,10 @@ def build_parser() -> argparse.ArgumentParser:
         "oracle)",
     )
     p_analyze.add_argument(
-        "--backend", choices=["auto", "scalar", "symbolic"], default=None,
+        "--backend", choices=["scalar", "symbolic"], default=None,
         help="exact-analysis route: scalar (Diophantine reference) or "
         "symbolic (closed form instantiated at u/p; default: "
-        "REPRO_ANALYSIS_BACKEND or auto = symbolic)",
+        "REPRO_ANALYSIS_BACKEND or symbolic)",
     )
     p_analyze.add_argument(
         "--no-screens", action="store_true",
@@ -522,21 +488,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="small fast preset for PR CI (10 cases, 5s budget per oracle)",
     )
     p_verify.add_argument(
-        "--mutation-check", action="store_true",
-        help="self-test: seed a wrong validity condition into the Theorem "
-        "3.1 assembly and require oracle_theorem31 to catch it",
-    )
-    p_verify.add_argument(
-        "--symbolic-mutation", metavar="NAME", default=None,
-        choices=["dropped-congruence", "shifted-bound"],
-        help="self-test: seed NAME into the symbolic solver and require "
-        "the symbolic cross-validation oracle to catch it",
-    )
-    p_verify.add_argument(
-        "--search-mutation", metavar="NAME", default=None,
-        choices=["tight-deadline", "dropped-conflict-screen"],
-        help="self-test: seed NAME into the search solver's cuts and "
-        "require the search differential oracle to catch it",
+        "--mutation", metavar="NAME", default=None,
+        choices=["cprime-everywhere", "dropped-congruence", "shifted-bound",
+                 "tight-deadline", "dropped-conflict-screen"],
+        help="self-test: seed the bug NAME (see repro.verify.MUTATIONS) and "
+        "require its oracle to catch it",
     )
     _server_option(p_verify)
     _obs_options(p_verify, top_level=False)

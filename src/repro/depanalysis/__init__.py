@@ -33,7 +33,6 @@ from repro.depanalysis.analyzer import analyze
 from repro.depanalysis.engine import (
     AnalysisConfig,
     BACKENDS,
-    default_backend,
     resolve_backend,
     run_analysis,
 )
@@ -46,7 +45,6 @@ __all__ = [
     "PointSet",
     "analyze",
     "banerjee_test",
-    "default_backend",
     "gcd_test",
     "resolve_backend",
     "run_analysis",

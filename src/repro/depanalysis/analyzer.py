@@ -102,8 +102,8 @@ def analyze(
     config:
         Engine configuration (:class:`repro.depanalysis.engine.AnalysisConfig`):
         the exact route (``"scalar"`` Diophantine + in-set verification,
-        or ``"symbolic"`` closed form instantiated at ``binding``; default
-        ``auto`` = symbolic) and the persistent artifact cache policy.
+        or ``"symbolic"`` closed form instantiated at ``binding``, the
+        default) and the persistent artifact cache policy.
         ``None`` uses the environment defaults
         (``REPRO_ANALYSIS_BACKEND`` / ``REPRO_CACHE_DIR``).  Both routes
         return the same ordered instances; ``result.stats`` holds the

@@ -5,7 +5,7 @@ Exact analysis has two implementations, selected by backend:
 * ``scalar`` -- the reference: :func:`repro.depanalysis.exact.analyze_exact`
   (GCD/Banerjee screens, Diophantine solve, in-box verification of every
   lattice candidate);
-* ``symbolic`` (what ``auto`` picks) -- the closed form: the symbolic
+* ``symbolic`` (the default) -- the closed form: the symbolic
   pair loop (:func:`repro.symbolic.analyze.solve_program`) runs on the
   program and its result is instantiated at the binding.  A program
   outside the symbolic layer's support (``SymbolicUnsupported``) falls
@@ -19,7 +19,7 @@ backend.  Both routes return the same ordered instance list;
 which only ``pairs_tested`` and ``instances`` are shared.
 
 :func:`run_analysis` is the engine entry point: it resolves the backend
-(``REPRO_ANALYSIS_BACKEND`` env, ``auto`` = symbolic) and consults the
+(``REPRO_ANALYSIS_BACKEND`` env, else symbolic) and consults the
 persistent artifact cache (:mod:`repro.cache`) keyed by the canonicalized
 program instance and the backend, so repeated pipeline/verify/experiment
 runs skip re-analysis entirely.
@@ -47,7 +47,6 @@ __all__ = [
     "AnalysisConfig",
     "BACKENDS",
     "SHARED_STATS",
-    "default_backend",
     "resolve_backend",
     "run_analysis",
 ]
@@ -63,9 +62,9 @@ class AnalysisConfig:
     """How :func:`run_analysis` should execute.
 
     ``backend=None`` defers to ``$REPRO_ANALYSIS_BACKEND`` (default
-    ``auto`` = symbolic); any other value must be ``"auto"`` or one of
-    :data:`BACKENDS`.  ``cache=None`` enables the persistent artifact
-    cache iff ``cache_dir`` is given or ``$REPRO_CACHE_DIR`` is set;
+    ``"symbolic"``); any other value must be one of :data:`BACKENDS`.
+    ``cache=None`` enables the persistent artifact cache iff
+    ``cache_dir`` is given or ``$REPRO_CACHE_DIR`` is set;
     ``True``/``False`` force it.
     """
 
@@ -78,25 +77,16 @@ class AnalysisConfig:
             resolve_backend(self.backend)
 
 
-def default_backend() -> str:
-    """The route ``auto`` picks: ``"symbolic"``."""
-    return "symbolic"
-
-
 def resolve_backend(name: str | None = None) -> str:
     """Resolve a backend request to a concrete route name.
 
-    ``None`` consults ``$REPRO_ANALYSIS_BACKEND``; ``"auto"`` (the
-    default) picks :func:`default_backend`.
+    ``None`` consults ``$REPRO_ANALYSIS_BACKEND``, else ``"symbolic"``.
     """
     if name is None:
-        name = os.environ.get("REPRO_ANALYSIS_BACKEND") or "auto"
-    if name == "auto":
-        return default_backend()
+        name = os.environ.get("REPRO_ANALYSIS_BACKEND") or "symbolic"
     if name not in BACKENDS:
         raise ValueError(
-            f"unknown analysis backend {name!r}; choose from "
-            f"{('auto',) + BACKENDS}"
+            f"unknown analysis backend {name!r}; choose from {BACKENDS}"
         )
     return name
 

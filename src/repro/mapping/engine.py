@@ -92,12 +92,11 @@ class SearchConfig:
         later in catalog order, so frontier collection always scans the
         whole space (``stop_after`` is ``None``).
     strategy:
-        Candidate generation strategy.  ``"catalog"`` is the PR 2
-        enumerate-and-filter path; ``"solver"`` routes through the
-        branch-and-prune constraint solver (:mod:`repro.mapping.solver`),
-        which emits provably identical results while enumerating an
-        order of magnitude fewer candidates.  ``"auto"`` (default)
-        resolves to ``"solver"``.
+        Candidate generation strategy.  ``"solver"`` (default) routes
+        through the branch-and-prune constraint solver
+        (:mod:`repro.mapping.solver`), which emits provably identical
+        results while enumerating an order of magnitude fewer
+        candidates; ``"catalog"`` is the enumerate-and-filter reference.
     frontier:
         ``None`` (default) returns the single ranked list ordered by
         ``(time, processors)``.  A non-empty tuple of metric names drawn
@@ -115,7 +114,7 @@ class SearchConfig:
     schedule_bound: int = 2
     max_candidates: int | None = 10
     overcollect: int | None = 4
-    strategy: str = "auto"
+    strategy: str = "solver"
     frontier: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
@@ -134,9 +133,10 @@ class SearchConfig:
             raise ValueError("max_candidates must be >= 1 or None")
         if self.overcollect is not None and self.overcollect < 1:
             raise ValueError("overcollect must be >= 1 or None")
-        if self.strategy not in ("auto", "catalog", "solver"):
+        if self.strategy not in ("catalog", "solver"):
             raise ValueError(
-                "strategy must be 'auto', 'catalog' or 'solver'"
+                f"strategy must be 'catalog' or 'solver', not "
+                f"{self.strategy!r}"
             )
         if self.frontier is not None:
             if not self.frontier:
@@ -147,11 +147,6 @@ class SearchConfig:
                     f"unknown frontier metrics {unknown!r}; "
                     f"choose from {METRIC_NAMES}"
                 )
-
-    @property
-    def resolved_strategy(self) -> str:
-        """The concrete generation strategy (``"auto"`` -> ``"solver"``)."""
-        return "solver" if self.strategy == "auto" else self.strategy
 
     @property
     def stop_after(self) -> int | None:
@@ -364,7 +359,7 @@ def _walk(
 ):
     """The run's walk: the solver's walk over its memoized plan, or the
     catalog reference over the rank-screened catalog."""
-    if config.resolved_strategy == "solver":
+    if config.strategy == "solver":
         from repro.mapping.solver import search_plan
 
         plan = search_plan(algorithm, primitives, config)
@@ -417,7 +412,7 @@ def run_search(
         dim=algorithm.dim,
         target_space_dim=config.target_space_dim,
         schedule_bound=config.schedule_bound,
-        strategy=config.resolved_strategy,
+        strategy=config.strategy,
     ):
         walk = _walk(algorithm, binding, primitives, config)
         time_of = walk.time_of

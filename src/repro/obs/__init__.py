@@ -51,7 +51,6 @@ __all__ = [
     "collecting",
     "count",
     "count_many",
-    "enabled",
     "environment_info",
     "gauge",
     "get_registry",
@@ -96,11 +95,6 @@ def set_registry(registry: Registry | None) -> Registry | None:
     previous = _ACTIVE
     _ACTIVE = registry
     return previous
-
-
-def enabled() -> bool:
-    """True when an ambient registry is installed."""
-    return _ACTIVE is not None
 
 
 def environment_info() -> dict:

@@ -4,7 +4,10 @@ Stdlib-only (``http.client``), one connection per call, no retry magic:
 the client is deliberately dumb so that everything interesting --
 coalescing, budgets, job retention -- lives server-side and is shared by
 every front-end.  The CLI's ``--server`` mode and the CI
-smoke test are both just this class.
+smoke test are both just this class.  A :class:`JobSpec` resolves its
+backends when it is built, so a served job takes the routes the
+client's environment picks and prints what the same job prints
+in-process.
 
 Typical use::
 
@@ -81,7 +84,7 @@ class ServeClient:
         return self._request("GET", "/v1/stats")
 
     def submit(self, spec: JobSpec) -> dict:
-        """Enqueue one job; returns ``{"job_id", "key", "coalesced", ...}``."""
+        """Enqueue one job; returns ``{"job_id", "coalesced", "status"}``."""
         return self._request("POST", "/v1/jobs", spec.to_payload())
 
     def status(self, job_id: str, wait: float | None = None) -> dict:

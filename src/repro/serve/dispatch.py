@@ -7,20 +7,17 @@ the CLI subcommands *are* ``run_job`` plus ``sys.stdout.write``, and the
 HTTP server is ``run_job`` on a worker thread -- one dispatch, three
 front-ends.
 
-Two execution-context subtleties:
+A job's output is a function of its spec: no handler reads the
+executing process's obs state or backend environment (the spec carries
+its resolved routes), so a served job prints what the same command
+prints in-process, with or without obs flags.  The verify kind's
+oracles are the one exception: they read ``$REPRO_SIM_BACKEND`` when
+they run, as the fuzz switch ``docs/VERIFY.md`` describes.
 
-* **Verbosity follows the caller's ambient obs state, not the job
-  registry.**  The simulate handler's extra per-PE block is part of the
-  *CLI contract* ("printed when the user passed an obs flag"), so
-  whether it appears is decided by ``obs.enabled()`` at entry -- before
-  any job-scoped registry is installed.  A server-side run therefore
-  produces exactly the unflagged CLI's bytes even though the server
-  instruments every job.
-* **Registry install is compare-and-swap restored.**  A job registry is
-  installed process-globally for the duration of the run (that is how
-  the existing instrumentation reaches it) and restored only if still
-  current, so a budget-orphaned worker thread finishing late can never
-  clobber a newer job's registry.
+A job registry is installed process-globally for the duration of the
+run (that is how the existing instrumentation reaches it) and restored
+with compare-and-swap, only if still current, so a budget-orphaned
+worker thread finishing late can never clobber a newer job's registry.
 """
 
 from __future__ import annotations
@@ -72,13 +69,12 @@ def run_job(
     reason = check_limits(spec, limits)
     if reason is not None:
         return _refusal(spec, reason)
-    verbose = obs.enabled()  # the *caller's* obs state, see module docstring
     handler = _HANDLERS[spec.kind]
     out = io.StringIO()
     t0 = time.perf_counter()
     with _installed(registry):
         try:
-            exit_code, data = handler(spec, out, verbose)
+            exit_code, data = handler(spec, out)
             status = "ok"
             error = None
         except Exception:
@@ -103,12 +99,8 @@ def run_job(
 # Kind handlers (exact ports of the CLI subcommand bodies)
 # ---------------------------------------------------------------------------
 
-def _handle_analyze(spec: JobSpec, out, verbose: bool):
-    from repro.depanalysis.engine import (
-        AnalysisConfig,
-        resolve_backend,
-        run_analysis,
-    )
+def _handle_analyze(spec: JobSpec, out):
+    from repro.depanalysis.engine import AnalysisConfig, run_analysis
     from repro.ir.expand import expand_bit_level
 
     u, p = spec.u, spec.p
@@ -130,7 +122,7 @@ def _handle_analyze(spec: JobSpec, out, verbose: bool):
     print(f"bit-level matmul u={u} p={p} "
           f"expansion={spec.expansion}: "
           f"method={spec.method} "
-          f"backend={resolve_backend(spec.analysis_backend)} "
+          f"backend={spec.analysis_backend} "
           f"screens={spec.use_screens}", file=out)
     print(f"{len(result.instances)} dependence instances, "
           f"{len(vectors)} distinct vectors "
@@ -147,7 +139,7 @@ def _handle_analyze(spec: JobSpec, out, verbose: bool):
     return 0, data
 
 
-def _handle_analyze_symbolic(spec: JobSpec, out, verbose: bool):
+def _handle_analyze_symbolic(spec: JobSpec, out):
     from repro.ir.expand import expand_bit_level
     from repro.structures.params import S
     from repro.symbolic import analyze_symbolic
@@ -192,11 +184,11 @@ def _handle_analyze_symbolic(spec: JobSpec, out, verbose: bool):
     return 0, data
 
 
-def _handle_search(spec: JobSpec, out, verbose: bool):
+def _handle_search(spec: JobSpec, out):
     from repro.expansion.theorem31 import matmul_bit_level
     from repro.experiments.tables import format_table
     from repro.mapping import designs
-    from repro.mapping.engine import SearchConfig, run_search
+    from repro.mapping.engine import run_search
     from repro.mapping.interconnect import mesh_primitives
 
     alg = matmul_bit_level(spec.u, spec.p, expansion=spec.expansion)
@@ -207,16 +199,7 @@ def _handle_search(spec: JobSpec, out, verbose: bool):
         "mesh": lambda: mesh_primitives(spec.target_space_dim),
         "none": lambda: None,
     }[spec.primitives]()
-    config = SearchConfig(
-        target_space_dim=spec.target_space_dim,
-        block_values=spec.block if spec.block is not None else [spec.p],
-        schedule_bound=spec.schedule_bound,
-        max_candidates=None if spec.exhaustive else spec.max_candidates,
-        overcollect=None if spec.exhaustive else spec.overcollect,
-        strategy=spec.strategy,
-        frontier=spec.frontier,
-    )
-    found = run_search(alg, binding, primitives, config)
+    found = run_search(alg, binding, primitives, spec.search_config())
     if not found:
         print("no feasible design within the search bounds", file=out)
         return 1, {"candidates": []}
@@ -262,8 +245,8 @@ def _handle_search(spec: JobSpec, out, verbose: bool):
     return 0, data
 
 
-def _handle_simulate(spec: JobSpec, out, verbose: bool):
-    from repro.machine import BitLevelMatmulMachine, resolve_backend
+def _handle_simulate(spec: JobSpec, out):
+    from repro.machine import BitLevelMatmulMachine
     from repro.mapping import designs
     from repro.render import render_gantt
 
@@ -283,10 +266,10 @@ def _handle_simulate(spec: JobSpec, out, verbose: bool):
         for i in range(u)
     ]
     print(f"design={spec.design} u={u} p={p} expansion={spec.expansion} "
-          f"backend={resolve_backend(spec.sim_backend)}", file=out)
+          f"backend={spec.sim_backend}", file=out)
     print(f"makespan: {run.sim.makespan}  PEs: {run.sim.processor_count}  "
           f"utilization: {run.sim.mean_utilization:.1%}", file=out)
-    if verbose:
+    if spec.gantt:
         # Condition 5 of Definition 4.1, measured from the simulator's
         # per-PE busy counters rather than asserted from coprimality.
         print(f"condition 5 (some PE busy at every beat): "
@@ -314,13 +297,13 @@ def _handle_simulate(spec: JobSpec, out, verbose: bool):
         "processors": run.sim.processor_count,
         "utilization": run.sim.mean_utilization,
         "correct": correct,
-        "backend": resolve_backend(spec.sim_backend),
+        "backend": spec.sim_backend,
         "product": [list(row) for row in run.product],
     }
     return (0 if correct else 1), data
 
 
-def _handle_verify(spec: JobSpec, out, verbose: bool):
+def _handle_verify(spec: JobSpec, out):
     from repro.verify import VerifyConfig, run_verification
 
     defaults = VerifyConfig()

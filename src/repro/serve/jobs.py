@@ -12,6 +12,15 @@ single flat, frozen, hashable value with an **exact JSON round-trip**:
 ``JobSpec.from_payload(spec.to_payload()) == spec`` field for field, so
 the content address :func:`job_key` is stable across the wire.
 
+A job's output is a function of its spec.  The route a job takes is a
+spec field, resolved when the spec is built: ``analysis_backend=None``
+on an analyze spec and ``sim_backend=None`` on a simulate spec become
+the backend the building process's ``$REPRO_ANALYSIS_BACKEND`` /
+``$REPRO_SIM_BACKEND`` picks, so :func:`job_key` names the route and a
+served job runs the route its client picked.  A search spec is checked
+by building its :meth:`JobSpec.search_config`.  An invalid spec raises
+``ValueError`` naming the field (the server's 400).
+
 Job kinds and the fields they read:
 
 ================  =======================================================
@@ -21,8 +30,8 @@ analyze_symbolic  ``u p expansion cache cache_dir`` (the parametric
                   analysis is solved once with ``u``/``p`` free, then
                   instantiated at the spec's concrete sizes in O(1))
 search            ``u p expansion target_space_dim block schedule_bound
-                  max_candidates overcollect exhaustive primitives
-                  strategy frontier``
+                  max_candidates overcollect primitives strategy
+                  frontier``
 simulate          ``u p expansion design seed sim_backend gantt``
 verify            ``seed cases oracle_budget_s oracles``
 ================  =======================================================
@@ -81,9 +90,8 @@ class JobSpec:
     schedule_bound: int = 2
     max_candidates: int | None = 5
     overcollect: int | None = 4
-    exhaustive: bool = False
     primitives: str = "fig4"
-    strategy: str = "auto"
+    strategy: str = "solver"
     frontier: tuple[str, ...] | None = None
     # -- simulate ------------------------------------------------------------
     design: str = "fig4"
@@ -108,16 +116,10 @@ class JobSpec:
             raise ValueError(f"unknown expansion {self.expansion!r}")
         if self.method not in ("exact", "enumerate"):
             raise ValueError(f"unknown analysis method {self.method!r}")
-        if self.analysis_backend is not None:
-            from repro.depanalysis.engine import resolve_backend
-
-            resolve_backend(self.analysis_backend)
         if self.design not in ("fig4", "fig5"):
             raise ValueError(f"unknown design {self.design!r}")
         if self.primitives not in ("fig4", "fig5", "mesh", "none"):
             raise ValueError(f"unknown primitive set {self.primitives!r}")
-        if self.strategy not in ("auto", "catalog", "solver"):
-            raise ValueError(f"unknown search strategy {self.strategy!r}")
         if self.cases is not None and self.cases < 1:
             raise ValueError("cases must be >= 1 or None")
         if self.budget_s is not None and self.budget_s <= 0:
@@ -131,18 +133,45 @@ class JobSpec:
                 self, "oracles", tuple(str(o) for o in self.oracles)
             )
         if self.frontier is not None:
-            frontier = tuple(str(m) for m in self.frontier)
-            bad = sorted(
-                set(frontier) - {"time", "processors", "wire_length"}
+            object.__setattr__(
+                self, "frontier", tuple(str(m) for m in self.frontier)
             )
-            if not frontier or bad:
-                raise ValueError(
-                    "frontier must be a non-empty subset of "
-                    "('time', 'processors', 'wire_length')"
-                )
-            object.__setattr__(self, "frontier", frontier)
         if self.cache_dir is not None:
             object.__setattr__(self, "cache_dir", str(self.cache_dir))
+        # The route is part of the spec: resolve the backend the kind
+        # reads (and check any other that is set) in this process.
+        if self.kind == "analyze" or self.analysis_backend is not None:
+            from repro.depanalysis.engine import resolve_backend
+
+            self._resolve("analysis_backend", resolve_backend)
+        if self.kind == "simulate" or self.sim_backend is not None:
+            from repro.machine.simulator import resolve_backend
+
+            self._resolve("sim_backend", resolve_backend)
+        if self.kind == "search":
+            self.search_config()
+
+    def _resolve(self, name: str, resolve) -> None:
+        try:
+            object.__setattr__(self, name, resolve(getattr(self, name)))
+        except ValueError as exc:
+            raise ValueError(f"{name}: {exc}") from None
+
+    def search_config(self):
+        """The :class:`~repro.mapping.engine.SearchConfig` a search job
+        runs; raises ``ValueError`` on an invalid bound, strategy or
+        frontier."""
+        from repro.mapping.engine import SearchConfig
+
+        return SearchConfig(
+            target_space_dim=self.target_space_dim,
+            block_values=self.block if self.block is not None else (self.p,),
+            schedule_bound=self.schedule_bound,
+            max_candidates=self.max_candidates,
+            overcollect=self.overcollect,
+            strategy=self.strategy,
+            frontier=self.frontier,
+        )
 
     # -- exact JSON round-trip -----------------------------------------------
     def to_payload(self) -> dict:
@@ -177,8 +206,9 @@ def job_key(spec: JobSpec) -> str:
     """Content address of a job: SHA-256 of the canonical spec payload.
 
     Two submissions with equal keys are the *same pure computation* --
-    every result-affecting knob is a spec field -- which is exactly the
-    license the server's request coalescing needs.
+    every result-affecting knob, the resolved backends included, is a
+    spec field -- which is exactly the license the server's request
+    coalescing needs.
     """
     return fingerprint({"job": spec.to_payload()})
 

@@ -18,7 +18,7 @@ Endpoints (all JSON; ``Connection: close`` per request):
                                        counter the jobs reported, queue
                                        depths
 ``POST /v1/jobs``                      body = ``JobSpec`` payload; returns
-                                       ``{"job_id", "key", "coalesced"}``
+                                       ``{"job_id", "coalesced", "status"}``
 ``GET  /v1/jobs/<id>[?wait=S]``        status envelope; ``wait`` long-polls
                                        up to ``S`` seconds for completion
 =====================================  ====================================
@@ -331,7 +331,6 @@ class JobServer:
         execution, coalesced = self.submit(spec)
         self._respond(writer, 202, {
             "job_id": execution.key,
-            "key": execution.key,
             "coalesced": coalesced,
             "status": execution.status,
         })
@@ -339,7 +338,6 @@ class JobServer:
     def _envelope(self, execution: _Execution) -> dict:
         envelope = {
             "job_id": execution.key,
-            "key": execution.key,
             "status": execution.status,
             "kind": execution.spec.kind,
         }

@@ -43,13 +43,11 @@ from repro.verify.generator import (
 )
 from repro.verify.report import Counterexample, OracleOutcome, VerifyReport
 from repro.verify.runner import (
+    MUTATIONS,
     ORACLES,
-    SEARCH_MUTATIONS,
-    SYMBOLIC_MUTATIONS,
+    Mutation,
     VerifyConfig,
     run_mutation_check,
-    run_search_mutation_check,
-    run_symbolic_mutation_check,
     run_verification,
 )
 from repro.verify.shrink import shrink
@@ -72,13 +70,11 @@ __all__ = [
     "Counterexample",
     "OracleOutcome",
     "VerifyReport",
+    "MUTATIONS",
     "ORACLES",
-    "SEARCH_MUTATIONS",
-    "SYMBOLIC_MUTATIONS",
+    "Mutation",
     "VerifyConfig",
     "run_verification",
     "run_mutation_check",
-    "run_search_mutation_check",
-    "run_symbolic_mutation_check",
     "shrink",
 ]

@@ -2,7 +2,7 @@
 
 For one random expanded bit-level program, run
 :func:`repro.depanalysis.analyze` with ``method="exact"`` on the default
-route (``backend="auto"``: the symbolic closed form, instantiated at the
+route (``backend="symbolic"``: the closed form, instantiated at the
 binding), and the scalar reference for the case's method
 (``backend="scalar"``: the Diophantine analyzer for ``exact`` cases, the
 hash-join for ``enumerate`` cases), with the persistent cache disabled on
@@ -36,7 +36,7 @@ def check(case: AnalysisCase) -> str | None:
     binding = {"p": case.p}
     got = analyze(
         program, binding, method="exact", use_screens=case.use_screens,
-        config=AnalysisConfig(backend="auto", cache=False),
+        config=AnalysisConfig(backend="symbolic", cache=False),
     )
     want = analyze(
         program, binding, method=case.method, use_screens=case.use_screens,

@@ -1,4 +1,4 @@
-"""The budgeted oracle loop and the self-test mutation check.
+"""The budgeted oracle loop and the self-test mutation checks.
 
 :func:`run_verification` drives the three oracles over seeded random
 cases, shrinks any failure greedily, and returns a
@@ -8,18 +8,20 @@ cases, shrinks any failure greedily, and returns a
 ``.failures`` / ``.shrink_steps`` counters.
 
 :func:`run_mutation_check` answers "would this subsystem actually catch a
-bug?": it monkeypatches a deliberately wrong validity condition into the
-Theorem 3.1 assembly (the carry-completion column ``c'`` declared valid
-everywhere) and demands that ``oracle_theorem31`` produce a shrunken
-counterexample against the mutant.
+bug?": it monkeypatches one seeded bug of the :data:`MUTATIONS` table
+into its seam -- a wrong validity condition in the Theorem 3.1 assembly,
+a symbolic-solver bug, or an unsound search cut or conflict screen --
+and demands that the entry's oracle produce a shrunken counterexample
+against the mutant.
 """
 
 from __future__ import annotations
 
+import importlib
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from repro import obs
 from repro.verify import (
@@ -35,14 +37,12 @@ from repro.verify.report import Counterexample, OracleOutcome, VerifyReport
 from repro.verify.shrink import shrink
 
 __all__ = [
+    "MUTATIONS",
     "ORACLES",
-    "SEARCH_MUTATIONS",
-    "SYMBOLIC_MUTATIONS",
+    "Mutation",
     "VerifyConfig",
     "run_verification",
     "run_mutation_check",
-    "run_search_mutation_check",
-    "run_symbolic_mutation_check",
 ]
 
 #: name -> oracle module (each exports NAME, generate, check)
@@ -148,8 +148,8 @@ def run_verification(config: VerifyConfig = VerifyConfig()) -> VerifyReport:
 # Mutation check
 # ---------------------------------------------------------------------------
 
-def _mutant_bit_level_structure(real: Callable) -> Callable:
-    """Wrap the Theorem 3.1 assembly with a seeded bug: the carry-completion
+def _mutant_cprime_everywhere(word, arith, expansion, p):
+    """Seeded bug in the Theorem 3.1 assembly: the carry-completion
     column ``c'`` (``d̄₇``, validity ``i1 = p`` under Expansion II) is
     declared valid *everywhere*.
 
@@ -160,53 +160,18 @@ def _mutant_bit_level_structure(real: Callable) -> Callable:
     ``c'`` source lands inside the set once ``p >= 3``, so the oracle must
     find -- and the shrinker must retain -- a ``p = 3`` witness.
     """
+    from repro.expansion.theorem31 import bit_level_structure
     from repro.structures.algorithm import Algorithm
     from repro.structures.conditions import TRUE
 
-    def mutant(word, arith, expansion, p):
-        alg = real(word, arith, expansion, p)
-        vectors = [
-            v.with_validity(TRUE) if "c'" in v.causes else v
-            for v in alg.dependences
-        ]
-        return Algorithm(
-            alg.index_set, vectors, alg.computations, name=alg.name + "-mutant"
-        )
-
-    return mutant
-
-
-def run_mutation_check(
-    seed: int = 0,
-    cases: int = 30,
-    envelope: SizeEnvelope = SizeEnvelope(),
-    max_shrink_steps: int = 200,
-) -> Counterexample | None:
-    """Self-test: inject a wrong validity condition into the Theorem 3.1
-    assembly and confirm ``oracle_theorem31`` catches it.
-
-    Returns the shrunken counterexample the oracle produced against the
-    mutant (the *expected* outcome), or ``None`` if the mutant survived --
-    which means the verification subsystem has lost its teeth.
-    """
-    import repro.expansion.verify as verify_mod
-
-    real = verify_mod.bit_level_structure
-    verify_mod.bit_level_structure = _mutant_bit_level_structure(real)
-    try:
-        config = VerifyConfig(
-            seed=seed,
-            cases=cases,
-            oracles=("theorem31",),
-            envelope=envelope,
-            max_shrink_steps=max_shrink_steps,
-            max_counterexamples=1,
-        )
-        report = run_verification(config)
-        obs.count("verify.mutation.caught", int(bool(report.counterexamples)))
-        return report.counterexamples[0] if report.counterexamples else None
-    finally:
-        verify_mod.bit_level_structure = real
+    alg = bit_level_structure(word, arith, expansion, p)
+    vectors = [
+        v.with_validity(TRUE) if "c'" in v.causes else v
+        for v in alg.dependences
+    ]
+    return Algorithm(
+        alg.index_set, vectors, alg.computations, name=alg.name + "-mutant"
+    )
 
 
 def _mutant_congruence_quotient(expr, d):
@@ -230,19 +195,6 @@ def _mutant_shifted_bounds(lo, hi, delta):
     """Seeded bug: the source-in-box window in sink coordinates is one too
     wide at the top, admitting one extra sink per constrained axis."""
     return lo + delta, hi + delta + 1
-
-
-#: mutation name -> (module path, attribute, mutant callable)
-SYMBOLIC_MUTATIONS = {
-    "dropped-congruence": (
-        "repro.symbolic.solve", "_congruence_quotient",
-        _mutant_congruence_quotient,
-    ),
-    "shifted-bound": (
-        "repro.symbolic.families", "shifted_bounds",
-        _mutant_shifted_bounds,
-    ),
-}
 
 
 def _mutant_hop_budget(deadline: int) -> int:
@@ -274,115 +226,95 @@ def _mutant_screen(walk, block):
             yield pair
 
 
-#: mutation name -> (module path, attribute, mutant callable)
-SEARCH_MUTATIONS = {
-    "tight-deadline": (
-        "repro.mapping.solver", "_hop_budget", _mutant_hop_budget,
+class Mutation(NamedTuple):
+    """One seeded bug: the oracle that must catch it, the seam the mutant
+    replaces and the in-process memo that could hide it (each a ``(module
+    path, attribute)`` pair; ``memo`` names a function that clears it,
+    or is ``None``)."""
+
+    oracle: str
+    seam: tuple[str, str]
+    mutant: Callable
+    memo: tuple[str, str] | None = None
+
+
+_SEARCH_PLANS = ("repro.mapping.solver", "clear_search_plans")
+_SYMBOLIC_MEMO = ("repro.symbolic.analyze", "clear_memo")
+
+#: mutation name -> the seeded bug :func:`run_mutation_check` runs
+MUTATIONS = {
+    "cprime-everywhere": Mutation(
+        "theorem31", ("repro.expansion.verify", "bit_level_structure"),
+        _mutant_cprime_everywhere,
     ),
-    "dropped-conflict-screen": (
-        "repro.mapping.solver", "_screen", _mutant_screen,
+    "dropped-congruence": Mutation(
+        "symbolic", ("repro.symbolic.solve", "_congruence_quotient"),
+        _mutant_congruence_quotient, _SYMBOLIC_MEMO,
+    ),
+    "shifted-bound": Mutation(
+        "symbolic", ("repro.symbolic.families", "shifted_bounds"),
+        _mutant_shifted_bounds, _SYMBOLIC_MEMO,
+    ),
+    "tight-deadline": Mutation(
+        "search", ("repro.mapping.solver", "_hop_budget"),
+        _mutant_hop_budget, _SEARCH_PLANS,
+    ),
+    "dropped-conflict-screen": Mutation(
+        "search", ("repro.mapping.solver", "_screen"),
+        _mutant_screen, _SEARCH_PLANS,
     ),
 }
 
 
-def run_search_mutation_check(
-    mutation: str = "tight-deadline",
+def _attribute(pair: tuple[str, str]):
+    module, attr = pair
+    return importlib.import_module(module), attr
+
+
+def run_mutation_check(
+    name: str,
     seed: int = 0,
-    cases: int = 30,
+    cases: int = 50,
     envelope: SizeEnvelope = SizeEnvelope(),
     max_shrink_steps: int = 200,
 ) -> Counterexample | None:
-    """Self-test: seed a deliberate bug into the search solver's cuts or
-    its conflict screen and confirm the solver-vs-catalog differential
-    oracle catches it.
+    """Self-test: patch the seeded bug ``name`` (an entry of
+    :data:`MUTATIONS`) into its seam and confirm its oracle catches it.
 
-    ``mutation`` names an entry of :data:`SEARCH_MUTATIONS`.  Returns the
-    shrunken counterexample (the *expected* outcome), or ``None`` if the
-    mutant survived the run -- the oracle has lost its teeth.  The
-    in-process search-plan memo is cleared on entry and exit, so neither a
-    plan built with the real seam hides the mutant nor a mutant plan
-    outlives it.
+    Returns the shrunken counterexample the oracle produced against the
+    mutant (the *expected* outcome), or ``None`` if the mutant survived
+    -- which means the verification subsystem has lost its teeth.  Counts
+    ``verify.mutation.caught``.  The entry's memo, if any, is cleared on
+    entry and exit, so neither a result built with the real seam hides
+    the mutant nor a mutant result outlives it.
     """
-    import importlib
-
-    from repro.mapping.solver import clear_search_plans
-
     try:
-        module_path, attr, mutant = SEARCH_MUTATIONS[mutation]
+        mutation = MUTATIONS[name]
     except KeyError:
         raise ValueError(
-            f"unknown mutation {mutation!r}; "
-            f"choose from {sorted(SEARCH_MUTATIONS)}"
+            f"unknown mutation {name!r}; choose from {sorted(MUTATIONS)}"
         ) from None
-    target = importlib.import_module(module_path)
+    target, attr = _attribute(mutation.seam)
     real = getattr(target, attr)
-    setattr(target, attr, mutant)
-    clear_search_plans()
-    try:
-        config = VerifyConfig(
-            seed=seed,
-            cases=cases,
-            oracles=("search",),
-            envelope=envelope,
-            max_shrink_steps=max_shrink_steps,
-            max_counterexamples=1,
-        )
-        report = run_verification(config)
-        obs.count(
-            "verify.search_mutation.caught",
-            int(bool(report.counterexamples)),
-        )
-        return report.counterexamples[0] if report.counterexamples else None
-    finally:
-        setattr(target, attr, real)
-        clear_search_plans()
 
+    def clear_memo() -> None:
+        if mutation.memo is not None:
+            module, function = _attribute(mutation.memo)
+            getattr(module, function)()
 
-def run_symbolic_mutation_check(
-    mutation: str = "dropped-congruence",
-    seed: int = 0,
-    cases: int = 40,
-    envelope: SizeEnvelope = SizeEnvelope(),
-    max_shrink_steps: int = 200,
-) -> Counterexample | None:
-    """Self-test: seed a deliberate bug into the symbolic solver and
-    confirm the sampling cross-validation oracle catches it.
-
-    ``mutation`` names an entry of :data:`SYMBOLIC_MUTATIONS`.  Returns
-    the shrunken counterexample (the *expected* outcome), or ``None`` if
-    the mutant survived the run -- the oracle has lost its teeth.  The
-    in-process symbolic memo is cleared on entry and exit so neither
-    clean results mask the mutant nor mutant results leak out.
-    """
-    import importlib
-
-    from repro.symbolic.analyze import clear_memo
-
-    try:
-        module_path, attr, mutant = SYMBOLIC_MUTATIONS[mutation]
-    except KeyError:
-        raise ValueError(
-            f"unknown mutation {mutation!r}; "
-            f"choose from {sorted(SYMBOLIC_MUTATIONS)}"
-        ) from None
-    target = importlib.import_module(module_path)
-    real = getattr(target, attr)
-    setattr(target, attr, mutant)
+    setattr(target, attr, mutation.mutant)
     clear_memo()
     try:
         config = VerifyConfig(
             seed=seed,
             cases=cases,
-            oracles=("symbolic",),
+            oracles=(mutation.oracle,),
             envelope=envelope,
             max_shrink_steps=max_shrink_steps,
             max_counterexamples=1,
         )
         report = run_verification(config)
-        obs.count(
-            "verify.symbolic_mutation.caught",
-            int(bool(report.counterexamples)),
-        )
+        obs.count("verify.mutation.caught", int(bool(report.counterexamples)))
         return report.counterexamples[0] if report.counterexamples else None
     finally:
         setattr(target, attr, real)

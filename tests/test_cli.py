@@ -117,9 +117,14 @@ class TestObservabilityFlags:
              "--trace", str(t_file), "--quiet-metrics"]
         ) == 0
         out = capsys.readouterr().out
-        assert "condition 5 (some PE busy at every beat): True" in out
-        assert "per-PE utilization:" in out
-        assert "PE(3, 3):" in out
+        # Obs flags do not change stdout; --gantt asks for the per-PE block.
+        assert main(["simulate", "--u", "2", "--p", "2"]) == 0
+        assert out == capsys.readouterr().out
+        assert main(["simulate", "--u", "2", "--p", "2", "--gantt"]) == 0
+        gantt = capsys.readouterr().out
+        assert "condition 5 (some PE busy at every beat): True" in gantt
+        assert "per-PE utilization:" in gantt
+        assert "PE(3, 3):" in gantt
         metrics = json.loads(m_file.read_text())
         assert metrics["counters"]["machine.store_reads"] > 0
         assert metrics["counters"]["machine.store_writes"] > 0

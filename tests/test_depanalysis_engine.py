@@ -16,7 +16,6 @@ from repro.depanalysis import PointSet, analyze
 from repro.depanalysis.engine import (
     AnalysisConfig,
     BACKENDS,
-    default_backend,
     resolve_backend,
 )
 from repro.ir import builders
@@ -188,9 +187,26 @@ class TestBackendResolution:
         assert resolve_backend("scalar") == "scalar"
         assert resolve_backend("symbolic") == "symbolic"
 
-    def test_auto_is_default(self):
-        assert resolve_backend("auto") == default_backend()
-        assert default_backend() == "symbolic"
+    def test_symbolic_is_default(self, monkeypatch):
+        monkeypatch.delenv("REPRO_ANALYSIS_BACKEND", raising=False)
+        assert resolve_backend(None) == "symbolic"
+        assert resolve_backend() == "symbolic"
+
+    def test_auto_is_refused(self, monkeypatch, capsys):
+        from repro.__main__ import main
+
+        choices = r"choose from \('scalar', 'symbolic'\)"
+        with pytest.raises(ValueError, match=choices):
+            resolve_backend("auto")
+        with pytest.raises(ValueError, match="'auto'"):
+            AnalysisConfig(backend="auto")
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "--u", "2", "--p", "2", "--backend", "auto"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'auto'" in capsys.readouterr().err
+        monkeypatch.setenv("REPRO_ANALYSIS_BACKEND", "auto")
+        with pytest.raises(ValueError, match="'auto'"):
+            resolve_backend(None)
 
     def test_unknown_backend(self):
         with pytest.raises(ValueError):
@@ -215,7 +231,7 @@ class TestBackendResolution:
         monkeypatch.setenv("REPRO_ANALYSIS_BACKEND", "scalar")
         assert resolve_backend(None) == "scalar"
         monkeypatch.delenv("REPRO_ANALYSIS_BACKEND")
-        assert resolve_backend(None) == default_backend()
+        assert resolve_backend(None) == "symbolic"
 
     def test_unknown_method(self):
         with pytest.raises(ValueError):

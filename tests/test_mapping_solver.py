@@ -72,14 +72,22 @@ def _primitives(name, p):
 
 class TestSearchConfigValidation:
     def test_strategy_choices(self):
-        for strategy in ("auto", "catalog", "solver"):
+        for strategy in ("catalog", "solver"):
             assert SearchConfig(strategy=strategy).strategy == strategy
-        with pytest.raises(ValueError):
-            SearchConfig(strategy="magic")
+        for strategy in ("magic", "auto"):
+            with pytest.raises(ValueError, match="strategy"):
+                SearchConfig(strategy=strategy)
 
-    def test_auto_resolves_to_solver(self):
-        assert SearchConfig().resolved_strategy == "solver"
-        assert SearchConfig(strategy="catalog").resolved_strategy == "catalog"
+    def test_solver_is_the_default(self):
+        assert SearchConfig().strategy == "solver"
+
+    def test_cli_refuses_auto(self, capsys):
+        from repro.__main__ import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(["search", "--u", "2", "--p", "2", "--strategy", "auto"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'auto'" in capsys.readouterr().err
 
     def test_frontier_must_be_known_metrics(self):
         assert SearchConfig(frontier=["time"]).frontier == ("time",)
@@ -250,12 +258,13 @@ class TestExactScreen:
         # certifying check rejects the design and the search says which.
         # The seam is the one the dropped-conflict-screen mutation
         # replaces: the whole screen, its array step included.
-        from repro.verify.runner import SEARCH_MUTATIONS
+        from repro.verify.runner import MUTATIONS
 
-        module, attr, mutant = SEARCH_MUTATIONS["dropped-conflict-screen"]
+        mutation = MUTATIONS["dropped-conflict-screen"]
+        module, attr = mutation.seam
         assert module == solver.__name__
         alg, binding, prims, config = _certified_case("fig4", 2, 2)
-        monkeypatch.setattr(solver, attr, mutant)
+        monkeypatch.setattr(solver, attr, mutation.mutant)
         clear_search_plans()
         with pytest.raises(
             RuntimeError, match=r"MappingMatrix .*no-conflict:FAIL"
@@ -594,7 +603,7 @@ class TestSearchPlan:
         "mutation", ["tight-deadline", "dropped-conflict-screen"]
     )
     def test_mutation_caught_after_plans_were_built(self, mutation):
-        from repro.verify import run_search_mutation_check
+        from repro.verify import run_mutation_check
         from repro.verify.runner import VerifyConfig, run_verification
 
         # Ten cases need fewer plans than the memo holds, so every plan
@@ -603,6 +612,6 @@ class TestSearchPlan:
         assert not run_verification(clean).counterexamples
         assert len(solver._PLANS) < solver._PLAN_CAPACITY
         # ... and must not hide the mutant ...
-        assert run_search_mutation_check(mutation, seed=0, cases=10)
+        assert run_mutation_check(mutation, seed=0, cases=10)
         # ... nor plans built with the mutant outlive it.
         assert not run_verification(clean).counterexamples

@@ -121,7 +121,6 @@ class TestSpans:
 class TestNoOpMode:
     def test_disabled_by_default(self):
         assert obs.get_registry() is None
-        assert not obs.enabled()
 
     def test_helpers_are_noops_when_disabled(self):
         obs.count("x")

@@ -164,6 +164,91 @@ class TestDispatchParity:
         assert "seeded failure" in result.error
 
 
+class TestJobIsItsSpec:
+    """A job's output depends on its spec alone: not on the executing
+    process's obs state, nor on its backend environment."""
+
+    @pytest.mark.parametrize("spec", [
+        JobSpec(kind="analyze", u=2, p=2, cache=False),
+        JobSpec(kind="analyze_symbolic", u=2, p=2, cache=False),
+        JobSpec(kind="search", u=2, p=2),
+        JobSpec(kind="simulate", u=2, p=2),
+    ], ids=lambda spec: spec.kind)
+    def test_output_ignores_an_ambient_registry(self, spec):
+        from repro import obs
+
+        bare = run_job(spec)
+        with obs.collecting():
+            collected = run_job(spec)
+        assert bare.ok and collected.ok
+        assert _norm(collected.output) == _norm(bare.output)
+
+    def test_gantt_prints_the_per_pe_block(self):
+        plain = run_job(JobSpec(kind="simulate", u=2, p=2)).output
+        gantt = run_job(JobSpec(kind="simulate", u=2, p=2, gantt=True)).output
+        assert len(plain.splitlines()) == 3
+        assert "condition 5" not in plain
+        assert "condition 5 (some PE busy at every beat): True" in gantt
+        assert "per-PE utilization:" in gantt
+        assert "ValueStore:" in gantt
+
+    @pytest.mark.parametrize("kind, field, variable, value, default", [
+        ("simulate", "sim_backend", "REPRO_SIM_BACKEND", "compiled",
+         "pointwise"),
+        ("analyze", "analysis_backend", "REPRO_ANALYSIS_BACKEND", "scalar",
+         "symbolic"),
+    ])
+    def test_route_is_resolved_into_the_spec_and_its_key(
+        self, monkeypatch, kind, field, variable, value, default
+    ):
+        monkeypatch.setenv(variable, value)
+        from_env = JobSpec(kind=kind, u=2, p=2)
+        monkeypatch.delenv(variable)
+        plain = JobSpec(kind=kind, u=2, p=2)
+        assert getattr(from_env, field) == value
+        assert getattr(plain, field) == default
+        assert job_key(from_env) != job_key(plain)
+        assert JobSpec.from_payload(from_env.to_payload()) == from_env
+        # The executing process's environment no longer picks the route.
+        monkeypatch.setenv(variable, default)
+        assert f"backend={value}" in run_job(from_env).output
+
+    def test_only_the_read_backend_is_resolved(self):
+        assert JobSpec(kind="simulate").analysis_backend is None
+        assert JobSpec(kind="analyze").sim_backend is None
+        assert JobSpec(kind="search").sim_backend is None
+        with pytest.raises(ValueError, match="sim_backend"):
+            JobSpec(kind="analyze", sim_backend="wavefront")
+
+    def test_analyze_spec_does_not_import_the_machine(self):
+        import os
+        import pathlib
+        import subprocess
+        import sys
+
+        src = pathlib.Path(__file__).resolve().parent.parent / "src"
+        code = (
+            "import sys\n"
+            "from repro.serve.jobs import JobSpec\n"
+            "JobSpec(kind='analyze')\n"
+            "print('repro.machine' in sys.modules)\n"
+        )
+        run = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(src)}, timeout=60,
+            check=True,
+        )
+        assert run.stdout.strip() == "False"
+
+    def test_one_spelling_per_setting(self):
+        with pytest.raises(ValueError, match="strategy"):
+            JobSpec(kind="search", strategy="auto")
+        with pytest.raises(ValueError, match="analysis_backend"):
+            JobSpec(kind="analyze", analysis_backend="auto")
+        with pytest.raises(ValueError, match="unknown job fields: exhaustive"):
+            JobSpec.from_payload({"kind": "search", "exhaustive": True})
+
+
 # ---------------------------------------------------------------------------
 # Budgets / admission control
 # ---------------------------------------------------------------------------
@@ -328,8 +413,10 @@ class TestServer:
         first = client.submit(spec)
         second = client.submit(spec)
         assert second["coalesced"] is True
-        assert first["job_id"] == second["job_id"] == first["key"]
-        assert first["key"] == job_key(spec)
+        assert first["job_id"] == second["job_id"]
+        assert first["job_id"] == job_key(spec)
+        assert "key" not in first
+        assert "key" not in client.status(first["job_id"])
 
     def test_unknown_job_is_404(self, server):
         client = ServeClient(port=server.port)
@@ -415,6 +502,22 @@ class TestServer:
         with pytest.raises(ServeError) as excinfo:
             client._request("POST", "/v1/jobs", {"kind": "nope"})
         assert excinfo.value.status == 400
+
+    @pytest.mark.parametrize("payload, field", [
+        ({"kind": "search", "max_candidates": 0}, "max_candidates"),
+        ({"kind": "search", "overcollect": 0}, "overcollect"),
+        ({"kind": "search", "target_space_dim": 0}, "target_space_dim"),
+        ({"kind": "search", "schedule_bound": -1}, "schedule_bound"),
+        ({"kind": "simulate", "sim_backend": "wavefront"}, "sim_backend"),
+    ])
+    def test_invalid_setting_is_400_naming_it(self, server, payload, field):
+        """A spec that could only end in a traceback is refused at submit."""
+        client = ServeClient(port=server.port)
+        with pytest.raises(ServeError) as excinfo:
+            client._request("POST", "/v1/jobs", payload)
+        assert excinfo.value.status == 400
+        assert field in str(excinfo.value)
+        assert client.stats()["server"].get("serve.jobs_submitted", 0) == 0
 
     @pytest.mark.parametrize("length", ["abc", "-5"])
     def test_malformed_content_length_is_400(self, server, length):

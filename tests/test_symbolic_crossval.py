@@ -28,11 +28,16 @@ from repro.symbolic import (
 from repro.util.linalg import solve_integer_system
 from repro.verify import (
     EDGE_SIZES,
-    SYMBOLIC_MUTATIONS,
+    MUTATIONS,
     VerifyConfig,
     gen_symbolic_case,
-    run_symbolic_mutation_check,
+    run_mutation_check,
     run_verification,
+)
+
+SYMBOLIC_MUTATIONS = sorted(
+    name for name, mutation in MUTATIONS.items()
+    if mutation.oracle == "symbolic"
 )
 
 #: the concrete reference: the scalar route never consults the symbolic
@@ -241,11 +246,12 @@ class TestSamplingHarness:
 # ---------------------------------------------------------------------------
 
 class TestMutationRobustness:
-    @pytest.mark.parametrize("mutation", sorted(SYMBOLIC_MUTATIONS))
+    def test_symbolic_mutations(self):
+        assert SYMBOLIC_MUTATIONS == ["dropped-congruence", "shifted-bound"]
+
+    @pytest.mark.parametrize("mutation", SYMBOLIC_MUTATIONS)
     def test_seeded_bug_is_caught_and_shrunk(self, mutation):
-        counterexample = run_symbolic_mutation_check(
-            mutation, seed=0, cases=40
-        )
+        counterexample = run_mutation_check(mutation, seed=0, cases=40)
         assert counterexample is not None, (
             f"the seeded {mutation} bug must produce a counterexample"
         )
@@ -259,7 +265,7 @@ class TestMutationRobustness:
         # The matmul programs have identity subscripts (all invariant
         # factors 1), so the dropped-congruence mutant is only visible on
         # a strided system: the witness must be a stride case.
-        counterexample = run_symbolic_mutation_check(
+        counterexample = run_mutation_check(
             "dropped-congruence", seed=0, cases=40
         )
         assert counterexample.case["kind"] == "stride"
@@ -273,7 +279,7 @@ class TestMutationRobustness:
 
         reals = (solve_mod._congruence_quotient, families_mod.shifted_bounds)
         for mutation in SYMBOLIC_MUTATIONS:
-            run_symbolic_mutation_check(mutation, seed=0, cases=40)
+            run_mutation_check(mutation, seed=0, cases=40)
         # The originals are restored ...
         assert (
             solve_mod._congruence_quotient,
@@ -288,13 +294,13 @@ class TestMutationRobustness:
 
     def test_unknown_mutation_rejected(self):
         with pytest.raises(ValueError, match="unknown mutation"):
-            run_symbolic_mutation_check("nonesuch")
+            run_mutation_check("nonesuch")
 
     def test_cli_symbolic_mutation_check(self, capsys):
         from repro.__main__ import main
 
         rc = main([
-            "verify", "--symbolic-mutation", "dropped-congruence",
+            "verify", "--mutation", "dropped-congruence",
             "--cases", "40",
         ])
         out = capsys.readouterr().out

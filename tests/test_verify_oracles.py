@@ -78,7 +78,7 @@ def test_generated_word_vectors_are_lex_positive():
 
 
 def test_mutation_check_catches_seeded_bug():
-    counterexample = run_mutation_check(seed=0, cases=30)
+    counterexample = run_mutation_check("cprime-everywhere", seed=0, cases=30)
     assert counterexample is not None, (
         "the seeded c' validity bug must produce a counterexample"
     )
@@ -115,7 +115,7 @@ def test_mapping_oracle_catches_a_sublattice_nullspace(monkeypatch):
 
 
 def test_mutation_counterexample_is_shrunken():
-    counterexample = run_mutation_check(seed=0, cases=30)
+    counterexample = run_mutation_check("cprime-everywhere", seed=0, cases=30)
     assert counterexample is not None
     assert counterexample.shrink_steps > 0
     # Shrinking must have reduced the index-set volume (or kept it minimal).
@@ -202,10 +202,48 @@ def test_verify_cli_report_and_oracle_selection(tmp_path, capsys):
 def test_verify_cli_mutation_check(capsys):
     from repro.__main__ import main
 
-    rc = main(["verify", "--mutation-check", "--cases", "30"])
+    rc = main(["verify", "--mutation", "cprime-everywhere", "--cases", "30"])
     out = capsys.readouterr().out
     assert rc == 0
-    assert "mutation check ok" in out
+    assert "mutation check ok: seeded cprime-everywhere bug caught" in out
+
+
+def test_verify_cli_offers_every_mutation():
+    from repro.__main__ import build_parser
+    from repro.verify import MUTATIONS
+
+    parser = build_parser()
+    for name in MUTATIONS:
+        assert parser.parse_args(["verify", "--mutation", name]).mutation \
+            == name
+
+
+def test_mutation_table_restores_every_seam_and_counts_once():
+    """Each of the five seeded bugs runs through the one runner: its
+    seam is restored afterwards, and each catch counts into the one
+    ``verify.mutation.caught`` counter."""
+    import importlib
+
+    from repro import obs
+    from repro.verify import MUTATIONS
+
+    assert sorted(MUTATIONS) == [
+        "cprime-everywhere", "dropped-conflict-screen", "dropped-congruence",
+        "shifted-bound", "tight-deadline",
+    ]
+    reals = {
+        name: getattr(importlib.import_module(m.seam[0]), m.seam[1])
+        for name, m in MUTATIONS.items()
+    }
+    with obs.collecting() as reg:
+        for name in MUTATIONS:
+            assert run_mutation_check(name, seed=0, cases=30) is not None
+    assert reg.metrics()["counters"]["verify.mutation.caught"] == 5
+    for name, m in MUTATIONS.items():
+        module, attr = m.seam
+        assert getattr(importlib.import_module(module), attr) is reals[name]
+    with pytest.raises(ValueError, match="unknown mutation"):
+        run_mutation_check("nonesuch")
 
 
 def test_verify_emits_obs_counters():
