@@ -175,16 +175,6 @@ def _cmd_cache(args: argparse.Namespace) -> int:
               f"(cap {st['max_bytes']:,})")
         for kind, count in st["kinds"].items():
             print(f"  {kind}: {count} entries")
-        sess = st["session"]
-        print(f"this process: {sess['hits']} hits, {sess['misses']} misses, "
-              f"{sess['evictions']} evictions")
-        store = st.get("store")
-        if store is not None:
-            # Cross-process totals from the locked on-disk stats ledger.
-            print(f"store totals: {store['hits']} hits, "
-                  f"{store['misses']} misses, "
-                  f"{store['evictions']} evictions, "
-                  f"{store['writes']} writes")
         from repro import obs
 
         obs.gauge("cache.bytes_on_disk", st["bytes"])

@@ -33,7 +33,6 @@ def analyze_symbolic(
     expansion: str = "II",
     cache: bool | None = None,
     cache_dir: str | None = None,
-    budget_s: float | None = None,
 ):
     """Parametric dependence analysis of bit-level matmul; returns a JobResult.
 
@@ -55,7 +54,7 @@ def analyze_symbolic(
     return run_job(
         JobSpec(
             kind="analyze_symbolic", u=u, p=p, expansion=expansion,
-            cache=cache, cache_dir=cache_dir, budget_s=budget_s,
+            cache=cache, cache_dir=cache_dir,
         )
     )
 
@@ -68,7 +67,6 @@ def simulate(
     seed: int = 0,
     backend: str | None = None,
     gantt: bool = False,
-    budget_s: float | None = None,
 ):
     """Simulate a bit-level matmul design end to end; returns a JobResult.
 
@@ -85,7 +83,7 @@ def simulate(
     return run_job(
         JobSpec(
             kind="simulate", u=u, p=p, design=design, seed=seed,
-            sim_backend=backend, gantt=gantt, budget_s=budget_s,
+            sim_backend=backend, gantt=gantt,
         )
     )
 

@@ -12,7 +12,9 @@ LRU byte cap.
 Caching is opt-in: library calls default to "enabled iff
 ``REPRO_CACHE_DIR`` is set"; the CLI's ``analyze`` subcommand enables it
 by default (``--no-cache`` opts out) and ``repro cache stats|clear``
-inspects the store.  See ``docs/ANALYSIS.md``.
+inspects the store's entries.  What the cache did for a run -- its hits,
+misses and writes -- is in the run's ``cache.*`` obs counters and nowhere
+else.  See ``docs/ANALYSIS.md``.
 """
 
 from repro.cache.keys import (

@@ -2,16 +2,12 @@
 
 Multiple worker processes and the ``repro.serve`` front-end share one
 ``$REPRO_CACHE_DIR``; the individual entry files are already safe to
-share (atomic ``os.replace`` writes, whole-file reads), but two
-operations are read-modify-write over shared state and need mutual
-exclusion:
+share (atomic ``os.replace`` writes, whole-file reads), but LRU eviction
+is read-modify-write over shared state and needs mutual exclusion: two
+processes scanning and deleting concurrently can both count the same
+bytes and over-evict.
 
-* LRU eviction -- two processes scanning and deleting concurrently can
-  both count the same bytes and over-evict;
-* the persistent stats ledger (``v1/stats.json``) -- concurrent
-  read-add-write updates lose or double increments.
-
-:class:`FileLock` wraps both in an advisory ``fcntl.flock`` on a
+:class:`FileLock` wraps eviction in an advisory ``fcntl.flock`` on a
 dedicated ``.lock`` file next to the versioned store (the lock file is
 never deleted, so the inode every process locks is stable).  On
 platforms without ``fcntl`` it degrades to an ``O_CREAT | O_EXCL``

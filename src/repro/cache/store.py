@@ -13,18 +13,19 @@ in :meth:`ArtifactCache.put` is LRU, and any unreadable/corrupt entry is
 treated as a miss and deleted.  The store is best-effort throughout: I/O
 errors disable the affected operation, never the caller.
 
+**Counting.**  The store keeps no counts of its own: every hit, miss,
+write and eviction is a ``cache.*`` counter of the ambient
+:mod:`repro.obs` registry, so a job's metrics say what the cache did for
+that job.  Only files of the entry shape above are entries; anything
+else under ``v1/`` is neither counted nor evicted.
+
 **Sharing.**  A store directory may be shared by many processes at
 once (the ``repro.serve`` front-end, its workers, and any number of
 CLI runs).  Entry reads/writes are already safe to interleave (atomic
-replace + whole-file reads), so the two cross-process hazards are the
-read-modify-write operations: LRU eviction and the persistent stats
-ledger.  Both always run under an advisory
-:class:`~repro.cache.lock.FileLock` on ``<base>/.lock``.  Session
-counters (hits/misses/evictions/writes of *this* process) are flushed
-to ``<root>/stats.json`` as **deltas** under the lock -- flushing is
-idempotent (a counter increment is added to the ledger exactly once, no
-matter how often :meth:`flush_stats` runs) and lock-serialized, so two
-processes sharing a store dir cannot lose or double-report counts.
+replace + whole-file reads), so the one cross-process hazard is the
+read-modify-write of LRU eviction, which always runs under an advisory
+:class:`~repro.cache.lock.FileLock` on ``<base>/.lock``.  A hit takes no
+lock (it only touches the entry's mtime); a write takes it once.
 
 Library code resolves whether to cache via :func:`resolve_cache`: an
 explicit ``True``/``False`` wins, ``None`` means "enabled iff
@@ -58,10 +59,8 @@ DEFAULT_MAX_BYTES = 256 * 1024 * 1024
 
 #: what ``clear(kind=...)`` accepts: one artifact-kind directory name.
 _KIND_NAME = re.compile(r"[a-z][a-z0-9-]*")
-#: the cross-process stats ledger, directly under the versioned root.
-_STATS_NAME = "stats.json"
-#: session counters accumulated into the ledger.
-_STATS_KEYS = ("hits", "misses", "evictions", "writes")
+#: the entries under a versioned root: ``<kind>/<key[:2]>/<key>.json``.
+_ENTRY_GLOB = "*/*/*.json"
 
 
 def default_cache_root() -> pathlib.Path:
@@ -75,14 +74,11 @@ def default_cache_root() -> pathlib.Path:
 class ArtifactCache:
     """Content-addressed persistent cache with an LRU byte cap.
 
-    Eviction and stats-ledger updates are serialized across processes
-    with a file lock, so any number of processes may share one store.
+    Eviction is serialized across processes with a file lock, so any
+    number of processes may share one store.
     """
 
-    __slots__ = (
-        "base", "root", "max_bytes", "hits", "misses", "evictions", "writes",
-        "_lock", "_flushed",
-    )
+    __slots__ = ("base", "root", "max_bytes", "_lock")
 
     def __init__(
         self,
@@ -92,15 +88,7 @@ class ArtifactCache:
         self.base = pathlib.Path(root) if root is not None else default_cache_root()
         self.root = self.base / f"v{SCHEMA_VERSION}"
         self.max_bytes = max_bytes
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self.writes = 0
         self._lock = FileLock(self.base / ".lock")
-        #: session counts already accumulated into the on-disk ledger;
-        #: flushing writes only the delta beyond this snapshot, so the
-        #: same increment can never be reported twice.
-        self._flushed = dict.fromkeys(_STATS_KEYS, 0)
 
     def _path(self, kind: str, key: str) -> pathlib.Path:
         return self.root / kind / key[:2] / f"{key}.json"
@@ -112,7 +100,6 @@ class ArtifactCache:
         try:
             raw = path.read_text()
         except OSError:
-            self.misses += 1
             obs.count("cache.misses")
             return None
         try:
@@ -122,14 +109,12 @@ class ArtifactCache:
                 path.unlink()
             except OSError:
                 pass
-            self.misses += 1
             obs.count("cache.misses")
             return None
         try:
             os.utime(path)  # recency for LRU eviction
         except OSError:
             pass
-        self.hits += 1
         obs.count("cache.hits")
         return payload
 
@@ -153,7 +138,6 @@ class ArtifactCache:
                 raise
         except (OSError, TypeError, ValueError):
             return  # best-effort: an unwritable cache must not fail the caller
-        self.writes += 1
         obs.count("cache.writes")
         try:
             obs.count("cache.put_bytes", path.stat().st_size)
@@ -166,9 +150,7 @@ class ArtifactCache:
     def _entries(self) -> list[tuple[pathlib.Path, os.stat_result]]:
         out = []
         try:
-            for path in self.root.rglob("*.json"):
-                if path.parent == self.root:
-                    continue  # the stats ledger is not a cache entry
+            for path in self.root.glob(_ENTRY_GLOB):
                 try:
                     out.append((path, path.stat()))
                 except OSError:
@@ -190,75 +172,15 @@ class ArtifactCache:
                 except OSError:
                     continue
                 total -= st.st_size
-                self.evictions += 1
                 obs.count("cache.evictions")
         obs.gauge("cache.bytes_on_disk", total)
 
-    # -- the cross-process stats ledger ---------------------------------------
-    def _session_counts(self) -> dict:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "writes": self.writes,
-        }
-
-    def _read_ledger(self) -> dict:
-        try:
-            raw = json.loads((self.root / _STATS_NAME).read_text())
-            return {k: int(raw.get(k, 0)) for k in _STATS_KEYS}
-        except (OSError, ValueError, TypeError, AttributeError):
-            return dict.fromkeys(_STATS_KEYS, 0)
-
-    def flush_stats(self) -> dict:
-        """Accumulate this session's *new* counts into the shared ledger.
-
-        Idempotent: only the delta since the previous flush is added, so
-        calling this any number of times (or from any number of
-        processes under the lock) reports each increment exactly once.
-        Returns the ledger totals after the update (best-effort: on I/O
-        failure the current on-disk view is returned unchanged).
-        """
-        session = self._session_counts()
-        delta = {k: session[k] - self._flushed[k] for k in _STATS_KEYS}
-        if not any(delta.values()):
-            return self._read_ledger()
-        with self._lock:
-            totals = self._read_ledger()
-            for k in _STATS_KEYS:
-                totals[k] += delta[k]
-            try:
-                self.root.mkdir(parents=True, exist_ok=True)
-                fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
-                try:
-                    with os.fdopen(fd, "w") as fh:
-                        json.dump(totals, fh)
-                    os.replace(tmp, self.root / _STATS_NAME)
-                except BaseException:
-                    try:
-                        os.unlink(tmp)
-                    except OSError:
-                        pass
-                    raise
-            except OSError:
-                return totals  # best-effort: ledger unavailable
-        self._flushed = session
-        return totals
-
     def stats(self) -> dict:
-        """Snapshot of the on-disk store (entry/byte counts per kind).
-
-        Flushes this session's counters first, so ``store`` holds the
-        exact cross-process totals accumulated in the shared ledger.
-        """
-        store_totals = self.flush_stats()
+        """Snapshot of the on-disk store (entry/byte counts per kind)."""
         entries = self._entries()
         kinds: dict[str, int] = {}
         for path, _st in entries:
-            try:
-                kind = path.relative_to(self.root).parts[0]
-            except (ValueError, IndexError):
-                kind = "?"
+            kind = path.parent.parent.name
             kinds[kind] = kinds.get(kind, 0) + 1
         return {
             "root": str(self.base),
@@ -267,12 +189,6 @@ class ArtifactCache:
             "bytes": sum(st.st_size for _, st in entries),
             "max_bytes": self.max_bytes,
             "kinds": dict(sorted(kinds.items())),
-            "session": {
-                "hits": self.hits,
-                "misses": self.misses,
-                "evictions": self.evictions,
-            },
-            "store": store_totals,
         }
 
     def clear(self, kind: str | None = None) -> int:
@@ -283,7 +199,7 @@ class ArtifactCache:
         ``REPRO_CACHE_DIR`` at a shared directory cannot lose user
         data).  With a ``kind`` (e.g. ``"analysis"``), only that kind's
         subtree is removed from each versioned dir -- other artifact
-        kinds and the stats ledger stay intact.  A ``kind`` that is not
+        kinds stay intact.  A ``kind`` that is not
         one lowercase name (``[a-z][a-z0-9-]*``: no separators, no
         ``..``, not empty) raises :class:`ValueError` before anything is
         removed, so it can never reach outside the versioned dirs.
@@ -302,23 +218,17 @@ class ArtifactCache:
             ]
         except OSError:
             return 0
+        pattern = _ENTRY_GLOB if kind is None else f"{kind}/*/*.json"
         for vdir in version_dirs:
             target = vdir if kind is None else vdir / kind
             if not target.is_dir():
                 continue
-            removed += sum(
-                1 for p in target.rglob("*.json") if p.parent != vdir
-            )
+            removed += sum(1 for _ in vdir.glob(pattern))
             shutil.rmtree(target, ignore_errors=True)
-        if kind is None:
-            self._flushed = self._session_counts()  # ledger gone; don't re-add
         return removed
 
     def __repr__(self) -> str:
-        return (
-            f"ArtifactCache({str(self.base)!r}, {self.hits} hits, "
-            f"{self.misses} misses)"
-        )
+        return f"ArtifactCache({str(self.base)!r})"
 
 
 def resolve_cache(

@@ -12,8 +12,8 @@ A :class:`SchedulePlan` is counted from ``T`` and the box, never from
 its points: the image census
 (:func:`~repro.structures.indexset.image_census`) of ``Π`` gives the
 busy PEs of every beat, that of ``S`` the busy beats of every PE, so a
-plan holds O(steps + PEs).  Only a conflicting design's error and the
-PE firing records (:func:`_pes_materializer`) list the box.
+plan holds O(steps + PEs).  Only a conflicting design's error lists the
+box.
 
 Plans are read-only: their per-run statistics (``busy_per_step``,
 ``pe_busy``) are ``MappingProxyType`` views, which every run's result
@@ -35,7 +35,6 @@ from typing import Sequence
 
 import numpy as _np
 
-from repro.machine.pe import ProcessorElement
 from repro.mapping.conflicts import find_conflicts
 from repro.mapping.transform import MappingMatrix
 from repro.structures.indexset import IndexSet, box_lattice, image_census
@@ -252,26 +251,3 @@ def plan_for(
         _PLAN_MEMO.popitem(last=False)
     return plan
 
-
-def _pes_materializer(mapping, lowers, uppers):
-    """Deferred construction of the ``{coords: ProcessorElement}`` map,
-    run on first ``sim.pes`` access (the compiled hot path never needs the
-    O(points) firing records).  The plan's conflict check already ran, so
-    firings are bulk-inserted."""
-
-    def build() -> dict[tuple[int, ...], ProcessorElement]:
-        lattice = box_lattice(list(zip(lowers, uppers)))
-        pes: dict[tuple[int, ...], ProcessorElement] = {}
-        for pos_row, t, pt in zip(
-            mapping.processors_of(lattice).tolist(),
-            mapping.times_of(lattice).tolist(),
-            lattice.tolist(),
-        ):
-            pos = tuple(pos_row)
-            pe = pes.get(pos)
-            if pe is None:
-                pe = pes[pos] = ProcessorElement(pos)
-            pe.firings[int(t)] = tuple(pt)
-        return pes
-
-    return build

@@ -30,7 +30,7 @@ from collections import OrderedDict
 
 from repro import obs
 from repro.compile.model import ModelKernel, compile_model_program, value_program
-from repro.compile.plan import DenseValueStore, _pes_materializer
+from repro.compile.plan import DenseValueStore
 from repro.compile.word import WordModelKernel, compile_word_program
 from repro.machine.simulator import SimulationResult, emit_machine_metrics
 
@@ -80,9 +80,6 @@ def _run_program(sim, kernel, program) -> SimulationResult:
             if reg is not None:
                 for label in sorted(counters.links):
                     reg.count(label, counters.links[label])
-            sim._pes_builder = _pes_materializer(
-                mapping, program.lowers, program.uppers
-            )
         result = SimulationResult(
             makespan=plan.last - plan.first + 1,
             first_time=plan.first,

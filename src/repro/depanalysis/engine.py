@@ -136,8 +136,8 @@ def run_analysis(
     own entry with its own ``stats``.  A hit returns the stored result;
     a miss computes it, stores it, and counts one
     ``analysis.engine_calls`` -- the counter the ``repro.serve``
-    coalescing guarantee is stated in.  The store's session counters are
-    flushed once per call.
+    coalescing guarantee is stated in.  The store counts its hits, misses
+    and writes as ``cache.*`` obs counters; it writes nothing else.
     """
     if method not in ("exact", "enumerate"):
         raise ValueError(f"unknown analysis method {method!r}")
@@ -171,6 +171,4 @@ def run_analysis(
             result = analyze_exact(program, binding, use_screens=use_screens)
         if key is not None:
             store.put("analysis", key, analysis_result_to_payload(result))
-    if store is not None:
-        store.flush_stats()
     return result

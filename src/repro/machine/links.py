@@ -23,7 +23,7 @@ def wire_length(primitive: Sequence[int]) -> int:
 class Link:
     """A directed link realizing one primitive between two PEs."""
 
-    __slots__ = ("src", "dst", "primitive", "buffers", "transfers")
+    __slots__ = ("src", "dst", "primitive", "buffers")
 
     def __init__(
         self,
@@ -41,8 +41,6 @@ class Link:
                 f"primitive {self.primitive}"
             )
         self.buffers = int(buffers)
-        #: number of data transfers carried (set by simulation)
-        self.transfers = 0
 
     @property
     def length(self) -> int:

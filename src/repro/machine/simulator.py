@@ -272,21 +272,10 @@ class SpaceTimeSimulator:
         self.binding = dict(binding)
         self.backend = resolve_backend(backend)
         self.store = ValueStore(mapping)
-        self._pes: dict[tuple[int, ...], ProcessorElement] = {}
-        self._pes_builder: Callable[[], dict] | None = None
-
-    @property
-    def pes(self) -> dict[tuple[int, ...], ProcessorElement]:
-        """The PE map, keyed by processor coordinates.
-
-        The compiled backend derives utilization statistics from arrays
-        and only materializes the per-PE firing records on first access
-        (they are O(points) Python objects the fast path never needs).
-        """
-        if self._pes_builder is not None:
-            builder, self._pes_builder = self._pes_builder, None
-            self._pes = builder()
-        return self._pes
+        #: the pointwise interpreter's firing records, keyed by processor
+        #: coordinates and filled as it fires; a compiled run keeps none
+        #: (its statistics come from the design's schedule plan)
+        self.pes: dict[tuple[int, ...], ProcessorElement] = {}
 
     def run(
         self,

@@ -42,7 +42,6 @@ from repro.mapping.memo import EvalCache
 from repro.mapping.engine import (
     DesignCandidate,
     SearchConfig,
-    ranked_schedules,
     run_search,
     search_designs,
     space_map_catalog,
@@ -57,6 +56,7 @@ from repro.mapping.pareto import (
 from repro.mapping.schedule import (
     execution_time,
     find_optimal_schedule,
+    ranked_schedules,
     schedule_is_valid,
 )
 from repro.mapping.spacetime import processor_count

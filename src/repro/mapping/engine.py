@@ -11,7 +11,8 @@ Ganapathy/Wah) -- as a staged engine:
    ``b·e_i + e_j`` (the paper's ``p·j₁ + i₁`` rows).
 2. **Screen**: row combinations of deficient rank are dropped before any
    per-candidate work.
-3. **Schedule reuse** (:func:`ranked_schedules`): the valid-schedule list
+3. **Schedule reuse**
+   (:func:`~repro.mapping.schedule.ranked_schedules`): the valid-schedule list
    depends only on ``(D, J, binding)``, not on ``S``, so it is enumerated
    and time-sorted *once* and shared by every space candidate (the naive
    search re-enumerated all ``(2b+1)^n`` schedules per candidate).
@@ -47,7 +48,7 @@ from repro.mapping.pareto import (
     design_wire_length,
     pareto_frontier,
 )
-from repro.mapping.schedule import execution_time, schedule_is_valid
+from repro.mapping.schedule import ranked_schedules
 from repro.mapping.spacetime import processor_count
 from repro.mapping.transform import MappingMatrix
 from repro.structures.algorithm import Algorithm
@@ -58,7 +59,6 @@ __all__ = [
     "SearchConfig",
     "DesignCandidate",
     "space_map_catalog",
-    "ranked_schedules",
     "run_search",
     "search_designs",
 ]
@@ -248,43 +248,6 @@ def _space_candidates(
             continue
         obs.count("mapping.space_candidates")
         yield s
-
-
-# ---------------------------------------------------------------------------
-# Stage 3: shared schedule enumeration
-# ---------------------------------------------------------------------------
-
-def ranked_schedules(
-    algorithm: Algorithm,
-    binding: ParamBinding,
-    schedule_bound: int,
-) -> list[tuple[int, tuple[int, ...]]]:
-    """All valid schedules within the coefficient bound, fastest first.
-
-    Returns ``(execution_time, Π)`` pairs sorted by time (ties keep
-    enumeration order).  Validity (``Π D > 0``) and the time (4.5) depend
-    only on ``(D, J, binding)`` -- not on the space mapping -- so the
-    search computes this list once and reuses it for every space candidate.
-    """
-    n = algorithm.dim
-    out: list[tuple[int, tuple[int, ...]]] = []
-    rejected = 0
-    for pi in itertools.product(
-        range(-schedule_bound, schedule_bound + 1), repeat=n
-    ):
-        if not schedule_is_valid(pi, algorithm):
-            rejected += 1
-            continue
-        out.append((execution_time(pi, algorithm, binding), tuple(pi)))
-    out.sort(key=lambda item: item[0])
-    obs.count_many(
-        {
-            "schedules_tried": rejected + len(out),
-            "schedules_valid": len(out),
-        },
-        prefix="mapping.",
-    )
-    return out
 
 
 # ---------------------------------------------------------------------------

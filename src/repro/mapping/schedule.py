@@ -6,11 +6,12 @@ The execution time of a mapped algorithm is
                        \\bar q_1, \\bar q_2 \\in J \\} + 1
 
 (eq. (4.5)), which over a box index set is computed exactly corner-to-corner
-by coefficient sign.  :func:`find_optimal_schedule` searches the bounded
-integer schedule space for the Π minimizing ``t`` subject to ``Π D > 0`` and
-(optionally) the interconnect deadline (4.1) for a fixed space mapping --
-this is how the time-optimality claim of Theorem 4.5 is certified on
-concrete instances.
+by coefficient sign.  :func:`ranked_schedules` lists the valid schedules of
+the bounded integer schedule space (``Π D > 0``) by that time, once for the
+whole design search; :func:`find_optimal_schedule` walks the same list for
+the fastest Π that (optionally) meets the interconnect deadline (4.1) for a
+fixed space mapping -- this is how the time-optimality claim of Theorem 4.5
+is certified on concrete instances.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 import itertools
 from typing import Sequence
 
+from repro import obs
 from repro.depanalysis.banerjee import affine_range
 from repro.mapping.interconnect import solve_interconnect
 from repro.mapping.transform import MappingMatrix
@@ -27,6 +29,7 @@ from repro.structures.params import ParamBinding
 __all__ = [
     "schedule_is_valid",
     "execution_time",
+    "ranked_schedules",
     "find_optimal_schedule",
     "certify_time_optimal",
 ]
@@ -66,6 +69,40 @@ def execution_time(
     return hi - lo + 1
 
 
+def ranked_schedules(
+    algorithm: Algorithm,
+    binding: ParamBinding,
+    schedule_bound: int,
+) -> list[tuple[int, tuple[int, ...]]]:
+    """All valid schedules within the coefficient bound, fastest first.
+
+    Returns ``(execution_time, Π)`` pairs sorted by time (ties keep
+    enumeration order).  Validity (``Π D > 0``) and the time (4.5) depend
+    only on ``(D, J, binding)`` -- not on the space mapping -- so the
+    design search computes this list once and reuses it for every space
+    candidate.
+    """
+    n = algorithm.dim
+    out: list[tuple[int, tuple[int, ...]]] = []
+    rejected = 0
+    for pi in itertools.product(
+        range(-schedule_bound, schedule_bound + 1), repeat=n
+    ):
+        if not schedule_is_valid(pi, algorithm):
+            rejected += 1
+            continue
+        out.append((execution_time(pi, algorithm, binding), tuple(pi)))
+    out.sort(key=lambda item: item[0])
+    obs.count_many(
+        {
+            "schedules_tried": rejected + len(out),
+            "schedules_valid": len(out),
+        },
+        prefix="mapping.",
+    )
+    return out
+
+
 def find_optimal_schedule(
     algorithm: Algorithm,
     binding: ParamBinding,
@@ -79,28 +116,23 @@ def find_optimal_schedule(
     ``Π D > 0``; when ``space`` and ``primitives`` are supplied, the
     interconnect constraint (4.1) is also enforced (``S·D = P·K`` with the
     hop count within each deadline ``Π d̄_i``).  Returns ``None`` when no
-    valid schedule exists within the bound.
+    valid schedule exists within the bound.  Of equally fast schedules the
+    first in enumeration order wins: this is the first entry of
+    :func:`ranked_schedules` that passes the interconnect check.
 
     The coefficient bound keeps the search finite; for the structures of the
     paper the optimal schedules have small coefficients (the paper's own Π
     has entries in ``{1, 2}``), and enlarging the bound only confirms the
     optimum (see the time-optimality benchmarks).
     """
-    n = algorithm.dim
     d_cols = algorithm.dependences.columns()
-    d_matrix = [[col[row] for col in d_cols] for row in range(n)]
-    best: tuple[list[int], int] | None = None
-    for pi in itertools.product(range(-coeff_bound, coeff_bound + 1), repeat=n):
-        if not schedule_is_valid(pi, algorithm):
-            continue
-        t = execution_time(pi, algorithm, binding)
-        if best is not None and t >= best[1]:
-            continue
+    d_matrix = [[col[row] for col in d_cols] for row in range(algorithm.dim)]
+    for t, pi in ranked_schedules(algorithm, binding, coeff_bound):
         if space is not None and primitives is not None:
             if solve_interconnect(space, d_matrix, pi, primitives) is None:
                 continue
-        best = (list(pi), t)
-    return best
+        return list(pi), t
+    return None
 
 
 def certify_time_optimal(

@@ -588,7 +588,7 @@ class PlanWalk:
 
     Keeps only what reads the index-set bounds: the schedule times and
     their stable sort (the order of
-    :func:`~repro.mapping.engine.ranked_schedules`), the widths of the
+    :func:`~repro.mapping.schedule.ranked_schedules`), the widths of the
     difference box, and a run-scoped :class:`EvalCache` for the conflict
     screen's enumeration and the certifying check (which keeps the
     instantiated difference box, serves the check the screen's complete

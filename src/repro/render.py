@@ -7,18 +7,21 @@ objects in the same spirit, monospace-only:
 * :func:`render_dependence_matrix` -- the paper's ``D`` layout: one column
   per dependence vector, cause labels on top, validity conditions below;
 * :func:`render_algorithm` -- index set + dependence matrix;
-* :func:`render_gantt` -- PE-occupancy over time for a finished simulation
-  (which beats were busy where).
+* :func:`render_gantt` -- PE occupancy over time of a design on a box
+  (which beats are busy where), read off ``T`` without a run.
 
 Everything returns plain strings; nothing here touches a display.
 """
 
 from __future__ import annotations
 
-from repro.machine.pe import ProcessorElement
+from typing import Sequence
+
+from repro.mapping.transform import MappingMatrix
 from repro.structures.algorithm import Algorithm
 from repro.structures.conditions import TRUE
 from repro.structures.dependence import DependenceMatrix
+from repro.structures.indexset import box_lattice, image_census
 
 __all__ = [
     "render_dependence_matrix",
@@ -69,29 +72,39 @@ def render_algorithm(algorithm: Algorithm) -> str:
 
 
 def render_gantt(
-    pes: dict[tuple[int, ...], ProcessorElement],
+    mapping: MappingMatrix,
+    bounds: Sequence[tuple[int, int]],
     max_pes: int = 24,
     max_time: int = 80,
 ) -> str:
-    """PE occupancy chart: one row per PE, one column per beat."""
-    if not pes:
+    """PE occupancy chart of ``mapping`` over the box ``bounds``: one row
+    per PE (the first ``max_pes`` in coordinate order), one column per
+    beat (at most ``max_time`` from the first).
+
+    Under Definition 4.1 point ``j̄`` fires on PE ``S j̄`` at beat
+    ``Π j̄``, so the chart is a function of ``T`` and the box: it is the
+    firing record any run of the design keeps, drawn without one.
+    """
+    lattice = box_lattice(bounds)
+    if not len(lattice):
         return "(no PEs fired)"
-    times = [t for pe in pes.values() for t in pe.firings]
-    t0, t1 = min(times), max(times)
-    span = min(t1, t0 + max_time - 1)
-    ordered = sorted(pes)[:max_pes]
-    label_w = max(len(str(list(pos))) for pos in ordered)
-    lines = [
-        " " * label_w + " t=" + "".join(
-            str(t % 10) for t in range(t0, span + 1)
-        )
-    ]
+    times = mapping.times_of(lattice)
+    procs = mapping.processors_of(lattice)
+    pes, _ = image_census(mapping.rows[:-1], bounds)
+    ordered = pes[:max_pes].tolist()
+    t0 = int(times.min())
+    beats = range(t0, min(int(times.max()), t0 + max_time - 1) + 1)
+    if procs.shape[1]:
+        # The shown PEs come first in coordinate order: a point whose PE
+        # starts past the last shown one fires on none of them.
+        near = procs[:, 0] <= ordered[-1][0]
+        times, procs = times[near], procs[near]
+    label_w = max(len(str(pos)) for pos in ordered)
+    lines = [" " * label_w + " t=" + "".join(str(t % 10) for t in beats)]
     for pos in ordered:
-        pe = pes[pos]
-        row = "".join(
-            "#" if t in pe.firings else "." for t in range(t0, span + 1)
-        )
-        lines.append(f"{str(list(pos)).rjust(label_w)}   {row}")
+        fired = set(times[(procs == pos).all(axis=1)].tolist())
+        row = "".join("#" if t in fired else "." for t in beats)
+        lines.append(f"{str(pos).rjust(label_w)}   {row}")
     hidden = len(pes) - len(ordered)
     if hidden > 0:
         lines.append(f"... ({hidden} more PEs)")

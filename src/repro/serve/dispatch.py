@@ -285,13 +285,8 @@ def _handle_simulate(spec: JobSpec, out):
     correct = run.product == want
     print(f"product correct (mod 2^{2*p-1}): {correct}", file=out)
     if spec.gantt:
-        from repro.machine.simulator import SpaceTimeSimulator
-
-        sim = SpaceTimeSimulator(
-            t, machine.algorithm, machine.binding, backend=spec.sim_backend
-        )
-        sim.run(lambda q, s: None)
-        print(render_gantt(sim.pes), file=out)
+        bounds = machine.algorithm.index_set.bounds(machine.binding)
+        print(render_gantt(t, bounds), file=out)
     data = {
         "makespan": run.sim.makespan,
         "processors": run.sim.processor_count,

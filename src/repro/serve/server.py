@@ -7,8 +7,7 @@ are CPU-bound sync code), one spec per execution and one execution at a
 time, so the per-job obs registry install is race-free and each job's
 metrics, timing and budget are its own.  Scale-out is by process: any
 number of servers and CLI runs may share one ``$REPRO_CACHE_DIR``, whose
-store serializes eviction and its stats ledger under a file lock
-(:mod:`repro.cache.store`).
+store serializes eviction under a file lock (:mod:`repro.cache.store`).
 
 Endpoints (all JSON; ``Connection: close`` per request):
 

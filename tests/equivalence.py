@@ -1,11 +1,12 @@
 """Shared plumbing for the backend-equivalence suites.
 
-``tests/test_wavefront_equivalence.py`` and
-``tests/test_compiled_equivalence.py`` both compare the ``compiled``
-backend against the ``pointwise`` reference.  The machines build their
-simulator internally (the bit-level and word-level model machines, which
-the matmul machines wrap), so store snapshots and PE firings are grabbed
-by substituting a recording :class:`SpaceTimeSimulator` subclass.
+``tests/test_compiled_equivalence.py`` compares the ``compiled`` backend
+against the ``pointwise`` reference, and
+``tests/test_wavefront_equivalence.py`` repeats two of its sweeps from
+other seeds.  The machines build their simulator internally (the
+bit-level and word-level model machines, which the matmul machines
+wrap), so store snapshots are grabbed by substituting a recording
+:class:`SpaceTimeSimulator` subclass.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import random
 
 from repro import obs
 from repro.arith.baughwooley import BaughWooleyMultiplier
+from repro.compile.runner import clear_program_memo
 from repro.machine import model as model_mod
 from repro.machine import wordmodel as wordmodel_mod
 from repro.machine.bitlevel import BitLevelMatmulMachine
@@ -53,17 +55,12 @@ def observed(fn):
     return out, obs.metrics_dict(reg)
 
 
-def firings(sim):
-    return {pos: dict(pe.firings) for pos, pe in sim.pes.items()}
-
-
 def assert_runs_match(ref, got, label):
-    """Each run is ``(sim_result, snapshot, metrics, firings)``."""
+    """Each run is ``(sim_result, snapshot, metrics)``."""
     assert ref[0] == got[0], f"{label}: SimulationResult diverged"
     assert ref[1] == got[1], f"{label}: store contents diverged"
     assert ref[2]["counters"] == got[2]["counters"], f"{label}: counters diverged"
     assert ref[2]["gauges"] == got[2]["gauges"], f"{label}: gauges diverged"
-    assert ref[3] == got[3], f"{label}: PE firing records diverged"
 
 
 def bitlevel_run(u, p, mapping, expansion, backend, x, y, capture):
@@ -71,7 +68,7 @@ def bitlevel_run(u, p, mapping, expansion, backend, x, y, capture):
     machine = BitLevelMatmulMachine(u, p, mapping, expansion, backend=backend)
     out, metrics = observed(lambda: machine.run(x, y))
     sim = capture[-1]
-    return out, (out.sim, sim.store.snapshot(), metrics, firings(sim))
+    return out, (out.sim, sim.store.snapshot(), metrics)
 
 
 def design_mapping(design, p):
@@ -163,8 +160,8 @@ CONV_T = MappingMatrix([[3, 0, 1, 0], [0, 0, 0, 1], [2, 1, 2, 1]], "T-conv")
 
 def captured_run(fn, capture):
     """Run ``fn`` under a fresh obs registry; return ``(out, run)`` where
-    ``run`` is ``(sim_results, snapshots, metrics, firings)`` over every
-    simulator ``fn`` built (needs :func:`install_capture` active)."""
+    ``run`` is ``(sim_results, snapshots, metrics)`` over every simulator
+    ``fn`` built (needs :func:`install_capture` active)."""
     before = len(capture)
     out, metrics = observed(fn)
     sims = capture[before:]
@@ -172,7 +169,6 @@ def captured_run(fn, capture):
         _results(out),
         [sim.store.snapshot() for sim in sims],
         metrics,
-        [firings(sim) for sim in sims],
     )
 
 
@@ -280,3 +276,25 @@ def feasible_cases(seed, count=N_RANDOM_MAPPINGS, max_attempts=400):
         f"loosen the draw budget"
     )
     return out
+
+
+def assert_word_mappings_equivalent(seed, capture):
+    """The word-level model machine on every ``kind="word"`` draw among
+    the feasible mappings of seed ``seed``: the pointwise oracle, a
+    compiled run that compiles cold, and a second compiled run replayed
+    from the memoized program."""
+    cases = [
+        (case, t) for case, _, _, t in feasible_cases(seed=seed)
+        if case.kind == "word"
+    ]
+    assert len(cases) >= 5
+    for k, (case, t) in enumerate(cases):
+        clear_program_memo()
+        out_pw, ref = word_model_run(case, t, "pointwise", k, capture)
+        for leg in ("cold", "warm"):
+            out_c, got = word_model_run(case, t, "compiled", k, capture)
+            assert out_pw.z_words == out_c.z_words
+            assert_runs_match(
+                ref, got, f"word model {case.h1, case.h2, case.h3} "
+                          f"mapping {t.rows} ({leg})",
+            )

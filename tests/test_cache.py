@@ -11,6 +11,7 @@ import os
 
 import pytest
 
+from repro import obs
 from repro.cache import (
     ArtifactCache,
     SCHEMA_VERSION,
@@ -86,10 +87,12 @@ class TestKeys:
 class TestStore:
     def test_put_get_round_trip(self, tmp_path):
         cache = ArtifactCache(tmp_path)
-        assert cache.get("k", "ab" * 32) is None
-        cache.put("k", "ab" * 32, {"x": [1, 2]})
-        assert cache.get("k", "ab" * 32) == {"x": [1, 2]}
-        assert cache.hits == 1 and cache.misses == 1
+        with obs.collecting() as reg:
+            assert cache.get("k", "ab" * 32) is None
+            cache.put("k", "ab" * 32, {"x": [1, 2]})
+            assert cache.get("k", "ab" * 32) == {"x": [1, 2]}
+        counters = dict(reg.counters)
+        assert counters["cache.hits"] == counters["cache.misses"] == 1
 
     def test_layout_versioned(self, tmp_path):
         cache = ArtifactCache(tmp_path)
@@ -107,11 +110,12 @@ class TestStore:
 
     def test_lru_eviction(self, tmp_path):
         cache = ArtifactCache(tmp_path, max_bytes=1)
-        cache.put("k", "aa1", list(range(50)))
-        cache.put("k", "bb2", list(range(50)))
+        with obs.collecting() as reg:
+            cache.put("k", "aa1", list(range(50)))
+            cache.put("k", "bb2", list(range(50)))
         # Cap of one byte: the eviction pass leaves at most one entry.
         assert cache.stats()["entries"] <= 1
-        assert cache.evictions >= 1
+        assert dict(reg.counters)["cache.evictions"] >= 1
 
     def test_eviction_is_lru(self, tmp_path):
         cache = ArtifactCache(tmp_path, max_bytes=10**9)
@@ -149,12 +153,16 @@ class TestStore:
         cache.put("analysis", "aa" * 32, 1)
         cache.put("analysis", "bb" * 32, 2)
         cache.put("symbolic", "cc" * 32, 3)
-        cache.flush_stats()
+        # A ledger an older version left is no entry: never counted, and
+        # clearing one kind leaves it where it is.
+        ledger = tmp_path / f"v{SCHEMA_VERSION}" / "stats.json"
+        ledger.write_text(json.dumps({"hits": 7}))
         assert main(["cache", "clear", "--dir", str(tmp_path),
                      "--kind", "analysis"]) == 0
         st = ArtifactCache(tmp_path).stats()
         assert st["kinds"] == {"symbolic": 1}
-        assert st["store"]["writes"] == 3
+        assert st["entries"] == 1
+        assert ledger.exists()
 
     @pytest.mark.parametrize("kind", ["..", "", "a/b", "<absolute>"])
     def test_clear_rejects_kind_that_is_not_one_name(self, tmp_path, kind):
@@ -265,8 +273,6 @@ class TestEndToEnd:
         ]
 
     def test_cache_obs_counters(self, tmp_path):
-        from repro import obs
-
         prog = expand_bit_level([1], [1], [1], [1], [3], 2, "II")
         config = self._config(tmp_path)
         with obs.collecting() as reg:
@@ -278,96 +284,86 @@ class TestEndToEnd:
         assert counters.get("cache.hits") == 1
 
 
-class TestSharedStats:
-    """The cross-process stats ledger: atomic, delta-based, lock-guarded.
+class TestOneRecord:
+    """The store counts only through ``repro.obs``: it writes no file but
+    its entries, and a hit takes no lock."""
 
-    Regression for the double-reporting bug: each process used to dump
-    its *cumulative* session counters into the shared stats file, so two
-    processes (or two flushes) sharing a store dir counted the same hits
-    twice.  The ledger now accumulates per-flush deltas under the store's
-    file lock, which makes flushing idempotent and cross-process totals
-    exact sums.
-    """
+    def _lock_count(self, monkeypatch):
+        from repro.cache import FileLock
 
-    def _one_session(self, tmp_path):
-        cache = ArtifactCache(tmp_path)
-        cache.get("k", "ab" * 32)          # miss
-        cache.put("k", "ab" * 32, [1, 2])  # write
-        cache.get("k", "ab" * 32)          # hit
-        return cache
+        calls = []
+        real = FileLock.acquire
 
-    def test_flush_is_idempotent(self, tmp_path):
-        cache = self._one_session(tmp_path)
-        first = cache.flush_stats()
-        again = cache.flush_stats()
-        third = cache.stats()["store"]
-        assert first == again == third
-        assert first["hits"] == 1
-        assert first["misses"] == 1
-        assert first["writes"] == 1
+        def counting(lock, timeout=None):
+            calls.append(lock.path)
+            return real(lock, timeout)
 
-    def test_two_sessions_sum_not_double(self, tmp_path):
-        a = self._one_session(tmp_path)
-        a.flush_stats()
-        a.flush_stats()  # re-flush must not re-add the same deltas
-        b = ArtifactCache(tmp_path)
-        b.get("k", "ab" * 32)  # hit (entry written by session a)
-        b.get("k", "cd" * 32)  # miss
-        b.flush_stats()
-        totals = ArtifactCache(tmp_path).stats()["store"]
-        assert totals["hits"] == 2
-        assert totals["misses"] == 2
-        assert totals["writes"] == 1
+        monkeypatch.setattr(FileLock, "acquire", counting)
+        return calls
 
-    def test_cross_process_totals_are_exact(self, tmp_path):
-        import subprocess
-        import sys
+    def test_lock_taken_once_cold_and_never_warm(self, tmp_path, monkeypatch):
+        prog = expand_bit_level([1], [1], [1], [1], [3], 2, "II")
+        config = AnalysisConfig(cache=True, cache_dir=tmp_path)
+        calls = self._lock_count(monkeypatch)
+        analyze(prog, {}, "exact", config=config)
+        assert len(calls) == 1  # the eviction pass after the write
+        analyze(prog, {}, "exact", config=config)
+        assert len(calls) == 1
 
-        script = (
-            "from repro.cache import ArtifactCache; "
-            f"c = ArtifactCache({str(tmp_path)!r}); "
-            "c.get('k', 'ee' * 32); "
-            "c.put('k', 'ee' * 32, [1]); "
-            "c.get('k', 'ee' * 32); "
-            "c.flush_stats(); c.flush_stats()"
+    def _both_kinds(self, tmp_path):
+        """A cold and two warm ``analyze`` calls, then a cold and a
+        disk-warm ``analyze_symbolic``, on one fresh store; returns the
+        run's counters and the files under the versioned root."""
+        from repro.structures.params import S
+        from repro.symbolic import analyze_symbolic
+        from repro.symbolic.analyze import clear_memo
+
+        prog = expand_bit_level([1], [1], [1], [1], [3], 2, "II")
+        config = AnalysisConfig(cache=True, cache_dir=tmp_path)
+        symbolic = expand_bit_level([1], [1], [1], [1], [S("u")], S("p"), "II")
+        clear_memo()
+        with obs.collecting() as reg:
+            for _ in range(3):
+                analyze(prog, {}, "exact", config=config)
+            analyze_symbolic(symbolic, cache=True, cache_dir=tmp_path)
+            clear_memo()  # the next call reads the disk entry
+            analyze_symbolic(symbolic, cache=True, cache_dir=tmp_path)
+        root = tmp_path / f"v{SCHEMA_VERSION}"
+        files = sorted(
+            path.relative_to(root).as_posix()
+            for path in root.rglob("*") if path.is_file()
         )
-        for _ in range(2):
-            subprocess.run(
-                [sys.executable, "-c", script], check=True,
-                env={**os.environ, "PYTHONPATH": "src"},
-            )
-        totals = ArtifactCache(tmp_path).stats()["store"]
-        # First process: miss, write, hit.  Second: hit, write, hit.
-        # Every increment lands exactly once despite double flushes.
-        assert totals["misses"] == 1
-        assert totals["writes"] == 2
-        assert totals["hits"] == 3
+        return dict(reg.counters), files
 
-    def test_stats_ledger_is_not_a_cache_entry(self, tmp_path):
-        cache = self._one_session(tmp_path)
-        cache.flush_stats()
-        st = cache.stats()
-        assert st["entries"] == 1
-        assert cache.clear() == 1
-        # A fresh flush after clear must not resurrect pre-clear deltas.
-        assert cache.flush_stats()["hits"] == 0
+    def test_both_kinds_count_through_obs(self, tmp_path):
+        counters, _ = self._both_kinds(tmp_path)
+        assert (counters["cache.hits"], counters["cache.misses"],
+                counters["cache.writes"]) == (3, 2, 2)
 
-    def test_concurrent_flushes_lose_nothing(self, tmp_path):
-        import threading
+    def test_store_writes_only_its_entries(self, tmp_path):
+        _, files = self._both_kinds(tmp_path)
+        assert [f.split("/")[0] for f in files] == ["analysis", "symbolic"]
+        assert "stats.json" not in files
 
-        caches = []
-        for _ in range(4):
-            cache = ArtifactCache(tmp_path)
-            cache.hits = 25  # simulate 25 hits in this "process"
-            caches.append(cache)
-        threads = [
-            threading.Thread(target=c.flush_stats) for c in caches
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert ArtifactCache(tmp_path).stats()["store"]["hits"] == 100
+    def test_cache_stats_reads_entries_not_a_ledger(self, tmp_path, capsys):
+        from repro.__main__ import main
+
+        cache = ArtifactCache(tmp_path)
+        cache.put("analysis", "aa" * 32, 1)
+        cache.put("symbolic", "bb" * 32, 2)
+        assert main(["cache", "stats", "--dir", str(tmp_path)]) == 0
+        before = capsys.readouterr().out
+        ledger = tmp_path / f"v{SCHEMA_VERSION}" / "stats.json"
+        ledger.write_text(json.dumps({"hits": 3, "misses": 1}))
+        assert main(["cache", "stats", "--dir", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert out == before
+        assert "entries: 2 " in out
+        assert "  analysis: 1 entries" in out and "  symbolic: 1 entries" in out
+        assert "this process" not in out and "store totals" not in out
+        cache.max_bytes = 1
+        cache.put("analysis", "cc" * 32, 3)  # evicts entries, not the ledger
+        assert ledger.exists()
 
 
 class TestFileLock:

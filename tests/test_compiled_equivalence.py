@@ -2,11 +2,13 @@
 
 The compiled backend is only a speedup if it is *undetectable*: same
 product, same :class:`~repro.machine.simulator.SimulationResult`, same
-store contents, same ``machine.*`` metric values, same PE firing
-records as the pointwise reference.  This module pins that down across
+store contents and same ``machine.*`` metric values as the pointwise
+reference.  (Per-point firing records are the pointwise interpreter's
+alone; the ``--gantt`` chart draws them from the design, see
+``tests/test_render.py``.)  This module pins that down across
 
 * the bit-level matmul machine (both designs x both expansions x
-  rectangular sizes, with store snapshots and PE firings);
+  rectangular sizes, with store snapshots);
 * the int64 lane gates (``p`` in {32, 33, 62, 63});
 * every ranked candidate of the ``design_flow`` search, whose non-paper
   schedules mix full and empty site selections in one program;
@@ -28,8 +30,8 @@ records as the pointwise reference.  This module pins that down across
   the in-process memo, so ``REPRO_CACHE_DIR`` changes no result or
   metric and receives no file.
 
-The wavefront-vs-pointwise cases of the same machines live in
-``tests/test_wavefront_equivalence.py``; both use the plumbing in
+``tests/test_wavefront_equivalence.py`` repeats the arithmetic and
+random-mapping sweeps from other seeds; both use the plumbing in
 ``tests/equivalence.py``.
 """
 
@@ -65,19 +67,18 @@ from repro.structures.algorithm import Algorithm
 from repro.structures.indexset import IndexSet
 from tests.conftest import random_matrix, reference_matmul
 from tests.equivalence import (
+    N_RANDOM_MAPPINGS,
     assert_arithmetic_equivalent,
     assert_runs_match,
+    assert_word_mappings_equivalent,
     bitlevel_run,
     design_mapping,
     captured_run,
     chain_words,
-    feasible_cases,
-    firings,
     install_capture,
     model_machine_run,
     observed,
     partitioned_run,
-    word_model_run,
 )
 
 
@@ -114,7 +115,7 @@ def test_backends_are_pointwise_and_compiled(monkeypatch):
 @pytest.mark.parametrize("expansion", ["I", "II"])
 def test_bitlevel_three_backend_equivalence(design, expansion, capture, rng):
     """One design on the pointwise oracle and on its compiled program,
-    store snapshots and PE firings included."""
+    store snapshots included."""
     u = p = 3
     x, y = random_matrix(rng, u, p), random_matrix(rng, u, p)
     mapping = design_mapping(design, p)
@@ -371,7 +372,7 @@ def test_registered_arithmetic_compiled_equivalence(arith):
 def test_model_machine_compiled_equivalence(expansion, capture, rng):
     """The convolution model with initial words: pointwise, a cold
     compiled run and a compiled run replayed from the memoized program
-    agree in outputs, results, store, counters, gauges and firings."""
+    agree in outputs, results, store, counters and gauges."""
     state = rng.getstate()
     clear_plan_memo()
     runs = []
@@ -433,8 +434,8 @@ RAGGED_MODELS = [
 def test_model_machine_ragged_chains(h1, h2, h3, uppers, expansion, capture):
     """On the design ``BitLevelDesigner`` finds, with initial words at
     some chain starts: the pointwise run, a cold compiled run and a warm
-    one agree in outputs, z words, results, store, counters, gauges and
-    firings, and the outputs equal the reference."""
+    one agree in outputs, z words, results, store, counters and gauges,
+    and the outputs equal the reference."""
     p = 3
     lowers = (1, 1)
     designer = BitLevelDesigner(h1=h1, h2=h2, h3=h3, lowers=lowers,
@@ -530,8 +531,8 @@ def test_overflow_names_the_point_the_design_fires_first(monkeypatch):
 def test_partitioned_machine_compiled_equivalence(
     expansion, capture, monkeypatch
 ):
-    """Pass-partitioned matmul with initial words: every pass's result,
-    store and firings match across backends."""
+    """Pass-partitioned matmul with initial words: every pass's result
+    and store match across backends."""
     outs, runs = {}, {}
     for backend in BACKENDS:
         outs[backend], runs[backend] = partitioned_run(
@@ -546,25 +547,14 @@ def test_partitioned_machine_compiled_equivalence(
 
 def test_random_feasible_mappings_three_backends(capture):
     """The word-level model machine on every ``kind="word"`` draw among
-    the seeded feasible mappings (random h̄): the pointwise oracle, a
-    compiled run that compiles cold, and a second compiled run replayed
-    from the memoized program.  The draw seed differs from the wavefront
-    suite's, so the two sweeps cover different mappings."""
-    cases = [
-        (case, t) for case, _, _, t in feasible_cases(seed=43)
-        if case.kind == "word"
-    ]
-    assert len(cases) >= 5
-    for k, (case, t) in enumerate(cases):
-        clear_program_memo()
-        out_pw, ref = word_model_run(case, t, "pointwise", k, capture)
-        for leg in ("cold", "warm"):
-            out_c, got = word_model_run(case, t, "compiled", k, capture)
-            assert out_pw.z_words == out_c.z_words
-            assert_runs_match(
-                ref, got, f"word model {case.h1, case.h2, case.h3} "
-                          f"mapping {t.rows} ({leg})",
-            )
+    the seeded feasible mappings (random h̄), on the pointwise oracle and
+    on a cold and a memo-replayed compiled run."""
+    assert_word_mappings_equivalent(43, capture)
+
+
+def test_random_mapping_count_is_at_least_twenty():
+    """Guard: each seeded random sweep keeps covering >= 20 mappings."""
+    assert N_RANDOM_MAPPINGS >= 20
 
 
 def test_word_model_words_must_follow_their_chains():
@@ -626,8 +616,7 @@ def test_run_counts_cannot_change_the_next_run(rng):
 
 
 def test_compiled_runs_share_plan_memo(capture, rng):
-    """Recompiling a design reuses its memoized plan, and materializing
-    its PE firings builds no plan."""
+    """Recompiling a design reuses its memoized plan."""
     import repro.compile.plan as plan_mod
 
     u = p = 3
@@ -648,7 +637,6 @@ def test_compiled_runs_share_plan_memo(capture, rng):
             BitLevelMatmulMachine(
                 u, p, mapping, "II", backend="compiled"
             ).run(x, y)
-            firings(capture[-1])
     finally:
         plan_mod._build_plan = saved
     assert len(calls) == 1, f"plan rebuilt {len(calls)} times for one design"

@@ -16,12 +16,12 @@ from repro.mapping.conflicts import find_conflicts
 from repro.mapping.engine import (
     DesignCandidate,
     SearchConfig,
-    ranked_schedules,
     run_search,
     search_designs,
 )
 from repro.mapping.feasibility import check_feasibility
 from repro.mapping.memo import EvalCache
+from repro.mapping.schedule import ranked_schedules
 from repro.mapping.transform import MappingMatrix
 from repro.structures.constrained import AffineConstraint, ConstrainedIndexSet
 from repro.util.linalg import mat_vec

@@ -33,6 +33,7 @@ from repro.ir.builders import lu_word_structure, word_model_structure
 from repro.mapping import conflicts, designs, engine, solver
 from repro.mapping.engine import SearchConfig, run_search
 from repro.mapping.interconnect import mesh_primitives
+from repro.mapping.schedule import ranked_schedules
 from repro.mapping.pareto import (
     METRIC_NAMES,
     FrontierPoint,
@@ -288,7 +289,7 @@ class TestPerSpaceEquivalence:
         walk = search_plan(alg, prims, config).walk(alg, binding, prims)
         catalog = engine._CatalogWalk(
             alg, binding, prims,
-            engine.ranked_schedules(alg, binding, config.schedule_bound),
+            ranked_schedules(alg, binding, config.schedule_bound),
             walk.spaces,
         )
         got = {index: (pi, report) for index, pi, report in walk.stream(None)}
