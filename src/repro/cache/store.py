@@ -127,8 +127,9 @@ class ArtifactCache:
             try:
                 # No sort_keys: dict insertion order is part of the exact
                 # round-trip contract (e.g. AnalysisResult.stats ordering).
+                # ``dumps`` takes the C encoder; ``json.dump`` never does.
                 with os.fdopen(fd, "w") as fh:
-                    json.dump(payload, fh)
+                    fh.write(json.dumps(payload))
                 os.replace(tmp, path)
             except BaseException:
                 try:

@@ -74,7 +74,7 @@ def analyze_enumerate(program: LoopNest, binding: ParamBinding) -> AnalysisResul
                     instances.add(DependenceInstance(point, vec, acc.array, kind))
     stats["instances"] = len(instances)
     obs.count_many(stats, prefix="depanalysis.")
-    return AnalysisResult(sorted(instances, key=lambda i: i.key()), stats)
+    return AnalysisResult.from_instances(instances, stats)
 
 
 def analyze(

@@ -142,4 +142,4 @@ def analyze_exact(
     stats["instances"] = len(instances)
     if reg is not None:
         reg.count_many(stats, prefix="depanalysis.")
-    return AnalysisResult(sorted(instances, key=lambda i: i.key()), stats)
+    return AnalysisResult.from_instances(instances, stats)

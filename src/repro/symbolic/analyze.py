@@ -75,26 +75,22 @@ class SymbolicResult:
         Instance rows (sink, vector, variable, kind) and their sort order
         match :func:`repro.depanalysis.exact.analyze_exact` exactly; the
         ``stats`` carry symbolic-layer counters instead of the concrete
-        solver's pruning counters.
+        solver's pruning counters.  A uniform family's sinks enter the
+        result's row table as one array per conjunction, with no
+        per-instance object; a general family's enumerated instances are
+        converted into rows.
         """
-        instances: set[DependenceInstance] = set()
+        blocks = []
+        general: list[DependenceInstance] = []
         for fam in self.families:
             if isinstance(fam, UniformFamily):
                 vec = fam.vector_at(binding)
-                if vec is None:
-                    continue
-                kind = lex_kind(vec)
-                for sink in fam.sinks(binding):
-                    instances.add(
-                        DependenceInstance(sink, vec, fam.variable, kind)
-                    )
+                if vec is not None:
+                    blocks.append((fam.sinks(binding), vec, fam.variable,
+                                   lex_kind(vec)))
             else:
-                instances.update(fam.instances(binding))
-        stats = dict(self.stats)
-        stats["instances"] = len(instances)
-        return AnalysisResult(
-            sorted(instances, key=lambda i: i.key()), stats
-        )
+                general.extend(fam.instances(binding))
+        return AnalysisResult.from_instances(general, self.stats, blocks)
 
     def count(self, binding: ParamBinding) -> int:
         """Total dependence instances at ``binding`` (O(1) counting when
@@ -109,12 +105,7 @@ class SymbolicResult:
         per-pair regions are never double counted.
         """
         if not self.closed_form:
-            result = self.instantiate(binding)
-            groups: dict = {}
-            for inst in result.instances:
-                key = (inst.vector, inst.variable, inst.kind)
-                groups[key] = groups.get(key, 0) + 1
-            counts = groups
+            counts = self.instantiate(binding).key_counts()
         else:
             merged: dict[tuple, list[Conjunction]] = {}
             for fam in self.families:

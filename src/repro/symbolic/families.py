@@ -32,10 +32,12 @@ binding arrives.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
+import numpy as np
+
+from repro.depanalysis.pairs import DependenceInstance, check_int64
 from repro.structures.conditions import (
     And,
     Condition,
@@ -128,14 +130,26 @@ class AxisConstraint:
             return 0
         return hi - lo + 1 - sum(1 for v in nes if lo <= v <= hi)
 
-    def values(self, binding: ParamBinding) -> list[int]:
+    def values(self, binding: ParamBinding) -> np.ndarray:
+        """The admissible values at ``binding``, ascending, as ``int64``
+        (a value outside ``int64`` raises a ``ValueError`` naming it)."""
         lo, hi, eqs, nes = self.admissible(binding)
         if eqs:
             if len(eqs) > 1:
-                return []
+                return np.zeros(0, np.int64)
             v = next(iter(eqs))
-            return [v] if lo <= v <= hi and v not in nes else []
-        return [v for v in range(lo, hi + 1) if v not in nes]
+            if lo <= v <= hi and v not in nes:
+                return np.array([check_int64(v)], np.int64)
+            return np.zeros(0, np.int64)
+        if hi < lo:
+            return np.zeros(0, np.int64)
+        values = check_int64(lo) + np.arange(
+            check_int64(hi) - lo + 1, dtype=np.int64
+        )
+        excluded = [v for v in nes if lo <= v <= hi]
+        if excluded:
+            values = values[~np.isin(values, excluded)]
+        return values
 
 
 def _dedupe(items: tuple) -> tuple:
@@ -167,10 +181,14 @@ def conjunction_count(conj: Conjunction, binding: ParamBinding) -> int:
     return total
 
 
-def conjunction_points(conj: Conjunction, binding: ParamBinding):
-    return itertools.product(
-        *(axis.values(binding) for axis in conj.axes)
+def conjunction_points(conj: Conjunction, binding: ParamBinding) -> np.ndarray:
+    """The conjunction's points at ``binding``, one ``int64`` row each."""
+    if conjunction_count(conj, binding) == 0:
+        return np.zeros((0, len(conj.axes)), np.int64)
+    grids = np.meshgrid(
+        *(axis.values(binding) for axis in conj.axes), indexing="ij"
     )
+    return np.stack([grid.ravel() for grid in grids], axis=1)
 
 
 def region_and(left: Region, right: Region) -> Region:
@@ -203,14 +221,12 @@ def region_count(region: Region, binding: ParamBinding) -> int:
     return total
 
 
-def region_points(
-    region: Region, binding: ParamBinding
-) -> set[tuple[int, ...]]:
-    """Materialize the region (cross-validation path; size-proportional)."""
-    out: set[tuple[int, ...]] = set()
-    for conj in region:
-        out.update(conjunction_points(conj, binding))
-    return out
+def region_points(region: Region, binding: ParamBinding) -> np.ndarray:
+    """Materialize the region, one ``int64`` row per point (size-
+    proportional).  A point in several conjunctions appears once per
+    conjunction: the caller's table drops the repeats."""
+    parts = [conjunction_points(conj, binding) for conj in region]
+    return np.concatenate(parts) if parts else np.zeros((0, 0), np.int64)
 
 
 def _negate(cond: Condition) -> Condition:
@@ -303,9 +319,11 @@ class UniformFamily:
             return 0
         return region_count(self.region, binding)
 
-    def sinks(self, binding: ParamBinding) -> set[tuple[int, ...]]:
+    def sinks(self, binding: ParamBinding) -> np.ndarray:
+        """The member sinks at ``binding``, one ``int64`` row each (as
+        :func:`region_points`, repeats included)."""
         if self.vector_at(binding) is None:
-            return set()
+            return np.zeros((0, len(self.vector)), np.int64)
         return region_points(self.region, binding)
 
 
@@ -328,7 +346,6 @@ class GeneralFamily:
 
     def instances(self, binding: ParamBinding) -> Iterable:
         from repro.depanalysis.diophantine import bounded_lattice_points
-        from repro.depanalysis.pairs import DependenceInstance
 
         if any(z.evaluate(binding) != 0 for z in self.zeros):
             return

@@ -6,9 +6,13 @@ content-addressed keys under renaming, and end-to-end parity between
 cached and uncached analysis runs.
 """
 
+import base64
+import gc
 import json
 import os
+import re
 
+import numpy as np
 import pytest
 
 from repro import obs
@@ -23,11 +27,14 @@ from repro.cache import (
     condition_to_payload,
     resolve_cache,
 )
-from repro.depanalysis import AnalysisConfig, analyze
+from repro.depanalysis import AnalysisConfig, DependenceInstance, analyze
 from repro.expansion.theorem31 import matmul_bit_level
 from repro.ir import builders
 from repro.ir.expand import expand_bit_level
+from repro.ir.expr import var
+from repro.ir.program import ArrayAccess, LoopNest, Statement
 from repro.pipeline import BitLevelDesigner
+from repro.structures.indexset import IndexSet
 
 
 class TestStructureSerde:
@@ -127,6 +134,38 @@ class TestStore:
         remaining = {p.stem for p, _ in cache._entries()}
         assert "old1" not in remaining
         assert "new2" in remaining
+
+    @pytest.mark.parametrize("kind", ["analysis", "symbolic"])
+    def test_put_writes_dumps_text_with_the_c_encoder(
+        self, tmp_path, monkeypatch, kind
+    ):
+        from repro.structures.params import S
+        from repro.symbolic import analyze_symbolic
+        from repro.symbolic.serde import symbolic_result_to_payload
+
+        if kind == "analysis":
+            payload = analysis_result_to_payload(analyze(
+                expand_bit_level([1], [1], [1], [1], [3], 2, "II"), {},
+                config=AnalysisConfig(cache=False),
+            ))
+        else:
+            payload = symbolic_result_to_payload(analyze_symbolic(
+                expand_bit_level([1], [1], [1], [1], [S("u")], S("p"), "II"),
+                cache=False,
+            ))
+        calls = []
+        real = json.encoder._make_iterencode
+
+        def pure_python_encoder(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(json.encoder, "_make_iterencode",
+                            pure_python_encoder)
+        cache = ArtifactCache(tmp_path)
+        cache.put(kind, "ab" * 32, payload)
+        assert calls == []
+        assert cache._path(kind, "ab" * 32).read_text() == json.dumps(payload)
 
     def test_stats_and_clear(self, tmp_path):
         cache = ArtifactCache(tmp_path)
@@ -282,6 +321,139 @@ class TestEndToEnd:
         assert counters.get("cache.misses") == 1
         assert counters.get("cache.writes") == 1
         assert counters.get("cache.hits") == 1
+
+
+def _matmul(u, p, expansion="II"):
+    return expand_bit_level([0, 1, 0], [1, 0, 0], [0, 0, 1], [1, 1, 1],
+                            [u, u, u], p, expansion)
+
+
+def _live_instances() -> int:
+    gc.collect()
+    return sum(isinstance(o, DependenceInstance) for o in gc.get_objects())
+
+
+def _entry_path(cache_dir):
+    (path, _stat), = ArtifactCache(cache_dir)._entries()
+    return path
+
+
+def _row_list(entry) -> dict:
+    """The entry in the row-list shape older versions wrote."""
+    result = analysis_result_from_payload(entry)
+    return {
+        "instances": [[list(i.sink), list(i.vector), i.variable, i.kind]
+                      for i in result.instances],
+        "stats": entry["stats"],
+    }
+
+
+def _vector_index_past_end(entry) -> dict:
+    raw = base64.b64decode(entry["rows"])
+    rows = np.frombuffer(raw, entry["dtype"]).reshape(entry["shape"]).copy()
+    rows[0, entry["shape"][1] - 3] = len(entry["vectors"])
+    return {**entry, "rows": base64.b64encode(rows.tobytes()).decode()}
+
+
+CORRUPTIONS = {
+    "row-list": _row_list,
+    "truncated-rows": lambda e: {**e, "rows": e["rows"][:-4]},
+    "shape-disagrees": lambda e: {**e, "shape": [e["shape"][0] + 1,
+                                                 e["shape"][1]]},
+    "vector-index-out-of-range": _vector_index_past_end,
+}
+
+
+class TestRowTable:
+    """An analysis result is one sorted row table: its view equals the
+    scalar route's instances, a warm read builds no instance object, and
+    an entry the decoder cannot check is recomputed and overwritten."""
+
+    @pytest.mark.parametrize("expansion", ["I", "II"])
+    @pytest.mark.parametrize("u,p", [(u, p) for u in (2, 3, 4)
+                                     for p in (2, 3, 4)])
+    def test_view_equals_scalar_route_cold_and_warm(
+        self, tmp_path, u, p, expansion
+    ):
+        prog = _matmul(u, p, expansion)
+        want = analyze(prog, {"p": p},
+                       config=AnalysisConfig(backend="scalar", cache=False))
+        keys = [i.key() for i in want.instances]
+        assert keys == sorted(set(keys))
+        config = AnalysisConfig(backend="symbolic", cache=True,
+                                cache_dir=tmp_path)
+        with obs.collecting() as reg:
+            results = [analyze(prog, {"p": p}, config=config)
+                       for _ in ("cold", "warm")]
+        assert dict(reg.counters)["cache.hits"] == 1
+        n = len(keys)
+        for got in results:
+            assert len(got.instances) == n == got.stats["instances"]
+            assert [i.key() for i in got.instances] == keys
+            assert tuple(got.instances) == tuple(want.instances)
+            for index in (0, n // 2, n - 1, -1, -n):
+                assert got.instances[index].key() == keys[index]
+            assert [i.key() for i in got.instances[1:-1:7]] == keys[1:-1:7]
+            with pytest.raises(IndexError):
+                got.instances[n]
+
+    def test_warm_read_answers_without_instance_objects(self, tmp_path):
+        prog = _matmul(4, 3)
+        config = AnalysisConfig(cache=True, cache_dir=tmp_path)
+        cold = analyze(prog, {"p": 3}, config=config)
+        before = _live_instances()
+        with obs.collecting() as reg:
+            warm = analyze(prog, {"p": 3}, config=config)
+        answers = (len(warm.instances), warm.distinct_vectors(),
+                   list(warm.stats.items()))
+        assert _live_instances() == before
+        assert dict(reg.counters)["cache.hits"] == 1
+        assert answers == (2000, cold.distinct_vectors(),
+                           list(cold.stats.items()))
+
+    def test_empty_result_round_trips(self, tmp_path):
+        j = var("j")
+        prog = LoopNest(
+            ("j",), IndexSet([1], [4], ("j",)),
+            [Statement("S", ArrayAccess("x", [j]), [ArrayAccess("y", [j])])],
+        )
+        config = AnalysisConfig(cache=True, cache_dir=tmp_path)
+        with obs.collecting() as reg:
+            cold = analyze(prog, {}, config=config)
+            warm = analyze(prog, {}, config=config)
+        assert dict(reg.counters)["cache.hits"] == 1
+        for result in (cold, warm):
+            assert len(result.instances) == 0 == result.stats["instances"]
+            assert tuple(result.instances) == ()
+            assert result.distinct_vectors() == []
+            assert result.vectors_by_variable() == {}
+        assert list(warm.stats.items()) == list(cold.stats.items())
+        entry = json.loads(_entry_path(tmp_path).read_text())
+        assert entry["shape"][0] == 0 and entry["rows"] == ""
+
+    @pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
+    def test_malformed_entry_recomputed_and_overwritten(
+        self, tmp_path, capsys, corruption
+    ):
+        from repro.__main__ import main
+
+        def untimed(out):
+            return re.sub(r" \([0-9.]+s\)$", "", out, flags=re.M)
+
+        argv = ["analyze", "--u", "2", "--p", "2",
+                "--cache-dir", str(tmp_path)]
+        assert main(argv) == 0
+        want = untimed(capsys.readouterr().out)
+        path = _entry_path(tmp_path)
+        good = json.loads(path.read_text())
+        bad = CORRUPTIONS[corruption](good)
+        assert bad != good
+        with pytest.raises((KeyError, TypeError, ValueError)):
+            analysis_result_from_payload(bad)
+        path.write_text(json.dumps(bad))
+        assert main(argv) == 0
+        assert untimed(capsys.readouterr().out) == want
+        assert json.loads(path.read_text()) == good
 
 
 class TestOneRecord:

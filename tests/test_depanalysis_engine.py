@@ -146,6 +146,53 @@ class TestBackendEquivalence:
                         config=_config("scalar"))
 
 
+def _chain(lower, upper):
+    """``x(j) = f(x(j - 1))`` over ``lower <= j <= upper``."""
+    j = var("j")
+    return LoopNest(
+        ("j",),
+        IndexSet([lower], [upper], ("j",)),
+        [Statement("S", ArrayAccess("x", [j]), [ArrayAccess("x", [j - 1])])],
+    )
+
+
+ROUTES = [("exact", "scalar"), ("exact", "symbolic"), ("enumerate", "scalar")]
+
+
+class TestInt64Range:
+    """A result's row table holds ``int64`` sinks: one outside that range
+    is a ``ValueError`` naming it on every route, never a wrapped value."""
+
+    BIG = 2**63
+
+    @pytest.mark.parametrize("method,backend", ROUTES)
+    def test_sink_outside_int64_is_named(self, method, backend):
+        prog = _chain(self.BIG - 2, self.BIG + 1)
+        with pytest.raises(
+            ValueError,
+            match=rf"coordinate ({self.BIG}|{self.BIG + 1}) is outside the "
+            r"int64 range",
+        ):
+            analyze(prog, {}, method, config=_config(backend))
+
+    @pytest.mark.parametrize("method,backend", ROUTES)
+    def test_sinks_at_the_int64_edge_are_exact(self, method, backend):
+        from repro.cache import (
+            analysis_result_from_payload,
+            analysis_result_to_payload,
+        )
+
+        # Only the sink is stored: a source one below the range is fine.
+        prog = _chain(-self.BIG - 1, -self.BIG + 2)
+        result = analyze(prog, {}, method, config=_config(backend))
+        sinks = [(-self.BIG,), (-self.BIG + 1,), (-self.BIG + 2,)]
+        assert [i.sink for i in result.instances] == sinks
+        back = analysis_result_from_payload(
+            analysis_result_to_payload(result)
+        )
+        assert tuple(back.instances) == tuple(result.instances)
+
+
 class TestSymbolicRoute:
     def test_unsupported_guard_falls_back_to_scalar(self):
         from repro import obs
@@ -160,6 +207,29 @@ class TestSymbolicRoute:
         ]
         assert got.stats == want.stats
         assert reg.counters["depanalysis.symbolic_fallbacks"] == 1
+
+    def test_variable_distance_family_rows_and_counts(self):
+        # x(2j) = f(x(j)): the distance j - j/2 varies, so the pair is a
+        # general family whose enumerated instances enter the row table,
+        # and summary counts its groups from the table's columns.
+        from repro.symbolic import analyze_symbolic
+
+        j = var("j")
+        prog = LoopNest(
+            ("j",), IndexSet([1], [9], ("j",)),
+            [Statement("S", ArrayAccess("x", [2 * j]),
+                       [ArrayAccess("x", [j])])],
+        )
+        symbolic = analyze_symbolic(prog, cache=False)
+        assert not symbolic.closed_form
+        want = analyze(prog, {}, "exact", config=_config("scalar"))
+        got = analyze(prog, {}, "exact", config=_config("symbolic"))
+        assert len(want.instances) == 4
+        _assert_same_answer(want, got)
+        summary = symbolic.summary({})
+        assert summary["instances"] == len(want.instances)
+        assert summary["distinct_vectors"] == want.distinct_vectors()
+        assert summary["by_kind"] == {"flow": 4}
 
     def test_route_leaves_the_symbolic_memo_alone(self):
         # The route solves every concrete program from scratch: the
